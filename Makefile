@@ -31,8 +31,7 @@ bench-full:
 # Where the headline run spends its budget: a reduced-scale headline
 # experiment with the phase profiler attached, printed as a per-phase
 # wall/CPU breakdown (model build, exact + fast screening, probe
-# selection, trials).  Set REPRO_SIMPATH=reference to profile the
-# unoptimized path for comparison.
+# selection, trials).
 profile-headline:
 	PYTHONPATH=src $(PYTHON) -m repro.cli headline \
 		--configs 4 --trials 20 --seed 2017 --mode table \

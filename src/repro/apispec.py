@@ -2,7 +2,7 @@
 
 Before this module every entry point took a different slice of the same
 knobs: ``ExperimentParams`` covered the figure pipelines, while the
-fault plan, probe retries, kernel choice, fan-out widths, and seed
+fault plan, probe retries, fan-out widths, and seed
 arrived as loose CLI flags or keyword arguments.  :class:`JobSpec`
 subsumes all of them in one frozen, validated, JSON-round-trippable
 dataclass -- the single submission type shared by the batch CLI
@@ -58,6 +58,15 @@ _EXPERIMENT_ALIASES: Dict[str, str] = {
     "fig7b": "fig7",
 }
 
+#: Removed implementation selectors and the values they accepted.  Every
+#: choice ran the same computation, so :meth:`JobSpec.from_dict` drops
+#: them; a value outside the old choices is still an error, since spool
+#: files and documents come from outside the program.
+LEGACY_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "kernel": ("dense", "sparse", "auto"),
+    "simpath": ("reference", "fastpath", "auto"),
+}
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -89,10 +98,6 @@ class JobSpec:
     fault_plan: Optional[FaultPlan] = None
     probe_retries: int = 0
     trial_jobs: int = 1
-    kernel: str = "auto"
-    #: Simulation/screening path (``repro.core.simpath``): "reference",
-    #: "fastpath", or "auto".  Both paths yield identical results.
-    simpath: str = "auto"
     #: Robustness sweep grid (``None`` = the sweep's defaults).
     rates: Optional[Tuple[float, ...]] = None
     kinds: Optional[Tuple[str, ...]] = None
@@ -195,8 +200,6 @@ class JobSpec:
             fault_plan=self.fault_plan,
             probe_retries=self.probe_retries,
             trial_jobs=self.trial_jobs,
-            kernel=self.kernel,
-            simpath=self.simpath,
         )
 
     @classmethod
@@ -221,8 +224,6 @@ class JobSpec:
             fault_plan=params.fault_plan,
             probe_retries=params.probe_retries,
             trial_jobs=params.trial_jobs,
-            kernel=params.kernel,
-            simpath=params.simpath,
             **extra,  # type: ignore[arg-type]
         )
 
@@ -250,12 +251,25 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, document: Dict[str, object]) -> "JobSpec":
-        """Rebuild a spec from :meth:`to_dict` output (JSON-safe)."""
+        """Rebuild a spec from :meth:`to_dict` output (JSON-safe).
+
+        Documents and spool files written before the implementation
+        selectors were removed may still carry them; those keys are
+        dropped here once their value is checked against the old
+        choices (see :data:`LEGACY_FIELDS`).
+        """
+        values = dict(document)
+        for name, choices in LEGACY_FIELDS.items():
+            if name in values and values.pop(name) not in choices:
+                raise ValueError(
+                    f"invalid legacy JobSpec field {name}="
+                    f"{document[name]!r} (expected one of "
+                    f"{', '.join(choices)})"
+                )
         known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(document) - known)
+        unknown = sorted(set(values) - known)
         if unknown:
             raise ValueError(f"unknown JobSpec field(s): {', '.join(unknown)}")
-        values = dict(document)
         config = values.get("config")
         if isinstance(config, dict):
             config = dict(config)
@@ -329,8 +343,6 @@ class JobSpec:
             fault_plan=fault_plan,
             probe_retries=getattr(args, "probe_retries", 0),
             trial_jobs=getattr(args, "trial_jobs", 1),
-            kernel=getattr(args, "kernel", "auto"),
-            simpath=getattr(args, "simpath", "auto"),
             rates=(
                 tuple(float(part) for part in rates.split(","))
                 if isinstance(rates, str)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import TYPE_CHECKING, List, Optional, Union
 
 if TYPE_CHECKING:
@@ -46,30 +45,6 @@ if TYPE_CHECKING:
     from repro.experiments.fig6 import Fig6Result
     from repro.experiments.fig7 import Fig7Result
     from repro.experiments.robustness import RobustnessResult
-
-
-class _DeprecatedAlias(argparse.Action):
-    """A hidden alias flag that warns and writes the canonical dest.
-
-    Used to retire the historical ``--save`` (for ``--out``) and
-    ``--n-jobs`` (for ``--jobs``) spellings: the alias stays accepted
-    for one release, never shows in ``--help``, and emits a
-    ``DeprecationWarning`` naming the canonical flag.
-    """
-
-    def __init__(self, option_strings, dest, canonical, **kwargs):
-        kwargs.setdefault("help", argparse.SUPPRESS)
-        kwargs.setdefault("default", argparse.SUPPRESS)
-        self.canonical = canonical
-        super().__init__(option_strings, dest, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        warnings.warn(
-            f"{option_string} is deprecated; use {self.canonical}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        setattr(namespace, self.dest, values)
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +62,6 @@ def add_common_args(
     mode_default: str = "network",
     faults: bool = False,
     trial_jobs: bool = False,
-    kernel: bool = False,
 ) -> None:
     """Attach the flags shared across subcommands.
 
@@ -96,13 +70,10 @@ def add_common_args(
     :func:`_resolved_seed`, so explicit seeds behave identically
     everywhere.  ``experiment`` adds the ``--configs/--trials/--mode/
     --out`` block of the figure pipelines (plus the fault flags and
-    ``--trial-jobs``); ``jobs`` adds ``--jobs`` (``--n-jobs`` is kept
-    as a deprecated alias); ``trial_jobs`` adds ``--trial-jobs`` (the
-    experiment layer's deterministic fan-out, EXPERIMENTS.md);
-    ``faults`` adds ``--fault-plan``/``--probe-retries``
-    (docs/FAULTS.md); ``kernel`` adds ``--kernel`` (probability-kernel
-    selection, docs/DESIGN.md -- identical probabilities, different
-    compute).  ``--trace`` and ``--metrics`` are attached
+    ``--trial-jobs``); ``jobs`` adds ``--jobs``; ``trial_jobs`` adds
+    ``--trial-jobs`` (the experiment layer's deterministic fan-out,
+    EXPERIMENTS.md); ``faults`` adds ``--fault-plan``/``--probe-retries``
+    (docs/FAULTS.md).  ``--trace`` and ``--metrics`` are attached
     unconditionally: observability is available on every subcommand.
     """
     if seed:
@@ -125,7 +96,6 @@ def add_common_args(
         out = True
         faults = True
         trial_jobs = True
-        kernel = True
     if faults:
         parser.add_argument(
             "--fault-plan", type=str, default=None, metavar="SPEC",
@@ -151,18 +121,10 @@ def add_common_args(
             metavar="PATH",
             help="archive the run as JSON (see repro.experiments.persist)",
         )
-        parser.add_argument(
-            "--save", dest="out", action=_DeprecatedAlias,
-            canonical="--out", type=str, metavar="PATH",
-        )
     if jobs:
         parser.add_argument(
             "--jobs", dest="jobs", type=int, default=1,
             help="worker processes for probe scoring (1 = in-process)",
-        )
-        parser.add_argument(
-            "--n-jobs", dest="jobs", action=_DeprecatedAlias,
-            canonical="--jobs", type=int, metavar="N",
         )
     if trial_jobs:
         parser.add_argument(
@@ -171,27 +133,6 @@ def add_common_args(
             help=(
                 "worker processes for the trial/config fan-out; results "
                 "are bit-identical for every N (1 = serial loops)"
-            ),
-        )
-    if kernel:
-        from repro.core.kernels import KERNEL_CHOICES
-        from repro.core.simpath import SIMPATH_CHOICES
-
-        parser.add_argument(
-            "--kernel", choices=KERNEL_CHOICES, default="auto",
-            help=(
-                "probability kernel: dense reference, sparse vectorised, "
-                "or auto (sparse + compiled matvecs when available); "
-                "all choices compute identical probabilities"
-            ),
-        )
-        parser.add_argument(
-            "--simpath", choices=SIMPATH_CHOICES, default="auto",
-            help=(
-                "simulation/screening path: reference linear scans and "
-                "exact screening, fastpath indexed tables + certified "
-                "float32 screening, or auto (fastpath); both paths "
-                "produce bit-identical results"
             ),
         )
     parser.add_argument(
@@ -447,7 +388,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
         config.universe,
         config.delta,
         config.cache_size,
-        kernel=spec.kernel,
     )
     inference = ReconInference(
         model, config.target_flow, config.window_steps
@@ -905,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument(
         "--method", choices=("exhaustive", "greedy"), default="exhaustive"
     )
-    add_common_args(select, seed_fallback=12, jobs=True, kernel=True)
+    add_common_args(select, seed_fallback=12, jobs=True)
     select.set_defaults(func=_cmd_select)
 
     reproduce = sub.add_parser(

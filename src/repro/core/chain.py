@@ -62,18 +62,14 @@ class TransitionOperator:
     """Repeated application of ``d -> d @ A`` with the transpose hoisted.
 
     For sparse ``A`` the operator stores ``A^T`` in CSR layout once;
-    each step is then one CSR matvec (compiled via numba when
-    ``compiled=True`` and the ``fast`` extra is installed -- the jit
-    kernel mirrors scipy's row-sequential accumulation, so both paths
-    agree bit-for-bit).  Dense matrices keep the plain ``@`` loop.
+    each step is then one CSR matvec.  Dense matrices keep the plain
+    ``@`` loop.
     """
 
     # The operator re-lays-out a matrix its caller already routed
     # through validate_stochastic; re-validating the transpose here
     # would reject legitimately substochastic inputs.
-    def __init__(self, matrix: MatrixLike, compiled: bool = False) -> None:  # repro: noqa[STO001]
-        from repro.core._fastmath import HAVE_NUMBA
-
+    def __init__(self, matrix: MatrixLike) -> None:  # repro: noqa[STO001]
         if sparse.issparse(matrix):
             self._dense: Optional[np.ndarray] = None
             transposed = sparse.csr_matrix(matrix.T)
@@ -84,7 +80,6 @@ class TransitionOperator:
         else:
             self._dense = np.asarray(matrix, dtype=np.float64)
             self._csr_t = None
-        self.compiled = bool(compiled) and HAVE_NUMBA and self._csr_t is not None
         self.shape: Tuple[int, int] = tuple(matrix.shape)  # type: ignore[assignment]
 
     @property
@@ -110,16 +105,6 @@ class TransitionOperator:
         transposed = self._csr_t
         if current.ndim == 1:
             counter_inc("kernel.sparse.matvecs", steps)
-            if self.compiled:
-                from repro.core._fastmath import csr_power
-
-                return csr_power(
-                    transposed.indptr,
-                    transposed.indices,
-                    transposed.data,
-                    current,
-                    steps,
-                )
             n_rows = transposed.shape[0]
             if _csr_matvec is not None:
                 n_cols = transposed.shape[1]

@@ -1,6 +1,6 @@
 """Optional native (C) kernel for the float32 screening pre-pass.
 
-The fast-path candidate screen (:mod:`repro.core.fastscreen`) spends
+The certified candidate screen (:mod:`repro.experiments.fastscreen`) spends
 nearly all of its time powering two transition chains per candidate --
 ``window_steps`` sparse matvecs against the full and target-excluded
 matrices.  scipy's float64 matvec is the exact reference; profiling

@@ -40,14 +40,12 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.chain import (
-    MatrixLike,
     PowerChain,
     TransitionOperator,
     per_flow_step_probabilities,
     validate_stochastic,
 )
 from repro.core.context import ModelContext
-from repro.core.kernels import ResolvedKernel, resolve_kernel
 from repro.core.masks import enumerate_subsets, indices_from_mask, popcount
 from repro.core.recency import (
     IndependentRecencyEstimator,
@@ -80,15 +78,11 @@ class CompactModel:
     expire_on_arrival:
         Apply expiration hazards on arrival steps too (timers run every
         step, as in the basic model), not only on no-arrival steps.
-    kernel:
-        Probability-kernel selection: ``"dense"`` (the reference
-        per-state builder, dense matrices), ``"sparse"`` (the vectorised
-        builder, CSR matrices and cached-transpose powering), or
-        ``"auto"`` (sparse, compiled matvecs when the ``fast`` extra is
-        installed).  ``None`` resolves the ambient default
-        (:func:`repro.core.kernels.resolve_kernel`).  All kernels
-        produce bitwise-identical probabilities; the choice only moves
-        the compute.
+
+    Transition matrices are CSR, built by the vectorised builder
+    (:mod:`repro.core.transition_build`) whenever it supports the
+    estimator and expiry semantics, else by the per-state loop
+    :meth:`_build_entries`; both emit bit-identical entries.
     """
 
     def __init__(
@@ -100,7 +94,6 @@ class CompactModel:
         estimator: Optional[RecencyEstimator] = None,
         multi_expiry: bool = False,
         expire_on_arrival: bool = True,
-        kernel: Optional[str] = None,
     ) -> None:
         self.context = ModelContext(policy, universe, delta, cache_size)
         self.estimator = estimator or IndependentRecencyEstimator(self.context)
@@ -110,7 +103,6 @@ class CompactModel:
             self.estimator.context = self.context
         self.multi_expiry = multi_expiry
         self.expire_on_arrival = expire_on_arrival
-        self.kernel: ResolvedKernel = resolve_kernel(kernel)
 
         self.states: List[int] = enumerate_subsets(
             self.context.n_rules, cache_size
@@ -130,7 +122,7 @@ class CompactModel:
         self._probe_matrix_cache: Dict[int, sparse.csr_matrix] = {}
         self._membership_matrix: Optional[np.ndarray] = None
         self._state_popcounts: Optional[np.ndarray] = None
-        self._matrix_cache: Dict[Tuple[int, ...], MatrixLike] = {}
+        self._matrix_cache: Dict[Tuple[int, ...], sparse.csr_matrix] = {}
         self._operator_cache: Dict[Tuple[int, ...], TransitionOperator] = {}
         self._chain_cache: Dict[
             Tuple[Tuple[int, ...], Optional[bytes]], PowerChain
@@ -426,16 +418,13 @@ class CompactModel:
         self,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         if self._entries is None:
-            if self.kernel.name == "sparse":
-                from repro.core import transition_build
+            from repro.core import transition_build
 
-                if transition_build.supports(self):
-                    self._entries = transition_build.build_entries(self)
-                else:
-                    # Non-default estimator or expiry semantics: only the
-                    # reference builder implements them.
-                    self._entries = self._build_entries()
+            if transition_build.supports(self):
+                self._entries = transition_build.build_entries(self)
             else:
+                # Non-default estimator or expiry semantics: only the
+                # per-state builder implements them.
                 self._entries = self._build_entries()
         return self._entries
 
@@ -464,7 +453,7 @@ class CompactModel:
             )
             # Aliased to every caller (transition_matrix, the fast
             # screen's float32 CSRs, reachability): read-only, like the
-            # kernel CSR buffers (runtime complement of MUT001).
+            # transition CSR buffers (runtime complement of MUT001).
             for array in sorted_entries:
                 array.setflags(write=False)
             if sanitize.is_active():
@@ -511,7 +500,7 @@ class CompactModel:
 
     def transition_matrix(
         self, exclude_flows: Iterable[int] = ()
-    ) -> MatrixLike:
+    ) -> sparse.csr_matrix:
         """The chain's transition matrix, optionally dropping flows.
 
         With ``exclude_flows`` empty the matrix is row-stochastic; with
@@ -519,9 +508,8 @@ class CompactModel:
         per-step probability of an excluded flow arriving), implementing
         the Section V-A construction for ``P(X̂ = 0 ∧ ...)``.
 
-        The sparse kernels return a ``csr_matrix`` whose buffers are
-        frozen; the dense kernel a read-only ``np.ndarray``.  Matrices
-        are memoised per exclusion set and aliased to every caller.
+        Returns a ``csr_matrix`` whose buffers are frozen, memoised per
+        exclusion set and aliased to every caller.
         """
         key = self._exclusion_key(exclude_flows)
         cached = self._matrix_cache.get(key)
@@ -539,24 +527,15 @@ class CompactModel:
         # reduceat and the structure comes straight from the run starts.
         # Sorting once per model (not once per exclusion set) is what
         # lets many-target callers -- the recon service above all --
-        # re-exclude cheaply.  The dense kernel densifies *after* this
-        # so both kernels sum duplicates in the identical order
-        # (bit-equal matrices).
-        csr = self._assemble_csr(rows, cols, probs)
-        matrix: MatrixLike
-        if self.kernel.name == "dense":
-            matrix = csr.toarray()
-            matrix.setflags(write=False)
-        else:
-            matrix = csr
-            matrix.data.setflags(write=False)
-            matrix.indices.setflags(write=False)
-            matrix.indptr.setflags(write=False)
+        # re-exclude cheaply.
+        matrix = self._assemble_csr(rows, cols, probs)
+        matrix.data.setflags(write=False)
+        matrix.indices.setflags(write=False)
+        matrix.indptr.setflags(write=False)
         validate_stochastic(matrix, substochastic=bool(key))
         self._matrix_cache[key] = matrix
         if sanitize.is_active():
-            buffer = matrix if self.kernel.name == "dense" else matrix.data
-            sanitize.guard_array(f"compact.transition[{key}]", buffer)
+            sanitize.guard_array(f"compact.transition[{key}]", matrix.data)
         return matrix
 
     def transition_operator(
@@ -564,15 +543,12 @@ class CompactModel:
     ) -> TransitionOperator:
         """Memoised one-step operator ``d -> d @ A`` per exclusion set.
 
-        Hoists the sparse transpose (and, under the compiled kernel, the
-        jit dispatch) out of repeated powering.
+        Hoists the sparse transpose out of repeated powering.
         """
         key = self._exclusion_key(exclude_flows)
         operator = self._operator_cache.get(key)
         if operator is None:
-            operator = TransitionOperator(
-                self.transition_matrix(key), compiled=self.kernel.compiled
-            )
+            operator = TransitionOperator(self.transition_matrix(key))
             self._operator_cache[key] = operator
         return operator
 

@@ -96,12 +96,6 @@ class ScoringStats:
     pool_fallbacks: int = 0
     #: Parallelism the engine was configured with.
     n_jobs: int = 1
-    #: Probability kernel the underlying model resolved to
-    #: (``dense``, ``sparse``, or ``sparse+numba``).
-    kernel: str = "dense"
-    #: Simulation/screening path the run resolved to
-    #: (``reference`` or ``fastpath``; repro.core.simpath).
-    simpath: str = "reference"
     #: Wall-clock seconds per stage (``score``, ``select``, ``total``).
     wall_times: Dict[str, float] = field(default_factory=dict)
 
@@ -120,8 +114,6 @@ class ScoringStats:
             ["scoring blocks", self.batches],
             ["pool fallbacks", self.pool_fallbacks],
             ["n_jobs", self.n_jobs],
-            ["kernel", self.kernel],
-            ["simpath", self.simpath],
         ]
         for stage in sorted(self.wall_times):
             rows.append([f"{stage} time (s)", f"{self.wall_times[stage]:.6f}"])
@@ -267,13 +259,7 @@ class ProbeScoringEngine:
             raise ValueError("n_jobs must be >= 1")
         self.inference = inference
         self.n_jobs = int(n_jobs)
-        from repro.core.simpath import resolve_simpath
-
-        self.stats = ScoringStats(
-            n_jobs=self.n_jobs,
-            kernel=inference.model.kernel.describe(),
-            simpath=resolve_simpath().describe(),
-        )
+        self.stats = ScoringStats(n_jobs=self.n_jobs)
         self._worker_deltas: Dict[str, int] = {}
         # Observability backend: explicit argument wins, else whatever
         # `use_instrumentation` installed (the null backend by default).

@@ -16,9 +16,10 @@ per-state Python loops with batched numpy passes:
   loop, then a batched at-most-one-expiry expansion whose multiply and
   add sequences mirror the reference's ascending-rule accumulation.
 
-Bitwise equality is load-bearing: it means switching the default kernel
+Bitwise equality is load-bearing: it means the vectorised builder
 cannot shift any persisted experiment number, and the golden suite pins
-both kernels to the same literals.  The differential suite
+it and the per-state builder (through the dense test oracle) to the
+same literals.  The differential suite
 (tests/core/test_sparse_dense_diff.py) checks the equivalence on random
 models.
 

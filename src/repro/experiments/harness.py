@@ -101,7 +101,6 @@ class ConfigHarness:
                 config.universe,
                 config.delta,
                 config.cache_size,
-                kernel=params.kernel,
             )
             if params.estimator != "independent":
                 self.model.estimator = make_estimator(

@@ -59,14 +59,6 @@ class ExperimentParams:
     #: (repro.experiments.parallel; 1 = the serial loops).  Results are
     #: bit-identical for every setting -- see EXPERIMENTS.md.
     trial_jobs: int = 1
-    #: Probability kernel for the compact model: "dense", "sparse", or
-    #: "auto" (sparse + compiled matvecs when the ``fast`` extra is
-    #: installed).  All kernels compute identical probabilities.
-    kernel: str = "auto"
-    #: Simulation/screening path: "reference", "fastpath", or "auto"
-    #: (the fast path).  Both paths produce bit-identical experiment
-    #: results -- see repro.core.simpath and DESIGN.md.
-    simpath: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_configs < 1 or self.n_trials < 1:
@@ -81,13 +73,6 @@ class ExperimentParams:
             raise ValueError("probe_retries must be >= 0")
         if self.trial_jobs < 1:
             raise ValueError("trial_jobs must be >= 1")
-        from repro.core.kernels import KERNEL_CHOICES
-        from repro.core.simpath import SIMPATH_CHOICES
-
-        if self.kernel not in KERNEL_CHOICES:
-            raise ValueError(f"unknown kernel: {self.kernel!r}")
-        if self.simpath not in SIMPATH_CHOICES:
-            raise ValueError(f"unknown simpath: {self.simpath!r}")
 
     def with_absence_range(
         self, low: float, high: float

@@ -165,22 +165,6 @@ def _provenance(
         provenance["trial_jobs"] = execution.n_jobs
     if execution is not None:
         provenance["pool_fallbacks"] = execution.pool_fallbacks
-    # Kernel provenance: what was requested and what it resolved to on
-    # this machine ("sparse" vs "sparse+numba" depends on the optional
-    # `fast` extra).  Probabilities are kernel-independent; recording
-    # the resolution documents how the run's compute was performed.
-    if params is not None:
-        from repro.core.kernels import resolve_kernel
-        from repro.core.simpath import resolve_simpath
-
-        provenance["kernel"] = params.kernel
-        provenance["kernel_resolved"] = resolve_kernel(
-            params.kernel
-        ).describe()
-        provenance["simpath"] = params.simpath
-        provenance["simpath_resolved"] = resolve_simpath(
-            params.simpath
-        ).describe()
     return provenance
 
 

@@ -42,7 +42,7 @@ from repro.flows.arrival import Arrival, occurred_in_window, sample_schedule
 from repro.flows.config import NetworkConfiguration
 from repro.flows.rules import RuleTable
 from repro.obs import get_instrumentation
-from repro.simulator.flowtable import make_flow_table
+from repro.simulator.flowtable import FlowTable
 from repro.simulator.network import Network
 from repro.simulator.probing import Prober
 from repro.simulator.timing import LatencyModel
@@ -172,7 +172,7 @@ class _TableWorld:
     ) -> None:
         self.config = config
         self.policy = RuleTable(config.concrete_rules)
-        self.table = make_flow_table(config.cache_size)
+        self.table = FlowTable(config.cache_size)
         self.faults = faults
         metrics = get_instrumentation().metrics
         self._retry_counter = metrics.counter("attacker.probe.retries")

@@ -212,7 +212,6 @@ class ReconService:
                 scenario.universe,
                 scenario.delta,
                 scenario.cache_size,
-                kernel=spec.kernel,
             )
             if params.estimator != "independent":
                 from repro.core.recency import make_estimator
@@ -226,7 +225,7 @@ class ReconService:
     @staticmethod
     def _scenario_key(spec: JobSpec, params: ExperimentParams) -> str:
         config = spec.to_dict()["config"]
-        return repr((config, spec.seed, spec.kernel, params.estimator))
+        return repr((config, spec.seed, params.estimator))
 
     async def _run_recon(self, spec: JobSpec) -> Dict[str, object]:
         """Run (or resume) one recon job session-by-session."""

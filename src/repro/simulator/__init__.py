@@ -22,13 +22,7 @@ rebuilds that stack as a continuous-time discrete-event simulation:
 """
 
 from repro.simulator.events import Simulator
-from repro.simulator.flowtable import (
-    FlowTable,
-    IndexedFlowTable,
-    ReferenceFlowTable,
-    TableEntry,
-    make_flow_table,
-)
+from repro.simulator.flowtable import FlowTable, TableEntry
 from repro.simulator.messages import Packet, PacketIn, FlowMod, PacketOut
 from repro.simulator.switch import Switch
 from repro.simulator.controller import ReactiveController
@@ -40,10 +34,7 @@ from repro.simulator.probing import Prober, ProbeResult
 __all__ = [
     "Simulator",
     "FlowTable",
-    "IndexedFlowTable",
-    "ReferenceFlowTable",
     "TableEntry",
-    "make_flow_table",
     "Packet",
     "PacketIn",
     "FlowMod",

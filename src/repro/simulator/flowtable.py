@@ -20,29 +20,19 @@ Expiry is processed lazily at each operation; :meth:`FlowTable.sweep`
 forces it, which trial runners call when they need exact ground truth at
 a point in time.
 
-Two implementations share these semantics:
-
-* :class:`ReferenceFlowTable` -- the original linear-scan code: every
-  operation walks all entries.  Simple, and the ground truth the fast
-  path is pinned against (tests/simulator/test_flowtable.py and the
-  simpath differential suite).
-* :class:`IndexedFlowTable` -- the fast path: priority-bucketed entries
-  with a per-flow winner cache for lookups, and a lazy-deletion expiry
-  heap so ``sweep`` / ``next_expiry`` / ``_pick_victim`` touch only the
-  entries whose timers actually fire instead of scanning the table.
-
-:func:`make_flow_table` selects between them via
-:mod:`repro.core.simpath`; the observable behavior (matches, victims,
-expiry order, stats, obs counters) is identical by construction.  The
-pinned tie-breaks, in both implementations:
+Entries are indexed: priority buckets with a per-flow winner cache for
+lookups, and a lazy-deletion expiry heap so ``sweep`` / ``next_expiry``
+/ ``_pick_victim`` touch only the entries whose timers actually fire
+instead of scanning the table.  The pinned tie-breaks:
 
 * lookup winner: highest priority, then earliest-installed;
 * eviction victim: smallest remaining lifetime, then earliest
   ``install_time``, then earliest-installed;
 * ``sweep`` returns expired entries in install order.
 
-``FlowTable`` remains an alias of the reference implementation so
-existing imports keep their exact historical behavior.
+The linear-scan table these semantics were first written as lives on
+as a test oracle (``tests/oracles/flowtable.py``); the differential
+suites pin this table to it operation for operation.
 """
 
 from __future__ import annotations
@@ -52,7 +42,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.simpath import resolve_simpath
 from repro.flows.flowid import FlowId
 from repro.flows.rules import Rule
 from repro.obs import get_instrumentation
@@ -90,8 +79,45 @@ class TableEntry:
         return not self.rule.is_permanent()
 
 
-class ReferenceFlowTable:
-    """Capacity-limited flow table with OVS eviction semantics."""
+def _entry_expiry(entry: TableEntry) -> float:
+    """Absolute expiry time under the entry's current timers.
+
+    ``entry.remaining(now)`` equals ``expiry - now`` after rounding (the
+    per-term subtractions commute with ``min`` because rounding is
+    monotone), so ordering entries by this absolute time reproduces the
+    remaining-lifetime ordering at every ``now``.
+    """
+    expiry = math.inf
+    rule = entry.rule
+    if rule.idle_timeout > 0:
+        expiry = min(expiry, entry.last_match + rule.idle_timeout)
+    if rule.hard_timeout > 0:
+        expiry = min(expiry, entry.install_time + rule.hard_timeout)
+    return expiry
+
+
+class FlowTable:
+    """Capacity-limited flow table with OVS eviction semantics.
+
+    Three structures ride alongside the entry dict:
+
+    * ``_buckets`` -- entries grouped by priority, priorities kept in a
+      descending sorted list: a lookup scans buckets top-down and stops
+      at the first cover, instead of scanning the whole table;
+    * ``_winners`` -- a per-flow winner cache (the exact-match index:
+      keyed by the flow 5-tuple), invalidated whenever the entry set
+      changes; repeated lookups of the same flow are O(1);
+    * ``_heap`` -- a lazy-deletion min-heap of
+      ``(expiry, install_time, seq, name)`` tuples; timer refreshes push
+      a fresh tuple and leave the stale one to be discarded on pop, so
+      ``sweep`` / ``next_expiry`` / ``_pick_victim`` cost O(log n) per
+      fired timer rather than a table scan.
+
+    The heap tuple encodes the eviction tie-breaks: remaining lifetime
+    (== expiry at fixed ``now``), then ``install_time``, then install
+    sequence (the entry dict's order).  ``sweep`` re-sorts the expired
+    batch by sequence to return entries in install order.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -115,177 +141,6 @@ class ReferenceFlowTable:
         self._obs_installs = obs.counter("sim.table.installs")
         self._obs_evictions = obs.counter("sim.table.evictions")
         self._obs_expirations = obs.counter("sim.table.expirations")
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, rule_name: str) -> bool:
-        return rule_name in self._entries
-
-    @property
-    def entries(self) -> Tuple[TableEntry, ...]:
-        """All live entries (order unspecified)."""
-        return tuple(self._entries.values())
-
-    def rule_names(self) -> Tuple[str, ...]:
-        """Names of cached rules (sorted, for stable comparisons)."""
-        return tuple(sorted(self._entries.keys()))
-
-    # ------------------------------------------------------------------
-    # Expiry
-    # ------------------------------------------------------------------
-    def sweep(self, now: float) -> List[TableEntry]:
-        """Remove and return entries that have expired by ``now``."""
-        expired = [
-            entry for entry in self._entries.values() if entry.expired(now)
-        ]
-        for entry in expired:
-            del self._entries[entry.rule.name]
-            self.stats["expirations"] += 1
-            self._obs_expirations.inc()
-        return expired
-
-    # ------------------------------------------------------------------
-    # Lookup / install
-    # ------------------------------------------------------------------
-    def lookup(
-        self, flow: FlowId, now: float, refresh: bool = True
-    ) -> Optional[TableEntry]:
-        """Match ``flow`` against the table.
-
-        Returns the highest-priority covering entry, refreshing its idle
-        timer (unless ``refresh=False``, used for non-mutating peeks).
-        Records hit/miss statistics.
-        """
-        self.sweep(now)
-        best: Optional[TableEntry] = None
-        for entry in self._entries.values():
-            if not entry.rule.covers(flow):
-                continue
-            if best is None or entry.rule.priority > best.rule.priority:
-                best = entry
-        if best is None:
-            self.stats["misses"] += 1
-            self._obs_misses.inc()
-            return None
-        self.stats["hits"] += 1
-        self._obs_hits.inc()
-        if refresh:
-            best.last_match = now
-        return best
-
-    def peek(self, flow: FlowId, now: float) -> Optional[TableEntry]:
-        """Non-mutating lookup: no timer refresh, no statistics."""
-        best: Optional[TableEntry] = None
-        for entry in self._entries.values():
-            if entry.expired(now) or not entry.rule.covers(flow):
-                continue
-            if best is None or entry.rule.priority > best.rule.priority:
-                best = entry
-        return best
-
-    def install(
-        self, rule: Rule, out_port: int, now: float
-    ) -> Optional[TableEntry]:
-        """Install ``rule``; returns the evicted entry, if any.
-
-        Re-installing a cached rule refreshes its timers in place (OVS
-        ``flow-mod`` modify semantics).  When the table is full, the
-        evictable entry with the smallest remaining lifetime is removed;
-        if every entry is permanent, the install is dropped (OVS returns
-        a table-full error) and ``None`` is returned with the rule *not*
-        cached.
-        """
-        self.sweep(now)
-        existing = self._entries.get(rule.name)
-        if existing is not None:
-            existing.install_time = now
-            existing.last_match = now
-            existing.out_port = out_port
-            return None
-        evicted: Optional[TableEntry] = None
-        if len(self._entries) >= self.capacity:
-            evicted = self._pick_victim(now)
-            if evicted is None:
-                return None  # table full of permanent rules
-            del self._entries[evicted.rule.name]
-            self.stats["evictions"] += 1
-            self._obs_evictions.inc()
-        self._entries[rule.name] = TableEntry(
-            rule=rule, out_port=out_port, install_time=now, last_match=now
-        )
-        self.stats["installs"] += 1
-        self._obs_installs.inc()
-        return evicted
-
-    def _pick_victim(self, now: float) -> Optional[TableEntry]:
-        """Shortest-remaining-time evictable entry (ties: oldest install)."""
-        candidates = [e for e in self._entries.values() if e.evictable]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda e: (e.remaining(now), e.install_time))
-
-    def remove(self, rule_name: str) -> bool:
-        """Explicitly delete an entry (controller-driven removal)."""
-        return self._entries.pop(rule_name, None) is not None
-
-    def next_expiry(self, now: float) -> float:
-        """Earliest future expiry time, or ``inf`` when none."""
-        times = [
-            now + entry.remaining(now)
-            for entry in self._entries.values()
-            if entry.evictable
-        ]
-        return min(times) if times else math.inf
-
-
-#: Historical name: existing imports get the reference implementation.
-FlowTable = ReferenceFlowTable
-
-
-def _entry_expiry(entry: TableEntry) -> float:
-    """Absolute expiry time under the entry's current timers.
-
-    ``entry.remaining(now)`` equals ``expiry - now`` after rounding (the
-    reference's per-term subtractions commute with ``min`` because
-    rounding is monotone), so ordering entries by this absolute time
-    reproduces the reference's remaining-lifetime ordering at every
-    ``now``.
-    """
-    expiry = math.inf
-    rule = entry.rule
-    if rule.idle_timeout > 0:
-        expiry = min(expiry, entry.last_match + rule.idle_timeout)
-    if rule.hard_timeout > 0:
-        expiry = min(expiry, entry.install_time + rule.hard_timeout)
-    return expiry
-
-
-class IndexedFlowTable(ReferenceFlowTable):
-    """The fast-path flow table: indexed lookups, heap-driven expiry.
-
-    Three structures ride alongside the entry dict:
-
-    * ``_buckets`` -- entries grouped by priority, priorities kept in a
-      descending sorted list: a lookup scans buckets top-down and stops
-      at the first cover, instead of scanning the whole table;
-    * ``_winners`` -- a per-flow winner cache (the exact-match index:
-      keyed by the flow 5-tuple), invalidated whenever the entry set
-      changes; repeated lookups of the same flow are O(1);
-    * ``_heap`` -- a lazy-deletion min-heap of
-      ``(expiry, install_time, seq, name)`` tuples; timer refreshes push
-      a fresh tuple and leave the stale one to be discarded on pop, so
-      ``sweep`` / ``next_expiry`` / ``_pick_victim`` cost O(log n) per
-      fired timer rather than a table scan.
-
-    The heap tuple mirrors the reference tie-breaks: remaining lifetime
-    (== expiry at fixed ``now``), then ``install_time``, then install
-    sequence (the reference's dict order).  ``sweep`` re-sorts the
-    expired batch by sequence to return the reference's install order.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
         self._buckets: Dict[int, Dict[str, TableEntry]] = {}
         #: Priorities with a live bucket, sorted descending.
         self._priorities: List[int] = []
@@ -385,8 +240,14 @@ class IndexedFlowTable(ReferenceFlowTable):
         return None
 
     # ------------------------------------------------------------------
-    # API overrides
+    # Public API
     # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, rule_name: str) -> bool:
+        return rule_name in self._entries
+
     @property
     def entries(self) -> Tuple[TableEntry, ...]:
         """All live entries (order unspecified)."""
@@ -414,14 +275,19 @@ class IndexedFlowTable(ReferenceFlowTable):
             expired.append((seq, entry))
             self.stats["expirations"] += 1
             self._obs_expirations.inc()
-        # The reference returns expired entries in dict (install) order.
+        # Expired entries come back in install order.
         expired.sort(key=lambda item: item[0])
         return [entry for _, entry in expired]
 
     def lookup(
         self, flow: FlowId, now: float, refresh: bool = True
     ) -> Optional[TableEntry]:
-        """Match ``flow`` against the table (see :class:`ReferenceFlowTable`)."""
+        """Match ``flow`` against the table.
+
+        Returns the highest-priority covering entry, refreshing its idle
+        timer (unless ``refresh=False``, used for non-mutating peeks).
+        Records hit/miss statistics.
+        """
         self.sweep(now)
         key = (flow.src, flow.dst, flow.proto, flow.sport, flow.dport)
         try:
@@ -443,12 +309,11 @@ class IndexedFlowTable(ReferenceFlowTable):
         return best
 
     def _scan(self, flow: FlowId) -> Optional[TableEntry]:
-        """Priority-bucketed winner scan (reference tie-breaks).
+        """Priority-bucketed winner scan.
 
         Buckets are visited in descending priority; within a bucket the
-        first-installed cover wins, which is exactly the reference's
-        "strictly greater replaces" linear scan over its install-ordered
-        dict.
+        first-installed cover wins, which is exactly a "strictly greater
+        replaces" linear scan over the install-ordered entry dict.
         """
         for priority in self._priorities:
             for entry in self._buckets[priority].values():
@@ -467,7 +332,15 @@ class IndexedFlowTable(ReferenceFlowTable):
     def install(
         self, rule: Rule, out_port: int, now: float
     ) -> Optional[TableEntry]:
-        """Install ``rule`` (see :class:`ReferenceFlowTable`)."""
+        """Install ``rule``; returns the evicted entry, if any.
+
+        Re-installing a cached rule refreshes its timers in place (OVS
+        ``flow-mod`` modify semantics).  When the table is full, the
+        evictable entry with the smallest remaining lifetime is removed;
+        if every entry is permanent, the install is dropped (OVS returns
+        a table-full error) and ``None`` is returned with the rule *not*
+        cached.
+        """
         self.sweep(now)
         existing = self._entries.get(rule.name)
         if existing is not None:
@@ -514,19 +387,7 @@ class IndexedFlowTable(ReferenceFlowTable):
         top = self._heap_top()
         if top is None:
             return math.inf
-        # The reference computes ``now + (expiry - now)``; reproduce its
-        # rounding so both paths return bit-identical times.
+        # ``now + (expiry - now)``, not ``expiry``: the rounding matches
+        # ``now + entry.remaining(now)`` bit for bit.
         return now + (top[0] - now)
 
-
-def make_flow_table(
-    capacity: int, simpath: Optional[str] = None
-) -> ReferenceFlowTable:
-    """The flow table for the resolved simulation path.
-
-    ``None`` consults the ambient default (the ``REPRO_SIMPATH``
-    environment variable, then ``auto``); see :mod:`repro.core.simpath`.
-    """
-    if resolve_simpath(simpath).fast:
-        return IndexedFlowTable(capacity)
-    return ReferenceFlowTable(capacity)

@@ -378,53 +378,46 @@ class Network:
     def schedule_arrivals(self, arrivals: Iterable["Arrival"]) -> None:
         """Schedule a whole :func:`repro.flows.arrival` schedule.
 
-        On the fast path (repro.core.simpath) a time-ordered schedule is
-        handed to the simulator as one event *stream* instead of one
-        heap entry per packet: the stream reserves the same sequence
-        numbers the per-event loop would allocate and is merged against
-        the heap by ``(time, seq)``, so event order -- and with it every
-        latency RNG draw and fault-injection consultation -- is
-        bit-identical while skipping the per-packet heap churn and
-        closure allocation.  Unsorted schedules (never produced by
-        :func:`repro.flows.arrival.sample_schedule`) fall back to the
-        per-event loop.
+        A time-ordered schedule is handed to the simulator as one event
+        *stream* instead of one heap entry per packet: the stream
+        reserves the same sequence numbers one
+        :meth:`schedule_flow_arrival` call per arrival would allocate
+        and is merged against the heap by ``(time, seq)``, so event
+        order -- and with it every latency RNG draw and fault-injection
+        consultation -- is bit-identical while skipping the per-packet
+        heap churn and closure allocation.  Unsorted schedules (never
+        produced by :func:`repro.flows.arrival.sample_schedule`) fall
+        back to that per-event loop.
         """
-        from repro.core.simpath import resolve_simpath
+        batch = list(arrivals)
+        times = [arrival.time for arrival in batch]
+        ordered = all(a <= b for a, b in zip(times, times[1:]))
+        if not ordered or (times and times[0] < self.sim.now):
+            for arrival in batch:
+                flow = self.universe.flows[arrival.flow_index]
+                self.schedule_flow_arrival(flow, arrival.time)
+            return
+        flows = self.universe.flows
+        host_by_ip = self.host_by_ip
+        hosts = []
+        packet_flows = []
+        for arrival in batch:
+            flow = flows[arrival.flow_index]
+            host = host_by_ip.get(flow.src)
+            if host is None:
+                raise KeyError(f"no host for source {ip_to_str(flow.src)}")
+            hosts.append(host)
+            packet_flows.append(flow)
 
-        if resolve_simpath().fast:
-            batch = list(arrivals)
-            times = [arrival.time for arrival in batch]
-            if all(a <= b for a, b in zip(times, times[1:])) and (
-                not times or times[0] >= self.sim.now
-            ):
-                flows = self.universe.flows
-                host_by_ip = self.host_by_ip
-                hosts = []
-                packet_flows = []
-                for arrival in batch:
-                    flow = flows[arrival.flow_index]
-                    host = host_by_ip.get(flow.src)
-                    if host is None:
-                        raise KeyError(
-                            f"no host for source {ip_to_str(flow.src)}"
-                        )
-                    hosts.append(host)
-                    packet_flows.append(flow)
+        def run(index: int) -> None:
+            packet = Packet(
+                flow=packet_flows[index],
+                kind=ECHO_REQUEST,
+                created=self.sim.now,
+            )
+            self.send_from_host(hosts[index], packet)
 
-                def run(index: int) -> None:
-                    packet = Packet(
-                        flow=packet_flows[index],
-                        kind=ECHO_REQUEST,
-                        created=self.sim.now,
-                    )
-                    self.send_from_host(hosts[index], packet)
-
-                self.sim.schedule_stream(times, run)
-                return
-            arrivals = batch
-        for arrival in arrivals:
-            flow = self.universe.flows[arrival.flow_index]
-            self.schedule_flow_arrival(flow, arrival.time)
+        self.sim.schedule_stream(times, run)
 
     def send_probe(self, flow: FlowId, probe_id: int) -> None:
         """Inject an attacker probe (spoofed when needed) right now."""

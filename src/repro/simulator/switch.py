@@ -31,7 +31,7 @@ from repro.flows.rules import (
     Rule,
 )
 from repro.obs import get_instrumentation
-from repro.simulator.flowtable import make_flow_table
+from repro.simulator.flowtable import FlowTable
 from repro.simulator.messages import FlowMod, Packet, PacketIn, PacketOut
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -50,7 +50,7 @@ class Switch:
     ) -> None:
         self.name = name
         self.network = network
-        self.table = make_flow_table(capacity)
+        self.table = FlowTable(capacity)
         self.reactive = reactive
         #: packet_id -> (packet, in_port) awaiting a controller verdict.
         self._pending: Dict[int, Packet] = {}

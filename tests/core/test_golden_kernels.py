@@ -1,10 +1,11 @@
 """Golden-value pins for the probability kernels (Eqns. 1-8).
 
 Every literal below was generated from the reference per-state
-implementation *before* the sparse/compiled kernels were introduced, on
-a 3-rule / 2-slot / 3-flow policy small enough to verify by hand.  The
-suite runs against every kernel: a kernel that drifts from these values
--- in the transition matrix, the evolved distributions, the estimator
+implementation *before* the sparse kernel was introduced, on a 3-rule /
+2-slot / 3-flow policy small enough to verify by hand.  The suite runs
+against production (``sparse``) and the dense oracle
+(:mod:`tests.oracles.dense`): a kernel that drifts from these values --
+in the transition matrix, the evolved distributions, the estimator
 tables, or the Eqn. 1-7 inference quantities -- fails here before any
 experiment-level test can be confused by it.
 
@@ -25,8 +26,9 @@ from repro.core.chain import (
 )
 from repro.core.compact_model import CompactModel
 from repro.core.inference import ReconInference
-from repro.core.kernels import KERNEL_CHOICES
 from repro.core.recency import ExactRecencyEstimator
+
+from tests import oracles
 
 ATOL = 1e-12
 
@@ -124,14 +126,13 @@ GOLDEN_EVOLUTION_EXCL0 = [
 ]
 
 
-@pytest.fixture(params=[k for k in KERNEL_CHOICES if k != "auto"])
+@pytest.fixture(
+    params=[CompactModel, oracles.dense.DenseCompactModel],
+    ids=["sparse", "dense"],
+)
 def model(request) -> CompactModel:
-    return CompactModel(
-        make_policy(SPECS),
-        make_universe(RATES),
-        DELTA,
-        CACHE,
-        kernel=request.param,
+    return request.param(
+        make_policy(SPECS), make_universe(RATES), DELTA, CACHE
     )
 
 

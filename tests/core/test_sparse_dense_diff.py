@@ -1,17 +1,16 @@
-"""Differential tests: every kernel computes the same probabilities.
+"""Differential tests: production computes the oracle's probabilities.
 
 Hypothesis generates arbitrary tiny policies (including hard-timeout
 rules, timeout-1 rules whose hazards hit the degenerate branches, and
-zero-ish rates) and checks:
+zero-ish rates) and checks, against the dense oracle
+(:mod:`tests.oracles.dense`):
 
 * the vectorised sparse builder emits a transition matrix *bit-equal*
-  to the reference per-state builder (the design contract: the sparse
-  kernel mirrors the reference arithmetic operation for operation);
+  to the per-state builder (the design contract: the sparse kernel
+  mirrors the reference arithmetic operation for operation);
 * evolved distributions, marginals, priors, and probe selections agree
   across kernels;
-* the incremental power chain is bit-equal to full re-powering;
-* the compiled (numba) matvec agrees bit-for-bit with the scipy path
-  (skipped unless the ``fast`` extra is installed).
+* the incremental power chain is bit-equal to full re-powering.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core._fastmath import HAVE_NUMBA
 from repro.core.chain import TransitionOperator, evolve
 from repro.core.compact_model import CompactModel
 from repro.core.engine import ProbeScoringEngine
@@ -29,6 +27,8 @@ from repro.core.inference import ReconInference
 from repro.flows.flowid import FlowId
 from repro.flows.policy import ModelRule, Policy
 from repro.flows.universe import FlowUniverse
+
+from tests import oracles
 
 N_FLOWS = 4
 
@@ -57,6 +57,9 @@ def model_specs(draw):
     return rules, rates, cache_size
 
 
+KERNELS = {"sparse": CompactModel, "dense": oracles.dense.DenseCompactModel}
+
+
 def _build(spec, kernel: str) -> CompactModel:
     rule_specs, rates, cache_size = spec
     rules = [
@@ -73,9 +76,7 @@ def _build(spec, kernel: str) -> CompactModel:
     universe = FlowUniverse(
         tuple(FlowId(src=i, dst=99) for i in range(N_FLOWS)), rates
     )
-    return CompactModel(
-        Policy(rules), universe, 0.25, cache_size, kernel=kernel
-    )
+    return KERNELS[kernel](Policy(rules), universe, 0.25, cache_size)
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,20 +171,4 @@ def test_operator_matches_generic_evolve(spec, steps):
     np.testing.assert_array_equal(
         TransitionOperator(matrix).power(start, steps),
         evolve(start, matrix, steps),
-    )
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="fast extra (numba) not installed")
-@settings(max_examples=15, deadline=None)
-@given(model_specs(), st.integers(0, 40))
-def test_compiled_matvec_bit_equal(spec, steps):
-    """The jit CSR matvec mirrors scipy's accumulation order exactly."""
-    model = _build(spec, "sparse")
-    matrix = model.transition_matrix()
-    start = model.initial_distribution()
-    plain = TransitionOperator(matrix, compiled=False)
-    compiled = TransitionOperator(matrix, compiled=True)
-    assert compiled.compiled
-    np.testing.assert_array_equal(
-        compiled.power(start, steps), plain.power(start, steps)
     )

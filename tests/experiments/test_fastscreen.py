@@ -19,7 +19,6 @@ import pytest
 
 from repro.core import cnative
 from repro.core.compact_model import CompactModel
-from repro.core.simpath import simpath_override
 from repro.experiments import fastscreen
 from repro.experiments.harness import ConfigHarness
 from repro.flows.config import ConfigGenerator
@@ -40,29 +39,17 @@ def sample_candidates(params, count, seed=20170):
 
 class TestSupports:
     def test_headline_configuration_is_supported(self):
-        with simpath_override("fastpath"):
-            assert fastscreen.supports(tiny_experiment_params())
-
-    def test_reference_path_screens_exactly(self):
-        with simpath_override("reference"):
-            assert not fastscreen.supports(tiny_experiment_params())
+        assert fastscreen.supports(tiny_experiment_params())
 
     def test_multi_probe_selection_screens_exactly(self):
-        with simpath_override("fastpath"):
-            params = tiny_experiment_params(n_probes=2)
-            assert not fastscreen.supports(params)
-
-    def test_dense_kernel_screens_exactly(self):
-        with simpath_override("fastpath"):
-            params = tiny_experiment_params(kernel="dense")
-            assert not fastscreen.supports(params)
+        params = tiny_experiment_params(n_probes=2)
+        assert not fastscreen.supports(params)
 
     def test_missing_native_kernel_screens_exactly(self, monkeypatch):
         monkeypatch.setenv(cnative.DISABLE_ENV_VAR, "1")
         cnative._reset_for_tests()
         try:
-            with simpath_override("fastpath"):
-                assert not fastscreen.supports(tiny_experiment_params())
+            assert not fastscreen.supports(tiny_experiment_params())
         finally:
             monkeypatch.delenv(cnative.DISABLE_ENV_VAR)
             cnative._reset_for_tests()
@@ -136,7 +123,6 @@ class TestCalibratedMargins:
                 config.universe,
                 config.delta,
                 config.cache_size,
-                kernel=params.kernel,
             )
             fast = fastscreen.fast_quantities(
                 model, config.target_flow, config.window_steps

@@ -1,14 +1,14 @@
-"""Differential suite: fastpath == reference, bit for bit.
+"""Differential suite: production == the oracles, bit for bit.
 
-Every headline pipeline runs twice -- once with ``REPRO_SIMPATH=
-reference`` (linear-scan tables, per-event scheduling, exact-only
-screening) and once with ``REPRO_SIMPATH=fastpath`` (indexed tables,
-batched streams, certified float32 pre-screen) -- and the persisted
-result documents must be identical except for the provenance record of
-which path ran.  This is the contract that makes the fast path safe to
-ship as the default: not statistically close, *equal*.
+Every headline pipeline runs twice -- once in production (indexed
+tables, batched arrival streams, certified float32 pre-screen) and once
+under :func:`tests.oracles.oracle_pipeline` (linear-scan tables,
+per-event delivery, exact-only screening with ``REPRO_NO_CKERNEL=1``)
+-- and the persisted result documents must be identical, provenance
+included.  This is the contract that lets production ship one path:
+not statistically close, *equal*.
 
-The grid deliberately crosses the fast path with every behaviour that
+The grid deliberately crosses production with every behaviour that
 rides on RNG draw order: fault plans and probe retries (robustness),
 network-mode trials with an attached defense and detector (defend),
 the fig6 case-split screens, and the fork-pool screening fan-out
@@ -18,7 +18,8 @@ the fig6 case-split screens, and the fork-pool screening fan-out
 import pytest
 
 from repro.apispec import JobSpec
-from repro.core.simpath import simpath_override
+from repro.core import cnative
+from repro.experiments import fastscreen, trials
 from repro.experiments.defend import run_defend
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.fig7 import run_fig7
@@ -29,7 +30,10 @@ from repro.experiments.persist import (
     robustness_to_document,
 )
 from repro.experiments.robustness import run_robustness
+from repro.simulator import switch
+from repro.simulator.network import Network
 
+from tests import oracles
 from tests.experiments.conftest import (
     tiny_config_params,
     tiny_experiment_params,
@@ -41,20 +45,29 @@ BINS = ((0.5, 0.75), (0.75, 0.95))
 
 
 def run_both(run):
-    """One pipeline under each path; returns the two documents."""
-    with simpath_override("reference"):
-        reference = run()
-    with simpath_override("fastpath"):
-        fastpath = run()
-    return reference, fastpath
+    """One pipeline on the oracles, then in production."""
+    with oracles.oracle_pipeline():
+        oracle = run()
+    return oracle, run()
 
 
-def assert_identical_modulo_provenance(reference, fastpath):
-    prov_ref = reference.pop("provenance")
-    prov_fast = fastpath.pop("provenance")
-    assert prov_ref["simpath_resolved"] == "reference"
-    assert prov_fast["simpath_resolved"] == "fastpath"
-    assert reference == fastpath
+class TestOracleSubstitution:
+    def test_pipeline_runs_on_the_oracles(self):
+        with oracles.oracle_pipeline():
+            assert switch.FlowTable is oracles.ReferenceFlowTable
+            assert trials.FlowTable is oracles.ReferenceFlowTable
+            assert (
+                Network.schedule_arrivals
+                is oracles.network.schedule_arrivals
+            )
+            assert not fastscreen.supports(tiny_experiment_params())
+        assert switch.FlowTable is not oracles.ReferenceFlowTable
+        assert Network.schedule_arrivals is not (
+            oracles.network.schedule_arrivals
+        )
+        assert fastscreen.supports(tiny_experiment_params()) == (
+            cnative.available()
+        )
 
 
 class TestFig6:
@@ -65,7 +78,8 @@ class TestFig6:
             result = run_fig6(params, bins=BINS, configs_per_bin=2)
             return fig6_to_document(result, params=params)
 
-        assert_identical_modulo_provenance(*run_both(run))
+        oracle, production = run_both(run)
+        assert oracle == production
 
 
 class TestFig7:
@@ -76,7 +90,8 @@ class TestFig7:
             result = run_fig7(params, bins=BINS, configs_per_bin=2)
             return fig7_to_document(result, params=params)
 
-        assert_identical_modulo_provenance(*run_both(run))
+        oracle, production = run_both(run)
+        assert oracle == production
 
 
 class TestRobustness:
@@ -91,7 +106,8 @@ class TestRobustness:
             result = run_robustness(params, rates=(0.0, 1.0))
             return robustness_to_document(result, params=params)
 
-        assert_identical_modulo_provenance(*run_both(run))
+        oracle, production = run_both(run)
+        assert oracle == production
 
 
 class TestDefend:
@@ -111,14 +127,15 @@ class TestDefend:
             result = run_defend(spec)
             return defend_to_document(result, spec=spec)
 
-        assert_identical_modulo_provenance(*run_both(run))
+        oracle, production = run_both(run)
+        assert oracle == production
 
 
 class TestTrialJobs:
-    def test_fork_pool_screening_matches_serial_reference(self):
-        # fastpath x trial_jobs=2 against reference x serial: the fan
-        # out must neither reorder the candidate stream nor change what
-        # the certified pre-screen decides.
+    def test_fork_pool_screening_matches_serial_oracle(self):
+        # Production x trial_jobs=2 against the oracles x serial: the
+        # fan-out must neither reorder the candidate stream nor change
+        # what the certified pre-screen decides.
         def run(trial_jobs):
             params = tiny_experiment_params(
                 n_trials=10, seed=61, trial_jobs=trial_jobs
@@ -130,8 +147,6 @@ class TestTrialJobs:
                 for key in ("metrics", "series", "configurations")
             }
 
-        with simpath_override("reference"):
-            reference = run(1)
-        with simpath_override("fastpath"):
-            fastpath = run(2)
-        assert reference == fastpath
+        with oracles.oracle_pipeline():
+            oracle = run(1)
+        assert oracle == run(2)

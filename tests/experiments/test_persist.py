@@ -183,9 +183,13 @@ class TestV2FixtureMigration:
         document = load_document(self.FIXTURE)
         assert document["schema_version"] == SCHEMA_VERSION
         job = document["job"]
+        # Migration swallows JobSpec errors into ``job: None``; the
+        # legacy kernel key in the v2 params must not trip it.
+        assert job is not None
         assert job["experiment"] == "fig6"
         assert job["seed"] == 12
-        assert job["kernel"] == "auto"
+        assert document["params"]["kernel"] == "auto"
+        assert "kernel" not in job
         # The job section embeds the full legacy params verbatim.
         assert job["config"] == document["params"]["config"]
         assert job["n_trials"] == document["params"]["n_trials"]
@@ -234,14 +238,19 @@ class TestV3DefendFixture:
         )
 
     def test_job_section_round_trips_through_jobspec(self):
-        from repro.apispec import JobSpec
+        from repro.apispec import LEGACY_FIELDS, JobSpec
 
         job = load_document(self.FIXTURE)["job"]
         spec = JobSpec.from_dict(job)
         assert spec.experiment == "defend"
         assert spec.defense == ("delay",)
         assert spec.detector == "logistic"
-        assert spec.to_dict() == job
+        # Everything but the removed implementation selectors survives.
+        assert set(job) - set(spec.to_dict()) == set(LEGACY_FIELDS)
+        assert spec.to_dict() == {
+            key: value for key, value in job.items()
+            if key not in LEGACY_FIELDS
+        }
 
     def test_series_carries_the_grid_axes(self):
         series = load_document(self.FIXTURE)["series"]

@@ -65,6 +65,29 @@ class TestRoundTrips:
         with pytest.raises(ValueError, match="bogus"):
             JobSpec.from_dict(document)
 
+    def test_from_dict_drops_legacy_selectors(self):
+        spec = JobSpec(config=tiny_config_params(), seed=1)
+        for legacy in ({"kernel": "dense"}, {"simpath": "reference"},
+                       {"kernel": "auto", "simpath": "fastpath"}):
+            document = {**spec.to_dict(), **legacy}
+            assert JobSpec.from_dict(document) == spec
+            assert JobSpec.from_dict(document).digest() == spec.digest()
+
+    @pytest.mark.parametrize(
+        "legacy", [{"kernel": "bogus"}, {"simpath": "turbo"}]
+    )
+    def test_from_dict_rejects_invalid_legacy_values(self, legacy):
+        document = {**JobSpec(seed=1).to_dict(), **legacy}
+        (name,) = legacy
+        with pytest.raises(ValueError, match=f"legacy JobSpec field {name}"):
+            JobSpec.from_dict(document)
+
+    def test_legacy_selectors_are_not_spec_fields(self):
+        with pytest.raises(TypeError):
+            JobSpec(kernel="auto")  # type: ignore[call-arg]
+        assert "kernel" not in JobSpec().to_dict()
+        assert "simpath" not in JobSpec().to_dict()
+
     def test_digest_ignores_job_id(self):
         spec = JobSpec(config=tiny_config_params(), seed=3)
         assert spec.digest() == spec.with_job_id("renamed").digest()
@@ -85,7 +108,6 @@ class TestFromArgs:
             fault_plan="packet_in_loss=0.25,seed=3",
             probe_retries=1,
             trial_jobs=2,
-            kernel="dense",
         )
         defaults.update(values)
         return argparse.Namespace(**defaults)
@@ -100,7 +122,6 @@ class TestFromArgs:
         assert spec.fault_plan.packet_in_loss == 0.25
         assert spec.probe_retries == 1
         assert spec.trial_jobs == 2
-        assert spec.kernel == "dense"
 
     def test_seed_fallback_applies_when_seed_absent(self):
         spec = JobSpec.from_args(

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.apispec import JobSpec
 from repro.cli import main
 from repro.service import CheckpointStore, list_pending, submit_spec
@@ -94,6 +96,49 @@ class TestServe:
         spec = tiny_recon_spec(job_id="job-z")
         path = submit_spec(spool, spec)
         assert JobSpec.from_dict(json.loads(path.read_text())) == spec
+
+
+class TestLegacySpoolFiles:
+    """Spool files written before the implementation selectors were
+    removed still load; a value the old selectors never accepted is
+    still an error."""
+
+    def _spool_with(self, tmp_path, **legacy):
+        spec = tiny_recon_spec(job_id="job-legacy")
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        (spool / "job-legacy.json").write_text(
+            json.dumps({**spec.to_dict(), **legacy}, sort_keys=True)
+        )
+        return spool, spec
+
+    def test_legacy_selector_is_accepted(self, tmp_path):
+        spool, spec = self._spool_with(tmp_path, simpath="reference")
+        (loaded,) = list_pending(spool)
+        assert loaded == spec
+        # Resubmitting the current spec finds the same digest.
+        assert submit_spec(spool, spec) == spool / "job-legacy.json"
+
+    def test_invalid_legacy_value_is_rejected(self, tmp_path):
+        spool, _ = self._spool_with(tmp_path, kernel="bogus")
+        with pytest.raises(ValueError, match="kernel"):
+            list_pending(spool)
+
+    def test_explicit_job_id_resumes_a_legacy_state_record(self, tmp_path):
+        spec = tiny_recon_spec(job_id="job-old")
+        store = CheckpointStore(tmp_path / "state")
+        store.record_job(spec)
+        path = tmp_path / "state" / "job-old" / "job.json"
+        record = json.loads(path.read_text())
+        record["spec"].update(kernel="auto", simpath="auto")
+        record["digest"] = "0" * 64  # the digest the old fields gave
+        path.write_text(json.dumps(record))
+        assert store.load_job("job-old").digest() == spec.digest()
+        spool = str(tmp_path / "spool")
+        submit_spec(spool, spec)
+        state = str(tmp_path / "state")
+        assert main(["serve", "--spool", spool, "--state", state]) == 0
+        assert store.load_result("job-old") is not None
 
 
 class TestJobRecord:

@@ -1,10 +1,10 @@
-"""Indexed flow table: tie-breaks, caches, and reference equivalence.
+"""Indexed flow table: tie-breaks, caches, and oracle equivalence.
 
-The fast path's correctness contract is behavioural identity with
-:class:`ReferenceFlowTable` -- same winners, same victims, same expiry
-order, same stats -- so most tests here run both implementations side
-by side.  The pinned tie-breaks get dedicated cases; a seeded fuzz run
-pins everything else.
+The production table's correctness contract is behavioural identity
+with the linear-scan oracle :class:`tests.oracles.ReferenceFlowTable`
+-- same winners, same victims, same expiry order, same stats -- so most
+tests here run both implementations side by side.  The pinned
+tie-breaks get dedicated cases; a seeded fuzz run pins everything else.
 """
 
 import math
@@ -14,12 +14,11 @@ import pytest
 
 from repro.flows.flowid import FlowId
 from repro.flows.rules import ACTION_FORWARD, Match, Rule
-from repro.simulator.flowtable import (
-    FlowTable,
-    IndexedFlowTable,
-    ReferenceFlowTable,
-    TableEntry,
-)
+from repro import simulator
+from repro.simulator import flowtable
+from repro.simulator.flowtable import FlowTable
+
+from tests import oracles
 
 
 def rule(name, src=None, priority=10, idle=0.0, hard=0.0):
@@ -36,20 +35,27 @@ def rule(name, src=None, priority=10, idle=0.0, hard=0.0):
 FLOW = FlowId(src=1, dst=2)
 
 BOTH = pytest.mark.parametrize(
-    "table_cls", [ReferenceFlowTable, IndexedFlowTable]
+    "table_cls",
+    [oracles.ReferenceFlowTable, FlowTable],
+    ids=["ReferenceFlowTable", "IndexedFlowTable"],
 )
 
 
 class TestAlias:
-    def test_flowtable_remains_the_reference(self):
-        assert FlowTable is ReferenceFlowTable
-
     def test_indexed_is_a_flow_table(self):
-        assert issubclass(IndexedFlowTable, ReferenceFlowTable)
+        # The indexed table is the one production table: it stands
+        # alone, and no selector or second implementation is exported.
+        assert not issubclass(FlowTable, oracles.ReferenceFlowTable)
+        for name in ("IndexedFlowTable", "ReferenceFlowTable",
+                     "make_flow_table"):
+            assert not hasattr(simulator, name)
+            assert not hasattr(flowtable, name)
+        table = FlowTable(2)
+        assert table._heap == [] and table._buckets == {}
 
 
 class TestTieBreaks:
-    """The pinned orderings, asserted identically on both paths."""
+    """The pinned orderings, asserted identically on table and oracle."""
 
     @BOTH
     def test_equal_priority_overlap_first_installed_wins(self, table_cls):
@@ -116,13 +122,13 @@ class TestResultCaching:
     """rule_names()/entries are memoised until the entry set changes."""
 
     def test_repeat_reads_alias_one_tuple(self):
-        table = IndexedFlowTable(4)
+        table = FlowTable(4)
         table.install(rule("r", src=1, idle=5.0), 1, 0.0)
         assert table.rule_names() is table.rule_names()
         assert table.entries is table.entries
 
     def test_install_invalidates(self):
-        table = IndexedFlowTable(4)
+        table = FlowTable(4)
         table.install(rule("a"), 1, 0.0)
         names = table.rule_names()
         entries = table.entries
@@ -132,7 +138,7 @@ class TestResultCaching:
         assert table.entries is not entries
 
     def test_remove_invalidates(self):
-        table = IndexedFlowTable(4)
+        table = FlowTable(4)
         table.install(rule("a"), 1, 0.0)
         names = table.rule_names()
         assert table.remove("a")
@@ -140,7 +146,7 @@ class TestResultCaching:
         assert table.rule_names() is not names
 
     def test_expiry_sweep_invalidates(self):
-        table = IndexedFlowTable(4)
+        table = FlowTable(4)
         table.install(rule("a", idle=1.0), 1, 0.0)
         names = table.rule_names()
         table.sweep(5.0)
@@ -149,7 +155,7 @@ class TestResultCaching:
 
     def test_refreshing_lookup_keeps_the_cache(self):
         # A hit rewrites a timer but not the entry set: no invalidation.
-        table = IndexedFlowTable(4)
+        table = FlowTable(4)
         table.install(rule("r", src=1, idle=5.0), 1, 0.0)
         names = table.rule_names()
         entries = table.entries
@@ -160,7 +166,7 @@ class TestResultCaching:
 
 class TestHeapHygiene:
     def test_idle_refresh_backlog_is_compacted(self):
-        table = IndexedFlowTable(4)
+        table = FlowTable(4)
         table.install(rule("r", src=1, idle=50.0), 1, 0.0)
         for step in range(1000):
             table.lookup(FLOW, float(step) * 0.01)
@@ -169,7 +175,7 @@ class TestHeapHygiene:
         assert len(table._heap) <= 64 + 8 * len(table)
 
     def test_next_expiry_tracks_refreshes(self):
-        table = IndexedFlowTable(4)
+        table = FlowTable(4)
         table.install(rule("r", src=1, idle=5.0), 1, 0.0)
         assert table.next_expiry(0.0) == pytest.approx(5.0)
         table.lookup(FLOW, 3.0)
@@ -203,8 +209,8 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_op_streams_agree(self, seed):
         rng = random.Random(seed)
-        reference = ReferenceFlowTable(4)
-        indexed = IndexedFlowTable(4)
+        reference = oracles.ReferenceFlowTable(4)
+        indexed = FlowTable(4)
         now = 0.0
         names = [f"r{i}" for i in range(8)]
         for _ in range(300):

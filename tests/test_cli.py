@@ -99,7 +99,7 @@ class TestExecution:
 
     def test_canonical_jobs_and_out_flags_everywhere(self):
         """Every subcommand that fans out or saves takes the canonical
-        spelling; the legacy aliases stay parseable but hidden."""
+        spelling."""
         parser = build_parser()
         for command in ("select", "check", "fig6a", "robustness", "submit"):
             argv = [command, "--jobs", "3"]
@@ -111,15 +111,21 @@ class TestExecution:
             args = parser.parse_args([command, "--out", "x.json"])
             assert args.out == "x.json"
 
-    def test_jobs_alias_warns_and_maps_to_canonical(self):
-        with pytest.warns(DeprecationWarning, match="--jobs"):
-            args = build_parser().parse_args(["select", "--n-jobs", "3"])
-        assert args.jobs == 3
-
-    def test_out_alias_warns_and_maps_to_canonical(self):
-        with pytest.warns(DeprecationWarning, match="--out"):
-            args = build_parser().parse_args(["fig6a", "--save", "x.json"])
-        assert args.out == "x.json"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--n-jobs", "3"],
+            ["fig6a", "--save", "x.json"],
+            ["select", "--kernel", "sparse"],
+            ["fig6a", "--simpath", "fastpath"],
+        ],
+        ids=["n-jobs", "save", "kernel", "simpath"],
+    )
+    def test_removed_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_aliases_are_hidden_from_help(self):
         parser = build_parser()
