@@ -8,7 +8,8 @@ The basic model's state count is the paper's closed form
 (each cached subset can appear in any recency order, and each cached
 rule carries a remaining-time counter in ``0..t_j``).  The compact
 model's count is ``sum_{k=1..n} C(|Rules|, k)`` non-empty states (the
-implementation also keeps the empty cache as the start state).
+implementation also keeps the empty cache as the start state, and drops
+the subsets holding a rule that no flow installs).
 
 Note on the paper's worked example: for ``|Rules| = 10``, ``t_j = 100``,
 ``n = 8`` the paper quotes "about 5.9 x 10^7" states, but the printed
@@ -70,8 +71,13 @@ def compact_state_count(
 ) -> int:
     """Compact-model state count ``sum_{k=1..n} C(|Rules|, k)``.
 
+    This is the paper's formula, over every subset of the rules.
     ``include_empty=True`` adds the empty-cache start state that the
     implementation carries (the paper's count starts at ``k = 1``).
+    The implementation enumerates only subsets of the rules some flow
+    installs (:attr:`CompactModel.live_rules`), so its ``n_states`` is
+    this count for the number of installable rules, with the empty
+    state: ``compact_state_count(popcount(live_rules), n, True)``.
     """
     if cache_size < 0 or n_rules < 0:
         raise ValueError("arguments must be non-negative")

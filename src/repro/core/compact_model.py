@@ -1,8 +1,21 @@
 """The compact Markov model of the switch cache (Section IV-B).
 
-States are the subsets of the policy's rules of size at most the cache
-capacity ``n`` (the paper counts ``sum_{k=1..n} C(|Rules|, k)`` non-empty
-states; the empty cache is included as the chain's natural start state).
+The paper's states are the subsets of the policy's rules of size at most
+the cache capacity ``n`` (``sum_{k=1..n} C(|Rules|, k)`` non-empty
+states).  Only *installable* rules ever enter the cache -- a rule is
+installed when it is the highest-priority cover of a flow that misses --
+so the model enumerates the subsets of at most ``n`` installable rules,
+the empty cache (the chain's natural start state) included.  This live
+set is closed under every transition (arrivals and probes install
+installable rules; evictions and expirations remove rules), so the
+chain over it is the principal submatrix of the all-subsets chain and
+every dropped state carries exactly zero mass from any live start.  A
+rule that is never any flow's highest-priority cover -- shadowed for
+every flow it covers -- removes every state holding it.  Of the paper's
+2510 states at 12 rules and cache 6, half the pinned benchmark
+candidates keep a third or fewer (tests/core/test_live_states_diff.py
+holds the result against the all-subsets oracle, bit for bit).
+
 Each step of duration ``Delta`` carries at most one flow arrival; the
 per-flow/no-arrival probabilities come from the normalised Poisson
 decomposition (:func:`repro.core.chain.per_flow_step_probabilities`).
@@ -46,7 +59,12 @@ from repro.core.chain import (
     validate_stochastic,
 )
 from repro.core.context import ModelContext
-from repro.core.masks import enumerate_subsets, indices_from_mask, popcount
+from repro.core.masks import (
+    indices_from_mask,
+    iter_bits,
+    popcount,
+    subsets_within,
+)
 from repro.core.recency import (
     IndependentRecencyEstimator,
     RecencyEstimator,
@@ -104,9 +122,14 @@ class CompactModel:
         self.multi_expiry = multi_expiry
         self.expire_on_arrival = expire_on_arrival
 
-        self.states: List[int] = enumerate_subsets(
-            self.context.n_rules, cache_size
-        )
+        #: Bitmask of the rules some flow installs (its highest-priority
+        #: cover).  Every flow counts, zero-rate ones included, so probe
+        #: matrices stay closed over the state list too.
+        self.live_rules = 0
+        for rule in self.context.install_rule:
+            if rule is not None:
+                self.live_rules |= 1 << rule
+        self.states: List[int] = subsets_within(self.live_rules, cache_size)
         self.state_index: Dict[int, int] = {
             state: index for index, state in enumerate(self.states)
         }
@@ -140,6 +163,36 @@ class CompactModel:
     def empty_state_index(self) -> int:
         """Index of the empty-cache state (the standard start state)."""
         return self.state_index[0]
+
+    def index_of(self, state: int, role: str) -> int:
+        """Index of the (bitmask) ``state``, or a ``ValueError``.
+
+        Only subsets of the installable rules are states
+        (:attr:`live_rules`); a mask holding any other rule names that
+        rule in the error.  ``role`` describes the mask in the message.
+        """
+        index = self.state_index.get(state)
+        if index is None:
+            raise self.state_error(state, role)
+        return index
+
+    def state_error(self, state: int, role: str) -> ValueError:
+        """The error for a mask that is not in the state list."""
+        rules = indices_from_mask(state)
+        dead = state & ~self.live_rules
+        if dead:
+            rule = next(iter_bits(dead))
+            reason = (
+                f"holds rule {rule} ({self.policy[rule].name}), which no "
+                "flow installs, so no reachable cache state holds it"
+            )
+        elif len(rules) > self.context.cache_size:
+            reason = f"exceeds the cache capacity {self.context.cache_size}"
+        else:
+            reason = "is not in the model's state list"
+        return ValueError(
+            f"{role} mask {state:#x} (rules {rules}) {reason}"
+        )
 
     def state_rules(self, index: int) -> FrozenSet[int]:
         """Cached rule indices of the state at ``index``."""
@@ -232,12 +285,19 @@ class CompactModel:
             rows: List[int] = []
             cols: List[int] = []
             probs: List[float] = []
+            state_index = self.state_index
             for row, state in enumerate(self.states):
                 for successor, prob in apply_probe(self, state, flow):
                     if prob <= 0.0:
                         continue
+                    try:
+                        col = state_index[successor]
+                    except KeyError:
+                        raise self.state_error(
+                            successor, "probe successor"
+                        ) from None
                     rows.append(row)
-                    cols.append(self.state_index[successor])
+                    cols.append(col)
                     probs.append(prob)
             cached = sparse.coo_matrix(
                 (probs, (rows, cols)), shape=(self.n_states, self.n_states)
@@ -392,8 +452,14 @@ class CompactModel:
                     probability = base_prob * branch_prob
                     if probability <= 0.0:
                         continue
+                    try:
+                        col = state_index[branch_state]
+                    except KeyError:
+                        raise self.state_error(
+                            branch_state, "successor"
+                        ) from None
                     rows.append(row)
-                    cols.append(state_index[branch_state])
+                    cols.append(col)
                     probs.append(probability)
                     tags.append(tag)
 
@@ -581,12 +647,21 @@ class CompactModel:
     def initial_distribution(
         self, state: Optional[FrozenSet[int]] = None
     ) -> np.ndarray:
-        """Point distribution at ``state`` (default: empty cache)."""
+        """Point distribution at ``state`` (default: empty cache).
+
+        ``state`` must be a cache state that can occur: at most
+        ``cache_size`` rules, each installable by some flow.  A start
+        holding a rule no flow installs raises a ``ValueError`` naming
+        that rule (the model has no such state, and the switch never
+        reaches one).
+        """
         from repro.core.chain import point_distribution
         from repro.core.masks import mask_from_indices
 
         mask = 0 if state is None else mask_from_indices(state)
-        return point_distribution(self.n_states, self.state_index[mask])
+        return point_distribution(
+            self.n_states, self.index_of(mask, "start state")
+        )
 
     def distribution_after(
         self,

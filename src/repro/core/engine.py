@@ -536,10 +536,14 @@ class ProbeScoringEngine:
 def _weights_to_vector(
     model: CompactModel, weights: Dict[int, float]
 ) -> np.ndarray:
+    """Dense state vector of ``{state mask: weight}``.
+
+    Every mask must be a state of ``model``; one holding a rule no flow
+    installs raises a ``ValueError`` naming the rule.
+    """
     vector = np.zeros(model.n_states)
-    index = model.state_index
     for state, weight in weights.items():
-        vector[index[state]] = weight
+        vector[model.index_of(state, "start state")] = weight
     return vector
 
 

@@ -129,19 +129,32 @@ class RateTable:
 def enumerate_subsets(n_items: int, max_size: int) -> List[int]:
     """All bitmask subsets of ``{0..n_items-1}`` of size ``<= max_size``.
 
-    Ordered by (size, numeric value): the empty set first, then
-    singletons, etc.  This is the compact model's state enumeration
-    (Section IV-B counts ``sum_{k<=n} C(|Rules|, k)`` non-empty states;
-    we include the empty cache as the chain's natural initial state).
+    Ordered by size, then lexicographically by ascending element
+    indices (``itertools.combinations`` order): the empty set first,
+    then singletons, etc.  Section IV-B counts the ``sum_{k<=n}
+    C(|Rules|, k)`` non-empty subsets as compact states; the model
+    itself enumerates only the subsets of its installable rules
+    (:func:`subsets_within`).
+    """
+    return subsets_within((1 << n_items) - 1, max_size)
+
+
+def subsets_within(mask: int, max_size: int) -> List[int]:
+    """All subsets of ``mask`` of size ``<= max_size``, as bitmasks.
+
+    The order is :func:`enumerate_subsets`'s order restricted to these
+    subsets: combinations of an ascending sub-list keep their relative
+    lexicographic order, so this equals filtering the full enumeration
+    without paying for it.
     """
     from itertools import combinations
 
     if max_size < 0:
         raise ValueError("max_size must be non-negative")
-    bits = [1 << index for index in range(n_items)]
+    bits = [1 << index for index in iter_bits(mask)]
     subsets: List[int] = []
     append = subsets.append
-    for size in range(0, min(max_size, n_items) + 1):
+    for size in range(0, min(max_size, len(bits)) + 1):
         for combo in combinations(bits, size):
             append(sum(combo))
     return subsets

@@ -499,15 +499,22 @@ def _expand_expiries(
 
     size = count + pairs
     out_rows = np.empty(size, dtype=np.int64)
-    out_cols = np.empty(size, dtype=np.int64)
     out_probs = np.empty(size)
     out_tags = np.empty(size, dtype=np.int64)
+    successors = np.empty(size, dtype=np.int64)
+    successors[keep_pos] = interim
+    successors[pair_pos] = interim[ev_idx] & ~bits[rule_idx]
+    out_cols = lookup[successors]
+    # A successor outside the state list would index lookup's -1 fill,
+    # i.e. silently wrap to the last state.  The live state list is
+    # closed under transitions, so this only fires on a broken list.
+    escaped = np.flatnonzero(out_cols < 0)
+    if escaped.size:
+        raise model.state_error(int(successors[escaped[0]]), "successor")
     out_rows[keep_pos] = rows
-    out_cols[keep_pos] = lookup[interim]
     out_probs[keep_pos] = base * keep_frac_u[inverse]
     out_tags[keep_pos] = tag
     out_rows[pair_pos] = rows[ev_idx]
-    out_cols[pair_pos] = lookup[interim[ev_idx] & ~bits[rule_idx]]
     out_probs[pair_pos] = base[ev_idx] * (
         weight_frac_u[inverse[ev_idx], rule_idx]
     )

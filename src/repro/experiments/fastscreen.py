@@ -120,6 +120,16 @@ def reachable_states(model: CompactModel) -> np.ndarray:
     state outside this set has exactly zero probability at every step,
     which is what lets the screen certify ``p_hit == 0`` (and hence a
     failed viability screen) without trusting float32 rounding.
+
+    The model's states are already the *live* ones (subsets of the
+    installable rules), but live is not reachable: a rule installed
+    only by zero-rate flows never arrives in the cache, and two rules
+    with one-step timeouts never survive the same step (timers run on
+    arrival steps too, the screen's model default).  Priority order
+    alone never separates live rules (installing them in descending
+    priority order always misses), so without those two cases the
+    fixpoint returns every state; tests/core/test_live_states_diff.py
+    shows all three.
     """
     rows, cols, _, _ = model._sorted_entries()
     reach = model.initial_distribution() > 0.0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.analysis.statecount import compact_state_count
 from repro.core.chain import validate_stochastic
 from repro.core.compact_model import CompactModel
 from repro.core.masks import mask_from_indices, popcount
@@ -45,6 +46,63 @@ class TestStateSpace:
     def test_all_states_within_capacity(self, fig2b_model):
         for state in fig2b_model.states:
             assert popcount(state) <= 2
+
+    def test_shadowed_rule_has_no_states(self):
+        # r1 covers only f0, which r0 outranks: no flow installs r1, so
+        # the states are the subsets of {r0, r2} -- 4 instead of the
+        # paper's 1 + C(3, 1) + C(3, 2) = 7.
+        model = make_model(
+            [({0, 1}, 3), ({0}, 3), ({2}, 3)], [0.1, 0.1, 0.1], cache_size=2
+        )
+        assert model.live_rules == mask_from_indices([0, 2])
+        assert model.n_states == 1 + math.comb(2, 1) + math.comb(2, 2)
+        assert model.n_states == compact_state_count(2, 2, include_empty=True)
+        assert not any(state & mask_from_indices([1]) for state in model.states)
+
+
+def _narrow(monkeypatch, model, dropped):
+    """Remove one state from ``model``'s list before anything is built."""
+    states = [state for state in model.states if state != dropped]
+    monkeypatch.setattr(model, "states", states)
+    monkeypatch.setattr(
+        model, "state_index", {state: i for i, state in enumerate(states)}
+    )
+    monkeypatch.setattr(model, "n_states", len(states))
+
+
+class TestStateLookupErrors:
+    """Masks outside the state list fail loudly, naming what is wrong."""
+
+    @pytest.mark.parametrize("multi_expiry", [False, True], ids=[
+        "vectorised", "per_state",
+    ])
+    def test_escaping_successor_is_named(self, monkeypatch, multi_expiry):
+        model = make_model(
+            [({0}, 4), ({0, 1}, 6)], [0.4, 0.6, 0.8], cache_size=2,
+            multi_expiry=multi_expiry,
+        )
+        _narrow(monkeypatch, model, mask_from_indices([0]))
+        with pytest.raises(ValueError, match=r"successor mask 0x1 "):
+            model.transition_matrix()
+
+    def test_escaping_probe_successor_is_named(self, monkeypatch, fig2b_model):
+        _narrow(monkeypatch, fig2b_model, mask_from_indices([1]))
+        with pytest.raises(ValueError, match=r"probe successor mask 0x2 "):
+            fig2b_model.probe_matrix(1)
+
+    def test_start_holding_uninstallable_rule(self):
+        from repro.core.engine import _weights_to_vector
+
+        model = make_model(
+            [({0, 1}, 3), ({0}, 3), ({2}, 3)], [0.1, 0.1, 0.1], cache_size=2
+        )
+        with pytest.raises(ValueError, match=r"rule 1 \(r1\)"):
+            model.initial_distribution(frozenset({0, 1}))
+        with pytest.raises(ValueError, match=r"rule 1 \(r1\)"):
+            _weights_to_vector(model, {mask_from_indices([1]): 1.0})
+        # Installable starts still work.
+        start = model.initial_distribution(frozenset({0, 2}))
+        assert start[model.state_index[mask_from_indices([0, 2])]] == 1.0
 
 
 class TestTransitionMatrix:

@@ -13,6 +13,7 @@ from repro.core.masks import (
     iter_bits,
     mask_from_indices,
     popcount,
+    subsets_within,
 )
 
 
@@ -97,3 +98,13 @@ class TestEnumerateSubsets:
     def test_negative_max_size_rejected(self):
         with pytest.raises(ValueError):
             enumerate_subsets(3, -1)
+
+    @given(st.integers(0, 8), st.data())
+    def test_subsets_within_filters_in_order(self, n_items, data):
+        mask = data.draw(st.integers(0, (1 << n_items) - 1))
+        max_size = data.draw(st.integers(0, n_items + 1))
+        assert subsets_within(mask, max_size) == [
+            subset
+            for subset in enumerate_subsets(n_items, max_size)
+            if not subset & ~mask
+        ]

@@ -10,6 +10,8 @@ production to them:
   per background arrival;
 * :mod:`tests.oracles.dense` -- the per-state transition builder with
   dense matrices and ``@`` powering;
+* :mod:`tests.oracles.fullstate` -- the compact model over every subset
+  of at most ``n`` rules, installable or not;
 * the exact-only screen, which is production's own fallback when the
   native kernel is disabled (``REPRO_NO_CKERNEL=1``).
 
@@ -29,10 +31,12 @@ from repro.experiments import trials
 from repro.simulator import switch
 from repro.simulator.network import Network
 
-from tests.oracles import dense, network
+from tests.oracles import dense, fullstate, network
 from tests.oracles.flowtable import ReferenceFlowTable
 
-__all__ = ["ReferenceFlowTable", "dense", "network", "oracle_pipeline"]
+__all__ = [
+    "ReferenceFlowTable", "dense", "fullstate", "network", "oracle_pipeline",
+]
 
 
 @contextmanager
