@@ -19,8 +19,9 @@ walks; this module replaces that inner loop with three ideas:
   floating-point shapes -- and therefore the results, bit for bit -- do
   not depend on how the work is chunked across processes;
 * **opt-in multiprocessing** -- ``n_jobs > 1`` fans the scoring blocks
-  out over a fork-based pool (the inference handle is inherited through
-  fork, never pickled).  Selection results are identical for every
+  out over a :class:`~repro.parallel.ForkPool` (the inference handle is
+  inherited through fork, never pickled; a dead worker degrades the
+  batch to the serial path).  Selection results are identical for every
   ``n_jobs`` because block shapes are fixed and the final argmax scan
   always runs serially over all gains in canonical candidate order.
 
@@ -32,11 +33,10 @@ scored sequences, wall time per stage) are collected in
 
 from __future__ import annotations
 
-import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from multiprocessing.context import BaseContext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +45,8 @@ from repro.core.compact_model import CompactModel
 from repro.core.gain import binary_entropy
 from repro.core.inference import ReconInference
 from repro.deprecation import keyword_only
-from repro.obs import Instrumentation, get_instrumentation
+from repro.obs import get_instrumentation
+from repro.parallel import ForkPool
 
 #: Fixed scoring block size.  Keeping block shapes constant regardless
 #: of ``n_jobs`` (and of how many candidates a caller passes) makes the
@@ -193,24 +194,25 @@ def _score_block_impl(
     )
 
 
-# ----------------------------------------------------------------------
-# Multiprocessing plumbing (fork-based; inference inherited, not pickled)
-# ----------------------------------------------------------------------
 #: One scoring work item: (shared probe prefix, block of final probes).
 WorkItem = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
-_WORKER_INFERENCE: Optional[ReconInference] = None
 
+def _score_block(
+    shared: Tuple[ReconInference, int], item: WorkItem
+) -> Tuple[np.ndarray, Dict[str, int]]:
+    """One scoring block, plus the inference-counter growth elsewhere.
 
-def _init_scoring_worker(inference: ReconInference) -> None:
-    global _WORKER_INFERENCE
-    _WORKER_INFERENCE = inference
-
-
-def _scoring_work(item: WorkItem) -> Tuple[np.ndarray, Dict[str, int]]:
+    ``shared`` is the inference and the pid of the engine's process.  A
+    worker's counters grow on its fork copy of the inference, so it
+    returns the growth for the engine to fold into its stats; in the
+    engine's own process the counters grow in place and the delta is
+    empty.
+    """
+    inference, owner = shared
     prefix, flows = item
-    inference = _WORKER_INFERENCE
-    assert inference is not None, "worker used before initialisation"
+    if os.getpid() == owner:
+        return _score_block_impl(inference, prefix, flows), {}
     before = dict(inference.counters)
     gains = _score_block_impl(inference, prefix, flows)
     delta = {
@@ -218,16 +220,6 @@ def _scoring_work(item: WorkItem) -> Tuple[np.ndarray, Dict[str, int]]:
         for key, value in inference.counters.items()
     }
     return gains, delta
-
-
-def _fork_context() -> Optional[BaseContext]:
-    """The fork multiprocessing context, or ``None`` if unavailable."""
-    try:
-        if "fork" in multiprocessing.get_all_start_methods():
-            return multiprocessing.get_context("fork")
-    except Exception:  # pragma: no cover - platform-specific
-        pass
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +245,6 @@ class ProbeScoringEngine:
         inference: ReconInference,
         *,
         n_jobs: int = 1,
-        instrumentation: Optional[Instrumentation] = None,
     ) -> None:
         if n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
@@ -261,13 +252,8 @@ class ProbeScoringEngine:
         self.n_jobs = int(n_jobs)
         self.stats = ScoringStats(n_jobs=self.n_jobs)
         self._worker_deltas: Dict[str, int] = {}
-        # Observability backend: explicit argument wins, else whatever
-        # `use_instrumentation` installed (the null backend by default).
-        self._obs = (
-            instrumentation
-            if instrumentation is not None
-            else get_instrumentation()
-        )
+        # Whatever `use_instrumentation` installed (null by default).
+        self._obs = get_instrumentation()
         self._obs.metrics.gauge("engine.pool.n_jobs").set(self.n_jobs)
         self._obs_sequences = self._obs.metrics.counter(
             "engine.sequences_scored"
@@ -319,47 +305,23 @@ class ProbeScoringEngine:
         return items
 
     def _map(self, items: Sequence[WorkItem]) -> List[np.ndarray]:
-        """Evaluate scoring blocks, serially or across the fork pool.
+        """Evaluate scoring blocks through a per-call :class:`ForkPool`.
 
-        If the pool fails mid-batch -- a worker dies, the fork fails,
-        or an exception escapes the map -- the whole batch is
-        re-scored serially in the parent (the serial path shares the
-        parent's prefix cache, so nothing is lost but time).  The
-        fallback is counted in ``stats.pool_fallbacks`` and the
-        ``engine.pool.fallbacks`` metric.
+        A dead pool re-scores the whole batch serially in the parent
+        (the serial path shares the parent's prefix cache, so nothing
+        is lost but time), counted in ``stats.pool_fallbacks`` and the
+        ``engine.pool.fallbacks`` metric (:mod:`repro.parallel`).
         """
-        jobs = min(self.n_jobs, len(items))
-        context = _fork_context() if jobs > 1 else None
-        if context is None:
-            return self._map_serial(items)
-        try:
-            with context.Pool(
-                jobs,
-                initializer=_init_scoring_worker,
-                initargs=(self.inference,),
-            ) as pool:
-                results = pool.map(_scoring_work, items)
-        except Exception:
-            # Worker death surfaces as BrokenProcessPool / BrokenPipeError
-            # / the worker's own exception, depending on how it died.
-            # Scoring is pure, so re-running every block serially yields
-            # the identical gains the pool would have returned.
-            self.stats.pool_fallbacks += 1
-            self._obs.metrics.counter("engine.pool.fallbacks").inc()
-            return self._map_serial(items)
+        shared = (self.inference, os.getpid())
+        with ForkPool(self.n_jobs, shared, name="engine") as pool:
+            results = pool.map(_score_block, items)
+        self.stats.pool_fallbacks += pool.fallbacks
         for _, delta in results:
             for key, value in delta.items():
                 self._worker_deltas[key] = (
                     self._worker_deltas.get(key, 0) + value
                 )
         return [gains for gains, _ in results]
-
-    def _map_serial(self, items: Sequence[WorkItem]) -> List[np.ndarray]:
-        """Score every block in the parent process."""
-        return [
-            _score_block_impl(self.inference, prefix, flows)
-            for prefix, flows in items
-        ]
 
     def _refresh_counters(self) -> None:
         """Fold inference counters + worker deltas into the stats."""
@@ -547,38 +509,15 @@ def _weights_to_vector(
     return vector
 
 
-#: Shared adaptive-worker state: (model, w_full, w_absent, mass, prior).
+#: Shared adaptive-scoring state: (model, w_full, w_absent, mass, prior).
 _AdaptiveState = Tuple[CompactModel, np.ndarray, np.ndarray, float, float]
-
-_ADAPTIVE_STATE: Optional[_AdaptiveState] = None
-
-
-def _init_adaptive_worker(
-    model: CompactModel,
-    w_full: np.ndarray,
-    w_absent: np.ndarray,
-    mass: float,
-    prior: float,
-) -> None:
-    global _ADAPTIVE_STATE
-    _ADAPTIVE_STATE = (model, w_full, w_absent, mass, prior)
-
-
-def _adaptive_work(flows: Tuple[int, ...]) -> np.ndarray:
-    assert _ADAPTIVE_STATE is not None, "worker used before initialisation"
-    model, w_full, w_absent, mass, prior = _ADAPTIVE_STATE
-    return _conditional_block(model, w_full, w_absent, mass, prior, flows)
 
 
 def _conditional_block(
-    model: CompactModel,
-    w_full: np.ndarray,
-    w_absent: np.ndarray,
-    mass: float,
-    prior: float,
-    flows: Sequence[int],
+    state: _AdaptiveState, flows: Sequence[int]
 ) -> np.ndarray:
     """Conditional gains of one candidate block (2-outcome tables)."""
+    model, w_full, w_absent, mass, prior = state
     coverage = model.coverage_matrix(flows)  # (c, n_states)
     hit_full = coverage @ w_full
     hit_absent = coverage @ w_absent
@@ -616,28 +555,6 @@ def batched_conditional_gains(
         flows[start:start + SCORE_BLOCK]
         for start in range(0, len(flows), SCORE_BLOCK)
     ]
-    context = _fork_context() if min(n_jobs, len(blocks)) > 1 else None
-    if context is None:
-        return np.concatenate(
-            [
-                _conditional_block(model, w_full, w_absent, mass, prior, block)
-                for block in blocks
-            ]
-        )
-    try:
-        with context.Pool(
-            min(n_jobs, len(blocks)),
-            initializer=_init_adaptive_worker,
-            initargs=(model, w_full, w_absent, mass, prior),
-        ) as pool:
-            return np.concatenate(pool.map(_adaptive_work, blocks))
-    except Exception:
-        # Same contract as ProbeScoringEngine._map: scoring is pure, so
-        # a broken pool degrades to the identical serial computation.
-        get_instrumentation().metrics.counter("engine.pool.fallbacks").inc()
-        return np.concatenate(
-            [
-                _conditional_block(model, w_full, w_absent, mass, prior, block)
-                for block in blocks
-            ]
-        )
+    state = (model, w_full, w_absent, mass, prior)
+    with ForkPool(n_jobs, state, name="engine") as pool:
+        return np.concatenate(pool.map(_conditional_block, blocks))

@@ -20,14 +20,14 @@ to the serial loops**:
   acceptance sequence and leave the generator exactly where the serial
   loop would have left it.
 
-The plumbing reuses the scoring engine's proven patterns
-(:mod:`repro.core.engine`): fork-inherited worker state (never pickled),
-obs counters collected as per-worker deltas and re-emitted by the
-parent (sums commute, so totals match serial), and a serial fallback on
-pool death -- trials and screens are pure functions of their pre-drawn
-inputs, so re-running them in the parent reproduces the identical
-results.  Fallbacks are counted in :class:`ExecutionStats` and the
-``experiment.pool.fallbacks`` metric.
+Both levels map through :class:`repro.parallel.ForkPool`: the trial
+context or screening parameters reach the workers through fork (never
+pickled), worker counters are merged into the parent (sums commute, so
+totals match serial), and a pool failure -- including a worker killed
+mid-map -- re-runs the map serially in the parent.  Trials and screens
+are pure functions of their pre-drawn inputs, so the re-run reproduces
+the identical results.  Fallbacks are counted in
+:class:`ExecutionStats` and the ``experiment.pool.fallbacks`` metric.
 
 See EXPERIMENTS.md ("Parallel execution") for the determinism contract
 and the seed-stream layout.
@@ -36,24 +36,19 @@ and the seed-stream layout.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.attacker import Attacker
-from repro.core.engine import _fork_context
 from repro.experiments.params import ExperimentParams
 from repro.experiments.trials import DefenseFactory, TrialResult, run_trial
 from repro.faults import FaultPlan
 from repro.flows.config import ConfigGenerator, NetworkConfiguration
-from repro.obs import Instrumentation, get_instrumentation, use_instrumentation
+from repro.obs import get_instrumentation
+from repro.parallel import ForkPool
 from repro.simulator.timing import LatencyModel
-
-#: Trial chunks handed out per worker: small enough to balance load,
-#: large enough to amortise task pickling.  Chunking never affects
-#: results -- trials are merged back in trial order regardless.
-TRIAL_CHUNKS_PER_WORKER = 4
 
 #: Candidate configurations sampled per speculative screening batch,
 #: as a multiple of the worker count.
@@ -108,18 +103,6 @@ class ExecutionStats:
         for stage in sorted(self.wall_times):
             rows.append([f"{stage} time (s)", f"{self.wall_times[stage]:.6f}"])
         return rows
-
-
-def counter_deltas(obs: Instrumentation) -> Dict[str, int]:
-    """Non-zero counter totals of a worker-local backend.
-
-    Workers install a fresh :class:`~repro.obs.Instrumentation`, so its
-    totals *are* the deltas their chunk contributed; the parent re-emits
-    them onto its own backend.  Counter sums commute, so the merged
-    totals equal what the serial loop would have counted.
-    """
-    counters = obs.metrics.to_document()["counters"]
-    return {name: value for name, value in counters.items() if value}  # type: ignore[union-attr]
 
 
 # ----------------------------------------------------------------------
@@ -184,8 +167,8 @@ def plan_trials(
 
 
 @dataclass
-class _TrialContext:
-    """Fork-inherited worker state for trial-level fan-out."""
+class TrialContext:
+    """Everything but the plan that one trial needs (fork-inherited)."""
 
     config: NetworkConfiguration
     lineup: Tuple[Attacker, ...]
@@ -194,7 +177,6 @@ class _TrialContext:
     defense_factory: Optional[DefenseFactory]
     fault_plan: Optional[FaultPlan]
     probe_retries: int
-    collect_counters: bool
 
 
 def _scripted_lineup(
@@ -209,8 +191,8 @@ def _scripted_lineup(
     )
 
 
-def _run_planned_trial(context: _TrialContext, plan: TrialPlan) -> TrialResult:
-    """One trial from its pre-drawn plan (worker and fallback path)."""
+def run_planned_trial(context: TrialContext, plan: TrialPlan) -> TrialResult:
+    """One trial from its pre-drawn plan (worker and serial path)."""
     return run_trial(
         context.config,
         _scripted_lineup(context.lineup, plan),
@@ -221,37 +203,6 @@ def _run_planned_trial(context: _TrialContext, plan: TrialPlan) -> TrialResult:
         fault_plan=context.fault_plan,
         probe_retries=context.probe_retries,
     )
-
-
-_TRIAL_CONTEXT: Optional[_TrialContext] = None
-
-
-def _init_trial_worker(context: _TrialContext) -> None:
-    global _TRIAL_CONTEXT
-    _TRIAL_CONTEXT = context
-
-
-def _trial_chunk_work(
-    chunk: Tuple[TrialPlan, ...],
-) -> Tuple[List[TrialResult], Dict[str, int]]:
-    context = _TRIAL_CONTEXT
-    assert context is not None, "worker used before initialisation"
-    if not context.collect_counters:
-        return [_run_planned_trial(context, plan) for plan in chunk], {}
-    worker_obs = Instrumentation()
-    with use_instrumentation(worker_obs):
-        results = [_run_planned_trial(context, plan) for plan in chunk]
-    return results, counter_deltas(worker_obs)
-
-
-def _trial_chunks(
-    plans: Sequence[TrialPlan], n_jobs: int
-) -> List[Tuple[TrialPlan, ...]]:
-    size = max(1, -(-len(plans) // (n_jobs * TRIAL_CHUNKS_PER_WORKER)))
-    return [
-        tuple(plans[start:start + size])
-        for start in range(0, len(plans), size)
-    ]
 
 
 def run_planned_trials(
@@ -277,9 +228,7 @@ def run_planned_trials(
     whole batch is re-run serially in the parent and counted in
     ``execution.pool_fallbacks`` / ``experiment.pool.fallbacks``.
     """
-    obs = get_instrumentation()
-    plans = list(plans)
-    context = _TrialContext(
+    context = TrialContext(
         config=config,
         lineup=tuple(lineup),
         mode=mode,
@@ -287,59 +236,21 @@ def run_planned_trials(
         defense_factory=defense_factory,
         fault_plan=fault_plan,
         probe_retries=int(probe_retries),
-        collect_counters=obs.enabled,
     )
-    chunks = _trial_chunks(plans, max(1, int(n_jobs)))
-    if execution is not None:
-        execution.trials += len(plans)
-        execution.trial_chunks += len(chunks)
     started = time.perf_counter()
-    try:
-        jobs = min(int(n_jobs), len(chunks))
-        fork = _fork_context() if jobs > 1 else None
-        if fork is None:
-            return [_run_planned_trial(context, plan) for plan in plans]
-        try:
-            with fork.Pool(
-                jobs, initializer=_init_trial_worker, initargs=(context,)
-            ) as pool:
-                outputs = pool.map(_trial_chunk_work, chunks)
-        except Exception:
-            # Trials are pure given their plans; the serial re-run
-            # below reproduces exactly what the pool would have
-            # returned (and its counters land directly on the parent
-            # backend, so totals still match serial).
-            if execution is not None:
-                execution.pool_fallbacks += 1
-            obs.metrics.counter("experiment.pool.fallbacks").inc()
-            return [_run_planned_trial(context, plan) for plan in plans]
-        results: List[TrialResult] = []
-        merged: Dict[str, int] = {}
-        for chunk_results, deltas in outputs:
-            results.extend(chunk_results)
-            for name, value in deltas.items():
-                merged[name] = merged.get(name, 0) + value
-        if obs.enabled:
-            for name in sorted(merged):
-                obs.metrics.counter(name).inc(merged[name])
-        return results
-    finally:
-        if execution is not None:
-            execution.add_time("trials", time.perf_counter() - started)
+    with ForkPool(n_jobs, context, name="experiment") as pool:
+        results = pool.map(run_planned_trial, plans)
+    if execution is not None:
+        execution.trials += len(results)
+        execution.trial_chunks += pool.chunks
+        execution.pool_fallbacks += pool.fallbacks
+        execution.add_time("trials", time.perf_counter() - started)
+    return results
 
 
 # ----------------------------------------------------------------------
 # Config-level fan-out (screened rejection sampling)
 # ----------------------------------------------------------------------
-@dataclass
-class _ScreenContext:
-    """Fork-inherited worker state for config-level screening."""
-
-    params: ExperimentParams
-    require_optimal_differs: bool
-    collect_counters: bool
-
-
 def screening_verdicts(
     params: ExperimentParams,
     config: NetworkConfiguration,
@@ -347,10 +258,12 @@ def screening_verdicts(
 ) -> Tuple[bool, bool]:
     """``(screened_in, optimal_differs)`` for one candidate configuration.
 
-    Builds the harness with serial probe selection (a daemonic pool
-    worker cannot fork children of its own; the engine's selection is
-    bit-identical for every ``n_jobs``) and a throwaway seeded
-    generator -- screening never draws from the harness generator.
+    Builds the harness with a throwaway seeded generator -- screening
+    never draws from the harness generator.  Inside a screening worker
+    the harness's probe selection runs serially whatever
+    ``params.selection_n_jobs`` says (a :class:`~repro.parallel.ForkPool`
+    worker never forks), and the engine's gains are bit-identical for
+    every ``n_jobs`` anyway.
 
     When the certified float32 fast screen applies
     (repro.experiments.fastscreen) and proves the candidate rejected,
@@ -373,38 +286,16 @@ def screening_verdicts(
             return (False, True) if params.screen else (True, False)
         model = outcome.model
     harness = ConfigHarness(
-        config,
-        replace(params, selection_n_jobs=1),
-        rng=np.random.default_rng(0),
-        model=model,
+        config, params, rng=np.random.default_rng(0), model=model
     )
     return harness.is_screened_in(), harness.optimal_differs_from_target()
 
 
-_SCREEN_CONTEXT: Optional[_ScreenContext] = None
-
-
-def _init_screen_worker(context: _ScreenContext) -> None:
-    global _SCREEN_CONTEXT
-    _SCREEN_CONTEXT = context
-
-
-def _screen_work(
-    config: NetworkConfiguration,
-) -> Tuple[bool, bool, Dict[str, int]]:
-    context = _SCREEN_CONTEXT
-    assert context is not None, "worker used before initialisation"
-    if not context.collect_counters:
-        screened, differs = screening_verdicts(
-            context.params, config, context.require_optimal_differs
-        )
-        return screened, differs, {}
-    worker_obs = Instrumentation()
-    with use_instrumentation(worker_obs):
-        screened, differs = screening_verdicts(
-            context.params, config, context.require_optimal_differs
-        )
-    return screened, differs, counter_deltas(worker_obs)
+def _screen(
+    shared: Tuple[ExperimentParams, bool], config: NetworkConfiguration
+) -> Tuple[bool, bool]:
+    params, require_optimal_differs = shared
+    return screening_verdicts(params, config, require_optimal_differs)
 
 
 def screen_accepted_configs(
@@ -440,26 +331,10 @@ def screen_accepted_configs(
     attempts = 0
     batch_size = max(SCREEN_BATCH_PER_WORKER * int(n_jobs), 4)
     started = time.perf_counter()
-    pool = None
-    fork = _fork_context()
+    pool = ForkPool(
+        n_jobs, (params, require_optimal_differs), name="experiment"
+    )
     try:
-        if fork is not None:
-            context = _ScreenContext(
-                params=params,
-                require_optimal_differs=require_optimal_differs,
-                collect_counters=obs.enabled,
-            )
-            try:
-                pool = fork.Pool(
-                    int(n_jobs),
-                    initializer=_init_screen_worker,
-                    initargs=(context,),
-                )
-            except Exception:
-                pool = None
-                if execution is not None:
-                    execution.pool_fallbacks += 1
-                obs.metrics.counter("experiment.pool.fallbacks").inc()
         while len(accepted) < n_configs:
             remaining = max_attempts - attempts
             if remaining <= 0:
@@ -477,33 +352,8 @@ def screen_accepted_configs(
                 states.append(generator.rng.bit_generator.state)
             if execution is not None:
                 execution.screen_batches += 1
-            verdicts: Optional[List[Tuple[bool, bool, Dict[str, int]]]] = None
-            if pool is not None:
-                try:
-                    verdicts = pool.map(_screen_work, batch)
-                except Exception:
-                    pool.terminate()
-                    pool = None
-                    if execution is not None:
-                        execution.pool_fallbacks += 1
-                    obs.metrics.counter("experiment.pool.fallbacks").inc()
-            if verdicts is None:
-                # Parent-side screening: counters land directly on the
-                # parent backend, exactly like the serial loop.
-                verdicts = [
-                    screening_verdicts(params, config, require_optimal_differs)
-                    + ({},)
-                    for config in batch
-                ]
-            else:
-                merged: Dict[str, int] = {}
-                for _, _, deltas in verdicts:
-                    for name, value in deltas.items():
-                        merged[name] = merged.get(name, 0) + value
-                if obs.enabled:
-                    for name in sorted(merged):
-                        obs.metrics.counter(name).inc(merged[name])
-            for position, (screened, differs, _) in enumerate(verdicts):
+            verdicts = pool.map(_screen, batch)
+            for position, (screened, differs) in enumerate(verdicts):
                 attempts += 1
                 sampled.inc()
                 if params.screen and not screened:
@@ -520,9 +370,8 @@ def screen_accepted_configs(
                     return accepted
         return accepted
     finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        pool.close()
         if execution is not None:
+            execution.pool_fallbacks += pool.fallbacks
             execution.screen_attempts += attempts
             execution.add_time("screen", time.perf_counter() - started)

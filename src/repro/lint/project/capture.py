@@ -11,15 +11,20 @@ closure:
 * calls to ``get_instrumentation()`` -- under fork that resolves to the
   *parent's* backend, so recorded events vanish with the worker --
   unless the closure installs a fresh backend via
-  ``use_instrumentation(...)`` first (the sanctioned worker pattern in
-  :mod:`repro.experiments.parallel`);
+  ``use_instrumentation(...)`` first, or the dispatch is a
+  :class:`repro.parallel.ForkPool` map, whose worker side installs one
+  itself;
 * reads of module globals bound to ``Instrumentation``/``Generator``
   state, including globals imported from *other* modules, which PAR001
   cannot see.
 
-Findings inside the dispatched worker itself, when it lives in the same
-module as the dispatch, are left to PAR001 -- this rule reports only
-what the per-file pass cannot.  The :mod:`repro.obs` package is exempt
+Dispatches are recognised as in PAR001: ``ForkPool(...).map(w, xs)``,
+a name bound from ``ForkPool(...)`` whatever it is called, or a pool
+method on a receiver named like a pool.  State a worker needs travels
+in ``ForkPool``'s ``shared`` argument, the sanctioned channel for
+fork-inherited state.  Findings inside the dispatched worker itself,
+when it lives in the same module as the dispatch, are left to PAR001
+-- this rule reports only what the per-file pass cannot.  The :mod:`repro.obs` package is exempt
 from the global-read check: it owns the ambient-backend global by
 design.
 """
@@ -69,7 +74,7 @@ def check_worker_closures(graph: ProjectGraph) -> List[ProjectFinding]:
             if not roots:
                 continue
             closure = graph.closure(roots)
-            installs_fresh = any(
+            installs_fresh = dispatch.fresh_backend or any(
                 graph.functions[qname].installs_fresh_instrumentation
                 for qname in closure
                 if qname in graph.functions

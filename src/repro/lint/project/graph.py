@@ -34,7 +34,7 @@ from repro.lint.rules.mutation import (
     CACHE_ATTRIBUTES,
     INPLACE_METHODS,
 )
-from repro.lint.rules.parallel import POOL_DISPATCH_METHODS
+from repro.lint.rules.parallel import fork_pool_names, pool_dispatch
 
 #: Attribute names conventionally bound to ``numpy.random.Generator``s.
 GENERATOR_ATTRS: FrozenSet[str] = frozenset(
@@ -160,6 +160,9 @@ class PoolDispatch:
     worker_qname: Optional[str]
     #: Resolved ``initializer=`` qualified name, when present.
     initializer_qname: Optional[str] = None
+    #: A ``ForkPool`` dispatch: the primitive runs the worker under a
+    #: fresh observability backend.
+    fresh_backend: bool = False
 
 
 @dataclass
@@ -219,6 +222,8 @@ class ModuleInfo:
     numpy_aliases: Set[str] = field(default_factory=set)
     numpy_random_aliases: Set[str] = field(default_factory=set)
     default_rng_aliases: Set[str] = field(default_factory=set)
+    #: Dotted names bound from ``ForkPool(...)`` anywhere in the module.
+    fork_pools: FrozenSet[str] = frozenset()
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +278,10 @@ class ProjectGraph:
             if source.tree is None:
                 continue  # the per-file pass reports SYN001
             module = ModuleInfo(
-                name=self._module_name(path), path=str(path), source=source
+                name=self._module_name(path),
+                path=str(path),
+                source=source,
+                fork_pools=fork_pool_names(source.tree),
             )
             self._build_symbol_table(module)
             self.modules[module.name] = module
@@ -925,11 +933,8 @@ class _SummaryVisitor:
                         Mutation(node=node, kind="setflags", base=base)
                     )
             # Pool dispatches.
-            if (
-                func.attr in POOL_DISPATCH_METHODS
-                and _receiver_is_pool(func.value)
-                and node.args
-            ):
+            kind = pool_dispatch(node, self.module.fork_pools)
+            if kind is not None and node.args:
                 worker = node.args[0]
                 worker_qname: Optional[str] = None
                 if isinstance(worker, ast.Name):
@@ -944,6 +949,7 @@ class _SummaryVisitor:
                         caller=self.info.qname,
                         worker=worker,
                         worker_qname=worker_qname,
+                        fresh_backend=kind == "fork",
                     )
                 )
         if endpoint == "Pool":
@@ -1021,11 +1027,6 @@ class _SummaryVisitor:
         origin = self.graph.modules.get(origin_module)
         if origin is not None and symbol in origin.tainted_globals:
             self.info.global_reads.append((node, origin_module, symbol))
-
-
-def _receiver_is_pool(node: ast.expr) -> bool:
-    dotted = dotted_name(node)
-    return dotted is not None and "pool" in dotted.lower()
 
 
 def _enables_write(node: ast.Call) -> bool:

@@ -1,10 +1,10 @@
 """PAR001 -- pool workers must not capture parent RNG/instrumentation.
 
-The experiment and engine layers fan work out across fork pools
-(:mod:`repro.core.engine`, :mod:`repro.experiments.parallel`).  Under
-the fork start method a worker function silently inherits the parent's
-memory image, so it is easy to write a worker that *appears* to work
-while breaking both determinism contracts:
+Every fan-out in the package goes through
+:class:`repro.parallel.ForkPool`.  Under the fork start method a worker
+function silently inherits the parent's memory image, so it is easy to
+write a worker that *appears* to work while breaking both determinism
+contracts:
 
 * drawing from an ``np.random.Generator`` created in the parent makes
   every worker clone the parent's stream -- draws are duplicated across
@@ -15,31 +15,37 @@ while breaking both determinism contracts:
   a start-method change.
 
 Workers must instead receive pre-drawn seeds/plans in their task items
-and return counter *deltas* for the parent to re-emit (the pattern both
-fan-out layers use).  The rule inspects every function dispatched
-through a pool (``pool.map(worker, ...)`` and the other ``Pool``
-dispatch methods) and flags:
+and leave counter merging to the pool.  The rule inspects every
+function dispatched through a pool.  A dispatch is
+``ForkPool(...).map(worker, ...)``, ``<name>.map(worker, ...)`` where
+``<name>`` is bound from ``ForkPool(...)`` anywhere in the module
+(assignment or ``with ... as``, scopes not told apart), or a ``Pool``
+dispatch method on a receiver whose name contains "pool".  It flags:
 
 * ``lambda`` workers and workers defined inside another function --
   closures capture parent state invisibly (and do not survive a switch
   to the spawn start method);
 * module-level workers that call ``get_instrumentation()`` -- under
   fork that is the parent's backend; create a fresh
-  ``Instrumentation()`` and return its counters as deltas instead;
+  ``Instrumentation()`` and return its counters as deltas instead.
+  ``ForkPool`` workers are exempt: the primitive installs a fresh
+  backend in the worker and merges its counters itself;
 * module-level workers that read a module global bound to an
   ``Instrumentation``/``np.random.Generator`` (by construction --
   ``X = Instrumentation()`` / ``X = np.random.default_rng(...)`` /
   ``X = get_instrumentation()`` -- or by annotation).
 
-Worker *initializers* (``Pool(initializer=...)``) are the sanctioned
-channel for fork-inherited state and are not flagged.  Intentional
-exceptions need ``# repro: noqa[PAR001]``.
+The ``shared`` argument of ``ForkPool(jobs, shared, name=...)`` is the
+sanctioned channel for fork-inherited state (it reaches each worker as
+the first argument of the worker); raw ``Pool(initializer=...)``
+initializers are not flagged either.  Intentional exceptions need
+``# repro: noqa[PAR001]``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import ClassVar, Dict, FrozenSet, Iterator, Optional, Set, Tuple
+from typing import ClassVar, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.base import (
     AnyFunctionDef,
@@ -74,15 +80,57 @@ _TAINTING_CALLS: FrozenSet[str] = frozenset(
 _TAINTED_ANNOTATIONS: Tuple[str, ...] = ("Instrumentation", "Generator")
 
 
-def _is_pool_dispatch(node: ast.Call) -> bool:
-    """``<pool>.map(worker, ...)`` and friends, by receiver name."""
+#: The :class:`repro.parallel.ForkPool` constructor, by call endpoint.
+FORK_POOL = "ForkPool"
+
+
+def _is_fork_pool_call(node: Optional[ast.AST]) -> bool:
+    return isinstance(node, ast.Call) and call_endpoint(node.func) == FORK_POOL
+
+
+def fork_pool_names(tree: ast.AST) -> FrozenSet[str]:
+    """Dotted names bound from ``ForkPool(...)`` anywhere in ``tree``."""
+    targets: List[ast.expr] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and _is_fork_pool_call(node.value):
+            targets.extend(node.targets)
+        elif isinstance(node, ast.AnnAssign) and _is_fork_pool_call(
+            node.value
+        ):
+            targets.append(node.target)
+        elif (
+            isinstance(node, ast.withitem)
+            and node.optional_vars is not None
+            and _is_fork_pool_call(node.context_expr)
+        ):
+            targets.append(node.optional_vars)
+    names = (dotted_name(target) for target in targets)
+    return frozenset(name for name in names if name is not None)
+
+
+def pool_dispatch(
+    node: ast.Call, fork_pools: FrozenSet[str]
+) -> Optional[str]:
+    """How ``node`` dispatches a worker: ``"fork"``, ``"pool"`` or ``None``.
+
+    ``"fork"`` is a :class:`~repro.parallel.ForkPool` dispatch (the
+    receiver is a ``ForkPool(...)`` call or a name in ``fork_pools``);
+    ``"pool"`` is any other pool dispatch method on a receiver whose
+    name contains "pool".
+    """
     func = node.func
     if not isinstance(func, ast.Attribute):
-        return False
+        return None
     if func.attr not in POOL_DISPATCH_METHODS:
-        return False
+        return None
+    if _is_fork_pool_call(func.value):
+        return "fork"
     receiver = dotted_name(func.value)
-    return receiver is not None and "pool" in receiver.lower()
+    if receiver is None:
+        return None
+    if receiver in fork_pools:
+        return "fork"
+    return "pool" if "pool" in receiver.lower() else None
 
 
 def _annotation_text(node: Optional[ast.expr]) -> str:
@@ -154,14 +202,18 @@ class PoolWorkerCaptureRule(LintRule):
         if module.tree is None:
             return
         index = _ModuleIndex(module.tree)
+        fork_pools = fork_pool_names(module.tree)
         reported: Set[Tuple[int, int]] = set()
         for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call) and _is_pool_dispatch(node)):
+            if not isinstance(node, ast.Call) or not node.args:
                 continue
-            if not node.args:
+            kind = pool_dispatch(node, fork_pools)
+            if kind is None:
                 continue
             worker = node.args[0]
-            for finding in self._check_worker(module, worker, index):
+            for finding in self._check_worker(
+                module, worker, index, fresh_backend=kind == "fork"
+            ):
                 key = (finding.line, finding.col)
                 if key not in reported:
                     reported.add(key)
@@ -169,7 +221,12 @@ class PoolWorkerCaptureRule(LintRule):
 
     # ------------------------------------------------------------------
     def _check_worker(
-        self, module: ModuleSource, worker: ast.expr, index: _ModuleIndex
+        self,
+        module: ModuleSource,
+        worker: ast.expr,
+        index: _ModuleIndex,
+        *,
+        fresh_backend: bool,
     ) -> Iterator[Finding]:
         if isinstance(worker, ast.Lambda):
             yield self.finding(
@@ -193,13 +250,16 @@ class PoolWorkerCaptureRule(LintRule):
         definition = index.top_level.get(name)
         if definition is None:
             return
-        yield from self._check_worker_body(module, definition, index)
+        yield from self._check_worker_body(
+            module, definition, index, fresh_backend
+        )
 
     def _check_worker_body(
         self,
         module: ModuleSource,
         definition: AnyFunctionDef,
         index: _ModuleIndex,
+        fresh_backend: bool,
     ) -> Iterator[Finding]:
         local_names = {
             argument.arg
@@ -221,7 +281,7 @@ class PoolWorkerCaptureRule(LintRule):
                 local_names.add(node.id)
         local_names -= declared_global
         for node in ast.walk(definition):
-            if isinstance(node, ast.Call):
+            if isinstance(node, ast.Call) and not fresh_backend:
                 endpoint = call_endpoint(node.func)
                 if endpoint == "get_instrumentation":
                     yield self.finding(

@@ -2,9 +2,10 @@
 
 ``run_checks`` is the per-file pass: every rule over every file.  The
 file pass is embarrassingly parallel -- each file is parsed and checked
-independently -- so with ``jobs`` unset it fans out over a fork pool
-sized to the machine (capped; see :data:`MAX_AUTO_JOBS`) and falls back
-to the serial loop on any pool failure.  Findings are sorted after the
+independently -- so with ``jobs`` unset it fans out over a
+:class:`~repro.parallel.ForkPool` sized to the machine (capped; see
+:data:`MAX_AUTO_JOBS`), which falls back to the serial loop on any pool
+failure (counted in ``lint.pool.fallbacks``).  Findings are sorted after the
 merge, so the output is **byte-identical for every job count** -- the
 same determinism contract the experiment fan-out keeps
 (EXPERIMENTS.md), pinned by ``tests/lint/test_runner.py`` and the
@@ -13,7 +14,6 @@ same determinism contract the experiment fan-out keeps
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence
@@ -22,6 +22,7 @@ from repro.lint.base import LintRule, ModuleSource
 from repro.lint.findings import Finding
 from repro.lint.noqa import is_suppressed
 from repro.lint.rules import ALL_RULES
+from repro.parallel import ForkPool
 
 #: Directory names never descended into.
 SKIPPED_DIRS = frozenset({"__pycache__", ".git", ".mypy_cache", ".ruff_cache"})
@@ -109,20 +110,9 @@ def check_file(
 # ----------------------------------------------------------------------
 # Parallel file pass
 # ----------------------------------------------------------------------
-#: Rule selection for pool workers, installed by the initializer (the
-#: sanctioned fork-inherited read-only context; findings flow back as
-#: return values, never through shared state).
-_WORKER_SELECT: Optional[List[str]] = None
-
-
-def _init_lint_worker(select: Optional[List[str]]) -> None:
-    global _WORKER_SELECT
-    _WORKER_SELECT = select
-
-
-def _lint_file_work(path: str) -> List[Finding]:
-    """Check one file in a pool worker (pure function of the path)."""
-    return check_file(Path(path), select=_WORKER_SELECT)
+def _lint_file(select: List[str], path: str) -> List[Finding]:
+    """Check one file (pure function of the selection and the path)."""
+    return check_file(Path(path), select=select)
 
 
 def resolve_jobs(jobs: Optional[int], n_files: int) -> int:
@@ -140,14 +130,6 @@ def resolve_jobs(jobs: Optional[int], n_files: int) -> int:
     return min(jobs, n_files)
 
 
-def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
-    """The fork start method, or ``None`` where unavailable."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        return None
-
-
 def run_checks(
     paths: Sequence[str],
     select: Optional[Iterable[str]] = None,
@@ -158,23 +140,13 @@ def run_checks(
     ``jobs`` controls the file-pass fan-out: ``1`` forces the serial
     loop, ``None`` auto-sizes a fork pool to the machine.  The merged
     finding list is sorted either way, so output order never depends on
-    the job count; any pool failure silently degrades to serial.
+    the job count; any pool failure degrades to serial.
     """
     selected = [rule.rule_id for rule in _select_rules(select)]
     files = [str(path) for path in iter_python_files(paths)]
     n_jobs = resolve_jobs(jobs, len(files))
-    fork = _fork_context() if n_jobs > 1 else None
-    per_file: Optional[List[List[Finding]]] = None
-    if fork is not None:
-        try:
-            with fork.Pool(
-                n_jobs, initializer=_init_lint_worker, initargs=(selected,)
-            ) as pool:
-                per_file = pool.map(_lint_file_work, files)
-        except Exception:
-            per_file = None  # lint is pure per file; redo serially
-    if per_file is None:
-        per_file = [check_file(Path(path), select=selected) for path in files]
+    with ForkPool(n_jobs, selected, name="lint") as pool:
+        per_file = pool.map(_lint_file, files)
     findings: List[Finding] = []
     for file_findings in per_file:
         findings.extend(file_findings)

@@ -1,16 +1,17 @@
 """Persistent session pool for the reconnaissance service.
 
-Unlike the per-batch pools of :mod:`repro.experiments.parallel` (built
+Unlike the per-call pools of :mod:`repro.experiments.parallel` (built
 and torn down inside one ``run_trials`` call), the service keeps one
-fork pool alive across jobs and ships each session to it as a single
-task: the picklable trial context plus its pre-drawn plans.  The trial
-payload is exactly PR 5's -- ``_run_planned_trial`` over a
-``_TrialContext`` -- so a pooled session returns bit-identical
-``TrialResult`` lists to running the same plans serially.
+:class:`~repro.parallel.ForkPool` alive across jobs and ships each
+session to it as a single item: the picklable trial context plus its
+pre-drawn plans.  The payload runs
+:func:`~repro.experiments.parallel.run_planned_trial` over each plan,
+so a pooled session returns bit-identical ``TrialResult`` lists to
+running the same plans serially.
 
-Failure discipline mirrors ``run_planned_trials``: any exception
-escaping the pool (fork failure, worker crash, broken pipe after a
-kill) permanently retires the pool for this service instance, bumps
+Failure discipline is the primitive's: any exception escaping the pool
+(executor start failure, a worker exception, a worker killed mid-batch)
+permanently retires the pool for this service instance, bumps
 ``service.pool.fallbacks``, and every session from then on runs
 serially in the parent -- same plans, same results, no retry storms
 against a dead pool.
@@ -18,38 +19,24 @@ against a dead pool.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.experiments.parallel import (
-    TrialPlan,
-    _fork_context,
-    _run_planned_trial,
-    _TrialContext,
-    counter_deltas,
-)
+from repro.experiments.parallel import TrialContext, TrialPlan, run_planned_trial
 from repro.experiments.trials import TrialResult
-from repro.obs import Instrumentation, get_instrumentation, use_instrumentation
+from repro.parallel import ForkPool
 
-#: One pool task: the session's trial context and its pre-drawn plans,
-#: plus whether the worker should collect counter deltas.
-SessionTask = Tuple[_TrialContext, Tuple[TrialPlan, ...], bool]
+#: One session: its trial context and its pre-drawn plans.
+SessionTask = Tuple[TrialContext, Sequence[TrialPlan]]
 
 
-def _session_work(
-    task: SessionTask,
-) -> Tuple[List[TrialResult], Dict[str, int]]:
-    """Run one whole session's trials inside a pool worker."""
-    context, plans, collect = task
-    if not collect:
-        return [_run_planned_trial(context, plan) for plan in plans], {}
-    worker_obs = Instrumentation()
-    with use_instrumentation(worker_obs):
-        results = [_run_planned_trial(context, plan) for plan in plans]
-    return results, counter_deltas(worker_obs)
+def _run_session(_shared: None, task: SessionTask) -> List[TrialResult]:
+    """Run one whole session's trials (in a worker or the parent)."""
+    context, plans = task
+    return [run_planned_trial(context, plan) for plan in plans]
 
 
 class SessionPool:
-    """A persistent fork pool that degrades to serial, permanently.
+    """The service's persistent fork pool, one item per session.
 
     ``shards`` is the worker count; ``shards <= 1`` (or a platform
     without the fork start method) never creates a pool at all.  The
@@ -59,83 +46,29 @@ class SessionPool:
 
     def __init__(self, shards: int = 1) -> None:
         self.shards = max(1, int(shards))
-        self._pool = None
-        self._dead = False
+        self._pool = ForkPool(self.shards, name="service")
 
     @property
     def pooled(self) -> bool:
         """Whether sessions currently go through a live pool."""
-        return self.shards > 1 and not self._dead
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            fork = _fork_context()
-            if fork is None:
-                self._dead = True
-                return None
-            self._pool = fork.Pool(self.shards)
-        return self._pool
-
-    def _retire(self) -> None:
-        """First failure kills the pool for good (fallback discipline)."""
-        self._dead = True
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.terminate()
-                pool.join()
-            except Exception:
-                pass
-        get_instrumentation().metrics.counter("service.pool.fallbacks").inc()
+        return self._pool.pooled
 
     def run_sessions(
-        self,
-        tasks: Sequence[Tuple[_TrialContext, Sequence[TrialPlan]]],
+        self, tasks: Sequence[SessionTask]
     ) -> List[List[TrialResult]]:
-        """Run several sessions' trials, one pool task per session.
+        """Run several sessions' trials, one pool item per session.
 
         Returns per-session ``TrialResult`` lists in task order.  On
         any pool failure the *whole batch* re-runs serially (trials are
-        pure functions of their plans, so the serial re-run reproduces
-        exactly what the pool would have returned) and the pool is
-        retired.
+        pure functions of their plans) and the pool is retired.
         """
-        obs = get_instrumentation()
-        payloads: List[SessionTask] = [
-            (context, tuple(plans), obs.enabled) for context, plans in tasks
-        ]
-        if self.pooled and len(payloads) > 0:
-            pool = self._ensure_pool()
-            if pool is not None:
-                try:
-                    outputs = pool.map(_session_work, payloads)
-                except Exception:
-                    self._retire()
-                else:
-                    merged: Dict[str, int] = {}
-                    results: List[List[TrialResult]] = []
-                    for session_results, deltas in outputs:
-                        results.append(session_results)
-                        for name, value in deltas.items():
-                            merged[name] = merged.get(name, 0) + value
-                    if obs.enabled:
-                        for name in sorted(merged):
-                            obs.metrics.counter(name).inc(merged[name])
-                    return results
-        return [
-            [_run_planned_trial(context, plan) for plan in plans]
-            for context, plans, _ in payloads
-        ]
+        return self._pool.map(
+            _run_session, [(context, tuple(plans)) for context, plans in tasks]
+        )
 
     def close(self) -> None:
         """Shut the pool down cleanly (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.close()
-                pool.join()
-            except Exception:
-                pass
+        self._pool.close()
 
 
 __all__ = ["SessionPool", "SessionTask"]

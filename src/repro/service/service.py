@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.apispec import JobSpec
 from repro.core.compact_model import CompactModel
-from repro.experiments.parallel import _TrialContext
+from repro.experiments.parallel import TrialContext
 from repro.experiments.params import ExperimentParams
 from repro.flows.config import ConfigGenerator, NetworkConfiguration
 from repro.obs import get_instrumentation
@@ -297,8 +297,8 @@ class ReconService:
 
     def _trial_context(
         self, spec: JobSpec, runtime: SessionRuntime
-    ) -> _TrialContext:
-        return _TrialContext(
+    ) -> TrialContext:
+        return TrialContext(
             config=runtime.config,
             lineup=runtime.worker_lineup,
             mode=spec.trial_mode,
@@ -306,7 +306,6 @@ class ReconService:
             defense_factory=None,
             fault_plan=spec.fault_plan,
             probe_retries=spec.probe_retries,
-            collect_counters=get_instrumentation().enabled,
         )
 
     async def _run_batch(self, spec: JobSpec) -> Dict[str, object]:

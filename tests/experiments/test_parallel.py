@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 import repro.experiments.parallel as parallel_mod
+import repro.parallel as primitive
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.fig7 import run_fig7
 from repro.experiments.harness import ConfigHarness, sample_screened_harnesses
@@ -277,19 +278,14 @@ class TestPipelineDifferentials:
 # ----------------------------------------------------------------------
 # Pool death and worker exceptions degrade to identical serial results
 # ----------------------------------------------------------------------
-class _BrokenContext:
-    """Stands in for the fork context; every pool creation dies."""
-
-    def Pool(self, *args, **kwargs):
-        raise BrokenPipeError("simulated pool death")
+def _broken_executor(*args, **kwargs):
+    """Stands in for the process pool; every pool creation dies."""
+    raise BrokenPipeError("simulated pool death")
 
 
-def _exploding_chunk_work(chunk):
+def _exploding_chunk(fn, chunk, collect):
+    """Stands in for the worker-side chunk runner of repro.parallel."""
     raise RuntimeError("worker crashed mid-chunk")
-
-
-def _exploding_screen_work(config):
-    raise RuntimeError("screen worker crashed")
 
 
 class TestFallbacks:
@@ -297,7 +293,7 @@ class TestFallbacks:
         params = tiny_experiment_params(n_trials=10)
         baseline = ConfigHarness.sample(params).run_trials(keep_trials=True)
         monkeypatch.setattr(
-            parallel_mod, "_fork_context", lambda: _BrokenContext()
+            primitive, "ProcessPoolExecutor", _broken_executor
         )
         backend = Instrumentation()
         with use_instrumentation(backend):
@@ -316,9 +312,7 @@ class TestFallbacks:
     def test_trial_worker_exception_falls_back_serially(self, monkeypatch):
         params = tiny_experiment_params(n_trials=10)
         baseline = ConfigHarness.sample(params).run_trials(keep_trials=True)
-        monkeypatch.setattr(
-            parallel_mod, "_trial_chunk_work", _exploding_chunk_work
-        )
+        monkeypatch.setattr(primitive, "_run_chunk", _exploding_chunk)
         backend = Instrumentation()
         with use_instrumentation(backend):
             harness = ConfigHarness.sample(params)
@@ -339,7 +333,7 @@ class TestFallbacks:
             params, 2, generator=ConfigGenerator(params.config, seed=21)
         )
         monkeypatch.setattr(
-            parallel_mod, "_fork_context", lambda: _BrokenContext()
+            primitive, "ProcessPoolExecutor", _broken_executor
         )
         backend = Instrumentation()
         with use_instrumentation(backend):
@@ -364,9 +358,7 @@ class TestFallbacks:
         expected = sample_screened_harnesses(
             params, 2, generator=ConfigGenerator(params.config, seed=21)
         )
-        monkeypatch.setattr(
-            parallel_mod, "_screen_work", _exploding_screen_work
-        )
+        monkeypatch.setattr(primitive, "_run_chunk", _exploding_chunk)
         backend = Instrumentation()
         with use_instrumentation(backend):
             execution = parallel_mod.ExecutionStats(n_jobs=JOBS)

@@ -52,6 +52,7 @@ FIXTURE_PACKAGES = [
     ("workerseed", {"SEED103"}, 1),
     ("escape", {"MUT101", "MUT102"}, 3),
     ("capture", {"PAR101"}, 3),
+    ("forkcapture", {"PAR101"}, 2),
 ]
 
 

@@ -45,7 +45,7 @@ FIXTURE_CASES = [
     ("py_violations.py", "PY001", 6),
     ("obs_violations.py", "OBS001", 4),
     ("flt_violations.py", "FLT001", 5),
-    ("par_violations.py", "PAR001", 5),
+    ("par_violations.py", "PAR001", 8),
     ("srv_violations.py", "SRV101", 3),
     ("def_violations.py", "DEF001", 6),
 ]

@@ -13,11 +13,14 @@ The central pins:
 """
 
 import asyncio
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.experiments.parallel as parallel_mod
+import repro.parallel as primitive
 from repro.experiments.harness import ConfigHarness
 from repro.flows.config import ConfigGenerator
 from repro.obs import Instrumentation, use_instrumentation
@@ -29,6 +32,7 @@ from repro.service import (
 )
 from repro.service.sessions import eligible_targets
 from tests.service.conftest import tiny_recon_spec
+from tests.test_parallel_primitive import hang_guard
 
 
 def _digests(state, job_id):
@@ -142,24 +146,28 @@ class TestDifferential:
             assert row["target_flow"] == int(target)
 
 
-class _ExplodingPool:
+class _ExplodingExecutor:
+    """Stands in for the process pool; every map raises."""
+
+    def __init__(self, *_args, **_kwargs):
+        pass
+
     def map(self, *_args, **_kwargs):
         raise RuntimeError("worker crashed")
 
-    def terminate(self):
-        pass
-
-    def join(self):
+    def shutdown(self, *_args, **_kwargs):
         pass
 
 
 class TestPoolFallback:
     def test_pool_death_falls_back_serially_and_counts(
-        self, reference, tmp_path
+        self, reference, tmp_path, monkeypatch
     ):
         spec, job_id, expected, document = reference
+        monkeypatch.setattr(
+            primitive, "ProcessPoolExecutor", _ExplodingExecutor
+        )
         service = ReconService(tmp_path / "state", shards=2)
-        service.pool._pool = _ExplodingPool()
         obs = Instrumentation()
         try:
             with use_instrumentation(obs):
@@ -169,6 +177,33 @@ class TestPoolFallback:
             service.close()
         assert obs.metrics.counter("service.pool.fallbacks").value == 1
         # The pool is retired for good -- and the results are identical.
+        assert not service.pool.pooled
+        assert _digests(tmp_path / "state", job_id) == expected
+        assert results[job_id]["metrics"] == document["metrics"]
+
+
+    def test_worker_killed_mid_batch_falls_back(
+        self, reference, tmp_path, monkeypatch
+    ):
+        spec, job_id, expected, document = reference
+        parent = os.getpid()
+        run_trial = parallel_mod.run_trial
+
+        def _die_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return run_trial(*args, **kwargs)
+
+        monkeypatch.setattr(parallel_mod, "run_trial", _die_in_worker)
+        service = ReconService(tmp_path / "state", shards=2)
+        obs = Instrumentation()
+        try:
+            with use_instrumentation(obs), hang_guard():
+                service.submit(spec)
+                results = asyncio.run(service.drain())
+        finally:
+            service.close()
+        assert obs.metrics.counter("service.pool.fallbacks").value == 1
         assert not service.pool.pooled
         assert _digests(tmp_path / "state", job_id) == expected
         assert results[job_id]["metrics"] == document["metrics"]
