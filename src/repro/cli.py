@@ -132,7 +132,7 @@ def add_common_args(
             metavar="N",
             help=(
                 "worker processes for the trial/config fan-out; results "
-                "are bit-identical for every N (1 = serial loops)"
+                "are bit-identical for every N (1 = in this process)"
             ),
         )
     parser.add_argument(

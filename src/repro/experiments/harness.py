@@ -8,6 +8,7 @@ detector-viability screen, and the trial loop producing accuracies.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,14 +29,17 @@ from repro.deprecation import keyword_only
 from repro.experiments.params import ExperimentParams
 from repro.faults import FaultPlan
 from repro.experiments.parallel import (
+    SCREEN_BATCH_PER_WORKER,
     ExecutionStats,
+    ScreenContext,
     plan_trials,
     run_planned_trials,
-    screen_accepted_configs,
+    screening_verdicts,
 )
-from repro.experiments.trials import DefenseFactory, TrialResult, run_trial
+from repro.experiments.trials import DefenseFactory, TrialResult
 from repro.flows.config import ConfigGenerator, NetworkConfiguration
 from repro.obs import get_instrumentation
+from repro.parallel import ForkPool
 from repro.simulator.timing import LatencyModel
 
 
@@ -205,17 +209,21 @@ class ConfigHarness:
         ``fault_plan`` / ``probe_retries`` override the values carried
         by ``self.params`` (used by the robustness sweep to reuse one
         set of screened harnesses across fault rates).  ``trial_jobs``
-        overrides ``params.trial_jobs``; any value > 1 fans the trials
-        out across a fork pool with bit-identical results
-        (repro.experiments.parallel).
+        overrides ``params.trial_jobs``: the trials are pre-drawn from
+        ``self.rng`` and run in the parent at 1, across a fork pool
+        above, with bit-identical results (repro.experiments.parallel).
         """
         n_trials = n_trials if n_trials is not None else self.params.n_trials
+        if n_trials < 1:
+            raise ValueError("n_configs and n_trials must be >= 1")
         if fault_plan is None:
             fault_plan = self.params.fault_plan
         if probe_retries is None:
             probe_retries = self.params.probe_retries
         if trial_jobs is None:
             trial_jobs = self.params.trial_jobs
+        if trial_jobs < 1:
+            raise ValueError("trial_jobs must be >= 1")
         lineup = tuple(attackers) if attackers is not None else self.attackers()
         names = [attacker.name for attacker in lineup]
         if len(set(names)) != len(names):
@@ -224,64 +232,40 @@ class ConfigHarness:
                 "duplicate attacker name(s) in lineup: "
                 + ", ".join(duplicates)
             )
-        correct = {name: 0 for name in names}
-        kept: List[TrialResult] = []
         obs = self._obs
-        trial_counter = obs.metrics.counter("experiment.trials")
-        with obs.phase("harness.trials"):
-            if trial_jobs > 1:
-                with obs.span(
-                    "experiment.trial_batch",
-                    trials=n_trials,
-                    jobs=trial_jobs,
-                    mode=self.params.trial_mode,
-                ):
-                    plans = plan_trials(self.rng, lineup, n_trials)
-                    results = run_planned_trials(
-                        self.config,
-                        lineup,
-                        plans,
-                        n_jobs=trial_jobs,
-                        mode=self.params.trial_mode,
-                        latency=self.latency,
-                        defense_factory=defense_factory,
-                        fault_plan=fault_plan,
-                        probe_retries=probe_retries,
-                        execution=execution,
-                    )
-                trial_counter.inc(n_trials)
-                for trial in results:
-                    for name in names:
-                        if trial.correct(name):
-                            correct[name] += 1
-                if keep_trials:
-                    kept.extend(results)
-            else:
-                for index in range(n_trials):
-                    seed = int(self.rng.integers(2**63 - 1))
-                    with obs.span(
-                        "experiment.trial",
-                        trial=index,
-                        mode=self.params.trial_mode,
-                    ):
-                        trial = run_trial(
-                            self.config,
-                            lineup,
-                            seed,
-                            mode=self.params.trial_mode,
-                            latency=self.latency,
-                            defense_factory=defense_factory,
-                            fault_plan=fault_plan,
-                            probe_retries=probe_retries,
-                        )
-                    trial_counter.inc()
-                    for name in names:
-                        if trial.correct(name):
-                            correct[name] += 1
-                    if keep_trials:
-                        kept.append(trial)
+        with obs.phase("harness.trials"), obs.span(
+            "experiment.trial_batch",
+            trials=n_trials,
+            jobs=trial_jobs,
+            mode=self.params.trial_mode,
+        ):
+            results = run_planned_trials(
+                self.config,
+                lineup,
+                plan_trials(self.rng, lineup, n_trials),
+                n_jobs=trial_jobs,
+                mode=self.params.trial_mode,
+                latency=self.latency,
+                defense_factory=defense_factory,
+                fault_plan=fault_plan,
+                probe_retries=probe_retries,
+                execution=execution,
+            )
+        obs.metrics.counter("experiment.trials").inc(n_trials)
+        return self.config_result(names, results, keep_trials=keep_trials)
+
+    def config_result(
+        self,
+        names: Sequence[str],
+        results: Sequence[TrialResult],
+        *,
+        keep_trials: bool = False,
+    ) -> ConfigResult:
+        """Aggregate finished trials into this configuration's result."""
         accuracies = {
-            name: count / n_trials for name, count in correct.items()
+            name: sum(1 for trial in results if trial.correct(name))
+            / len(results)
+            for name in names
         }
         from repro.analysis.structure import target_structure
 
@@ -291,14 +275,14 @@ class ConfigHarness:
         return ConfigResult(
             config=self.config,
             accuracies=accuracies,
-            trials=n_trials,
+            trials=len(results),
             screened=self.is_screened_in(),
             optimal_probe=self.model_attacker.probes[0],
             optimal_is_target=not self.optimal_differs_from_target(),
             prior_absent=self.inference.prior_absent(),
             n_rules_covering_target=len(self.config.rules_covering_target()),
             target_install_exclusive=structure.install_rule_is_exclusive,
-            trial_results=kept,
+            trial_results=list(results) if keep_trials else [],
         )
 
 
@@ -321,72 +305,94 @@ def sample_screened_harnesses(
     model-optimal probe to differ from the target (Figure 6's case
     split).  Raises ``RuntimeError`` if the acceptance rate is too low.
 
-    With ``trial_jobs`` (or ``params.trial_jobs``) > 1 the candidate
-    screening fans out across a fork pool; the accepted configurations,
-    the generator's post-call state, and the exhaustion error are all
-    identical to the serial loop (repro.experiments.parallel).
+    Candidates are sampled from ``generator`` here, the only place its
+    stream is consumed, and screened by
+    :func:`~repro.experiments.parallel.screening_verdicts` through a
+    :class:`~repro.parallel.ForkPool` of ``trial_jobs`` (default
+    ``params.trial_jobs``) workers.  Every accepted harness holds
+    ``generator.rng``, as does its random attacker.
+
+    * **In the parent** (``trial_jobs <= 1``, no fork, or already inside
+      a pool worker) each batch is one candidate: ``generator.sample``
+      runs once per attempt, and the screen builds the harness on
+      ``generator.rng`` that is then accepted as is.
+    * **Pooled**, batches of ``SCREEN_BATCH_PER_WORKER * trial_jobs``
+      candidates are sampled ahead, each sample's post-draw generator
+      state is recorded, and workers return verdicts only.  Accepted
+      configurations are rebuilt here; once the quota is met mid-batch
+      the generator is rewound to just after the last consumed sample.
+      A dead pool degrades to screening in the parent with the same
+      outcome (counted once in ``pool_fallbacks``).
+
+    Acceptance runs in attempt order, so the accepted configurations,
+    the generator's post-call state, and the exhaustion error are the
+    same for every ``trial_jobs`` (repro.experiments.parallel).
     """
     generator = generator or ConfigGenerator(params.config, seed=params.seed)
     if trial_jobs is None:
         trial_jobs = params.trial_jobs
-    if trial_jobs > 1:
-        configs = screen_accepted_configs(
-            params,
-            n_configs,
-            require_optimal_differs=require_optimal_differs,
-            max_attempts_factor=max_attempts_factor,
-            generator=generator,
-            n_jobs=trial_jobs,
-            execution=execution,
-        )
-        harnesses = [
-            ConfigHarness(config, params, rng=generator.rng)
-            for config in configs
-        ]
-        if execution is not None:
-            execution.harness_builds += len(harnesses)
-        return harnesses
-    from repro.experiments import fastscreen
-
-    harnesses: List[ConfigHarness] = []
-    attempts = 0
-    max_attempts = max(1, n_configs) * max_attempts_factor
+    if trial_jobs < 1:
+        raise ValueError("trial_jobs must be >= 1")
     obs = get_instrumentation()
     sampled = obs.metrics.counter("experiment.configs_sampled")
     screened_out = obs.metrics.counter("experiment.configs_screened_out")
-    fast = fastscreen.supports(params)
-    while len(harnesses) < n_configs:
-        attempts += 1
-        if attempts > max_attempts:
-            raise RuntimeError(
-                f"only {len(harnesses)}/{n_configs} configurations accepted "
-                f"after {attempts} attempts; relax the screens or the "
-                "absence range"
-            )
-        if fast:
-            # Certified float32 pre-screen: rejects only when the
-            # rejection is provable within calibrated error bounds, so
-            # accepted harnesses (and the generator's RNG stream) are
-            # bit-identical to the reference loop below.
-            config = generator.sample()
-            sampled.inc()
-            outcome = fastscreen.screen_candidate(
-                params, config, require_optimal_differs=require_optimal_differs
-            )
-            if outcome.certified_reject:
-                screened_out.inc()
-                continue
-            harness = ConfigHarness(
-                config, params, rng=generator.rng, model=outcome.model
-            )
-        else:
-            harness = ConfigHarness.sample(params, generator=generator)
-            sampled.inc()
-        if params.screen and not harness.is_screened_in():
-            screened_out.inc()
-            continue
-        if require_optimal_differs and not harness.optimal_differs_from_target():
-            screened_out.inc()
-            continue
-        harnesses.append(harness)
-    return harnesses
+    max_attempts = max(1, n_configs) * max_attempts_factor
+    harnesses: List[ConfigHarness] = []
+    attempts = 0
+    started = time.perf_counter()
+    pool = ForkPool(trial_jobs, name="experiment")
+    # Decided once, before the first map creates any executor: workers
+    # must never receive the caller's generator.
+    in_parent = not pool.pooled
+    pool.shared = ScreenContext(
+        params,
+        require_optimal_differs,
+        rng=generator.rng if in_parent else None,
+    )
+    batch_size = 1 if in_parent else SCREEN_BATCH_PER_WORKER * trial_jobs
+    try:
+        while len(harnesses) < n_configs:
+            remaining = max_attempts - attempts
+            if remaining <= 0:
+                raise RuntimeError(
+                    f"only {len(harnesses)}/{n_configs} configurations "
+                    f"accepted after {max_attempts + 1} attempts; relax "
+                    "the screens or the absence range"
+                )
+            batch: List[NetworkConfiguration] = []
+            states: List[dict] = []
+            for _ in range(min(batch_size, remaining)):
+                batch.append(generator.sample())
+                states.append(generator.rng.bit_generator.state)
+            if execution is not None:
+                execution.screen_batches += 1
+            # The previous batch's verdicts stay referenced until this
+            # map returns (see screening_verdicts on why that matters).
+            verdicts = pool.map(screening_verdicts, batch)
+            for config, state, (accepted, built) in zip(
+                batch, states, verdicts
+            ):
+                attempts += 1
+                sampled.inc()
+                if not accepted:
+                    screened_out.inc()
+                    continue
+                if isinstance(built, ConfigHarness):
+                    harness = built
+                else:
+                    harness = ConfigHarness(config, params, rng=generator.rng)
+                    if execution is not None:
+                        execution.harness_builds += 1
+                harnesses.append(harness)
+                if len(harnesses) == n_configs:
+                    # Rewind past the speculative tail: the generator
+                    # resumes just after the last consumed sample.
+                    generator.rng.bit_generator.state = state
+                    break
+        return harnesses
+    finally:
+        pool.close()
+        if execution is not None:
+            execution.pool_fallbacks += pool.fallbacks
+            execution.screen_attempts += attempts
+            execution.add_time("screen", time.perf_counter() - started)

@@ -1,43 +1,41 @@
-"""Deterministic process-parallel experiment execution.
+"""Deterministic planned trials and candidate screens.
 
 The figure pipelines aggregate hundreds of independent Monte Carlo
-trials over dozens of sampled configurations; this module fans both
-levels out across a fork pool while keeping every number **bit-identical
-to the serial loops**:
+trials over dozens of sampled configurations.  Both loops run through
+this module for every ``trial_jobs`` setting, mapped by
+:class:`repro.parallel.ForkPool` -- in worker processes when
+``trial_jobs > 1``, in the parent otherwise -- with identical numbers
+either way:
 
-* **trial-level** (:func:`plan_trials` + :func:`run_planned_trials`) --
-  the per-trial randomness is pre-drawn in the parent from the harness
-  generator in exactly the serial order (one seed integer, then one
-  verdict per probeless attacker in lineup order), so the generator
-  stream is untouched by the fan-out.  Workers replay the pre-drawn
-  verdicts through :class:`_ScriptedAttacker` stand-ins and results are
-  merged back in trial order.
-* **config-level** (:func:`screen_accepted_configs`) -- the
-  rejection-sampling screening loop samples candidate configurations in
-  speculative batches, screens them across the pool, accepts in attempt
-  order, and rewinds the generator's bit-generator state to just after
-  the last *consumed* sample -- callers observe exactly the serial
-  acceptance sequence and leave the generator exactly where the serial
-  loop would have left it.
+* **trials** (:func:`plan_trials` + :func:`run_planned_trials`) -- the
+  per-trial randomness is pre-drawn from the harness generator (one
+  seed integer, then one verdict per probeless attacker in lineup
+  order), so the generator stream does not depend on where the trials
+  run.  Each trial replays its pre-drawn verdicts through
+  :class:`_ScriptedAttacker` stand-ins, and results come back in trial
+  order.
+* **screens** (:func:`screening_verdicts`) -- the acceptance loop
+  (:func:`repro.experiments.harness.sample_screened_harnesses`) maps
+  this over each batch of sampled candidates.
 
-Both levels map through :class:`repro.parallel.ForkPool`: the trial
-context or screening parameters reach the workers through fork (never
-pickled), worker counters are merged into the parent (sums commute, so
-totals match serial), and a pool failure -- including a worker killed
-mid-map -- re-runs the map serially in the parent.  Trials and screens
-are pure functions of their pre-drawn inputs, so the re-run reproduces
-the identical results.  Fallbacks are counted in
+The trial context or screening parameters reach the workers through
+fork (never pickled), worker counters are merged into the parent (sums
+commute, so totals match an in-process run), and a pool failure --
+including a worker killed mid-map -- re-runs the map in the parent.
+Trials and screens are pure functions of their pre-drawn inputs, so the
+re-run reproduces the identical results.  Fallbacks are counted in
 :class:`ExecutionStats` and the ``experiment.pool.fallbacks`` metric.
 
-See EXPERIMENTS.md ("Parallel execution") for the determinism contract
-and the seed-stream layout.
+The serial loops these replaced live on as test oracles
+(``tests/oracles/loops.py``).  See EXPERIMENTS.md ("Parallel
+execution") for the determinism contract and the seed-stream layout.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,10 +43,14 @@ from repro.core.attacker import Attacker
 from repro.experiments.params import ExperimentParams
 from repro.experiments.trials import DefenseFactory, TrialResult, run_trial
 from repro.faults import FaultPlan
-from repro.flows.config import ConfigGenerator, NetworkConfiguration
+from repro.flows.config import NetworkConfiguration
 from repro.obs import get_instrumentation
 from repro.parallel import ForkPool
 from repro.simulator.timing import LatencyModel
+
+if TYPE_CHECKING:
+    from repro.core.compact_model import CompactModel
+    from repro.experiments.harness import ConfigHarness
 
 #: Candidate configurations sampled per speculative screening batch,
 #: as a multiple of the worker count.
@@ -60,25 +62,26 @@ SCREEN_BATCH_PER_WORKER = 2
 # ----------------------------------------------------------------------
 @dataclass
 class ExecutionStats:
-    """Counters and stage timings for one parallel experiment run.
+    """Counters and stage timings for one experiment run.
 
     The experiment-layer sibling of
     :class:`~repro.core.engine.ScoringStats`: one instance threads
     through ``sample_screened_harnesses`` and ``run_trials`` calls and
-    accumulates what the fan-out actually did.
+    accumulates what the maps actually did.
     """
 
     #: Parallelism the run was configured with.
     n_jobs: int = 1
     #: Trials executed through :func:`run_planned_trials`.
     trials: int = 0
-    #: Trial chunks dispatched to the pool.
+    #: Chunks the trial maps were split into.
     trial_chunks: int = 0
     #: Screening attempts consumed (accepted + rejected samples).
     screen_attempts: int = 0
-    #: Speculative screening batches dispatched.
+    #: Screening batches mapped (one candidate each in the parent).
     screen_batches: int = 0
-    #: Harnesses built in the parent from accepted configurations.
+    #: Accepted configurations rebuilt in the parent after a pooled
+    #: screen; a screen run in the parent hands its harness over.
     harness_builds: int = 0
     #: Pool dispatches re-run serially after a fork-pool failure.
     pool_fallbacks: int = 0
@@ -115,8 +118,8 @@ class TrialPlan:
     ``verdicts`` carries the scripted decision of every probeless
     attacker (``(name, verdict)`` in lineup order): those attackers may
     draw from the harness generator inside the trial, so their draws are
-    made in the parent -- interleaved with the seed draws exactly as the
-    serial loop interleaves them -- and replayed in the worker.
+    made up front -- interleaved with the seed draws exactly as a
+    trial-by-trial loop interleaves them -- and replayed in the trial.
     """
 
     index: int
@@ -148,7 +151,7 @@ def plan_trials(
     """Pre-draw the randomness of ``n_trials`` trials from ``rng``.
 
     Consumes the generator stream exactly as the serial trial loop
-    does: for each trial, one seed integer, then one ``decide(())``
+    (``tests/oracles/loops.py``) does: for each trial, one seed integer, then one ``decide(())``
     call per probeless attacker in lineup order (probing attackers
     never draw from the shared generator at trial time).  After this
     call the generator state equals the post-loop serial state, so
@@ -192,17 +195,20 @@ def _scripted_lineup(
 
 
 def run_planned_trial(context: TrialContext, plan: TrialPlan) -> TrialResult:
-    """One trial from its pre-drawn plan (worker and serial path)."""
-    return run_trial(
-        context.config,
-        _scripted_lineup(context.lineup, plan),
-        plan.seed,
-        mode=context.mode,
-        latency=context.latency,
-        defense_factory=context.defense_factory,
-        fault_plan=context.fault_plan,
-        probe_retries=context.probe_retries,
-    )
+    """One trial from its pre-drawn plan, in a worker or the parent."""
+    with get_instrumentation().span(
+        "experiment.trial", trial=plan.index, mode=context.mode
+    ):
+        return run_trial(
+            context.config,
+            _scripted_lineup(context.lineup, plan),
+            plan.seed,
+            mode=context.mode,
+            latency=context.latency,
+            defense_factory=context.defense_factory,
+            fault_plan=context.fault_plan,
+            probe_retries=context.probe_retries,
+        )
 
 
 def run_planned_trials(
@@ -218,14 +224,15 @@ def run_planned_trials(
     probe_retries: int = 0,
     execution: Optional[ExecutionStats] = None,
 ) -> List[TrialResult]:
-    """Run pre-planned trials across a fork pool, in trial order.
+    """Run pre-planned trials through a ``ForkPool`` of ``n_jobs``.
 
-    Every trial is a pure function of its :class:`TrialPlan` (the
-    scripted verdicts remove the only in-trial draw from the shared
-    generator), so the returned ``TrialResult`` list is bit-identical
-    to running the serial loop over the same plans.  If the pool dies
-    -- fork failure, worker crash, an exception escaping the map -- the
-    whole batch is re-run serially in the parent and counted in
+    The trials run in the parent when ``n_jobs <= 1`` and across worker
+    processes otherwise; results come back in trial order.  Every trial
+    is a pure function of its :class:`TrialPlan` (the scripted verdicts
+    remove the only in-trial draw from the shared generator), so the
+    returned ``TrialResult`` list is the same either way.  If the pool
+    dies -- fork failure, worker crash, an exception escaping the map --
+    the whole batch is re-run in the parent and counted in
     ``execution.pool_fallbacks`` / ``experiment.pool.fallbacks``.
     """
     context = TrialContext(
@@ -249,129 +256,73 @@ def run_planned_trials(
 
 
 # ----------------------------------------------------------------------
-# Config-level fan-out (screened rejection sampling)
+# Candidate screening (screened rejection sampling)
 # ----------------------------------------------------------------------
-def screening_verdicts(
-    params: ExperimentParams,
-    config: NetworkConfiguration,
-    require_optimal_differs: bool = False,
-) -> Tuple[bool, bool]:
-    """``(screened_in, optimal_differs)`` for one candidate configuration.
+@dataclass(frozen=True)
+class ScreenContext:
+    """What every candidate screen needs: the screening map's ``shared``."""
 
-    Builds the harness with a throwaway seeded generator -- screening
-    never draws from the harness generator.  Inside a screening worker
-    the harness's probe selection runs serially whatever
-    ``params.selection_n_jobs`` says (a :class:`~repro.parallel.ForkPool`
-    worker never forks), and the engine's gains are bit-identical for
-    every ``n_jobs`` anyway.
+    params: ExperimentParams
+    require_optimal_differs: bool
+    #: The caller's generator when the screens run in the parent, so the
+    #: screen can build the very harness the loop accepts.  ``None`` in
+    #: pool workers, which never receive the parent generator.
+    rng: Optional[np.random.Generator] = None
+
+
+def screening_verdicts(
+    context: ScreenContext, config: NetworkConfiguration
+) -> Tuple[bool, Union[None, "ConfigHarness", "CompactModel"]]:
+    """``(accepted, built)`` for one candidate configuration.
+
+    ``accepted`` says whether the candidate passes every active check
+    (``params.screen``, then ``require_optimal_differs``), evaluated in
+    the order the serial loop evaluates them.
+
+    ``built`` is ``None`` without ``context.rng``.  With it, ``built``
+    is what the screen built: the harness on ``context.rng`` -- which
+    the loop accepts as is -- or, for a certified rejection, the fast
+    screen's model.  The caller holds ``built`` while it screens the
+    next candidate, as the serial loop did: freeing each model before
+    the next one is built lets malloc return the pages to the OS and
+    fault them in again, about three times the page faults and a few
+    percent slower per candidate on the ``screen`` benchmark.
+
+    Without ``context.rng`` the harness gets a throwaway seeded
+    generator -- screening never draws from the harness generator --
+    and the caller rebuilds accepted configurations on its own.  Inside
+    a screening worker the harness's probe selection runs serially
+    whatever ``params.selection_n_jobs`` says (a
+    :class:`~repro.parallel.ForkPool` worker never forks), and the
+    engine's gains are bit-identical for every ``n_jobs`` anyway.
 
     When the certified float32 fast screen applies
     (repro.experiments.fastscreen) and proves the candidate rejected,
-    the exact harness is skipped and the verdict reports the rejection
-    through whichever of the two checks is active (``(False, True)``
-    under ``params.screen``, else ``(True, False)``).  The acceptance
-    loop takes exactly one rejection branch either way, so accepted
-    configurations, counters, and the generator stream are identical;
-    only the unevaluated tuple component is conventional.
+    no exact harness is built.
     """
     from repro.experiments import fastscreen
     from repro.experiments.harness import ConfigHarness
 
+    params = context.params
     model = None
     if fastscreen.supports(params):
         outcome = fastscreen.screen_candidate(
-            params, config, require_optimal_differs=require_optimal_differs
+            params,
+            config,
+            require_optimal_differs=context.require_optimal_differs,
         )
         if outcome.certified_reject:
-            return (False, True) if params.screen else (True, False)
+            return False, outcome.model if context.rng is not None else None
         model = outcome.model
+    rng = context.rng
     harness = ConfigHarness(
-        config, params, rng=np.random.default_rng(0), model=model
+        config,
+        params,
+        rng=rng if rng is not None else np.random.default_rng(0),
+        model=model,
     )
-    return harness.is_screened_in(), harness.optimal_differs_from_target()
-
-
-def _screen(
-    shared: Tuple[ExperimentParams, bool], config: NetworkConfiguration
-) -> Tuple[bool, bool]:
-    params, require_optimal_differs = shared
-    return screening_verdicts(params, config, require_optimal_differs)
-
-
-def screen_accepted_configs(
-    params: ExperimentParams,
-    n_configs: int,
-    *,
-    require_optimal_differs: bool,
-    max_attempts_factor: int,
-    generator: ConfigGenerator,
-    n_jobs: int,
-    execution: Optional[ExecutionStats] = None,
-) -> List[NetworkConfiguration]:
-    """The screening acceptance loop, with the screens fanned out.
-
-    Candidates are sampled from ``generator`` in the parent (the only
-    place its stream is consumed) in speculative batches; each sample's
-    post-draw bit-generator state is recorded so that once the
-    acceptance quota is met mid-batch, the generator is rewound to just
-    after the last consumed sample.  Acceptance runs in attempt order,
-    so the returned configurations -- and the generator state handed
-    back to the caller -- are exactly the serial loop's.  Exhaustion
-    raises the same ``RuntimeError`` the serial loop raises.
-
-    A dead pool degrades to screening in the parent (counted once in
-    ``pool_fallbacks``); already-sampled candidates keep their place in
-    the attempt order, so the fallback changes nothing but wall clock.
-    """
-    obs = get_instrumentation()
-    max_attempts = max(1, n_configs) * max_attempts_factor
-    sampled = obs.metrics.counter("experiment.configs_sampled")
-    screened_out = obs.metrics.counter("experiment.configs_screened_out")
-    accepted: List[NetworkConfiguration] = []
-    attempts = 0
-    batch_size = max(SCREEN_BATCH_PER_WORKER * int(n_jobs), 4)
-    started = time.perf_counter()
-    pool = ForkPool(
-        n_jobs, (params, require_optimal_differs), name="experiment"
+    accepted = (not params.screen or harness.is_screened_in()) and (
+        not context.require_optimal_differs
+        or harness.optimal_differs_from_target()
     )
-    try:
-        while len(accepted) < n_configs:
-            remaining = max_attempts - attempts
-            if remaining <= 0:
-                # Same message the serial loop raises on its
-                # (max_attempts + 1)-th attempt.
-                raise RuntimeError(
-                    f"only {len(accepted)}/{n_configs} configurations "
-                    f"accepted after {max_attempts + 1} attempts; relax "
-                    "the screens or the absence range"
-                )
-            batch: List[NetworkConfiguration] = []
-            states: List[dict] = []
-            for _ in range(min(batch_size, remaining)):
-                batch.append(generator.sample())
-                states.append(generator.rng.bit_generator.state)
-            if execution is not None:
-                execution.screen_batches += 1
-            verdicts = pool.map(_screen, batch)
-            for position, (screened, differs) in enumerate(verdicts):
-                attempts += 1
-                sampled.inc()
-                if params.screen and not screened:
-                    screened_out.inc()
-                    continue
-                if require_optimal_differs and not differs:
-                    screened_out.inc()
-                    continue
-                accepted.append(batch[position])
-                if len(accepted) == n_configs:
-                    # Rewind past the speculative tail: the generator
-                    # resumes exactly where the serial loop stopped.
-                    generator.rng.bit_generator.state = states[position]
-                    return accepted
-        return accepted
-    finally:
-        pool.close()
-        if execution is not None:
-            execution.pool_fallbacks += pool.fallbacks
-            execution.screen_attempts += attempts
-            execution.add_time("screen", time.perf_counter() - started)
+    return accepted, harness if rng is not None else None

@@ -56,8 +56,9 @@ class ExperimentParams:
     #: Probe retransmissions after an unanswered probe (``Prober``).
     probe_retries: int = 0
     #: Processes for the experiment layer's trial/config fan-out
-    #: (repro.experiments.parallel; 1 = the serial loops).  Results are
-    #: bit-identical for every setting -- see EXPERIMENTS.md.
+    #: (repro.experiments.parallel; 1 = run in this process, one
+    #: candidate per screening batch).  Results are bit-identical for
+    #: every setting -- see EXPERIMENTS.md.
     trial_jobs: int = 1
 
     def __post_init__(self) -> None:

@@ -8,6 +8,7 @@ seconds.
 
 import pytest
 
+from repro.apispec import JobSpec
 from repro.experiments.params import ExperimentParams
 from repro.flows.config import ConfigParams
 
@@ -36,6 +37,13 @@ def tiny_experiment_params(**overrides) -> ExperimentParams:
     )
     defaults.update(overrides)
     return ExperimentParams(**defaults)
+
+
+def tiny_job_spec(experiment: str, **overrides) -> JobSpec:
+    """:func:`tiny_experiment_params` as the runners' canonical input."""
+    return JobSpec.from_params(
+        tiny_experiment_params(**overrides), experiment=experiment
+    )
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 from repro.experiments.fig6 import Fig6Result, run_fig6
 from repro.experiments.fig7 import FIG7_ATTACKERS, Fig7Result, run_fig7
 
-from tests.experiments.conftest import tiny_experiment_params
+from tests.experiments.conftest import tiny_job_spec
 
 #: Two high-absence bins where the screens accept a few percent of
 #: configurations, keeping tiny-scale rejection sampling fast.
@@ -14,14 +14,14 @@ BINS = ((0.5, 0.75), (0.75, 0.95))
 
 @pytest.fixture(scope="module")
 def fig6_result() -> Fig6Result:
-    params = tiny_experiment_params(n_trials=10, seed=61)
-    return run_fig6(params, bins=BINS, configs_per_bin=2)
+    spec = tiny_job_spec("fig6", n_trials=10, seed=61)
+    return run_fig6(spec, bins=BINS, configs_per_bin=2)
 
 
 @pytest.fixture(scope="module")
 def fig7_result() -> Fig7Result:
-    params = tiny_experiment_params(n_trials=10, seed=71)
-    return run_fig7(params, bins=BINS, configs_per_bin=2)
+    spec = tiny_job_spec("fig7", n_trials=10, seed=71)
+    return run_fig7(spec, bins=BINS, configs_per_bin=2)
 
 
 class TestFig6:

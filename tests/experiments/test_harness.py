@@ -117,3 +117,55 @@ class TestSampleScreened:
                 max_attempts_factor=1,
                 generator=generator,
             )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda h, p: h.run_trials(n_trials=0),
+            "n_configs and n_trials must be >= 1",
+        ),
+        (
+            lambda h, p: h.run_trials(n_trials=-3),
+            "n_configs and n_trials must be >= 1",
+        ),
+        (
+            lambda h, p: h.run_trials(trial_jobs=0),
+            "trial_jobs must be >= 1",
+        ),
+        (
+            lambda h, p: h.run_trials(trial_jobs=-5),
+            "trial_jobs must be >= 1",
+        ),
+        (
+            lambda h, p: sample_screened_harnesses(p, 1, trial_jobs=0),
+            "trial_jobs must be >= 1",
+        ),
+        (
+            lambda h, p: sample_screened_harnesses(p, 1, trial_jobs=-5),
+            "trial_jobs must be >= 1",
+        ),
+    ],
+    ids=[
+        "run_trials-n_trials-0",
+        "run_trials-n_trials-negative",
+        "run_trials-trial_jobs-0",
+        "run_trials-trial_jobs-negative",
+        "sample_screened-trial_jobs-0",
+        "sample_screened-trial_jobs-negative",
+    ],
+)
+def test_overrides_validated_like_params(harness, call, message):
+    """Overrides are held to ``ExperimentParams``' own checks."""
+    params = tiny_experiment_params()
+    with pytest.raises(ValueError) as params_error:
+        tiny_experiment_params(
+            **{"trial_jobs" if "trial_jobs" in message else "n_trials": 0}
+        )
+    state = harness.rng.bit_generator.state
+    with pytest.raises(ValueError) as error:
+        call(harness, params)
+    assert str(error.value) == str(params_error.value) == message
+    # Rejected before any draw from the harness generator.
+    assert harness.rng.bit_generator.state == state

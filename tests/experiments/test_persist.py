@@ -18,7 +18,7 @@ from repro.experiments.persist import (
 )
 from repro.version import __version__
 
-from tests.experiments.conftest import tiny_experiment_params
+from tests.experiments.conftest import tiny_experiment_params, tiny_job_spec
 
 BINS = ((0.5, 0.75), (0.75, 0.95))
 
@@ -26,7 +26,7 @@ BINS = ((0.5, 0.75), (0.75, 0.95))
 @pytest.fixture(scope="module")
 def fig6_result():
     return run_fig6(
-        tiny_experiment_params(n_trials=6, seed=91), bins=BINS,
+        tiny_job_spec("fig6", n_trials=6, seed=91), bins=BINS,
         configs_per_bin=1,
     )
 
@@ -34,7 +34,7 @@ def fig6_result():
 @pytest.fixture(scope="module")
 def fig7_result():
     return run_fig7(
-        tiny_experiment_params(n_trials=6, seed=92), bins=BINS,
+        tiny_job_spec("fig7", n_trials=6, seed=92), bins=BINS,
         configs_per_bin=1,
     )
 

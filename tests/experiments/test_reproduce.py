@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apispec import JobSpec
 from repro.experiments.reproduce import ReproductionReport, reproduce_all
 
 #: The end-to-end reproduction costs minutes of rejection sampling.
@@ -12,7 +13,10 @@ pytestmark = pytest.mark.slow
 def report() -> ReproductionReport:
     # The tiniest meaningful reproduction: the scale floor gives
     # 2 configurations per figure and 10 trials each.
-    return reproduce_all(scale=0.01, seed=31, timing_samples=40)
+    spec = JobSpec(
+        experiment="reproduce", scale=0.01, seed=31, trial_mode="table"
+    )
+    return reproduce_all(spec, timing_samples=40)
 
 
 class TestReproduceAll:
@@ -48,4 +52,4 @@ class TestReproduceAll:
 
     def test_scale_validation(self):
         with pytest.raises(ValueError):
-            reproduce_all(scale=0.0)
+            reproduce_all(JobSpec(experiment="reproduce", scale=0.0))

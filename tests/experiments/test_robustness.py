@@ -14,17 +14,17 @@ from repro.experiments.robustness import (
 from repro.faults import FaultPlan
 from repro.obs import Instrumentation, use_instrumentation
 
-from tests.experiments.conftest import tiny_experiment_params
+from tests.experiments.conftest import tiny_experiment_params, tiny_job_spec
 
 RATES = (0.0, 1.0)
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    params = tiny_experiment_params(n_trials=8, probe_retries=1)
+    spec = tiny_job_spec("robustness", n_trials=8, probe_retries=1)
     backend = Instrumentation()
     with use_instrumentation(backend):
-        result = run_robustness(params, rates=RATES)
+        result = run_robustness(spec, rates=RATES)
     return result, backend
 
 
@@ -87,9 +87,9 @@ class TestSweep:
 
 class TestDeterminism:
     def test_same_params_same_curves(self):
-        params = tiny_experiment_params(n_trials=6)
-        first = run_robustness(params, rates=(0.0, 0.5))
-        second = run_robustness(params, rates=(0.0, 0.5))
+        spec = tiny_job_spec("robustness", n_trials=6)
+        first = run_robustness(spec, rates=(0.0, 0.5))
+        second = run_robustness(spec, rates=(0.0, 0.5))
         assert first.accuracy_series() == second.accuracy_series()
         assert first.counters_per_rate == second.counters_per_rate
 
@@ -97,21 +97,22 @@ class TestDeterminism:
 class TestValidation:
     def test_empty_rates_rejected(self):
         with pytest.raises(ValueError, match="rates"):
-            run_robustness(tiny_experiment_params(), rates=())
+            run_robustness(tiny_job_spec("robustness"), rates=())
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown loss kind"):
             run_robustness(
-                tiny_experiment_params(), kinds=("controller_jitter",)
+                tiny_job_spec("robustness"), kinds=("controller_jitter",)
             )
 
     def test_base_plan_rates_are_overridden_per_sweep_point(self):
-        params = tiny_experiment_params(
+        spec = tiny_job_spec(
+            "robustness",
             n_trials=4,
             fault_plan=FaultPlan(packet_in_loss=0.9, seed=3),
         )
         result = run_robustness(
-            params, rates=(0.0,), kinds=("packet_in_loss",)
+            spec, rates=(0.0,), kinds=("packet_in_loss",)
         )
         # Rate 0 overrides the base plan's 0.9: nothing may fire.
         assert result.faults_injected() == [0]

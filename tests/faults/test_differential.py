@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.apispec import JobSpec
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.fig7 import run_fig7
 from repro.experiments.reproduce import reproduce_all
@@ -31,11 +32,22 @@ def _with_zero_plan(params):
     return replace(params, fault_plan=FaultPlan.none(), probe_retries=0)
 
 
+def _spec(params, experiment):
+    return JobSpec.from_params(params, experiment=experiment)
+
+
+def _reproduce_spec(**fields):
+    """The spec the legacy ``reproduce_all`` keywords used to build."""
+    return JobSpec(experiment="reproduce", trial_mode="table", **fields)
+
+
 class TestFig6:
     def test_zero_plan_bit_identical(self):
         params = _params()
-        bare = run_fig6(params, bins=BINS, configs_per_bin=2)
-        planned = run_fig6(_with_zero_plan(params), bins=BINS, configs_per_bin=2)
+        bare = run_fig6(_spec(params, "fig6"), bins=BINS, configs_per_bin=2)
+        planned = run_fig6(
+            _spec(_with_zero_plan(params), "fig6"), bins=BINS, configs_per_bin=2
+        )
         assert planned.accuracy_series() == bare.accuracy_series()
         assert planned.improvement_cdf() == bare.improvement_cdf()
         assert planned.headline() == bare.headline()
@@ -44,8 +56,10 @@ class TestFig6:
 class TestFig7:
     def test_zero_plan_bit_identical(self):
         params = _params()
-        bare = run_fig7(params, bins=BINS, configs_per_bin=2)
-        planned = run_fig7(_with_zero_plan(params), bins=BINS, configs_per_bin=2)
+        bare = run_fig7(_spec(params, "fig7"), bins=BINS, configs_per_bin=2)
+        planned = run_fig7(
+            _spec(_with_zero_plan(params), "fig7"), bins=BINS, configs_per_bin=2
+        )
         assert planned.accuracy_series() == bare.accuracy_series()
         assert (
             planned.accuracy_by_covering_count()
@@ -73,8 +87,10 @@ class TestReproduce:
         monkeypatch.setattr("repro.experiments.reproduce.run_fig7", fake_fig7)
         plan = FaultPlan(packet_in_loss=0.1, seed=8)
         reproduce_all(
-            scale=0.01, seed=99, timing_samples=5,
-            fault_plan=plan, probe_retries=2,
+            _reproduce_spec(
+                scale=0.01, seed=99, fault_plan=plan, probe_retries=2
+            ),
+            timing_samples=5,
         )
         for key in ("fig6", "fig7"):
             assert seen[key].fault_plan == plan
@@ -89,7 +105,7 @@ class TestReproduce:
         monkeypatch.setattr(
             "repro.experiments.reproduce.run_fig7", lambda params: object()
         )
-        reproduce_all(scale=0.01, seed=99, timing_samples=5)
+        reproduce_all(_reproduce_spec(scale=0.01, seed=99), timing_samples=5)
         assert seen["params"].fault_plan is None
         assert seen["params"].probe_retries == 0
 

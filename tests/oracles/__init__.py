@@ -12,6 +12,9 @@ production to them:
   dense matrices and ``@`` powering;
 * :mod:`tests.oracles.fullstate` -- the compact model over every subset
   of at most ``n`` rules, installable or not;
+* :mod:`tests.oracles.loops` -- the serial trial loop and the serial
+  screening loop (:func:`~tests.oracles.loops.serial_loops` runs a
+  pipeline on both);
 * the exact-only screen, which is production's own fallback when the
   native kernel is disabled (``REPRO_NO_CKERNEL=1``).
 
@@ -31,11 +34,12 @@ from repro.experiments import trials
 from repro.simulator import switch
 from repro.simulator.network import Network
 
-from tests.oracles import dense, fullstate, network
+from tests.oracles import dense, fullstate, loops, network
 from tests.oracles.flowtable import ReferenceFlowTable
 
 __all__ = [
-    "ReferenceFlowTable", "dense", "fullstate", "network", "oracle_pipeline",
+    "ReferenceFlowTable", "dense", "fullstate", "loops", "network",
+    "oracle_pipeline",
 ]
 
 

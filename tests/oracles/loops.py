@@ -1,0 +1,154 @@
+"""Oracle: the serial trial loop and the serial screening loop.
+
+Production runs both Figure 6/7 loops through one planned path
+(:mod:`repro.experiments.parallel`): trials are pre-drawn by
+``plan_trials`` and mapped by ``run_planned_trials``, and candidates are
+screened in batches by ``sample_screened_harnesses``, for every
+``trial_jobs``.  These are the loops that path replaced, kept unchanged:
+
+* :func:`run_trials` draws each trial's seed inline from the harness
+  generator and lets the random attacker draw its verdict inside the
+  trial;
+* :func:`sample_screened_harnesses` samples, screens and accepts one
+  candidate at a time, reusing the harness it screened.
+
+:func:`serial_loops` substitutes both, so a whole pipeline runs on them.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator, List, Optional, Sequence
+
+import pytest
+
+from repro.core.attacker import Attacker
+from repro.experiments import defend, fig6, fig7, robustness
+from repro.experiments.harness import ConfigHarness, ConfigResult
+from repro.experiments.params import ExperimentParams
+from repro.experiments.parallel import ExecutionStats
+from repro.experiments.trials import DefenseFactory, TrialResult, run_trial
+from repro.faults import FaultPlan
+from repro.flows.config import ConfigGenerator
+from repro.obs import get_instrumentation
+
+
+def run_trials(
+    harness: ConfigHarness,
+    *,
+    n_trials: Optional[int] = None,
+    attackers: Optional[Sequence[Attacker]] = None,
+    keep_trials: bool = False,
+    defense_factory: Optional[DefenseFactory] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    probe_retries: Optional[int] = None,
+    trial_jobs: Optional[int] = None,
+    execution: Optional[ExecutionStats] = None,
+) -> ConfigResult:
+    """``harness.run_trials`` as one serial loop (``trial_jobs`` ignored)."""
+    n_trials = n_trials if n_trials is not None else harness.params.n_trials
+    if fault_plan is None:
+        fault_plan = harness.params.fault_plan
+    if probe_retries is None:
+        probe_retries = harness.params.probe_retries
+    lineup = tuple(attackers) if attackers is not None else harness.attackers()
+    names = [attacker.name for attacker in lineup]
+    if len(set(names)) != len(names):
+        duplicates = sorted({n for n in names if names.count(n) > 1})
+        raise ValueError(
+            "duplicate attacker name(s) in lineup: " + ", ".join(duplicates)
+        )
+    results: List[TrialResult] = []
+    obs = harness._obs
+    trial_counter = obs.metrics.counter("experiment.trials")
+    with obs.phase("harness.trials"):
+        for index in range(n_trials):
+            seed = int(harness.rng.integers(2**63 - 1))
+            with obs.span(
+                "experiment.trial",
+                trial=index,
+                mode=harness.params.trial_mode,
+            ):
+                trial = run_trial(
+                    harness.config,
+                    lineup,
+                    seed,
+                    mode=harness.params.trial_mode,
+                    latency=harness.latency,
+                    defense_factory=defense_factory,
+                    fault_plan=fault_plan,
+                    probe_retries=probe_retries,
+                )
+            trial_counter.inc()
+            results.append(trial)
+    return harness.config_result(names, results, keep_trials=keep_trials)
+
+
+def sample_screened_harnesses(
+    params: ExperimentParams,
+    n_configs: int,
+    *,
+    require_optimal_differs: bool = False,
+    max_attempts_factor: int = 40,
+    generator: Optional[ConfigGenerator] = None,
+    trial_jobs: Optional[int] = None,
+    execution: Optional[ExecutionStats] = None,
+) -> List[ConfigHarness]:
+    """The serial acceptance loop (``trial_jobs`` ignored)."""
+    from repro.experiments import fastscreen
+
+    generator = generator or ConfigGenerator(params.config, seed=params.seed)
+    harnesses: List[ConfigHarness] = []
+    attempts = 0
+    max_attempts = max(1, n_configs) * max_attempts_factor
+    obs = get_instrumentation()
+    sampled = obs.metrics.counter("experiment.configs_sampled")
+    screened_out = obs.metrics.counter("experiment.configs_screened_out")
+    fast = fastscreen.supports(params)
+    while len(harnesses) < n_configs:
+        attempts += 1
+        if attempts > max_attempts:
+            raise RuntimeError(
+                f"only {len(harnesses)}/{n_configs} configurations accepted "
+                f"after {attempts} attempts; relax the screens or the "
+                "absence range"
+            )
+        if fast:
+            # Certified float32 pre-screen: rejects only when the
+            # rejection is provable within calibrated error bounds, so
+            # accepted harnesses (and the generator's RNG stream) are
+            # bit-identical to the exact branch below.
+            config = generator.sample()
+            sampled.inc()
+            outcome = fastscreen.screen_candidate(
+                params, config, require_optimal_differs=require_optimal_differs
+            )
+            if outcome.certified_reject:
+                screened_out.inc()
+                continue
+            harness = ConfigHarness(
+                config, params, rng=generator.rng, model=outcome.model
+            )
+        else:
+            harness = ConfigHarness.sample(params, generator=generator)
+            sampled.inc()
+        if params.screen and not harness.is_screened_in():
+            screened_out.inc()
+            continue
+        if require_optimal_differs and not harness.optimal_differs_from_target():
+            screened_out.inc()
+            continue
+        harnesses.append(harness)
+    return harnesses
+
+
+@contextmanager
+def serial_loops() -> Iterator[None]:
+    """Run the enclosed pipelines on the two serial loops."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ConfigHarness, "run_trials", run_trials)
+        for module in (defend, fig6, fig7, robustness):
+            patch.setattr(
+                module, "sample_screened_harnesses", sample_screened_harnesses
+            )
+        yield
