@@ -171,7 +171,7 @@ defend-smoke:
 # coverage of src/repro under the tier-1 suite) to absorb tool and
 # fork-pool accounting differences -- raise it as coverage grows,
 # never lower it to pass.  Raised 90 -> 92 with the defense test
-# battery (defend grid, detect package, DEF001 rule all fully
+# battery (defend grid, detect package, defense lint rule all fully
 # exercised by tier-1).
 coverage:
 	@if $(PYTHON) -c "import pytest_cov" 2>/dev/null; then \

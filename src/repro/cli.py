@@ -604,9 +604,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0
     if args.project:
         return _cmd_check_project(args)
-    select = args.select.split(",") if args.select else None
     try:
-        findings = run_checks(args.paths, select=select, jobs=args.jobs)
+        findings = run_checks(
+            args.paths, select=args.select or None, jobs=args.jobs
+        )
     except (FileNotFoundError, ValueError) as error:
         print(f"repro-sdn check: {error}", file=sys.stderr)
         return 2
@@ -658,11 +659,12 @@ def _cmd_check_project(args: argparse.Namespace) -> int:
     baseline_path = args.baseline
     if baseline_path is None and Path("lint-baseline.json").is_file():
         baseline_path = "lint-baseline.json"
-    select = args.select.split(",") if args.select else None
     try:
         if baseline_path is not None and not args.write_baseline:
             baseline = Baseline.load(baseline_path)
-        report = run_project_checks(root, baseline=baseline, select=select)
+        report = run_project_checks(
+            root, baseline=baseline, select=args.select or None
+        )
     except (OSError, ValueError) as error:
         print(f"repro-sdn check --project: {error}", file=sys.stderr)
         return 2
@@ -991,8 +993,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--project", action="store_true",
         help=(
-            "run the whole-program rules (SEED10x/MUT10x/PAR101) over "
-            "one package directory instead of the per-file rules"
+            "run the whole-program rules (SEED101-103, MUT101-102, "
+            "PAR101: seed flow, generator ownership, frozen-buffer "
+            "escapes, pool-worker captures) over one package directory "
+            "instead of the per-file rules"
         ),
     )
     check.add_argument(

@@ -61,7 +61,8 @@ class DelayDefense(Defense):
         self._network: "Network" = None  # type: ignore[assignment]
         #: Own stream, spawned off the network's seed tree at attach:
         #: drawing from ``network.rng`` directly would interleave the
-        #: defense's samples with the simulator's (SEED102).
+        #: defense's samples with the simulator's.  Lint rule SEED102
+        #: allows a ``*Defense`` to spawn only in __init__/attach.
         self._rng: Optional[np.random.Generator] = None
 
     def attach(self, network: "Network") -> None:

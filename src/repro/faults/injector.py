@@ -21,8 +21,10 @@ Determinism contract (property-tested in ``tests/faults``):
 * given the same plan (same seed) and the same sequence of injection
   queries, the injected faults are identical.
 
-Lint rule ``FLT001`` enforces the injected-generator discipline on any
-``*Injector`` class (see docs/STATIC_ANALYSIS.md).
+Lint rule ``SEED102`` (``check --project``) enforces the
+injected-generator discipline on any ``*Injector`` class: build the
+generator in ``__init__``, draw only from it (see
+docs/STATIC_ANALYSIS.md).
 """
 
 from __future__ import annotations

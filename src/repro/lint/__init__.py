@@ -9,15 +9,18 @@ identical.  This package encodes those invariants as AST-level lint
 rules with stable IDs:
 
 ========  ==========================================================
-RNG001    unseeded ``default_rng()`` / legacy ``np.random.*`` globals
+RNG001    unseeded ``default_rng()`` / ``np.random.*`` / stdlib ``random``
 MUT001    in-place mutation of cached model/inference arrays
 STO001    transition-matrix construction without ``validate_stochastic``
 DET001    iteration over unordered sets feeding downstream computation
 PY001     mutable default arguments and float ``==`` comparisons
+OBS001    ``span()`` / ``phase()`` called without ``with``
 ========  ==========================================================
 
 Findings carry precise ``path:line:col`` locations and can be
-suppressed per line with ``# repro: noqa[RULE]``.  See
+suppressed per line with ``# repro: noqa[RULE]``.  The whole-program
+rules (seed flow, generator ownership, buffer escapes, pool-worker
+captures) live in :mod:`repro.lint.project`.  See
 ``docs/STATIC_ANALYSIS.md`` for the rationale behind each rule.
 """
 

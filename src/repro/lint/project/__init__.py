@@ -11,11 +11,13 @@ them across module boundaries:
   and an intraprocedural-summary call graph over the package;
 * :mod:`repro.lint.project.seeds` -- SEED101/102/103: RNG
   seed-provenance dataflow (entropy fallbacks reachable from CLI entry
-  points, hidden generator coupling, constant worker seeds);
+  points, generator ownership over a table of owners -- injectors,
+  defenses, service handlers -- and constant worker seeds);
 * :mod:`repro.lint.project.escape` -- MUT101/102: frozen-buffer escape
   analysis across call edges and attribute stashes;
-* :mod:`repro.lint.project.capture` -- PAR101: the cross-module,
-  transitive generalisation of PAR001's worker-capture check;
+* :mod:`repro.lint.project.capture` -- PAR101: pool workers that
+  capture parent state, as lambdas, nested functions, or anywhere in
+  their cross-module call closure;
 * :mod:`repro.lint.project.baseline` -- the committed waiver file for
   justified findings;
 * :mod:`repro.lint.project.sarif` -- SARIF 2.1.0 rendering for code

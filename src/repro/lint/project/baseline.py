@@ -24,7 +24,9 @@ reviewed like code:
 Matching is by ``(rule, path suffix, symbol)`` -- never by line -- so
 entries survive unrelated edits.  Every entry must carry a non-empty
 justification, and entries that stop matching anything are reported as
-*stale* so the file cannot rot.
+*stale* so the file cannot rot -- but only entries whose path (relative
+to the baseline file's directory) lies under the analysed package: a
+waiver for ``src/repro`` says nothing about another package.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.lint.project.findings import ProjectFinding
 
@@ -68,8 +70,12 @@ def _path_matches(actual: str, suffix: str) -> bool:
 class Baseline:
     """A set of waiver entries with strict-format loading."""
 
-    def __init__(self, entries: Sequence[BaselineEntry] = ()) -> None:
+    def __init__(
+        self, entries: Sequence[BaselineEntry] = (), origin: str = "."
+    ) -> None:
         self.entries: List[BaselineEntry] = list(entries)
+        #: The directory entry paths are relative to.
+        self.origin = Path(origin)
 
     @classmethod
     def load(cls, path: str) -> "Baseline":
@@ -102,13 +108,14 @@ class Baseline:
                     justification=str(item["justification"]),
                 )
             )
-        return cls(entries)
+        return cls(entries, origin=str(Path(path).parent))
 
     def partition(
-        self, findings: Iterable[ProjectFinding]
+        self, findings: Iterable[ProjectFinding], root: Optional[str] = None
     ) -> Tuple[List[ProjectFinding], List[ProjectFinding], List[BaselineEntry]]:
         """``(new, waived, stale)``: findings not covered by any entry,
-        findings covered, and entries that covered nothing."""
+        findings covered, and entries that covered nothing -- counting
+        only entries under ``root``, the analysed package, when given."""
         new: List[ProjectFinding] = []
         waived: List[ProjectFinding] = []
         used = [False] * len(self.entries)
@@ -122,9 +129,13 @@ class Baseline:
         stale = [
             entry
             for entry, was_used in zip(self.entries, used)
-            if not was_used
+            if not was_used and (root is None or self._under(entry, root))
         ]
         return new, waived, stale
+
+    def _under(self, entry: BaselineEntry, root: str) -> bool:
+        path = (self.origin / entry.path).resolve()
+        return path.is_relative_to(Path(root).resolve())
 
     def to_json(self) -> dict:
         return {

@@ -1,41 +1,46 @@
-"""PAR101 -- transitive cross-module pool-worker capture.
+"""PAR101 -- pool workers must not capture parent RNG/instrumentation.
 
-The per-file PAR001 rule inspects a pool worker's own body in the
-module where the dispatch happens.  Real captures hide one hop away: a
-worker imported from another module, or a clean-looking worker that
-calls a helper which calls ``get_instrumentation()`` three frames
-down.  PAR101 walks the whole call-graph closure of every dispatched
-worker (and ``Pool(initializer=...)``) and flags, anywhere in that
-closure:
+Every fan-out in the package goes through
+:class:`repro.parallel.ForkPool`.  Under the fork start method a worker
+silently inherits the parent's memory image, so it is easy to write a
+worker that *appears* to work while breaking both determinism
+contracts: drawing from a generator created in the parent clones the
+parent's stream into every fork (so ``n_jobs`` changes the numbers),
+and writing to the parent's :class:`~repro.obs.Instrumentation` records
+nothing or double-counts.  Captures often hide one hop away -- a worker
+imported from another module, or a clean-looking worker that calls a
+helper which calls ``get_instrumentation()`` three frames down -- so
+the rule walks the whole call-graph closure of every dispatched worker
+(and ``Pool(initializer=...)``) and flags:
 
-* calls to ``get_instrumentation()`` -- under fork that resolves to the
-  *parent's* backend, so recorded events vanish with the worker --
-  unless the closure installs a fresh backend via
-  ``use_instrumentation(...)`` first, or the dispatch is a
-  :class:`repro.parallel.ForkPool` map, whose worker side installs one
+* ``lambda`` workers and workers defined inside the dispatching
+  function -- closures capture parent state invisibly (and do not
+  survive a switch to the spawn start method);
+* calls to ``get_instrumentation()`` anywhere in the closure -- under
+  fork that resolves to the *parent's* backend -- unless the closure
+  installs a fresh backend via ``use_instrumentation(...)`` first, or
+  the dispatch is a ``ForkPool`` map, whose worker side installs one
   itself;
 * reads of module globals bound to ``Instrumentation``/``Generator``
-  state, including globals imported from *other* modules, which PAR001
-  cannot see.
+  state anywhere in the closure, including globals imported from other
+  modules.
 
-Dispatches are recognised as in PAR001: ``ForkPool(...).map(w, xs)``,
-a name bound from ``ForkPool(...)`` whatever it is called, or a pool
-method on a receiver named like a pool.  State a worker needs travels
-in ``ForkPool``'s ``shared`` argument, the sanctioned channel for
-fork-inherited state.  Findings inside the dispatched worker itself,
-when it lives in the same module as the dispatch, are left to PAR001
--- this rule reports only what the per-file pass cannot.  The :mod:`repro.obs` package is exempt
-from the global-read check: it owns the ambient-backend global by
-design.
+A dispatch is ``ForkPool(...).map(w, xs)``, a name bound from
+``ForkPool(...)`` whatever it is called, or a pool dispatch method on a
+receiver named like a pool (:func:`~repro.lint.project.graph.
+pool_dispatch`).  State a worker needs travels in ``ForkPool``'s
+``shared`` argument, the sanctioned channel for fork-inherited state.
+The :mod:`repro.obs` package is exempt from the global-read check: it
+owns the ambient-backend global by design.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.lint.project.findings import ProjectFinding
-from repro.lint.project.graph import FunctionInfo, ProjectGraph
+from repro.lint.project.graph import FunctionInfo, PoolDispatch, ProjectGraph
 
 PAR101 = "PAR101"
 
@@ -58,11 +63,44 @@ def _is_obs_module(graph: ProjectGraph, module: str) -> bool:
     return module == prefix or module.startswith(prefix + ".")
 
 
+def _closure_worker(info: FunctionInfo, dispatch: PoolDispatch) -> Optional[str]:
+    """Why the dispatched worker is a closure, or ``None`` if it is not."""
+    worker = dispatch.worker
+    if isinstance(worker, ast.Lambda):
+        return (
+            "lambda pool worker captures its defining scope; use a "
+            "module-level function taking explicit task state"
+        )
+    if isinstance(worker, ast.Name) and dispatch.worker_qname is None:
+        nested = any(
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == worker.id
+            for node in ast.walk(info.node)
+            if node is not info.node
+        )
+        if nested:
+            return (
+                f"pool worker '{worker.id}' is a nested function; its "
+                "closure captures parent state -- define it at module level"
+            )
+    return None
+
+
 def check_worker_closures(graph: ProjectGraph) -> List[ProjectFinding]:
     findings: List[ProjectFinding] = []
     seen: Set[Tuple[str, int, int]] = set()
+
+    def report(finding: ProjectFinding) -> None:
+        key = (finding.path, finding.line, finding.col)
+        if key not in seen:
+            seen.add(key)
+            findings.append(finding)
+
     for info in graph.iter_functions():
         for dispatch in info.pool_dispatches:
+            closure_reason = _closure_worker(info, dispatch)
+            if closure_reason is not None:
+                report(_finding(graph, info, dispatch.worker, closure_reason))
             roots = [
                 qname
                 for qname in (
@@ -83,19 +121,10 @@ def check_worker_closures(graph: ProjectGraph) -> List[ProjectFinding]:
                 member = graph.functions.get(member_qname)
                 if member is None:
                     continue
-                direct_worker = (
-                    member_qname == dispatch.worker_qname
-                    and member.module == info.module
-                )
-                if direct_worker:
-                    continue  # PAR001 territory
                 for finding in _check_member(
                     graph, member, dispatch.caller, installs_fresh
                 ):
-                    key = (finding.path, finding.line, finding.col)
-                    if key not in seen:
-                        seen.add(key)
-                        findings.append(finding)
+                    report(finding)
     return findings
 
 

@@ -12,6 +12,10 @@ three structures the whole-program rules query:
   generator draws, parameter mutations, cache-array taint, pool
   dispatches), so the interprocedural passes never re-walk an AST.
 
+It also owns the tables those facts are recognised by: the one list of
+``Generator`` draw methods, the generator constructors, and the pool
+dispatch shapes.
+
 Method calls resolve through a deliberately simple type discipline:
 ``self`` binds to the enclosing class; locals annotated with or
 assigned from a project class constructor bind to that class;
@@ -34,35 +38,48 @@ from repro.lint.rules.mutation import (
     CACHE_ATTRIBUTES,
     INPLACE_METHODS,
 )
-from repro.lint.rules.parallel import fork_pool_names, pool_dispatch
 
 #: Attribute names conventionally bound to ``numpy.random.Generator``s.
 GENERATOR_ATTRS: FrozenSet[str] = frozenset(
     {"rng", "_rng", "generator", "_generator"}
 )
 
-#: ``Generator`` methods that consume the stream.
+#: ``Generator`` methods that consume the stream (``spawn`` included:
+#: it advances the seed sequence a child stream is derived from).
 DRAW_METHODS: FrozenSet[str] = frozenset(
     {
         "beta",
         "binomial",
         "bytes",
+        "chisquare",
         "choice",
         "dirichlet",
         "exponential",
+        "f",
         "gamma",
         "geometric",
+        "gumbel",
+        "hypergeometric",
         "integers",
+        "laplace",
+        "logistic",
         "lognormal",
         "multinomial",
+        "multivariate_hypergeometric",
         "multivariate_normal",
+        "negative_binomial",
+        "noncentral_chisquare",
+        "noncentral_f",
         "normal",
         "pareto",
         "permutation",
         "permuted",
         "poisson",
+        "power",
         "random",
+        "rayleigh",
         "shuffle",
+        "spawn",
         "standard_cauchy",
         "standard_exponential",
         "standard_gamma",
@@ -70,19 +87,94 @@ DRAW_METHODS: FrozenSet[str] = frozenset(
         "standard_t",
         "triangular",
         "uniform",
+        "vonmises",
+        "wald",
+        "weibull",
+        "zipf",
     }
 )
 
-#: Constructor endpoints whose module-level result taints a global
-#: (mirrors the per-file PAR001 list).
+#: Call endpoints that construct a generator.
+GENERATOR_CONSTRUCTORS: FrozenSet[str] = frozenset(
+    {"default_rng", "Generator", "RandomState"}
+)
+
+#: Constructor endpoints whose module-level result taints a global.
 TAINTING_GLOBAL_CALLS: FrozenSet[str] = frozenset(
     {"Instrumentation", "get_instrumentation", "default_rng", "RandomState"}
+)
+
+#: ``multiprocessing.Pool`` methods that dispatch a worker function.
+POOL_DISPATCH_METHODS: FrozenSet[str] = frozenset(
+    {
+        "map",
+        "map_async",
+        "imap",
+        "imap_unordered",
+        "starmap",
+        "starmap_async",
+        "apply",
+        "apply_async",
+    }
 )
 
 #: Methods that write a recorded trace/metrics stream to disk.
 TRACE_SINK_METHODS: FrozenSet[str] = frozenset(
     {"write_trace", "write_metrics", "write_ndjson"}
 )
+
+#: The :class:`repro.parallel.ForkPool` constructor, by call endpoint.
+FORK_POOL = "ForkPool"
+
+
+def _is_fork_pool_call(node: Optional[ast.AST]) -> bool:
+    return isinstance(node, ast.Call) and call_endpoint(node.func) == FORK_POOL
+
+
+def fork_pool_names(tree: ast.AST) -> FrozenSet[str]:
+    """Dotted names bound from ``ForkPool(...)`` anywhere in ``tree``
+    (assignment or ``with ... as``; scopes are not told apart)."""
+    targets: List[ast.expr] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+            _is_fork_pool_call(node.value)
+        ):
+            targets.extend(
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+        elif (
+            isinstance(node, ast.withitem)
+            and node.optional_vars is not None
+            and _is_fork_pool_call(node.context_expr)
+        ):
+            targets.append(node.optional_vars)
+    names = (dotted_name(target) for target in targets)
+    return frozenset(name for name in names if name is not None)
+
+
+def pool_dispatch(
+    node: ast.Call, fork_pools: FrozenSet[str]
+) -> Optional[str]:
+    """How ``node`` dispatches a worker: ``"fork"``, ``"pool"`` or ``None``.
+
+    ``"fork"`` is a :class:`~repro.parallel.ForkPool` dispatch (the
+    receiver is a ``ForkPool(...)`` call or a name in ``fork_pools``);
+    ``"pool"`` is any other pool dispatch method on a receiver whose
+    name contains "pool".
+    """
+    func = node.func
+    if not isinstance(func, ast.Attribute):
+        return None
+    if func.attr not in POOL_DISPATCH_METHODS:
+        return None
+    if _is_fork_pool_call(func.value):
+        return "fork"
+    receiver = dotted_name(func.value)
+    if receiver is None:
+        return None
+    if receiver in fork_pools:
+        return "fork"
+    return "pool" if "pool" in receiver.lower() else None
 
 
 # ----------------------------------------------------------------------
@@ -179,6 +271,8 @@ class FunctionInfo:
     none_default_params: FrozenSet[str]
     calls: List[CallSite] = field(default_factory=list)
     rng_sites: List[RngSite] = field(default_factory=list)
+    #: Calls constructing a generator (``GENERATOR_CONSTRUCTORS``).
+    generator_constructions: List[ast.Call] = field(default_factory=list)
     draw_sites: List[DrawSite] = field(default_factory=list)
     mutations: List[Mutation] = field(default_factory=list)
     tainted_args: List[TaintedArg] = field(default_factory=list)
@@ -905,6 +999,8 @@ class _SummaryVisitor:
 
         if self._is_default_rng_call(node):
             self.info.rng_sites.append(self._classify_rng_seed(node))
+        if endpoint in GENERATOR_CONSTRUCTORS:
+            self.info.generator_constructions.append(node)
 
         if endpoint == "get_instrumentation":
             self.info.get_instrumentation_calls.append(node)

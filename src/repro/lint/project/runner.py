@@ -11,7 +11,7 @@ also a gate failure, so the baseline cannot rot).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.lint.project.baseline import Baseline, BaselineEntry
 from repro.lint.project.capture import PAR101, check_worker_closures
@@ -31,6 +31,7 @@ from repro.lint.project.seeds import (
     check_seed_provenance,
     check_worker_seeds,
 )
+from repro.lint.runner import select_rule_ids
 
 #: ``(rule id, summary)`` for every project rule, in report order.
 PROJECT_RULES: List[Tuple[str, str]] = [
@@ -41,8 +42,8 @@ PROJECT_RULES: List[Tuple[str, str]] = [
     ),
     (
         SEED102,
-        "a component draws from another component's generator through a "
-        "stored object reference",
+        "a component draws only from the generator it owns (injectors, "
+        "defenses and service handlers build it in their setup)",
     ),
     (
         SEED103,
@@ -61,8 +62,8 @@ PROJECT_RULES: List[Tuple[str, str]] = [
     ),
     (
         PAR101,
-        "a pool worker's transitive call closure captures parent "
-        "RNG/instrumentation state",
+        "a pool worker (lambda, nested function, or anything in its "
+        "call closure) captures parent RNG/instrumentation state",
     ),
 ]
 
@@ -100,23 +101,15 @@ class ProjectReport:
 def run_project_checks(
     root: str,
     baseline: Optional[Baseline] = None,
-    select: Optional[Sequence[str]] = None,
+    select: Optional[Iterable[str]] = None,
 ) -> ProjectReport:
     """Build the graph for the package at ``root`` and run every rule.
 
-    ``select`` optionally restricts to a subset of project rule IDs
-    (unknown IDs raise ``ValueError``, mirroring the per-file runner).
+    ``select`` optionally restricts to a subset of project rule IDs,
+    parsed as for the per-file pass (:func:`~repro.lint.runner.
+    select_rule_ids`; unknown IDs raise ``ValueError``).
     """
-    known = {rule_id for rule_id, _ in PROJECT_RULES}
-    wanted = None
-    if select is not None:
-        wanted = {rule_id.strip().upper() for rule_id in select}
-        unknown = wanted - known
-        if unknown:
-            raise ValueError(
-                f"unknown project rule ID(s): {', '.join(sorted(unknown))} "
-                f"(known: {', '.join(sorted(known))})"
-            )
+    wanted = select_rule_ids(select, project=True)
     graph = ProjectGraph.build(root)
     findings: List[ProjectFinding] = []
     for check in _CHECKS:
@@ -128,5 +121,10 @@ def run_project_checks(
     if baseline is None:
         report.new = findings
     else:
-        report.new, report.waived, report.stale = baseline.partition(findings)
+        report.new, report.waived, stale = baseline.partition(
+            findings, root=root
+        )
+        report.stale = [
+            entry for entry in stale if wanted is None or entry.rule in wanted
+        ]
     return report

@@ -15,11 +15,13 @@ project graph:
   Locally guarded parameters (``if p is None: p = DEFAULT`` or an
   ``x if p is None else y`` seed expression) are provenance-correct and
   not flagged.
-* **SEED102** -- hidden generator coupling: a component draws from a
-  generator it reaches through another object (``self._network.rng.
-  normal(...)``).  The draw interleaves two components' streams, so
-  adding a draw in one silently shifts the other's numbers.  Components
-  must own a generator (spawned or seeded at attach/init) instead.
+* **SEED102** -- a component draws only from the generator it owns.
+  Anywhere, a draw through another object's generator (``self._network.
+  rng.normal(...)``) interleaves two components' streams, so adding a
+  draw in one silently shifts the other's numbers.  The owners in
+  :data:`OWNERS` -- fault injectors, defenses, service handlers --
+  must also build (or ``.spawn``) their stream only in their setup
+  functions, and may not draw through any non-``self`` ``.rng`` chain.
 * **SEED103** -- a constant-seeded ``default_rng`` inside a fork-pool
   worker closure: every worker starts the *same* stream, so parallel
   trials are secretly correlated.  Workers must consume pre-drawn seeds
@@ -29,7 +31,8 @@ project graph:
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.lint.project.findings import ProjectFinding
 from repro.lint.project.graph import (
@@ -37,7 +40,6 @@ from repro.lint.project.graph import (
     CallSite,
     FunctionInfo,
     ProjectGraph,
-    RngSite,
 )
 
 SEED101 = "SEED101"
@@ -222,31 +224,102 @@ def check_seed_provenance(graph: ProjectGraph) -> List[ProjectFinding]:
 
 
 # ----------------------------------------------------------------------
-# SEED102: hidden generator coupling
+# SEED102: a component draws only from the generator it owns
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Owner:
+    """One row of the owner table: who owns a stream, where it is set up."""
+
+    kind: str
+    #: Whether a function belongs to this kind of owner.
+    owns: Callable[[FunctionInfo], bool]
+    #: Whether a function of the owner may build or ``.spawn`` its stream.
+    sets_up: Callable[[FunctionInfo], bool]
+    #: Where the owner's stream is set up, for messages.
+    setup_text: str
+
+
+def _class_name(info: FunctionInfo) -> str:
+    return info.class_name or ""
+
+
+#: The components that own a generator, first match wins.
+OWNERS: Tuple[_Owner, ...] = (
+    _Owner(
+        "fault injector",
+        lambda info: _class_name(info).endswith("Injector"),
+        lambda info: info.node.name == "__init__",
+        "__init__",
+    ),
+    _Owner(
+        "defense",
+        lambda info: _class_name(info).endswith("Defense"),
+        lambda info: info.node.name in ("__init__", "attach"),
+        "__init__/attach",
+    ),
+    _Owner(
+        "service handler",
+        lambda info: "Service" in _class_name(info)
+        or isinstance(info.node, ast.AsyncFunctionDef),
+        lambda info: info.node.name.startswith(("plan", "_plan")),
+        "a plan_* function",
+    ),
+)
+
+
+def _owner_of(info: FunctionInfo) -> Optional[_Owner]:
+    return next((owner for owner in OWNERS if owner.owns(info)), None)
+
+
+def _foreign_stream(chain: Tuple[str, ...], owned: bool) -> bool:
+    """Whether a draw receiver is a generator the drawing code does not own.
+
+    ``self.<x>.rng`` is always another component's stream; inside an
+    owner, so is any non-``self`` ``<x>.rng`` chain.
+    """
+    if len(chain) < 2 or chain[-1] not in GENERATOR_ATTRS:
+        return False
+    if chain[0] == "self":
+        return len(chain) >= 3
+    return owned
+
+
 def check_generator_coupling(graph: ProjectGraph) -> List[ProjectFinding]:
     findings: List[ProjectFinding] = []
     for info in graph.iter_functions():
-        for draw in info.draw_sites:
-            chain = draw.chain
-            if (
-                len(chain) >= 3
-                and chain[0] == "self"
-                and chain[-1] in GENERATOR_ATTRS
-            ):
-                owner = ".".join(chain[:-1])
+        owner = _owner_of(info)
+        setup = owner is not None and owner.sets_up(info)
+        if owner is not None and not setup:
+            for call in info.generator_constructions:
                 findings.append(
                     _finding(
                         graph,
                         info,
-                        draw.node,
+                        call,
                         SEED102,
-                        f"draws '{draw.method}' from {owner}'s generator "
-                        f"('{'.'.join(chain)}'); the draw interleaves two "
-                        "components' streams -- own a generator spawned "
-                        "from it at attach/init instead",
+                        f"{owner.kind} {info.qname} constructs a generator "
+                        "outside its setup; build or spawn the stream once "
+                        f"in {owner.setup_text} and draw from it after",
                     )
                 )
+        for draw in info.draw_sites:
+            if not _foreign_stream(draw.chain, owned=owner is not None):
+                continue
+            if draw.method == "spawn" and setup:
+                continue  # deriving the owner's own child stream
+            source = ".".join(draw.chain)
+            findings.append(
+                _finding(
+                    graph,
+                    info,
+                    draw.node,
+                    SEED102,
+                    f"draws '{draw.method}' from another component's "
+                    f"generator ('{source}'); the draw interleaves two "
+                    "components' streams -- own a generator spawned from "
+                    "it at attach/init instead",
+                )
+            )
     return findings
 
 

@@ -5,15 +5,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.lint.base import LintRule
-from repro.lint.rules.defense import DefenseStreamRule
 from repro.lint.rules.determinism import SetIterationRule
-from repro.lint.rules.faults import InjectorRandomnessRule
 from repro.lint.rules.mutation import CachedArrayMutationRule
 from repro.lint.rules.obs import ObservabilityContextRule
-from repro.lint.rules.parallel import PoolWorkerCaptureRule
 from repro.lint.rules.pyhygiene import PythonHygieneRule
 from repro.lint.rules.rng import UnseededRandomnessRule
-from repro.lint.rules.service import ServiceGeneratorRule
 from repro.lint.rules.stochastic import UnvalidatedTransitionMatrixRule
 
 #: Every rule, in reporting/documentation order.
@@ -24,10 +20,6 @@ ALL_RULES: List[LintRule] = [
     SetIterationRule(),
     PythonHygieneRule(),
     ObservabilityContextRule(),
-    InjectorRandomnessRule(),
-    PoolWorkerCaptureRule(),
-    ServiceGeneratorRule(),
-    DefenseStreamRule(),
 ]
 
 _BY_ID: Dict[str, LintRule] = {rule.rule_id: rule for rule in ALL_RULES}
@@ -41,12 +33,8 @@ def rule_by_id(rule_id: str) -> Optional[LintRule]:
 __all__ = [
     "ALL_RULES",
     "CachedArrayMutationRule",
-    "DefenseStreamRule",
-    "InjectorRandomnessRule",
     "ObservabilityContextRule",
-    "PoolWorkerCaptureRule",
     "PythonHygieneRule",
-    "ServiceGeneratorRule",
     "SetIterationRule",
     "UnseededRandomnessRule",
     "UnvalidatedTransitionMatrixRule",

@@ -4,8 +4,9 @@ The differential suites of PR 1 assert that probe selection is bitwise
 identical across ``n_jobs`` settings, and every experiment is keyed by
 ``ExperimentParams.seed``.  Both guarantees die the moment any code
 path draws from OS entropy: an unseeded ``np.random.default_rng()`` or
-the legacy module-level global (``np.random.rand`` and friends, whose
-hidden state is shared across the whole process and every fork).
+a module-level global (``np.random.rand`` and friends, or the stdlib
+``random`` module), whose hidden state is shared across the whole
+process and every fork.
 
 The rule flags:
 
@@ -14,7 +15,9 @@ The rule flags:
   accepted; threading ``None`` through a parameter is invisible to a
   static pass and remains the caller's responsibility);
 * any use of the legacy module-level API (``np.random.seed``,
-  ``np.random.rand``, ``np.random.RandomState``, ...), seeded or not.
+  ``np.random.rand``, ``np.random.RandomState``, ...), seeded or not;
+* calls into the stdlib ``random`` module (``random.random()``,
+  ``random.uniform(...)``, ...), seeded or not.
 
 Seeds must originate from ``ExperimentParams``/CLI ``--seed`` flags and
 thread down as ``np.random.Generator`` instances.  Intentional entropy
@@ -82,18 +85,49 @@ LEGACY_GLOBAL_API: FrozenSet[str] = frozenset(
 )
 
 
+#: Stdlib ``random`` module functions backed by its hidden global.
+STDLIB_RANDOM_API: FrozenSet[str] = frozenset(
+    {
+        "betavariate",
+        "choice",
+        "choices",
+        "expovariate",
+        "gammavariate",
+        "gauss",
+        "getrandbits",
+        "lognormvariate",
+        "normalvariate",
+        "paretovariate",
+        "randint",
+        "random",
+        "randrange",
+        "sample",
+        "seed",
+        "shuffle",
+        "triangular",
+        "uniform",
+        "vonmisesvariate",
+        "weibullvariate",
+    }
+)
+
+
 class _ImportAliases(ast.NodeVisitor):
-    """Track how ``numpy``, ``numpy.random`` and ``default_rng`` are named."""
+    """Track how ``numpy``, ``numpy.random``, ``default_rng`` and the
+    stdlib ``random`` module are named."""
 
     def __init__(self) -> None:
         self.numpy: Set[str] = set()
         self.numpy_random: Set[str] = set()
         self.default_rng: Set[str] = set()
+        self.stdlib_random: Set[str] = set()
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             bound = alias.asname or alias.name.split(".")[0]
-            if alias.name == "numpy":
+            if alias.name == "random":
+                self.stdlib_random.add(bound)
+            elif alias.name == "numpy":
                 self.numpy.add(bound)
             elif alias.name == "numpy.random":
                 if alias.asname is not None:
@@ -179,6 +213,17 @@ class UnseededRandomnessRule(LintRule):
         node: ast.Attribute,
         aliases: _ImportAliases,
     ) -> Finding | None:
+        if (
+            node.attr in STDLIB_RANDOM_API
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases.stdlib_random
+        ):
+            return self.finding(
+                module,
+                node,
+                f"stdlib global random.{node.attr}; use a seeded "
+                "np.random.Generator threaded from the caller",
+            )
         if node.attr not in LEGACY_GLOBAL_API:
             return None
         if not self._is_numpy_random(node.value, aliases):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.lint.base import LintRule, ModuleSource
 from repro.lint.findings import Finding
@@ -59,17 +59,50 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
                     yield Path(root) / name
 
 
-def _select_rules(select: Optional[Iterable[str]]) -> List[LintRule]:
+def select_rule_ids(
+    select: Optional[Iterable[str]], *, project: bool = False
+) -> Optional[Set[str]]:
+    """The rule IDs ``select`` names for one pass; ``None`` selects all.
+
+    ``select`` is a comma-separated string or an iterable of IDs; IDs
+    are case-insensitive and blanks (a trailing comma) are dropped.
+    This one parser serves the per-file pass and, with ``project``, the
+    whole-program pass.  An ID the pass does not know raises
+    ``ValueError``; when it belongs to the other pass, the message
+    says so.
+    """
     if select is None:
-        return list(ALL_RULES)
+        return None
+    if isinstance(select, str):
+        select = select.split(",")
+    from repro.lint.project.runner import PROJECT_RULES
+
+    file_ids = [rule.rule_id for rule in ALL_RULES]
+    project_ids = [rule_id for rule_id, _ in PROJECT_RULES]
+    known, other = (project_ids, file_ids) if project else (file_ids, project_ids)
     wanted = {rule_id.strip().upper() for rule_id in select if rule_id.strip()}
-    unknown = wanted - {rule.rule_id for rule in ALL_RULES}
+    unknown = wanted - set(known)
     if unknown:
-        known = ", ".join(rule.rule_id for rule in ALL_RULES)
+        misplaced = ", ".join(sorted(unknown & set(other)))
+        hint = ""
+        if misplaced:
+            other_pass = (
+                "the per-file pass, run without --project"
+                if project
+                else "the --project pass"
+            )
+            hint = f" -- {misplaced} belong(s) to {other_pass}"
         raise ValueError(
-            f"unknown rule ID(s): {', '.join(sorted(unknown))} "
-            f"(known: {known})"
+            f"unknown {'project ' if project else ''}rule ID(s): "
+            f"{', '.join(sorted(unknown))}{hint} (known: {', '.join(known)})"
         )
+    return wanted
+
+
+def _select_rules(select: Optional[Iterable[str]]) -> List[LintRule]:
+    wanted = select_rule_ids(select)
+    if wanted is None:
+        return list(ALL_RULES)
     return [rule for rule in ALL_RULES if rule.rule_id in wanted]
 
 

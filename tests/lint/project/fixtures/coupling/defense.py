@@ -1,4 +1,4 @@
-"""One coupled component (two draw styles) and one clean one."""
+"""One coupled component (several draw styles) and one clean one."""
 
 
 class Defense:
@@ -16,6 +16,17 @@ class Defense:
         # A local alias of the same chain must still be seen through.
         rng = self._network.rng
         return rng.uniform()  # expect[SEED102]
+
+    def spread(self):
+        # Every Generator draw method counts, not just the common ones.
+        return self._network.rng.laplace(0.0, 1.0)  # expect[SEED102]
+
+    def tail(self):
+        return self._network.rng.weibull(1.5)  # expect[SEED102]
+
+    def late_child(self):
+        # Spawning is setup: outside attach it shifts the network's tree.
+        return self._network.rng.spawn(1)[0]  # expect[SEED102]
 
 
 class OwnedDefense:

@@ -1,4 +1,4 @@
-"""PAR001 fixture: pool workers capturing parent RNG/instrumentation.
+"""Pool workers capturing parent RNG/instrumentation, dispatched here.
 
 Never imported -- parsed by the lint tests.  Lines carrying a
 ``expect[RULE]`` marker must produce exactly that finding.
@@ -14,16 +14,16 @@ BACKEND: Instrumentation = Instrumentation()
 
 
 def _rng_capturing_worker(item):
-    return item + float(SHARED_RNG.random())  # expect[PAR001]
+    return item + float(SHARED_RNG.random())  # expect[PAR101]
 
 
 def _metrics_capturing_worker(item):
-    BACKEND.metrics.counter("worker.items").inc()  # expect[PAR001]
+    BACKEND.metrics.counter("worker.items").inc()  # expect[PAR101]
     return item
 
 
 def _ambient_obs_worker(item):
-    obs = get_instrumentation()  # expect[PAR001]
+    obs = get_instrumentation()  # expect[PAR101]
     obs.metrics.counter("worker.items").inc()
     return item
 
@@ -40,21 +40,21 @@ def fan_out(pool, items):
     results = pool.map(_rng_capturing_worker, items)
     results += pool.map(_metrics_capturing_worker, items)
     results += pool.map(_ambient_obs_worker, items)
-    results += pool.map(lambda item: item + 1, items)  # expect[PAR001]
+    results += pool.map(lambda item: item + 1, items)  # expect[PAR101]
 
     def _nested_worker(item):
         return item * 2
 
-    results += pool.map(_nested_worker, items)  # expect[PAR001]
+    results += pool.map(_nested_worker, items)  # expect[PAR101]
     return results + pool.map(_clean_worker, items)
 
 
 def _shared_rng_worker(shared, item):
-    return item + shared + float(SHARED_RNG.random())  # expect[PAR001]
+    return item + shared + float(SHARED_RNG.random())  # expect[PAR101]
 
 
 def _backend_worker(shared, item):
-    BACKEND.metrics.counter("worker.items").inc()  # expect[PAR001]
+    BACKEND.metrics.counter("worker.items").inc()  # expect[PAR101]
     return item + shared
 
 
@@ -70,7 +70,7 @@ def fork_out(items):
     results = ForkPool(2, 1, name="fixture").map(_shared_rng_worker, items)
     fanout = ForkPool(2, 1, name="fixture")
     results += fanout.map(_ambient_obs_fork_worker, items)
-    results += fanout.map(lambda shared, item: item, items)  # expect[PAR001]
+    results += fanout.map(lambda shared, item: item, items)  # expect[PAR101]
     with ForkPool(2, 1, name="fixture") as runner:
         results += runner.map(_backend_worker, items)
     return results

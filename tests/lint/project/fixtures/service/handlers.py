@@ -1,4 +1,4 @@
-"""SRV101 fixture: generator construction in service handlers.
+"""Generator construction in service handlers outside the planned path.
 
 Never imported -- parsed by the lint tests.  Lines carrying a
 ``expect[RULE]`` marker must produce exactly that finding.
@@ -12,7 +12,7 @@ SEED = 99
 
 class JobService:
     def handle(self, spec):
-        rng = default_rng(SEED)  # expect[SRV101]
+        rng = default_rng(SEED)  # expect[SEED102]
         return rng
 
     def plan_session(self, spec, index):
@@ -20,11 +20,11 @@ class JobService:
         return default_rng([SEED, index])
 
     async def drain(self):
-        return np.random.Generator(np.random.PCG64(SEED))  # expect[SRV101]
+        return np.random.Generator(np.random.PCG64(SEED))  # expect[SEED102]
 
 
 async def stream_sessions(jobs):
-    rng = default_rng(SEED)  # expect[SRV101]
+    rng = default_rng(SEED)  # expect[SEED102]
     return [rng.integers(10) for _ in jobs]
 
 
@@ -34,5 +34,5 @@ async def plan_batch(jobs):
 
 
 def session_helper():
-    # Synchronous module-level helper: RNG001 territory, not SRV101.
+    # Synchronous module-level helper: not a service handler.
     return default_rng(SEED)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.lint.project import Baseline, run_project_checks
 from repro.lint.project.baseline import BaselineEntry
 from repro.lint.project.findings import ProjectFinding
@@ -86,6 +87,30 @@ class TestPartition:
         assert waived == [covered]
         assert [entry.rule for entry in stale] == ["MUT101"]
 
+    def test_entries_outside_the_analysed_root_are_never_stale(self, tmp_path):
+        baseline = Baseline(
+            [
+                BaselineEntry(
+                    rule="SEED103",
+                    path="src/repro/experiments/parallel.py",
+                    symbol="repro.experiments.parallel.screening_verdicts",
+                    justification="ok",
+                ),
+                BaselineEntry(
+                    rule="MUT101",
+                    path="pkg/gone.py",
+                    symbol="pkg.gone.f",
+                    justification="ok",
+                ),
+            ],
+            origin=str(tmp_path),
+        )
+        new, waived, stale = baseline.partition(
+            [finding()], root=str(tmp_path / "pkg")
+        )
+        assert new == [finding()] and not waived
+        assert [entry.path for entry in stale] == ["pkg/gone.py"]
+
     def test_empty_baseline_leaves_everything_new(self):
         new, waived, stale = Baseline().partition([finding()])
         assert len(new) == 1 and not waived and not stale
@@ -149,6 +174,18 @@ class TestLoad:
 
 class TestCommittedBaseline:
     """The real tree against the real waiver file."""
+
+    def test_other_packages_ignore_the_committed_baseline(
+        self, capsys, monkeypatch
+    ):
+        # Run from the repo root, so lint-baseline.json is auto-loaded;
+        # its src/repro entry must not turn stale for another package.
+        monkeypatch.chdir(REPO_ROOT)
+        fixture = Path(__file__).parent / "fixtures" / "escape"
+        assert main(["check", "--project", str(fixture)]) == 1
+        out = capsys.readouterr().out
+        assert "stale baseline entry" not in out
+        assert "0 stale" in out
 
     def test_src_repro_is_clean_against_committed_baseline(self):
         baseline = Baseline.load(str(REPO_ROOT / "lint-baseline.json"))

@@ -133,9 +133,33 @@ class TestBaselineWorkflow:
         assert "MUT102" in out and "MUT101" not in out
 
 
+class TestSelection:
+    def test_trailing_comma_is_accepted(self, capsys):
+        code = main(
+            ["check", "--project", "--select", "SEED102,", "--format",
+             "json", str(FIXTURES / "coupling")]
+        )
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload
+        assert {item["rule"] for item in payload} == {"SEED102"}
+
+    def test_per_file_rule_id_names_the_per_file_pass(self, capsys):
+        code = main(
+            ["check", "--project", "--select", "RNG001",
+             str(FIXTURES / "coupling")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown project rule ID(s): RNG001" in err
+        assert "per-file pass" in err
+
+
 def test_list_rules_includes_project_rules(capsys):
     assert main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("SEED101", "SEED102", "SEED103", "MUT101", "MUT102",
-                    "PAR101"):
-        assert rule_id in out
+    listed = [line.split()[0] for line in out.splitlines() if line.strip()]
+    assert listed == [
+        "RNG001", "MUT001", "STO001", "DET001", "PY001", "OBS001",
+        "SEED101", "SEED102", "SEED103", "MUT101", "MUT102", "PAR101",
+    ]

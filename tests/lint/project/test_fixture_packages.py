@@ -1,10 +1,10 @@
 """Each project rule fires on exactly the marked fixture lines.
 
-Fixtures under ``fixtures/`` are multi-module *packages* -- every rule
-here is a cross-module property, so a single-file fixture could not
-exercise it.  ``expect[RULE]`` markers pin the exact ``(rule, file,
-line)`` of every finding: the analyzer must report all of them and
-nothing else.
+Fixtures under ``fixtures/`` are *packages* -- most rules here are
+cross-module properties, so a single-file fixture could not exercise
+them.  ``expect[RULE]`` markers pin the exact ``(rule, file, line)`` of
+every finding, project and per-file alike: the two passes together must
+report all of them and nothing else.
 """
 
 import re
@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.lint import run_checks
 from repro.lint.project import run_project_checks
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -35,24 +36,30 @@ def expected_triples(package):
 
 
 def actual_triples(package):
-    report = run_project_checks(str(package))
+    findings = run_project_checks(str(package)).new + run_checks(
+        [str(package)], jobs=1
+    )
     return sorted(
         (
             finding.rule,
             str(Path(finding.path).relative_to(package)),
             finding.line,
         )
-        for finding in report.new
+        for finding in findings
     )
 
 
 FIXTURE_PACKAGES = [
     ("seedflow", {"SEED101"}, 2),
-    ("coupling", {"SEED102"}, 2),
+    ("coupling", {"SEED102"}, 5),
     ("workerseed", {"SEED103"}, 1),
     ("escape", {"MUT101", "MUT102"}, 3),
     ("capture", {"PAR101"}, 3),
     ("forkcapture", {"PAR101"}, 2),
+    ("injector", {"SEED102", "RNG001"}, 5),
+    ("defense", {"SEED102", "RNG001"}, 6),
+    ("service", {"SEED102"}, 3),
+    ("poolworker", {"PAR101"}, 8),
 ]
 
 
@@ -68,6 +75,7 @@ def test_fixture_package_matches_markers(name, rules, count):
 @pytest.mark.parametrize("name,rules,count", FIXTURE_PACKAGES)
 def test_fixture_findings_carry_symbols(name, rules, count):
     report = run_project_checks(str(FIXTURES / name))
+    assert report.new
     for finding in report.new:
         assert finding.symbol.startswith(f"{name}."), finding
         assert finding.rule in rules

@@ -34,6 +34,13 @@ class TestExitCodes:
         assert code == 2
         assert "NOPE42" in capsys.readouterr().err
 
+    def test_project_rule_id_names_the_project_pass(self, capsys):
+        code = main(["check", "--select", "SEED102", str(FIXTURES)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown rule ID(s): SEED102" in err
+        assert "--project pass" in err
+
 
 class TestOutputFormats:
     def test_text_findings_are_file_line_col(self, capsys):
@@ -52,6 +59,15 @@ class TestOutputFormats:
         assert isinstance(payload, list) and payload
         sample = payload[0]
         assert {"path", "line", "col", "rule", "message"} <= set(sample)
+
+    def test_select_accepts_a_trailing_comma(self, capsys):
+        code = main(
+            ["check", "--select", "rng001,", "--format", "json", str(FIXTURES)]
+        )
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload
+        assert {item["rule"] for item in payload} == {"RNG001"}
 
     def test_select_filters_output(self, capsys):
         main(["check", "--select", "PY001", "--format", "json", str(FIXTURES)])

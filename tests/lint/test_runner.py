@@ -32,7 +32,6 @@ class TestRuleRegistry:
         ids = [rule.rule_id for rule in ALL_RULES]
         assert ids == [
             "RNG001", "MUT001", "STO001", "DET001", "PY001", "OBS001",
-            "FLT001", "PAR001", "SRV101", "DEF001",
         ]
         assert len(set(ids)) == len(ids)
 
