@@ -16,7 +16,11 @@ Two pieces of machinery keep repeated powering cheap:
   every subsequent step is a single CSR matvec instead of the per-step
   transpose hidden in ``d @ A`` for sparse ``A``.  The accumulation
   order matches scipy's ``d @ A`` path element-for-element, so results
-  are bit-identical to the naive loop.
+  are bit-identical to the naive loop.  A 1-D chain runs in one call
+  to the native float64 kernel (:func:`repro.core.cnative.chain_f64`)
+  when it loads, and on scipy's ``csr_matvec`` otherwise; both sum
+  every row in CSR index order as ``s = s + a*x`` (a rounded multiply,
+  then a rounded add), so the two are bit-identical too.
 * :class:`PowerChain` memoises ``A^T^k I_0`` at every requested ``k``,
   so adjacent window lengths ``T' > T`` pay ``T' - T`` matvecs instead
   of a full re-powering (the fig6/fig7 window sweeps and the window
@@ -32,6 +36,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 from scipy import sparse
 
+from repro.core import cnative
 from repro.obs import counter_inc
 
 MatrixLike = Union[np.ndarray, sparse.spmatrix]
@@ -64,6 +69,18 @@ class TransitionOperator:
     For sparse ``A`` the operator stores ``A^T`` in CSR layout once;
     each step is then one CSR matvec.  Dense matrices keep the plain
     ``@`` loop.
+
+    A 1-D sparse chain runs natively when :mod:`~repro.core.cnative`
+    loads: the first such call lays ``A^T`` out as sliced ELL
+    (:func:`~repro.core.cnative.sell8_layout`) and caches it, and each
+    chain is then one :func:`~repro.core.cnative.chain_f64` call.  That
+    kernel is bit-identical to the scipy loop by construction: each lane
+    sums one row of ``A^T`` in CSR index order as ``s = s + a*x`` --
+    scipy's ``csr_matvec`` order, with no fused multiply-add -- padding
+    is masked out of the sums, and rows are independent, so the order
+    they run in does not matter.  Without the kernel (no ``gcc``, or
+    ``REPRO_NO_CKERNEL=1``) chains run the scipy loop.  Row stacks
+    always use scipy and never build the layout.
     """
 
     # The operator re-lays-out a matrix its caller already routed
@@ -80,6 +97,7 @@ class TransitionOperator:
         else:
             self._dense = np.asarray(matrix, dtype=np.float64)
             self._csr_t = None
+        self._sell8: Optional[cnative.Sell8] = None
         self.shape: Tuple[int, int] = tuple(matrix.shape)  # type: ignore[assignment]
 
     @property
@@ -105,31 +123,44 @@ class TransitionOperator:
         transposed = self._csr_t
         if current.ndim == 1:
             counter_inc("kernel.sparse.matvecs", steps)
-            n_rows = transposed.shape[0]
-            if _csr_matvec is not None:
-                n_cols = transposed.shape[1]
-                indptr = transposed.indptr
-                indices = transposed.indices
-                data = transposed.data
-                scratch = np.zeros(n_rows, dtype=np.float64)
-                fill = scratch.fill
-                current_fill = current.fill
-                for _ in range(steps):
-                    fill(0.0)
-                    _csr_matvec(
-                        n_rows, n_cols, indptr, indices, data, current, scratch
+            if cnative.available():
+                if self._sell8 is None:
+                    self._sell8 = cnative.sell8_layout(
+                        transposed.indptr, transposed.indices, transposed.data
                     )
-                    current, scratch = scratch, current
-                    fill, current_fill = current_fill, fill
-                return current
-            for _ in range(steps):
-                current = transposed @ current
-            return current
+                return cnative.chain_f64(self._sell8, current, steps)
+            return scipy_chain(transposed, current, steps)
         # Row stack: (k, n) @ A == (A^T @ (k, n)^T)^T, all rows per step.
         counter_inc("kernel.sparse.matvecs", steps * current.shape[0])
         for _ in range(steps):
             current = np.ascontiguousarray((transposed @ current.T).T)
         return current
+
+
+def scipy_chain(
+    transposed: sparse.csr_matrix, current: np.ndarray, steps: int
+) -> np.ndarray:
+    """``steps`` scipy matvecs ``x <- A^T x``; overwrites ``current``.
+
+    The fallback (and the reference) for the native float64 chain.
+    """
+    if _csr_matvec is None:
+        for _ in range(steps):
+            current = transposed @ current
+        return current
+    n_rows, n_cols = transposed.shape
+    indptr = transposed.indptr
+    indices = transposed.indices
+    data = transposed.data
+    scratch = np.zeros(n_rows, dtype=np.float64)
+    fill = scratch.fill
+    current_fill = current.fill
+    for _ in range(steps):
+        fill(0.0)
+        _csr_matvec(n_rows, n_cols, indptr, indices, data, current, scratch)
+        current, scratch = scratch, current
+        fill, current_fill = current_fill, fill
+    return current
 
 
 class PowerChain:

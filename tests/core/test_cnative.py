@@ -1,10 +1,18 @@
-"""Tests for the native float32 pair-chain screening kernel."""
+"""Tests for the native kernels: the float32 pair chain and the float64 chain.
+
+Both SIMD builds of each kernel run here: the scalar loop on every host,
+the AVX-512 loop where the CPU has it.  Bit-equality of the float64
+chain with scipy over random models lives in ``test_chain_native_diff``.
+"""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 from repro.core import cnative
+from repro.core.chain import scipy_chain
 
 
 @pytest.fixture
@@ -32,6 +40,48 @@ def _random_stochastic(rng: np.random.Generator, n: int) -> np.ndarray:
     return matrix / matrix.sum(axis=1, keepdims=True)
 
 
+@pytest.fixture(params=cnative.LEVELS)
+def level(request, monkeypatch, reset_kernel):
+    """Each SIMD build the host can run (skips AVX-512 elsewhere)."""
+    monkeypatch.delenv(cnative.DISABLE_ENV_VAR, raising=False)
+    if not cnative.available():
+        pytest.skip(f"native kernel unavailable: {cnative.load_error()}")
+    if request.param == "avx512" and cnative.simd_level() != "avx512":
+        pytest.skip("this CPU has no AVX-512")
+    return request.param
+
+
+class TestCacheKey:
+    @pytest.fixture(autouse=True)
+    def _pinned_compiler(self, monkeypatch):
+        monkeypatch.setattr(cnative, "_compiler_version", lambda _: "12.2.0")
+
+    def test_flags_change_the_target(self):
+        base = cnative.kernel_path()
+        assert cnative.kernel_path(cnative.COMPILE_ARGV) == base
+        assert cnative.kernel_path(
+            cnative.COMPILE_ARGV + ("-march=native",)
+        ) != base
+        without_contract_off = tuple(
+            arg for arg in cnative.COMPILE_ARGV if arg != "-ffp-contract=off"
+        )
+        assert cnative.kernel_path(without_contract_off) != base
+
+    def test_compiler_version_changes_the_target(self, monkeypatch):
+        base = cnative.kernel_path()
+        monkeypatch.setattr(cnative, "_compiler_version", lambda _: "13.1.0")
+        assert cnative.kernel_path() != base
+
+    def test_source_changes_the_target(self, monkeypatch):
+        base = cnative.kernel_path()
+        monkeypatch.setattr(cnative, "_SOURCE", cnative._SOURCE + "\n")
+        assert cnative.kernel_path() != base
+
+    def test_target_lives_in_the_cache_dir(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(cnative.CACHE_ENV_VAR, str(tmp_path))
+        assert cnative.kernel_path().startswith(str(tmp_path))
+
+
 class TestDisabled:
     def test_kill_switch_forces_the_fallback(self, monkeypatch, reset_kernel):
         monkeypatch.setenv(cnative.DISABLE_ENV_VAR, "1")
@@ -49,6 +99,13 @@ class TestDisabled:
         with pytest.raises(RuntimeError, match="native kernel unavailable"):
             cnative.pair_chain_f32(*pieces, *pieces, x0, 3)
 
+    def test_chain_raises_when_unavailable(self, monkeypatch, reset_kernel):
+        monkeypatch.setenv(cnative.DISABLE_ENV_VAR, "1")
+        csr = sparse.csr_matrix(np.eye(3))
+        layout = cnative.sell8_layout(csr.indptr, csr.indices, csr.data)
+        with pytest.raises(RuntimeError, match="native kernel unavailable"):
+            cnative.chain_f64(layout, np.ones(3), 2)
+
 
 class TestKernel:
     @pytest.fixture(autouse=True)
@@ -60,10 +117,26 @@ class TestKernel:
     def test_simd_level_reported(self):
         assert cnative.simd_level() in ("avx512", "scalar")
 
+    def test_chain_uses_the_host_build(self):
+        rng = np.random.default_rng(3)
+        _, layout = _chain_pieces(_random_stochastic(rng, 21))
+        x0 = rng.random(21)
+        np.testing.assert_array_equal(
+            cnative.chain_f64(layout, x0, 7),
+            cnative._chain_f64(cnative.simd_level(), layout, x0, 7),
+        )
+
+    def test_avx512_refused_without_the_cpu_flag(self, monkeypatch):
+        monkeypatch.setattr(cnative, "_simd_level", "scalar")
+        with pytest.raises(RuntimeError, match="no AVX-512"):
+            cnative._entry("chain_f64", "avx512")
+        with pytest.raises(ValueError, match="unknown SIMD level"):
+            cnative._entry("chain_f64", "sse9")
+
     @pytest.mark.parametrize("steps", [1, 2, 3, 8])
     def test_matches_float64_powering(self, steps):
         # Odd and even step counts exercise the kernel's buffer-swap
-        # copy-back branch.
+        # copy-back branch; every build the host runs is checked.
         rng = np.random.default_rng(7)
         n = 37
         a = _random_stochastic(rng, n)
@@ -71,17 +144,18 @@ class TestKernel:
         x0 = rng.random(n)
         x0 = (x0 / x0.sum()).astype(np.float32)
 
-        y1, y2 = cnative.pair_chain_f32(
-            *_transposed_pieces(a), *_transposed_pieces(b), x0, steps
-        )
-
         want1 = x0.astype(np.float64)
         want2 = x0.astype(np.float64)
         for _ in range(steps):
             want1 = want1 @ a
             want2 = want2 @ b
-        np.testing.assert_allclose(y1, want1, rtol=1e-4, atol=1e-6)
-        np.testing.assert_allclose(y2, want2, rtol=1e-4, atol=1e-6)
+        levels = ("scalar", "avx512") if cnative.simd_level() == "avx512" else ("scalar",)
+        for level in levels:
+            y1, y2 = cnative._pair_chain_f32(
+                level, *_transposed_pieces(a), *_transposed_pieces(b), x0, steps
+            )
+            np.testing.assert_allclose(y1, want1, rtol=1e-4, atol=1e-6)
+            np.testing.assert_allclose(y2, want2, rtol=1e-4, atol=1e-6)
 
     def test_input_distribution_not_mutated(self):
         rng = np.random.default_rng(11)
@@ -97,3 +171,83 @@ class TestKernel:
         x0 = np.zeros(cnative.MAX_STATES + 1, dtype=np.float32)
         with pytest.raises(ValueError, match="state space too large"):
             cnative.pair_chain_f32(*pieces, *pieces, x0, 1)
+
+
+def _chain_pieces(matrix: np.ndarray):
+    """The scipy ``A^T`` CSR and its sliced-ELL layout."""
+    csr = sparse.csr_matrix(matrix.T)
+    return csr, cnative.sell8_layout(csr.indptr, csr.indices, csr.data)
+
+
+class TestChainF64:
+    """The exact chain equals the scipy loop bit for bit, on both builds."""
+
+    def test_fma_tripwire(self, level):
+        # Row 0 of A^T is [1, 1 + 2^-30] against x = [-(1 + 2^-29),
+        # 1 + 2^-30].  Rounded separately, the product (1 + 2^-30)^2
+        # loses its 2^-60 term and the row sums to exactly 0.  A fused
+        # multiply-add keeps the term and returns 2^-60, so a build
+        # that contracts to FMA fails here.
+        eps = 2.0 ** -30
+        transposed = np.array([[1.0, 1.0 + eps], [0.0, 1.0]])
+        x0 = np.array([-(1.0 + 2 * eps), 1.0 + eps])
+        acc = x0[0]
+        product = transposed[0, 1] * x0[1]
+        assert acc + product == 0.0
+        exact = Fraction(acc) + Fraction(transposed[0, 1]) * Fraction(x0[1])
+        assert exact == Fraction(1, 2 ** 60)  # what an FMA would return
+
+        csr, layout = _chain_pieces(transposed.T)
+        assert list(csr.indices[: csr.indptr[1]]) == [0, 1]
+        native = cnative._chain_f64(level, layout, x0, 1)
+        np.testing.assert_array_equal(native, scipy_chain(csr, x0.copy(), 1))
+        assert native[0] == 0.0
+
+    def test_input_not_mutated_and_shape_checked(self, level):
+        rng = np.random.default_rng(5)
+        _, layout = _chain_pieces(_random_stochastic(rng, 10))
+        x0 = rng.random(10)
+        x0.setflags(write=False)
+        before = x0.copy()
+        cnative._chain_f64(level, layout, x0, 3)
+        np.testing.assert_array_equal(x0, before)
+        with pytest.raises(ValueError, match="expected a vector of 10"):
+            cnative._chain_f64(level, layout, np.ones(11), 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            cnative._chain_f64(level, layout, x0, -1)
+
+
+class TestSell8Layout:
+    def test_rows_sorted_by_length_and_padded_per_slice(self):
+        rng = np.random.default_rng(9)
+        n = 19
+        matrix = _random_stochastic(rng, n)
+        matrix[:, 4] = 0.0
+        matrix[4, 4] = 1.0  # A^T row 4 holds one entry
+        csr = sparse.csr_matrix(matrix.T)
+        layout = cnative.sell8_layout(csr.indptr, csr.indices, csr.data)
+        lengths = np.diff(csr.indptr)
+        assert layout.n_slices == 3
+        assert sorted(layout.perm[:n]) == list(range(n))
+        np.testing.assert_array_equal(layout.lens[:n], lengths[layout.perm[:n]])
+        assert np.all(np.diff(layout.lens[:n]) <= 0)
+        assert not layout.lens[n:].any()
+        widths = np.diff(layout.ptr) // cnative.SLICE
+        np.testing.assert_array_equal(widths, layout.lens[:: cnative.SLICE])
+        # Every stored entry is a CSR entry of its lane's row, in order.
+        for lane, row in enumerate(layout.perm[:n]):
+            s, l = divmod(lane, cnative.SLICE)
+            slots = layout.ptr[s] + np.arange(lengths[row]) * cnative.SLICE + l
+            lo, hi = csr.indptr[row], csr.indptr[row + 1]
+            np.testing.assert_array_equal(layout.cols[slots], csr.indices[lo:hi])
+            np.testing.assert_array_equal(layout.vals[slots], csr.data[lo:hi])
+        assert layout.vals.sum() == pytest.approx(csr.data.sum())
+
+    def test_rejects_columns_outside_a_square_matrix(self):
+        csr = sparse.csr_matrix(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="outside a square 2x2"):
+            cnative.sell8_layout(csr.indptr, csr.indices, csr.data)
+
+    def test_empty_matrix(self):
+        layout = cnative.sell8_layout(np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0))
+        assert layout.n == 0 and layout.n_slices == 0

@@ -1,11 +1,11 @@
 """Differential suite: production == the oracles, bit for bit.
 
 Every headline pipeline runs twice -- once in production (indexed
-tables, batched arrival streams, certified float32 pre-screen) and once
-under :func:`tests.oracles.oracle_pipeline` (linear-scan tables,
-per-event delivery, exact-only screening with ``REPRO_NO_CKERNEL=1``)
--- and the persisted result documents must be identical, provenance
-included.  This is the contract that lets production ship one path:
+tables, batched arrival streams, certified float32 pre-screen, native
+float64 chains) and once under :func:`tests.oracles.oracle_pipeline`
+(linear-scan tables, per-event delivery, exact-only screening and scipy
+chains with ``REPRO_NO_CKERNEL=1``) -- and the persisted result
+documents must be identical, provenance included.  This is the contract that lets production ship one path:
 not statistically close, *equal*.
 
 The grid deliberately crosses production with every behaviour that
@@ -61,6 +61,7 @@ class TestOracleSubstitution:
                 is oracles.network.schedule_arrivals
             )
             assert not fastscreen.supports(tiny_experiment_params())
+            assert not cnative.available()  # chains run on scipy
         assert switch.FlowTable is not oracles.ReferenceFlowTable
         assert Network.schedule_arrivals is not (
             oracles.network.schedule_arrivals

@@ -15,11 +15,12 @@ production to them:
 * :mod:`tests.oracles.loops` -- the serial trial loop and the serial
   screening loop (:func:`~tests.oracles.loops.serial_loops` runs a
   pipeline on both);
-* the exact-only screen, which is production's own fallback when the
-  native kernel is disabled (``REPRO_NO_CKERNEL=1``).
+* the exact-only screen and the scipy chain loop
+  (:func:`repro.core.chain.scipy_chain`), which are production's own
+  fallbacks when the native kernels are disabled (``REPRO_NO_CKERNEL=1``).
 
 :func:`oracle_pipeline` substitutes the first two and disables the
-native kernel, so a whole experiment runs on the oracles.
+native kernels, so a whole experiment runs on the oracles.
 """
 
 from __future__ import annotations
