@@ -29,22 +29,15 @@ bench-full:
 	REPRO_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Where the headline run spends its budget: a reduced-scale headline
-# experiment with the phase profiler attached, printed as a per-phase
-# wall/CPU breakdown (model build, exact + fast screening, probe
-# selection, trials).
+# experiment traced, then summarised per span name with inclusive and
+# self (exclusive) wall and CPU time -- model build, exact + fast
+# screening, probe selection, trials.  Self times sum to the run's
+# wall clock.
 profile-headline:
 	PYTHONPATH=src $(PYTHON) -m repro.cli headline \
 		--configs 4 --trials 20 --seed 2017 --mode table \
-		--metrics /tmp/repro-profile-metrics.json
-	@$(PYTHON) -c "import json; \
-		doc = json.load(open('/tmp/repro-profile-metrics.json')); \
-		phases = doc.get('phases', {}); \
-		rows = sorted(phases.items(), key=lambda kv: -kv[1]['wall_s']); \
-		print(); \
-		print(f'{\"phase\":<32}{\"wall s\":>9}{\"cpu s\":>9}{\"count\":>8}'); \
-		[print(f'{n:<32}{v[\"wall_s\"]:>9.2f}{v[\"cpu_s\"]:>9.2f}{v[\"count\"]:>8.0f}') for n, v in rows]; \
-		total = sum(v['wall_s'] for v in phases.values()); \
-		print(f'{\"(sum of phases)\":<32}{total:>9.2f}')"
+		--trace /tmp/repro-profile-trace.ndjson
+	PYTHONPATH=src $(PYTHON) -m repro.cli stats /tmp/repro-profile-trace.ndjson
 
 demo:
 	$(PYTHON) -m repro.cli demo
@@ -77,7 +70,7 @@ check-project:
 
 # Runtime determinism sanitizer smoke (docs/OBSERVABILITY.md): the demo
 # under REPRO_SANITIZE=1 -- frozen cache checksums verified at every
-# phase/span boundary, unseeded default_rng() refused.
+# span boundary, unseeded default_rng() refused.
 sanitize-smoke:
 	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m repro.cli demo
 

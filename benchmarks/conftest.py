@@ -144,10 +144,13 @@ def get_fig6_result():
     """The Figure 6 experiment, shared by fig6a/fig6b/headline benches."""
     key = ("fig6", bench_scale(), trial_mode())
     if key not in _experiment_cache:
+        from repro.apispec import JobSpec
         from repro.experiments.fig6 import run_fig6
 
         _experiment_cache[key] = run_fig6(
-            experiment_params(seed=2017),
+            JobSpec.from_params(
+                experiment_params(seed=2017), experiment="fig6"
+            ),
             bins=FIG6_BINS,
             configs_per_bin=scaled_configs(FIG6_PER_BIN_FULL),
         )
@@ -158,10 +161,13 @@ def get_fig7_result():
     """The Figure 7 experiment, shared by fig7a/fig7b benches."""
     key = ("fig7", bench_scale(), trial_mode())
     if key not in _experiment_cache:
+        from repro.apispec import JobSpec
         from repro.experiments.fig7 import run_fig7
 
         _experiment_cache[key] = run_fig7(
-            experiment_params(seed=1848),
+            JobSpec.from_params(
+                experiment_params(seed=1848), experiment="fig7"
+            ),
             bins=FIG7_BINS,
             configs_per_bin=scaled_configs(FIG7_PER_BIN_FULL),
         )

@@ -16,10 +16,8 @@ Round trips::
     spec == JobSpec.from_dict(spec.to_dict())   # JSON documents
     params = spec.to_params()                    # experiment layer
 
-The old entry-point shapes stay alive for one release:
-:func:`coerce_spec` lets the runners keep accepting a bare
-``ExperimentParams`` (with a ``DeprecationWarning``), mirroring the
-``repro.deprecation.keyword_only`` migration pattern.
+The runners take a :class:`JobSpec` only (:func:`require_spec`);
+``JobSpec.from_params`` wraps an existing ``ExperimentParams``.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
@@ -371,27 +368,18 @@ class JobSpec:
         )
 
 
-def coerce_spec(
-    value: object, *, experiment: str, caller: str
+def require_spec(
+    value: object, *, caller: str
 ) -> Tuple[JobSpec, ExperimentParams]:
-    """Accept the canonical :class:`JobSpec` or a legacy ``ExperimentParams``.
+    """The runners' input check: a :class:`JobSpec` and its params view.
 
-    The runners' first parameter used to be ``ExperimentParams``; that
-    form keeps working for one release but warns.  Returns both views
-    so callers need not re-derive either.
+    Anything else -- a bare ``ExperimentParams`` included, whose
+    deprecation period has ended -- raises ``TypeError``;
+    :meth:`JobSpec.from_params` wraps existing params.
     """
-    if isinstance(value, JobSpec):
-        return value, value.to_params()
-    if isinstance(value, ExperimentParams):
-        warnings.warn(
-            f"{caller}: passing ExperimentParams is deprecated and will "
-            "stop working in a future release; pass a repro.apispec.JobSpec "
-            "(JobSpec.from_params wraps existing params)",
-            DeprecationWarning,
-            stacklevel=3,
+    if not isinstance(value, JobSpec):
+        raise TypeError(
+            f"{caller}: expected a JobSpec, got {type(value).__name__} "
+            "(JobSpec.from_params wraps ExperimentParams)"
         )
-        return JobSpec.from_params(value, experiment=experiment), value
-    raise TypeError(
-        f"{caller}: expected JobSpec or ExperimentParams, "
-        f"got {type(value).__name__}"
-    )
+    return value, value.to_params()

@@ -147,7 +147,7 @@ def add_common_args(
         "--sanitize", action="store_true",
         help=(
             "run under the determinism sanitizer (also enabled by "
-            "REPRO_SANITIZE=1): verify frozen cache arrays at phase "
+            "REPRO_SANITIZE=1): verify frozen cache arrays at span "
             "boundaries and reject unseeded generators"
         ),
     )
@@ -726,13 +726,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(f"repro-sdn stats: {error}", file=sys.stderr)
         return 2
     rows = summarize_spans(records)
+    # Self times telescope: their sum is the root spans' wall clock.
+    self_total = sum(float(row["self_s"]) for row in rows)
     if args.limit is not None:
         rows = rows[: max(args.limit, 0)]
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     else:
         print(format_span_table(rows))
-        print(f"\n{len(records)} span(s) in {args.trace_file}")
+        print(
+            f"\n{len(records)} span(s) in {args.trace_file}; "
+            f"self times sum to {self_total:.6f} s"
+        )
     return 0
 
 
@@ -1054,7 +1059,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     With ``--sanitize`` (or ``REPRO_SANITIZE=1``) the command runs under
     the determinism sanitizer (:mod:`repro.obs.sanitize`,
     docs/OBSERVABILITY.md): frozen cache arrays are checksummed at every
-    phase/span boundary and unseeded generator construction raises.
+    span boundary and unseeded generator construction raises.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

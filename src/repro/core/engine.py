@@ -26,16 +26,16 @@ walks; this module replaces that inner loop with three ideas:
   always runs serially over all gains in canonical candidate order.
 
 Instrumentation counters (chain evolutions, prefix-cache hits/misses,
-scored sequences, wall time per stage) are collected in
-:class:`ScoringStats` and surfaced on
-:class:`~repro.core.selection.ProbeChoice`.
+scored sequences) are collected in :class:`ScoringStats` and surfaced
+on :class:`~repro.core.selection.ProbeChoice`; where the time went is
+the ``engine.select`` span's job (docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,7 +44,6 @@ import numpy as np
 from repro.core.compact_model import CompactModel
 from repro.core.gain import binary_entropy
 from repro.core.inference import ReconInference
-from repro.deprecation import keyword_only
 from repro.obs import get_instrumentation
 from repro.parallel import ForkPool
 
@@ -73,7 +72,7 @@ _OBS_COUNTER_NAMES = {
 # ----------------------------------------------------------------------
 @dataclass
 class ScoringStats:
-    """Counters and stage timings for one probe-selection run.
+    """Counters for one probe-selection run.
 
     Counter semantics: totals over the lifetime of the underlying
     :class:`~repro.core.inference.ReconInference` (so the window
@@ -97,16 +96,10 @@ class ScoringStats:
     pool_fallbacks: int = 0
     #: Parallelism the engine was configured with.
     n_jobs: int = 1
-    #: Wall-clock seconds per stage (``score``, ``select``, ``total``).
-    wall_times: Dict[str, float] = field(default_factory=dict)
-
-    def add_time(self, stage: str, seconds: float) -> None:
-        """Accumulate wall time for a named stage."""
-        self.wall_times[stage] = self.wall_times.get(stage, 0.0) + seconds
 
     def rows(self) -> List[List[object]]:
         """``[name, value]`` rows for plain-text tables (CLI output)."""
-        rows: List[List[object]] = [
+        return [
             ["evolutions", self.evolutions],
             ["prefix cache hits", self.cache_hits],
             ["prefix cache misses", self.cache_misses],
@@ -116,9 +109,6 @@ class ScoringStats:
             ["pool fallbacks", self.pool_fallbacks],
             ["n_jobs", self.n_jobs],
         ]
-        for stage in sorted(self.wall_times):
-            rows.append([f"{stage} time (s)", f"{self.wall_times[stage]:.6f}"])
-        return rows
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +229,6 @@ class ProbeScoringEngine:
     all gains in canonical candidate order.
     """
 
-    @keyword_only
     def __init__(
         self,
         inference: ReconInference,
@@ -270,14 +259,13 @@ class ProbeScoringEngine:
         items = self._block_items(
             tuple(int(f) for f in prefix), tuple(int(f) for f in tails)
         )
-        started = time.perf_counter()
+        started = time.perf_counter() if self._obs.enabled else 0.0
         gains = self._map(items)
-        elapsed = time.perf_counter() - started
-        self.stats.add_time("score", elapsed)
         if self._obs.enabled and items:
             # Per-batch latency, in ms: one scoring pass over `items`.
+            elapsed_ms = (time.perf_counter() - started) * 1000.0
             self._obs.metrics.histogram("engine.score.batch_ms").observe(
-                elapsed * 1000.0 / len(items)
+                elapsed_ms / len(items)
             )
         self._refresh_counters()
         if not gains:
@@ -353,7 +341,6 @@ class ProbeScoringEngine:
         candidates = [int(f) for f in candidates]
         if not candidates:
             raise ValueError("no candidate probes")
-        started = time.perf_counter()
         with self._obs.span(
             "engine.select", method="single", n_candidates=len(candidates)
         ):
@@ -365,7 +352,6 @@ class ProbeScoringEngine:
                     best_flow = flow
                     best_gain = float(gain)
             assert best_flow is not None
-        self.stats.add_time("total", time.perf_counter() - started)
         return (best_flow,), max(best_gain, 0.0)
 
     def best_set(
@@ -403,7 +389,6 @@ class ProbeScoringEngine:
     def _best_set_exhaustive(
         self, candidates: List[int], n_probes: int
     ) -> Tuple[Tuple[int, ...], float]:
-        started = time.perf_counter()
         # Group the lexicographic combination order by shared prefix:
         # every size-(m-1) prefix is walked once and all of its tail
         # candidates are scored in stacked blocks.
@@ -416,9 +401,7 @@ class ProbeScoringEngine:
             plan.append((prefix, tails))
             items.extend(self._block_items(prefix, tails))
         gains = self._map(items)
-        self.stats.add_time("score", time.perf_counter() - started)
 
-        scan_started = time.perf_counter()
         best_probes: Optional[Tuple[int, ...]] = None
         best_gain = 0.0
         cursor = 0
@@ -433,15 +416,12 @@ class ProbeScoringEngine:
                         best_probes = prefix + (tail,)
                         best_gain = float(gain)
         assert best_probes is not None
-        self.stats.add_time("select", time.perf_counter() - scan_started)
-        self.stats.add_time("total", time.perf_counter() - started)
         self._refresh_counters()
         return best_probes, best_gain
 
     def _best_set_greedy(
         self, candidates: List[int], n_probes: int
     ) -> Tuple[Tuple[int, ...], float]:
-        started = time.perf_counter()
         chosen: Tuple[int, ...] = ()
         gain = 0.0
         remaining = list(candidates)
@@ -487,7 +467,6 @@ class ProbeScoringEngine:
             chosen = tuple(sorted(chosen + (best_flow,)))
             remaining.remove(best_flow)
             gain = best_gain
-        self.stats.add_time("total", time.perf_counter() - started)
         self._refresh_counters()
         return chosen, gain
 

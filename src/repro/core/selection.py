@@ -28,7 +28,6 @@ from typing import Optional, Sequence, Tuple
 
 from repro.core.engine import ProbeScoringEngine, ScoringStats
 from repro.core.inference import ReconInference
-from repro.deprecation import keyword_only
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,6 @@ class ProbeChoice:
     )
 
 
-@keyword_only
 def best_single_probe(
     inference: ReconInference,
     *,
@@ -68,7 +66,6 @@ def best_single_probe(
     return ProbeChoice(probes=probes, gain=gain, stats=engine.stats)
 
 
-@keyword_only
 def best_probe_set(
     inference: ReconInference,
     n_probes: int,

@@ -54,7 +54,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -66,7 +65,6 @@ from repro.analysis.roc import (
     score_auc,
 )
 from repro.countermeasures.registry import DEFENSE_CHOICES, make_defense
-from repro.deprecation import keyword_only
 from repro.detect import CounterWindow, ReconDetector, WindowRecorder
 from repro.experiments.harness import (
     ConfigHarness,
@@ -74,7 +72,6 @@ from repro.experiments.harness import (
     sample_screened_harnesses,
 )
 from repro.experiments.parallel import ExecutionStats
-from repro.experiments.params import ExperimentParams
 from repro.experiments.robustness import DEFAULT_KINDS, _VIABLE_ABSENCE
 from repro.faults import FAULT_KINDS, FaultPlan
 from repro.flows.arrival import sample_schedule
@@ -524,9 +521,8 @@ def _snapshot_counters(instrumentation: Instrumentation) -> Dict[str, int]:
 # ----------------------------------------------------------------------
 # The sweep
 # ----------------------------------------------------------------------
-@keyword_only
 def run_defend(
-    params: Union["JobSpec", ExperimentParams],
+    spec: "JobSpec",
     *,
     defenses: Optional[Sequence[str]] = None,
     rates: Optional[Sequence[float]] = None,
@@ -537,18 +533,16 @@ def run_defend(
 ) -> DefendResult:
     """Run the countermeasure x attacker x fault-plan grid.
 
-    The canonical input is a :class:`~repro.apispec.JobSpec` (its
+    ``spec`` is a :class:`~repro.apispec.JobSpec` (its
     ``defense``/``detector``/``rates``/``kinds`` fields supply the grid
     unless overridden here).  Network-mode trials are required: a
     defense only exists at a simulated switch.  The screened
     configurations are sampled once and every cell -- including the
     undefended baseline -- re-trials exactly the same worlds.
     """
-    from repro.apispec import coerce_spec
+    from repro.apispec import require_spec
 
-    spec, params = coerce_spec(
-        params, experiment="defend", caller="run_defend"
-    )
+    spec, params = require_spec(spec, caller="run_defend")
     if params.trial_mode != "network":
         raise ValueError(
             "the defend grid requires network-mode trials "

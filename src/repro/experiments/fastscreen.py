@@ -310,7 +310,7 @@ def screen_candidate(
     )
     if not (params.screen or require_optimal_differs):
         return FastScreenOutcome(False, model)
-    with obs.phase("harness.fast_screen"), obs.span(
+    with obs.span(
         "harness.fast_screen", n_flows=len(config.universe)
     ):
         quantities = fast_quantities(

@@ -22,16 +22,15 @@ grows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.cdf import empirical_cdf, survival_at
-from repro.deprecation import keyword_only
 from repro.experiments.harness import (
     ConfigResult,
     sample_screened_harnesses,
 )
 from repro.experiments.parallel import ExecutionStats
-from repro.experiments.params import VIABLE_FIG6_BINS, ExperimentParams
+from repro.experiments.params import VIABLE_FIG6_BINS
 from repro.obs import get_instrumentation
 
 if TYPE_CHECKING:
@@ -106,9 +105,8 @@ class Fig6Result:
         }
 
 
-@keyword_only
 def run_fig6(
-    params: Union["JobSpec", ExperimentParams],
+    spec: "JobSpec",
     *,
     bins: Sequence[Tuple[float, float]] = VIABLE_FIG6_BINS,
     configs_per_bin: Optional[int] = None,
@@ -116,19 +114,18 @@ def run_fig6(
 ) -> Fig6Result:
     """Run the Figure 6 experiment.
 
-    The canonical input is a :class:`~repro.apispec.JobSpec`; a bare
-    :class:`ExperimentParams` still works for one release (with a
-    ``DeprecationWarning``).  ``params.n_configs`` configurations are
-    split evenly across the absence bins unless ``configs_per_bin`` is
-    given.  Each sampled configuration must pass the viability screen
-    *and* have its optimal probe differ from the target -- a rare
-    combination (a few percent of random configurations), hence the
-    generous rejection-sampling budget ``max_attempts_factor``.
+    ``spec`` is a :class:`~repro.apispec.JobSpec`; anything else raises
+    ``TypeError``.  Its ``n_configs`` configurations are split evenly
+    across the absence bins unless ``configs_per_bin`` is given.  Each
+    sampled configuration must pass the viability screen *and* have its
+    optimal probe differ from the target -- a rare combination (a few
+    percent of random configurations), hence the generous
+    rejection-sampling budget ``max_attempts_factor``.
     """
-    from repro.apispec import coerce_spec
+    from repro.apispec import require_spec
     from repro.countermeasures.registry import single_defense_factory
 
-    spec, params = coerce_spec(params, experiment="fig6", caller="run_fig6")
+    spec, params = require_spec(spec, caller="run_fig6")
     defense_factory = single_defense_factory(
         spec.defense, caller="run_fig6"
     )

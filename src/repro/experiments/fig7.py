@@ -17,15 +17,14 @@ beat the random attacker comfortably.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.deprecation import keyword_only
 from repro.experiments.harness import (
     ConfigResult,
     sample_screened_harnesses,
 )
 from repro.experiments.parallel import ExecutionStats
-from repro.experiments.params import VIABLE_FIG7_BINS, ExperimentParams
+from repro.experiments.params import VIABLE_FIG7_BINS
 from repro.obs import get_instrumentation
 
 if TYPE_CHECKING:
@@ -131,9 +130,8 @@ class Fig7Result:
         return summary
 
 
-@keyword_only
 def run_fig7(
-    params: Union["JobSpec", ExperimentParams],
+    spec: "JobSpec",
     *,
     bins: Sequence[Tuple[float, float]] = VIABLE_FIG7_BINS,
     configs_per_bin: Optional[int] = None,
@@ -141,14 +139,13 @@ def run_fig7(
 ) -> Fig7Result:
     """Run the Figure 7 experiment (viability screen only).
 
-    The canonical input is a :class:`~repro.apispec.JobSpec`; a bare
-    :class:`ExperimentParams` still works for one release (with a
-    ``DeprecationWarning``).
+    ``spec`` is a :class:`~repro.apispec.JobSpec`; anything else raises
+    ``TypeError``.
     """
-    from repro.apispec import coerce_spec
+    from repro.apispec import require_spec
     from repro.countermeasures.registry import single_defense_factory
 
-    spec, params = coerce_spec(params, experiment="fig7", caller="run_fig7")
+    spec, params = require_spec(spec, caller="run_fig7")
     defense_factory = single_defense_factory(
         spec.defense, caller="run_fig7"
     )

@@ -8,7 +8,6 @@ detector-viability screen, and the trial loop producing accuracies.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,7 +24,6 @@ from repro.core.compact_model import CompactModel
 from repro.core.engine import ScoringStats
 from repro.core.inference import ReconInference
 from repro.core.recency import make_estimator
-from repro.deprecation import keyword_only
 from repro.experiments.params import ExperimentParams
 from repro.faults import FaultPlan
 from repro.experiments.parallel import (
@@ -75,7 +73,6 @@ class ConfigResult:
 class ConfigHarness:
     """Everything derived from one network configuration."""
 
-    @keyword_only
     def __init__(
         self,
         config: NetworkConfiguration,
@@ -92,7 +89,7 @@ class ConfigHarness:
         obs = get_instrumentation()
         self._obs = obs
 
-        with obs.phase("harness.model_build"), obs.span(
+        with obs.span(
             "harness.model_build",
             n_flows=len(config.universe),
             cache_size=config.cache_size,
@@ -115,7 +112,7 @@ class ConfigHarness:
             )
 
         self.naive_attacker = NaiveAttacker(config.target_flow)
-        with obs.phase("harness.probe_selection"), obs.span(
+        with obs.span(
             "harness.probe_selection", n_probes=params.n_probes
         ):
             self.model_attacker = ModelAttacker(
@@ -139,7 +136,7 @@ class ConfigHarness:
     def constrained_attacker(self) -> ConstrainedModelAttacker:
         """The Figure 7 attacker, selected lazily on first use."""
         if self._constrained_attacker is None:
-            with self._obs.phase("harness.probe_selection"), self._obs.span(
+            with self._obs.span(
                 "harness.probe_selection", n_probes=self.params.n_probes
             ):
                 self._constrained_attacker = ConstrainedModelAttacker(
@@ -191,7 +188,6 @@ class ConfigHarness:
             self.random_attacker,
         )
 
-    @keyword_only
     def run_trials(
         self,
         *,
@@ -233,7 +229,7 @@ class ConfigHarness:
                 + ", ".join(duplicates)
             )
         obs = self._obs
-        with obs.phase("harness.trials"), obs.span(
+        with obs.span(
             "experiment.trial_batch",
             trials=n_trials,
             jobs=trial_jobs,
@@ -286,7 +282,6 @@ class ConfigHarness:
         )
 
 
-@keyword_only
 def sample_screened_harnesses(
     params: ExperimentParams,
     n_configs: int,
@@ -339,7 +334,6 @@ def sample_screened_harnesses(
     max_attempts = max(1, n_configs) * max_attempts_factor
     harnesses: List[ConfigHarness] = []
     attempts = 0
-    started = time.perf_counter()
     pool = ForkPool(trial_jobs, name="experiment")
     # Decided once, before the first map creates any executor: workers
     # must never receive the caller's generator.
@@ -350,49 +344,51 @@ def sample_screened_harnesses(
         rng=generator.rng if in_parent else None,
     )
     batch_size = 1 if in_parent else SCREEN_BATCH_PER_WORKER * trial_jobs
-    try:
-        while len(harnesses) < n_configs:
-            remaining = max_attempts - attempts
-            if remaining <= 0:
-                raise RuntimeError(
-                    f"only {len(harnesses)}/{n_configs} configurations "
-                    f"accepted after {max_attempts + 1} attempts; relax "
-                    "the screens or the absence range"
-                )
-            batch: List[NetworkConfiguration] = []
-            states: List[dict] = []
-            for _ in range(min(batch_size, remaining)):
-                batch.append(generator.sample())
-                states.append(generator.rng.bit_generator.state)
+    with obs.span("experiment.screen", configs=n_configs, jobs=trial_jobs):
+        try:
+            while len(harnesses) < n_configs:
+                remaining = max_attempts - attempts
+                if remaining <= 0:
+                    raise RuntimeError(
+                        f"only {len(harnesses)}/{n_configs} configurations "
+                        f"accepted after {max_attempts + 1} attempts; relax "
+                        "the screens or the absence range"
+                    )
+                batch: List[NetworkConfiguration] = []
+                states: List[dict] = []
+                for _ in range(min(batch_size, remaining)):
+                    batch.append(generator.sample())
+                    states.append(generator.rng.bit_generator.state)
+                if execution is not None:
+                    execution.screen_batches += 1
+                # The previous batch's verdicts stay referenced until this
+                # map returns (see screening_verdicts on why that matters).
+                verdicts = pool.map(screening_verdicts, batch)
+                for config, state, (accepted, built) in zip(
+                    batch, states, verdicts
+                ):
+                    attempts += 1
+                    sampled.inc()
+                    if not accepted:
+                        screened_out.inc()
+                        continue
+                    if isinstance(built, ConfigHarness):
+                        harness = built
+                    else:
+                        harness = ConfigHarness(
+                            config, params, rng=generator.rng
+                        )
+                        if execution is not None:
+                            execution.harness_builds += 1
+                    harnesses.append(harness)
+                    if len(harnesses) == n_configs:
+                        # Rewind past the speculative tail: the generator
+                        # resumes just after the last consumed sample.
+                        generator.rng.bit_generator.state = state
+                        break
+            return harnesses
+        finally:
+            pool.close()
             if execution is not None:
-                execution.screen_batches += 1
-            # The previous batch's verdicts stay referenced until this
-            # map returns (see screening_verdicts on why that matters).
-            verdicts = pool.map(screening_verdicts, batch)
-            for config, state, (accepted, built) in zip(
-                batch, states, verdicts
-            ):
-                attempts += 1
-                sampled.inc()
-                if not accepted:
-                    screened_out.inc()
-                    continue
-                if isinstance(built, ConfigHarness):
-                    harness = built
-                else:
-                    harness = ConfigHarness(config, params, rng=generator.rng)
-                    if execution is not None:
-                        execution.harness_builds += 1
-                harnesses.append(harness)
-                if len(harnesses) == n_configs:
-                    # Rewind past the speculative tail: the generator
-                    # resumes just after the last consumed sample.
-                    generator.rng.bit_generator.state = state
-                    break
-        return harnesses
-    finally:
-        pool.close()
-        if execution is not None:
-            execution.pool_fallbacks += pool.fallbacks
-            execution.screen_attempts += attempts
-            execution.add_time("screen", time.perf_counter() - started)
+                execution.pool_fallbacks += pool.fallbacks
+                execution.screen_attempts += attempts

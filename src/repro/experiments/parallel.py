@@ -33,9 +33,8 @@ execution") for the determinism contract and the seed-stream layout.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,7 +61,7 @@ SCREEN_BATCH_PER_WORKER = 2
 # ----------------------------------------------------------------------
 @dataclass
 class ExecutionStats:
-    """Counters and stage timings for one experiment run.
+    """Counters for one experiment run.
 
     The experiment-layer sibling of
     :class:`~repro.core.engine.ScoringStats`: one instance threads
@@ -85,16 +84,10 @@ class ExecutionStats:
     harness_builds: int = 0
     #: Pool dispatches re-run serially after a fork-pool failure.
     pool_fallbacks: int = 0
-    #: Wall-clock seconds per stage (``trials``, ``screen``).
-    wall_times: Dict[str, float] = field(default_factory=dict)
-
-    def add_time(self, stage: str, seconds: float) -> None:
-        """Accumulate wall time for a named stage."""
-        self.wall_times[stage] = self.wall_times.get(stage, 0.0) + seconds
 
     def rows(self) -> List[List[object]]:
         """``[name, value]`` rows for plain-text tables (CLI output)."""
-        rows: List[List[object]] = [
+        return [
             ["n_jobs", self.n_jobs],
             ["trials", self.trials],
             ["trial chunks", self.trial_chunks],
@@ -103,9 +96,6 @@ class ExecutionStats:
             ["harness builds", self.harness_builds],
             ["pool fallbacks", self.pool_fallbacks],
         ]
-        for stage in sorted(self.wall_times):
-            rows.append([f"{stage} time (s)", f"{self.wall_times[stage]:.6f}"])
-        return rows
 
 
 # ----------------------------------------------------------------------
@@ -244,14 +234,12 @@ def run_planned_trials(
         fault_plan=fault_plan,
         probe_retries=int(probe_retries),
     )
-    started = time.perf_counter()
     with ForkPool(n_jobs, context, name="experiment") as pool:
         results = pool.map(run_planned_trial, plans)
     if execution is not None:
         execution.trials += len(results)
         execution.trial_chunks += pool.chunks
         execution.pool_fallbacks += pool.fallbacks
-        execution.add_time("trials", time.perf_counter() - started)
     return results
 
 

@@ -36,7 +36,6 @@ from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
-from repro.deprecation import keyword_only
 
 if TYPE_CHECKING:
     from repro.apispec import JobSpec
@@ -198,7 +197,6 @@ def _resolve_spec(
     return None, None
 
 
-@keyword_only
 def fig6_to_document(
     result: Fig6Result,
     *,
@@ -227,7 +225,6 @@ def fig6_to_document(
     ).to_json()
 
 
-@keyword_only
 def fig7_to_document(
     result: Fig7Result,
     *,
@@ -259,7 +256,6 @@ def fig7_to_document(
     ).to_json()
 
 
-@keyword_only
 def robustness_to_document(
     result: RobustnessResult,
     *,
@@ -291,7 +287,6 @@ def robustness_to_document(
     ).to_json()
 
 
-@keyword_only
 def defend_to_document(
     result: DefendResult,
     *,
@@ -328,7 +323,6 @@ def defend_to_document(
     ).to_json()
 
 
-@keyword_only
 def save_result(
     result: Union[Fig6Result, Fig7Result, RobustnessResult, DefendResult],
     path: PathLike,

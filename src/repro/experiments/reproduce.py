@@ -7,8 +7,9 @@ optionally archives the figure runs as JSON.  It is the programmatic
 equivalent of running the whole benchmark suite, packaged for scripts
 and notebooks::
 
+    from repro.apispec import JobSpec
     from repro.experiments.reproduce import reproduce_all
-    report = reproduce_all(scale=0.1, seed=7)
+    report = reproduce_all(JobSpec(experiment="reproduce", scale=0.1, seed=7))
     print(report.render())
     report.save("runs/2026-07-05")
 """
@@ -16,17 +17,13 @@ and notebooks::
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
-
-from repro.deprecation import keyword_only
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 if TYPE_CHECKING:
     from repro.apispec import JobSpec
 from repro.experiments.fig6 import Fig6Result, run_fig6
-from repro.faults import FaultPlan
 from repro.experiments.fig7 import Fig7Result, run_fig7
 from repro.obs import get_instrumentation
 from repro.experiments.report import (
@@ -153,31 +150,17 @@ class ReproductionReport:
         return directory
 
 
-#: Sentinel distinguishing "not passed" from any real value, so the
-#: legacy keyword form can be detected (and rejected next to a spec).
-_UNSET: Any = object()
-
-
-@keyword_only
 def reproduce_all(
-    spec: Optional["JobSpec"] = None,
+    spec: "JobSpec",
     *,
-    scale: float = _UNSET,
-    seed: Optional[int] = _UNSET,
-    trial_mode: str = _UNSET,
     timing_samples: int = 300,
-    fault_plan: Optional[FaultPlan] = _UNSET,
-    probe_retries: int = _UNSET,
-    trial_jobs: int = _UNSET,
 ) -> ReproductionReport:
     """Regenerate every artifact at a fraction of the paper's size.
 
-    The canonical input is a :class:`~repro.apispec.JobSpec` (its
-    ``scale``/``seed``/``trial_mode``/``fault_plan``/``probe_retries``/
-    ``trial_jobs`` fields drive the run; ``scale=None`` means the
-    default 0.1).  The legacy keyword form still works for one release
-    and emits a ``DeprecationWarning``; its defaults (``seed=2017``,
-    ``trial_mode="table"``) are unchanged.
+    ``spec`` is a :class:`~repro.apispec.JobSpec` (anything else raises
+    ``TypeError``): its ``scale``/``seed``/``trial_mode``/``fault_plan``/
+    ``probe_retries``/``trial_jobs`` fields drive the run, and
+    ``scale=None`` means the default 0.1.
 
     ``scale=1.0`` is the paper's 100 configurations x 100 trials (hours
     on one core; the sampling screens dominate).  ``fault_plan`` /
@@ -187,48 +170,9 @@ def reproduce_all(
     trial loops across a fork pool without changing a single number
     (EXPERIMENTS.md, "Parallel execution").
     """
-    from repro.apispec import JobSpec
+    from repro.apispec import require_spec
 
-    legacy = {
-        name: value
-        for name, value in (
-            ("scale", scale),
-            ("seed", seed),
-            ("trial_mode", trial_mode),
-            ("fault_plan", fault_plan),
-            ("probe_retries", probe_retries),
-            ("trial_jobs", trial_jobs),
-        )
-        if value is not _UNSET
-    }
-    if spec is None:
-        warnings.warn(
-            "reproduce_all: the keyword form is deprecated and will stop "
-            "working in a future release; pass a repro.apispec.JobSpec "
-            "(experiment='reproduce')",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        spec = JobSpec(
-            experiment="reproduce",
-            scale=legacy.get("scale", 0.1),
-            seed=legacy.get("seed", 2017),
-            trial_mode=legacy.get("trial_mode", "table"),
-            fault_plan=legacy.get("fault_plan"),
-            probe_retries=legacy.get("probe_retries", 0),
-            trial_jobs=legacy.get("trial_jobs", 1),
-        )
-    else:
-        if not isinstance(spec, JobSpec):
-            raise TypeError(
-                "reproduce_all: expected a JobSpec, "
-                f"got {type(spec).__name__}"
-            )
-        if legacy:
-            raise TypeError(
-                "reproduce_all: pass everything on the JobSpec; got both "
-                f"a spec and legacy keyword(s) {', '.join(sorted(legacy))}"
-            )
+    require_spec(spec, caller="reproduce_all")
     run_scale = spec.scale if spec.scale is not None else 0.1
     run_spec = replace(
         spec,
@@ -239,17 +183,17 @@ def reproduce_all(
     obs = get_instrumentation()
 
     start = time.perf_counter()
-    with obs.span("reproduce.fig6"), obs.phase("reproduce.fig6"):
+    with obs.span("reproduce.fig6"):
         fig6 = run_fig6(replace(run_spec, experiment="fig6"))
     elapsed["fig6"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    with obs.span("reproduce.fig7"), obs.phase("reproduce.fig7"):
+    with obs.span("reproduce.fig7"):
         fig7 = run_fig7(replace(run_spec, experiment="fig7"))
     elapsed["fig7"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    with obs.span("reproduce.timing"), obs.phase("reproduce.timing"):
+    with obs.span("reproduce.timing"):
         timing = timing_table(n_samples=timing_samples, seed=spec.seed or 0)
     elapsed["timing"] = time.perf_counter() - start
 

@@ -29,12 +29,10 @@ baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.deprecation import keyword_only
 from repro.experiments.harness import ConfigResult, sample_screened_harnesses
 from repro.experiments.parallel import ExecutionStats
-from repro.experiments.params import ExperimentParams
 from repro.faults import FAULT_KINDS, FaultPlan
 from repro.obs import Instrumentation, get_instrumentation, use_instrumentation
 
@@ -139,9 +137,8 @@ def _snapshot_counters(instrumentation: Instrumentation) -> Dict[str, int]:
     }
 
 
-@keyword_only
 def run_robustness(
-    params: Union["JobSpec", ExperimentParams],
+    spec: "JobSpec",
     *,
     rates: Optional[Sequence[float]] = None,
     kinds: Optional[Sequence[str]] = None,
@@ -151,21 +148,18 @@ def run_robustness(
 ) -> RobustnessResult:
     """Run the accuracy-vs-fault-rate sweep.
 
-    The canonical input is a :class:`~repro.apispec.JobSpec` (whose
-    ``rates``/``kinds`` fields supply the grid unless overridden here);
-    a bare :class:`ExperimentParams` still works for one release with a
-    ``DeprecationWarning``.  ``params.fault_plan`` (or an all-zero
+    ``spec`` is a :class:`~repro.apispec.JobSpec` (whose ``rates``/
+    ``kinds`` fields supply the grid unless overridden here); anything
+    else raises ``TypeError``.  ``spec.fault_plan`` (or an all-zero
     plan) is the base: each swept rate is applied to every kind in
     ``kinds`` on top of it.  The screened configurations are sampled
     once -- the same worlds are re-trialled at every rate -- and
-    ``params.probe_retries`` governs the attacker's retransmission
+    ``spec.probe_retries`` governs the attacker's retransmission
     budget throughout.
     """
-    from repro.apispec import coerce_spec
+    from repro.apispec import require_spec
 
-    spec, params = coerce_spec(
-        params, experiment="robustness", caller="run_robustness"
-    )
+    spec, params = require_spec(spec, caller="run_robustness")
     if rates is None:
         rates = spec.rates if spec.rates is not None else DEFAULT_RATES
     if kinds is None:

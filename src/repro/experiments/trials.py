@@ -36,7 +36,6 @@ from typing import (
 import numpy as np
 
 from repro.core.attacker import Attacker
-from repro.deprecation import keyword_only
 from repro.faults import FaultInjector, FaultPlan
 from repro.flows.arrival import Arrival, occurred_in_window, sample_schedule
 from repro.flows.config import NetworkConfiguration
@@ -335,7 +334,6 @@ def run_adaptive_trial(
     )
 
 
-@keyword_only
 def run_trial(
     config: NetworkConfiguration,
     attackers: Sequence[Attacker],

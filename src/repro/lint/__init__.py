@@ -14,7 +14,7 @@ MUT001    in-place mutation of cached model/inference arrays
 STO001    transition-matrix construction without ``validate_stochastic``
 DET001    iteration over unordered sets feeding downstream computation
 PY001     mutable default arguments and float ``==`` comparisons
-OBS001    ``span()`` / ``phase()`` called without ``with``
+OBS001    ``span()`` called without ``with``
 ========  ==========================================================
 
 Findings carry precise ``path:line:col`` locations and can be

@@ -1,17 +1,17 @@
-"""OBS001 -- spans and phase timers must be used as context managers.
+"""OBS001 -- spans must be used as context managers.
 
-:meth:`repro.obs.Tracer.span` and :meth:`repro.obs.PhaseProfiler.phase`
-return context managers; the measurement only happens between
-``__enter__`` and ``__exit__``.  A bare statement call::
+:meth:`repro.obs.Tracer.span` returns a context manager; the
+measurement only happens between ``__enter__`` and ``__exit__``.  A
+bare statement call::
 
     obs.span("engine.select")          # opened, never finished
-    timer = obs.phase("model_build")   # never entered at all
+    timer = obs.span("model_build")    # never entered at all
 
 either leaks an unfinished span into the trace (breaking NDJSON export,
 which requires every record to carry a duration) or silently records
-nothing.  The rule flags ``span(...)`` / ``phase(...)`` calls used as a
-bare expression statement or assigned without entering them; the fix is
-always ``with obs.span(...):`` / ``with obs.phase(...) as t:``.
+nothing.  The rule flags ``span(...)`` calls used as a bare expression
+statement or assigned without entering them; the fix is always
+``with obs.span(...):`` / ``with obs.span(...) as s:``.
 
 Calls whose value is consumed some other way (returned, passed along,
 used as a ``with`` context expression) are fine: wrapper APIs such as
@@ -27,7 +27,7 @@ from repro.lint.base import LintRule, ModuleSource, call_endpoint
 from repro.lint.findings import Finding
 
 #: Observability endpoints that return context managers.
-CONTEXT_ENDPOINTS: FrozenSet[str] = frozenset({"phase", "span"})
+CONTEXT_ENDPOINTS: FrozenSet[str] = frozenset({"span"})
 
 
 def _is_obs_context_call(node: ast.expr) -> bool:
@@ -38,11 +38,11 @@ def _is_obs_context_call(node: ast.expr) -> bool:
 
 
 class ObservabilityContextRule(LintRule):
-    """OBS001: span/phase opened without a context manager."""
+    """OBS001: span opened without a context manager."""
 
     rule_id: ClassVar[str] = "OBS001"
     summary: ClassVar[str] = (
-        "span()/phase() return context managers; a bare call or plain "
+        "span() returns a context manager; a bare call or plain "
         "assignment never records -- use 'with'"
     )
 

@@ -1,4 +1,4 @@
-"""Observability: metrics, tracing, and profiling behind one stable API.
+"""Observability: metrics and tracing behind one stable API.
 
 Public surface:
 
@@ -6,9 +6,9 @@ Public surface:
   default do-nothing instance;
 * :func:`get_instrumentation` / :func:`set_instrumentation` /
   :func:`use_instrumentation` -- the current-backend plumbing;
-* :func:`counter_inc` / :func:`span` / :func:`phase` -- module-level
-  hooks that act on the current backend;
-* ``repro.obs.metrics`` / ``repro.obs.trace`` / ``repro.obs.profile``
+* :func:`counter_inc` / :func:`span` -- module-level hooks that act
+  on the current backend;
+* ``repro.obs.metrics`` / ``repro.obs.trace`` / ``repro.obs.stats``
   -- the underlying primitives, importable directly.
 
 See ``docs/OBSERVABILITY.md`` for the metric-name catalogue and the
@@ -21,7 +21,6 @@ from repro.obs.api import (
     NullInstrumentation,
     counter_inc,
     get_instrumentation,
-    phase,
     set_instrumentation,
     span,
     use_instrumentation,
@@ -33,7 +32,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profile import PhaseProfiler
 from repro.obs.stats import format_table, summarize_spans
 from repro.obs.trace import Span, Tracer, read_ndjson
 
@@ -46,13 +44,11 @@ __all__ = [
     "set_instrumentation",
     "use_instrumentation",
     "span",
-    "phase",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKET_BOUNDS",
-    "PhaseProfiler",
     "Span",
     "Tracer",
     "read_ndjson",

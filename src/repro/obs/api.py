@@ -1,13 +1,13 @@
 """The stable observability facade: :class:`Instrumentation`.
 
-One object bundles the three pillars -- metrics registry, span tracer,
-phase profiler -- behind the surface the rest of the codebase talks to::
+One object bundles the two surfaces -- metrics registry and span
+tracer -- behind the API the rest of the codebase talks to::
 
     from repro.obs import Instrumentation, use_instrumentation
 
     obs = Instrumentation()
     with use_instrumentation(obs):
-        run_fig6(params=params)
+        run_fig6(spec)
     obs.write_trace("trace.ndjson")
     obs.write_metrics("metrics.json")
 
@@ -23,7 +23,7 @@ library is silent unless a caller opts in.
         obs.histogram("engine.score.batch_ms").observe(elapsed_ms)
 
 This is the one stable public API for observability; module paths
-``repro.obs.metrics`` / ``repro.obs.trace`` / ``repro.obs.profile``
+``repro.obs.metrics`` / ``repro.obs.trace`` / ``repro.obs.stats``
 carry the underlying primitives.
 """
 
@@ -41,16 +41,16 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullMetricsRegistry,
 )
-from repro.obs.profile import NullPhaseProfiler, Phase, PhaseProfiler
 from repro.obs.sanitize import checkpoint as _sanitize_checkpoint
 from repro.obs.sanitize import is_active as _sanitize_active
+from repro.obs.stats import summarize_spans
 from repro.obs.trace import NullTracer, Span, Tracer
 
 PathLike = Union[str, Path]
 
 
 class _SanitizedBoundary:
-    """Wraps a span/phase so the determinism sanitizer checks fire on
+    """Wraps a span so the determinism sanitizer checks fire on
     clean exit (see :mod:`repro.obs.sanitize`); built only while the
     sanitizer is active, so the disabled path never allocates."""
 
@@ -73,7 +73,7 @@ class _SanitizedBoundary:
 
 
 class Instrumentation:
-    """A recording observability backend: metrics + tracing + profiling."""
+    """A recording observability backend: metrics + tracing."""
 
     #: Hot paths may consult this to skip measurement setup when the
     #: backend discards everything anyway.
@@ -82,7 +82,6 @@ class Instrumentation:
     def __init__(self) -> None:
         self.metrics: MetricsRegistry = MetricsRegistry()
         self.tracer: Tracer = Tracer()
-        self.profiler: PhaseProfiler = PhaseProfiler()
 
     # -- shortcuts -----------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -107,19 +106,19 @@ class Instrumentation:
             )
         return self.tracer.span(name, **attrs)
 
-    def phase(self, name: str) -> Phase:
-        """Open a wall/CPU profiling phase (context manager)."""
-        if _sanitize_active():
-            return _SanitizedBoundary(  # type: ignore[return-value]
-                self.profiler.phase(name), f"phase:{name}"
-            )
-        return self.profiler.phase(name)
-
     # -- export --------------------------------------------------------
     def metrics_document(self) -> Dict[str, object]:
-        """The metrics registry plus per-phase profile as one document."""
+        """The metrics registry plus per-span-name times as one document.
+
+        ``phases`` maps each span name to its count and its inclusive
+        (``wall_s``/``cpu_s``) and exclusive (``self_s``/``self_cpu_s``)
+        times, as :func:`repro.obs.stats.summarize_spans` derives them.
+        """
         document = self.metrics.to_document()
-        document["phases"] = self.profiler.to_document()
+        rows = summarize_spans(
+            [span.to_json() for span in self.tracer.records]
+        )
+        document["phases"] = {str(row.pop("name")): row for row in rows}
         return document
 
     def write_metrics(self, path: PathLike) -> Path:
@@ -150,7 +149,6 @@ class NullInstrumentation(Instrumentation):
     def __init__(self) -> None:
         self.metrics = NullMetricsRegistry()
         self.tracer = NullTracer()
-        self.profiler = NullPhaseProfiler()
 
     def write_metrics(self, path: PathLike) -> Path:
         raise RuntimeError("the null instrumentation records no metrics")
@@ -197,8 +195,3 @@ def counter_inc(name: str, value: int = 1) -> None:
 def span(name: str, **attrs: object) -> Span:
     """Open a span on the *current* instrumentation."""
     return _current.span(name, **attrs)
-
-
-def phase(name: str) -> Phase:
-    """Open a profiling phase on the *current* instrumentation."""
-    return _current.phase(name)

@@ -8,7 +8,7 @@ runtime, with zero cost when disabled:
   read-only arrays (``evolution``, ``prefix_distribution``,
   ``dist_full``, the compact model's membership/coverage/CSR buffers).
   Registered arrays are checksummed (CRC32) when guarded and
-  re-verified at every observability phase/span boundary: a thawed
+  re-verified at every observability span boundary: a thawed
   ``writeable`` flag or a drifted checksum raises
   :class:`DeterminismError` at the first boundary after the corruption,
   instead of as a wrong number three experiments later.
@@ -16,7 +16,7 @@ runtime, with zero cost when disabled:
   ``np.random.default_rng()`` *without* a seed raises immediately (an
   OS-entropy draw makes the whole run unreproducible), and registered
   generators have their bit-generator state hashed at each boundary, so
-  two runs of the same seed can be diffed phase-by-phase via
+  two runs of the same seed can be diffed span-by-span via
   :func:`report`.
 
 Activation is explicit: the CLI's ``--sanitize`` flag or the

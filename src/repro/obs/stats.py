@@ -1,66 +1,85 @@
-"""Summarise NDJSON trace files into per-span-name aggregates.
+"""Aggregate span records into inclusive and exclusive time per name.
 
-Backs the ``repro-sdn stats`` subcommand: read a trace produced with
-``--trace``, group spans by name, and report count / total / mean /
-min / max durations, sorted by total time descending so the biggest
-consumers lead the table.
+One aggregation serves both views of a run: ``repro-sdn stats`` reads a
+trace produced with ``--trace`` and prints it as a table, and
+:meth:`repro.obs.Instrumentation.metrics_document` exports it as the
+``phases`` block of ``--metrics``.  Per span name it reports the count,
+the total (inclusive) wall and CPU time, and the self (exclusive) wall
+and CPU time: each span's own duration minus its direct children's.
+Self times telescope, so over one root's subtree they sum to the root's
+duration -- the table accounts for every second of the traced run.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Union
 
+Row = Dict[str, Union[str, int, float]]
 
-def summarize_spans(
-    records: List[Dict[str, object]]
-) -> List[Dict[str, Union[str, int, float]]]:
-    """Aggregate span records (from ``trace.read_ndjson``) by name.
+#: Per-name aggregate keys, in table column order after ``name``.
+ROW_KEYS = ("count", "wall_s", "self_s", "cpu_s", "self_cpu_s")
 
-    Returns one row per span name with keys ``name``, ``count``,
-    ``total_ms``, ``mean_ms``, ``min_ms``, ``max_ms``, sorted by
-    ``total_ms`` descending (ties broken by name for determinism).
-    Spans without a recorded duration (still open at export) are
-    skipped.
+
+def _cpu(record: Dict[str, object]) -> float:
+    """A record's CPU seconds (0.0 for traces written without them)."""
+    cpu = record.get("cpu_s")
+    return float(cpu) if isinstance(cpu, (int, float)) else 0.0
+
+
+def summarize_spans(records: List[Dict[str, object]]) -> List[Row]:
+    """Aggregate span records (``Span.to_json`` / ``read_ndjson``) by name.
+
+    Returns one row per span name with ``name`` and :data:`ROW_KEYS`,
+    sorted by ``wall_s`` descending (ties broken by name for
+    determinism).  Spans without a recorded duration (still open at
+    export) are skipped, and do not count as anyone's children.
     """
-    grouped: Dict[str, List[float]] = {}
-    for record in records:
-        duration = record.get("duration_s")
-        if not isinstance(duration, (int, float)):
-            continue
-        grouped.setdefault(str(record["name"]), []).append(float(duration))
+    finished = [
+        record
+        for record in records
+        if isinstance(record.get("duration_s"), (int, float))
+    ]
+    child_wall: Dict[object, float] = {}
+    child_cpu: Dict[object, float] = {}
+    for record in finished:
+        parent = record.get("parent_id")
+        if parent is not None:
+            child_wall[parent] = child_wall.get(parent, 0.0) + float(
+                record["duration_s"]  # type: ignore[arg-type]
+            )
+            child_cpu[parent] = child_cpu.get(parent, 0.0) + _cpu(record)
 
-    rows: List[Dict[str, Union[str, int, float]]] = []
-    for name in sorted(grouped):
-        durations_ms = [d * 1000.0 for d in grouped[name]]
-        total = sum(durations_ms)
-        rows.append(
-            {
-                "name": name,
-                "count": len(durations_ms),
-                "total_ms": total,
-                "mean_ms": total / len(durations_ms),
-                "min_ms": min(durations_ms),
-                "max_ms": max(durations_ms),
-            }
-        )
-    rows.sort(key=lambda row: (-float(row["total_ms"]), str(row["name"])))
+    totals: Dict[str, List[float]] = {}
+    for record in finished:
+        wall = float(record["duration_s"])  # type: ignore[arg-type]
+        cpu = _cpu(record)
+        span_id = record.get("span_id")
+        sums = totals.setdefault(str(record["name"]), [0.0] * len(ROW_KEYS))
+        for index, value in enumerate((
+            1.0,
+            wall,
+            wall - child_wall.get(span_id, 0.0),
+            cpu,
+            cpu - child_cpu.get(span_id, 0.0),
+        )):
+            sums[index] += value
+    rows: List[Row] = []
+    for name, sums in totals.items():
+        row: Row = {"name": name, "count": int(sums[0])}
+        row.update(zip(ROW_KEYS[1:], sums[1:]))
+        rows.append(row)
+    rows.sort(key=lambda row: (-float(row["wall_s"]), str(row["name"])))
     return rows
 
 
-def format_table(rows: List[Dict[str, Union[str, int, float]]]) -> str:
-    """Render summary rows as an aligned plain-text table."""
-    headers = ("span", "count", "total_ms", "mean_ms", "min_ms", "max_ms")
+def format_table(rows: List[Row]) -> str:
+    """Render summary rows as an aligned plain-text table (seconds)."""
+    headers = ("span",) + ROW_KEYS
     if not rows:
         return "trace contains no finished spans"
     body = [
-        (
-            str(row["name"]),
-            str(row["count"]),
-            f"{float(row['total_ms']):.3f}",
-            f"{float(row['mean_ms']):.3f}",
-            f"{float(row['min_ms']):.3f}",
-            f"{float(row['max_ms']):.3f}",
-        )
+        (str(row["name"]), str(row["count"]))
+        + tuple(f"{float(row[key]):.6f}" for key in ROW_KEYS[1:])
         for row in rows
     ]
     widths = [

@@ -6,10 +6,13 @@ A :class:`Tracer` hands out context-managed spans::
         ...
 
 Each span records monotonic start/duration (``time.perf_counter``, never
-wall-clock, so traces are immune to NTP steps), its nesting depth, and a
-parent/child link, and is appended to the tracer's record list when the
-``with`` block exits.  Traces serialise to NDJSON -- one JSON object per
-line -- which streams, greps, and diffs better than one giant document.
+wall-clock, so traces are immune to NTP steps), the process CPU time it
+spent (``time.process_time``), its nesting depth, and a parent/child
+link, and is appended to the tracer's record list when the ``with``
+block exits.  :mod:`repro.obs.stats` derives inclusive and exclusive
+wall/CPU time per span name from those links.  Traces serialise to
+NDJSON -- one JSON object per line -- which streams, greps, and diffs
+better than one giant document.
 
 The :class:`NullTracer` is the default backend's counterpart: its
 ``span()`` returns one shared inert context manager, so tracing code on
@@ -29,7 +32,8 @@ PathLike = Union[str, Path]
 #: Version stamp written into every span record.
 TRACE_SCHEMA_VERSION = 1
 
-#: Keys every exported span record must carry.
+#: Keys every exported span record must carry (``cpu_s`` is optional:
+#: traces written before spans read the CPU clock lack it).
 REQUIRED_SPAN_KEYS = ("span_id", "name", "start_s", "duration_s", "depth")
 
 #: JSON-safe attribute value types.
@@ -39,8 +43,10 @@ _ATTR_TYPES = (str, int, float, bool, type(None))
 class Span:
     """One timed region, used as a context manager.
 
-    ``duration_s`` is ``None`` while the span is open and set from the
-    monotonic clock when the ``with`` block exits.
+    ``duration_s`` and ``cpu_s`` are ``None`` while the span is open and
+    set from the monotonic and process CPU clocks when the ``with`` block
+    exits.  CPU time only covers this process: work a fork pool does on
+    the span's behalf shows as wall time without matching CPU time.
     """
 
     __slots__ = (
@@ -51,6 +57,8 @@ class Span:
         "depth",
         "start_s",
         "duration_s",
+        "cpu_s",
+        "_cpu_start",
         "status",
         "attrs",
     )
@@ -71,6 +79,8 @@ class Span:
         self.depth = depth
         self.start_s: Optional[float] = None
         self.duration_s: Optional[float] = None
+        self.cpu_s: Optional[float] = None
+        self._cpu_start = 0.0
         self.status = "ok"
         self.attrs = attrs
 
@@ -81,6 +91,7 @@ class Span:
         self.attrs[key] = value
 
     def __enter__(self) -> "Span":
+        self._cpu_start = time.process_time()
         self.start_s = time.perf_counter() - self.tracer.epoch
         return self
 
@@ -88,6 +99,7 @@ class Span:
         if self.start_s is None:  # pragma: no cover - misuse guard
             raise RuntimeError(f"span {self.name!r} exited before entry")
         self.duration_s = (time.perf_counter() - self.tracer.epoch) - self.start_s
+        self.cpu_s = time.process_time() - self._cpu_start
         if exc_type is not None:
             self.status = "error"
         self.tracer._finish(self)
@@ -102,6 +114,7 @@ class Span:
             "depth": self.depth,
             "start_s": self.start_s,
             "duration_s": self.duration_s,
+            "cpu_s": self.cpu_s,
             "status": self.status,
         }
         if self.attrs:
@@ -169,7 +182,7 @@ class Tracer:
 
 
 class NullSpan(Span):
-    """Inert span: enter/exit do nothing, attributes vanish."""
+    """Inert span: enter/exit read no clock, attributes vanish."""
 
     __slots__ = ()
 
@@ -182,6 +195,7 @@ class NullSpan(Span):
         self.depth = 0
         self.start_s = None
         self.duration_s = None
+        self.cpu_s = None
         self.status = "ok"
         self.attrs = {}
 

@@ -204,7 +204,7 @@ class ReconService:
         obs = get_instrumentation()
         generator = ConfigGenerator(params.config, seed=spec.seed)
         scenario = generator.sample()
-        with obs.phase("service.model_build"), obs.span(
+        with obs.span(
             "service.model_build", job=spec.job_id or ""
         ):
             model = CompactModel(

@@ -180,7 +180,6 @@ def test_stats_populated():
     assert stats.sequences_scored > 0
     assert stats.batches > 0
     assert stats.cache_misses > 0
-    assert "total" in stats.wall_times
     # A second selection on the same inference reuses the caches.
     engine = ProbeScoringEngine(inference)
     again = engine.best_set(2, method="exhaustive")

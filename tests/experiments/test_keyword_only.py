@@ -1,92 +1,41 @@
-"""The keyword-only public API and its positional deprecation shims."""
+"""The keyword-only public API: positional overflow is a ``TypeError``."""
 
 import warnings
 
 import pytest
 
 from repro.core.selection import best_probe_set, best_single_probe
-from repro.deprecation import keyword_only
 from repro.experiments.harness import ConfigHarness
 from repro.experiments.params import ExperimentParams
 
 
-class TestDecorator:
-    def test_keyword_call_passes_silently(self):
-        @keyword_only
-        def endpoint(base, *, alpha=1, beta=2):
-            return (base, alpha, beta)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert endpoint(0, alpha=5) == (0, 5, 2)
-
-    def test_positional_overflow_remaps_with_warning(self):
-        @keyword_only
-        def endpoint(base, *, alpha=1, beta=2):
-            return (base, alpha, beta)
-
-        with pytest.warns(DeprecationWarning, match="alpha, beta"):
-            assert endpoint(0, 5, 6) == (0, 5, 6)
-
-    def test_too_many_positionals_is_a_typeerror(self):
-        @keyword_only
-        def endpoint(base, *, alpha=1):
-            return (base, alpha)
-
-        with pytest.raises(TypeError, match="at most 2 arguments"):
-            endpoint(0, 1, 2)
-
-    def test_duplicate_argument_is_a_typeerror(self):
-        @keyword_only
-        def endpoint(base, *, alpha=1):
-            return (base, alpha)
-
-        with pytest.raises(TypeError, match="multiple values"), \
-                pytest.warns(DeprecationWarning):
-            endpoint(0, 5, alpha=6)
-
-    def test_wrapper_preserves_identity(self):
-        @keyword_only
-        def endpoint(base, *, alpha=1):
-            """Docstring survives."""
-            return base
-
-        assert endpoint.__name__ == "endpoint"
-        assert "survives" in endpoint.__doc__
-
-
 @pytest.fixture(scope="module")
-def inference():
-    harness = ConfigHarness.sample(ExperimentParams(seed=5))
-    return harness.inference
+def harness():
+    return ConfigHarness.sample(
+        ExperimentParams(n_trials=5, seed=5, trial_mode="table")
+    )
 
 
 class TestPublicEntryPoints:
-    def test_best_single_probe_positional_candidates_warns(self, inference):
-        candidates = [0, 1, 2]
-        with pytest.warns(DeprecationWarning, match="best_single_probe"):
-            legacy = best_single_probe(inference, candidates)
-        modern = best_single_probe(inference, candidates=candidates)
-        assert legacy.probes == modern.probes
-        assert legacy.gain == modern.gain
+    # Each positional overflow below used to be remapped onto the
+    # keyword-only parameters with a DeprecationWarning; it now raises.
+    def test_best_single_probe_positional_candidates_warns_no_longer(
+        self, harness
+    ):
+        with pytest.raises(TypeError):
+            best_single_probe(harness.inference, [0, 1, 2])
 
-    def test_best_probe_set_positional_candidates_warns(self, inference):
-        candidates = [0, 1, 2]
-        with pytest.warns(DeprecationWarning, match="candidates"):
-            legacy = best_probe_set(inference, 2, candidates)
-        modern = best_probe_set(inference, 2, candidates=candidates)
-        assert legacy.probes == modern.probes
+    def test_best_probe_set_positional_candidates_warns_no_longer(self, harness):
+        # ``None`` used to be remapped onto ``candidates``.
+        with pytest.raises(TypeError):
+            best_probe_set(harness.inference, 2, None)
 
-    def test_run_trials_positional_n_trials_warns(self):
-        harness = ConfigHarness.sample(
-            ExperimentParams(n_trials=5, seed=5, trial_mode="table")
-        )
-        with pytest.warns(DeprecationWarning, match="n_trials"):
-            legacy = harness.run_trials(2)
-        assert legacy.trials == 2
+    def test_run_trials_positional_n_trials_warns_no_longer(self, harness):
+        with pytest.raises(TypeError):
+            harness.run_trials(2)
 
-    def test_keyword_calls_do_not_warn(self, inference):
+    def test_keyword_calls_do_not_warn(self, harness):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            best_single_probe(inference, candidates=[0, 1])
-            best_probe_set(inference, 2, candidates=[0, 1, 2])
+            best_single_probe(harness.inference, candidates=[0, 1])
+            best_probe_set(harness.inference, 2, candidates=[0, 1, 2])

@@ -15,8 +15,6 @@ the fig6 case-split screens, and the fork-pool screening fan-out
 (``--trial-jobs``).
 """
 
-import pytest
-
 from repro.apispec import JobSpec
 from repro.core import cnative
 from repro.experiments import fastscreen, trials
@@ -38,8 +36,6 @@ from tests.experiments.conftest import (
     tiny_config_params,
     tiny_experiment_params,
 )
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 BINS = ((0.5, 0.75), (0.75, 0.95))
 
@@ -76,7 +72,8 @@ class TestFig6:
         params = tiny_experiment_params(n_trials=10, seed=61)
 
         def run():
-            result = run_fig6(params, bins=BINS, configs_per_bin=2)
+            spec = JobSpec.from_params(params, experiment="fig6")
+            result = run_fig6(spec, bins=BINS, configs_per_bin=2)
             return fig6_to_document(result, params=params)
 
         oracle, production = run_both(run)
@@ -88,7 +85,8 @@ class TestFig7:
         params = tiny_experiment_params(n_trials=10, seed=71)
 
         def run():
-            result = run_fig7(params, bins=BINS, configs_per_bin=2)
+            spec = JobSpec.from_params(params, experiment="fig7")
+            result = run_fig7(spec, bins=BINS, configs_per_bin=2)
             return fig7_to_document(result, params=params)
 
         oracle, production = run_both(run)
@@ -104,7 +102,8 @@ class TestRobustness:
         )
 
         def run():
-            result = run_robustness(params, rates=(0.0, 1.0))
+            spec = JobSpec.from_params(params, experiment="robustness")
+            result = run_robustness(spec, rates=(0.0, 1.0))
             return robustness_to_document(result, params=params)
 
         oracle, production = run_both(run)
@@ -141,7 +140,8 @@ class TestTrialJobs:
             params = tiny_experiment_params(
                 n_trials=10, seed=61, trial_jobs=trial_jobs
             )
-            result = run_fig6(params, bins=BINS, configs_per_bin=2)
+            spec = JobSpec.from_params(params, experiment="fig6")
+            result = run_fig6(spec, bins=BINS, configs_per_bin=2)
             document = fig6_to_document(result, params=params)
             return {
                 key: document[key]

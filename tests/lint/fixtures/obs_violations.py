@@ -1,4 +1,4 @@
-"""OBS001 fixture: spans/phases opened without a context manager.
+"""OBS001 fixture: spans opened without a context manager.
 
 Never imported -- parsed by the lint tests.  Lines carrying a
 ``expect[RULE]`` marker must produce exactly that finding.
@@ -10,23 +10,19 @@ def bare_span_statement(obs):
     return obs
 
 
-def bare_phase_statement(profiler):
-    profiler.phase("model_build")  # expect[OBS001]
-
-
 def span_assigned_but_never_entered(tracer):
     pending = tracer.span("experiment.trial", trial=0)  # expect[OBS001]
     return pending
 
 
 def annotated_assignment(obs):
-    timer: object = obs.phase("harness.trials")  # expect[OBS001]
+    timer: object = obs.span("experiment.trial_batch")  # expect[OBS001]
     return timer
 
 
 def with_block_is_fine(obs):
     with obs.span("engine.select", method="exhaustive"):
-        with obs.phase("scoring") as timer:
+        with obs.span("engine.score") as timer:
             return timer
 
 

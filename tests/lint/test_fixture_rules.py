@@ -43,7 +43,7 @@ FIXTURE_CASES = [
     ("sto_violations.py", "STO001", 3),
     ("det_violations.py", "DET001", 5),
     ("py_violations.py", "PY001", 6),
-    ("obs_violations.py", "OBS001", 4),
+    ("obs_violations.py", "OBS001", 3),
 ]
 
 

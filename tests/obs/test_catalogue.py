@@ -1,8 +1,8 @@
-"""Every emitted metric, span and phase name is in the catalogue.
+"""Every emitted metric and span name is in the catalogue.
 
 Walks the AST of every module under ``src/repro`` and collects the
 literal first argument of each ``counter``/``gauge``/``histogram``/
-``span``/``phase``/``counter_inc`` call, then checks each name appears
+``span``/``counter_inc`` call, then checks each name appears
 in docs/OBSERVABILITY.md.  Names built at runtime (f-strings such as
 ``cli.<command>``, or counters re-emitted by variable) are out of reach
 and documented by hand.
@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[2]
 SOURCE = ROOT / "src" / "repro"
 CATALOGUE = ROOT / "docs" / "OBSERVABILITY.md"
 
-EMITTERS = {"counter", "gauge", "histogram", "span", "phase", "counter_inc"}
+EMITTERS = {"counter", "gauge", "histogram", "span", "counter_inc"}
 
 #: A backticked dotted name, or a ``.suffix`` shorthand for a sibling of
 #: the previous full name (``reproduce.fig6`` / ``.fig7``).
@@ -64,7 +64,7 @@ def test_collector_finds_the_instrumentation():
     # One of each kind, so a broken collector cannot pass vacuously.
     for expected in ("sim.table.hits", "engine.pool.n_jobs",
                      "engine.score.batch_ms", "engine.select",
-                     "harness.trials", "kernel.sparse.matvecs"):
+                     "experiment.trial_batch", "kernel.sparse.matvecs"):
         assert expected in names
 
 

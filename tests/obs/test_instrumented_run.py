@@ -1,8 +1,9 @@
 """End-to-end: a small experiment run under a recording backend.
 
 One harness, a handful of table-mode trials.  Asserts the wiring across
-layers: simulator counters, engine counters/histogram, harness phases
-and spans, and that the exported artifacts are valid and loadable.
+layers: simulator counters, engine counters/histogram, harness spans
+and their inclusive/self times, and that the exported artifacts are
+valid and loadable.
 """
 
 import pytest
@@ -48,18 +49,49 @@ def test_engine_histogram_and_gauge(instrumented_run):
 
 def test_phases_record_wall_and_cpu(instrumented_run):
     obs, _ = instrumented_run
-    phases = obs.profiler.to_document()
+    phases = obs.metrics_document()["phases"]
     # probe_selection fires once per attacker selection: eagerly for the
     # model attacker, lazily for the constrained attacker's first use.
     expected_counts = {
         "harness.model_build": 1,
         "harness.probe_selection": 2,
-        "harness.trials": 1,
+        "experiment.trial_batch": 1,
     }
     for name, count in expected_counts.items():
         assert phases[name]["count"] == count
-        assert phases[name]["wall_s"] >= 0.0
-        assert phases[name]["cpu_s"] >= 0.0
+    for name, phase in phases.items():
+        assert set(phase) == {
+            "count", "wall_s", "self_s", "cpu_s", "self_cpu_s",
+        }
+        assert phase["self_s"] >= 0.0, name
+        assert phase["cpu_s"] >= 0.0, name
+
+
+def test_self_times_sum_to_each_root(instrumented_run, tmp_path):
+    obs, _ = instrumented_run
+    records = read_ndjson(obs.write_trace(tmp_path / "run.ndjson"))
+    children = {}
+    for record in records:
+        children.setdefault(record["parent_id"], []).append(record)
+
+    def subtree_self(record):
+        kids = children.get(record["span_id"], [])
+        own = record["duration_s"] - sum(kid["duration_s"] for kid in kids)
+        return own + sum(subtree_self(kid) for kid in kids)
+
+    roots = children[None]
+    assert roots
+    for root in roots:
+        assert subtree_self(root) == pytest.approx(
+            root["duration_s"], rel=1e-9
+        )
+    # The metrics document's self column accounts for the same seconds.
+    phases = obs.metrics_document()["phases"]
+    assert sum(phase["self_s"] for phase in phases.values()) == pytest.approx(
+        sum(root["duration_s"] for root in roots), rel=1e-9
+    )
+    for record in records:
+        assert record["cpu_s"] >= 0.0
 
 
 def test_spans_nest_trials_under_the_run(instrumented_run, tmp_path):

@@ -8,13 +8,11 @@ from repro.obs import (
     NullInstrumentation,
     counter_inc,
     get_instrumentation,
-    phase,
     set_instrumentation,
     span,
     use_instrumentation,
 )
 from repro.obs.metrics import _NULL_COUNTER, _NULL_GAUGE, _NULL_HISTOGRAM
-from repro.obs.profile import _NULL_PHASE
 from repro.obs.trace import _NULL_SPAN
 
 
@@ -28,12 +26,10 @@ class TestDefault:
     def test_module_helpers_are_silent_by_default(self):
         counter_inc("any.name.at.all")
         with span("ignored", attr=1):
-            with phase("ignored"):
-                pass
+            pass
         # Nothing was registered or recorded anywhere.
         assert len(NULL.metrics) == 0
         assert len(NULL.tracer) == 0
-        assert len(NULL.profiler) == 0
 
 
 class TestSharedSingletons:
@@ -43,7 +39,6 @@ class TestSharedSingletons:
         assert NULL.gauge("a.b") is _NULL_GAUGE
         assert NULL.histogram("a.b") is _NULL_HISTOGRAM
         assert NULL.span("a.b") is _NULL_SPAN
-        assert NULL.phase("a.b") is _NULL_PHASE
 
     def test_noop_instruments_discard_everything(self):
         NULL.counter("a.b").inc(10)
@@ -105,8 +100,5 @@ class TestInstallation:
             counter_inc("test.events", 3)
             with span("test.region", case="helpers"):
                 pass
-            with phase("test.phase"):
-                pass
         assert obs.counter("test.events").value == 3
         assert [s.name for s in obs.tracer.records] == ["test.region"]
-        assert obs.profiler.totals["test.phase"]["count"] == 1

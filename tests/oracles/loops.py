@@ -61,7 +61,12 @@ def run_trials(
     results: List[TrialResult] = []
     obs = harness._obs
     trial_counter = obs.metrics.counter("experiment.trials")
-    with obs.phase("harness.trials"):
+    with obs.span(
+        "experiment.trial_batch",
+        trials=n_trials,
+        jobs=1,
+        mode=harness.params.trial_mode,
+    ):
         for index in range(n_trials):
             seed = int(harness.rng.integers(2**63 - 1))
             with obs.span(

@@ -4,7 +4,7 @@ import argparse
 
 import pytest
 
-from repro.apispec import EXPERIMENTS, JobSpec, coerce_spec
+from repro.apispec import EXPERIMENTS, JobSpec, require_spec
 from repro.experiments.params import ExperimentParams
 from repro.faults import FaultPlan
 from tests.experiments.conftest import (
@@ -196,46 +196,37 @@ class TestValidation:
             JobSpec(config=tiny_config_params(), trial_mode="warp")
 
 
-class TestCoerceSpec:
+class TestRequireSpec:
     def test_jobspec_passes_through_silently(self):
         spec = JobSpec(config=tiny_config_params(), seed=1)
-        got, params = coerce_spec(spec, experiment="fig6", caller="t")
+        got, params = require_spec(spec, caller="t")
         assert got is spec
         assert params == spec.to_params()
 
-    def test_legacy_params_warn_and_wrap(self):
-        params = tiny_experiment_params()
-        with pytest.warns(DeprecationWarning, match="JobSpec"):
-            spec, got = coerce_spec(params, experiment="fig7", caller="t")
-        assert got is params
-        assert spec.experiment == "fig7"
-        assert spec.to_params() == params
+    def test_legacy_params_rejected(self):
+        with pytest.raises(TypeError, match="JobSpec.from_params"):
+            require_spec(tiny_experiment_params(), caller="t")
 
     def test_other_types_rejected(self):
-        with pytest.raises(TypeError):
-            coerce_spec(42, experiment="fig6", caller="t")
+        with pytest.raises(TypeError, match="t: expected a JobSpec"):
+            require_spec(42, caller="t")
 
 
 class TestLegacyRunnerShims:
-    def test_run_fig6_accepts_legacy_params_with_warning(self):
+    """The removed legacy entry-point forms now raise ``TypeError``."""
+
+    def test_run_fig6_rejects_legacy_params(self):
         from repro.experiments.fig6 import run_fig6
 
         params = tiny_experiment_params(n_trials=4, n_configs=2)
-        with pytest.warns(DeprecationWarning):
-            legacy = run_fig6(params, configs_per_bin=1)
-        spec = JobSpec.from_params(params, experiment="fig6")
-        canonical = run_fig6(spec, configs_per_bin=1)
-        assert legacy.headline() == canonical.headline()
+        with pytest.raises(TypeError, match="run_fig6: expected a JobSpec"):
+            run_fig6(params, configs_per_bin=1)
 
-    def test_reproduce_all_legacy_keywords_warn(self):
-        import repro.experiments.reproduce as reproduce_module
+    def test_reproduce_all_rejects_legacy_keywords(self):
+        from repro.experiments.reproduce import reproduce_all
 
-        with pytest.warns(DeprecationWarning, match="keyword form"):
-            report = reproduce_module.reproduce_all(
-                scale=0.02, seed=5, trial_mode="table"
-            )
-        assert report.job is not None
-        assert report.job.seed == 5
+        with pytest.raises(TypeError):
+            reproduce_all(scale=0.02, seed=5, trial_mode="table")
 
     def test_reproduce_all_rejects_spec_plus_legacy_kwargs(self):
         from repro.experiments.reproduce import reproduce_all
@@ -243,7 +234,7 @@ class TestLegacyRunnerShims:
         spec = JobSpec(
             experiment="reproduce", config=tiny_config_params(), seed=1
         )
-        with pytest.raises(TypeError, match="legacy keyword"):
+        with pytest.raises(TypeError, match="scale"):
             reproduce_all(spec, scale=0.5)
 
     def test_robustness_spec_supplies_the_grid(self):
