@@ -151,7 +151,7 @@ serve-smoke:
 # Defense smoke (docs/DEFENSES.md): the countermeasure x attacker grid
 # end-to-end through the CLI -- every built-in defense attached to the
 # simulated network, the online recon detector scored in each cell,
-# defense/detector counters exported.  Not part of tier-1; ~15 seconds
+# defense/detector counters exported.  Not part of tier-1; ~6 seconds
 # of wall clock.
 defend-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli defend \

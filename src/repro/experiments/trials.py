@@ -3,10 +3,15 @@
 A *trial* regenerates the background traffic (the paper re-randomises
 "the network packets every time"), lets it run for the detection window,
 then lets each attacker probe and decide.  Because probes perturb the
-switch cache, attackers cannot share one network instance; instead every
-attacker gets an identically seeded replica (same traffic schedule, same
-latency noise stream), so they face exactly the same world and differ
-only in their own actions.
+switch cache, attackers cannot probe one network instance in turn.
+Every attacker instead probes its own copy of the post-window world
+(same traffic schedule, same latency noise stream, same defense and
+fault state), so they face exactly the same world and differ only in
+their own actions.  In network mode the window is simulated once and
+the post-window network is forked (:meth:`~repro.simulator.network.
+Network.fork`) per distinct probe plan; attackers with equal plans
+share one probe phase.  The original per-attacker replica loop is kept
+as a test oracle (``tests/oracles/trials.py``).
 
 Two fidelity levels share the same trial semantics:
 
@@ -50,7 +55,8 @@ if TYPE_CHECKING:
     from repro.core.adaptive import AdaptiveModelAttacker
     from repro.countermeasures.base import Defense
 
-#: Zero-argument factory producing a fresh defense per attacker replica.
+#: Zero-argument factory producing a fresh defense, called once per
+#: network-mode trial; each probing fork carries its own copy of it.
 DefenseFactory = Callable[[], "Defense"]
 
 
@@ -98,6 +104,67 @@ def _trial_injector(
     )
 
 
+def _window_network(
+    config: NetworkConfiguration,
+    schedule: Sequence[Arrival],
+    seed: int,
+    latency: Optional[LatencyModel] = None,
+    defense: Optional["Defense"] = None,
+    faults: Optional[FaultInjector] = None,
+) -> Network:
+    """The trial's network, run to the end of the detection window."""
+    network = Network(
+        config.concrete_rules,
+        config.universe,
+        cache_size=config.cache_size,
+        latency=latency,
+        rng=np.random.default_rng(seed + 1),
+        defense=defense,
+        faults=faults,
+    )
+    network.schedule_arrivals(schedule)
+    network.sim.run_until(config.window_seconds)
+    return network
+
+
+def _plan_lineup(
+    attackers: Sequence[Attacker],
+) -> List[Tuple[Attacker, Tuple[int, ...]]]:
+    """Every attacker with its probe plan, planned before any probing."""
+    return [(attacker, tuple(attacker.plan())) for attacker in attackers]
+
+
+def _probe_lineup(
+    network: Optional[Network],
+    config: NetworkConfiguration,
+    lineup: Sequence[Tuple[Attacker, Tuple[int, ...]]],
+    probe_retries: int = 0,
+) -> Tuple[Dict[str, int], Dict[str, Tuple[Optional[int], ...]]]:
+    """Probe each distinct plan on its own copy of ``network``; decide.
+
+    ``network`` is the post-window world (``None`` only when every plan
+    is empty).  The first distinct plan probes it directly; every other
+    one probes a fork taken before any probing, so each plan meets the
+    same post-window state.  Attackers with equal plans share the bits.
+    Decisions are made in lineup order, after all probing.
+    """
+    plans = list(dict.fromkeys(probes for _, probes in lineup if probes))
+    bits: Dict[Tuple[int, ...], Tuple[Optional[int], ...]] = {(): ()}
+    if plans:
+        assert network is not None, "non-empty plans need a network"
+        worlds = [network] + [network.fork() for _ in plans[1:]]
+        flows = config.universe.flows
+        for probes, world in zip(plans, worlds):
+            prober = Prober(world, retries=probe_retries)
+            bits[probes] = tuple(prober.outcomes([flows[f] for f in probes]))
+    decisions: Dict[str, int] = {}
+    outcomes: Dict[str, Tuple[Optional[int], ...]] = {}
+    for attacker, probes in lineup:
+        decisions[attacker.name] = attacker.decide(bits[probes])
+        outcomes[attacker.name] = bits[probes]
+    return decisions, outcomes
+
+
 def run_network_trial(
     config: NetworkConfiguration,
     attackers: Sequence[Attacker],
@@ -109,14 +176,19 @@ def run_network_trial(
 ) -> TrialResult:
     """One packet-level trial.
 
-    ``defense_factory``, when given, is called once per attacker replica
-    to produce a fresh defense object attached to that network (defenses
-    carry per-network state).  ``fault_plan``, when given, attaches a
-    fresh :class:`~repro.faults.FaultInjector` to each replica, seeded
-    from ``(plan.seed, trial seed)``: every attacker in a trial faces
-    the same fault stream, a given trial replays exactly, and different
-    trials draw independent faults (a plan-seed-only injector would
-    repeat one identical fault pattern in every trial).
+    Every attacker plans first.  If any plan probes, one network is
+    built and run through the detection window, and each distinct plan
+    then probes its own fork of it (see :func:`_probe_lineup`); the
+    result equals giving every attacker an identically seeded replica.
+
+    ``defense_factory``, when given, is called once per trial to produce
+    a fresh defense attached to that network (defenses carry
+    per-network state); each fork carries a copy of it.  ``fault_plan``,
+    when given, attaches a fresh :class:`~repro.faults.FaultInjector`
+    seeded from ``(plan.seed, trial seed)``: every attacker in a trial
+    faces the same fault stream, a given trial replays exactly, and
+    different trials draw independent faults (a plan-seed-only injector
+    would repeat one identical fault pattern in every trial).
     """
     schedule = _trial_schedule(config, seed)
     truth = int(
@@ -124,32 +196,20 @@ def run_network_trial(
             schedule, config.target_flow, 0.0, config.window_seconds
         )
     )
-    decisions: Dict[str, int] = {}
-    outcomes: Dict[str, Tuple[Optional[int], ...]] = {}
-    for attacker in attackers:
-        probes = attacker.plan()
-        if not probes:
-            decisions[attacker.name] = attacker.decide(())
-            outcomes[attacker.name] = ()
-            continue
-        defense = defense_factory() if defense_factory is not None else None
-        faults = _trial_injector(fault_plan, seed)
-        network = Network(
-            config.concrete_rules,
-            config.universe,
-            cache_size=config.cache_size,
+    lineup = _plan_lineup(attackers)
+    network = None
+    if any(probes for _, probes in lineup):
+        network = _window_network(
+            config,
+            schedule,
+            seed,
             latency=latency,
-            rng=np.random.default_rng(seed + 1),
-            defense=defense,
-            faults=faults,
+            defense=defense_factory() if defense_factory is not None else None,
+            faults=_trial_injector(fault_plan, seed),
         )
-        network.schedule_arrivals(schedule)
-        network.sim.run_until(config.window_seconds)
-        prober = Prober(network, retries=probe_retries)
-        flows = [config.universe.flows[f] for f in probes]
-        bits = tuple(prober.outcomes(flows))
-        decisions[attacker.name] = attacker.decide(bits)
-        outcomes[attacker.name] = bits
+    decisions, outcomes = _probe_lineup(
+        network, config, lineup, probe_retries
+    )
     return TrialResult(ground_truth=truth, decisions=decisions, outcomes=outcomes)
 
 
@@ -272,9 +332,13 @@ def run_adaptive_trial(
     """One trial driving an adaptive attacker (and optional baselines).
 
     The adaptive attacker interleaves probe selection and observation
-    (:class:`repro.core.adaptive.AdaptiveModelAttacker`); each baseline
-    runs against its own identically seeded replica, as in
-    :func:`run_trial`.
+    (:class:`repro.core.adaptive.AdaptiveModelAttacker`); the baselines
+    face the same world, as in :func:`run_trial`.  In network mode the
+    window is simulated once: the session probes a fork of the
+    post-window network (the network itself when no baseline probes)
+    and the baselines probe the network as in
+    :func:`run_network_trial`.  Table mode replays the window per
+    world.
     """
     schedule = _trial_schedule(config, seed)
     truth = int(
@@ -283,7 +347,7 @@ def run_adaptive_trial(
         )
     )
     decisions: Dict[str, int] = {}
-    outcomes: Dict[str, Tuple[int, ...]] = {}
+    outcomes: Dict[str, Tuple[Optional[int], ...]] = {}
 
     session = adaptive_attacker.start_session()
     if mode == "table":
@@ -298,16 +362,10 @@ def run_adaptive_trial(
             session.observe(world.probe(flow, probe_time))
             probe_time += probe_gap
     elif mode == "network":
-        network = Network(
-            config.concrete_rules,
-            config.universe,
-            cache_size=config.cache_size,
-            latency=latency,
-            rng=np.random.default_rng(seed + 1),
-        )
-        network.schedule_arrivals(schedule)
-        network.sim.run_until(config.window_seconds)
-        prober = Prober(network)
+        network = _window_network(config, schedule, seed, latency=latency)
+        lineup = _plan_lineup(baselines)
+        probing = any(probes for _, probes in lineup)
+        prober = Prober(network.fork() if probing else network)
         while True:
             flow = session.next_probe()
             if flow is None:
@@ -322,10 +380,14 @@ def run_adaptive_trial(
         bit for _, bit in session.history
     )
 
-    if baselines:
-        baseline_trial = run_trial(
-            config, baselines, seed, mode=mode, latency=latency
+    if mode == "network":
+        baseline_decisions, baseline_outcomes = _probe_lineup(
+            network if probing else None, config, lineup
         )
+        decisions.update(baseline_decisions)
+        outcomes.update(baseline_outcomes)
+    elif baselines:
+        baseline_trial = run_table_trial(config, baselines, seed)
         decisions.update(baseline_trial.decisions)
         outcomes.update(baseline_trial.outcomes)
 

@@ -14,6 +14,7 @@ dotted-quad notation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 #: Conventional IANA protocol numbers used throughout the library.
 PROTO_ICMP = 1
@@ -89,6 +90,9 @@ class FlowId:
     ) -> "FlowId":
         """Build a :class:`FlowId` from dotted-quad address strings."""
         return cls(str_to_ip(src), str_to_ip(dst), proto, sport, dport)
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "FlowId":
+        return self  # immutable: network forks share it
 
     def reversed(self) -> "FlowId":
         """The reverse flow (responses travelling back to the source)."""

@@ -17,7 +17,7 @@ not just prefixes -- are therefore supported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Iterator, Optional, Tuple
+from typing import ClassVar, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.flows.flowid import FlowId, ip_to_str
 
@@ -43,6 +43,9 @@ class Match:
 
     #: Full-wildcard IPv4 match (assigned after class creation).
     ANY: ClassVar["Match"]
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "Match":
+        return self  # immutable: network forks share it
 
     def matches(self, key: int) -> bool:
         """Whether ``key`` falls inside this value/mask set."""
@@ -124,6 +127,9 @@ class Rule:
     def __post_init__(self) -> None:
         if self.idle_timeout < 0 or self.hard_timeout < 0:
             raise ValueError("timeouts must be non-negative")
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "Rule":
+        return self  # immutable: network forks share it
 
     def covers(self, flow: FlowId) -> bool:
         """Whether this rule matches packets of ``flow``."""

@@ -46,6 +46,9 @@ class FlowUniverse:
             rates=tuple(rate for _, rate in pair_list),
         )
 
+    def __deepcopy__(self, memo: Dict[int, object]) -> "FlowUniverse":
+        return self  # immutable: network forks share it
+
     def __len__(self) -> int:
         return len(self.flows)
 

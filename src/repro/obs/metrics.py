@@ -61,6 +61,9 @@ class Counter:
         self.name = name
         self.value: int = 0
 
+    def __deepcopy__(self, memo: Dict[int, object]) -> "Counter":
+        return self  # shared: a network fork counts into the same registry
+
     def inc(self, value: int = 1) -> None:
         """Add ``value`` (must be non-negative) to the count."""
         if value < 0:
@@ -76,6 +79,9 @@ class Gauge:
     def __init__(self, name: str) -> None:
         self.name = name
         self.value: float = 0.0
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "Gauge":
+        return self  # shared: a network fork counts into the same registry
 
     def set(self, value: float) -> None:
         """Record the current level."""
@@ -104,6 +110,9 @@ class Histogram:
         self.total: float = 0.0
         self.low: Optional[float] = None
         self.high: Optional[float] = None
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "Histogram":
+        return self  # shared: a network fork counts into the same registry
 
     def observe(self, value: float) -> None:
         """Record one observation."""

@@ -24,6 +24,7 @@ from repro.simulator.messages import FlowMod, PacketIn, PacketOut
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulator.network import Network
+    from repro.simulator.switch import Switch
 
 
 class ReactiveController:
@@ -64,33 +65,39 @@ class ReactiveController:
                 # releases the buffered packet (an observed miss).
                 rule = None
 
+        release = PacketOut(packet=message.packet, out_port=out_port)
         if rule is None:
             self.stats["forward_only"] += 1
             self._obs_forward_only.inc()
-
-            def release() -> None:
-                switch.handle_packet_out(
-                    PacketOut(packet=message.packet, out_port=out_port)
-                )
-
-            network.sim.schedule(processing + down_link, release)
+            network.sim.schedule(
+                processing + down_link, switch.handle_packet_out, release
+            )
             return
 
         self.stats["installs"] += 1
         self._obs_installs.inc()
         install_delay = network.latency.flowmod_install_delay(network.rng)
+        network.sim.schedule(
+            processing + down_link,
+            self._install_and_release,
+            switch,
+            FlowMod(rule=rule, out_port=out_port),
+            release,
+            install_delay,
+        )
 
-        def install_and_release() -> None:
-            switch.handle_flow_mod(FlowMod(rule=rule, out_port=out_port))
-
-            def release() -> None:
-                switch.handle_packet_out(
-                    PacketOut(packet=message.packet, out_port=out_port)
-                )
-
-            network.sim.schedule(install_delay, release)
-
-        network.sim.schedule(processing + down_link, install_and_release)
+    def _install_and_release(
+        self,
+        switch: "Switch",
+        install: FlowMod,
+        release: PacketOut,
+        install_delay: float,
+    ) -> None:
+        """Flow-mod lands on ``switch``; the packet-out follows it."""
+        switch.handle_flow_mod(install)
+        self.network.sim.schedule(
+            install_delay, switch.handle_packet_out, release
+        )
 
     def proactive_install_all(self, switch_name: str) -> int:
         """Install every policy rule permanently on one switch.

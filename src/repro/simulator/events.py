@@ -3,8 +3,14 @@
 A minimal, deterministic event loop: callbacks scheduled at absolute or
 relative times, executed in time order with FIFO tie-breaking.  All
 simulator components share one :class:`Simulator` instance and schedule
-closures on it; there are no processes or coroutines to keep the
+events on it; there are no processes or coroutines to keep the
 execution model easy to reason about and fully reproducible.
+
+An event is data: a callable plus its arguments, ``(fn, args)``.  The
+simulator components schedule bound methods, never closures, so a
+``copy.deepcopy`` of a simulator (and of the objects its events point
+at) yields an independent copy whose pending events act on the copied
+objects -- :meth:`repro.simulator.network.Network.fork` relies on this.
 
 Two scheduling channels feed the loop:
 
@@ -14,7 +20,7 @@ Two scheduling channels feed the loop:
   batch of event times that reserves one contiguous block of sequence
   numbers up front and is merged against the heap top by
   ``(time, seq)``.  A stream event costs O(1) instead of a heap
-  push/pop and allocates no per-event closure, which is where the bulk
+  push/pop and allocates no per-event record, which is where the bulk
   of background-traffic scheduling time went; because the reserved
   sequence numbers are exactly the ones the per-event loop would have
   allocated, execution order -- and therefore every RNG draw made
@@ -25,27 +31,29 @@ Two scheduling channels feed the loop:
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-#: An event callback takes no arguments; state is carried via closures.
-Callback = Callable[[], None]
+#: An event callback; it runs as ``fn(*args)`` with the scheduled args.
+Callback = Callable[..., None]
 
 
 class _ScheduledEvent:
-    """One queued callback; ordered by ``(time, seq)`` (FIFO ties)."""
+    """One queued ``fn(*args)`` call; ordered by ``(time, seq)`` (FIFO ties)."""
 
-    __slots__ = ("time", "seq", "callback", "cancelled")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled")
 
     def __init__(
         self,
         time: float,
         seq: int,
-        callback: Callback,
+        fn: Callback,
+        args: Tuple[Any, ...] = (),
         cancelled: bool = False,
     ) -> None:
         self.time = time
         self.seq = seq
-        self.callback = callback
+        self.fn = fn
+        self.args = args
         self.cancelled = cancelled
 
     def __lt__(self, other: "_ScheduledEvent") -> bool:
@@ -129,19 +137,23 @@ class Simulator:
             stream.remaining for stream in self._streams
         )
 
-    def schedule(self, delay: float, callback: Callback) -> EventHandle:
-        """Run ``callback`` after ``delay`` seconds of simulated time."""
+    def schedule(
+        self, delay: float, fn: Callback, *args: Any
+    ) -> EventHandle:
+        """Run ``fn(*args)`` after ``delay`` seconds of simulated time."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback)
+        return self.schedule_at(self._now + delay, fn, *args)
 
-    def schedule_at(self, time: float, callback: Callback) -> EventHandle:
-        """Run ``callback`` at absolute simulated ``time``."""
+    def schedule_at(
+        self, time: float, fn: Callback, *args: Any
+    ) -> EventHandle:
+        """Run ``fn(*args)`` at absolute simulated ``time``."""
         if time < self._now:
             raise ValueError(
                 f"cannot schedule in the past ({time} < {self._now})"
             )
-        event = _ScheduledEvent(time=float(time), seq=self._seq, callback=callback)
+        event = _ScheduledEvent(float(time), self._seq, fn, args)
         self._seq += 1
         heapq.heappush(self._queue, event)
         return EventHandle(event)
@@ -157,8 +169,9 @@ class Simulator:
         allocated, so interleaving with heap events (and FIFO
         tie-breaking) is bit-identical to the per-event loop.  ``times``
         must be non-decreasing and must not precede the current clock;
-        stream events cannot be cancelled.  Returns the number of
-        scheduled events.
+        stream events cannot be cancelled.  Like heap callbacks, ``run``
+        should be a bound method, so a copied simulator's stream acts on
+        the copied owner.  Returns the number of scheduled events.
         """
         count = len(times)
         if count == 0:
@@ -220,7 +233,7 @@ class Simulator:
         event = heapq.heappop(self._queue)
         self._now = event.time
         self._events_run += 1
-        event.callback()
+        event.fn(*event.args)
         return True
 
     def run_until(self, end_time: float, max_events: int = 10_000_000) -> None:
@@ -252,7 +265,7 @@ class Simulator:
                 heapq.heappop(self._queue)
                 self._now = event.time
                 self._events_run += 1
-                event.callback()
+                event.fn(*event.args)
             else:
                 break
             executed += 1

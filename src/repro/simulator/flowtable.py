@@ -37,6 +37,7 @@ suites pin this table to it operation for operation.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from dataclasses import dataclass
@@ -55,6 +56,12 @@ class TableEntry:
     out_port: int
     install_time: float
     last_match: float
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "TableEntry":
+        # The rule is immutable and shared; only the timers are state.
+        return TableEntry(
+            self.rule, self.out_port, self.install_time, self.last_match
+        )
 
     def remaining(self, now: float) -> float:
         """Seconds until expiry; ``inf`` for permanent entries."""
@@ -154,6 +161,34 @@ class FlowTable:
         self._index: Dict[str, Tuple[int, float]] = {}
         self._entries_cache: Optional[Tuple[TableEntry, ...]] = None
         self._names_cache: Optional[Tuple[str, ...]] = None
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "FlowTable":
+        """Copy the entries; rebuild the indexes over the copies.
+
+        Keys, heap tuples and index values are immutable, so only the
+        entries themselves need copying -- the generic deepcopy would
+        walk every tuple of every index.
+        """
+        clone = copy.copy(self)
+        entries = {
+            name: copy.deepcopy(entry, memo)
+            for name, entry in self._entries.items()
+        }
+        clone._entries = entries
+        clone.stats = dict(self.stats)
+        clone._buckets = {
+            priority: {name: entries[name] for name in bucket}
+            for priority, bucket in self._buckets.items()
+        }
+        clone._priorities = list(self._priorities)
+        clone._winners = {
+            key: None if entry is None else entries[entry.rule.name]
+            for key, entry in self._winners.items()
+        }
+        clone._heap = list(self._heap)
+        clone._index = dict(self._index)
+        clone._entries_cache = None
+        return clone
 
     # ------------------------------------------------------------------
     # Index maintenance

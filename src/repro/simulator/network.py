@@ -26,6 +26,7 @@ reactive rules still compete for exactly ``cache_size``).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -77,6 +78,9 @@ class HostRecord:
     switch_name: str
     port: int
 
+    def __deepcopy__(self, memo: Dict[int, object]) -> "HostRecord":
+        return self  # immutable: forks share it
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -106,6 +110,9 @@ class NetworkConfig:
             raise ValueError(
                 f"unknown reactive_scope: {self.reactive_scope!r}"
             )
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "NetworkConfig":
+        return self  # immutable: forks share it
 
 
 class Network:
@@ -188,6 +195,35 @@ class Network:
 
         if self.defense is not None:
             self.defense.attach(self)
+
+    def fork(self) -> "Network":
+        """An independent copy of this network in its current state.
+
+        A ``copy.deepcopy`` in which the structures fixed at build time
+        -- topology graph, policy table, port map, routing, host records
+        -- are shared through the memo.  Everything the simulation
+        mutates is copied: the clock and pending events (scheduled as
+        bound methods, so they act on the copy), flow tables, buffered
+        packets, probe observations, the ``rng`` state and any attached
+        defense or fault injector.  Running the fork therefore leaves
+        this network untouched and continues exactly as this network
+        would have.  Frozen value types (flows, rules, the latency
+        model) and metric instruments return themselves from
+        ``__deepcopy__``: a fork counts into the same registry.
+        """
+        shared = (
+            self.topology,
+            self.policy_rules,
+            self._ports,
+            self._port_to_neighbor,
+            self._next_hop,
+            self._host_plan,
+            self.hosts,
+            self.host_by_ip,
+            self.monitored_dsts,
+        )
+        memo: Dict[int, object] = {id(obj): obj for obj in shared}
+        return copy.deepcopy(self, memo)
 
     # ------------------------------------------------------------------
     # Construction
@@ -324,19 +360,18 @@ class Network:
         if kind == "switch":
             neighbor = self.switches[name]
             in_port = self._port_to_neighbor[(name, switch.name)]
-            self.sim.schedule(
-                delay, lambda: neighbor.receive(packet, in_port)
-            )
+            self.sim.schedule(delay, neighbor.receive, packet, in_port)
         else:
-            host = self.hosts[name]
-            self.sim.schedule(delay, lambda: self._host_receive(host, packet))
+            self.sim.schedule(
+                delay, self._host_receive, self.hosts[name], packet
+            )
 
     def _host_receive(self, host: HostRecord, packet: Packet) -> None:
         """Host-side packet handling: echo replies and probe observation."""
         if packet.kind == ECHO_REQUEST and packet.flow.dst == host.ip:
             reply = packet.make_reply(self.sim.now)
             delay = self.latency.host_reply_delay(self.rng)
-            self.sim.schedule(delay, lambda: self.send_from_host(host, reply))
+            self.sim.schedule(delay, self.send_from_host, host, reply)
             return
         if packet.kind == ECHO_REPLY:
             self.stats["replies"] += 1
@@ -358,7 +393,7 @@ class Network:
         switch = self.switches[host.switch_name]
         delay = self.latency.link_delay(self.rng)
         self.stats["host_sends"] += 1
-        self.sim.schedule(delay, lambda: switch.receive(packet, host.port))
+        self.sim.schedule(delay, switch.receive, packet, host.port)
 
     # ------------------------------------------------------------------
     # Workload entry points
@@ -368,12 +403,12 @@ class Network:
         host = self.host_by_ip.get(flow.src)
         if host is None:
             raise KeyError(f"no host for source {ip_to_str(flow.src)}")
+        self.sim.schedule_at(time, self.send_flow_packet, host, flow)
 
-        def send() -> None:
-            packet = Packet(flow=flow, kind=ECHO_REQUEST, created=self.sim.now)
-            self.send_from_host(host, packet)
-
-        self.sim.schedule_at(time, send)
+    def send_flow_packet(self, host: HostRecord, flow: FlowId) -> None:
+        """Send one background echo request of ``flow`` from ``host`` now."""
+        packet = Packet(flow=flow, kind=ECHO_REQUEST, created=self.sim.now)
+        self.send_from_host(host, packet)
 
     def schedule_arrivals(self, arrivals: Iterable["Arrival"]) -> None:
         """Schedule a whole :func:`repro.flows.arrival` schedule.
@@ -385,7 +420,7 @@ class Network:
         and is merged against the heap by ``(time, seq)``, so event
         order -- and with it every latency RNG draw and fault-injection
         consultation -- is bit-identical while skipping the per-packet
-        heap churn and closure allocation.  Unsorted schedules (never
+        heap churn and per-event allocation.  Unsorted schedules (never
         produced by :func:`repro.flows.arrival.sample_schedule`) fall
         back to that per-event loop.
         """
@@ -408,16 +443,8 @@ class Network:
                 raise KeyError(f"no host for source {ip_to_str(flow.src)}")
             hosts.append(host)
             packet_flows.append(flow)
-
-        def run(index: int) -> None:
-            packet = Packet(
-                flow=packet_flows[index],
-                kind=ECHO_REQUEST,
-                created=self.sim.now,
-            )
-            self.send_from_host(hosts[index], packet)
-
-        self.sim.schedule_stream(times, run)
+        batch_events = _ArrivalBatch(self, tuple(hosts), tuple(packet_flows))
+        self.sim.schedule_stream(times, batch_events.run)
 
     def send_probe(self, flow: FlowId, probe_id: int) -> None:
         """Inject an attacker probe (spoofed when needed) right now."""
@@ -465,3 +492,27 @@ class Network:
     def cached_reactive_rules(self) -> Tuple[str, ...]:
         """Reactive rules currently cached at the ingress switch."""
         return self.ingress_switch.cached_reactive_rules()
+
+
+class _ArrivalBatch:
+    """The hosts and flows of one scheduled arrival stream.
+
+    The stream's callback is the bound :meth:`run`, so a network fork
+    taken while the stream is still in flight copies the batch with it.
+    """
+
+    __slots__ = ("network", "hosts", "flows")
+
+    def __init__(
+        self,
+        network: Network,
+        hosts: Tuple[HostRecord, ...],
+        flows: Tuple[FlowId, ...],
+    ) -> None:
+        self.network = network
+        self.hosts = hosts
+        self.flows = flows
+
+    def run(self, index: int) -> None:
+        """Send the stream's ``index``-th arrival."""
+        self.network.send_flow_packet(self.hosts[index], self.flows[index])

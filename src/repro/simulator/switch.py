@@ -104,9 +104,7 @@ class Switch:
         if cache_hit:
             extra = network.defense_forward_delay(self, packet)
             delay += extra
-        network.sim.schedule(
-            delay, lambda: network.deliver(self, out_port, packet)
-        )
+        network.sim.schedule(delay, network.deliver, self, out_port, packet)
         self.stats["forwarded"] += 1
         self._obs_forwarded.inc()
 
@@ -127,7 +125,7 @@ class Switch:
         message = PacketIn(switch_name=self.name, packet=packet, in_port=in_port)
         delay = network.latency.control_link_delay(network.rng)
         network.sim.schedule(
-            delay, lambda: network.controller.handle_packet_in(message)
+            delay, network.controller.handle_packet_in, message
         )
 
     def handle_flow_mod(self, message: FlowMod) -> None:

@@ -21,6 +21,8 @@ noise of a real testbed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Dict
+
 import numpy as np
 
 
@@ -46,6 +48,9 @@ class LatencyModel:
     #: Flow-mod handling + table insertion at the switch.
     flowmod_install_mean: float = 3.0e-4
     flowmod_install_std: float = 1.5e-4
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "LatencyModel":
+        return self  # immutable: network forks share it
 
     def _sample(
         self, rng: np.random.Generator, mean: float, std: float

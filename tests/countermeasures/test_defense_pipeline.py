@@ -5,8 +5,10 @@ import pytest
 
 from repro.countermeasures.delay import DelayDefense
 from repro.countermeasures.proactive import ProactiveDefense
+from repro.experiments import trials
 from repro.experiments.harness import ConfigHarness
 from repro.flows.config import ConfigGenerator
+from repro.simulator.probing import Prober
 
 from tests.experiments.conftest import (
     tiny_config_params,
@@ -22,19 +24,35 @@ def harness():
 
 
 class TestDefenseFactoryPlumbing:
-    def test_fresh_defense_per_trial(self, harness):
+    def test_fresh_defense_per_trial(self, harness, monkeypatch):
         created = []
+        probed = []
 
         def factory():
             defense = DelayDefense(first_k=2)
             created.append(defense)
             return defense
 
+        class RecordingProber(Prober):
+            def __init__(self, network, **kwargs):
+                probed.append(network.defense)
+                super().__init__(network, **kwargs)
+
+        monkeypatch.setattr(trials, "Prober", RecordingProber)
         result = harness.run_trials(n_trials=3, defense_factory=factory)
-        # One defense per probing attacker per trial (naive, model,
-        # constrained probe; random sends no probes).
-        assert len(created) == 9
+        # One factory call per trial: the window runs once, and every
+        # probing fork of it carries its own copy of the defense.
+        assert len(created) == 3
         assert result.trials == 3
+        # Every probing replica holds a defense object of its own, distinct
+        # from every other replica's, in the same trial and across trials;
+        # each trial's own defense probes its first distinct plan.
+        assert len(probed) >= 3
+        assert all(isinstance(defense, DelayDefense) for defense in probed)
+        assert len({id(defense) for defense in probed}) == len(probed)
+        assert {id(defense) for defense in created} <= {
+            id(defense) for defense in probed
+        }
 
     def test_proactive_defense_forces_hits(self, harness):
         result = harness.run_trials(

@@ -42,7 +42,9 @@ DELAY_RTT_AUC = 0.453125
 DELAY_EFFECTIVE_LEAKAGE_BITS = 0.000361217611992837
 DELAY_BENIGN_DELAY_SECONDS = 0.009863737556855628
 DELAY_BENIGN_PACKETS_DELAYED = 2
-DELAY_PACKETS_DELAYED_COUNTER = 104
+# A work counter: a trial's shared detection window is counted once,
+# then each probing fork adds its own probe phase.
+DELAY_PACKETS_DELAYED_COUNTER = 43
 
 SUMMARY = {
     "baseline_detector_auc": 0.9583333333333334,

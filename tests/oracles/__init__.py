@@ -15,6 +15,12 @@ production to them:
 * :mod:`tests.oracles.loops` -- the serial trial loop and the serial
   screening loop (:func:`~tests.oracles.loops.serial_loops` runs a
   pipeline on both);
+* :mod:`tests.oracles.trials` -- one identically seeded network replica
+  per probing attacker, each replaying the detection window, where
+  production simulates the window once and forks it per distinct probe
+  plan (pinned by ``tests/experiments/test_network_fork_diff.py``, not
+  substituted by :func:`oracle_pipeline`: the window's work counters
+  differ between the two by design);
 * the exact-only screen and the scipy chain loop
   (:func:`repro.core.chain.scipy_chain`), which are production's own
   fallbacks when the native kernels are disabled (``REPRO_NO_CKERNEL=1``).
@@ -31,16 +37,16 @@ from typing import Iterator
 import pytest
 
 from repro.core import cnative
-from repro.experiments import trials
+from repro.experiments import trials as trial_runners
 from repro.simulator import switch
 from repro.simulator.network import Network
 
-from tests.oracles import dense, fullstate, loops, network
+from tests.oracles import dense, fullstate, loops, network, trials
 from tests.oracles.flowtable import ReferenceFlowTable
 
 __all__ = [
     "ReferenceFlowTable", "dense", "fullstate", "loops", "network",
-    "oracle_pipeline",
+    "oracle_pipeline", "trials",
 ]
 
 
@@ -49,7 +55,7 @@ def oracle_pipeline() -> Iterator[None]:
     """Run the enclosed code on the oracle table, delivery and screen."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(switch, "FlowTable", ReferenceFlowTable)
-        patch.setattr(trials, "FlowTable", ReferenceFlowTable)
+        patch.setattr(trial_runners, "FlowTable", ReferenceFlowTable)
         patch.setattr(Network, "schedule_arrivals", network.schedule_arrivals)
         patch.setenv(cnative.DISABLE_ENV_VAR, "1")
         cnative._reset_for_tests()
