@@ -5,22 +5,26 @@ model's approximation point: the paper's exact sum over injective
 recency functions is exponential.  This benchmark quantifies, on an
 instance small enough for exact enumeration, how close the Monte Carlo
 sampler and the closed-form independence approximation come -- and what
-each costs.
+each costs.  Production runs only the approximation; the exact and Monte
+Carlo estimators, and the per-state model that can run on them, are test
+oracles (tests/oracles/).
 """
 
 import time
 
 from repro.core.context import ModelContext
 from repro.core.masks import mask_from_indices
-from repro.core.recency import (
-    ExactRecencyEstimator,
-    IndependentRecencyEstimator,
-    MonteCarloRecencyEstimator,
-)
+from repro.core.recency import IndependentRecencyEstimator
 from repro.experiments.report import format_table
 from repro.flows.flowid import FlowId
 from repro.flows.policy import ModelRule, Policy
 from repro.flows.universe import FlowUniverse
+
+from tests.oracles.perstate import PerStateCompactModel
+from tests.oracles.recency import (
+    ExactRecencyEstimator,
+    MonteCarloRecencyEstimator,
+)
 
 
 def _context():
@@ -104,22 +108,22 @@ def test_bench_estimator_effect_on_attack(benchmark, print_section):
     from repro.core.selection import rank_probes
 
     context = _context()
+    shape = (
+        context.policy, context.universe, context.delta, context.cache_size
+    )
 
     def compare():
         choices = {}
         for name in ("independent", "montecarlo"):
-            from repro.core.recency import make_estimator
-
-            model = CompactModel(
-                context.policy,
-                context.universe,
-                context.delta,
-                context.cache_size,
-            )
             if name == "montecarlo":
-                model.estimator = make_estimator(
-                    "montecarlo", model.context, n_samples=800, seed=3
+                model = PerStateCompactModel(
+                    *shape,
+                    estimator=MonteCarloRecencyEstimator(
+                        context, n_samples=800, seed=3
+                    ),
                 )
+            else:
+                model = CompactModel(*shape)
             inference = ReconInference(model, target_flow=0, window_steps=60)
             choices[name] = rank_probes(inference)
         return choices

@@ -55,13 +55,15 @@ _EXPERIMENT_ALIASES: Dict[str, str] = {
     "fig7b": "fig7",
 }
 
-#: Removed implementation selectors and the values they accepted.  Every
-#: choice ran the same computation, so :meth:`JobSpec.from_dict` drops
-#: them; a value outside the old choices is still an error, since spool
-#: files and documents come from outside the program.
+#: Removed selectors and their old values that ran the computation the
+#: program still runs (every ``kernel``/``simpath`` choice, and the
+#: independence ``estimator``).  :meth:`JobSpec.from_dict` drops them; any
+#: other value is an error, since spool files and documents come from
+#: outside the program.
 LEGACY_FIELDS: Dict[str, Tuple[str, ...]] = {
     "kernel": ("dense", "sparse", "auto"),
     "simpath": ("reference", "fastpath", "auto"),
+    "estimator": ("independent", "indep"),
 }
 
 
@@ -81,7 +83,6 @@ class JobSpec:
     n_configs: int = 12
     n_trials: int = 30
     seed: Optional[int] = None
-    estimator: str = "independent"
     trial_mode: str = "network"
     n_probes: int = 1
     decision: str = "query"
@@ -186,7 +187,6 @@ class JobSpec:
             n_configs=self.n_configs,
             n_trials=self.n_trials,
             seed=self.seed,
-            estimator=self.estimator,
             trial_mode=self.trial_mode,
             n_probes=self.n_probes,
             decision=self.decision,
@@ -210,7 +210,6 @@ class JobSpec:
             n_configs=params.n_configs,
             n_trials=params.n_trials,
             seed=params.seed,
-            estimator=params.estimator,
             trial_mode=params.trial_mode,
             n_probes=params.n_probes,
             decision=params.decision,
@@ -251,9 +250,9 @@ class JobSpec:
         """Rebuild a spec from :meth:`to_dict` output (JSON-safe).
 
         Documents and spool files written before the implementation
-        selectors were removed may still carry them; those keys are
-        dropped here once their value is checked against the old
-        choices (see :data:`LEGACY_FIELDS`).
+        and estimator selectors were removed may still carry them; those
+        keys are dropped here once their value is checked against the
+        old choices that still hold (see :data:`LEGACY_FIELDS`).
         """
         values = dict(document)
         for name, choices in LEGACY_FIELDS.items():

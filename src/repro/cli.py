@@ -320,20 +320,36 @@ def _cmd_leakage(args: argparse.Namespace) -> int:
     from repro.experiments.report import format_table
     from repro.flows.config import ConfigGenerator, ConfigParams
 
-    params = ConfigParams(
-        n_flows=args.flows,
-        mask_bits=args.flows.bit_length() - 1,
-        n_rules=args.rules,
-        cache_size=args.cache,
-    )
-    config = ConfigGenerator(params, seed=_resolved_seed(args)).sample()
-    kwargs = dict(
-        universe=config.universe,
-        delta=config.delta,
-        cache_size=config.cache_size,
-        window_steps=config.window_steps,
-    )
-    leaks = leakage_map(config.policy, **kwargs)
+    # Bad sizes, and structures with more rules than the compact model
+    # takes (the microflow split of a large universe), are user errors.
+    try:
+        params = ConfigParams(
+            n_flows=args.flows,
+            mask_bits=args.flows.bit_length() - 1,
+            n_rules=args.rules,
+            cache_size=args.cache,
+        )
+        config = ConfigGenerator(params, seed=_resolved_seed(args)).sample()
+        kwargs = dict(
+            universe=config.universe,
+            delta=config.delta,
+            cache_size=config.cache_size,
+            window_steps=config.window_steps,
+        )
+        leaks = leakage_map(config.policy, **kwargs)
+        rows = compare_structures(
+            {
+                "original": config.policy,
+                "microflow split": split_to_microflows(config.policy),
+                "coarse merge": merge_to_coarse(
+                    config.policy, max(1, len(config.policy) // 3)
+                ),
+            },
+            **kwargs,
+        )
+    except ValueError as error:
+        print(f"repro-sdn leakage: {error}", file=sys.stderr)
+        return 2
     print(
         format_table(
             ["flow", "lambda (1/s)", "best-probe IG (bits)"],
@@ -343,16 +359,6 @@ def _cmd_leakage(args: argparse.Namespace) -> int:
             ],
             title="Per-flow leakage map (Section VII-B3 defender tool)",
         )
-    )
-    rows = compare_structures(
-        {
-            "original": config.policy,
-            "microflow split": split_to_microflows(config.policy),
-            "coarse merge": merge_to_coarse(
-                config.policy, max(1, len(config.policy) // 3)
-            ),
-        },
-        **kwargs,
     )
     print()
     print(
@@ -381,7 +387,11 @@ def _cmd_select(args: argparse.Namespace) -> int:
     from repro.experiments.report import format_table
     from repro.flows.config import ConfigGenerator
 
-    spec = _job_spec(args, "select")
+    try:
+        spec = _job_spec(args, "select")
+    except ValueError as error:
+        print(f"repro-sdn select: {error}", file=sys.stderr)
+        return 2
     config = ConfigGenerator(spec.config, seed=spec.seed).sample()
     model = CompactModel(
         config.policy,

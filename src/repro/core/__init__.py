@@ -5,8 +5,8 @@
 * :mod:`repro.core.compact_model` -- the Section IV-B compact chain over
   cached-rule *sets*, with eviction/timeout probabilities estimated from
   the recency (``u``) distribution.
-* :mod:`repro.core.recency` -- exact, Monte Carlo, and independence-based
-  estimators of the ``u``-function sums (Eqns. 1-7).
+* :mod:`repro.core.recency` -- the independence-based estimator of the
+  ``u``-function sums (Eqns. 1-7).
 * :mod:`repro.core.inference` -- ``P(Q_f)``, ``P(X̂ ∧ Q_f)``, posteriors.
 * :mod:`repro.core.gain` -- entropies and information gain (Section V).
 * :mod:`repro.core.selection` -- optimal single- and multi-probe choice.
@@ -17,13 +17,7 @@
 
 from repro.core.basic_model import BasicModel, BasicState, CacheEntry
 from repro.core.compact_model import CompactModel
-from repro.core.recency import (
-    ExactRecencyEstimator,
-    IndependentRecencyEstimator,
-    MonteCarloRecencyEstimator,
-    RecencyEstimator,
-    make_estimator,
-)
+from repro.core.recency import IndependentRecencyEstimator, RecencyEstimator
 from repro.core.inference import ReconInference
 from repro.core.gain import binary_entropy, entropy, information_gain
 from repro.core.selection import ProbeChoice, best_probe_set, best_single_probe
@@ -43,10 +37,7 @@ __all__ = [
     "CacheEntry",
     "CompactModel",
     "RecencyEstimator",
-    "ExactRecencyEstimator",
     "IndependentRecencyEstimator",
-    "MonteCarloRecencyEstimator",
-    "make_estimator",
     "ReconInference",
     "entropy",
     "binary_entropy",

@@ -34,10 +34,13 @@ Transition semantics per state ``S``:
 
 After the arrival phase, each cached rule that was not matched or
 installed this step expires with its per-step timeout hazard from the
-recency estimator.  By default at most one expiration is modelled per
-step (matching the paper's Figure 5 transitions), with the at-most-one
-branch probabilities renormalised; ``multi_expiry=True`` instead
-enumerates all expiry subsets as independent events.
+recency estimator.  At most one expiration is modelled per step
+(matching the paper's Figure 5 transitions), with the at-most-one branch
+probabilities renormalised.  Eviction splits and hazards come from the
+independence approximation of Eqns. 1-7
+(:class:`~repro.core.recency.IndependentRecencyEstimator`); the
+vectorised builder :mod:`repro.core.transition_build` computes them for
+every state at once.
 
 Every transition entry is tagged with the flow that caused it (or ``-1``
 for the no-arrival event), so the target-excluded substochastic matrix
@@ -52,10 +55,10 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 import numpy as np
 from scipy import sparse
 
+from repro.core import transition_build
 from repro.core.chain import (
     PowerChain,
     TransitionOperator,
-    per_flow_step_probabilities,
     validate_stochastic,
 )
 from repro.core.context import ModelContext
@@ -65,10 +68,7 @@ from repro.core.masks import (
     popcount,
     subsets_within,
 )
-from repro.core.recency import (
-    IndependentRecencyEstimator,
-    RecencyEstimator,
-)
+from repro.core.recency import IndependentRecencyEstimator
 from repro.flows.policy import Policy
 from repro.flows.universe import FlowUniverse
 from repro.obs import sanitize
@@ -85,22 +85,12 @@ class CompactModel:
     policy, universe, delta, cache_size:
         The modelled switch: abstract rules with priorities and step
         timeouts, the flow universe with Poisson rates, the step duration
-        ``Delta`` (seconds), and the cache capacity ``n``.
-    estimator:
-        Recency estimator supplying eviction and timeout probabilities;
-        defaults to :class:`IndependentRecencyEstimator`.
-    multi_expiry:
-        Model simultaneous expirations of several rules in one step
-        (exact independent product) instead of the at-most-one
-        approximation.
-    expire_on_arrival:
-        Apply expiration hazards on arrival steps too (timers run every
-        step, as in the basic model), not only on no-arrival steps.
+        ``Delta`` (seconds), and the cache capacity ``n``.  A policy
+        of more than :data:`~repro.core.transition_build.MAX_LOOKUP_RULES`
+        rules raises ``ValueError``.
 
-    Transition matrices are CSR, built by the vectorised builder
-    (:mod:`repro.core.transition_build`) whenever it supports the
-    estimator and expiry semantics, else by the per-state loop
-    :meth:`_build_entries`; both emit bit-identical entries.
+    Transition matrices are CSR, assembled from the entries of the
+    vectorised builder (:func:`repro.core.transition_build.build_entries`).
     """
 
     def __init__(
@@ -109,18 +99,17 @@ class CompactModel:
         universe: FlowUniverse,
         delta: float,
         cache_size: int,
-        estimator: Optional[RecencyEstimator] = None,
-        multi_expiry: bool = False,
-        expire_on_arrival: bool = True,
     ) -> None:
+        if len(policy) > transition_build.MAX_LOOKUP_RULES:
+            raise ValueError(
+                "the compact model supports at most "
+                f"{transition_build.MAX_LOOKUP_RULES} rules "
+                f"(policy has {len(policy)})"
+            )
         self.context = ModelContext(policy, universe, delta, cache_size)
-        self.estimator = estimator or IndependentRecencyEstimator(self.context)
-        if self.estimator.context is not self.context:
-            # Allow callers to pass an estimator built on an equivalent
-            # context; rebind so memoisation keys stay consistent.
-            self.estimator.context = self.context
-        self.multi_expiry = multi_expiry
-        self.expire_on_arrival = expire_on_arrival
+        #: Per-state eviction splits and hazards, seeded in bulk by the
+        #: transition builder (probe matrices read them state by state).
+        self.estimator = IndependentRecencyEstimator(self.context)
 
         #: Bitmask of the rules some flow installs (its highest-priority
         #: cover).  Every flow counts, zero-rate ones included, so probe
@@ -316,182 +305,11 @@ class CompactModel:
     # ------------------------------------------------------------------
     # Transition construction
     # ------------------------------------------------------------------
-    def _state_hazard_data(
-        self, pre_state: int
-    ) -> Tuple[int, List[Tuple[int, float]]]:
-        """Precompute expiry data for a pre-step state.
-
-        Returns ``(certain_mask, candidates)`` where ``certain_mask``
-        marks rules that expire deterministically this step (hazard 1,
-        e.g. a one-step timeout) unless matched, and ``candidates`` are
-        the ``(rule, hazard)`` pairs with hazard strictly inside (0, 1).
-        """
-        hazards = self.estimator.stats(pre_state).timeout_hazards
-        certain_mask = 0
-        candidates: List[Tuple[int, float]] = []
-        for rule, hazard in hazards.items():
-            if hazard >= 1.0:
-                certain_mask |= 1 << rule
-            elif hazard > 0.0:
-                candidates.append((rule, hazard))
-        return certain_mask, candidates
-
-    def _expiry_branches_from(
-        self,
-        interim: int,
-        protected: Optional[int],
-        certain_mask: int,
-        candidates: List[Tuple[int, float]],
-    ) -> List[Tuple[int, float]]:
-        """Split ``interim`` across expiration outcomes.
-
-        ``protected`` is the rule matched or installed this step (its
-        timer was just reset/started, so it cannot expire); hazards come
-        from the *pre-step* state, whose recency distribution the timers
-        reflect.
-        """
-        protected_bit = 0 if protected is None else (1 << protected)
-        interim &= ~(certain_mask & ~protected_bit)
-        live = [
-            (rule, hazard)
-            for rule, hazard in candidates
-            if interim & (1 << rule) and rule != protected
-        ]
-        if not live:
-            return [(interim, 1.0)]
-        if self.multi_expiry:
-            branches: List[Tuple[int, float]] = [(interim, 1.0)]
-            for rule, hazard in live:
-                updated: List[Tuple[int, float]] = []
-                for state, prob in branches:
-                    updated.append((state, prob * (1.0 - hazard)))
-                    updated.append((state & ~(1 << rule), prob * hazard))
-                branches = updated
-            return branches
-        # At-most-one-expiry approximation, renormalised.
-        keep_all = 1.0
-        for _, hazard in live:
-            keep_all *= 1.0 - hazard
-        weights: List[Tuple[int, float]] = [(interim, keep_all)]
-        total = keep_all
-        for rule, hazard in live:
-            weight = hazard
-            for other, other_hazard in live:
-                if other != rule:
-                    weight *= 1.0 - other_hazard
-            weights.append((interim & ~(1 << rule), weight))
-            total += weight
-        return [(state, prob / total) for state, prob in weights]
-
-    def _expiry_branches(
-        self, interim: int, protected: Optional[int], pre_state: int
-    ) -> List[Tuple[int, float]]:
-        """Back-compat single-call expiry split (used by tests)."""
-        certain_mask, candidates = self._state_hazard_data(pre_state)
-        return self._expiry_branches_from(
-            interim, protected, certain_mask, candidates
-        )
-
-    def _arrival_outcomes(
-        self, state: int, flow: int
-    ) -> List[Tuple[int, Optional[int], float]]:
-        """(interim state, protected rule, weight) outcomes of one arrival."""
-        ctx = self.context
-        matched = ctx.match_in_cache(flow, state)
-        if matched is not None:
-            return [(state, matched, 1.0)]
-        installed = ctx.install_rule[flow]
-        if installed is None:
-            return [(state, None, 1.0)]
-        if popcount(state) < ctx.cache_size:
-            return [(state | (1 << installed), installed, 1.0)]
-        eviction = self.eviction_distribution(state)
-        outcomes: List[Tuple[int, Optional[int], float]] = []
-        for victim, prob in eviction.items():
-            if prob <= 0.0:
-                continue
-            next_state = (state & ~(1 << victim)) | (1 << installed)
-            outcomes.append((next_state, installed, prob))
-        return outcomes
-
-    def _build_entries(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """All transition entries as (rows, cols, probs, flow tags)."""
-        ctx = self.context
-        p_flows, p_none = per_flow_step_probabilities(
-            np.asarray(ctx.step_rates)
-        )
-        rows: List[int] = []
-        cols: List[int] = []
-        probs: List[float] = []
-        tags: List[int] = []
-        state_index = self.state_index
-
-        for row, state in enumerate(self.states):
-            certain_mask, candidates = self._state_hazard_data(state)
-            branch_cache: Dict[
-                Tuple[int, Optional[int]], List[Tuple[int, float]]
-            ] = {}
-
-            def emit(
-                interim: int, protected: Optional[int],
-                base_prob: float, tag: int,
-            ) -> None:
-                if self.expire_on_arrival or tag == NO_FLOW:
-                    key = (interim, protected)
-                    branches = branch_cache.get(key)
-                    if branches is None:
-                        branches = self._expiry_branches_from(
-                            interim, protected, certain_mask, candidates
-                        )
-                        branch_cache[key] = branches
-                else:
-                    branches = ((interim, 1.0),)
-                for branch_state, branch_prob in branches:
-                    probability = base_prob * branch_prob
-                    if probability <= 0.0:
-                        continue
-                    try:
-                        col = state_index[branch_state]
-                    except KeyError:
-                        raise self.state_error(
-                            branch_state, "successor"
-                        ) from None
-                    rows.append(row)
-                    cols.append(col)
-                    probs.append(probability)
-                    tags.append(tag)
-
-            emit(state, None, p_none, NO_FLOW)
-            for flow in range(ctx.n_flows):
-                p_flow = float(p_flows[flow])
-                if p_flow <= 0.0:
-                    continue
-                for interim, protected, weight in self._arrival_outcomes(
-                    state, flow
-                ):
-                    emit(interim, protected, p_flow * weight, flow)
-
-        return (
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(cols, dtype=np.int64),
-            np.asarray(probs, dtype=np.float64),
-            np.asarray(tags, dtype=np.int64),
-        )
-
     def _ensure_entries(
         self,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         if self._entries is None:
-            from repro.core import transition_build
-
-            if transition_build.supports(self):
-                self._entries = transition_build.build_entries(self)
-            else:
-                # Non-default estimator or expiry semantics: only the
-                # per-state builder implements them.
-                self._entries = self._build_entries()
+            self._entries = transition_build.build_entries(self)
         return self._entries
 
     def _sorted_entries(

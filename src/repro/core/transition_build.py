@@ -1,10 +1,10 @@
 """Vectorised construction of compact-model transition entries.
 
-This is the sparse kernel's builder: it produces exactly the
-``(rows, cols, probs, tags)`` arrays of
-:meth:`repro.core.compact_model.CompactModel._build_entries` -- same
-entry order, same floating-point values bit-for-bit -- by replacing the
-per-state Python loops with batched numpy passes:
+The compact model's one entry builder: it produces the
+``(rows, cols, probs, tags)`` arrays of the per-state reference loop
+(the test oracle :class:`tests.oracles.perstate.PerStateCompactModel`)
+-- same entry order, same floating-point values bit-for-bit -- by
+replacing the per-state Python loops with batched numpy passes:
 
 * per-rule hazard tables from the truncated-geometric recency pmf
   (Eqns. 6-7), computed for all states at once via the subset rate
@@ -23,11 +23,11 @@ same literals.  The differential suite
 (tests/core/test_sparse_dense_diff.py) checks the equivalence on random
 models.
 
-Only the default configuration is supported -- the closed-form
-independent estimator, at-most-one expiry, and a rule count small
-enough for the mask lookup table; :func:`supports` reports whether a
-model qualifies, and the model falls back to the reference builder
-otherwise (exact/Monte-Carlo estimators, ``multi_expiry=True``).
+The builder implements the paper's semantics only: the closed-form
+independent estimator, at-most-one expiry with hazards applied on every
+step, and at most :data:`MAX_LOOKUP_RULES` rules, which
+:class:`~repro.core.compact_model.CompactModel` enforces at
+construction.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 import numpy as np
 
 from repro.core.chain import per_flow_step_probabilities
-from repro.core.recency import IndependentRecencyEstimator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.compact_model import CompactModel
 
 #: Rule-count ceiling for the dense ``mask -> state index`` lookup
-#: (2^20 int64 entries = 8 MiB; the paper uses 12 rules).
+#: (2^20 int64 entries = 8 MiB; the paper uses 12 rules).  Models and
+#: sampled configurations with more rules are rejected up front.
 MAX_LOOKUP_RULES = 20
 
 EntryArrays = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -54,19 +54,8 @@ EntryArrays = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 PmfTable = Tuple[np.ndarray, np.ndarray]
 
 
-def supports(model: "CompactModel") -> bool:
-    """Whether the vectorised builder reproduces this model's semantics."""
-    return (
-        not model.multi_expiry
-        and type(model.estimator) is IndependentRecencyEstimator
-        and model.context.n_rules <= MAX_LOOKUP_RULES
-    )
-
-
 def build_entries(model: "CompactModel") -> EntryArrays:
     """All transition entries as (rows, cols, probs, flow tags)."""
-    if not supports(model):  # pragma: no cover - guarded by the caller
-        raise ValueError("model configuration requires the reference builder")
     ctx = model.context
     n_rules = ctx.n_rules
     n_states = model.n_states
@@ -274,7 +263,6 @@ class _Events:
         self.protected: List[object] = []
         self.base: List[object] = []
         self.tag: List[int] = []
-        self.expiry: List[bool] = []
 
     def add(
         self,
@@ -284,7 +272,6 @@ class _Events:
         protected: object,
         base: object,
         tag: int,
-        expiry: bool,
     ) -> None:
         count = rows.size
         if count == 0:
@@ -296,12 +283,11 @@ class _Events:
         self.protected.append(protected)
         self.base.append(base)
         self.tag.append(int(tag))
-        self.expiry.append(bool(expiry))
 
     def sorted_columns(
         self,
     ) -> Tuple[np.ndarray, ...]:
-        # seq/tag/expiry are constant within a chunk, and protected/base
+        # seq/tag are constant within a chunk, and protected/base
         # are often scalars; expand them here via repeat/slice-assign
         # instead of allocating a filled array per add().
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -323,7 +309,6 @@ class _Events:
             protected[order],
             base[order],
             np.repeat(np.asarray(self.tag, dtype=np.int64), counts)[order],
-            np.repeat(np.asarray(self.expiry, dtype=bool), counts)[order],
         )
 
 
@@ -355,9 +340,8 @@ def _arrival_events(
     events = _Events()
     events.add(
         rows=all_rows, seq=0, interim=states, protected=np.int64(-1),
-        base=np.float64(p_none), tag=NO_FLOW, expiry=True,
+        base=np.float64(p_none), tag=NO_FLOW,
     )
-    expire_arrivals = model.expire_on_arrival
     for flow in range(ctx.n_flows):
         p_flow = float(p_flows[flow])
         if p_flow <= 0.0:
@@ -368,7 +352,6 @@ def _arrival_events(
             events.add(
                 rows=all_rows, seq=seq_base, interim=states,
                 protected=np.int64(-1), base=np.float64(p_flow), tag=flow,
-                expiry=expire_arrivals,
             )
             continue
         matched = np.full(n_states, -1, dtype=np.int64)
@@ -381,7 +364,6 @@ def _arrival_events(
         events.add(
             rows=hit_idx, seq=seq_base, interim=states[hit_idx],
             protected=matched[hit_idx], base=np.float64(p_flow), tag=flow,
-            expiry=expire_arrivals,
         )
         install = covering[0]
         install_bit = np.int64(1) << np.int64(install)
@@ -391,7 +373,6 @@ def _arrival_events(
             rows=room_idx, seq=seq_base,
             interim=states[room_idx] | install_bit,
             protected=np.int64(install), base=np.float64(p_flow), tag=flow,
-            expiry=expire_arrivals,
         )
         evicting_idx = np.nonzero(miss & (popcounts == capacity))[0]
         if evicting_idx.size:
@@ -407,7 +388,6 @@ def _arrival_events(
                     interim=(states[kept_idx] & ~victim_bits) | install_bit,
                     protected=np.int64(install),
                     base=p_flow * weights[keep], tag=flow,
-                    expiry=expire_arrivals,
                 )
     return events
 
@@ -424,26 +404,25 @@ def _expand_expiries(
     bits: np.ndarray,
     lookup: np.ndarray,
 ) -> EntryArrays:
-    """Expand events into entries, mirroring ``_expiry_branches_from``.
+    """Expand events into entries, mirroring the reference's expiry split.
 
-    Entry layout per event: the keep-all branch, then one expiry branch
-    per rule ascending (masked to the live set) -- the reference
-    emission order.  The keep-all product, the leave-one-out weights,
-    and the normaliser all accumulate over rules in ascending order with
-    exact-identity factors for non-live rules, so every float matches
-    the reference's sequential loops bit-for-bit.
+    The reference is ``_expiry_branches_from`` in
+    tests/oracles/perstate.py.  Entry layout per event: the keep-all
+    branch, then one expiry branch per rule ascending (masked to the
+    live set) -- the reference emission order.  The keep-all product,
+    the leave-one-out weights, and the normaliser all accumulate over
+    rules in ascending order with exact-identity factors for non-live
+    rules, so every float matches the reference's sequential loops
+    bit-for-bit.
     """
     n_rules = model.context.n_rules
-    rows, interim, protected, base, tag, expiry = events.sorted_columns()
+    rows, interim, protected, base, tag = events.sorted_columns()
     count = rows.size
     protected_bit = np.where(
         protected >= 0, bits[np.maximum(protected, 0)], np.int64(0)
     )
-    cleared = interim & ~(certain_mask[rows] & ~protected_bit)
-    interim = np.where(expiry, cleared, interim)
-    live = np.where(
-        expiry, interim & candidate_mask[rows] & ~protected_bit, np.int64(0)
-    )
+    interim = interim & ~(certain_mask[rows] & ~protected_bit)
+    live = interim & candidate_mask[rows] & ~protected_bit
     live_bits = (live[:, None] & bits[None, :]) != 0  # (E, R)
 
     # The recurrences below depend only on (source row, live mask):

@@ -76,17 +76,12 @@ POST_TOL_NUMERATOR = 2 * SUM_TOL
 def supports(params: ExperimentParams) -> bool:
     """Whether the certified screen applies under ``params``.
 
-    The replica covers the default single-probe selection with the
-    independent estimator -- the configuration every headline pipeline
-    runs.  Anything else (Monte-Carlo estimators, multi-probe selection)
+    The replica covers the default single-probe selection -- the
+    configuration every headline pipeline runs.  Multi-probe selection
     screens exactly, as does any machine where the native kernel is
     unavailable (or disabled with ``REPRO_NO_CKERNEL=1``).
     """
-    return (
-        params.n_probes == 1
-        and params.estimator == "independent"
-        and cnative.available()
-    )
+    return params.n_probes == 1 and cnative.available()
 
 
 @dataclass

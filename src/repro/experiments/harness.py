@@ -23,7 +23,6 @@ from repro.core.attacker import (
 from repro.core.compact_model import CompactModel
 from repro.core.engine import ScoringStats
 from repro.core.inference import ReconInference
-from repro.core.recency import make_estimator
 from repro.experiments.params import ExperimentParams
 from repro.faults import FaultPlan
 from repro.experiments.parallel import (
@@ -103,10 +102,6 @@ class ConfigHarness:
                 config.delta,
                 config.cache_size,
             )
-            if params.estimator != "independent":
-                self.model.estimator = make_estimator(
-                    params.estimator, self.model.context
-                )
             self.inference = ReconInference(
                 self.model, config.target_flow, config.window_steps
             )

@@ -2,9 +2,9 @@
 
 ``ExperimentParams`` wraps the configuration-sampling parameters
 (:class:`~repro.flows.config.ConfigParams`) with evaluation knobs: how
-many configurations and trials, which recency estimator, whether trials
-run on the full packet-level network simulation or the fast table-level
-replay, and the attackers' probe budgets.
+many configurations and trials, whether trials run on the full
+packet-level network simulation or the fast table-level replay, and the
+attackers' probe budgets.
 
 The paper runs 100 configurations x 100 trials per figure; that takes
 tens of minutes here (it took a 128 GB server there), so the scale is a
@@ -30,8 +30,6 @@ class ExperimentParams:
     n_configs: int = 100
     n_trials: int = 100
     seed: Optional[int] = None
-    #: Recency estimator: "independent", "montecarlo", or "exact".
-    estimator: str = "independent"
     #: "network" = packet-level DES; "table" = fast flow-table replay.
     trial_mode: str = "network"
     n_probes: int = 1

@@ -136,6 +136,14 @@ class ConfigParams:
             raise ValueError(f"bad absence_range: {self.absence_range}")
         if self.cache_size < 1:
             raise ValueError("cache_size must be >= 1")
+        # Imported here: repro.core imports this package.
+        from repro.core.transition_build import MAX_LOOKUP_RULES
+
+        if self.n_rules > MAX_LOOKUP_RULES:
+            raise ValueError(
+                f"n_rules must be at most {MAX_LOOKUP_RULES}, the compact "
+                f"model's limit (got {self.n_rules})"
+            )
 
     @property
     def window_steps(self) -> int:

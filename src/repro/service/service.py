@@ -35,7 +35,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.apispec import JobSpec
 from repro.core.compact_model import CompactModel
 from repro.experiments.parallel import TrialContext
-from repro.experiments.params import ExperimentParams
 from repro.flows.config import ConfigGenerator, NetworkConfiguration
 from repro.obs import get_instrumentation
 from repro.service.checkpoint import (
@@ -197,7 +196,7 @@ class ReconService:
     ) -> Tuple[NetworkConfiguration, CompactModel]:
         """The job's sampled scenario and its (cached) compact model."""
         params = spec.to_params()
-        key = self._scenario_key(spec, params)
+        key = self._scenario_key(spec)
         cached = self._models.get(key)
         if cached is not None:
             return cached
@@ -213,19 +212,13 @@ class ReconService:
                 scenario.delta,
                 scenario.cache_size,
             )
-            if params.estimator != "independent":
-                from repro.core.recency import make_estimator
-
-                model.estimator = make_estimator(
-                    params.estimator, model.context
-                )
         self._models[key] = (scenario, model)
         return scenario, model
 
     @staticmethod
-    def _scenario_key(spec: JobSpec, params: ExperimentParams) -> str:
+    def _scenario_key(spec: JobSpec) -> str:
         config = spec.to_dict()["config"]
-        return repr((config, spec.seed, params.estimator))
+        return repr((config, spec.seed))
 
     async def _run_recon(self, spec: JobSpec) -> Dict[str, object]:
         """Run (or resume) one recon job session-by-session."""

@@ -12,14 +12,17 @@ from repro.core.masks import mask_from_indices, popcount
 from repro.flows.arrival import sample_schedule
 
 from tests.conftest import make_policy, make_universe
+from tests.oracles.perstate import PerStateCompactModel
 
 DELTA = 0.25
 
 
-def make_model(rule_specs, rates, cache_size=2, **kwargs):
+def make_model(rule_specs, rates, cache_size=2, **options):
+    """Production model, or the per-state oracle when given its options."""
     policy = make_policy(rule_specs)
     universe = make_universe(rates)
-    return CompactModel(policy, universe, DELTA, cache_size, **kwargs)
+    cls = PerStateCompactModel if options else CompactModel
+    return cls(policy, universe, DELTA, cache_size, **options)
 
 
 @pytest.fixture
@@ -59,6 +62,16 @@ class TestStateSpace:
         assert model.n_states == compact_state_count(2, 2, include_empty=True)
         assert not any(state & mask_from_indices([1]) for state in model.states)
 
+    def test_more_rules_than_the_lookup_limit_raise(self):
+        from repro.core.transition_build import MAX_LOOKUP_RULES
+
+        rates = [0.1] * (MAX_LOOKUP_RULES + 1)
+        specs = [({flow}, 3) for flow in range(len(rates))]
+        at_limit = make_model(specs[:-1], rates, cache_size=1)
+        assert len(at_limit.policy) == MAX_LOOKUP_RULES
+        with pytest.raises(ValueError, match=rf"at most {MAX_LOOKUP_RULES}"):
+            make_model(specs, rates, cache_size=1)
+
 
 def _narrow(monkeypatch, model, dropped):
     """Remove one state from ``model``'s list before anything is built."""
@@ -77,9 +90,10 @@ class TestStateLookupErrors:
         "vectorised", "per_state",
     ])
     def test_escaping_successor_is_named(self, monkeypatch, multi_expiry):
+        options = {"multi_expiry": True} if multi_expiry else {}
         model = make_model(
             [({0}, 4), ({0, 1}, 6)], [0.4, 0.6, 0.8], cache_size=2,
-            multi_expiry=multi_expiry,
+            **options,
         )
         _narrow(monkeypatch, model, mask_from_indices([0]))
         with pytest.raises(ValueError, match=r"successor mask 0x1 "):

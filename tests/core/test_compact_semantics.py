@@ -1,13 +1,17 @@
-"""Deeper semantic tests of the compact model's transition options."""
+"""Deeper semantic tests of the compact model's transition options.
+
+The options live on the per-state oracle (tests/oracles/perstate.py);
+production implements only the defaults.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.chain import validate_stochastic
-from repro.core.compact_model import CompactModel
 from repro.core.masks import mask_from_indices
 
 from tests.conftest import make_policy, make_universe
+from tests.oracles.perstate import PerStateCompactModel
 
 DELTA = 0.25
 
@@ -15,7 +19,7 @@ DELTA = 0.25
 def build(multi_expiry=False, expire_on_arrival=True, cache_size=2):
     policy = make_policy([({0}, 4), ({0, 1}, 6), ({2}, 5)])
     universe = make_universe([0.3, 0.4, 0.5])
-    return CompactModel(
+    return PerStateCompactModel(
         policy,
         universe,
         DELTA,
@@ -60,20 +64,10 @@ class TestExpiryOptions:
         ).sum()
         assert marg_idle >= marg_always - 1e-9
 
-    def test_expiry_branches_backcompat_wrapper(self):
-        model = build()
-        state = mask_from_indices([0, 1])
-        branches = model._expiry_branches(state, None, state)
-        assert sum(p for _, p in branches) == pytest.approx(1.0)
-        # The matched rule is protected from expiry.
-        protected = model._expiry_branches(state, 0, state)
-        for branch_state, _ in protected:
-            assert branch_state & 1  # rule 0 never expires when matched
-
 
 class TestEstimatorSwapping:
     def test_montecarlo_estimator_consistent_marginals(self):
-        from repro.core.recency import MonteCarloRecencyEstimator
+        from tests.oracles.recency import MonteCarloRecencyEstimator
 
         base = build()
         swapped = build()
@@ -88,20 +82,6 @@ class TestEstimatorSwapping:
             swapped.distribution_after(steps)
         )
         assert np.abs(base_marg - swapped_marg).max() < 0.05
-
-    def test_estimator_rebinding_on_construction(self):
-        from repro.core.context import ModelContext
-        from repro.core.recency import IndependentRecencyEstimator
-
-        policy = make_policy([({0}, 4)])
-        universe = make_universe([0.3])
-        foreign = IndependentRecencyEstimator(
-            ModelContext(policy, universe, DELTA, 1)
-        )
-        model = CompactModel(
-            policy, universe, DELTA, 1, estimator=foreign
-        )
-        assert model.estimator.context is model.context
 
 
 class TestHitSelfLoopAccounting:

@@ -11,7 +11,8 @@ suite pins three things to each other and to the closed form:
   surviving mass after ``T`` steps is ``(1 - sum_f p_f)^T``;
 * the two models agree on the surviving mass at every step;
 * the surviving distributions agree after projecting basic states to
-  rule sets — for ``multi_expiry`` both on and off.
+  rule sets — for ``multi_expiry`` both on (the per-state oracle,
+  tests/oracles/perstate.py) and off (production).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.core.compact_model import CompactModel
 from repro.core.chain import per_flow_step_probabilities
 
 from tests.conftest import make_policy, make_universe
+from tests.oracles.perstate import PerStateCompactModel
 
 DELTA = 0.2
 
@@ -51,9 +53,12 @@ def _models(specs, rates, cache_size, multi_expiry):
     policy = make_policy(specs)
     universe = make_universe(rates)
     basic = BasicModel(policy, universe, DELTA, cache_size)
-    compact = CompactModel(
-        policy, universe, DELTA, cache_size, multi_expiry=multi_expiry
-    )
+    if multi_expiry:
+        compact = PerStateCompactModel(
+            policy, universe, DELTA, cache_size, multi_expiry=True
+        )
+    else:
+        compact = CompactModel(policy, universe, DELTA, cache_size)
     return basic, compact
 
 

@@ -26,9 +26,9 @@ from repro.core.chain import (
 )
 from repro.core.compact_model import CompactModel
 from repro.core.inference import ReconInference
-from repro.core.recency import ExactRecencyEstimator
 
 from tests import oracles
+from tests.oracles.recency import ExactRecencyEstimator
 
 ATOL = 1e-12
 

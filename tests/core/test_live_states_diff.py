@@ -35,7 +35,6 @@ from repro.core.context import ModelContext
 from repro.core.engine import ProbeScoringEngine
 from repro.core.inference import ReconInference
 from repro.core.masks import mask_from_indices
-from repro.core.recency import ExactRecencyEstimator
 from repro.experiments import fastscreen
 from repro.experiments.params import VIABLE_FIG6_BINS, ExperimentParams
 from repro.flows.config import ConfigGenerator, NetworkConfiguration
@@ -45,6 +44,8 @@ from repro.flows.universe import FlowUniverse
 
 from tests.conftest import make_policy, make_universe
 from tests.oracles.fullstate import FullStateCompactModel
+from tests.oracles.perstate import PerStateCompactModel
+from tests.oracles.recency import ExactRecencyEstimator
 
 N_FLOWS = 4
 DELTA = 0.25
@@ -108,11 +109,22 @@ def _scenario(spec) -> Tuple[Policy, FlowUniverse, int]:
     return Policy(rules), universe, cache_size
 
 
+class _FullStatePerStateModel(FullStateCompactModel, PerStateCompactModel):
+    """The full-state oracle on the per-state builder's semantics knobs."""
+
+
 def _pair(spec, variant: str) -> Tuple[CompactModel, CompactModel]:
-    """Production model and full-state oracle for one scenario."""
+    """Live-state model and full-state oracle for one scenario.
+
+    The default variant is production; the others exist only on the
+    per-state oracle (tests/oracles/perstate.py).
+    """
     policy, universe, cache_size = _scenario(spec)
+    classes = (CompactModel, FullStateCompactModel)
+    if variant != "default":
+        classes = (PerStateCompactModel, _FullStatePerStateModel)
     built = []
-    for cls in (CompactModel, FullStateCompactModel):
+    for cls in classes:
         kwargs: Dict[str, object] = {}
         if variant == "multi_expiry":
             kwargs["multi_expiry"] = True

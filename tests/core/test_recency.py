@@ -1,6 +1,8 @@
 """Tests for the recency (u-function) estimators.
 
-The exact enumerator is the reference: the Monte Carlo sampler must
+The exact enumerator (a test oracle, like the Monte Carlo sampler) is
+the reference for the production independence approximation: the
+Monte Carlo sampler must
 agree statistically, and the independence approximation must agree in
 direction (and exactly in the degenerate cases with closed forms).
 """
@@ -11,14 +13,13 @@ import pytest
 
 from repro.core.context import ModelContext
 from repro.core.masks import mask_from_indices
-from repro.core.recency import (
-    ExactRecencyEstimator,
-    IndependentRecencyEstimator,
-    MonteCarloRecencyEstimator,
-    make_estimator,
-)
+from repro.core.recency import IndependentRecencyEstimator
 
 from tests.conftest import make_policy, make_universe
+from tests.oracles.recency import (
+    ExactRecencyEstimator,
+    MonteCarloRecencyEstimator,
+)
 
 
 def make_context(rule_specs, rates, cache_size=2, delta=0.5):
@@ -200,22 +201,3 @@ class TestCrossEstimatorAgreement:
         estimator = ExactRecencyEstimator(context, max_assignments=100)
         with pytest.raises(ValueError, match="too large"):
             estimator.stats(mask_from_indices([0, 1, 2]))
-
-
-class TestFactory:
-    def test_names(self, disjoint_context):
-        assert isinstance(
-            make_estimator("independent", disjoint_context),
-            IndependentRecencyEstimator,
-        )
-        assert isinstance(
-            make_estimator("exact", disjoint_context), ExactRecencyEstimator
-        )
-        assert isinstance(
-            make_estimator("mc", disjoint_context, n_samples=10),
-            MonteCarloRecencyEstimator,
-        )
-
-    def test_unknown_rejected(self, disjoint_context):
-        with pytest.raises(ValueError, match="unknown"):
-            make_estimator("bogus", disjoint_context)

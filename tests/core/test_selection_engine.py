@@ -24,6 +24,7 @@ from repro.core.selection import (
     best_single_probe_serial,
 )
 from tests.conftest import make_policy, make_universe
+from tests.oracles.perstate import PerStateCompactModel
 
 ATOL = 1e-12
 
@@ -52,13 +53,12 @@ def random_setup(seed: int):
     cache_size = int(rng.integers(1, min(3, n_rules) + 1))
     window_steps = int(rng.integers(5, 26))
     delta = float(rng.uniform(0.02, 0.1))
-    model = CompactModel(
-        policy,
-        universe,
-        delta,
-        cache_size,
-        multi_expiry=bool(seed % 2),
-    )
+    if seed % 2:
+        model = PerStateCompactModel(
+            policy, universe, delta, cache_size, multi_expiry=True
+        )
+    else:
+        model = CompactModel(policy, universe, delta, cache_size)
     target = int(rng.integers(n_flows))
     return model, target, window_steps
 

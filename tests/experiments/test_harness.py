@@ -35,13 +35,6 @@ class TestConstruction:
             not in harness.constrained_attacker.plan()
         )
 
-    def test_estimator_override(self):
-        params = tiny_experiment_params(estimator="montecarlo")
-        harness = ConfigHarness.sample(params)
-        from repro.core.recency import MonteCarloRecencyEstimator
-
-        assert isinstance(harness.model.estimator, MonteCarloRecencyEstimator)
-
 
 class TestScreens:
     def test_screen_is_boolean(self, harness):

@@ -8,6 +8,14 @@ production to them:
   linear-scan flow table;
 * :func:`tests.oracles.network.schedule_arrivals` -- one simulator event
   per background arrival;
+* :mod:`tests.oracles.perstate` -- the per-state transition builder,
+  which alone takes another recency estimator, simultaneous expiries
+  (``multi_expiry``) or expiry on no-arrival steps only
+  (``expire_on_arrival=False``);
+* :mod:`tests.oracles.recency` -- the exact and Monte-Carlo recency
+  estimators the independence approximation is checked against (pinned
+  by ``tests/core/test_recency.py`` and the estimator ablation
+  benchmark);
 * :mod:`tests.oracles.dense` -- the per-state transition builder with
   dense matrices and ``@`` powering;
 * :mod:`tests.oracles.fullstate` -- the compact model over every subset
@@ -21,6 +29,8 @@ production to them:
   plan (pinned by ``tests/experiments/test_network_fork_diff.py``, not
   substituted by :func:`oracle_pipeline`: the window's work counters
   differ between the two by design);
+* :mod:`tests.oracles.monitor` -- ground-truth sampling of the
+  simulated switch cache, for the simulator and model-agreement tests;
 * the exact-only screen and the scipy chain loop
   (:func:`repro.core.chain.scipy_chain`), which are production's own
   fallbacks when the native kernels are disabled (``REPRO_NO_CKERNEL=1``).
@@ -41,12 +51,14 @@ from repro.experiments import trials as trial_runners
 from repro.simulator import switch
 from repro.simulator.network import Network
 
-from tests.oracles import dense, fullstate, loops, network, trials
+from tests.oracles import (
+    dense, fullstate, loops, monitor, network, perstate, recency, trials,
+)
 from tests.oracles.flowtable import ReferenceFlowTable
 
 __all__ = [
-    "ReferenceFlowTable", "dense", "fullstate", "loops", "network",
-    "oracle_pipeline", "trials",
+    "ReferenceFlowTable", "dense", "fullstate", "loops", "monitor",
+    "network", "oracle_pipeline", "perstate", "recency", "trials",
 ]
 
 

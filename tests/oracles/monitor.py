@@ -1,18 +1,16 @@
-"""Event tracing for the simulated network.
+"""Oracle: ground-truth cache tracing for the simulated network.
 
-A :class:`NetworkMonitor` subscribes to a network's observable moments
--- flow-table installs, evictions, expirations at the reactive switch,
-and packet deliveries at hosts -- producing a time-ordered trace.  Two
-consumers motivate it:
+A :class:`NetworkMonitor` samples the reactive switch's cached rules on
+the network's own event queue, producing a time-ordered trace.  No
+program module reads the cache this way; the tests use it to:
 
-* debugging and tests: asserting *why* a probe saw what it saw;
-* ground-truth extraction: the exact cached-rule set over time, which
-  the model-validation tests compare the Markov chain's marginals
-  against without re-deriving cache state from packet logs.
+* assert *why* a probe saw what it saw;
+* extract the exact cached-rule set over time, which the
+  model-validation tests compare the Markov chain's marginals against
+  without re-deriving cache state from packet logs.
 
-The monitor is pull-based over the flow table (it snapshots on every
-sampling call) plus push-based for packet observations, so it adds no
-overhead when unused.
+Sampling is pull-based over the flow table, so an unarmed monitor adds
+no work to the simulation.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs import get_instrumentation
 from repro.simulator.network import Network
 
 
@@ -78,9 +75,6 @@ class NetworkMonitor:
         self.snapshots: List[CacheSnapshot] = []
         self.lifetimes = RuleLifetimes()
         self._armed_until: float = 0.0
-        self._obs_snapshots = get_instrumentation().metrics.counter(
-            "sim.monitor.snapshots"
-        )
 
     def snapshot(self) -> CacheSnapshot:
         """Record the cache contents right now."""
@@ -96,7 +90,6 @@ class NetworkMonitor:
                     (current.time, None)
                 )
         self.snapshots.append(current)
-        self._obs_snapshots.inc()
         return current
 
     def arm(self, until: float) -> None:

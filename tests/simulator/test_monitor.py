@@ -6,10 +6,11 @@ import pytest
 from repro.flows.flowid import FlowId, str_to_ip
 from repro.flows.rules import Match, Rule
 from repro.flows.universe import FlowUniverse
-from repro.simulator.monitor import CacheSnapshot, NetworkMonitor, RuleLifetimes
 from repro.simulator.network import Network
 from repro.simulator.timing import LatencyModel
 from repro.simulator.topology import linear_topology
+
+from tests.oracles.monitor import CacheSnapshot, NetworkMonitor, RuleLifetimes
 
 
 @pytest.fixture

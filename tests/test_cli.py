@@ -91,6 +91,28 @@ class TestExecution:
         assert "Probe-scoring engine statistics" in out
         assert "prefix cache hits" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["select", "--rules", "21"],
+        ["leakage", "--rules", "21"],
+    ], ids=["select", "leakage"])
+    def test_more_than_20_rules_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == (
+            f"repro-sdn {argv[0]}: n_rules must be at most 20, the compact "
+            "model's limit (got 21)"
+        )
+
+    def test_leakage_microflow_split_over_20_rules_exits_two(self, capsys):
+        # 8 rules over 32 flows split into 24 per-flow rules.
+        assert main(["leakage", "--flows", "32", "--seed", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            "repro-sdn leakage: the compact model supports at most 20 rules "
+            "(policy has 24)"
+        )
+
     def test_select_defaults(self):
         args = build_parser().parse_args(["select"])
         assert args.probes == 2

@@ -118,7 +118,7 @@ class TestMonitorAgreesWithModel:
         compact chain's late-window marginal for the same rule.
         """
         from repro.core.compact_model import CompactModel
-        from repro.simulator.monitor import NetworkMonitor
+        from tests.oracles.monitor import NetworkMonitor
         from repro.simulator.network import Network
 
         config = ConfigGenerator(tiny_config_params(), seed=23).sample()
