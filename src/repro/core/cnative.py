@@ -5,20 +5,27 @@ transposed transition matrix.  scipy runs one ``csr_matvec`` per step
 from a Python loop, and each row sum is one dependency chain, so the
 loop is latency-bound, not bandwidth-bound (the matrices fit in L2).
 This module holds two small C kernels, compiled on demand with the
-system ``gcc``, that run a whole chain in one call:
+system ``gcc``, that run a whole chain in one call.  Both run on a
+sliced-ELL layout: rows sorted by length, slices of 8 rows with one row
+per lane, so uneven row lengths cost little padding.
 
 * :func:`pair_chain_f32` -- *approximate*: powers the full and the
-  target-excluded chain together in ``float32`` with ``uint16`` column
-  indices, two 16-lane gather+FMA streams in flight (~2.2x over scipy).
-  It is only ever used behind the certified screen
-  (:mod:`repro.experiments.fastscreen`), which falls back to the exact
-  float64 path whenever the float32 error bounds cannot certify a
-  verdict.
+  target-excluded chain together on one shared transposed pattern
+  (:func:`pair_sell8_layout`).  Each stored entry holds both matrices'
+  ``float32`` values, and the state interleaves both chains as
+  ``float32`` pairs, so one 64-bit gather per 8 entries feeds both
+  chains.  Each lane sums in float64 and rounds to float32 once per
+  step.  A float32 x float32 product is exact in float64, so the
+  AVX-512 loop's FMA and the scalar loop's multiply-then-add round
+  identically and the two builds are bit-identical.  Rows are
+  renumbered by their sorted position, so each slice's sums are stored
+  contiguously.  It is only ever used behind the certified screen
+  (:mod:`repro.experiments.fastscreen`), which derives its error bound
+  and falls back to the exact float64 path whenever that bound cannot
+  certify a verdict.
 * :func:`chain_f64` -- *exact*: the float64 chain behind
   :class:`~repro.core.chain.TransitionOperator`, bit-identical to
-  scipy's ``csr_matvec`` loop by construction.  It runs on a sliced-ELL
-  layout (:func:`sell8_layout`): rows sorted by length, slices of 8 rows
-  with one row per lane, so uneven row lengths cost little padding.
+  scipy's ``csr_matvec`` loop by construction (:func:`sell8_layout`).
   Each lane sums its own row in CSR index order as ``s = s + d*x`` -- a
   rounded multiply, then a rounded add, exactly scipy's order.  Lanes
   past their row's end are masked out of the add, so padding never
@@ -28,9 +35,7 @@ system ``gcc``, that run a whole chain in one call:
 
 Each kernel has a portable scalar loop and an AVX-512 loop, exported as
 separate symbols; :func:`simd_level` picks one per process from
-``__builtin_cpu_supports``.  (The f32 AVX-512 loop uses explicit FMA
-intrinsics; its scalar loop is built for the baseline target, which has
-no FMA.)
+``__builtin_cpu_supports``.
 
 When ``gcc`` (or a writable cache directory) is unavailable, or
 ``REPRO_NO_CKERNEL=1`` is set, the module degrades to
@@ -65,11 +70,8 @@ CACHE_ENV_VAR = "REPRO_CKERNEL_CACHE"
 #: fallbacks).
 DISABLE_ENV_VAR = "REPRO_NO_CKERNEL"
 
-#: uint16 column indices bound the state-space size the f32 kernel accepts.
-MAX_STATES = 65536
-
-#: Rows per slice of the float64 kernel's sliced-ELL layout (one per
-#: AVX-512 double lane).
+#: Rows per slice of both kernels' sliced-ELL layouts (one per AVX-512
+#: double lane).
 SLICE = 8
 
 #: The compiler command line, less the source and output paths.  It is
@@ -88,107 +90,136 @@ _SOURCE = r"""
 
 #define AVX512 __attribute__((target("avx512f,avx512bw,avx512vl")))
 
-/* ---- float32 pair chain (approximate; the screening pre-pass) ---- */
+/* ---- float32 pair chain (approximate; the screening pre-pass) ----
 
-typedef void (*matvec_f32_fn)(int64_t, const int32_t *, const uint16_t *,
-                              const float *, const float *, float *);
+   Two transposed operators (full and target-excluded) on one pattern,
+   in sliced ELL: 8 rows per slice, one row per lane, rows sorted by
+   length (descending) and numbered by their sorted position, so slice s
+   writes y[8s .. 8s+7].  Entry k of lane l of slice s sits at
+   e = ptr[s] + 8*k + l: its column is cols[e], its values are
+   vals[2e] (full) and vals[2e+1] (excluded).  The state interleaves the
+   two chains, x[2j] (full) and x[2j+1] (excluded), so one 64-bit load
+   (one 8-lane gather) fetches both chains' inputs for 8 entries.
+   Each lane sums in float64, in k order, from 0.0, and the sum is
+   rounded to float32 once per step.  A float32 x float32 product is
+   exact in float64, so the AVX-512 loop's FMA and the scalar loop's
+   multiply-then-add round identically: the builds are bit-identical.
+   Padding entries hold column 0 and values 0.0f; with x finite they add
+   +0.0, which leaves every sum unchanged. */
 
-/* Portable scalar inner matvec: f32 data, u16 column indices, four
-   accumulators to break the dependency chain. */
-static void matvec_f32_scalar(int64_t n, const int32_t *indptr,
-                              const uint16_t *indices, const float *data,
-                              const float *x, float *y) {
-    for (int64_t i = 0; i < n; i++) {
-        int32_t lo = indptr[i], hi = indptr[i + 1];
-        float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-        int32_t jj = lo;
-        for (; jj + 4 <= hi; jj += 4) {
-            s0 += data[jj] * x[indices[jj]];
-            s1 += data[jj + 1] * x[indices[jj + 1]];
-            s2 += data[jj + 2] * x[indices[jj + 2]];
-            s3 += data[jj + 3] * x[indices[jj + 3]];
+typedef void (*pair_matvec_fn)(int64_t, const int64_t *, const int32_t *,
+                               const float *, const float *, float *);
+
+static void pair_matvec_scalar(int64_t nslices, const int64_t *ptr,
+                               const int32_t *cols, const float *vals,
+                               const float *x, float *y) {
+    for (int64_t s = 0; s < nslices; s++) {
+        int64_t width = (ptr[s + 1] - ptr[s]) / 8;
+        const int32_t *c = cols + ptr[s];
+        const float *v = vals + 2 * ptr[s];
+        double full[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+        double excl[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+        for (int64_t k = 0; k < width; k++)
+            for (int l = 0; l < 8; l++) {
+                const float *xj = x + 2 * (int64_t)c[8 * k + l];
+                full[l] = full[l] + (double)v[16 * k + 2 * l] * (double)xj[0];
+                excl[l] = excl[l]
+                          + (double)v[16 * k + 2 * l + 1] * (double)xj[1];
+            }
+        for (int l = 0; l < 8; l++) {
+            y[16 * s + 2 * l] = (float)full[l];
+            y[16 * s + 2 * l + 1] = (float)excl[l];
         }
-        for (; jj < hi; jj++)
-            s0 += data[jj] * x[indices[jj]];
-        y[i] = (s0 + s1) + (s2 + s3);
     }
 }
 
-/* AVX-512 inner matvec: two 16-lane gather+FMA streams in flight. */
+/* One column of a slice: lo holds lanes 0-3 as (full, excl) double
+   pairs, hi lanes 4-7. */
 AVX512
-static void matvec_f32_avx512(int64_t n, const int32_t *indptr,
-                              const uint16_t *indices, const float *data,
-                              const float *x, float *y) {
-    const __m512 vz = _mm512_setzero_ps();
-    for (int64_t i = 0; i < n; i++) {
-        int32_t lo = indptr[i], hi = indptr[i + 1];
-        __m512 acc0 = vz, acc1 = vz;
-        int32_t jj = lo;
-        for (; jj + 32 <= hi; jj += 32) {
-            __m512i idx0 = _mm512_cvtepu16_epi32(
-                _mm256_loadu_si256((const __m256i *)(indices + jj)));
-            __m512i idx1 = _mm512_cvtepu16_epi32(
-                _mm256_loadu_si256((const __m256i *)(indices + jj + 16)));
-            __m512 xv0 = _mm512_i32gather_ps(idx0, x, 4);
-            __m512 xv1 = _mm512_i32gather_ps(idx1, x, 4);
-            acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(data + jj), xv0, acc0);
-            acc1 = _mm512_fmadd_ps(_mm512_loadu_ps(data + jj + 16), xv1, acc1);
+static inline void pair_column(__m512d *lo, __m512d *hi, const int32_t *c,
+                               const float *v, const float *x) {
+    __m256i idx = _mm256_loadu_si256((const __m256i *)c);
+    /* A fresh zeroed merge source under an opaque mask: otherwise gcc
+       drops the source, merges into the last gather's register and so
+       chains every gather to the one before. */
+    __m512d z = _mm512_setzero_pd();
+    __mmask8 all = 0xFF;
+    __asm__ volatile("" : "+v"(z), "+k"(all));
+    __m512d xg = _mm512_mask_i32gather_pd(z, all, idx, (const void *)x, 8);
+    *lo = _mm512_fmadd_pd(
+        _mm512_cvtps_pd(_mm256_loadu_ps(v)),
+        _mm512_cvtps_pd(_mm256_castpd_ps(_mm512_castpd512_pd256(xg))), *lo);
+    *hi = _mm512_fmadd_pd(
+        _mm512_cvtps_pd(_mm256_loadu_ps(v + 8)),
+        _mm512_cvtps_pd(_mm256_castpd_ps(_mm512_extractf64x4_pd(xg, 1))), *hi);
+}
+
+AVX512
+static inline void pair_store(float *y, __m512d lo, __m512d hi) {
+    _mm256_storeu_ps(y, _mm512_cvtpd_ps(lo));
+    _mm256_storeu_ps(y + 8, _mm512_cvtpd_ps(hi));
+}
+
+/* Two slices in flight: slice s+1 is never wider than slice s. */
+AVX512
+static void pair_matvec_avx512(int64_t nslices, const int64_t *ptr,
+                               const int32_t *cols, const float *vals,
+                               const float *x, float *y) {
+    int64_t s = 0;
+    for (; s + 2 <= nslices; s += 2) {
+        const int32_t *c0 = cols + ptr[s], *c1 = cols + ptr[s + 1];
+        const float *v0 = vals + 2 * ptr[s], *v1 = vals + 2 * ptr[s + 1];
+        int64_t w0 = (ptr[s + 1] - ptr[s]) / 8;
+        int64_t w1 = (ptr[s + 2] - ptr[s + 1]) / 8;
+        __m512d lo0 = _mm512_setzero_pd(), hi0 = _mm512_setzero_pd();
+        __m512d lo1 = _mm512_setzero_pd(), hi1 = _mm512_setzero_pd();
+        int64_t k = 0;
+        for (; k < w1; k++) {
+            pair_column(&lo0, &hi0, c0 + 8 * k, v0 + 16 * k, x);
+            pair_column(&lo1, &hi1, c1 + 8 * k, v1 + 16 * k, x);
         }
-        for (; jj + 16 <= hi; jj += 16) {
-            __m512i idx = _mm512_cvtepu16_epi32(
-                _mm256_loadu_si256((const __m256i *)(indices + jj)));
-            __m512 xv = _mm512_i32gather_ps(idx, x, 4);
-            acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(data + jj), xv, acc0);
-        }
-        int32_t rem = hi - jj;
-        if (rem) {
-            __mmask16 m = (__mmask16)((1u << rem) - 1u);
-            __m512i idx = _mm512_cvtepu16_epi32(
-                _mm256_maskz_loadu_epi16(m, (const void *)(indices + jj)));
-            __m512 d = _mm512_maskz_loadu_ps(m, data + jj);
-            __m512 xv = _mm512_mask_i32gather_ps(vz, m, idx, x, 4);
-            acc0 = _mm512_fmadd_ps(d, xv, acc0);
-        }
-        y[i] = _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
+        for (; k < w0; k++)
+            pair_column(&lo0, &hi0, c0 + 8 * k, v0 + 16 * k, x);
+        pair_store(y + 16 * s, lo0, hi0);
+        pair_store(y + 16 * s + 16, lo1, hi1);
+    }
+    if (s < nslices) {
+        const int32_t *c0 = cols + ptr[s];
+        const float *v0 = vals + 2 * ptr[s];
+        int64_t w0 = (ptr[s + 1] - ptr[s]) / 8;
+        __m512d lo0 = _mm512_setzero_pd(), hi0 = _mm512_setzero_pd();
+        for (int64_t k = 0; k < w0; k++)
+            pair_column(&lo0, &hi0, c0 + 8 * k, v0 + 16 * k, x);
+        pair_store(y + 16 * s, lo0, hi0);
     }
 }
 
-/* Power two chains (full / target-excluded) for `steps` steps.  x1/x2
-   hold the initial distributions on entry and the final ones on
-   return; t1/t2 are caller-provided scratch. */
-static void pair_chain_f32(matvec_f32_fn matvec, int64_t n, int64_t steps,
-                           const int32_t *aptr, const uint16_t *aidx,
-                           const float *adata,
-                           const int32_t *bptr, const uint16_t *bidx,
-                           const float *bdata,
-                           float *x1, float *x2, float *t1, float *t2) {
+/* Power both chains for `steps` steps: x holds the interleaved initial
+   pairs on entry and the final ones on return; t is caller-provided
+   scratch of the same size (16 floats per slice). */
+static void pair_chain_f32(pair_matvec_fn matvec, int64_t nslices,
+                           int64_t steps, const int64_t *ptr,
+                           const int32_t *cols, const float *vals,
+                           float *x, float *t) {
     for (int64_t s = 0; s < steps; s++) {
-        matvec(n, aptr, aidx, adata, x1, t1);
-        matvec(n, bptr, bidx, bdata, x2, t2);
-        float *tmp;
-        tmp = x1; x1 = t1; t1 = tmp;
-        tmp = x2; x2 = t2; t2 = tmp;
+        matvec(nslices, ptr, cols, vals, x, t);
+        float *tmp = x; x = t; t = tmp;
     }
-    if (steps & 1) {  /* results sit in the caller's scratch: copy back */
-        memcpy(t1, x1, (size_t)n * sizeof(float));
-        memcpy(t2, x2, (size_t)n * sizeof(float));
-    }
+    if (steps & 1)  /* the result sits in the caller's scratch: copy back */
+        memcpy(t, x, (size_t)nslices * 16 * sizeof(float));
 }
 
 #define PAIR_CHAIN_F32_ARGS                                              \
-    int64_t n, int64_t steps,                                            \
-    const int32_t *aptr, const uint16_t *aidx, const float *adata,       \
-    const int32_t *bptr, const uint16_t *bidx, const float *bdata,       \
-    float *x1, float *x2, float *t1, float *t2
-#define PAIR_CHAIN_F32_PASS                                              \
-    n, steps, aptr, aidx, adata, bptr, bidx, bdata, x1, x2, t1, t2
+    int64_t nslices, int64_t steps, const int64_t *ptr,                  \
+    const int32_t *cols, const float *vals, float *x, float *t
+#define PAIR_CHAIN_F32_PASS nslices, steps, ptr, cols, vals, x, t
 
 void repro_pair_chain_f32_scalar(PAIR_CHAIN_F32_ARGS) {
-    pair_chain_f32(matvec_f32_scalar, PAIR_CHAIN_F32_PASS);
+    pair_chain_f32(pair_matvec_scalar, PAIR_CHAIN_F32_PASS);
 }
 
 void repro_pair_chain_f32_avx512(PAIR_CHAIN_F32_ARGS) {
-    pair_chain_f32(matvec_f32_avx512, PAIR_CHAIN_F32_PASS);
+    pair_chain_f32(pair_matvec_avx512, PAIR_CHAIN_F32_PASS);
 }
 
 /* ---- float64 chain (exact; bit-identical to scipy's csr_matvec) ----
@@ -400,15 +431,11 @@ def _compile(target: str) -> None:
 def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     i32p = ctypes.POINTER(ctypes.c_int32)
     i64p = ctypes.POINTER(ctypes.c_int64)
-    u16p = ctypes.POINTER(ctypes.c_uint16)
     f32p = ctypes.POINTER(ctypes.c_float)
     f64p = ctypes.POINTER(ctypes.c_double)
     i64 = ctypes.c_int64
     argtypes = {
-        "pair_chain_f32": [
-            i64, i64, i32p, u16p, f32p, i32p, u16p, f32p,
-            f32p, f32p, f32p, f32p,
-        ],
+        "pair_chain_f32": [i64, i64, i64p, i32p, f32p, f32p, f32p],
         "chain_f64": [
             i64, i64, i64, i64p, i32p, i32p, f64p, i32p, f64p, f64p,
         ],
@@ -495,65 +522,6 @@ def _as_ptr(array: np.ndarray, ctype) -> "ctypes._Pointer":
     return array.ctypes.data_as(ctypes.POINTER(ctype))
 
 
-def pair_chain_f32(
-    indptr_a: np.ndarray,
-    indices_a: np.ndarray,
-    data_a: np.ndarray,
-    indptr_b: np.ndarray,
-    indices_b: np.ndarray,
-    data_b: np.ndarray,
-    x0: np.ndarray,
-    steps: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Power two float32 chains ``steps`` times; returns the final pair.
-
-    The matrices arrive pre-transposed in CSR pieces (``int32`` indptr,
-    ``uint16`` indices, ``float32`` data) so ``y = M x`` walks rows of
-    the transposed operator -- the same orientation scipy's reference
-    chains use.  ``x0`` is the shared float32 initial distribution.
-    """
-    return _pair_chain_f32(
-        simd_level(),
-        indptr_a, indices_a, data_a, indptr_b, indices_b, data_b, x0, steps,
-    )
-
-
-def _pair_chain_f32(
-    level: str,
-    indptr_a: np.ndarray,
-    indices_a: np.ndarray,
-    data_a: np.ndarray,
-    indptr_b: np.ndarray,
-    indices_b: np.ndarray,
-    data_b: np.ndarray,
-    x0: np.ndarray,
-    steps: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    entry = _entry("pair_chain_f32", level)
-    n = x0.shape[0]
-    if n > MAX_STATES:
-        raise ValueError(f"state space too large for uint16 indices: {n}")
-    x1 = np.ascontiguousarray(x0, dtype=np.float32).copy()
-    x2 = x1.copy()
-    t1 = np.empty_like(x1)
-    t2 = np.empty_like(x2)
-    entry(
-        ctypes.c_int64(n),
-        ctypes.c_int64(int(steps)),
-        _as_ptr(indptr_a, ctypes.c_int32),
-        _as_ptr(indices_a, ctypes.c_uint16),
-        _as_ptr(data_a, ctypes.c_float),
-        _as_ptr(indptr_b, ctypes.c_int32),
-        _as_ptr(indices_b, ctypes.c_uint16),
-        _as_ptr(data_b, ctypes.c_float),
-        _as_ptr(x1, ctypes.c_float),
-        _as_ptr(x2, ctypes.c_float),
-        _as_ptr(t1, ctypes.c_float),
-        _as_ptr(t2, ctypes.c_float),
-    )
-    return x1, x2
-
-
 class Sell8(NamedTuple):
     """A square CSR matrix in sliced-ELL layout, 8 rows per slice.
 
@@ -582,17 +550,18 @@ class Sell8(NamedTuple):
         return len(self.ptr) - 1
 
 
-def sell8_layout(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> Sell8:
-    """Sliced-ELL copy of a square CSR matrix, for :func:`chain_f64`.
+def _sell8_slots(
+    indptr: np.ndarray, indices: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where each CSR entry of a square matrix sits in sliced ELL.
 
-    Every row keeps its CSR index order, so each lane's sum runs in the
-    order scipy's ``csr_matvec`` uses.
+    Returns ``(order, lens, ptr, slot)``: the rows sorted by length
+    (descending, stable), the row length per lane (``0`` past ``n``),
+    the start of each slice plus the end, and each entry's slot.
     """
-    indptr = np.asarray(indptr, dtype=np.int64)
     n = len(indptr) - 1
     nnz = int(indptr[-1])
-    indices = np.asarray(indices)[:nnz]
-    if nnz and (indices.min() < 0 or indices.max() >= n):
+    if nnz and (indices[:nnz].min() < 0 or indices[:nnz].max() >= n):
         raise ValueError(f"column index outside a square {n}x{n} matrix")
     lengths = np.diff(indptr)
     order = np.argsort(-lengths, kind="stable")
@@ -608,11 +577,25 @@ def sell8_layout(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> S
     rank = np.arange(nnz) - indptr[row]
     lane = position[row]
     slot = ptr[lane // SLICE] + rank * SLICE + lane % SLICE
+    return order, lens, ptr, slot
+
+
+def sell8_layout(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> Sell8:
+    """Sliced-ELL copy of a square CSR matrix, for :func:`chain_f64`.
+
+    Every row keeps its CSR index order, so each lane's sum runs in the
+    order scipy's ``csr_matvec`` uses.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    n = len(indptr) - 1
+    nnz = int(indptr[-1])
+    indices = np.asarray(indices)
+    order, lens, ptr, slot = _sell8_slots(indptr, indices)
     cols = np.zeros(ptr[-1], dtype=np.int32)
     vals = np.zeros(ptr[-1], dtype=np.float64)
-    cols[slot] = indices
+    cols[slot] = indices[:nnz]
     vals[slot] = np.asarray(data)[:nnz]
-    perm = np.zeros(n_slices * SLICE, dtype=np.int32)
+    perm = np.zeros(len(lens), dtype=np.int32)
     perm[:n] = order
     return Sell8(n, ptr, lens, cols, vals, perm)
 
@@ -647,3 +630,103 @@ def _chain_f64(level: str, layout: Sell8, x0: np.ndarray, steps: int) -> np.ndar
         _as_ptr(scratch, ctypes.c_double),
     )
     return x
+
+
+class PairSell8(NamedTuple):
+    """Two square matrices on one pattern, for :func:`pair_chain_f32`.
+
+    The sliced-ELL arrangement of :class:`Sell8` (rows sorted by length,
+    slices of :data:`SLICE` rows, entry ``k`` of lane ``l`` of slice
+    ``s`` at ``ptr[s] + 8*k + l``), with two changes.  Every row and
+    column is renumbered by its sorted position, so the kernel writes
+    each slice's sums contiguously and ``perm`` is applied once per
+    chain, not once per step.  And every entry holds a ``(first,
+    second)`` pair of ``float32`` values; a matrix that lacks an entry
+    of the shared pattern stores ``0`` there.  Padding entries hold
+    column 0 and values 0.
+    """
+
+    #: Number of rows (and columns).
+    n: int
+    #: ``int64`` start of each slice in ``cols``/``vals``, plus the end.
+    ptr: np.ndarray
+    #: ``int32`` sorted position of each stored entry's column.
+    cols: np.ndarray
+    #: ``float32`` ``(entries, 2)``: the two matrices' values.
+    vals: np.ndarray
+    #: ``int32`` original row at each sorted position (length ``n``).
+    perm: np.ndarray
+
+    @property
+    def n_slices(self) -> int:
+        return len(self.ptr) - 1
+
+    @property
+    def max_row_length(self) -> int:
+        """Entries in the longest row (the first slice's width)."""
+        return int(self.ptr[1] // SLICE) if self.n else 0
+
+
+def pair_sell8_layout(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+) -> PairSell8:
+    """:class:`PairSell8` of one CSR pattern with two value arrays.
+
+    ``first`` and ``second`` are rounded to ``float32`` here.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    n = len(indptr) - 1
+    nnz = int(indptr[-1])
+    indices = np.asarray(indices)
+    order, _, ptr, slot = _sell8_slots(indptr, indices)
+    position = np.empty(n, dtype=np.int32)
+    position[order] = np.arange(n, dtype=np.int32)
+    cols = np.zeros(ptr[-1], dtype=np.int32)
+    vals = np.zeros((ptr[-1], 2), dtype=np.float32)
+    cols[slot] = position[indices[:nnz]]
+    vals[slot, 0] = np.asarray(first)[:nnz]
+    vals[slot, 1] = np.asarray(second)[:nnz]
+    return PairSell8(n, ptr, cols, vals, order.astype(np.int32))
+
+
+def pair_chain_f32(
+    layout: PairSell8, x0: np.ndarray, steps: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``steps`` float32 matvecs ``x <- M x`` of both matrices of a layout.
+
+    Both chains start from ``x0`` (rounded to ``float32``; it must be
+    finite) and the final pair returns in the original row order.
+    Sums run in float64 and are rounded to float32 once per step.
+    """
+    return _pair_chain_f32(simd_level(), layout, x0, steps)
+
+
+def _pair_chain_f32(
+    level: str, layout: PairSell8, x0: np.ndarray, steps: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    entry = _entry("pair_chain_f32", level)
+    n = layout.n
+    if np.shape(x0) != (n,):
+        raise ValueError(f"expected a vector of {n} states, got {np.shape(x0)}")
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    # Interleaved (full, excluded) pairs in sorted order; padding lanes
+    # past n stay 0 (no column refers to them).
+    x = np.zeros((layout.n_slices * SLICE, 2), dtype=np.float32)
+    x[:n] = np.asarray(x0)[layout.perm, np.newaxis]
+    scratch = np.empty_like(x)
+    entry(
+        ctypes.c_int64(layout.n_slices),
+        ctypes.c_int64(int(steps)),
+        _as_ptr(layout.ptr, ctypes.c_int64),
+        _as_ptr(layout.cols, ctypes.c_int32),
+        _as_ptr(layout.vals, ctypes.c_float),
+        _as_ptr(x, ctypes.c_float),
+        _as_ptr(scratch, ctypes.c_float),
+    )
+    out = np.empty((n, 2), dtype=np.float32)
+    out[layout.perm] = x[:n]
+    return out[:, 0].copy(), out[:, 1].copy()

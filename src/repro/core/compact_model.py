@@ -77,6 +77,19 @@ from repro.obs import sanitize
 NO_FLOW = -1
 
 
+def run_starts(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal ``(row, col)`` pairs.
+
+    ``rows`` and ``cols`` are non-empty and ``(row, col)``-sorted, as
+    :meth:`CompactModel._sorted_entries` returns them; each run sums to
+    one matrix entry.
+    """
+    boundary = np.empty(len(rows), dtype=bool)
+    boundary[0] = True
+    boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    return np.flatnonzero(boundary)
+
+
 class CompactModel:
     """Compact chain over cached-rule sets.
 
@@ -336,7 +349,7 @@ class CompactModel:
                 rows[order], cols[order], probs[order], tags[order]
             )
             # Aliased to every caller (transition_matrix, the fast
-            # screen's float32 CSRs, reachability): read-only, like the
+            # screen's pair layout, reachability): read-only, like the
             # transition CSR buffers (runtime complement of MUT001).
             for array in sorted_entries:
                 array.setflags(write=False)
@@ -363,10 +376,7 @@ class CompactModel:
         n = self.n_states
         if len(rows) == 0:
             return sparse.csr_matrix((n, n), dtype=np.float64)
-        boundary = np.empty(len(rows), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(boundary)
+        starts = run_starts(rows, cols)
         data = np.add.reduceat(probs, starts)
         indices = cols[starts].astype(np.int32, copy=False)
         indptr = np.zeros(n + 1, dtype=np.int32)

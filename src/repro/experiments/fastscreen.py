@@ -7,70 +7,213 @@ a full harness build just to learn that the paper's viability screen
 (or the optimal-probe-differs restriction) says no.
 
 This module decides most of those rejections from a float32 replica of
-the screen computed with the native fused pair-chain kernel
-(:mod:`repro.core.cnative`), certified by conservative error bounds:
+the screen.  Both chains (full and target-excluded) are powered together
+by the native pair kernel (:func:`repro.core.cnative.pair_chain_f32`)
+on one shared transposed pattern, with float32 storage and float64
+sums.  The replica is certified by an error bound derived per candidate
+(:func:`error_bounds`), not calibrated from samples:
 
 * the float32 information gains, outcome probabilities, and posteriors
-  are computed exactly as the engine computes them (same coverage
-  products, same :func:`~repro.core.engine.gains_from_tables`, same
-  clamping) but from float32 chain outputs;
-* a candidate is rejected *only* when every flow that could plausibly
-  be the exact optimal probe (the gain tie-set ``W`` below) provably
-  fails the screen -- each member's posterior sits further than the
-  certified error bound below the paper's 0.5 cut, the member's outcome
-  probability is *exactly* zero by graph reachability (no float64 chain
-  can put mass on states the transition graph cannot reach, an integer
-  argument immune to rounding), or the member is the target flow while
-  the caller requires the optimal probe to differ;
+  are computed exactly as the engine computes them (same pruning, same
+  coverage products, same :func:`~repro.core.engine.gains_from_tables`,
+  same clamping) but from float32 chain outputs;
+* a candidate is rejected *only* when every flow that could be the exact
+  optimal probe (the gain tie-set, whose width follows from the gain
+  bound) provably fails the screen -- each member's posterior sits
+  further than the posterior bound below the paper's 0.5 cut, the
+  member's outcome probability is *exactly* zero by graph reachability
+  (no float64 chain can put mass on states the transition graph cannot
+  reach, an integer argument immune to rounding), or the member is the
+  target flow while the caller requires the optimal probe to differ;
 * anything short of that -- thin margins, tiny outcome probabilities,
-  gain ties that cannot be separated at float32 precision -- falls back
-  to the exact float64 screen, and *every accepted configuration* is
-  re-confirmed exactly (the harness is built and its verdicts are the
-  ones recorded), so accepted results are bit-identical to an
-  exact-only screen.
+  a non-target member with the screen off -- falls back to the exact
+  float64 screen, and *every accepted configuration* is re-confirmed
+  exactly (the harness is built and its verdicts are the ones
+  recorded), so accepted results are bit-identical to an exact-only
+  screen.
 
-The error-bound constants are calibrated with a ~20x safety factor over
-the worst float32 deviations observed across the headline candidate
-streams (tests/experiments/test_fastscreen.py measures them afresh and
-asserts the margins hold); the differential suite
+Every candidate bumps one outcome counter per proof its tie-set used
+(``experiment.fastscreen_proof_*``) or the one reason it fell back
+(``experiment.fastscreen_fallback_*``); docs/OBSERVABILITY.md lists
+them.  tests/experiments/test_fastscreen.py checks measured errors
+against the derived bounds; the differential suite
 (tests/experiments/test_oracle_diff.py) pins the full pipelines to an
 exact-only run (``REPRO_NO_CKERNEL=1``) on the test oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.core import cnative
-from repro.core.compact_model import CompactModel
-from repro.core.engine import gains_from_tables
+from repro.core.compact_model import CompactModel, run_starts
+from repro.core.engine import TIE_EPS, gains_from_tables
 from repro.core.inference import PRUNE
 from repro.experiments.params import ExperimentParams
 from repro.flows.config import NetworkConfiguration
 from repro.obs import get_instrumentation, sanitize
+from repro.obs.metrics import Counter, MetricsRegistry
 
-#: Bound on ``|float32 - exact|`` for any of the screen's probability
-#: sums (outcome probabilities, joints, priors).  Worst observed on the
-#: headline streams: ~2e-5.
-SUM_TOL = 5e-4
+#: Unit roundoff of float32 and of float64 (round to nearest).
+U32 = 2.0 ** -24
+U64 = 2.0 ** -53
 
-#: Bound on ``|float32 - exact|`` for per-flow information gains.
-#: Worst observed: ~5e-5.  The exact winner's gain is within TIE_EPS of
-#: the exact maximum, so it always lands in the float32 tie-set
-#: ``gains32 >= max(gains32) - GAIN_TOL``.
-GAIN_TOL = 1e-3
+#: Smallest positive float32.  Rounding a value into float32's
+#: subnormal range errs by at most half of it, beyond the relative
+#: ``U32``.
+TINY32 = 2.0 ** -149
 
-#: Outcome probabilities below this cannot be certified positive (and
-#: their posteriors divide by them, amplifying SUM_TOL): fall back.
-PROB_TOL = 2 * SUM_TOL
+#: Bound on the float64 rounding of one information gain, exact and
+#: replica evaluations together: each evaluates eight ``x log2(p/x)``
+#: terms of at most 2 bits, each within a few ulps, and sums them.
+GAIN_EVAL_SLACK = 256 * U64
 
-#: Posterior error scales like ``2 * SUM_TOL / p`` for outcome
-#: probability ``p`` (numerator and denominator each carry SUM_TOL).
-POST_TOL_NUMERATOR = 2 * SUM_TOL
+#: The proofs that reject a tie-set member.  A certified reject bumps
+#: the counter of every proof its tie-set used, so the counts overlap.
+PROOFS = ("target", "unreachable", "margin")
+
+#: Why a candidate went to the exact screen; every fallback bumps
+#: exactly one counter.  ``non_target``: the screen is off and a tie-set
+#: member is not the target, so nothing can reject it.
+FALLBACKS = ("thin_margin", "tiny_probability", "non_target", "no_replica")
+
+#: The counter of each proof and fallback reason (literal names, so the
+#: catalogue test sees them; created on first use).
+_OUTCOME_COUNTERS: Dict[str, Callable[[MetricsRegistry], Counter]] = {
+    "target": lambda m: m.counter("experiment.fastscreen_proof_target"),
+    "unreachable": lambda m: m.counter("experiment.fastscreen_proof_unreachable"),
+    "margin": lambda m: m.counter("experiment.fastscreen_proof_margin"),
+    "thin_margin": lambda m: m.counter("experiment.fastscreen_fallback_thin_margin"),
+    "tiny_probability": lambda m: m.counter(
+        "experiment.fastscreen_fallback_tiny_probability"
+    ),
+    "non_target": lambda m: m.counter("experiment.fastscreen_fallback_non_target"),
+    "no_replica": lambda m: m.counter("experiment.fastscreen_fallback_no_replica"),
+}
+
+
+def entropy_modulus(h: float) -> float:
+    """Modulus of continuity of ``eta(z) = -z log2 z`` on ``[0, 2]``.
+
+    For ``s, t`` in ``[0, 2]`` with ``|s - t| <= h <= 1/8``,
+    ``|eta(s) - eta(t)| <= h (log2(1/h) + 1)``.  On ``[0, 1]`` the
+    classical bound ``eta(|s - t|)`` holds; on ``[1, 2]`` the slope is at
+    most ``log2(e) + 1 < 3 <= log2(1/h)``; across 1 the two pieces add to
+    at most ``eta(a) + eta(b) <= 2 eta(h/2)`` with ``a + b <= h``, which
+    is the value returned.  Above ``1/8`` no bound is claimed (``inf``).
+    """
+    if h <= 0.0:
+        return 0.0
+    if h > 0.125:
+        return math.inf
+    return h * (1.0 - math.log2(h))
+
+
+@dataclass(frozen=True)
+class ErrorBounds:
+    """Derived bounds on the replica's error against the exact screen."""
+
+    #: ``||x_T - x^_T||_1`` for each float32 chain against its exact
+    #: float64 chain.
+    chain: float
+    #: ``|replica - exact|`` for every probability the screen sums:
+    #: outcome probabilities, joints, the prior.
+    sums: float
+    #: ``|replica - exact|`` for every information gain.
+    gains: float
+
+    @property
+    def tie_width(self) -> float:
+        """Gain gap below the replica maximum that may hold the exact optimum.
+
+        The exact winner ``w`` has ``G(w) >= max G - TIE_EPS``; each
+        side moves by at most ``gains``.
+        """
+        return 2.0 * self.gains + TIE_EPS
+
+    def posterior(self, p: float) -> float:
+        """Bound on a posterior's error at replica outcome probability ``p``.
+
+        ``clip(J, 0, p) / p`` moves by at most ``(|dJ| + |dp|) / p^``
+        at the exact ``p^ >= p - sums``; ``4 U64`` covers the float64
+        division and subtractions.  Only meaningful for ``p > sums``.
+        """
+        return 2.0 * self.sums / (p - self.sums) + 4.0 * U64
+
+
+def error_bounds(
+    steps: int,
+    n_states: int,
+    max_in_degree: int,
+    max_run: int,
+    max_row_sum: float,
+    mass: float = 1.0,
+) -> ErrorBounds:
+    """The replica's error bounds for one candidate.
+
+    Notation: ``A`` is the exact path's float64 transposed operator
+    (full or target-excluded), ``Ã`` the kernel's float32 copy, ``x^_t``
+    the exact float64 chain and ``x_t`` the kernel's, both from ``x_0``
+    of ℓ1 mass ``mass``.  ``k = max_in_degree`` bounds the entries in a
+    row of ``A``, ``m = max_run`` the entries summed into one value,
+    ``a = max(1, max_row_sum)`` bounds ``||A||_1`` (the excluded matrix
+    is entrywise below the full one), ``u = U32``, ``v = U64``,
+    ``n = n_states``; all entries are nonnegative.
+
+    1. ``|Ã - A| <= (u + 2 m v) A`` entrywise: the replica's float64
+       run sums and the exact path's each err by at most ``(m - 1) v``
+       relative, in whatever order, then the replica rounds to float32.
+    2. A kernel step multiplies float32 values exactly in float64, adds
+       at most ``k`` terms in float64 and rounds the sum to float32:
+       ``|x_{t+1} - Ã x_t| <= (u + k v) Ã x_t``.
+    3. An exact step rounds each product and each add in float64:
+       ``|x^_{t+1} - A x^_t| <= (k + 1) v A x^_t``.
+    4. So ``e_t = x_t - x^_t`` obeys ``||e_{t+1}||_1 <= a ||e_t||_1 +
+       c g M`` with ``c = 2u + u^2 + (2k + 2m + 1) v``, where
+       ``g = (1 + u + 2 m v)(1 + u + k v) a`` is the per-step growth of
+       every chain and ``M = g^T (1 + u) mass`` bounds their masses.
+       Unrolled from ``||e_0||_1 <= u mass``:
+       ``chain = a^T (u mass + T c g M)``, about ``T (2u + k v)
+       (1 + u)^T`` for a stochastic model; 1.8e-4 at ``T = 1500``,
+       ``k = 146``.
+    5. Pruning at ``PRUNE`` moves a state's weight by at most ``PRUNE``
+       more, and each float64 sum over ``n`` states rounds by at most
+       ``(n + 2) v M`` per path: every probability the screen sums is
+       off by at most ``sums = chain + n PRUNE + 2 (n + 2) v M``.
+    6. A gain is ``H(prior) - sum_q [eta(J_q) + eta(p_q - J_q) -
+       eta(p_q)]`` over the two outcomes, clipped at 0 (1-Lipschitz),
+       with ``J_q`` clipped into ``[0, p_q]`` (which moves it by at most
+       ``sums``).  The arguments move by ``sums`` (both prior terms,
+       ``J_q``, ``p_q``) or ``2 sums`` (``p_q - J_q``), so with
+       :func:`entropy_modulus` ``w``:
+       ``gains = 6 w(sums) + 2 w(2 sums) + GAIN_EVAL_SLACK``.
+
+    Values rounded into float32's subnormal range err by up to
+    ``TINY32 / 2`` beyond the relative bounds; those terms, at most
+    ``2 n TINY32`` per step, are added to ``c g M``.
+    """
+    u, v, k = U32, U64, max_in_degree
+    a = max(1.0, max_row_sum)
+    g = (1.0 + u + 2 * max_run * v) * (1.0 + u + k * v) * a
+    tiny = n_states * TINY32
+    masses = g ** steps * ((1.0 + u) * mass + (steps + 1) * tiny)
+    c = 2.0 * u + u * u + (2 * k + 2 * max_run + 1) * v
+    per_step = c * g * masses + 2.0 * tiny * max(masses, 1.0)
+    chain = a ** steps * (u * mass + tiny + steps * per_step)
+    sums = chain + n_states * PRUNE + 2.0 * (n_states + 2) * v * masses
+    if masses > 2.0:
+        gains = math.inf  # outside entropy_modulus's domain
+    else:
+        gains = (
+            6.0 * entropy_modulus(sums)
+            + 2.0 * entropy_modulus(2.0 * sums)
+            + GAIN_EVAL_SLACK
+        )
+    return ErrorBounds(chain=chain, sums=sums, gains=gains)
 
 
 def supports(params: ExperimentParams) -> bool:
@@ -104,6 +247,8 @@ class FastQuantities:
     p_miss: np.ndarray
     posterior_absent_given_miss: np.ndarray
     posterior_present_given_hit: np.ndarray
+    #: How far each quantity may sit from the exact screen's.
+    bounds: ErrorBounds
 
 
 def reachable_states(model: CompactModel) -> np.ndarray:
@@ -136,59 +281,69 @@ def reachable_states(model: CompactModel) -> np.ndarray:
             return reach
 
 
-def _transposed_csr_f32(
-    rows: np.ndarray, cols: np.ndarray, probs: np.ndarray, n: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:  # repro: noqa[STO001]
-    """CSR pieces of the transposed matrix, in kernel dtypes.
+def pair_layout(
+    model: CompactModel, target: int
+) -> Tuple[cnative.PairSell8, int, float]:
+    """The kernel layout of both chains, with two inputs to their bound.
 
-    Mirrors ``CompactModel._assemble_csr`` (consecutive duplicate
-    (row, col) runs summed left to right) but skips the float64 matrix
-    cache, stochasticity validation, and buffer freezing the exact path
-    performs -- the float32 product is consumed once, here.
+    Builds the transposed pattern straight from the model's sorted
+    entries.  Each duplicate ``(row, col)`` run collapses with one
+    ``np.add.reduceat`` per value array: over every entry for the full
+    value (the exact path's own call, so the same value bit for bit),
+    and with the target's entries zeroed for the excluded value, which
+    is 0 where the whole run is the target's.  A stable argsort by
+    column then gives the transposed order.
+
+    Also returns the longest run, which bounds how far the excluded
+    values' float64 summation order can move them from the exact path's
+    (it sums the kept entries alone), and the largest row sum of the
+    full matrix, nudged up by its own float64 rounding, which bounds the
+    ℓ1 norm of both transposed operators.
     """
-    boundary = np.empty(len(rows), dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(boundary)
-    data = np.add.reduceat(probs, starts)
-    indices = cols[starts].astype(np.int32, copy=False)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(
-        np.bincount(rows[starts], minlength=n), out=indptr[1:], dtype=np.int32
-    )
-    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-    transposed = matrix.T.tocsr()
-    pieces = (
-        np.ascontiguousarray(transposed.indptr, dtype=np.int32),
-        np.ascontiguousarray(transposed.indices, dtype=np.uint16),
-        np.ascontiguousarray(transposed.data, dtype=np.float32),
+    rows, cols, probs, tags = model._sorted_entries()
+    n = model.n_states
+    starts = run_starts(rows, cols)
+    full = np.add.reduceat(probs, starts)
+    excluded = np.add.reduceat(np.where(tags != target, probs, 0.0), starts)
+    run_rows = rows[starts]
+    run_cols = cols[starts]
+    # A stable argsort of 16-bit keys is a radix sort: about 5x faster
+    # than on int64 keys at this size.
+    keys = run_cols.astype(np.uint16) if n <= 1 << 16 else run_cols
+    order = np.argsort(keys, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(run_cols, minlength=n), out=indptr[1:])
+    layout = cnative.pair_sell8_layout(
+        indptr, run_rows[order], full[order], excluded[order]
     )
     if sanitize.is_active():
-        for piece in pieces:
+        for piece in (layout.ptr, layout.cols, layout.vals, layout.perm):
             piece.setflags(write=False)
-        sanitize.guard_array("fastscreen.transposed.data", pieces[2])
-    return pieces
+        sanitize.guard_array("fastscreen.pair_layout.vals", layout.vals)
+    max_run = int(np.diff(starts, append=len(rows)).max())
+    row_sum = float(np.bincount(run_rows, weights=full, minlength=n).max())
+    return layout, max_run, row_sum * (1.0 + n * U64)
 
 
 def fast_quantities(
     model: CompactModel, target: int, window_steps: int
 ) -> Optional[FastQuantities]:
     """The float32 screen quantities, or ``None`` when not computable."""
-    if model.n_states > cnative.MAX_STATES:
+    if len(model._sorted_entries()[0]) == 0:
         return None
-    rows, cols, probs, tags = model._sorted_entries()
-    if len(rows) == 0:
-        return None
-    n = model.n_states
-    full = _transposed_csr_f32(rows, cols, probs, n)
-    keep = tags != target
-    excluded = _transposed_csr_f32(rows[keep], cols[keep], probs[keep], n)
-    x0 = model.initial_distribution().astype(np.float32)
-    dist_full32, dist_absent32 = cnative.pair_chain_f32(
-        *full, *excluded, x0, window_steps
-    )
+    layout, max_run, row_sum = pair_layout(model, target)
+    x0 = model.initial_distribution()
+    dist_full32, dist_absent32 = cnative.pair_chain_f32(layout, x0, window_steps)
     dist_full = dist_full32.astype(np.float64)
     dist_absent = dist_absent32.astype(np.float64)
+    bounds = error_bounds(
+        window_steps,
+        model.n_states,
+        layout.max_row_length,
+        max_run,
+        row_sum,
+        float(np.abs(x0).sum()),
+    )
 
     n_flows = model.context.n_flows
     coverage = model.coverage_matrix(tuple(range(n_flows)))
@@ -200,7 +355,9 @@ def fast_quantities(
     miss_absent = base_absent.sum() - hit_absent
     outcome_probs = np.stack([miss_full, hit_full])
     joint_absent = np.stack([miss_absent, hit_absent])
-    prior_absent = float(dist_absent.sum())
+    # The exact prior is at most 1 (binary_entropy clamps it there), so
+    # clamping the replica's only shrinks its error.
+    prior_absent = min(float(dist_absent.sum()), 1.0)
     gains = gains_from_tables(prior_absent, joint_absent, outcome_probs)
 
     # OutcomeTable.posterior_absent: clamp the joint into [0, p], divide;
@@ -216,6 +373,7 @@ def fast_quantities(
         p_miss=miss_full,
         posterior_absent_given_miss=post_miss,
         posterior_present_given_hit=1.0 - post_hit,
+        bounds=bounds,
     )
 
 
@@ -252,35 +410,40 @@ class _Certifier:
             covered = ~covered
         return not bool((covered & self._reach).any())
 
-    def member_rejected(self, flow: int) -> bool:
-        """Would ``flow``, as the exact optimal probe, provably be rejected?"""
+    def verdict(self, flow: int) -> str:
+        """Why ``flow``, as the exact optimal probe, is provably rejected.
+
+        One of :data:`PROOFS`, or the :data:`FALLBACKS` reason no proof
+        holds.
+        """
         if self.require_optimal_differs and flow == self.target:
-            return True
+            return "target"
         if not self.screen:
-            return False
+            return "non_target"
         quantities = self.quantities
+        bounds = quantities.bounds
         p_hit = quantities.p_hit[flow]
         p_miss = quantities.p_miss[flow]
-        if p_hit <= PROB_TOL:
-            # Either exactly zero (the probe can never hit: the covered
-            # states are unreachable, so the screen's ``p_hit > 0``
-            # conjunct fails exactly) or merely tiny, where the
-            # posterior is a ratio of two sub-float32-noise sums and
-            # nothing is certifiable.
-            # Exact sentinel: reachability certifies only a true zero.
-            return p_hit == 0.0 and self._covered_unreachable(  # repro: noqa[PY001]
-                flow, complement=False
-            )
-        if p_miss <= PROB_TOL:
-            return p_miss == 0.0 and self._covered_unreachable(  # repro: noqa[PY001]
-                flow, complement=True
-            )
+        for p, complement in ((p_hit, False), (p_miss, True)):
+            if p <= bounds.sums:
+                # Either exactly zero (the probe can never hit, or never
+                # miss: those states are unreachable, so the screen's
+                # ``p > 0`` conjunct fails exactly) or merely tiny, where
+                # the posterior is a ratio of two sums within the bound
+                # of zero and nothing is certifiable.
+                # Exact sentinel: reachability certifies only a true zero.
+                if p == 0.0 and self._covered_unreachable(  # repro: noqa[PY001]
+                    flow, complement
+                ):
+                    return "unreachable"
+                return "tiny_probability"
         margin_miss = 0.5 - quantities.posterior_absent_given_miss[flow]
         margin_hit = 0.5 - quantities.posterior_present_given_hit[flow]
-        return bool(
-            margin_miss > POST_TOL_NUMERATOR / p_miss
-            or margin_hit > POST_TOL_NUMERATOR / p_hit
-        )
+        if margin_miss > bounds.posterior(p_miss) or margin_hit > bounds.posterior(
+            p_hit
+        ):
+            return "margin"
+        return "thin_margin"
 
 
 def screen_candidate(
@@ -312,14 +475,13 @@ def screen_candidate(
             model, config.target_flow, config.window_steps
         )
         if quantities is None:
-            obs.metrics.counter("experiment.fastscreen_unsupported").inc()
-            return FastScreenOutcome(False, model)
-        # Every flow whose float32 gain is within GAIN_TOL (+ the
-        # engine's tie epsilon, absorbed by GAIN_TOL's safety factor) of
-        # the float32 maximum could be the exact optimal probe; the
+            return _fallback(model, "no_replica")
+        # Every flow whose float32 gain is within the tie width of the
+        # float32 maximum could be the exact optimal probe; the
         # rejection must hold for all of them.
         tie_set = np.flatnonzero(
-            quantities.gains >= quantities.gains.max() - GAIN_TOL
+            quantities.gains
+            >= quantities.gains.max() - quantities.bounds.tie_width
         )
         certifier = _Certifier(
             model,
@@ -328,11 +490,21 @@ def screen_candidate(
             params.screen,
             require_optimal_differs,
         )
-        certified = all(
-            certifier.member_rejected(int(flow)) for flow in tie_set
-        )
-    if certified:
-        obs.metrics.counter("experiment.fastscreen_rejects").inc()
-        return FastScreenOutcome(True, model)
-    obs.metrics.counter("experiment.fastscreen_fallbacks").inc()
+        proofs: Set[str] = set()
+        for flow in tie_set:
+            verdict = certifier.verdict(int(flow))
+            if verdict not in PROOFS:
+                return _fallback(model, verdict)
+            proofs.add(verdict)
+    for proof in sorted(proofs):
+        _OUTCOME_COUNTERS[proof](obs.metrics).inc()
+    obs.metrics.counter("experiment.fastscreen_rejects").inc()
+    return FastScreenOutcome(True, model)
+
+
+def _fallback(model: CompactModel, reason: str) -> FastScreenOutcome:
+    """Hand the candidate to the exact screen, counting why."""
+    metrics = get_instrumentation().metrics
+    _OUTCOME_COUNTERS[reason](metrics).inc()
+    metrics.counter("experiment.fastscreen_fallbacks").inc()
     return FastScreenOutcome(False, model)

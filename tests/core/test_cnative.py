@@ -3,6 +3,8 @@
 Both SIMD builds of each kernel run here: the scalar loop on every host,
 the AVX-512 loop where the CPU has it.  Bit-equality of the float64
 chain with scipy over random models lives in ``test_chain_native_diff``.
+The pair chain is checked against float64 powering within the bound the
+certified screen derives for it (:func:`fastscreen.error_bounds`).
 """
 
 from fractions import Fraction
@@ -13,6 +15,7 @@ from scipy import sparse
 
 from repro.core import cnative
 from repro.core.chain import scipy_chain
+from repro.experiments.fastscreen import error_bounds
 
 
 @pytest.fixture
@@ -23,13 +26,17 @@ def reset_kernel():
     cnative._reset_for_tests()
 
 
-def _transposed_pieces(matrix: np.ndarray):
-    """CSR pieces of ``matrix.T`` in the kernel's dtypes."""
-    csr = sparse.csr_matrix(matrix.T.astype(np.float32))
-    return (
-        np.ascontiguousarray(csr.indptr, dtype=np.int32),
-        np.ascontiguousarray(csr.indices, dtype=np.uint16),
-        np.ascontiguousarray(csr.data, dtype=np.float32),
+def _pair_layout(first: np.ndarray, second: np.ndarray) -> cnative.PairSell8:
+    """Layout of ``first.T`` and ``second.T`` on their union pattern.
+
+    Where one matrix lacks an entry of the other, it stores 0.
+    """
+    pattern = sparse.csr_matrix(((first != 0) | (second != 0)).T.astype(float))
+    pattern.sort_indices()
+    rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+    cols = pattern.indices
+    return cnative.pair_sell8_layout(
+        pattern.indptr, cols, first.T[rows, cols], second.T[rows, cols]
     )
 
 
@@ -94,10 +101,10 @@ class TestDisabled:
     ):
         monkeypatch.setenv(cnative.DISABLE_ENV_VAR, "1")
         n = 4
-        pieces = _transposed_pieces(np.eye(n))
-        x0 = np.full(n, 1.0 / n, dtype=np.float32)
+        layout = _pair_layout(np.eye(n), np.eye(n))
+        x0 = np.full(n, 1.0 / n)
         with pytest.raises(RuntimeError, match="native kernel unavailable"):
-            cnative.pair_chain_f32(*pieces, *pieces, x0, 3)
+            cnative.pair_chain_f32(layout, x0, 3)
 
     def test_chain_raises_when_unavailable(self, monkeypatch, reset_kernel):
         monkeypatch.setenv(cnative.DISABLE_ENV_VAR, "1")
@@ -136,41 +143,76 @@ class TestKernel:
     @pytest.mark.parametrize("steps", [1, 2, 3, 8])
     def test_matches_float64_powering(self, steps):
         # Odd and even step counts exercise the kernel's buffer-swap
-        # copy-back branch; every build the host runs is checked.
+        # copy-back branch; n = 37 leaves a partial last slice; the
+        # excluded matrix holds entries the full one lacks (the shared
+        # pattern is their union).  Every build the host runs is checked
+        # against the derived bound.
         rng = np.random.default_rng(7)
         n = 37
         a = _random_stochastic(rng, n)
-        b = _random_stochastic(rng, n)
+        b = _random_stochastic(rng, n) * (rng.random((n, n)) < 0.7)
+        assert ((b != 0) & (a == 0)).any()
+        layout = _pair_layout(a, b)
         x0 = rng.random(n)
-        x0 = (x0 / x0.sum()).astype(np.float32)
+        x0 /= x0.sum()
 
-        want1 = x0.astype(np.float64)
-        want2 = x0.astype(np.float64)
+        want1, want2 = x0.copy(), x0.copy()
         for _ in range(steps):
             want1 = want1 @ a
             want2 = want2 @ b
+        bound = error_bounds(
+            steps, n, layout.max_row_length, 1, a.sum(axis=1).max()
+        ).chain
         levels = ("scalar", "avx512") if cnative.simd_level() == "avx512" else ("scalar",)
         for level in levels:
-            y1, y2 = cnative._pair_chain_f32(
-                level, *_transposed_pieces(a), *_transposed_pieces(b), x0, steps
-            )
-            np.testing.assert_allclose(y1, want1, rtol=1e-4, atol=1e-6)
-            np.testing.assert_allclose(y2, want2, rtol=1e-4, atol=1e-6)
+            y1, y2 = cnative._pair_chain_f32(level, layout, x0, steps)
+            assert y1.dtype == y2.dtype == np.float32
+            assert np.abs(y1 - want1).sum() <= bound
+            assert np.abs(y2 - want2).sum() <= bound
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 37, 100])
+    @pytest.mark.parametrize("steps", [0, 1, 4, 7])
+    def test_scalar_and_avx512_bit_identical(self, n, steps):
+        if cnative.simd_level() != "avx512":
+            pytest.skip("this CPU has no AVX-512")
+        rng = np.random.default_rng(n * 10 + steps)
+        a = _random_stochastic(rng, n)
+        b = a * (rng.random((n, n)) < 0.5)
+        layout = _pair_layout(a, b)
+        x0 = rng.random(n)
+        scalar = cnative._pair_chain_f32("scalar", layout, x0, steps)
+        avx512 = cnative._pair_chain_f32("avx512", layout, x0, steps)
+        for got, want in zip(avx512, scalar):
+            np.testing.assert_array_equal(got, want)
+
+    def test_pair_chain_uses_the_host_build(self):
+        rng = np.random.default_rng(4)
+        a = _random_stochastic(rng, 21)
+        layout = _pair_layout(a, a)
+        x0 = rng.random(21)
+        for got, want in zip(
+            cnative.pair_chain_f32(layout, x0, 5),
+            cnative._pair_chain_f32(cnative.simd_level(), layout, x0, 5),
+        ):
+            np.testing.assert_array_equal(got, want)
 
     def test_input_distribution_not_mutated(self):
         rng = np.random.default_rng(11)
         n = 9
-        pieces = _transposed_pieces(_random_stochastic(rng, n))
-        x0 = np.full(n, 1.0 / n, dtype=np.float32)
+        a = _random_stochastic(rng, n)
+        layout = _pair_layout(a, a)
+        x0 = np.full(n, 1.0 / n)
+        x0.setflags(write=False)
         before = x0.copy()
-        cnative.pair_chain_f32(*pieces, *pieces, x0, 5)
+        cnative.pair_chain_f32(layout, x0, 5)
         np.testing.assert_array_equal(x0, before)
 
-    def test_state_space_bound_enforced(self):
-        pieces = _transposed_pieces(np.eye(2))
-        x0 = np.zeros(cnative.MAX_STATES + 1, dtype=np.float32)
-        with pytest.raises(ValueError, match="state space too large"):
-            cnative.pair_chain_f32(*pieces, *pieces, x0, 1)
+    def test_pair_chain_shape_and_steps_checked(self):
+        layout = _pair_layout(np.eye(3), np.eye(3))
+        with pytest.raises(ValueError, match="expected a vector of 3"):
+            cnative.pair_chain_f32(layout, np.ones(4), 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            cnative.pair_chain_f32(layout, np.ones(3), -1)
 
 
 def _chain_pieces(matrix: np.ndarray):
@@ -251,3 +293,37 @@ class TestSell8Layout:
     def test_empty_matrix(self):
         layout = cnative.sell8_layout(np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0))
         assert layout.n == 0 and layout.n_slices == 0
+
+
+class TestPairSell8Layout:
+    def test_rows_renumbered_by_sorted_position(self):
+        rng = np.random.default_rng(12)
+        n = 19
+        a = _random_stochastic(rng, n)
+        b = a * (rng.random((n, n)) < 0.5)
+        layout = _pair_layout(a, b)
+        pattern = (a != 0) | (b != 0)  # column r is row r of the transposes
+        lengths = pattern.sum(axis=0)
+        assert layout.n_slices == 3
+        assert sorted(layout.perm) == list(range(n))
+        assert np.all(np.diff(lengths[layout.perm]) <= 0)
+        assert layout.max_row_length == lengths.max()
+        # Lane p holds row perm[p] of both transposes, in column order,
+        # with columns renumbered by sorted position; the rest is padding.
+        padding = np.ones(layout.ptr[-1], dtype=bool)
+        for lane, row in enumerate(layout.perm):
+            s, l = divmod(lane, cnative.SLICE)
+            slots = layout.ptr[s] + np.arange(lengths[row]) * cnative.SLICE + l
+            padding[slots] = False
+            cols = layout.perm[layout.cols[slots]]
+            np.testing.assert_array_equal(cols, np.flatnonzero(pattern[:, row]))
+            np.testing.assert_array_equal(layout.vals[slots, 0], a[cols, row].astype(np.float32))
+            np.testing.assert_array_equal(layout.vals[slots, 1], b[cols, row].astype(np.float32))
+        assert not layout.cols[padding].any()
+        assert not layout.vals[padding].any()
+
+    def test_empty_matrix(self):
+        layout = cnative.pair_sell8_layout(
+            np.zeros(1, np.int64), np.zeros(0, np.int32), np.zeros(0), np.zeros(0)
+        )
+        assert layout.n == 0 and layout.n_slices == 0 and layout.max_row_length == 0

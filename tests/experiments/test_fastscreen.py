@@ -5,13 +5,14 @@ Two properties matter:
 * **soundness** -- ``certified_reject=True`` must imply the exact
   serial loop rejects the candidate.  This is checked candidate by
   candidate against the exact :class:`ConfigHarness` verdicts over a
-  fresh sampled stream.
-* **calibrated margins** -- the float32 quantities must sit well inside
-  the error-bound constants the certifier assumes.  The bounds are
-  re-measured here so a drift in the kernel or the screen math fails
-  loudly instead of silently eroding the safety factor.
+  fresh sampled stream, and adversarially on candidates whose exact
+  posterior sits just above the paper's 0.5 cut.
+* **derived bounds** -- the float32 quantities must sit inside the
+  error bounds :func:`fastscreen.error_bounds` derives per candidate.
+  The errors are measured here against the exact float64 screen.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,9 +20,12 @@ import pytest
 
 from repro.core import cnative
 from repro.core.compact_model import CompactModel
+from repro.core.inference import ReconInference
 from repro.experiments import fastscreen
 from repro.experiments.harness import ConfigHarness
+from repro.experiments.params import VIABLE_FIG6_BINS, ExperimentParams
 from repro.flows.config import ConfigGenerator
+from repro.flows.universe import FlowUniverse
 from repro.obs import Instrumentation, use_instrumentation
 
 from tests.experiments.conftest import tiny_experiment_params
@@ -105,56 +109,288 @@ class TestSoundness:
                 fastscreen.screen_candidate(
                     params, config, require_optimal_differs=True
                 )
-        decided = sum(
-            backend.metrics.counter(f"experiment.fastscreen_{key}").value
-            for key in ("rejects", "fallbacks", "unsupported")
+        counts = _fastscreen_counts(backend)
+        assert counts["rejects"] + counts["fallbacks"] == 20
+        # Every fallback has one reason; every reject at least one proof.
+        assert counts["fallbacks"] == sum(
+            counts[f"fallback_{reason}"] for reason in fastscreen.FALLBACKS
         )
-        assert decided == 20
+        for proof in fastscreen.PROOFS:
+            assert counts[f"proof_{proof}"] <= counts["rejects"]
 
 
-class TestCalibratedMargins:
+def _fastscreen_counts(backend):
+    names = ["rejects", "fallbacks"]
+    names += [f"proof_{proof}" for proof in fastscreen.PROOFS]
+    names += [f"fallback_{reason}" for reason in fastscreen.FALLBACKS]
+    return {
+        name: backend.metrics.counter(f"experiment.fastscreen_{name}").value
+        for name in names
+    }
+
+
+class TestOutcomeSplit:
+    def test_split_on_the_pinned_screen_streams(self):
+        # The first 8 candidates of each pinned stream of the benchmark's
+        # screen workload (seed 2017, one stream per Figure 6 bin).
+        backend = Instrumentation()
+        with use_instrumentation(backend):
+            for index, (low, high) in enumerate(VIABLE_FIG6_BINS):
+                params = ExperimentParams(seed=2017).with_absence_range(low, high)
+                generator = ConfigGenerator(params.config, seed=2017 * 10 + index)
+                for _ in range(8):
+                    fastscreen.screen_candidate(
+                        params, generator.sample(), require_optimal_differs=True
+                    )
+        assert _fastscreen_counts(backend) == {
+            "rejects": 14,
+            "fallbacks": 2,
+            "proof_target": 14,
+            "proof_unreachable": 5,
+            "proof_margin": 14,
+            "fallback_thin_margin": 2,
+            "fallback_tiny_probability": 0,
+            "fallback_non_target": 0,
+            "fallback_no_replica": 0,
+        }
+
+    def test_screen_off_falls_back_on_non_target_members(self):
+        params = replace(tiny_experiment_params(), screen=False)
+        backend = Instrumentation()
+        with use_instrumentation(backend):
+            for config in sample_candidates(params, 20):
+                fastscreen.screen_candidate(
+                    params, config, require_optimal_differs=True
+                )
+        counts = _fastscreen_counts(backend)
+        assert counts["rejects"] == counts["proof_target"] > 0
+        assert counts["fallbacks"] == counts["fallback_non_target"] > 0
+
+
+def _assert_inside_bounds(params, config):
+    """Measured replica errors against the exact screen, within the bounds."""
+    model = CompactModel(
+        config.policy,
+        config.universe,
+        config.delta,
+        config.cache_size,
+    )
+    fast = fastscreen.fast_quantities(
+        model, config.target_flow, config.window_steps
+    )
+    assert fast is not None
+    bounds = fast.bounds
+    harness = ConfigHarness(
+        config,
+        params,
+        rng=np.random.default_rng(0),
+        model=model,
+    )
+    inference = harness.inference
+    layout, _, _ = fastscreen.pair_layout(model, config.target_flow)
+    chains = cnative.pair_chain_f32(
+        layout, model.initial_distribution(), config.window_steps
+    )
+    exact = (inference.dist_full, inference.dist_absent)
+    for got, want in zip(chains, exact):
+        assert np.abs(got - want).sum() <= bounds.chain
+    assert abs(
+        min(float(chains[1].astype(np.float64).sum()), 1.0)
+        - inference.prior_absent()
+    ) <= bounds.sums
+    exact_gains = np.array(
+        [
+            inference.information_gain((flow,))
+            for flow in range(len(config.universe))
+        ]
+    )
+    assert np.abs(fast.gains - exact_gains).max() <= bounds.gains
+    for flow in range(len(config.universe)):
+        table = inference.outcome_table((flow,))
+        assert abs(
+            fast.p_hit[flow] - table.outcome_probs.get((1,), 0.0)
+        ) <= bounds.sums
+        assert abs(
+            fast.p_miss[flow] - table.outcome_probs.get((0,), 0.0)
+        ) <= bounds.sums
+
+
+class TestDerivedBounds:
     def test_float32_errors_sit_inside_the_certifier_bounds(self):
         params = tiny_experiment_params()
-        worst_gain = 0.0
-        worst_sum = 0.0
         for config in sample_candidates(params, 40):
-            model = CompactModel(
-                config.policy,
-                config.universe,
-                config.delta,
-                config.cache_size,
+            _assert_inside_bounds(params, config)
+
+    def test_float32_errors_inside_the_bounds_at_the_headline_scale(self):
+        # Two pinned screen candidates: 1,500-step chains, up to 2,510
+        # states.
+        params = ExperimentParams(seed=2017).with_absence_range(
+            *VIABLE_FIG6_BINS[0]
+        )
+        generator = ConfigGenerator(params.config, seed=2017 * 10)
+        for _ in range(2):
+            _assert_inside_bounds(params, generator.sample())
+
+    def test_chain_bound_at_the_headline_scale(self):
+        # T = 1500 steps, in-degree 146: T (2 u32 + k u64) (1 + u32)^T.
+        bounds = fastscreen.error_bounds(1500, 2510, 146, 8, 1.0)
+        assert bounds.chain == pytest.approx(1.79e-4, rel=0.01)
+        assert bounds.sums == pytest.approx(bounds.chain, rel=1e-6)
+        assert bounds.tie_width < 0.06
+
+    def test_bounds_grow_with_steps_degree_and_row_sum(self):
+        base = fastscreen.error_bounds(100, 50, 10, 2, 1.0)
+        for bigger in (
+            fastscreen.error_bounds(200, 50, 10, 2, 1.0),
+            fastscreen.error_bounds(100, 50, 10**6, 2, 1.0),
+            fastscreen.error_bounds(100, 50, 10, 2, 1.0 + 1e-3),
+        ):
+            assert bigger.chain > base.chain
+            assert bigger.gains > base.gains
+
+    def test_no_gain_bound_outside_the_modulus_domain(self):
+        assert math.isinf(fastscreen.error_bounds(100, 50, 10, 2, 1.01).gains)
+
+    def test_entropy_modulus_bounds_eta_on_zero_to_two(self):
+        rng = np.random.default_rng(1)
+
+        def eta(z):
+            return -z * math.log2(z) if z > 0.0 else 0.0
+
+        for h in (1e-9, 1e-6, 1e-4, 1e-2, 0.125):
+            bound = fastscreen.entropy_modulus(h)
+            # Near 0, across 1, and random pairs in [0, 2].
+            starts = np.concatenate(
+                [[0.0, 1.0 - h / 2, 1.0 - h, 2.0 - h], rng.random(200) * (2.0 - h)]
             )
-            fast = fastscreen.fast_quantities(
-                model, config.target_flow, config.window_steps
-            )
-            assert fast is not None
-            harness = ConfigHarness(
-                config,
-                params,
-                rng=np.random.default_rng(0),
-                model=model,
-            )
-            inference = harness.inference
-            exact_gains = np.array(
-                [
-                    inference.information_gain((flow,))
-                    for flow in range(len(config.universe))
-                ]
-            )
-            worst_gain = max(
-                worst_gain, float(np.abs(fast.gains - exact_gains).max())
-            )
+            for s in starts:
+                for t in (s + h, s + h * rng.random()):
+                    assert abs(eta(s) - eta(t)) <= bound * (1 + 1e-12)
+        assert fastscreen.entropy_modulus(0.0) == 0.0
+        assert math.isinf(fastscreen.entropy_modulus(0.2))
+
+
+def _exact_posteriors(config, flow):
+    """The exact screen's posteriors on ``flow``'s miss and hit."""
+    model = CompactModel(
+        config.policy, config.universe, config.delta, config.cache_size
+    )
+    inference = ReconInference(model, config.target_flow, config.window_steps)
+    table = inference.outcome_table((flow,))
+    return table.posterior_absent((0,)), table.posterior_present((1,))
+
+
+def _with_target_rate(config, rate):
+    rates = list(config.universe.rates)
+    rates[config.target_flow] = rate
+    universe = FlowUniverse(config.universe.flows, tuple(rates))
+    return replace(config, universe=universe)
+
+
+def _near_cut(config, flow):
+    """``config`` with the target's rate set so that ``flow``'s exact
+    screen accepts with one posterior at most 1e-9 above 0.5, or ``None``.
+
+    The miss posterior falls and the hit posterior rises with the
+    target's rate, so the screen accepts on an interval of rates;
+    bisection finds its upper end, where the miss posterior crosses 0.5.
+    """
+    grid = np.geomspace(1e-3, 1e3, 25) * max(config.universe.rates)
+    accepted = [
+        rate
+        for rate in grid
+        if min(_exact_posteriors(_with_target_rate(config, rate), flow)) > 0.5
+    ]
+    if not accepted:
+        return None
+    low = accepted[-1]
+    high = grid[min(np.searchsorted(grid, low) + 1, len(grid) - 1)]
+    if high == low:
+        return None
+    for _ in range(60):
+        mid = math.sqrt(low * high)
+        miss, hit = _exact_posteriors(_with_target_rate(config, mid), flow)
+        if miss > 0.5 and hit > 0.5:
+            low = mid
+        else:
+            high = mid
+    near = _with_target_rate(config, low)
+    if min(_exact_posteriors(near, flow)) - 0.5 > 1e-9:
+        return None
+    return near
+
+
+class TestAdversarialCut:
+    """Candidates whose exact posterior sits just above 0.5 are never
+    certified rejected on the strength of that posterior."""
+
+    def test_certifier_falls_back_just_above_the_cut(self):
+        params = tiny_experiment_params()
+        found = 0
+        for config in sample_candidates(params, 12, seed=4242):
             for flow in range(len(config.universe)):
-                table = inference.outcome_table((flow,))
-                worst_sum = max(
-                    worst_sum,
-                    abs(fast.p_hit[flow] - table.outcome_probs.get((1,), 0.0)),
-                    abs(
-                        fast.p_miss[flow]
-                        - table.outcome_probs.get((0,), 0.0)
-                    ),
+                if flow == config.target_flow:
+                    continue
+                near = _near_cut(config, flow)
+                if near is None:
+                    continue
+                found += 1
+                model = CompactModel(
+                    near.policy, near.universe, near.delta, near.cache_size
                 )
-        # The certifier constants carry a ~20x safety factor over the
-        # deviations this measurement produced at calibration time.
-        assert worst_gain < fastscreen.GAIN_TOL / 4
-        assert worst_sum < fastscreen.SUM_TOL / 4
+                quantities = fastscreen.fast_quantities(
+                    model, near.target_flow, near.window_steps
+                )
+                certifier = fastscreen._Certifier(
+                    model, quantities, near.target_flow, True, False
+                )
+                assert certifier.verdict(flow) in fastscreen.FALLBACKS
+                # The whole candidate: a certificate must agree with the
+                # exact screen.
+                outcome = fastscreen.screen_candidate(
+                    params, near, require_optimal_differs=False
+                )
+                if outcome.certified_reject:
+                    harness = ConfigHarness(
+                        near, params, rng=np.random.default_rng(0), model=model
+                    )
+                    assert not harness.is_screened_in()
+        assert found >= 3
+
+    @pytest.mark.parametrize("p", [3e-4, 1e-3, 1e-2, 0.1, 0.5, 0.9])
+    def test_worst_case_replica_never_crosses_the_cut(self, p):
+        # Exact posteriors 0.5 + tiny on both sides; the replica moves
+        # every probability by up to the bound, in every direction.
+        bounds = fastscreen.error_bounds(1500, 2510, 146, 8, 1.0)
+        tol = bounds.sums
+        exact_joint = p * (0.5 + 1e-12)
+        for d_joint in (-tol, 0.0, tol):
+            for d_p in (-tol, 0.0, tol):
+                replica_p = p + d_p
+                replica_joint = exact_joint + d_joint
+                posterior = min(max(replica_joint, 0.0), replica_p) / replica_p
+                quantities = fastscreen.FastQuantities(
+                    gains=np.zeros(1),
+                    p_hit=np.array([replica_p]),
+                    p_miss=np.array([replica_p]),
+                    posterior_absent_given_miss=np.array([posterior]),
+                    posterior_present_given_hit=np.array([1.0 - posterior]),
+                    bounds=bounds,
+                )
+                certifier = fastscreen._Certifier(None, quantities, 1, True, False)
+                assert certifier.verdict(0) in fastscreen.FALLBACKS
+
+    def test_replica_well_below_the_cut_is_rejected(self):
+        bounds = fastscreen.error_bounds(1500, 2510, 146, 8, 1.0)
+        p = 0.1
+        posterior = 0.5 - 2 * bounds.posterior(p)
+        quantities = fastscreen.FastQuantities(
+            gains=np.zeros(1),
+            p_hit=np.array([p]),
+            p_miss=np.array([p]),
+            posterior_absent_given_miss=np.array([posterior]),
+            posterior_present_given_hit=np.array([0.9]),
+            bounds=bounds,
+        )
+        certifier = fastscreen._Certifier(None, quantities, 1, True, False)
+        assert certifier.verdict(0) == "margin"
