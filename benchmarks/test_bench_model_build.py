@@ -75,12 +75,13 @@ def test_bench_probe_selection(benchmark, config, model):
     assert 0 <= choice.probes[0] < 16
 
 
-def test_bench_outcome_table_walk(benchmark, inference):
+def test_bench_outcome_table(benchmark, inference):
     """Joint outcome distribution for a 2-probe plan (Section V-B)."""
 
-    def walk():
+    def build():
         inference._table_cache.clear()
+        inference._prefix_cache.clear()
         return inference.outcome_table((0, 1))
 
-    table = benchmark(walk)
+    table = benchmark(build)
     assert sum(table.outcome_probs.values()) == pytest.approx(1.0)

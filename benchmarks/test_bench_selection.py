@@ -17,10 +17,11 @@ import pytest
 from repro.core.compact_model import CompactModel
 from repro.core.engine import ProbeScoringEngine
 from repro.core.inference import ReconInference
-from repro.core.selection import best_probe_set, best_probe_set_serial
+from repro.core.selection import best_probe_set
 from repro.flows.flowid import FlowId
 from repro.flows.policy import ModelRule, Policy
 from repro.flows.universe import FlowUniverse
+from tests.oracles.probes import best_probe_set_serial
 
 N_FLOWS = 10
 CACHE_SIZE = 4

@@ -1,7 +1,5 @@
 """The paper's contribution: switch Markov models and probe selection.
 
-* :mod:`repro.core.basic_model` -- the Section IV-A full-fidelity chain
-  over complete cache contents (rule, remaining-time) tuples.
 * :mod:`repro.core.compact_model` -- the Section IV-B compact chain over
   cached-rule *sets*, with eviction/timeout probabilities estimated from
   the recency (``u``) distribution.
@@ -15,7 +13,6 @@
   attacker policies used in the evaluation.
 """
 
-from repro.core.basic_model import BasicModel, BasicState, CacheEntry
 from repro.core.compact_model import CompactModel
 from repro.core.recency import IndependentRecencyEstimator, RecencyEstimator
 from repro.core.inference import ReconInference
@@ -32,9 +29,6 @@ from repro.core.attacker import (
 from repro.core.adaptive import AdaptiveModelAttacker, AdaptiveSession
 
 __all__ = [
-    "BasicModel",
-    "BasicState",
-    "CacheEntry",
     "CompactModel",
     "RecencyEstimator",
     "IndependentRecencyEstimator",

@@ -7,9 +7,11 @@ conditioning the switch-state distribution as it goes.  This module
 implements that attacker on top of the compact model:
 
 * :class:`AdaptiveSession` carries the joint weightings
-  ``P(state ∧ observations)`` and ``P(X̂=0 ∧ state ∧ observations)``,
-  updated after every observed probe (including the probe's own cache
-  perturbation);
+  ``P(state ∧ observations)`` and ``P(X̂=0 ∧ state ∧ observations)`` as
+  two dense state vectors, updated after every observed probe by the
+  same split-and-push as the engine's prefix rows
+  (:func:`~repro.core.inference.push_probe`, the probe's own cache
+  perturbation included);
 * each step greedily picks the candidate flow with the largest
   *conditional* information gain about ``X̂`` given everything seen;
 * the session stops after its probe budget or when no candidate gains
@@ -28,14 +30,14 @@ millibit of each other; the benchmarks report both.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
 
 from repro.core.compact_model import CompactModel
-from repro.core.engine import batched_conditional_gains
-from repro.core.gain import binary_entropy, information_gain
-from repro.core.inference import ReconInference
-from repro.core.probe import apply_probe, probe_outcome
+from repro.core.engine import conditional_gains
+from repro.core.gain import binary_entropy
+from repro.core.inference import ReconInference, pruned, push_probe
 
 
 class AdaptiveSession:
@@ -78,17 +80,8 @@ class AdaptiveSession:
         self.allow_repeats = allow_repeats
         self.n_jobs = int(n_jobs)
 
-        states = self.model.states
-        self._weights_full: Dict[int, float] = {
-            states[i]: float(w)
-            for i, w in enumerate(inference.dist_full)
-            if w > 1e-15
-        }
-        self._weights_absent: Dict[int, float] = {
-            states[i]: float(w)
-            for i, w in enumerate(inference.dist_absent)
-            if w > 1e-15
-        }
+        self._weights_full: np.ndarray = pruned(inference.dist_full)
+        self._weights_absent: np.ndarray = pruned(inference.dist_absent)
         self.history: List[Tuple[int, int]] = []  # (flow, outcome)
         self._pending_flow: Optional[int] = None
 
@@ -98,14 +91,14 @@ class AdaptiveSession:
     @property
     def evidence_mass(self) -> float:
         """``P(observations so far)`` under the model."""
-        return sum(self._weights_full.values())
+        return float(self._weights_full.sum())
 
     def posterior_absent(self) -> float:
         """``P(X̂ = 0 | observations)``; 0.5 when evidence mass is zero."""
         mass = self.evidence_mass
         if mass <= 0.0:
             return 0.5
-        return min(sum(self._weights_absent.values()) / mass, 1.0)
+        return min(float(self._weights_absent.sum()) / mass, 1.0)
 
     def decide(self) -> int:
         """MAP verdict on ``X̂`` from the current posterior."""
@@ -114,46 +107,14 @@ class AdaptiveSession:
     # ------------------------------------------------------------------
     # Probe planning
     # ------------------------------------------------------------------
-    def _split_by_outcome(
-        self, weights: Dict[int, float], flow: int
-    ) -> Dict[int, Dict[int, float]]:
-        """Partition + perturb a weighting by a probe's outcome bit."""
-        split: Dict[int, Dict[int, float]] = {0: {}, 1: {}}
-        for state, weight in weights.items():
-            bit = probe_outcome(self.model, state, flow)
-            bucket = split[bit]
-            for successor, prob in apply_probe(self.model, state, flow):
-                value = weight * prob
-                if value <= 0.0:
-                    continue
-                bucket[successor] = bucket.get(successor, 0.0) + value
-        return split
-
-    def _conditional_gain(self, flow: int) -> float:
-        """IG about ``X̂`` of probing ``flow`` now, given the history."""
-        mass = self.evidence_mass
-        if mass <= 0.0:
-            return 0.0
-        split_full = self._split_by_outcome(self._weights_full, flow)
-        split_absent = self._split_by_outcome(self._weights_absent, flow)
-        outcome_probs = {
-            (bit,): sum(split_full[bit].values()) / mass for bit in (0, 1)
-        }
-        joint_absent = {
-            (bit,): sum(split_absent[bit].values()) / mass for bit in (0, 1)
-        }
-        prior_absent = self.posterior_absent()
-        return information_gain(prior_absent, joint_absent, outcome_probs)
-
     def next_probe(self) -> Optional[int]:
         """The next probe flow, or ``None`` when the session is done.
 
         Must be followed by :meth:`observe` with the measured bit before
         the next call.  Candidate scoring runs on the engine's batched
         conditional-gain path (fanned out over processes when the
-        session was built with ``n_jobs > 1``); the winner scan is the
-        same canonical-order loop as the per-flow reference
-        (:meth:`_conditional_gain`), so the chosen probe is identical.
+        session was built with ``n_jobs > 1``); the winner scan runs in
+        canonical candidate order, so ties break toward the lowest flow.
         """
         if self._pending_flow is not None:
             raise RuntimeError("observe() the pending probe first")
@@ -165,7 +126,7 @@ class AdaptiveSession:
             for flow in self.candidates
             if self.allow_repeats or flow not in used
         ]
-        gains = batched_conditional_gains(
+        gains = conditional_gains(
             self.model,
             self._weights_full,
             self._weights_absent,
@@ -191,12 +152,14 @@ class AdaptiveSession:
             raise ValueError(f"outcome must be 0/1, got {outcome!r}")
         flow = self._pending_flow
         self._pending_flow = None
-        self._weights_full = self._split_by_outcome(
-            self._weights_full, flow
-        )[outcome]
-        self._weights_absent = self._split_by_outcome(
-            self._weights_absent, flow
-        )[outcome]
+        rows = push_probe(
+            self.model,
+            np.stack([self._weights_full, self._weights_absent]),
+            flow,
+        )
+        # Rows: full miss, full hit, absent miss, absent hit.
+        self._weights_full = rows[outcome]
+        self._weights_absent = rows[2 + outcome]
         self.history.append((flow, outcome))
 
     # ------------------------------------------------------------------
@@ -239,16 +202,14 @@ def _expected_leaf_entropy(session: AdaptiveSession) -> float:
             allow_repeats=session.allow_repeats,
             n_jobs=session.n_jobs,
         )
-        child._weights_full = dict(session._weights_full)
-        child._weights_absent = dict(session._weights_absent)
+        child._weights_full = session._weights_full
+        child._weights_absent = session._weights_absent
         child.history = list(session.history)
         child._pending_flow = flow
-        branch_mass = sum(
-            child._split_by_outcome(child._weights_full, flow)[bit].values()
-        )
+        child.observe(bit)
+        branch_mass = child.evidence_mass
         if branch_mass <= 0.0:
             continue
-        child.observe(bit)
         total += (branch_mass / mass) * _expected_leaf_entropy(child)
     return total
 

@@ -271,25 +271,49 @@ class CompactModel:
         """Stacked coverage vectors, one row per flow."""
         return np.stack([self.coverage_vector(flow) for flow in flows])
 
+    def apply_probe(self, state: int, flow: int) -> List[Tuple[int, float]]:
+        """Successor states (with weights) after probing ``flow`` in ``state``.
+
+        A probe is itself a flow, so a miss the policy covers perturbs
+        the cache like any other arrival:
+
+        * hit: the cache set is unchanged (the matched rule's timer resets);
+        * miss, covered by the policy: the install rule enters, with the
+          eviction split applied when the cache is full;
+        * miss, uncovered: unchanged (the controller just forwards).
+        """
+        ctx = self.context
+        if ctx.match_in_cache(flow, state) is not None:
+            return [(state, 1.0)]
+        install = ctx.install_rule[flow]
+        if install is None:
+            return [(state, 1.0)]
+        if popcount(state) < ctx.cache_size:
+            return [(state | (1 << install), 1.0)]
+        branches: List[Tuple[int, float]] = []
+        for victim, prob in self.eviction_distribution(state).items():
+            if prob <= 0.0:
+                continue
+            branches.append(((state & ~(1 << victim)) | (1 << install), prob))
+        return branches
+
     def probe_matrix(self, flow: int) -> sparse.csr_matrix:
         """Row-stochastic matrix of a probe's cache perturbation.
 
-        Row ``i`` spreads state ``i`` over the successor states of
-        probing ``flow`` there: identity for hits and uncovered misses,
-        the install/evict branching for covered misses (the same
-        semantics as :func:`repro.core.probe.apply_probe`).
+        Row ``i`` spreads state ``i`` over :meth:`apply_probe`'s
+        successors of probing ``flow`` there: identity for hits and
+        uncovered misses, the install/evict branching for covered
+        misses.
         """
         flow = int(flow)
         cached = self._probe_matrix_cache.get(flow)
         if cached is None:
-            from repro.core.probe import apply_probe
-
             rows: List[int] = []
             cols: List[int] = []
             probs: List[float] = []
             state_index = self.state_index
             for row, state in enumerate(self.states):
-                for successor, prob in apply_probe(self, state, flow):
+                for successor, prob in self.apply_probe(state, flow):
                     if prob <= 0.0:
                         continue
                     try:

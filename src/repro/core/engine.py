@@ -1,10 +1,10 @@
 """Parallel cached probe-scoring engine (the Section V inner loop).
 
 Probe selection evaluates ``IG(X̂ | Q_{f_1}, ..., Q_{f_m})`` over many
-candidate probe sequences.  The serial reference path
-(:func:`repro.core.selection.best_probe_set_serial`) rebuilds every
-sequence's outcome table from scratch through dict-based frontier
-walks; this module replaces that inner loop with three ideas:
+candidate probe sequences.  The serial reference loops
+(``tests/oracles/probes.py``) rebuild every sequence's outcome table
+anew through dict-based frontier walks; this module replaces
+that inner loop with three ideas:
 
 * **shared prefix cache** -- sibling candidates evaluated in canonical
   (ascending) order share long common prefixes; the per-inference cache
@@ -13,11 +13,12 @@ walks; this module replaces that inner loop with three ideas:
   exactly once;
 * **batched vectorised scoring** -- the final probe of every candidate
   sequence only *reads* the cached prefix state (its perturbation feeds
-  no further probe), so a block of candidates is scored with one stacked
-  matrix product against the coverage matrix instead of per-flow Python
-  iteration.  Blocks have a fixed size (:data:`SCORE_BLOCK`) so the
-  floating-point shapes -- and therefore the results, bit for bit -- do
-  not depend on how the work is chunked across processes;
+  no further probe), so a block of candidates is scored with one
+  :func:`~repro.core.inference.coverage_split` of the prefix rows
+  instead of per-flow Python iteration.  Blocks have a fixed size
+  (:data:`SCORE_BLOCK`) so the floating-point shapes -- and therefore
+  the results, bit for bit -- do not depend on how the work is chunked
+  across processes;
 * **opt-in multiprocessing** -- ``n_jobs > 1`` fans the scoring blocks
   out over a :class:`~repro.parallel.ForkPool` (the inference handle is
   inherited through fork, never pickled; a dead worker degrades the
@@ -42,8 +43,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.compact_model import CompactModel
-from repro.core.gain import binary_entropy
-from repro.core.inference import ReconInference
+from repro.core.gain import gains_from_tables
+from repro.core.inference import ReconInference, coverage_split
 from repro.obs import get_instrumentation
 from repro.parallel import ForkPool
 
@@ -111,42 +112,6 @@ class ScoringStats:
         ]
 
 
-# ----------------------------------------------------------------------
-# Vectorised gain arithmetic
-# ----------------------------------------------------------------------
-def _xlogq(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``x * log2(p / x)`` elementwise with the ``0 log 0 = 0`` convention.
-
-    Callers guarantee ``0 <= x <= p`` so the ratio is well defined
-    wherever ``x > 0``.
-    """
-    out = np.zeros_like(x)
-    mask = x > 0.0
-    # log2(p) - log2(x) rather than log2(p / x): the ratio overflows for
-    # subnormal x even though the product is finite.
-    out[mask] = x[mask] * (np.log2(p[mask]) - np.log2(x[mask]))
-    return out
-
-
-def gains_from_tables(
-    prior_absent: float,
-    joint_absent: np.ndarray,
-    outcome_probs: np.ndarray,
-) -> np.ndarray:
-    """Vectorised ``IG(X̂ | Q)`` over stacked outcome tables.
-
-    ``outcome_probs`` and ``joint_absent`` are ``(n_outcomes, c)`` arrays
-    (one column per candidate); the result is the length-``c`` gain
-    vector.  Mirrors :func:`repro.core.gain.information_gain` including
-    its clamping of the joint into ``[0, P(Q=q)]`` and the clip at zero.
-    """
-    p_q = outcome_probs
-    p_absent = np.clip(joint_absent, 0.0, p_q)
-    p_present = p_q - p_absent
-    conditional = (_xlogq(p_absent, p_q) + _xlogq(p_present, p_q)).sum(axis=0)
-    return np.maximum(binary_entropy(prior_absent) - conditional, 0.0)
-
-
 def _score_block_impl(
     inference: ReconInference,
     prefix: Tuple[int, ...],
@@ -155,30 +120,10 @@ def _score_block_impl(
     """Gains of ``prefix + (f,)`` for every ``f`` in one block.
 
     The shared prefix is fetched (or computed once) from the inference's
-    prefix cache; the block's final-probe hit/miss split is one stacked
-    matrix product against the coverage matrix.  The final probe's own
-    cache perturbation is irrelevant to its score (the outcome is read
-    before the perturbation and nothing follows), so no transition is
-    applied for it.
+    prefix cache; the block's final-probe split is
+    :meth:`~repro.core.inference.ReconInference.outcome_arrays`.
     """
-    target = inference.target_flow
-    weights_full = inference.prefix_distribution(prefix)
-    weights_absent = inference.prefix_distribution(prefix, exclusion=(target,))
-    coverage = inference.model.coverage_matrix(flows)  # (c, n_states)
-
-    hit_full = weights_full @ coverage.T  # (n_prefix_outcomes, c)
-    miss_full = weights_full.sum(axis=1, keepdims=True) - hit_full
-    hit_absent = weights_absent @ coverage.T
-    miss_absent = weights_absent.sum(axis=1, keepdims=True) - hit_absent
-
-    n_prefix_outcomes = weights_full.shape[0]
-    outcome_probs = np.empty((2 * n_prefix_outcomes, len(flows)))
-    outcome_probs[0::2] = miss_full
-    outcome_probs[1::2] = hit_full
-    joint_absent = np.empty_like(outcome_probs)
-    joint_absent[0::2] = miss_absent
-    joint_absent[1::2] = hit_absent
-
+    outcome_probs, joint_absent = inference.outcome_arrays(prefix, flows)
     return gains_from_tables(
         inference.prior_absent(), joint_absent, outcome_probs
     )
@@ -474,20 +419,6 @@ class ProbeScoringEngine:
 # ----------------------------------------------------------------------
 # Adaptive-session scoring (conditional gains given observed outcomes)
 # ----------------------------------------------------------------------
-def _weights_to_vector(
-    model: CompactModel, weights: Dict[int, float]
-) -> np.ndarray:
-    """Dense state vector of ``{state mask: weight}``.
-
-    Every mask must be a state of ``model``; one holding a rule no flow
-    installs raises a ``ValueError`` naming the rule.
-    """
-    vector = np.zeros(model.n_states)
-    for state, weight in weights.items():
-        vector[model.index_of(state, "start state")] = weight
-    return vector
-
-
 #: Shared adaptive-scoring state: (model, w_full, w_absent, mass, prior).
 _AdaptiveState = Tuple[CompactModel, np.ndarray, np.ndarray, float, float]
 
@@ -497,38 +428,36 @@ def _conditional_block(
 ) -> np.ndarray:
     """Conditional gains of one candidate block (2-outcome tables)."""
     model, w_full, w_absent, mass, prior = state
-    coverage = model.coverage_matrix(flows)  # (c, n_states)
-    hit_full = coverage @ w_full
-    hit_absent = coverage @ w_absent
-    outcome_probs = np.stack([mass - hit_full, hit_full]) / mass
-    joint_absent = np.stack([w_absent.sum() - hit_absent, hit_absent]) / mass
+    miss, hit = coverage_split(
+        np.stack([w_full, w_absent]), model.coverage_matrix(flows)
+    )
+    outcome_probs = np.stack([miss[0], hit[0]]) / mass
+    joint_absent = np.stack([miss[1], hit[1]]) / mass
     return gains_from_tables(prior, joint_absent, outcome_probs)
 
 
-def batched_conditional_gains(
+def conditional_gains(
     model: CompactModel,
-    weights_full: Dict[int, float],
-    weights_absent: Dict[int, float],
+    w_full: np.ndarray,
+    w_absent: np.ndarray,
     flows: Sequence[int],
     n_jobs: int = 1,
 ) -> np.ndarray:
     """Conditional ``IG`` about ``X̂`` of each candidate probe, batched.
 
-    Vectorised replacement for the adaptive session's per-flow scan:
-    the joint weightings (``P(state ∧ observations)`` and
-    ``P(X̂=0 ∧ state ∧ observations)``) are densified once and every
-    candidate's hit/miss split is a row of one coverage-matrix product.
-    A candidate's own cache perturbation never affects its score (the
-    outcome is read before the perturbation), so no transition applies.
+    ``w_full`` and ``w_absent`` are the adaptive session's joint state
+    weightings ``P(state ∧ observations)`` and ``P(X̂=0 ∧ state ∧
+    observations)``; every candidate's hit/miss split is a column of
+    one :func:`~repro.core.inference.coverage_split`.  A candidate's own
+    cache perturbation never affects its score (the outcome is read
+    before the perturbation), so no transition applies.
     """
     flows = tuple(int(f) for f in flows)
     if not flows:
         return np.zeros(0)
-    w_full = _weights_to_vector(model, weights_full)
     mass = float(w_full.sum())
     if mass <= 0.0:
         return np.zeros(len(flows))
-    w_absent = _weights_to_vector(model, weights_absent)
     prior = min(float(w_absent.sum()) / mass, 1.0)
     blocks = [
         flows[start:start + SCORE_BLOCK]

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence, Tuple
 
+import numpy as np
+
 #: Outcome key type: tuple of 0/1 probe results.
 Outcome = Tuple[int, ...]
 
@@ -88,3 +90,36 @@ def information_gain(
         joint_absent, outcome_probs
     )
     return max(gain, 0.0)
+
+
+def _xlogq(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``x * log2(p / x)`` elementwise with the ``0 log 0 = 0`` convention.
+
+    Callers guarantee ``0 <= x <= p`` so the ratio is well defined
+    wherever ``x > 0``.
+    """
+    out = np.zeros_like(x)
+    mask = x > 0.0
+    # log2(p) - log2(x) rather than log2(p / x): the ratio overflows for
+    # subnormal x even though the product is finite.
+    out[mask] = x[mask] * (np.log2(p[mask]) - np.log2(x[mask]))
+    return out
+
+
+def gains_from_tables(
+    prior_absent: float,
+    joint_absent: np.ndarray,
+    outcome_probs: np.ndarray,
+) -> np.ndarray:
+    """Vectorised ``IG(X̂ | Q)`` over stacked outcome tables.
+
+    ``outcome_probs`` and ``joint_absent`` are ``(n_outcomes, c)`` arrays
+    (one column per candidate); the result is the length-``c`` gain
+    vector.  Mirrors :func:`information_gain` including its clamping of
+    the joint into ``[0, P(Q=q)]`` and the clip at zero.
+    """
+    p_q = outcome_probs
+    p_absent = np.clip(joint_absent, 0.0, p_q)
+    p_present = p_q - p_absent
+    conditional = (_xlogq(p_absent, p_q) + _xlogq(p_present, p_q)).sum(axis=0)
+    return np.maximum(binary_entropy(prior_absent) - conditional, 0.0)

@@ -8,34 +8,83 @@ This module implements Section V's probability computations on top of a
 * Evolve the *target-excluded* substochastic chain to the joint
   weighting whose total mass is ``P(X̂ = 0)`` and whose per-state mass
   is ``P(X̂ = 0 ∧ state)``.
-* Push both weightings through any probe sequence (accounting for the
-  probes' own cache perturbations) to obtain ``P(Q = q)`` and
-  ``P(X̂ = 0 ∧ Q = q)`` for every outcome vector ``q``, hence
-  posteriors and information gains.
+* Carry both weightings through any probe prefix as dense per-outcome
+  state rows (:meth:`ReconInference.prefix_distribution`, each probe's
+  install/evict perturbation feeding the next) and split the rows by
+  the final probe's coverage (:func:`coverage_split`) to obtain
+  ``P(Q = q)`` and ``P(X̂ = 0 ∧ Q = q)`` for every outcome vector ``q``,
+  hence posteriors and information gains.
+
+The probe-scoring engine, the screens, the decision trees and adaptive
+sessions all read these rows; the dict frontier walk they replaced is a
+test oracle (``tests/oracles/probes.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.chain import evolve
 from repro.core.compact_model import CompactModel
-from repro.obs import sanitize
 from repro.core.gain import (
     Outcome,
     binary_entropy,
     conditional_entropy_binary,
-    information_gain,
+    gains_from_tables,
 )
-from repro.core.probe import walk_probes
+from repro.obs import sanitize
 
-#: Weight threshold below which distribution entries are dropped; the
-#: same value the dict-based frontier walk (`walk_probes`) uses, so the
-#: vectorised prefix cache prunes identically.
+#: Weight threshold at or below which state weights are dropped from
+#: the per-outcome rows (the dict walk's frontier pruning).
 PRUNE = 1e-15
+
+
+def pruned(weights: np.ndarray) -> np.ndarray:
+    """A copy of ``weights`` with entries at or below :data:`PRUNE` zeroed."""
+    return np.where(weights > PRUNE, weights, 0.0)
+
+
+def coverage_split(
+    rows: np.ndarray, coverage: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(miss, hit)``: the mass of each row on each probe's two sides.
+
+    ``rows`` is an ``(r, n_states)`` stack of state weightings and
+    ``coverage`` the ``(c, n_states)`` 0/1 coverage matrix of ``c``
+    probes; ``hit = rows @ coverage.T`` and ``miss = rows @ (1 -
+    coverage).T``, both ``(r, c)``.  Each is a sum of non-negative
+    terms, so a side on which no state carries mass is exactly 0.0
+    (``rowsum - hit`` can leave a one-ulp residue there, which would
+    pass the screen's ``p > 0`` conjunct).
+    """
+    return rows @ (1.0 - coverage).T, rows @ coverage.T
+
+
+def push_probe(model: CompactModel, rows: np.ndarray, flow: int) -> np.ndarray:
+    """Split every row by one probe's outcome, then apply its perturbation.
+
+    Returns a ``(2r, n_states)`` array: row ``2i`` is row ``i``'s mass on
+    the states the probe misses and row ``2i + 1`` its mass on the
+    states it hits.  The outcome is read off the state *before* the
+    probe's own cache perturbation (install/evict); both halves are then
+    pushed through :meth:`~CompactModel.probe_matrix` in one stacked
+    sparse product, so they can feed the next probe -- the Section V-B
+    incremental adjustment -- and pruned at :data:`PRUNE`.
+    """
+    coverage = model.coverage_vector(flow)
+    stacked = _interleave(rows * (1.0 - coverage), rows * coverage)
+    return pruned(evolve(stacked, model.probe_matrix(flow), 1))
+
+
+def _interleave(miss: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """Rows ``2r`` from ``miss`` and ``2r + 1`` from ``hit``."""
+    out = np.empty((2 * miss.shape[0],) + miss.shape[1:])
+    out[0::2] = miss
+    out[1::2] = hit
+    return out
 
 
 @dataclass(frozen=True)
@@ -194,35 +243,16 @@ class ReconInference:
             return cached
         self.counters["prefix_cache_misses"] += 1
         if not probes:
-            base = self.evolution(excl_key)
-            rows = np.where(base > PRUNE, base, 0.0)[np.newaxis, :]
+            rows = pruned(self.evolution(excl_key))[np.newaxis, :]
         else:
             parent = self.prefix_distribution(probes[:-1], excl_key)
-            rows = self._extend_prefix(parent, probes[-1])
+            self.counters["prefix_extensions"] += 1
+            rows = push_probe(self.model, parent, probes[-1])
         rows.setflags(write=False)
         self._prefix_cache[key] = rows
         if sanitize.is_active():
             sanitize.guard_array(f"inference.prefix[{key}]", rows)
         return rows
-
-    def _extend_prefix(self, parent: np.ndarray, flow: int) -> np.ndarray:
-        """Split every parent row by one probe's outcome and perturb.
-
-        The probe's outcome is read off the state *before* its cache
-        perturbation (install/evict) is applied; both halves are then
-        pushed through the probe's perturbation matrix so they can feed
-        the next probe -- the Section V-B incremental adjustment, done
-        for all outcome rows in one stacked sparse product.
-        """
-        self.counters["prefix_extensions"] += 1
-        coverage = self.model.coverage_vector(flow)
-        hit = parent * coverage
-        miss = parent - hit
-        stacked = np.empty((2 * parent.shape[0], parent.shape[1]))
-        stacked[0::2] = miss
-        stacked[1::2] = hit
-        pushed = evolve(stacked, self.model.probe_matrix(flow), 1)
-        return np.where(pushed > PRUNE, pushed, 0.0)
 
     # ------------------------------------------------------------------
     # Priors
@@ -250,49 +280,83 @@ class ReconInference:
     # ------------------------------------------------------------------
     # Outcome tables and gains
     # ------------------------------------------------------------------
-    def _weights_dict(self, dist: np.ndarray) -> Dict[int, float]:
-        states = self.model.states
-        idx = np.nonzero(dist > 1e-15)[0]
-        return dict(
-            zip((states[i] for i in idx.tolist()), dist[idx].tolist())
+    def outcome_arrays(
+        self, prefix: Sequence[int], flows: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Stacked outcome tables of ``prefix + (f,)`` for each ``f`` in ``flows``.
+
+        Returns ``(outcome_probs, joint_absent)``, both
+        ``(2 * 2**len(prefix), len(flows))``: row ``2r + b`` is prefix
+        outcome ``r`` (rows of :meth:`prefix_distribution`) followed by
+        final-probe bit ``b``, column ``j`` the final probe
+        ``flows[j]``.  The final probe's own perturbation is irrelevant
+        (its outcome is read before it, and nothing follows), so its
+        split is one :func:`coverage_split` of the cached prefix rows.
+        """
+        coverage = self.model.coverage_matrix(flows)
+        miss_full, hit_full = coverage_split(
+            self.prefix_distribution(prefix), coverage
+        )
+        miss_absent, hit_absent = coverage_split(
+            self.prefix_distribution(prefix, exclusion=(self.target_flow,)),
+            coverage,
+        )
+        return (
+            _interleave(miss_full, hit_full),
+            _interleave(miss_absent, hit_absent),
         )
 
     def outcome_table(self, probes: Sequence[int]) -> OutcomeTable:
-        """Joint outcome table for an ordered probe sequence (memoised)."""
+        """Joint outcome table for an ordered probe sequence (memoised).
+
+        Outcome vectors of zero probability have no entry.
+        """
         key = tuple(int(f) for f in probes)
         cached = self._table_cache.get(key)
         if cached is not None:
             return cached
-        # The two walks visit largely the same states; share the
-        # (flow, state) branch memo so probe application runs once.
-        branch_cache: Dict[
-            Tuple[int, int], Tuple[int, List[Tuple[int, float]]]
-        ] = {}
-        outcome_probs = walk_probes(
-            self.model,
-            self._weights_dict(self.dist_full),
-            key,
-            branch_cache=branch_cache,
-        )
-        joint_absent = walk_probes(
-            self.model,
-            self._weights_dict(self.dist_absent),
-            key,
-            branch_cache=branch_cache,
+        if key:
+            outcome_probs, joint_absent = self.outcome_arrays(
+                key[:-1], key[-1:]
+            )
+            columns = (outcome_probs[:, 0], joint_absent[:, 0])
+        else:
+            columns = (
+                self.prefix_distribution(()).sum(axis=1),
+                self.prefix_distribution(
+                    (), exclusion=(self.target_flow,)
+                ).sum(axis=1),
+            )
+        width = len(key)
+        outcomes = [
+            tuple((row >> (width - 1 - bit)) & 1 for bit in range(width))
+            for row in range(len(columns[0]))
+        ]
+        probs, joints = (
+            {q: float(p) for q, p in zip(outcomes, column) if p > 0.0}
+            for column in columns
         )
         table = OutcomeTable(
-            probes=key,
-            outcome_probs=outcome_probs,
-            joint_absent=joint_absent,
+            probes=key, outcome_probs=probs, joint_absent=joints
         )
         self._table_cache[key] = table
         return table
 
     def information_gain(self, probes: Sequence[int]) -> float:
-        """``IG(X̂ | Q_{f_1}, ..., Q_{f_m})`` in bits."""
-        table = self.outcome_table(probes)
-        return information_gain(
-            self.prior_absent(), table.joint_absent, table.outcome_probs
+        """``IG(X̂ | Q_{f_1}, ..., Q_{f_m})`` in bits.
+
+        The engine's arithmetic: one :func:`~repro.core.gain.gains_from_tables`
+        over :meth:`outcome_arrays`, so equal bit for bit to
+        :meth:`~repro.core.engine.ProbeScoringEngine.sequence_gain`.
+        """
+        probes = tuple(int(f) for f in probes)
+        if not probes:
+            return 0.0
+        outcome_probs, joint_absent = self.outcome_arrays(
+            probes[:-1], probes[-1:]
+        )
+        return float(
+            gains_from_tables(self.prior_absent(), joint_absent, outcome_probs)[0]
         )
 
     def conditional_entropy(self, probes: Sequence[int]) -> float:
@@ -302,30 +366,6 @@ class ReconInference:
             table.joint_absent, table.outcome_probs
         )
 
-    # ------------------------------------------------------------------
-    # Hit probabilities and detector viability
-    # ------------------------------------------------------------------
     def hit_probability(self, flow: int) -> float:
         """``P(Q_f = 1)``: mass of states with a rule covering ``flow``."""
-        total = 0.0
-        for index, state in enumerate(self.model.states):
-            if self.model.context.state_covers(flow, state):
-                total += float(self.dist_full[index])
-        return total
-
-    def is_viable_detector(self, flow: int) -> bool:
-        """The paper's screening condition for probe flow ``f``.
-
-        ``P(X̂=0 | Q_f=0) > 0.5`` and ``P(X̂=1 | Q_f=1) > 0.5``: the
-        probe's outcome, read directly as the decision, beats a coin on
-        both sides (Section VI-B).
-        """
-        table = self.outcome_table((flow,))
-        p_miss = table.outcome_probs.get((0,), 0.0)
-        p_hit = table.outcome_probs.get((1,), 0.0)
-        if p_miss <= 0.0 or p_hit <= 0.0:
-            return False
-        return (
-            table.posterior_absent((0,)) > 0.5
-            and table.posterior_present((1,)) > 0.5
-        )
+        return self.outcome_table((flow,)).outcome_probs.get((1,), 0.0)

@@ -14,9 +14,11 @@ sums.  The replica is certified by an error bound derived per candidate
 (:func:`error_bounds`), not calibrated from samples:
 
 * the float32 information gains, outcome probabilities, and posteriors
-  are computed exactly as the engine computes them (same pruning, same
-  coverage products, same :func:`~repro.core.engine.gains_from_tables`,
-  same clamping) but from float32 chain outputs;
+  mirror the exact screen's arithmetic -- the same pruning, the same
+  :func:`~repro.core.inference.coverage_split` of the state rows (so an
+  outcome side without mass is exactly 0.0 in both), the same
+  :func:`~repro.core.gain.gains_from_tables`, the same clamping -- but
+  from float32 chain outputs;
 * a candidate is rejected *only* when every flow that could be the exact
   optimal probe (the gain tie-set, whose width follows from the gain
   bound) provably fails the screen -- each member's posterior sits
@@ -51,8 +53,9 @@ import numpy as np
 
 from repro.core import cnative
 from repro.core.compact_model import CompactModel, run_starts
-from repro.core.engine import TIE_EPS, gains_from_tables
-from repro.core.inference import PRUNE
+from repro.core.engine import TIE_EPS
+from repro.core.gain import gains_from_tables
+from repro.core.inference import PRUNE, coverage_split, pruned
 from repro.experiments.params import ExperimentParams
 from repro.flows.config import NetworkConfiguration
 from repro.obs import get_instrumentation, sanitize
@@ -347,12 +350,13 @@ def fast_quantities(
 
     n_flows = model.context.n_flows
     coverage = model.coverage_matrix(tuple(range(n_flows)))
-    base_full = np.where(dist_full > PRUNE, dist_full, 0.0)
-    base_absent = np.where(dist_absent > PRUNE, dist_absent, 0.0)
-    hit_full = coverage @ base_full
-    miss_full = base_full.sum() - hit_full
-    hit_absent = coverage @ base_absent
-    miss_absent = base_absent.sum() - hit_absent
+    # The exact screen's split: ReconInference.outcome_arrays on the
+    # pruned chain rows.
+    miss, hit = coverage_split(
+        np.stack([pruned(dist_full), pruned(dist_absent)]), coverage
+    )
+    miss_full, miss_absent = miss
+    hit_full, hit_absent = hit
     outcome_probs = np.stack([miss_full, hit_full])
     joint_absent = np.stack([miss_absent, hit_absent])
     # The exact prior is at most 1 (binary_entropy clamps it there), so

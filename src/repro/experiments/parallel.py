@@ -265,7 +265,11 @@ def screening_verdicts(
 
     ``accepted`` says whether the candidate passes every active check
     (``params.screen``, then ``require_optimal_differs``), evaluated in
-    the order the serial loop evaluates them.
+    the order the serial loop evaluates them.  An exact rejection bumps
+    ``experiment.exact_screen_reject_viability`` (the Section VI-B
+    condition failed) or ``experiment.exact_screen_reject_target`` (the
+    optimal probe is the target); a certified fast-screen rejection
+    counts in ``experiment.fastscreen_rejects`` instead.
 
     ``built`` is ``None`` without ``context.rng``.  With it, ``built``
     is what the screen built: the harness on ``context.rng`` -- which
@@ -309,8 +313,16 @@ def screening_verdicts(
         rng=rng if rng is not None else np.random.default_rng(0),
         model=model,
     )
-    accepted = (not params.screen or harness.is_screened_in()) and (
-        not context.require_optimal_differs
-        or harness.optimal_differs_from_target()
-    )
+    # Each exact rejection is counted by its reason, in check order.
+    metrics = get_instrumentation().metrics
+    accepted = False
+    if params.screen and not harness.is_screened_in():
+        metrics.counter("experiment.exact_screen_reject_viability").inc()
+    elif (
+        context.require_optimal_differs
+        and not harness.optimal_differs_from_target()
+    ):
+        metrics.counter("experiment.exact_screen_reject_target").inc()
+    else:
+        accepted = True
     return accepted, harness if rng is not None else None

@@ -8,7 +8,7 @@ priority); rule_3 covers f3.
 import numpy as np
 import pytest
 
-from repro.core.basic_model import NO_FLOW, BasicModel, CacheEntry
+from tests.oracles.basic import NO_FLOW, BasicModel, CacheEntry
 from repro.core.compact_model import CompactModel
 
 from tests.conftest import make_policy, make_universe

@@ -105,15 +105,13 @@ class TestStateLookupErrors:
             fig2b_model.probe_matrix(1)
 
     def test_start_holding_uninstallable_rule(self):
-        from repro.core.engine import _weights_to_vector
-
         model = make_model(
             [({0, 1}, 3), ({0}, 3), ({2}, 3)], [0.1, 0.1, 0.1], cache_size=2
         )
         with pytest.raises(ValueError, match=r"rule 1 \(r1\)"):
             model.initial_distribution(frozenset({0, 1}))
         with pytest.raises(ValueError, match=r"rule 1 \(r1\)"):
-            _weights_to_vector(model, {mask_from_indices([1]): 1.0})
+            model.index_of(mask_from_indices([1]), "start state")
         # Installable starts still work.
         start = model.initial_distribution(frozenset({0, 2}))
         assert start[model.state_index[mask_from_indices([0, 2])]] == 1.0

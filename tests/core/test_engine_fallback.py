@@ -3,7 +3,7 @@
 A pool that cannot start (here: the executor constructor raises) must
 not take the experiment down: ``ProbeScoringEngine._map`` re-scores
 the whole batch serially in the parent and counts the fallback, and
-``batched_conditional_gains`` does the same for the adaptive path.
+``conditional_gains`` does the same for the adaptive path.
 Scoring is pure, so the fallback results are identical to what the
 pool would have returned.  A worker killed mid-batch takes the same
 path (``TestKilledWorker``), and pooled scoring reports the counters
@@ -18,8 +18,8 @@ import pytest
 import repro.core.engine as engine_mod
 import repro.parallel as primitive
 from repro.core.compact_model import CompactModel
-from repro.core.engine import ProbeScoringEngine, batched_conditional_gains
-from repro.core.inference import ReconInference
+from repro.core.engine import ProbeScoringEngine, conditional_gains
+from repro.core.inference import ReconInference, pruned
 from repro.obs import Instrumentation, use_instrumentation
 from repro.parallel import ForkPool
 
@@ -82,18 +82,10 @@ class TestAdaptiveFallback:
         universe = make_universe([0.3, 0.4, 0.5])
         model = CompactModel(policy, universe, 0.25, cache_size=2)
         inference = ReconInference(model, target_flow=0, window_steps=10)
-        base = inference.evolution(())
-        weights_full = {
-            model.states[i]: float(base[i])
-            for i in np.nonzero(base > 1e-15)[0]
-        }
-        absent = inference.evolution((inference.target_flow,))
-        weights_absent = {
-            model.states[i]: float(absent[i])
-            for i in np.nonzero(absent > 1e-15)[0]
-        }
+        weights_full = pruned(inference.dist_full)
+        weights_absent = pruned(inference.dist_absent)
         flows = (0, 1, 2)
-        expected = batched_conditional_gains(
+        expected = conditional_gains(
             model, weights_full, weights_absent, flows, n_jobs=1
         )
 
@@ -102,7 +94,7 @@ class TestAdaptiveFallback:
         monkeypatch.setattr(primitive, "ProcessPoolExecutor", _broken_executor)
         backend = Instrumentation()
         with use_instrumentation(backend):
-            gains = batched_conditional_gains(
+            gains = conditional_gains(
                 model, weights_full, weights_absent, flows, n_jobs=2
             )
         np.testing.assert_allclose(gains, expected, atol=1e-12)

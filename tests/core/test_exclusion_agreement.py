@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.basic_model import BasicModel
+from tests.oracles.basic import BasicModel
 from repro.core.compact_model import CompactModel
 from repro.core.chain import per_flow_step_probabilities
 

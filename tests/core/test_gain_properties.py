@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import gains_from_tables
+from repro.core.gain import gains_from_tables
 from repro.core.gain import (
     binary_entropy,
     conditional_entropy_binary,

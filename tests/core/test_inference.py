@@ -6,6 +6,7 @@ import pytest
 from repro.core.compact_model import CompactModel
 from repro.core.gain import binary_entropy
 from repro.core.inference import OutcomeTable, ReconInference
+from repro.experiments.screening import paper_screen
 
 from tests.conftest import make_policy, make_universe
 
@@ -159,7 +160,7 @@ class TestHitProbability:
 
 class TestViability:
     def test_uncovered_probe_not_viable(self, inference):
-        assert not inference.is_viable_detector(3)
+        assert not paper_screen(inference, 3)
 
     def test_viability_matches_posteriors(self, inference, model):
         for flow in range(model.context.n_flows):
@@ -172,4 +173,4 @@ class TestViability:
                 and table.posterior_absent((0,)) > 0.5
                 and table.posterior_present((1,)) > 0.5
             )
-            assert inference.is_viable_detector(flow) == expected
+            assert paper_screen(inference, flow) == expected

@@ -11,7 +11,7 @@ switch.
 import numpy as np
 import pytest
 
-from repro.core.basic_model import BasicModel
+from tests.oracles.basic import BasicModel
 from repro.core.compact_model import CompactModel
 from repro.core.masks import mask_from_indices
 from repro.flows.arrival import sample_schedule

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.compact_model import CompactModel
 from repro.core.masks import mask_from_indices
-from repro.core.probe import apply_probe, probe_outcome, walk_probes
+from tests.oracles.probes import probe_outcome, walk_probes
 
 from tests.conftest import make_policy, make_universe
 
@@ -36,19 +36,19 @@ class TestProbeOutcome:
 class TestApplyProbe:
     def test_hit_leaves_state_unchanged(self, model):
         state = mask_from_indices([1])
-        assert apply_probe(model, state, 0) == [(state, 1.0)]
+        assert model.apply_probe(state, 0) == [(state, 1.0)]
 
     def test_miss_installs_highest_priority(self, model):
-        branches = apply_probe(model, 0, 0)
+        branches = model.apply_probe(0, 0)
         assert branches == [(mask_from_indices([0]), 1.0)]
 
     def test_uncovered_miss_changes_nothing(self, model):
-        branches = apply_probe(model, 0, 3)
+        branches = model.apply_probe(0, 3)
         assert branches == [(0, 1.0)]
 
     def test_full_cache_miss_branches_on_eviction(self, model):
         state = mask_from_indices([0, 1])
-        branches = apply_probe(model, state, 2)
+        branches = model.apply_probe(state, 2)
         targets = {s for s, _ in branches}
         assert targets == {
             mask_from_indices([1, 2]),

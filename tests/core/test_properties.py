@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.core.chain import validate_stochastic
 from repro.core.compact_model import CompactModel
 from repro.core.inference import ReconInference
-from repro.core.probe import walk_probes
+from tests.oracles.probes import walk_probes
 from repro.flows.policy import ModelRule, Policy
 from repro.flows.universe import FlowUniverse
 from repro.flows.flowid import FlowId

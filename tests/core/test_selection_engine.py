@@ -1,11 +1,11 @@
-"""Differential suite: the probe-scoring engine ≡ the serial path.
+"""Differential suite: the dense probe-outcome path ≡ the dict walk.
 
-The engine (`repro.core.engine.ProbeScoringEngine`) replaces the serial
-dict-walk candidate loops with cached prefix distributions and batched
-matrix scoring.  These tests pin it to the original implementation
-(kept as ``best_single_probe_serial`` / ``best_probe_set_serial``):
-same chosen probes, gains within 1e-12, across randomized policies,
-cache sizes, windows, and exclusion sets.
+The engine (`repro.core.engine.ProbeScoringEngine`), the outcome tables
+(`ReconInference.outcome_table`) and adaptive sessions read cached
+dense per-outcome state rows.  These tests pin them to the dict
+frontier walk they replaced (`tests/oracles/probes.py`): same chosen
+probes, gains and table entries within 1e-12, across randomized
+policies, cache sizes, windows, and exclusion sets.
 """
 
 from __future__ import annotations
@@ -13,18 +13,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.adaptive import AdaptiveSession
 from repro.core.compact_model import CompactModel
 from repro.core.engine import ProbeScoringEngine
 from repro.core.inference import ReconInference
-from repro.core.probe import walk_probes
-from repro.core.selection import (
-    best_probe_set,
-    best_probe_set_serial,
-    best_single_probe,
-    best_single_probe_serial,
-)
+from repro.core.selection import best_probe_set, best_single_probe
 from tests.conftest import make_policy, make_universe
 from tests.oracles.perstate import PerStateCompactModel
+from tests.oracles.probes import (
+    DictSession,
+    best_probe_set_serial,
+    best_single_probe_serial,
+    walk_information_gain,
+    walk_outcome_table,
+    walk_probes,
+)
 
 ATOL = 1e-12
 
@@ -165,9 +168,81 @@ def test_sequence_gain_matches_information_gain(seed):
             int(f)
             for f in rng.choice(n_flows, size=min(length, n_flows), replace=False)
         )
-        assert engine.sequence_gain(probes) == pytest.approx(
-            inference.information_gain(probes), abs=ATOL
+        # One arithmetic: equal bit for bit, not merely close.
+        assert engine.sequence_gain(probes) == inference.information_gain(
+            probes
         )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_outcome_table_matches_walk(seed):
+    """Dense outcome tables ≡ the oracle's two dict walks, m = 1..3."""
+    model, target, window = random_setup(seed)
+    n_flows = model.context.n_flows
+    inference = ReconInference(model, target, window)
+    rng = np.random.default_rng(7000 + seed)
+    for length in (1, 2, 3):
+        probes = tuple(
+            int(f) for f in rng.choice(n_flows, size=length, replace=True)
+        )
+        table = inference.outcome_table(probes)
+        expected = walk_outcome_table(inference, probes)
+        for got, want in (
+            (table.outcome_probs, expected.outcome_probs),
+            (table.joint_absent, expected.joint_absent),
+        ):
+            for outcome in set(got) | set(want):
+                assert got.get(outcome, 0.0) == pytest.approx(
+                    want.get(outcome, 0.0), abs=ATOL
+                ), (probes, outcome)
+        assert inference.information_gain(probes) == pytest.approx(
+            walk_information_gain(inference, probes), abs=ATOL
+        )
+
+
+def _adaptive_paths(dense, oracle, budget):
+    """Walk every outcome path of both sessions in lockstep; count leaves."""
+    assert dense.history == oracle.history
+    assert dense.posterior_absent() == pytest.approx(
+        oracle.posterior_absent(), abs=ATOL
+    )
+    if len(dense.history) == budget:
+        return 1
+    flow = dense.next_probe()
+    assert flow == oracle.next_probe(), dense.history
+    if flow is None:
+        return 1
+    leaves = 0
+    for bit in (0, 1):
+        dense_child = AdaptiveSession(
+            dense.inference, candidates=dense.candidates, max_probes=budget
+        )
+        dense_child._weights_full = dense._weights_full
+        dense_child._weights_absent = dense._weights_absent
+        dense_child.history = list(dense.history)
+        dense_child._pending_flow = flow
+        dense_child.observe(bit)
+        oracle_child = DictSession(dense.inference, oracle.candidates)
+        oracle_child._weights_full = dict(oracle._weights_full)
+        oracle_child._weights_absent = dict(oracle._weights_absent)
+        oracle_child.history = list(oracle.history)
+        oracle_child.observe(flow, bit)
+        if oracle_child.evidence_mass <= 0.0:
+            assert dense_child.evidence_mass == 0.0
+            continue
+        leaves += _adaptive_paths(dense_child, oracle_child, budget)
+    return leaves
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_adaptive_session_matches_dict_session(seed):
+    """Every outcome path of a 3-probe budget: same probes, same posteriors."""
+    model, target, window = random_setup(seed)
+    inference = ReconInference(model, target, window)
+    candidates = range(model.context.n_flows)
+    dense = AdaptiveSession(inference, candidates=candidates, max_probes=3)
+    oracle = DictSession(inference, candidates)
+    assert _adaptive_paths(dense, oracle, 3) >= 1
 
 
 def test_stats_populated():

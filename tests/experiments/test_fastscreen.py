@@ -22,12 +22,14 @@ from repro.core import cnative
 from repro.core.compact_model import CompactModel
 from repro.core.inference import ReconInference
 from repro.experiments import fastscreen
-from repro.experiments.harness import ConfigHarness
+from repro.experiments.harness import ConfigHarness, sample_screened_harnesses
 from repro.experiments.params import VIABLE_FIG6_BINS, ExperimentParams
+from repro.experiments.screening import paper_screen
 from repro.flows.config import ConfigGenerator
 from repro.flows.universe import FlowUniverse
 from repro.obs import Instrumentation, use_instrumentation
 
+from tests.conftest import make_policy, make_universe
 from tests.experiments.conftest import tiny_experiment_params
 
 pytestmark = pytest.mark.skipif(
@@ -129,6 +131,20 @@ def _fastscreen_counts(backend):
     }
 
 
+def _screen_counts(backend):
+    names = [
+        "configs_sampled",
+        "configs_screened_out",
+        "fastscreen_rejects",
+        "exact_screen_reject_viability",
+        "exact_screen_reject_target",
+    ]
+    return {
+        name: backend.metrics.counter(f"experiment.{name}").value
+        for name in names
+    }
+
+
 class TestOutcomeSplit:
     def test_split_on_the_pinned_screen_streams(self):
         # The first 8 candidates of each pinned stream of the benchmark's
@@ -153,6 +169,60 @@ class TestOutcomeSplit:
             "fallback_non_target": 0,
             "fallback_no_replica": 0,
         }
+
+    @pytest.mark.parametrize("trial_jobs", [1, 2])
+    def test_exact_rejects_complete_the_split(self, trial_jobs):
+        # The same 8 candidates per pinned stream, through the acceptance
+        # loop: every rejected candidate is counted once, by the fast
+        # screen or by the exact screen's reason, at any trial_jobs.
+        backend = Instrumentation()
+        with use_instrumentation(backend):
+            for index, (low, high) in enumerate(VIABLE_FIG6_BINS):
+                params = ExperimentParams(seed=2017).with_absence_range(low, high)
+                generator = ConfigGenerator(params.config, seed=2017 * 10 + index)
+                with pytest.raises(RuntimeError, match="configurations accepted"):
+                    sample_screened_harnesses(
+                        params,
+                        8,
+                        require_optimal_differs=True,
+                        max_attempts_factor=1,
+                        generator=generator,
+                        trial_jobs=trial_jobs,
+                    )
+        counts = _screen_counts(backend)
+        assert counts == {
+            "configs_sampled": 16,
+            "configs_screened_out": 15,
+            "fastscreen_rejects": 14,
+            "exact_screen_reject_viability": 1,
+            "exact_screen_reject_target": 0,
+        }
+        assert counts["configs_screened_out"] == (
+            counts["fastscreen_rejects"]
+            + counts["exact_screen_reject_viability"]
+            + counts["exact_screen_reject_target"]
+        )
+
+    @pytest.mark.parametrize("trial_jobs", [1, 2])
+    def test_screen_off_rejects_the_target_exactly(self, trial_jobs):
+        params = replace(tiny_experiment_params(), screen=False)
+        backend = Instrumentation()
+        with use_instrumentation(backend):
+            with pytest.raises(RuntimeError, match="configurations accepted"):
+                sample_screened_harnesses(
+                    params,
+                    20,
+                    require_optimal_differs=True,
+                    max_attempts_factor=1,
+                    generator=ConfigGenerator(params.config, seed=20170),
+                    trial_jobs=trial_jobs,
+                )
+        counts = _screen_counts(backend)
+        assert counts["exact_screen_reject_viability"] == 0
+        assert counts["exact_screen_reject_target"] > 0
+        assert counts["configs_screened_out"] == (
+            counts["fastscreen_rejects"] + counts["exact_screen_reject_target"]
+        )
 
     def test_screen_off_falls_back_on_non_target_members(self):
         params = replace(tiny_experiment_params(), screen=False)
@@ -394,3 +464,77 @@ class TestAdversarialCut:
         )
         certifier = fastscreen._Certifier(None, quantities, 1, True, False)
         assert certifier.verdict(0) == "margin"
+
+
+class _StartedModel(CompactModel):
+    """A switch that starts with rule 0 cached instead of empty."""
+
+    def initial_distribution(self, state=None):
+        return super().initial_distribution(
+            frozenset({0}) if state is None else state
+        )
+
+
+class TestExactZeros:
+    """An outcome side without mass is exactly 0.0 on every path.
+
+    Rule 0 covers flow 0 alone, is cached at the start and never leaves:
+    flow 0 arrives often enough that the rule's expiry hazard underflows
+    to exactly 0, and the cache holds every rule that can arrive, so
+    nothing is evicted.  Every state that carries mass therefore covers
+    a probe of flow 0.  Flow 8 has rate 0, so the rule only it installs
+    never arrives: no state that carries mass covers a probe of flow 8.
+    The model's other rules spread the mass over 64 states, where
+    ``rowsum - hit`` leaves a one-ulp residue on the empty side of flow 0
+    (in the exact and the float32 sums alike, with this window).
+    """
+
+    WINDOW = 44
+    TARGET = 1
+    ALL, NONE = 0, 8
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        policy = make_policy(
+            [({0}, 200), ({1}, 3), ({2}, 4), ({3, 4}, 5), ({4, 5}, 6),
+             ({6}, 4), ({7}, 5), ({8}, 5)]
+        )
+        universe = make_universe([40.0, 1.2, 1e-5, 1.5, 0.9, 3e-5, 0.7, 1.3, 0.0])
+        return _StartedModel(policy, universe, 0.5, cache_size=7)
+
+    @pytest.fixture(scope="class")
+    def inference(self, model):
+        return ReconInference(model, self.TARGET, self.WINDOW)
+
+    @staticmethod
+    def _empty_side(flow):
+        """Index of the outcome without mass: miss for ALL, hit for NONE."""
+        return 0 if flow == TestExactZeros.ALL else 1
+
+    @pytest.mark.parametrize("flow", [ALL, NONE])
+    def test_outcome_table_and_engine_split(self, inference, flow):
+        side = self._empty_side(flow)
+        table = inference.outcome_table((flow,))
+        assert (side,) not in table.outcome_probs
+        assert (side,) not in table.joint_absent
+        assert table.outcome_probs[(1 - side,)] > 0.5
+        outcome_probs, joint_absent = inference.outcome_arrays((), (flow,))
+        assert outcome_probs[side, 0] == 0.0
+        assert joint_absent[side, 0] == 0.0
+
+    @pytest.mark.parametrize("flow", [ALL, NONE])
+    def test_fast_quantities(self, model, flow):
+        fast = fastscreen.fast_quantities(model, self.TARGET, self.WINDOW)
+        empty = fast.p_miss if flow == self.ALL else fast.p_hit
+        full = fast.p_hit if flow == self.ALL else fast.p_miss
+        assert empty[flow] == 0.0
+        assert full[flow] > 0.5
+
+    @pytest.mark.parametrize("flow", [ALL, NONE])
+    def test_screen_rejects_by_reachability(self, model, inference, flow):
+        assert not paper_screen(inference, flow)
+        fast = fastscreen.fast_quantities(model, self.TARGET, self.WINDOW)
+        certifier = fastscreen._Certifier(
+            model, fast, self.TARGET, screen=True, require_optimal_differs=False
+        )
+        assert certifier.verdict(flow) == "unreachable"

@@ -13,6 +13,7 @@ from repro.experiments.screening import (
 )
 
 from tests.conftest import make_policy, make_universe
+from tests.oracles.probes import walk_outcome_table
 
 
 @pytest.fixture
@@ -45,11 +46,18 @@ class TestScreenReport:
         assert 0.0 <= report.posterior_present_given_hit <= 1.0
 
     def test_paper_accepted_matches_inference_helper(self, inference):
+        # The Section VI-B condition, read off the dict-walk oracle table.
         for probe in range(4):
-            report = screen_report(inference, probe=probe)
-            assert report.paper_accepted == inference.is_viable_detector(
-                probe
+            table = walk_outcome_table(inference, (probe,))
+            expected = (
+                table.outcome_probs.get((1,), 0.0) > 0.0
+                and table.outcome_probs.get((0,), 0.0) > 0.0
+                and table.posterior_absent((0,)) > 0.5
+                and table.posterior_present((1,)) > 0.5
             )
+            report = screen_report(inference, probe=probe)
+            assert report.paper_accepted == paper_screen(inference, probe)
+            assert report.paper_accepted == expected
 
 
 class TestScreens:

@@ -31,6 +31,13 @@ production to them:
   differ between the two by design);
 * :mod:`tests.oracles.monitor` -- ground-truth sampling of the
   simulated switch cache, for the simulator and model-agreement tests;
+* :mod:`tests.oracles.basic` -- the paper's Section IV-A chain over
+  complete ``(rule, remaining-time)`` cache contents, the ground truth
+  the compact model is compared with;
+* :mod:`tests.oracles.probes` -- probe-outcome tables from a dict
+  frontier walk, the serial selection loops and the dict adaptive
+  session step, where production reads the engine's dense per-outcome
+  state rows (pinned by ``tests/core/test_selection_engine.py``);
 * the exact-only screen and the scipy chain loop
   (:func:`repro.core.chain.scipy_chain`), which are production's own
   fallbacks when the native kernels are disabled (``REPRO_NO_CKERNEL=1``).
@@ -52,13 +59,14 @@ from repro.simulator import switch
 from repro.simulator.network import Network
 
 from tests.oracles import (
-    dense, fullstate, loops, monitor, network, perstate, recency, trials,
+    basic, dense, fullstate, loops, monitor, network, perstate, probes,
+    recency, trials,
 )
 from tests.oracles.flowtable import ReferenceFlowTable
 
 __all__ = [
-    "ReferenceFlowTable", "dense", "fullstate", "loops", "monitor",
-    "network", "oracle_pipeline", "perstate", "recency", "trials",
+    "ReferenceFlowTable", "basic", "dense", "fullstate", "loops", "monitor",
+    "network", "oracle_pipeline", "perstate", "probes", "recency", "trials",
 ]
 
 

@@ -1,4 +1,9 @@
-"""The basic Markov model of the switch cache (Section IV-A).
+"""Oracle: the basic Markov model of the switch cache (Section IV-A).
+
+The paper's full-fidelity chain, kept as the ground truth the compact
+model is checked against (``tests/core/test_basic_model.py``,
+``test_exclusion_agreement.py``, ``test_model_agreement_sweep.py``);
+production runs only the compact model.
 
 A state is the complete cache contents: an ordered tuple of
 ``(rule, exp)`` pairs, most recently touched first, where ``exp`` is the

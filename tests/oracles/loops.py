@@ -120,7 +120,7 @@ def sample_screened_harnesses(
             )
         if fast:
             # Certified float32 pre-screen: rejects only when the
-            # rejection is provable within calibrated error bounds, so
+            # rejection is provable within derived error bounds, so
             # accepted harnesses (and the generator's RNG stream) are
             # bit-identical to the exact branch below.
             config = generator.sample()
@@ -139,9 +139,11 @@ def sample_screened_harnesses(
             sampled.inc()
         if params.screen and not harness.is_screened_in():
             screened_out.inc()
+            obs.metrics.counter("experiment.exact_screen_reject_viability").inc()
             continue
         if require_optimal_differs and not harness.optimal_differs_from_target():
             screened_out.inc()
+            obs.metrics.counter("experiment.exact_screen_reject_target").inc()
             continue
         harnesses.append(harness)
     return harnesses
