@@ -5,16 +5,15 @@ model's approximation point: the paper's exact sum over injective
 recency functions is exponential.  This benchmark quantifies, on an
 instance small enough for exact enumeration, how close the Monte Carlo
 sampler and the closed-form independence approximation come -- and what
-each costs.  Production runs only the approximation; the exact and Monte
-Carlo estimators, and the per-state model that can run on them, are test
-oracles (tests/oracles/).
+each costs.  Production runs only the approximation, in bulk; the
+per-state estimators timed here, and the per-state model that can run
+on them, are test oracles (tests/oracles/).
 """
 
 import time
 
 from repro.core.context import ModelContext
 from repro.core.masks import mask_from_indices
-from repro.core.recency import IndependentRecencyEstimator
 from repro.experiments.report import format_table
 from repro.flows.flowid import FlowId
 from repro.flows.policy import ModelRule, Policy
@@ -23,6 +22,7 @@ from repro.flows.universe import FlowUniverse
 from tests.oracles.perstate import PerStateCompactModel
 from tests.oracles.recency import (
     ExactRecencyEstimator,
+    IndependentRecencyEstimator,
     MonteCarloRecencyEstimator,
 )
 

@@ -3,8 +3,9 @@
 * :mod:`repro.core.compact_model` -- the Section IV-B compact chain over
   cached-rule *sets*, with eviction/timeout probabilities estimated from
   the recency (``u``) distribution.
-* :mod:`repro.core.recency` -- the independence-based estimator of the
-  ``u``-function sums (Eqns. 1-7).
+* :mod:`repro.core.transition_build` -- the independence approximation
+  of the ``u``-function sums (Eqns. 1-7), evaluated for every state at
+  once, and the vectorised transition and probe outcomes built on it.
 * :mod:`repro.core.inference` -- ``P(Q_f)``, ``P(X̂ ∧ Q_f)``, posteriors.
 * :mod:`repro.core.gain` -- entropies and information gain (Section V).
 * :mod:`repro.core.selection` -- optimal single- and multi-probe choice.
@@ -14,7 +15,6 @@
 """
 
 from repro.core.compact_model import CompactModel
-from repro.core.recency import IndependentRecencyEstimator, RecencyEstimator
 from repro.core.inference import ReconInference
 from repro.core.gain import binary_entropy, entropy, information_gain
 from repro.core.selection import ProbeChoice, best_probe_set, best_single_probe
@@ -30,8 +30,6 @@ from repro.core.adaptive import AdaptiveModelAttacker, AdaptiveSession
 
 __all__ = [
     "CompactModel",
-    "RecencyEstimator",
-    "IndependentRecencyEstimator",
     "ReconInference",
     "entropy",
     "binary_entropy",

@@ -27,20 +27,20 @@ Transition semantics per state ``S``:
 * **arrival of flow f, miss + install** -- no cached rule covers ``f``
   and the policy does; the controller installs the highest-priority
   covering rule ``j``.  If ``|S| = n`` one cached rule is evicted,
-  split across the recency estimator's eviction distribution.
+  split across the eviction distribution of the recency tables.
 * **arrival of flow f, uncovered** -- the policy does not cover ``f``;
   the controller forwards without installing (set unchanged).
 * **no arrival** -- set unchanged before expirations.
 
 After the arrival phase, each cached rule that was not matched or
 installed this step expires with its per-step timeout hazard from the
-recency estimator.  At most one expiration is modelled per step
-(matching the paper's Figure 5 transitions), with the at-most-one branch
+recency tables.  At most one expiration is modelled per step (matching
+the paper's Figure 5 transitions), with the at-most-one branch
 probabilities renormalised.  Eviction splits and hazards come from the
-independence approximation of Eqns. 1-7
-(:class:`~repro.core.recency.IndependentRecencyEstimator`); the
-vectorised builder :mod:`repro.core.transition_build` computes them for
-every state at once.
+independence approximation of Eqns. 1-7, which
+:func:`repro.core.transition_build.recency_tables` evaluates for every
+state at once; the model memoises them (:meth:`CompactModel.recency_tables`)
+for its chain and its probe matrices.
 
 Every transition entry is tagged with the flow that caused it (or ``-1``
 for the no-arrival event), so the target-excluded substochastic matrix
@@ -68,7 +68,6 @@ from repro.core.masks import (
     popcount,
     subsets_within,
 )
-from repro.core.recency import IndependentRecencyEstimator
 from repro.flows.policy import Policy
 from repro.flows.universe import FlowUniverse
 from repro.obs import sanitize
@@ -120,9 +119,6 @@ class CompactModel:
                 f"(policy has {len(policy)})"
             )
         self.context = ModelContext(policy, universe, delta, cache_size)
-        #: Per-state eviction splits and hazards, seeded in bulk by the
-        #: transition builder (probe matrices read them state by state).
-        self.estimator = IndependentRecencyEstimator(self.context)
 
         #: Bitmask of the rules some flow installs (its highest-priority
         #: cover).  Every flow counts, zero-rate ones included, so probe
@@ -143,6 +139,7 @@ class CompactModel:
         self._entries_sorted: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = None
+        self._recency: Optional[transition_build.RecencyTables] = None
         self._coverage_cache: Dict[int, np.ndarray] = {}
         self._probe_matrix_cache: Dict[int, sparse.csr_matrix] = {}
         self._membership_matrix: Optional[np.ndarray] = None
@@ -203,10 +200,6 @@ class CompactModel:
     def state_covers_flow(self, index: int, flow: int) -> bool:
         """Whether the state at ``index`` would answer probe ``f`` with a hit."""
         return self.context.state_covers(flow, self.states[index])
-
-    def eviction_distribution(self, state: int) -> Dict[int, float]:
-        """Eviction split for a (bitmask) state, from the estimator."""
-        return self.estimator.stats(state).eviction
 
     # ------------------------------------------------------------------
     # Vectorised probe views (the probe-scoring engine's primitives)
@@ -271,60 +264,49 @@ class CompactModel:
         """Stacked coverage vectors, one row per flow."""
         return np.stack([self.coverage_vector(flow) for flow in flows])
 
-    def apply_probe(self, state: int, flow: int) -> List[Tuple[int, float]]:
-        """Successor states (with weights) after probing ``flow`` in ``state``.
+    def recency_tables(self) -> transition_build.RecencyTables:
+        """Timeout hazards and eviction splits of every state, memoised.
 
-        A probe is itself a flow, so a miss the policy covers perturbs
-        the cache like any other arrival:
-
-        * hit: the cache set is unchanged (the matched rule's timer resets);
-        * miss, covered by the policy: the install rule enters, with the
-          eviction split applied when the cache is full;
-        * miss, uncovered: unchanged (the controller just forwards).
+        Computed once per model by
+        :func:`repro.core.transition_build.recency_tables`; the chain and
+        every probe matrix read them.  Frozen: the arrays are aliased to
+        every caller (runtime complement of lint rule MUT001).
         """
-        ctx = self.context
-        if ctx.match_in_cache(flow, state) is not None:
-            return [(state, 1.0)]
-        install = ctx.install_rule[flow]
-        if install is None:
-            return [(state, 1.0)]
-        if popcount(state) < ctx.cache_size:
-            return [(state | (1 << install), 1.0)]
-        branches: List[Tuple[int, float]] = []
-        for victim, prob in self.eviction_distribution(state).items():
-            if prob <= 0.0:
-                continue
-            branches.append(((state & ~(1 << victim)) | (1 << install), prob))
-        return branches
+        tables = self._recency
+        if tables is None:
+            tables = transition_build.recency_tables(self)
+            for array in tables:
+                array.setflags(write=False)
+            self._recency = tables
+        if sanitize.is_active():
+            sanitize.guard_array("compact.recency.hazard", tables.hazard)
+            sanitize.guard_array(
+                "compact.recency.evict_probs", tables.evict_probs
+            )
+        return tables
 
     def probe_matrix(self, flow: int) -> sparse.csr_matrix:
         """Row-stochastic matrix of a probe's cache perturbation.
 
-        Row ``i`` spreads state ``i`` over :meth:`apply_probe`'s
-        successors of probing ``flow`` there: identity for hits and
-        uncovered misses, the install/evict branching for covered
-        misses.
+        A probe is itself a flow, so row ``i`` spreads state ``i`` over
+        the outcomes of one packet of ``flow`` there
+        (:func:`repro.core.transition_build.packet_outcomes`): identity
+        for hits and uncovered misses, the install/evict branching for
+        misses the policy covers.
         """
         flow = int(flow)
         cached = self._probe_matrix_cache.get(flow)
         if cached is None:
-            rows: List[int] = []
-            cols: List[int] = []
-            probs: List[float] = []
-            state_index = self.state_index
-            for row, state in enumerate(self.states):
-                for successor, prob in self.apply_probe(state, flow):
-                    if prob <= 0.0:
-                        continue
-                    try:
-                        col = state_index[successor]
-                    except KeyError:
-                        raise self.state_error(
-                            successor, "probe successor"
-                        ) from None
-                    rows.append(row)
-                    cols.append(col)
-                    probs.append(prob)
+            states = np.asarray(self.states, dtype=np.int64)
+            rows, successors, _, probs = transition_build.branch_columns(
+                transition_build.packet_outcomes(self, flow, states)
+            )
+            cols = transition_build.state_lookup(self, states)[successors]
+            escaped = np.flatnonzero(cols < 0)
+            if escaped.size:
+                raise self.state_error(
+                    int(successors[escaped[0]]), "probe successor"
+                )
             cached = sparse.coo_matrix(
                 (probs, (rows, cols)), shape=(self.n_states, self.n_states)
             ).tocsr()

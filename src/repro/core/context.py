@@ -2,9 +2,13 @@
 
 :class:`ModelContext` binds a :class:`~repro.flows.policy.Policy` to a
 :class:`~repro.flows.universe.FlowUniverse` and step duration ``Delta``,
-precomputing everything the Markov models and recency estimators query in
-inner loops: per-rule flow bitmasks, per-flow covering rule lists, the
-subset rate table for ``gamma`` sums, and switch-semantics lookups.
+precomputing what the Markov models query: per-rule flow bitmasks,
+per-flow covering rule lists, the subset rate table for ``gamma`` sums,
+and switch-semantics lookups.  The scalar per-state helpers
+(:meth:`ModelContext.match_in_cache`, :meth:`ModelContext.gamma_cached`,
+...) serve the per-state test oracles (tests/oracles/); production
+evaluates the same quantities for every state at once
+(:mod:`repro.core.transition_build`).
 """
 
 from __future__ import annotations

@@ -1,31 +1,44 @@
-"""Vectorised construction of compact-model transition entries.
+"""Vectorised construction of the compact model's transitions.
 
-The compact model's one entry builder: it produces the
-``(rows, cols, probs, tags)`` arrays of the per-state reference loop
-(the test oracle :class:`tests.oracles.perstate.PerStateCompactModel`)
--- same entry order, same floating-point values bit-for-bit -- by
-replacing the per-state Python loops with batched numpy passes:
+The compact model (Section IV-B) throws away per-rule timers.  To decide
+*which* cached rule is evicted on a full-cache install, and *when* cached
+rules time out, the paper reconstructs a distribution over the
+most-recent-match sequence ``u`` -- ``u(j)`` being the number of steps
+since cached rule ``j`` was last matched -- and sums ``P(u)`` over the
+events of interest (Eqns. 1-7):
 
-* per-rule hazard tables from the truncated-geometric recency pmf
-  (Eqns. 6-7), computed for all states at once via the subset rate
-  table;
-* bulk eviction distributions (Eqns. 3-5) for the at-capacity states,
-  grouped by per-state support so the padding matches the reference's
-  per-state arrays exactly;
-* arrival/no-arrival event vectors ordered like the reference emission
-  loop, then a batched at-most-one-expiry expansion whose multiply and
-  add sequences mirror the reference's ascending-rule accumulation.
+* rule ``j`` is cached            iff ``u(j) <= t_j``              (Eqn. 2)
+* rule ``j`` has the shortest remaining time
+                                  iff ``t_j - u(j) <= t_j' - u(j')`` (Eqn. 4)
+* rule ``j`` times out now        iff ``u(j) = t_j``               (Eqn. 6)
 
-Bitwise equality is load-bearing: it means the vectorised builder
-cannot shift any persisted experiment number, and the golden suite pins
-it and the per-state builder (through the dense test oracle) to the
-same literals.  The differential suite
-(tests/core/test_sparse_dense_diff.py) checks the equivalence on random
-models.
+The exact sums range over *injective* ``u`` (at most one flow arrives per
+step) and are exponential in the cached-set size; the paper computed them
+offline in MATLAB/C++ on a large server.  The model drops the cross-rule
+coupling ``u(j') > k`` in Eqn. 1 instead: each ``u(j)`` becomes an
+independent geometric with success probability ``1 - e^{-gamma_j}``,
+truncated to ``{1..t_j}``, and eviction and timeout probabilities come
+in closed form.  As ``gamma_j -> 0`` the truncated geometric degenerates
+to the uniform distribution on ``{1..t_j}``, the right limit for a rule
+never re-matched after install, and hard timeouts (which ignore matches)
+use that uniform age outright.  Ties in remaining time are resolved by
+the midpoint smoothing ``P(r' > r) + P(r' = r)/2``, then normalised.
+This is what makes the full |Rules| = 12 experiments run on a laptop.
 
-The builder implements the paper's semantics only: the closed-form
-independent estimator, at-most-one expiry with hazards applied on every
-step, and at most :data:`MAX_LOOKUP_RULES` rules, which
+:func:`recency_tables` evaluates these sums for every state at once,
+hazards (Eqns. 6-7) via the subset rate table and eviction splits (Eqns.
+3-5) for the at-capacity states; the model memoises them, and both the
+chain (:func:`build_entries`) and the probe matrices read them through
+:func:`packet_outcomes`, the one account of what a packet does to each
+state.  :func:`build_entries` then expands the arrival events into an
+at-most-one expiry per step.  Entry order and every float equal the
+per-state test oracles' bit for bit (tests/oracles/perstate.py and
+tests/oracles/recency.py, which also holds the exact and Monte-Carlo
+estimators): the vectorised builder cannot shift a persisted experiment
+number, the golden suite pins both to the same literals, and
+tests/core/test_sparse_dense_diff.py checks the equivalence on random
+models.  Only the paper's semantics are built, for at most
+:data:`MAX_LOOKUP_RULES` rules, which
 :class:`~repro.core.compact_model.CompactModel` enforces at
 construction.
 """
@@ -33,7 +46,9 @@ construction.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -54,36 +69,78 @@ EntryArrays = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 PmfTable = Tuple[np.ndarray, np.ndarray]
 
 
+class RecencyTables(NamedTuple):
+    """Timeout hazards and eviction splits of every state (Eqns. 1-7).
+
+    ``hazard[i, j]`` is rule ``j``'s per-step timeout hazard in state
+    ``i`` (0 where not cached).  ``full_position[i]`` is state ``i``'s
+    row in the eviction tables, -1 below capacity: ``evict_rules[p]``
+    holds that state's cached rules in ascending order and
+    ``evict_probs[p]`` the probability that each is the one evicted.
+    """
+
+    hazard: np.ndarray
+    full_position: np.ndarray
+    evict_rules: np.ndarray
+    evict_probs: np.ndarray
+
+
+class Branch(NamedTuple):
+    """One outcome of a packet of a flow, over the states it applies to.
+
+    ``successors`` are the cache masks of states ``rows`` after the
+    packet; ``protected`` the rule whose timer it resets or starts (-1:
+    none) and ``weight`` the outcome's probability, each a scalar or one
+    value per row; ``slot`` the eviction slot (0 without eviction).
+    """
+
+    rows: np.ndarray
+    successors: np.ndarray
+    protected: Union[np.int64, np.ndarray]
+    weight: Union[np.float64, np.ndarray]
+    slot: int
+
+
+def state_lookup(model: "CompactModel", states: np.ndarray) -> np.ndarray:
+    """Dense ``mask -> state index`` table, -1 for masks not in the list."""
+    lookup = np.full(1 << model.context.n_rules, -1, dtype=np.int64)
+    lookup[states] = np.arange(model.n_states, dtype=np.int64)
+    return lookup
+
+
 def build_entries(model: "CompactModel") -> EntryArrays:
     """All transition entries as (rows, cols, probs, flow tags)."""
-    ctx = model.context
-    n_rules = ctx.n_rules
-    n_states = model.n_states
+    n_rules = model.context.n_rules
     states = np.asarray(model.states, dtype=np.int64)
-    popcounts = model.state_popcounts()
-    membership = model.state_membership_matrix().astype(bool)  # (R, n)
     bits = np.int64(1) << np.arange(n_rules, dtype=np.int64)
-    lookup = np.full(1 << n_rules, -1, dtype=np.int64)
-    lookup[states] = np.arange(n_states, dtype=np.int64)
 
-    hazard, pmfs = _hazard_tables(model, membership)
-    cached_t = membership.T  # (n, R)
+    hazard = model.recency_tables().hazard
+    cached_t = model.state_membership_matrix().T != 0  # (n, R)
     certain = cached_t & (hazard >= 1.0)
     candidate = cached_t & (hazard > 0.0) & (hazard < 1.0)
     certain_mask = (certain * bits).sum(axis=1)
     candidate_mask = (candidate * bits).sum(axis=1)
 
-    full_idx = np.nonzero(popcounts == ctx.cache_size)[0]
+    events = _arrival_events(model, states)
+    return _expand_expiries(
+        model, events, hazard, certain_mask, candidate_mask, bits,
+        state_lookup(model, states),
+    )
+
+
+def recency_tables(model: "CompactModel") -> RecencyTables:
+    """:class:`RecencyTables` for every state of ``model``."""
+    membership = model.state_membership_matrix() != 0  # (R, n)
+    hazard, pmfs = _hazard_tables(model, membership)
+    full_idx = np.nonzero(
+        model.state_popcounts() == model.context.cache_size
+    )[0]
     evict_rules, evict_probs = _eviction_tables(
         model, membership, full_idx, pmfs
     )
-    _seed_estimator_cache(model, hazard, full_idx, evict_rules, evict_probs)
-
-    events = _arrival_events(model, membership, full_idx, evict_rules,
-                             evict_probs)
-    return _expand_expiries(
-        model, events, hazard, certain_mask, candidate_mask, bits, lookup
-    )
+    full_position = np.full(model.n_states, -1, dtype=np.int64)
+    full_position[full_idx] = np.arange(full_idx.size, dtype=np.int64)
+    return RecencyTables(hazard, full_position, evict_rules, evict_probs)
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +158,8 @@ def _hazard_tables(
     (meaningful where cached).  The pmf only depends on the state
     through the rule's effective gamma, which takes a handful of
     distinct values, so each distinct row is computed once.  Every
-    arithmetic step mirrors ``IndependentRecencyEstimator._u_pmf``
+    arithmetic step equals the per-state oracle's
+    (``IndependentRecencyEstimator._u_pmf`` in tests/oracles/recency.py)
     element-for-element.
     """
     ctx = model.context
@@ -157,11 +215,15 @@ def _eviction_tables(
 
     Returns ``(rules, probs)``, both ``(n_full, cache_size)``: the
     cached rules of each full state in ascending order and their
-    eviction probabilities.  The prefix/suffix leave-one-out products
-    mirror ``IndependentRecencyEstimator._eviction_distribution``;
-    states are grouped by their maximum cached timeout so the support
-    padding (and hence every partial sum) matches the reference's
-    per-state arrays bit-for-bit.
+    eviction probabilities: ``P(rule j has the minimal remaining
+    time)`` with the midpoint tie-break, from each rule's remaining-time
+    pmf (support ``0..t_j - 1``), its exclusive survival ``P(r' > r)``
+    and leave-one-out products via prefix/suffix cumulative products
+    along the rule axis.  States are grouped by their maximum cached
+    timeout so the support padding (and hence every partial sum)
+    matches the per-state oracle's arrays
+    (``IndependentRecencyEstimator._eviction_distribution`` in
+    tests/oracles/recency.py) bit-for-bit.
     """
     ctx = model.context
     capacity = ctx.cache_size
@@ -225,171 +287,126 @@ def _eviction_tables(
     return rules, probs
 
 
-def _seed_estimator_cache(
-    model: "CompactModel",
-    hazard: np.ndarray,
-    full_idx: np.ndarray,
-    evict_rules: np.ndarray,
-    evict_probs: np.ndarray,
-) -> None:
-    """Pre-populate the estimator memo for at-capacity states.
+# ----------------------------------------------------------------------
+# Packet outcomes and arrival events in reference emission order
+# ----------------------------------------------------------------------
+def packet_outcomes(
+    model: "CompactModel", flow: int, states: np.ndarray
+) -> List[Branch]:
+    """What one packet of ``flow`` does to each state (Section IV-B).
 
-    ``probe_matrix`` queries the eviction split of every full state; the
-    bulk tables make those lookups free instead of re-running the
-    per-state reference computation.  Values are bitwise-equal to the
-    reference, so seeding is observationally transparent.
+    ``states`` are the model's state masks as an int64 array.  A hit
+    leaves the cache set unchanged and protects the matched rule; a miss
+    the policy covers installs the flow's highest-priority cover,
+    evicting one cached rule when the cache is full (one branch per
+    eviction slot, split by the recency tables, zero weights dropped);
+    an uncovered flow leaves every state unchanged.  The chain weights
+    the branches by the flow's arrival probability
+    (:func:`build_entries`); a probe applies them as they are
+    (:meth:`~repro.core.compact_model.CompactModel.probe_matrix`).
     """
-    states = model.states
-    hazard_rows = hazard[full_idx[:, None], evict_rules]
-    model.estimator.seed_bulk(
-        [states[int(state_idx)] for state_idx in full_idx],
-        evict_rules,
-        hazard_rows,
-        evict_probs,
+    n_states = model.n_states
+    covering = model.context.covering[flow]
+    if not covering:
+        return [Branch(np.arange(n_states, dtype=np.int64), states,
+                       np.int64(-1), np.float64(1.0), 0)]
+    membership = model.state_membership_matrix()
+    matched = np.full(n_states, -1, dtype=np.int64)
+    for rule in covering:
+        matched = np.where(
+            (matched < 0) & (membership[rule] != 0), np.int64(rule), matched
+        )
+    hit = matched >= 0
+    hit_idx = np.nonzero(hit)[0]
+    branches = [
+        Branch(hit_idx, states[hit_idx], matched[hit_idx],
+               np.float64(1.0), 0)
+    ]
+    install = covering[0]
+    install_bit = np.int64(1) << np.int64(install)
+    capacity = model.context.cache_size
+    popcounts = model.state_popcounts()
+    miss = ~hit
+    room_idx = np.nonzero(miss & (popcounts < capacity))[0]
+    branches.append(
+        Branch(room_idx, states[room_idx] | install_bit, np.int64(install),
+               np.float64(1.0), 0)
+    )
+    evicting_idx = np.nonzero(miss & (popcounts == capacity))[0]
+    if evicting_idx.size:
+        tables = model.recency_tables()
+        position = tables.full_position[evicting_idx]
+        for slot in range(capacity):
+            victims = tables.evict_rules[position, slot]
+            weights = tables.evict_probs[position, slot]
+            keep = weights > 0.0
+            kept_idx = evicting_idx[keep]
+            victim_bits = np.int64(1) << victims[keep]
+            branches.append(
+                Branch(kept_idx,
+                       (states[kept_idx] & ~victim_bits) | install_bit,
+                       np.int64(install), weights[keep], slot)
+            )
+    return branches
+
+
+def branch_columns(
+    branches: Sequence[Branch],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, successors, protected, weight)`` of ``branches``, concatenated.
+
+    Scalar ``protected`` and ``weight`` fields are broadcast to their
+    branch's rows by slice assignment, not one filled array per branch.
+    """
+    total = sum(branch.rows.size for branch in branches)
+    protected = np.empty(total, dtype=np.int64)
+    weight = np.empty(total)
+    start = 0
+    for branch in branches:
+        stop = start + branch.rows.size
+        protected[start:stop] = branch.protected
+        weight[start:stop] = branch.weight
+        start = stop
+    return (
+        np.concatenate([branch.rows for branch in branches]),
+        np.concatenate([branch.successors for branch in branches]),
+        protected,
+        weight,
     )
 
 
-# ----------------------------------------------------------------------
-# Arrival/no-arrival events in reference emission order
-# ----------------------------------------------------------------------
-class _Events:
-    """Columnar accumulator for pre-expiry transition events."""
-
-    def __init__(self) -> None:
-        self.rows: List[np.ndarray] = []
-        self.counts: List[int] = []
-        self.seq: List[int] = []
-        self.interim: List[np.ndarray] = []
-        self.protected: List[object] = []
-        self.base: List[object] = []
-        self.tag: List[int] = []
-
-    def add(
-        self,
-        rows: np.ndarray,
-        seq: int,
-        interim: np.ndarray,
-        protected: object,
-        base: object,
-        tag: int,
-    ) -> None:
-        count = rows.size
-        if count == 0:
-            return
-        self.rows.append(rows.astype(np.int64, copy=False))
-        self.counts.append(count)
-        self.seq.append(int(seq))
-        self.interim.append(interim.astype(np.int64, copy=False))
-        self.protected.append(protected)
-        self.base.append(base)
-        self.tag.append(int(tag))
-
-    def sorted_columns(
-        self,
-    ) -> Tuple[np.ndarray, ...]:
-        # seq/tag are constant within a chunk, and protected/base
-        # are often scalars; expand them here via repeat/slice-assign
-        # instead of allocating a filled array per add().
-        counts = np.asarray(self.counts, dtype=np.int64)
-        total = int(counts.sum())
-        rows = np.concatenate(self.rows)
-        seq = np.repeat(np.asarray(self.seq, dtype=np.int64), counts)
-        order = np.lexsort((seq, rows))
-        protected = np.empty(total, dtype=np.int64)
-        base = np.empty(total)
-        position = 0
-        for index, count in enumerate(self.counts):
-            stop = position + count
-            protected[position:stop] = self.protected[index]
-            base[position:stop] = self.base[index]
-            position = stop
-        return (
-            rows[order],
-            np.concatenate(self.interim)[order],
-            protected[order],
-            base[order],
-            np.repeat(np.asarray(self.tag, dtype=np.int64), counts)[order],
-        )
-
-
 def _arrival_events(
-    model: "CompactModel",
-    membership: np.ndarray,
-    full_idx: np.ndarray,
-    evict_rules: np.ndarray,
-    evict_probs: np.ndarray,
-) -> _Events:
-    """One event per (state, arrival outcome), reference emission order.
+    model: "CompactModel", states: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """Pre-expiry events as ``(rows, interim, protected, base, tags)``.
 
-    ``seq`` reproduces the reference loop's within-row order: the
-    no-arrival event first, then flows ascending, eviction victims in
-    cached order.
+    One event per (state, arrival outcome), in the reference loop's
+    emission order: by row, then the no-arrival event first, flows
+    ascending, eviction victims in cached order.
     """
     from repro.core.compact_model import NO_FLOW
 
     ctx = model.context
-    n_states = model.n_states
-    states = np.asarray(model.states, dtype=np.int64)
-    popcounts = model.state_popcounts()
-    capacity = ctx.cache_size
     p_flows, p_none = per_flow_step_probabilities(np.asarray(ctx.step_rates))
-    all_rows = np.arange(n_states, dtype=np.int64)
-    full_position = np.full(n_states, -1, dtype=np.int64)
-    full_position[full_idx] = np.arange(full_idx.size, dtype=np.int64)
-
-    events = _Events()
-    events.add(
-        rows=all_rows, seq=0, interim=states, protected=np.int64(-1),
-        base=np.float64(p_none), tag=NO_FLOW,
-    )
+    branches = [Branch(np.arange(model.n_states, dtype=np.int64), states,
+                       np.int64(-1), np.float64(p_none), 0)]
+    seqs = [0]
+    tags = [NO_FLOW]
     for flow in range(ctx.n_flows):
         p_flow = float(p_flows[flow])
         if p_flow <= 0.0:
             continue
-        seq_base = 1 + flow * capacity
-        covering = ctx.covering[flow]
-        if not covering:
-            events.add(
-                rows=all_rows, seq=seq_base, interim=states,
-                protected=np.int64(-1), base=np.float64(p_flow), tag=flow,
-            )
-            continue
-        matched = np.full(n_states, -1, dtype=np.int64)
-        for rule in covering:
-            matched = np.where(
-                (matched < 0) & membership[rule], np.int64(rule), matched
-            )
-        hit = matched >= 0
-        hit_idx = np.nonzero(hit)[0]
-        events.add(
-            rows=hit_idx, seq=seq_base, interim=states[hit_idx],
-            protected=matched[hit_idx], base=np.float64(p_flow), tag=flow,
-        )
-        install = covering[0]
-        install_bit = np.int64(1) << np.int64(install)
-        miss = ~hit
-        room_idx = np.nonzero(miss & (popcounts < capacity))[0]
-        events.add(
-            rows=room_idx, seq=seq_base,
-            interim=states[room_idx] | install_bit,
-            protected=np.int64(install), base=np.float64(p_flow), tag=flow,
-        )
-        evicting_idx = np.nonzero(miss & (popcounts == capacity))[0]
-        if evicting_idx.size:
-            position = full_position[evicting_idx]
-            for slot in range(capacity):
-                victims = evict_rules[position, slot]
-                weights = evict_probs[position, slot]
-                keep = weights > 0.0
-                kept_idx = evicting_idx[keep]
-                victim_bits = np.int64(1) << victims[keep]
-                events.add(
-                    rows=kept_idx, seq=seq_base + slot,
-                    interim=(states[kept_idx] & ~victim_bits) | install_bit,
-                    protected=np.int64(install),
-                    base=p_flow * weights[keep], tag=flow,
-                )
-    return events
+        for branch in packet_outcomes(model, flow, states):
+            branches.append(branch._replace(weight=p_flow * branch.weight))
+            seqs.append(1 + flow * ctx.cache_size + branch.slot)
+            tags.append(flow)
+    rows, interim, protected, base = branch_columns(branches)
+    counts = [branch.rows.size for branch in branches]
+    order = np.lexsort((np.repeat(seqs, counts), rows))
+    return (
+        rows[order], interim[order], protected[order], base[order],
+        np.repeat(tags, counts)[order],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -397,7 +414,7 @@ def _arrival_events(
 # ----------------------------------------------------------------------
 def _expand_expiries(
     model: "CompactModel",
-    events: _Events,
+    events: Tuple[np.ndarray, ...],
     hazard: np.ndarray,
     certain_mask: np.ndarray,
     candidate_mask: np.ndarray,
@@ -416,7 +433,7 @@ def _expand_expiries(
     bit-for-bit.
     """
     n_rules = model.context.n_rules
-    rows, interim, protected, base, tag = events.sorted_columns()
+    rows, interim, protected, base, tag = events
     count = rows.size
     protected_bit = np.where(
         protected >= 0, bits[np.maximum(protected, 0)], np.int64(0)

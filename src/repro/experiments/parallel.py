@@ -280,9 +280,9 @@ def screening_verdicts(
     fault them in again, about three times the page faults and a few
     percent slower per candidate on the ``screen`` benchmark.
 
-    Without ``context.rng`` the harness gets a throwaway seeded
-    generator -- screening never draws from the harness generator --
-    and the caller rebuilds accepted configurations on its own.  Inside
+    Without ``context.rng`` the harness seeds its own generator from
+    ``params.seed`` -- screening never draws from it -- and the caller
+    rebuilds accepted configurations on its own.  Inside
     a screening worker the harness's probe selection runs serially
     whatever ``params.selection_n_jobs`` says (a
     :class:`~repro.parallel.ForkPool` worker never forks), and the
@@ -307,12 +307,7 @@ def screening_verdicts(
             return False, outcome.model if context.rng is not None else None
         model = outcome.model
     rng = context.rng
-    harness = ConfigHarness(
-        config,
-        params,
-        rng=rng if rng is not None else np.random.default_rng(0),
-        model=model,
-    )
+    harness = ConfigHarness(config, params, rng=rng, model=model)
     # Each exact rejection is counted by its reason, in check order.
     metrics = get_instrumentation().metrics
     accepted = False

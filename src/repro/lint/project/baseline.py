@@ -1,11 +1,9 @@
 """The committed waiver file for justified project findings.
 
-Whole-program rules over-approximate, and a few real patterns are
-intentional (a throwaway constant-seeded generator in a screening
-worker that never draws, for example).  Rather than sprinkling noqa
-comments across call chains -- a project finding has no single line
-that "owns" it -- justified findings live in one committed JSON file,
-reviewed like code:
+Whole-program rules over-approximate, and a real pattern can be
+intentional.  Rather than sprinkling noqa comments across call chains
+-- a project finding has no single line that "owns" it -- justified
+findings live in one committed JSON file, reviewed like code:
 
 .. code-block:: json
 
@@ -14,12 +12,14 @@ reviewed like code:
       "entries": [
         {
           "rule": "SEED103",
-          "path": "src/repro/experiments/parallel.py",
-          "symbol": "repro.experiments.parallel.screening_verdicts",
+          "path": "src/repro/experiments/example.py",
+          "symbol": "repro.experiments.example.function",
           "justification": "why this one is fine"
         }
       ]
     }
+
+The committed ``lint-baseline.json`` holds no entries.
 
 Matching is by ``(rule, path suffix, symbol)`` -- never by line -- so
 entries survive unrelated edits.  Every entry must carry a non-empty

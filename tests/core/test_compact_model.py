@@ -298,8 +298,9 @@ class TestModelOptions:
         validate_stochastic(model.transition_matrix())
 
     def test_eviction_distribution_exposed(self):
-        model = make_model(
-            [({0}, 3), ({1}, 9)], [0.2, 0.2], cache_size=2
+        model = PerStateCompactModel(
+            make_policy([({0}, 3), ({1}, 9)]), make_universe([0.2, 0.2]),
+            DELTA, 2,
         )
         eviction = model.eviction_distribution(mask_from_indices([0, 1]))
         assert set(eviction) == {0, 1}

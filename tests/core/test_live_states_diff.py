@@ -15,7 +15,9 @@ and the exact recency estimator) and on the 16 pinned candidates of the
 * hit probabilities, posteriors and gains agree within 1e-12.  They are
   reductions over shorter vectors, so they may move by an ulp; the
   largest deviation seen on the pinned candidates was 7.8e-16 (reported
-  as the ``max_deviation`` property of the pinned test).
+  as the ``max_deviation`` property of the pinned test);
+* on the pinned candidates, every flow's probe matrix equals the
+  per-state oracle's (:mod:`tests.oracles.perstate`) bit for bit.
 
 The last part shows why the float32 screen still runs its own
 reachability fixpoint: a live state need not be reachable.
@@ -262,6 +264,13 @@ def test_pinned_screen_candidates(pinned_candidates, position,
     )
     record_property("max_deviation", deviation)
     assert deviation <= REDUCTION_ATOL
+    per_state = PerStateCompactModel(*args)
+    for flow in range(model.context.n_flows):
+        actual = model.probe_matrix(flow)
+        expected = per_state.probe_matrix(flow)
+        np.testing.assert_array_equal(actual.indptr, expected.indptr)
+        np.testing.assert_array_equal(actual.indices, expected.indices)
+        np.testing.assert_array_equal(actual.data, expected.data)
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.compact_model import CompactModel
 from repro.core.masks import mask_from_indices
+from tests.oracles.perstate import PerStateCompactModel
 from tests.oracles.probes import probe_outcome, walk_probes
 
 from tests.conftest import make_policy, make_universe
@@ -11,12 +12,22 @@ from tests.conftest import make_policy, make_universe
 DELTA = 0.25
 
 
-@pytest.fixture
-def model():
+def _scenario():
     """r0={f0} t=4; r1={f0,f1} t=6; r2={f2} t=5; cache 2; f3 uncovered."""
     policy = make_policy([({0}, 4), ({0, 1}, 6), ({2}, 5)])
     universe = make_universe([0.3, 0.4, 0.5, 0.2])
-    return CompactModel(policy, universe, DELTA, cache_size=2)
+    return policy, universe, DELTA, 2
+
+
+@pytest.fixture
+def model():
+    return CompactModel(*_scenario())
+
+
+@pytest.fixture
+def oracle_model():
+    """The scenario on the per-state oracle, which keeps ``apply_probe``."""
+    return PerStateCompactModel(*_scenario())
 
 
 class TestProbeOutcome:
@@ -34,21 +45,21 @@ class TestProbeOutcome:
 
 
 class TestApplyProbe:
-    def test_hit_leaves_state_unchanged(self, model):
+    def test_hit_leaves_state_unchanged(self, oracle_model):
         state = mask_from_indices([1])
-        assert model.apply_probe(state, 0) == [(state, 1.0)]
+        assert oracle_model.apply_probe(state, 0) == [(state, 1.0)]
 
-    def test_miss_installs_highest_priority(self, model):
-        branches = model.apply_probe(0, 0)
+    def test_miss_installs_highest_priority(self, oracle_model):
+        branches = oracle_model.apply_probe(0, 0)
         assert branches == [(mask_from_indices([0]), 1.0)]
 
-    def test_uncovered_miss_changes_nothing(self, model):
-        branches = model.apply_probe(0, 3)
+    def test_uncovered_miss_changes_nothing(self, oracle_model):
+        branches = oracle_model.apply_probe(0, 3)
         assert branches == [(0, 1.0)]
 
-    def test_full_cache_miss_branches_on_eviction(self, model):
+    def test_full_cache_miss_branches_on_eviction(self, oracle_model):
         state = mask_from_indices([0, 1])
-        branches = model.apply_probe(state, 2)
+        branches = oracle_model.apply_probe(state, 2)
         targets = {s for s, _ in branches}
         assert targets == {
             mask_from_indices([1, 2]),

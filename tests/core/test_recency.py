@@ -1,7 +1,8 @@
 """Tests for the recency (u-function) estimators.
 
 The exact enumerator (a test oracle, like the Monte Carlo sampler) is
-the reference for the production independence approximation: the
+the reference for the independence approximation, whose per-state form
+is an oracle too (production's bulk tables equal it bit for bit): the
 Monte Carlo sampler must
 agree statistically, and the independence approximation must agree in
 direction (and exactly in the degenerate cases with closed forms).
@@ -13,11 +14,11 @@ import pytest
 
 from repro.core.context import ModelContext
 from repro.core.masks import mask_from_indices
-from repro.core.recency import IndependentRecencyEstimator
 
 from tests.conftest import make_policy, make_universe
 from tests.oracles.recency import (
     ExactRecencyEstimator,
+    IndependentRecencyEstimator,
     MonteCarloRecencyEstimator,
 )
 

@@ -8,6 +8,10 @@ zero-ish rates) and checks, against the dense oracle
 * the vectorised sparse builder emits a transition matrix *bit-equal*
   to the per-state builder (the design contract: the sparse kernel
   mirrors the reference arithmetic operation for operation);
+* production's recency tables -- the timeout hazards of every state and
+  the eviction split of every full state -- are bit-equal to the
+  per-state independence estimator (tests/oracles/recency.py), and its
+  probe matrices to the per-state probe loop's;
 * evolved distributions, marginals, priors, and probe selections agree
   across kernels;
 * the incremental power chain is bit-equal to full re-powering.
@@ -29,6 +33,7 @@ from repro.flows.policy import ModelRule, Policy
 from repro.flows.universe import FlowUniverse
 
 from tests import oracles
+from tests.oracles.recency import IndependentRecencyEstimator, production_stats
 
 N_FLOWS = 4
 
@@ -87,6 +92,37 @@ def test_sparse_matrix_bit_equal_to_dense(spec):
     reference = np.asarray(dense.transition_matrix())
     vectorised = sparse_model.transition_matrix().toarray()
     np.testing.assert_array_equal(vectorised, reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_specs())
+def test_recency_tables_bit_equal_to_estimator(spec):
+    model = _build(spec, "sparse")
+    estimator = IndependentRecencyEstimator(model.context)
+    capacity = model.context.cache_size
+    for state in model.states:
+        expected = estimator.stats(state)
+        actual = production_stats(model, state)
+        assert list(actual.timeout_hazards.items()) == list(
+            expected.timeout_hazards.items()
+        )
+        if bin(state).count("1") == capacity:
+            assert list(actual.eviction.items()) == list(
+                expected.eviction.items()
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_specs())
+def test_probe_matrices_bit_equal_to_dense(spec):
+    dense = _build(spec, "dense")
+    sparse_model = _build(spec, "sparse")
+    for flow in range(N_FLOWS):
+        reference = dense.probe_matrix(flow)
+        vectorised = sparse_model.probe_matrix(flow)
+        np.testing.assert_array_equal(vectorised.indptr, reference.indptr)
+        np.testing.assert_array_equal(vectorised.indices, reference.indices)
+        np.testing.assert_array_equal(vectorised.data, reference.data)
 
 
 @settings(max_examples=25, deadline=None)

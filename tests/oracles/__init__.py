@@ -8,13 +8,17 @@ production to them:
   linear-scan flow table;
 * :func:`tests.oracles.network.schedule_arrivals` -- one simulator event
   per background arrival;
-* :mod:`tests.oracles.perstate` -- the per-state transition builder,
-  which alone takes another recency estimator, simultaneous expiries
+* :mod:`tests.oracles.perstate` -- the per-state transition builder
+  and probe perturbation (``apply_probe``, ``probe_matrix``), which
+  alone takes another recency estimator, simultaneous expiries
   (``multi_expiry``) or expiry on no-arrival steps only
   (``expire_on_arrival=False``);
-* :mod:`tests.oracles.recency` -- the exact and Monte-Carlo recency
-  estimators the independence approximation is checked against (pinned
-  by ``tests/core/test_recency.py`` and the estimator ablation
+* :mod:`tests.oracles.recency` -- the per-state recency estimators: the
+  independence approximation state by state, which production's bulk
+  tables equal bit for bit (pinned by
+  ``tests/core/test_sparse_dense_diff.py``), and the exact and
+  Monte-Carlo estimators it is checked against (pinned by
+  ``tests/core/test_recency.py`` and the estimator ablation
   benchmark);
 * :mod:`tests.oracles.dense` -- the per-state transition builder with
   dense matrices and ``@`` powering;
@@ -37,7 +41,9 @@ production to them:
 * :mod:`tests.oracles.probes` -- probe-outcome tables from a dict
   frontier walk, the serial selection loops and the dict adaptive
   session step, where production reads the engine's dense per-outcome
-  state rows (pinned by ``tests/core/test_selection_engine.py``);
+  state rows (pinned by ``tests/core/test_selection_engine.py``); the
+  walk perturbs through the per-state estimator, not production's probe
+  matrices;
 * the exact-only screen and the scipy chain loop
   (:func:`repro.core.chain.scipy_chain`), which are production's own
   fallbacks when the native kernels are disabled (``REPRO_NO_CKERNEL=1``).

@@ -1,18 +1,19 @@
 """Oracle: the per-state transition builder and its semantics knobs.
 
-The compact model's first entry builder: one Python loop per state,
-reading eviction splits and timeout hazards from a recency estimator's
-per-state statistics.  Production builds the same entries, bit for bit,
-with :func:`repro.core.transition_build.build_entries`, which computes
-the independence approximation's tables in bulk and supports only the
-paper's semantics.  This oracle keeps what the vectorised builder does
-not:
+The compact model's first entry builder and probe perturbation: one
+Python loop per state, reading eviction splits and timeout hazards from
+a recency estimator's per-state statistics.  Production builds the same
+entries and probe matrices, bit for bit, from the independence
+approximation's tables for every state at once
+(:mod:`repro.core.transition_build`), and supports only the paper's
+semantics.  This oracle keeps what production does not:
 
 ``estimator``
-    Any :class:`~repro.core.recency.RecencyEstimator`, such as the
+    Any :class:`~tests.oracles.recency.RecencyEstimator`, such as the
     exact or Monte-Carlo ones in :mod:`tests.oracles.recency`, built on
     a context of the same switch (it is used as given); defaults to the
-    independence approximation.
+    independence approximation.  It drives the probe perturbations
+    (:func:`apply_probe`) as well as the chain.
 ``multi_expiry``
     Model simultaneous expirations of several rules in one step (exact
     independent product) instead of the at-most-one approximation.
@@ -20,8 +21,8 @@ not:
     Apply expiration hazards on arrival steps too (timers run every
     step, as in the basic model), not only on no-arrival steps.
 
-With every knob at its default the entries equal production's
-(tests/core/test_sparse_dense_diff.py, through
+With every knob at its default the entries and probe matrices equal
+production's (tests/core/test_sparse_dense_diff.py, through
 :class:`tests.oracles.dense.DenseCompactModel`).
 """
 
@@ -30,13 +31,44 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
-from repro.core.chain import per_flow_step_probabilities
+from repro.core.chain import per_flow_step_probabilities, validate_stochastic
 from repro.core.compact_model import NO_FLOW, CompactModel
+from repro.core.context import ModelContext
 from repro.core.masks import popcount
-from repro.core.recency import RecencyEstimator
 from repro.flows.policy import Policy
 from repro.flows.universe import FlowUniverse
+
+from tests.oracles.recency import IndependentRecencyEstimator, RecencyEstimator
+
+
+def apply_probe(
+    context: ModelContext, estimator: RecencyEstimator, state: int, flow: int
+) -> List[Tuple[int, float]]:
+    """Successor states (with weights) after probing ``flow`` in ``state``.
+
+    A probe is itself a flow, so a miss the policy covers perturbs
+    the cache like any other arrival:
+
+    * hit: the cache set is unchanged (the matched rule's timer resets);
+    * miss, covered by the policy: the install rule enters, with
+      ``estimator``'s eviction split applied when the cache is full;
+    * miss, uncovered: unchanged (the controller just forwards).
+    """
+    if context.match_in_cache(flow, state) is not None:
+        return [(state, 1.0)]
+    install = context.install_rule[flow]
+    if install is None:
+        return [(state, 1.0)]
+    if popcount(state) < context.cache_size:
+        return [(state | (1 << install), 1.0)]
+    branches: List[Tuple[int, float]] = []
+    for victim, prob in estimator.stats(state).eviction.items():
+        if prob <= 0.0:
+            continue
+        branches.append(((state & ~(1 << victim)) | (1 << install), prob))
+    return branches
 
 
 class PerStateCompactModel(CompactModel):
@@ -53,8 +85,10 @@ class PerStateCompactModel(CompactModel):
         expire_on_arrival: bool = True,
     ) -> None:
         super().__init__(policy, universe, delta, cache_size)
-        if estimator is not None:
-            self.estimator = estimator
+        self.estimator = (
+            estimator if estimator is not None
+            else IndependentRecencyEstimator(self.context)
+        )
         self.multi_expiry = multi_expiry
         self.expire_on_arrival = expire_on_arrival
 
@@ -64,6 +98,52 @@ class PerStateCompactModel(CompactModel):
         if self._entries is None:
             self._entries = self._build_entries()
         return self._entries
+
+    def eviction_distribution(self, state: int) -> Dict[int, float]:
+        """Eviction split for a (bitmask) state, from the estimator."""
+        return self.estimator.stats(state).eviction
+
+    def apply_probe(self, state: int, flow: int) -> List[Tuple[int, float]]:
+        """:func:`apply_probe` on this model's estimator."""
+        return apply_probe(self.context, self.estimator, state, flow)
+
+    def probe_matrix(self, flow: int) -> sparse.csr_matrix:
+        """Row-stochastic matrix of a probe's cache perturbation.
+
+        Row ``i`` spreads state ``i`` over :meth:`apply_probe`'s
+        successors of probing ``flow`` there: identity for hits and
+        uncovered misses, the install/evict branching for covered
+        misses.
+        """
+        flow = int(flow)
+        cached = self._probe_matrix_cache.get(flow)
+        if cached is None:
+            rows: List[int] = []
+            cols: List[int] = []
+            probs: List[float] = []
+            state_index = self.state_index
+            for row, state in enumerate(self.states):
+                for successor, prob in self.apply_probe(state, flow):
+                    if prob <= 0.0:
+                        continue
+                    try:
+                        col = state_index[successor]
+                    except KeyError:
+                        raise self.state_error(
+                            successor, "probe successor"
+                        ) from None
+                    rows.append(row)
+                    cols.append(col)
+                    probs.append(prob)
+            cached = sparse.coo_matrix(
+                (probs, (rows, cols)), shape=(self.n_states, self.n_states)
+            ).tocsr()
+            validate_stochastic(cached)
+            cached.data.setflags(write=False)
+            cached.indices.setflags(write=False)
+            cached.indptr.setflags(write=False)
+            self._probe_matrix_cache[flow] = cached
+        return cached
 
     def _state_hazard_data(
         self, pre_state: int

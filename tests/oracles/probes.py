@@ -18,10 +18,14 @@ rows replaced live here, over ``{state mask: weight}`` dicts:
   :meth:`DictSession._conditional_gain`).
 
 ``tests/core/test_selection_engine.py`` holds production to these.
+Each probe's install/evict perturbation comes from a per-state oracle
+estimator (:func:`probe_successors`), so the walk shares no perturbation
+code with production's probe matrices.
 """
 
 from __future__ import annotations
 
+import weakref
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,6 +35,34 @@ from repro.core.compact_model import CompactModel
 from repro.core.gain import information_gain
 from repro.core.inference import OutcomeTable, ReconInference
 from repro.core.selection import ProbeChoice
+
+from tests.oracles import perstate
+from tests.oracles.recency import IndependentRecencyEstimator, RecencyEstimator
+
+#: The per-state estimator of each production model the walks meet,
+#: kept for the model's lifetime so its per-state memo is shared by
+#: every walk over that model.
+_ESTIMATORS: "weakref.WeakKeyDictionary[CompactModel, RecencyEstimator]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def probe_successors(
+    model: CompactModel, state: int, flow: int
+) -> List[Tuple[int, float]]:
+    """Successors of probing ``flow`` in ``state``, from a per-state estimator.
+
+    A per-state oracle model perturbs with its own estimator; any other
+    model with the independence approximation over its context, state
+    by state (:func:`tests.oracles.perstate.apply_probe`).
+    """
+    estimator = getattr(model, "estimator", None)
+    if estimator is None:
+        estimator = _ESTIMATORS.get(model)
+        if estimator is None:
+            estimator = IndependentRecencyEstimator(model.context)
+            _ESTIMATORS[model] = estimator
+    return perstate.apply_probe(model.context, estimator, state, flow)
 
 
 def probe_outcome(model: CompactModel, state: int, flow: int) -> int:
@@ -82,7 +114,7 @@ def walk_probes(
             if entry is None:
                 entry = (
                     probe_outcome(model, state, flow),
-                    model.apply_probe(state, flow),
+                    probe_successors(model, state, flow),
                 )
                 branch_cache[(flow, state)] = entry
             bit, branches = entry
@@ -124,7 +156,7 @@ def _walk_single_probe(
         if entry is None:
             entry = (
                 probe_outcome(model, state, flow),
-                model.apply_probe(state, flow),
+                probe_successors(model, state, flow),
             )
             branch_cache[(flow, state)] = entry
         bit, branches = entry
@@ -300,7 +332,7 @@ class DictSession:
         for state, weight in weights.items():
             bit = probe_outcome(self.model, state, flow)
             bucket = split[bit]
-            for successor, prob in self.model.apply_probe(state, flow):
+            for successor, prob in probe_successors(self.model, state, flow):
                 value = weight * prob
                 if value <= 0.0:
                     continue

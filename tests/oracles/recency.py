@@ -1,15 +1,20 @@
-"""Oracle: the exact and Monte-Carlo recency estimators.
+"""Oracle: per-state recency estimators (Eqns. 1-7).
 
-The paper evaluates the ``u``-function sums of Eqns. 1-7 exactly, as a
-sum over *injective* ``u`` (at most one flow arrives per step) that is
-exponential in the cached-set size.  Production keeps only the
-closed-form independence approximation
-(:class:`repro.core.recency.IndependentRecencyEstimator`); these two are
-what it is checked against:
+The compact model needs, for each cached-rule set, the timeout hazards
+and eviction split that the paper derives from the recency distribution
+``u`` (Eqns. 1-7; see :mod:`repro.core.transition_build`).  Production
+evaluates the closed-form independence approximation for every state at
+once (:func:`repro.core.transition_build.recency_tables`).  These
+estimators compute the statistics of one state at a time:
+
+:class:`IndependentRecencyEstimator`
+    The same independence approximation, state by state; production's
+    tables equal it bit for bit (tests/core/test_sparse_dense_diff.py).
 
 :class:`ExactRecencyEstimator`
-    Literal enumeration of injective ``u``.  Exact per the paper's
-    definition, usable for small timeouts and small cached sets.
+    Literal enumeration of injective ``u``, the paper's sum, which is
+    exponential in the cached-set size.  Usable for small timeouts and
+    small cached sets.
 
 :class:`MonteCarloRecencyEstimator`
     Sequential importance sampling.  ``P(u)`` factorises over cached
@@ -17,21 +22,157 @@ what it is checked against:
     only on higher-priority rules' ``u``), so sampling in that order with
     per-rule normalisation constants as importance weights is unbiased.
 
-Both plug into :class:`tests.oracles.perstate.PerStateCompactModel`,
-the only model that builds its chain from a recency estimator's
-per-state statistics (tests/core/test_recency.py,
+Each plugs into :class:`tests.oracles.perstate.PerStateCompactModel`,
+the only model that builds its chain and probe perturbations from an
+estimator's per-state statistics (tests/core/test_recency.py,
 benchmarks/test_bench_ablation_estimators.py).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from abc import ABC, abstractmethod
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.compact_model import CompactModel
 from repro.core.context import ModelContext
-from repro.core.recency import RecencyEstimator, RecencyStats
+
+
+@dataclass(frozen=True)
+class RecencyStats:
+    """Per-state outputs of a recency estimator.
+
+    ``timeout_hazards[j]``: probability that cached rule ``j`` expires in
+    the current step, given it is cached (Eqn. 7 / Eqn. 3).
+    ``eviction[j]``: probability that rule ``j`` is the one evicted when
+    a full-cache install forces an eviction (Eqn. 5 / Eqn. 3, normalised
+    across the cached rules so the transition split is a distribution).
+    """
+
+    timeout_hazards: Dict[int, float]
+    eviction: Dict[int, float]
+
+
+class RecencyEstimator(ABC):
+    """Interface: state bitmask -> :class:`RecencyStats`."""
+
+    def __init__(self, context: ModelContext) -> None:
+        self.context = context
+        self._cache: Dict[int, RecencyStats] = {}
+
+    def stats(self, state: int) -> RecencyStats:
+        """Memoised per-state statistics."""
+        found = self._cache.get(state)
+        if found is None:
+            found = self._compute(state)
+            self._cache[state] = found
+        return found
+
+    @abstractmethod
+    def _compute(self, state: int) -> RecencyStats:
+        """Compute statistics for one cached-set bitmask."""
+
+
+class IndependentRecencyEstimator(RecencyEstimator):
+    """Closed-form estimator under per-rule independence.
+
+    With the coupling dropped, ``u(j)`` for cached rule ``j`` follows a
+    geometric distribution with per-step match probability
+    ``a_j = 1 - e^{-gamma_j}`` truncated to ``{1..t_j}`` (conditioning on
+    the rule being cached).  As ``a_j -> 0`` the truncated geometric
+    degenerates to the uniform distribution on ``{1..t_j}`` -- exactly
+    the right limit for a rule that is never re-matched after install.
+
+    Ties in remaining time are resolved by the midpoint smoothing
+    ``P(r' > r) + P(r' = r)/2`` (equivalent to adding an independent
+    uniform jitter and evaluating at its mean), then normalising.
+    """
+
+    def _u_pmf(self, gamma: float, timeout: int) -> np.ndarray:
+        """Truncated-geometric pmf of ``u`` over ``1..timeout``.
+
+        Index 0 of the returned array corresponds to ``u = 1``.
+        """
+        a = -math.expm1(-gamma)  # 1 - e^{-gamma}, numerically stable
+        if a <= 0.0:
+            return np.full(timeout, 1.0 / timeout)
+        k = np.arange(timeout, dtype=np.float64)
+        pmf = a * np.power(1.0 - a, k)
+        total = pmf.sum()
+        if total <= 0.0:  # gamma enormous: all mass at u = 1
+            pmf = np.zeros(timeout)
+            pmf[0] = 1.0
+            return pmf
+        return pmf / total
+
+    def _compute(self, state: int) -> RecencyStats:
+        ctx = self.context
+        cached = ctx.cached_rules(state)
+        if not cached:
+            return RecencyStats(timeout_hazards={}, eviction={})
+
+        pmfs: Dict[int, np.ndarray] = {}
+        hazards: Dict[int, float] = {}
+        for rule in cached:
+            timeout = ctx.timeouts[rule]
+            if ctx.policy[rule].hard:
+                # Hard timeouts ignore matches: the timer runs from the
+                # install.  Conditioned on being cached, the age is
+                # uniform on {1..t_j} under steady arrivals, which is
+                # exactly the gamma -> 0 limit of the truncated
+                # geometric.
+                pmf = np.full(timeout, 1.0 / timeout)
+            else:
+                gamma = ctx.gamma_cached(rule, state)
+                pmf = self._u_pmf(gamma, timeout)
+            pmfs[rule] = pmf
+            hazards[rule] = float(pmf[timeout - 1])  # P(u = t_j)
+
+        eviction = self._eviction_distribution(cached, pmfs)
+        return RecencyStats(timeout_hazards=hazards, eviction=eviction)
+
+    def _eviction_distribution(
+        self, cached: Sequence[int], pmfs: Dict[int, np.ndarray]
+    ) -> Dict[int, float]:
+        """P(rule j has the minimal remaining time), midpoint tie-break.
+
+        Vectorised: per rule the remaining-time pmf (support
+        ``0..t_j - 1``, zero-padded to the longest timeout), the
+        exclusive survival ``P(r' > r)``, and leave-one-out products via
+        prefix/suffix cumulative products along the rule axis.
+        """
+        ctx = self.context
+        n_cached = len(cached)
+        if n_cached == 1:
+            return {cached[0]: 1.0}
+        max_support = max(ctx.timeouts[rule] for rule in cached)
+        # Remaining time r = t - u, support 0..t-1; pmf_r[r] = pmf_u[t-r].
+        pmf = np.zeros((n_cached, max_support))
+        for row, rule in enumerate(cached):
+            reversed_pmf = pmfs[rule][::-1]
+            pmf[row, : reversed_pmf.shape[0]] = reversed_pmf
+        # survival[k, r] = P(r_k > r); term = P(>r) + P(=r)/2.
+        survival = pmf[:, ::-1].cumsum(axis=1)[:, ::-1] - pmf
+        term = survival + 0.5 * pmf
+        # Leave-one-out product over rules at each r.
+        prefix = np.ones((n_cached + 1, max_support))
+        suffix = np.ones((n_cached + 1, max_support))
+        for row in range(n_cached):
+            prefix[row + 1] = prefix[row] * term[row]
+        for row in range(n_cached - 1, -1, -1):
+            suffix[row] = suffix[row + 1] * term[row]
+        loo = prefix[:n_cached] * suffix[1:]
+        raw = (pmf * loo).sum(axis=1)
+        total = float(raw.sum())
+        if total <= 0.0:
+            uniform = 1.0 / n_cached
+            return {rule: uniform for rule in cached}
+        return {
+            rule: float(raw[row]) / total for row, rule in enumerate(cached)
+        }
 
 
 def _gamma_at_step(
@@ -281,3 +422,23 @@ class MonteCarloRecencyEstimator(RecencyEstimator):
             else {rule: 1.0 / len(cached) for rule in cached}
         )
         return RecencyStats(timeout_hazards=hazards, eviction=eviction)
+
+
+def production_stats(model: CompactModel, state: int) -> RecencyStats:
+    """Production's recency-table rows for ``state``, as estimator stats.
+
+    The hazards of every cached rule, and the eviction split when the
+    state is at capacity (empty below it, where production keeps none).
+    """
+    tables = model.recency_tables()
+    row = model.state_index[state]
+    cached = model.context.cached_rules(state)
+    hazards = {rule: float(tables.hazard[row, rule]) for rule in cached}
+    position = int(tables.full_position[row])
+    eviction: Dict[int, float] = {}
+    if position >= 0:
+        eviction = dict(zip(
+            tables.evict_rules[position].tolist(),
+            tables.evict_probs[position].tolist(),
+        ))
+    return RecencyStats(timeout_hazards=hazards, eviction=eviction)
