@@ -17,7 +17,7 @@ from repro.core.inference import ReconInference
 from repro.core.selection import best_single_probe
 from repro.experiments.params import bench_scale
 from repro.experiments.report import format_table
-from repro.experiments.trials import run_table_trial
+from repro.experiments.trials import run_trial
 from repro.flows.config import ConfigGenerator, ConfigParams
 
 CACHE_SIZES = (2, 4, 6, 9, 12)
@@ -55,8 +55,11 @@ def test_bench_ablation_cachesize(benchmark, print_section):
             rng = np.random.default_rng(5)
             correct = {"naive": 0, "model": 0}
             for _ in range(n_trials):
-                trial = run_table_trial(
-                    config, attackers, seed=int(rng.integers(2**62))
+                trial = run_trial(
+                    config,
+                    attackers,
+                    seed=int(rng.integers(2**62)),
+                    mode="table",
                 )
                 for name in correct:
                     correct[name] += trial.correct(name)

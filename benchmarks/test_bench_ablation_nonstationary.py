@@ -66,8 +66,8 @@ def test_bench_ablation_nonstationary(benchmark, print_section):
                     for arrival in schedule:
                         world.arrival(arrival.flow_index, arrival.time)
                     bits = tuple(
-                        world.probe(flow, window + 0.0005 * i)
-                        for i, flow in enumerate(attacker.plan())
+                        world.probe(config.universe.flows[flow])
+                        for flow in attacker.plan()
                     )
                     if attacker.decide(bits) == truth:
                         correct[name] += 1

@@ -13,7 +13,7 @@ from benchmarks.conftest import experiment_params
 from repro.experiments.harness import ConfigHarness
 from repro.experiments.params import bench_scale
 from repro.experiments.report import format_table
-from repro.experiments.trials import run_network_trial, run_table_trial
+from repro.experiments.trials import run_trial
 from repro.flows.config import ConfigGenerator
 
 
@@ -27,8 +27,10 @@ def test_bench_mode_agreement(benchmark, print_section):
         attackers = harness.attackers()
         agree_truth = agree_outcomes = 0
         for seed in range(n_trials):
-            network = run_network_trial(harness.config, attackers, seed=seed)
-            table = run_table_trial(harness.config, attackers, seed=seed)
+            network = run_trial(
+                harness.config, attackers, seed=seed, mode="network"
+            )
+            table = run_trial(harness.config, attackers, seed=seed, mode="table")
             agree_truth += network.ground_truth == table.ground_truth
             agree_outcomes += all(
                 network.outcomes[name] == table.outcomes[name]

@@ -1,6 +1,6 @@
 """One network-mode trial: a shared window forked per plan vs replicas.
 
-``run_network_trial`` simulates the trial's detection window once and
+``run_trial`` simulates the trial's detection window once and
 forks the post-window network per distinct probe plan; the replica
 oracle (``tests/oracles/trials.py``) replays the window once per probing
 attacker.  This benchmark times both on the first simulator-proxy
@@ -56,12 +56,12 @@ def test_bench_network_trial(benchmark, print_section):
     seeds = [int(rng.integers(2**62)) for _ in range(N_SEEDS)]
 
     for seed in seeds:
-        assert trials.run_network_trial(config, lineup, seed) == (
+        assert trials.run_trial(config, lineup, seed) == (
             oracle.run_network_trial(config, lineup, seed)
         )
 
     def forked(seed):
-        return trials.run_network_trial(config, lineup, seed)
+        return trials.run_trial(config, lineup, seed)
 
     def replicas(seed):
         return oracle.run_network_trial(config, lineup, seed)

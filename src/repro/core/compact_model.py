@@ -197,10 +197,6 @@ class CompactModel:
         """Cached rule indices of the state at ``index``."""
         return frozenset(indices_from_mask(self.states[index]))
 
-    def state_covers_flow(self, index: int, flow: int) -> bool:
-        """Whether the state at ``index`` would answer probe ``f`` with a hit."""
-        return self.context.state_covers(flow, self.states[index])
-
     # ------------------------------------------------------------------
     # Vectorised probe views (the probe-scoring engine's primitives)
     # ------------------------------------------------------------------

@@ -3,17 +3,16 @@
 :class:`ModelContext` binds a :class:`~repro.flows.policy.Policy` to a
 :class:`~repro.flows.universe.FlowUniverse` and step duration ``Delta``,
 precomputing what the Markov models query: per-rule flow bitmasks,
-per-flow covering rule lists, the subset rate table for ``gamma`` sums,
-and switch-semantics lookups.  The scalar per-state helpers
-(:meth:`ModelContext.match_in_cache`, :meth:`ModelContext.gamma_cached`,
-...) serve the per-state test oracles (tests/oracles/); production
-evaluates the same quantities for every state at once
-(:mod:`repro.core.transition_build`).
+per-flow covering rule lists and the subset rate table for ``gamma``
+sums.  Production evaluates the per-state quantities (switch lookups,
+effective rates) for every state at once
+(:mod:`repro.core.transition_build`); their scalar per-state forms live
+with the test oracles (tests/oracles/).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.masks import RateTable, mask_from_indices
 from repro.flows.policy import Policy
@@ -66,61 +65,3 @@ class ModelContext:
         self.install_rule: Tuple[Optional[int], ...] = tuple(
             covering[0] if covering else None for covering in self.covering
         )
-
-    # ------------------------------------------------------------------
-    # Switch semantics over bitmask states
-    # ------------------------------------------------------------------
-    def match_in_cache(self, flow: int, state: int) -> Optional[int]:
-        """Highest-priority cached rule covering ``flow`` (switch lookup)."""
-        for rule in self.covering[flow]:
-            if state & (1 << rule):
-                return rule
-        return None
-
-    def state_covers(self, flow: int, state: int) -> bool:
-        """Whether any cached rule covers ``flow`` (the probe hit bit)."""
-        return self.match_in_cache(flow, state) is not None
-
-    # ------------------------------------------------------------------
-    # Effective rates (Section IV-A1)
-    # ------------------------------------------------------------------
-    def gamma_cached(self, rule: int, state: int) -> float:
-        """Effective per-step rate ``gamma`` for a *cached* rule.
-
-        Relevant flows are those covered by ``rule`` but by no cached rule
-        of higher priority (the paper's ``flowIds_l(j)`` for cached
-        rules).
-        """
-        mask = self.flow_masks[rule]
-        for higher in range(rule):
-            if state & (1 << higher):
-                mask &= ~self.flow_masks[higher]
-        return self.rate_table.sum(mask)
-
-    def gamma_uncached(self, rule: int, state: int) -> float:
-        """Effective rate for an *uncached* rule.
-
-        Relevant flows are those covered by ``rule`` but not by any cached
-        rule (they would hit the cache) nor by a higher-priority uncached
-        rule (the controller would install that rule instead).
-        """
-        mask = self.flow_masks[rule]
-        for other in range(self.n_rules):
-            if other == rule:
-                continue
-            cached = bool(state & (1 << other))
-            if cached or other < rule:
-                mask &= ~self.flow_masks[other]
-        return self.rate_table.sum(mask)
-
-    def cached_rules(self, state: int) -> List[int]:
-        """Cached rule indices, highest priority first."""
-        return [j for j in range(self.n_rules) if state & (1 << j)]
-
-    def uncached_rules(self, state: int) -> List[int]:
-        """Uncached rule indices, highest priority first."""
-        return [j for j in range(self.n_rules) if not state & (1 << j)]
-
-    def total_step_rate(self) -> float:
-        """Aggregate per-step rate ``Lambda * Delta``."""
-        return self.rate_table.total

@@ -15,7 +15,7 @@ Reproduces every evaluation artifact in the paper:
 
 from repro.experiments.params import ExperimentParams
 from repro.experiments.harness import ConfigHarness, ConfigResult
-from repro.experiments.trials import TrialResult, run_network_trial, run_table_trial
+from repro.experiments.trials import TrialResult, run_trial
 from repro.experiments.fig6 import Fig6Result, run_fig6
 from repro.experiments.fig7 import Fig7Result, run_fig7
 from repro.experiments.robustness import RobustnessResult, run_robustness
@@ -26,8 +26,7 @@ __all__ = [
     "ConfigHarness",
     "ConfigResult",
     "TrialResult",
-    "run_network_trial",
-    "run_table_trial",
+    "run_trial",
     "Fig6Result",
     "run_fig6",
     "Fig7Result",

@@ -1,41 +1,30 @@
-"""Trial runners: one attack attempt against freshly generated traffic.
+"""Trial runner: one attack attempt against freshly generated traffic.
 
 A *trial* regenerates the background traffic (the paper re-randomises
 "the network packets every time"), lets it run for the detection window,
-then lets each attacker probe and decide.  Because probes perturb the
-switch cache, attackers cannot probe one network instance in turn.
-Every attacker instead probes its own copy of the post-window world
-(same traffic schedule, same latency noise stream, same defense and
-fault state), so they face exactly the same world and differ only in
-their own actions.  In network mode the window is simulated once and
-the post-window network is forked (:meth:`~repro.simulator.network.
-Network.fork`) per distinct probe plan; attackers with equal plans
-share one probe phase.  The original per-attacker replica loop is kept
-as a test oracle (``tests/oracles/trials.py``).
+then lets each attacker probe and decide.  Probes perturb the switch
+cache, so the window is built once and each distinct probe plan probes
+its own fork of it; attackers with equal plans share one probe phase.
+The per-attacker replay loops this replaced are test oracles
+(``tests/oracles/trials.py``).  Two fidelity levels share these
+semantics and differ only in the world :func:`_window_world` builds:
 
-Two fidelity levels share the same trial semantics:
-
-* :func:`run_network_trial` -- the full packet-level discrete-event
-  simulation (the Mininet stand-in): probes are real ICMP echoes timed
-  against the 1 ms threshold.
-* :func:`run_table_trial` -- a fast replay of the arrival schedule
-  straight through an OVS-style :class:`~repro.simulator.flowtable.
-  FlowTable` with idealised timing: probe outcomes read the table
-  directly.  Orders of magnitude faster; used for large sweeps and
-  model-agreement tests.
+* ``mode="network"`` -- the packet-level discrete-event simulation (the
+  Mininet stand-in): probes are ICMP echoes timed against the 1 ms
+  threshold by a :class:`~repro.simulator.probing.Prober`.
+* ``mode="table"`` -- the arrival schedule replayed straight through an
+  OVS-style :class:`~repro.simulator.flowtable.FlowTable` with
+  idealised timing: probe outcomes read the table.  Orders of magnitude
+  faster; used for large sweeps and model-agreement tests.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
+    TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence,
+    Tuple, Union,
 )
 
 import numpy as np
@@ -44,6 +33,7 @@ from repro.core.attacker import Attacker
 from repro.faults import FaultInjector, FaultPlan
 from repro.flows.arrival import Arrival, occurred_in_window, sample_schedule
 from repro.flows.config import NetworkConfiguration
+from repro.flows.flowid import FlowId
 from repro.flows.rules import RuleTable
 from repro.obs import get_instrumentation
 from repro.simulator.flowtable import FlowTable
@@ -58,6 +48,10 @@ if TYPE_CHECKING:
 #: Zero-argument factory producing a fresh defense, called once per
 #: network-mode trial; each probing fork carries its own copy of it.
 DefenseFactory = Callable[[], "Defense"]
+
+#: Seconds between consecutive probes on one table world (the network
+#: prober's default send gap).
+PROBE_GAP = 0.0005
 
 
 @dataclass(frozen=True)
@@ -86,131 +80,32 @@ def _trial_schedule(
     )
 
 
+def _result(
+    config: NetworkConfiguration,
+    schedule: Sequence[Arrival],
+    decisions: Dict[str, int],
+    outcomes: Dict[str, Tuple[Optional[int], ...]],
+) -> TrialResult:
+    truth = occurred_in_window(
+        schedule, config.target_flow, 0.0, config.window_seconds
+    )
+    return TrialResult(int(truth), decisions, outcomes)
+
+
 def _trial_injector(
     fault_plan: Optional[FaultPlan], seed: int
 ) -> Optional[FaultInjector]:
     """A fresh injector for one trial, or ``None`` with faults off.
 
-    The fault stream is seeded from ``(plan.seed, trial seed)`` so that
-    faults differ across a harness's trials while any single trial
-    replays exactly.  Seeding from the plan alone would hand every
-    trial the same stream -- with one probe per trial, a reply-loss
-    rate below the stream's first draw would then *never* fire.
+    Seeded from ``(plan.seed, trial seed)``: each trial replays exactly,
+    and trials draw independent faults (one plan-seeded stream per
+    trial would make a reply-loss rate below its first draw never fire).
     """
     if fault_plan is None:
         return None
     return FaultInjector(
         fault_plan, rng=np.random.default_rng([fault_plan.seed, seed])
     )
-
-
-def _window_network(
-    config: NetworkConfiguration,
-    schedule: Sequence[Arrival],
-    seed: int,
-    latency: Optional[LatencyModel] = None,
-    defense: Optional["Defense"] = None,
-    faults: Optional[FaultInjector] = None,
-) -> Network:
-    """The trial's network, run to the end of the detection window."""
-    network = Network(
-        config.concrete_rules,
-        config.universe,
-        cache_size=config.cache_size,
-        latency=latency,
-        rng=np.random.default_rng(seed + 1),
-        defense=defense,
-        faults=faults,
-    )
-    network.schedule_arrivals(schedule)
-    network.sim.run_until(config.window_seconds)
-    return network
-
-
-def _plan_lineup(
-    attackers: Sequence[Attacker],
-) -> List[Tuple[Attacker, Tuple[int, ...]]]:
-    """Every attacker with its probe plan, planned before any probing."""
-    return [(attacker, tuple(attacker.plan())) for attacker in attackers]
-
-
-def _probe_lineup(
-    network: Optional[Network],
-    config: NetworkConfiguration,
-    lineup: Sequence[Tuple[Attacker, Tuple[int, ...]]],
-    probe_retries: int = 0,
-) -> Tuple[Dict[str, int], Dict[str, Tuple[Optional[int], ...]]]:
-    """Probe each distinct plan on its own copy of ``network``; decide.
-
-    ``network`` is the post-window world (``None`` only when every plan
-    is empty).  The first distinct plan probes it directly; every other
-    one probes a fork taken before any probing, so each plan meets the
-    same post-window state.  Attackers with equal plans share the bits.
-    Decisions are made in lineup order, after all probing.
-    """
-    plans = list(dict.fromkeys(probes for _, probes in lineup if probes))
-    bits: Dict[Tuple[int, ...], Tuple[Optional[int], ...]] = {(): ()}
-    if plans:
-        assert network is not None, "non-empty plans need a network"
-        worlds = [network] + [network.fork() for _ in plans[1:]]
-        flows = config.universe.flows
-        for probes, world in zip(plans, worlds):
-            prober = Prober(world, retries=probe_retries)
-            bits[probes] = tuple(prober.outcomes([flows[f] for f in probes]))
-    decisions: Dict[str, int] = {}
-    outcomes: Dict[str, Tuple[Optional[int], ...]] = {}
-    for attacker, probes in lineup:
-        decisions[attacker.name] = attacker.decide(bits[probes])
-        outcomes[attacker.name] = bits[probes]
-    return decisions, outcomes
-
-
-def run_network_trial(
-    config: NetworkConfiguration,
-    attackers: Sequence[Attacker],
-    seed: int,
-    latency: Optional[LatencyModel] = None,
-    defense_factory: Optional[DefenseFactory] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    probe_retries: int = 0,
-) -> TrialResult:
-    """One packet-level trial.
-
-    Every attacker plans first.  If any plan probes, one network is
-    built and run through the detection window, and each distinct plan
-    then probes its own fork of it (see :func:`_probe_lineup`); the
-    result equals giving every attacker an identically seeded replica.
-
-    ``defense_factory``, when given, is called once per trial to produce
-    a fresh defense attached to that network (defenses carry
-    per-network state); each fork carries a copy of it.  ``fault_plan``,
-    when given, attaches a fresh :class:`~repro.faults.FaultInjector`
-    seeded from ``(plan.seed, trial seed)``: every attacker in a trial
-    faces the same fault stream, a given trial replays exactly, and
-    different trials draw independent faults (a plan-seed-only injector
-    would repeat one identical fault pattern in every trial).
-    """
-    schedule = _trial_schedule(config, seed)
-    truth = int(
-        occurred_in_window(
-            schedule, config.target_flow, 0.0, config.window_seconds
-        )
-    )
-    lineup = _plan_lineup(attackers)
-    network = None
-    if any(probes for _, probes in lineup):
-        network = _window_network(
-            config,
-            schedule,
-            seed,
-            latency=latency,
-            defense=defense_factory() if defense_factory is not None else None,
-            faults=_trial_injector(fault_plan, seed),
-        )
-    decisions, outcomes = _probe_lineup(
-        network, config, lineup, probe_retries
-    )
-    return TrialResult(ground_truth=truth, decisions=decisions, outcomes=outcomes)
 
 
 class _TableWorld:
@@ -221,7 +116,9 @@ class _TableWorld:
     install but still replies (an observed miss), probe-reply loss
     leaves the probe unobserved.  Controller jitter/outage faults are
     no-ops here -- table mode has idealised timing, so there is no
-    latency for them to perturb.
+    latency for them to perturb.  Probes run on the world's own clock:
+    the first at the end of the detection window, each later one
+    :data:`PROBE_GAP` after the previous.
     """
 
     def __init__(
@@ -233,13 +130,20 @@ class _TableWorld:
         self.policy = RuleTable(config.concrete_rules)
         self.table = FlowTable(config.cache_size)
         self.faults = faults
+        self._probes_sent = 0
         metrics = get_instrumentation().metrics
         self._retry_counter = metrics.counter("attacker.probe.retries")
         self._unobserved_counter = metrics.counter("attacker.probe.unobserved")
 
-    def _process(self, flow_index: int, time: float) -> Tuple[bool, bool]:
+    def fork(self) -> "_TableWorld":
+        """An independent copy: own flow table, injector and probe clock."""
+        world = copy.copy(self)
+        world.table = copy.deepcopy(self.table)
+        world.faults = copy.deepcopy(self.faults)
+        return world
+
+    def _process(self, flow: FlowId, time: float) -> Tuple[bool, bool]:
         """One packet through the table: ``(cache_hit, reply_returns)``."""
-        flow = self.config.universe.flows[flow_index]
         entry = self.table.lookup(flow, time)
         if entry is not None:
             return True, True
@@ -256,22 +160,23 @@ class _TableWorld:
 
     def arrival(self, flow_index: int, time: float) -> bool:
         """Process one flow arrival; returns True on a cache hit."""
-        hit, _ = self._process(flow_index, time)
+        hit, _ = self._process(self.config.universe.flows[flow_index], time)
         return hit
 
-    def probe(
-        self, flow_index: int, time: float, retries: int = 0
-    ) -> Optional[int]:
+    def probe(self, flow: FlowId, retries: int = 0) -> Optional[int]:
         """Probe semantics: outcome bit plus the install perturbation.
 
-        Returns ``None`` when every attempt went unanswered (only
-        possible under fault injection).
+        Every attempt goes out at the probe's clock time.  Returns
+        ``None`` when every attempt went unanswered (only possible
+        under fault injection).
         """
+        time = self.config.window_seconds + self._probes_sent * PROBE_GAP
+        self._probes_sent += 1
         faults = self.faults
         for attempt in range(int(retries) + 1):
             if attempt > 0:
                 self._retry_counter.inc()
-            hit, replied = self._process(flow_index, time)
+            hit, replied = self._process(flow, time)
             if replied and not (
                 faults is not None and faults.drop_probe_reply()
             ):
@@ -280,44 +185,113 @@ class _TableWorld:
         return None
 
 
-def run_table_trial(
+class _TableReply(NamedTuple):
+    outcome: Optional[int]
+
+
+class _TableProber(NamedTuple):
+    """The :class:`~repro.simulator.probing.Prober` surface of a table world."""
+
+    world: _TableWorld
+    retries: int = 0
+
+    def outcomes(self, flows: Sequence[FlowId]) -> List[Optional[int]]:
+        return [self.world.probe(flow, self.retries) for flow in flows]
+
+    def measure(self, flow: FlowId) -> _TableReply:
+        return _TableReply(self.world.probe(flow, self.retries))
+
+
+_World = Union[Network, _TableWorld]
+
+
+class _Window(NamedTuple):
+    """A post-window world and the prober type that probes it."""
+
+    world: _World
+    prober: Callable[..., Union[Prober, _TableProber]]
+
+
+def _check_mode(
+    mode: str, defense_factory: Optional[DefenseFactory] = None
+) -> None:
+    if mode not in ("network", "table"):
+        raise ValueError(f"unknown trial mode: {mode!r}")
+    if mode == "table" and defense_factory is not None:
+        raise ValueError("defenses require network-mode trials")
+
+
+def _window_world(
     config: NetworkConfiguration,
-    attackers: Sequence[Attacker],
+    schedule: Sequence[Arrival],
     seed: int,
-    probe_gap: float = 0.0005,
-    fault_plan: Optional[FaultPlan] = None,
-    probe_retries: int = 0,
-) -> TrialResult:
-    """One fast table-level trial (idealised timing, exact semantics)."""
-    schedule = _trial_schedule(config, seed)
-    truth = int(
-        occurred_in_window(
-            schedule, config.target_flow, 0.0, config.window_seconds
-        )
-    )
-    decisions: Dict[str, int] = {}
-    outcomes: Dict[str, Tuple[Optional[int], ...]] = {}
-    for attacker in attackers:
-        probes = attacker.plan()
-        if not probes:
-            decisions[attacker.name] = attacker.decide(())
-            outcomes[attacker.name] = ()
-            continue
-        faults = _trial_injector(fault_plan, seed)
+    mode: str,
+    latency: Optional[LatencyModel] = None,
+    defense: Optional["Defense"] = None,
+    faults: Optional[FaultInjector] = None,
+) -> _Window:
+    """The trial's world at the end of the detection window.
+
+    The one place the fidelity level matters: table mode replays the
+    schedule through a :class:`_TableWorld` (``latency`` unused, no
+    defense); network mode builds the :class:`Network` and runs it.
+    """
+    if mode == "table":
         world = _TableWorld(config, faults=faults)
         for arrival in schedule:
             world.arrival(arrival.flow_index, arrival.time)
-        bits = tuple(
-            world.probe(
-                flow,
-                config.window_seconds + index * probe_gap,
-                retries=probe_retries,
-            )
-            for index, flow in enumerate(probes)
-        )
-        decisions[attacker.name] = attacker.decide(bits)
-        outcomes[attacker.name] = bits
-    return TrialResult(ground_truth=truth, decisions=decisions, outcomes=outcomes)
+        return _Window(world, _TableProber)
+    network = Network(
+        config.concrete_rules,
+        config.universe,
+        cache_size=config.cache_size,
+        latency=latency,
+        rng=np.random.default_rng(seed + 1),
+        defense=defense,
+        faults=faults,
+    )
+    network.schedule_arrivals(schedule)
+    network.sim.run_until(config.window_seconds)
+    return _Window(network, Prober)
+
+
+def _plan_lineup(
+    attackers: Sequence[Attacker],
+) -> List[Tuple[Attacker, Tuple[int, ...]]]:
+    """Every attacker with its probe plan, planned before any probing."""
+    return [(attacker, tuple(attacker.plan())) for attacker in attackers]
+
+
+def _probe_lineup(
+    window: Optional[_Window],
+    config: NetworkConfiguration,
+    lineup: Sequence[Tuple[Attacker, Tuple[int, ...]]],
+    probe_retries: int = 0,
+) -> Tuple[Dict[str, int], Dict[str, Tuple[Optional[int], ...]]]:
+    """Probe each distinct plan on its own copy of the world; decide.
+
+    ``window`` holds the post-window world (``None`` only when every
+    plan is empty).  The first distinct plan probes it directly; every
+    other one probes a fork taken before any probing, so each plan
+    meets the same post-window state.  Attackers with equal plans share
+    the bits.  Decisions are made in lineup order, after all probing.
+    """
+    plans = list(dict.fromkeys(probes for _, probes in lineup if probes))
+    bits: Dict[Tuple[int, ...], Tuple[Optional[int], ...]] = {(): ()}
+    if plans:
+        assert window is not None, "non-empty plans need a world"
+        base = window.world
+        worlds = [base] + [base.fork() for _ in plans[1:]]
+        flows = config.universe.flows
+        for probes, world in zip(plans, worlds):
+            prober = window.prober(world, retries=probe_retries)
+            bits[probes] = tuple(prober.outcomes([flows[f] for f in probes]))
+    decisions: Dict[str, int] = {}
+    outcomes: Dict[str, Tuple[Optional[int], ...]] = {}
+    for attacker, probes in lineup:
+        decisions[attacker.name] = attacker.decide(bits[probes])
+        outcomes[attacker.name] = bits[probes]
+    return decisions, outcomes
 
 
 def run_adaptive_trial(
@@ -327,72 +301,35 @@ def run_adaptive_trial(
     mode: str = "table",
     baselines: Sequence[Attacker] = (),
     latency: Optional[LatencyModel] = None,
-    probe_gap: float = 0.0005,
 ) -> TrialResult:
     """One trial driving an adaptive attacker (and optional baselines).
 
     The adaptive attacker interleaves probe selection and observation
-    (:class:`repro.core.adaptive.AdaptiveModelAttacker`); the baselines
-    face the same world, as in :func:`run_trial`.  In network mode the
-    window is simulated once: the session probes a fork of the
-    post-window network (the network itself when no baseline probes)
-    and the baselines probe the network as in
-    :func:`run_network_trial`.  Table mode replays the window per
-    world.
+    (:class:`repro.core.adaptive.AdaptiveModelAttacker`).  The window is
+    built once: the session probes a fork of it (the world itself when
+    no baseline probes), and the baselines probe it as in
+    :func:`run_trial`.
     """
+    _check_mode(mode)
     schedule = _trial_schedule(config, seed)
-    truth = int(
-        occurred_in_window(
-            schedule, config.target_flow, 0.0, config.window_seconds
-        )
-    )
-    decisions: Dict[str, int] = {}
-    outcomes: Dict[str, Tuple[Optional[int], ...]] = {}
-
     session = adaptive_attacker.start_session()
-    if mode == "table":
-        world = _TableWorld(config)
-        for arrival in schedule:
-            world.arrival(arrival.flow_index, arrival.time)
-        probe_time = config.window_seconds
-        while True:
-            flow = session.next_probe()
-            if flow is None:
-                break
-            session.observe(world.probe(flow, probe_time))
-            probe_time += probe_gap
-    elif mode == "network":
-        network = _window_network(config, schedule, seed, latency=latency)
-        lineup = _plan_lineup(baselines)
-        probing = any(probes for _, probes in lineup)
-        prober = Prober(network.fork() if probing else network)
-        while True:
-            flow = session.next_probe()
-            if flow is None:
-                break
-            result = prober.measure(config.universe.flows[flow])
-            session.observe(result.outcome)
-    else:
-        raise ValueError(f"unknown trial mode: {mode!r}")
-
-    decisions[adaptive_attacker.name] = session.decide()
-    outcomes[adaptive_attacker.name] = tuple(
-        bit for _, bit in session.history
+    window = _window_world(config, schedule, seed, mode, latency=latency)
+    lineup = _plan_lineup(baselines)
+    probing = any(probes for _, probes in lineup)
+    prober = window.prober(window.world.fork() if probing else window.world)
+    while (flow := session.next_probe()) is not None:
+        session.observe(prober.measure(config.universe.flows[flow]).outcome)
+    verdict = session.decide()
+    history = tuple(bit for _, bit in session.history)
+    decisions, outcomes = _probe_lineup(
+        window if probing else None, config, lineup
     )
-
-    if mode == "network":
-        baseline_decisions, baseline_outcomes = _probe_lineup(
-            network if probing else None, config, lineup
-        )
-        decisions.update(baseline_decisions)
-        outcomes.update(baseline_outcomes)
-    elif baselines:
-        baseline_trial = run_table_trial(config, baselines, seed)
-        decisions.update(baseline_trial.decisions)
-        outcomes.update(baseline_trial.outcomes)
-
-    return TrialResult(
-        ground_truth=truth, decisions=decisions, outcomes=outcomes
+    name = adaptive_attacker.name
+    return _result(
+        config,
+        schedule,
+        {name: verdict, **decisions},
+        {name: history, **outcomes},
     )
 
 
@@ -407,18 +344,29 @@ def run_trial(
     fault_plan: Optional[FaultPlan] = None,
     probe_retries: int = 0,
 ) -> TrialResult:
-    """Dispatch on trial mode."""
-    if mode == "network":
-        return run_network_trial(
-            config, attackers, seed, latency=latency,
-            defense_factory=defense_factory,
-            fault_plan=fault_plan, probe_retries=probe_retries,
+    """One trial at the given fidelity level (``"network"`` or ``"table"``).
+
+    Every attacker plans first.  If any plan probes, the window is
+    built once and each distinct plan probes its own fork of it (see
+    :func:`_probe_lineup`); the result equals giving every attacker an
+    identically seeded replica.  ``defense_factory`` (network mode
+    only) is called once per trial; ``fault_plan`` attaches one
+    injector seeded from ``(plan.seed, seed)``.  Each fork carries its
+    own copy of both.
+    """
+    _check_mode(mode, defense_factory)
+    schedule = _trial_schedule(config, seed)
+    lineup = _plan_lineup(attackers)
+    window = None
+    if any(probes for _, probes in lineup):
+        window = _window_world(
+            config,
+            schedule,
+            seed,
+            mode,
+            latency=latency,
+            defense=defense_factory() if defense_factory is not None else None,
+            faults=_trial_injector(fault_plan, seed),
         )
-    if mode == "table":
-        if defense_factory is not None:
-            raise ValueError("defenses require network-mode trials")
-        return run_table_trial(
-            config, attackers, seed,
-            fault_plan=fault_plan, probe_retries=probe_retries,
-        )
-    raise ValueError(f"unknown trial mode: {mode!r}")
+    decisions, outcomes = _probe_lineup(window, config, lineup, probe_retries)
+    return _result(config, schedule, decisions, outcomes)

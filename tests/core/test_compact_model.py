@@ -12,6 +12,7 @@ from repro.core.masks import mask_from_indices, popcount
 from repro.flows.arrival import sample_schedule
 
 from tests.conftest import make_policy, make_universe
+from tests.oracles.basic import match_in_cache
 from tests.oracles.perstate import PerStateCompactModel
 
 DELTA = 0.25
@@ -251,7 +252,7 @@ class TestAgainstSimulation:
                 now = arrival.time
                 cache = {r: e for r, e in cache.items() if e > now}
                 cached_mask = mask_from_indices(cache)
-                matched = ctx.match_in_cache(arrival.flow_index, cached_mask)
+                matched = match_in_cache(ctx, arrival.flow_index, cached_mask)
                 if matched is not None:
                     cache[matched] = now + timeouts[matched]  # idle reset
                     continue
@@ -308,6 +309,6 @@ class TestModelOptions:
 
     def test_state_covers_flow(self, fig2b_model):
         index = fig2b_model.state_index[mask_from_indices([1])]
-        assert fig2b_model.state_covers_flow(index, 0)  # r1 covers f0
-        assert fig2b_model.state_covers_flow(index, 1)
-        assert not fig2b_model.state_covers_flow(index, 2)
+        assert fig2b_model.coverage_vector(0)[index]  # r1 covers f0
+        assert fig2b_model.coverage_vector(1)[index]
+        assert not fig2b_model.coverage_vector(2)[index]

@@ -15,6 +15,14 @@ from repro.core.context import ModelContext
 from repro.core.masks import mask_from_indices
 
 from tests.conftest import make_policy, make_universe
+from tests.oracles.basic import match_in_cache, state_covers
+from tests.oracles.recency import (
+    cached_rules,
+    gamma_cached,
+    gamma_uncached,
+    total_step_rate,
+    uncached_rules,
+)
 
 DELTA = 0.5
 
@@ -38,7 +46,7 @@ class TestConstruction:
 
     def test_step_rates(self, context):
         assert context.step_rates == pytest.approx((0.1, 0.2, 0.3, 0.4))
-        assert context.total_step_rate() == pytest.approx(1.0)
+        assert total_step_rate(context) == pytest.approx(1.0)
 
     def test_validation(self):
         policy = make_policy([({0}, 4)])
@@ -52,62 +60,62 @@ class TestConstruction:
 class TestSwitchSemantics:
     def test_match_prefers_cached_priority(self, context):
         both = mask_from_indices([0, 1])
-        assert context.match_in_cache(0, both) == 0
-        assert context.match_in_cache(0, mask_from_indices([1])) == 1
-        assert context.match_in_cache(0, mask_from_indices([2])) is None
+        assert match_in_cache(context, 0, both) == 0
+        assert match_in_cache(context, 0, mask_from_indices([1])) == 1
+        assert match_in_cache(context, 0, mask_from_indices([2])) is None
 
     def test_state_covers(self, context):
         state = mask_from_indices([2])
-        assert context.state_covers(1, state)
-        assert context.state_covers(2, state)
-        assert not context.state_covers(0, state)
-        assert not context.state_covers(3, state)
+        assert state_covers(context, 1, state)
+        assert state_covers(context, 2, state)
+        assert not state_covers(context, 0, state)
+        assert not state_covers(context, 3, state)
 
     def test_cached_uncached_partition(self, context):
         state = mask_from_indices([0, 2])
-        assert context.cached_rules(state) == [0, 2]
-        assert context.uncached_rules(state) == [1]
+        assert cached_rules(context, state) == [0, 2]
+        assert uncached_rules(context, state) == [1]
 
 
 class TestGammaCached:
     def test_no_shadowing_when_alone(self, context):
         # r1 alone in cache: relevant flows {f0, f1}.
-        gamma = context.gamma_cached(1, mask_from_indices([1]))
+        gamma = gamma_cached(context, 1, mask_from_indices([1]))
         assert gamma == pytest.approx(0.1 + 0.2)
 
     def test_higher_priority_cached_shadows(self, context):
         # r0 cached too: f0 matches r0 first; r1's relevant set is {f1}.
-        gamma = context.gamma_cached(1, mask_from_indices([0, 1]))
+        gamma = gamma_cached(context, 1, mask_from_indices([0, 1]))
         assert gamma == pytest.approx(0.2)
 
     def test_lower_priority_does_not_shadow(self, context):
         # r2 (lower priority) cached alongside r1 does not reduce r1.
-        gamma = context.gamma_cached(1, mask_from_indices([1, 2]))
+        gamma = gamma_cached(context, 1, mask_from_indices([1, 2]))
         assert gamma == pytest.approx(0.1 + 0.2)
 
     def test_full_overlap_shadowing_gives_zero(self):
         policy = make_policy([({0, 1}, 4), ({0, 1}, 5)])
         universe = make_universe([0.2, 0.4])
         context = ModelContext(policy, universe, DELTA, 2)
-        assert context.gamma_cached(1, mask_from_indices([0, 1])) == 0.0
+        assert gamma_cached(context, 1, mask_from_indices([0, 1])) == 0.0
 
 
 class TestGammaUncached:
     def test_excludes_all_cached_rules(self, context):
         # r2 uncached while r1 cached: f1 hits r1, so r2's relevant set
         # is {f2} only.
-        gamma = context.gamma_uncached(2, mask_from_indices([1]))
+        gamma = gamma_uncached(context, 2, mask_from_indices([1]))
         assert gamma == pytest.approx(0.3)
 
     def test_excludes_higher_priority_uncached(self, context):
         # Empty cache: f0 would install r0, f1 would install r1; r2 only
         # gets installed by f2.
-        gamma = context.gamma_uncached(2, 0)
+        gamma = gamma_uncached(context, 2, 0)
         assert gamma == pytest.approx(0.3)
-        assert context.gamma_uncached(1, 0) == pytest.approx(0.2)
-        assert context.gamma_uncached(0, 0) == pytest.approx(0.1)
+        assert gamma_uncached(context, 1, 0) == pytest.approx(0.2)
+        assert gamma_uncached(context, 0, 0) == pytest.approx(0.1)
 
     def test_lower_priority_uncached_does_not_shadow(self, context):
         # r1 uncached with empty cache: r2 being lower priority does not
         # take f1 away from r1.
-        assert context.gamma_uncached(1, 0) == pytest.approx(0.2)
+        assert gamma_uncached(context, 1, 0) == pytest.approx(0.2)

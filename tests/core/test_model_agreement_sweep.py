@@ -11,7 +11,7 @@ switch.
 import numpy as np
 import pytest
 
-from tests.oracles.basic import BasicModel
+from tests.oracles.basic import BasicModel, match_in_cache
 from repro.core.compact_model import CompactModel
 from repro.core.masks import mask_from_indices
 from repro.flows.arrival import sample_schedule
@@ -46,8 +46,8 @@ def _simulate_marginals(compact, steps, n_trials, seed):
         for arrival in sample_schedule(ctx.universe, horizon, rng):
             now = arrival.time
             cache = {r: e for r, e in cache.items() if e > now}
-            matched = ctx.match_in_cache(
-                arrival.flow_index, mask_from_indices(cache)
+            matched = match_in_cache(
+                ctx, arrival.flow_index, mask_from_indices(cache)
             )
             if matched is not None:
                 cache[matched] = now + timeouts[matched]

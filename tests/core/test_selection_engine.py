@@ -245,6 +245,54 @@ def test_adaptive_session_matches_dict_session(seed):
     assert _adaptive_paths(dense, oracle, 3) >= 1
 
 
+def eviction_setup():
+    """Three single-flow rules, cache 2: a covered miss on a full cache evicts.
+
+    In ``(f2, f0)`` the first probe misses on a full ``{r0, r1}`` cache,
+    installs r2 and evicts r0 or r1; the second probe hits only if r0
+    survived.  Unequal rates and timeouts keep every eviction split far
+    from 1/2, so the outcome tables depend on which way it goes -- the
+    random models above rarely fill their caches.
+    """
+    policy = make_policy([({0}, 4), ({1}, 9), ({2}, 6)])
+    universe = make_universe([0.9, 0.4, 0.7])
+    model = CompactModel(policy, universe, 0.2, 2)
+    return ReconInference(model, 1, 30)
+
+
+def test_eviction_setup_is_eviction_sensitive():
+    inference = eviction_setup()
+    model = inference.model
+    base = inference.evolution(())
+    full = [i for i, state in enumerate(model.states) if state in (3, 5, 6)]
+    assert base[full].sum() > 0.3
+    splits = model.recency_tables().evict_probs
+    assert np.all(np.abs(splits - 0.5) > 0.15)
+
+
+@pytest.mark.parametrize("probes", [(2, 0), (2, 1), (0, 2, 1), (1, 2, 0)])
+def test_eviction_outcome_table_matches_walk(probes):
+    inference = eviction_setup()
+    table = inference.outcome_table(probes)
+    expected = walk_outcome_table(inference, probes)
+    for got, want in (
+        (table.outcome_probs, expected.outcome_probs),
+        (table.joint_absent, expected.joint_absent),
+    ):
+        for outcome in set(got) | set(want):
+            assert got.get(outcome, 0.0) == pytest.approx(
+                want.get(outcome, 0.0), abs=ATOL
+            ), (probes, outcome)
+
+
+def test_eviction_adaptive_session_matches_dict_session():
+    inference = eviction_setup()
+    candidates = range(inference.model.context.n_flows)
+    dense = AdaptiveSession(inference, candidates=candidates, max_probes=3)
+    oracle = DictSession(inference, candidates)
+    assert _adaptive_paths(dense, oracle, 3) > 2
+
+
 def test_stats_populated():
     model, target, window = random_setup(0)
     inference = ReconInference(model, target, window)

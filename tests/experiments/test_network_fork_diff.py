@@ -2,7 +2,7 @@
 
 Production simulates a network-mode trial's detection window once and
 forks the post-window network per distinct probe plan
-(:func:`repro.experiments.trials.run_network_trial`).  The oracle
+(:func:`repro.experiments.trials.run_trial`).  The oracle
 (:mod:`tests.oracles.trials`) builds one identically seeded replica per
 probing attacker.  The two must return equal :class:`TrialResult`
 objects -- ground truth, decisions and outcome bits -- across configs,
@@ -91,7 +91,9 @@ CONFIGS = {
 def both(config, lineup, seed, **kwargs):
     """The trial on the oracle and in production, fresh lineups each."""
     expected = oracle.run_network_trial(config, lineup(config), seed, **kwargs)
-    actual = trials.run_network_trial(config, lineup(config), seed, **kwargs)
+    actual = trials.run_trial(
+        config, lineup(config), seed, mode="network", **kwargs
+    )
     return expected, actual
 
 
@@ -148,10 +150,11 @@ def test_faults_leave_some_probes_unanswered():
     outcomes = [
         bit
         for seed in SEEDS
-        for bits in trials.run_network_trial(
+        for bits in trials.run_trial(
             config,
             mixed_lineup(config),
             seed,
+            mode="network",
             fault_plan=FAULT_PLANS["probe_reply_loss"],
         ).outcomes.values()
         for bit in bits

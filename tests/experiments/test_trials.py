@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.attacker import NaiveAttacker, RandomAttacker
-from repro.experiments.trials import (
-    TrialResult,
-    _TableWorld,
-    run_network_trial,
-    run_table_trial,
-    run_trial,
-)
+from repro.experiments.trials import TrialResult, _TableWorld, run_trial
 from repro.flows.config import ConfigGenerator
 
 from tests.experiments.conftest import tiny_config_params
@@ -30,8 +24,9 @@ class TestTableWorld:
 
     def test_probe_returns_bits(self, config):
         world = _TableWorld(config)
-        assert world.probe(config.target_flow, 0.0) == 0
-        assert world.probe(config.target_flow, 0.01) == 1
+        flow = config.universe.flows[config.target_flow]
+        assert world.probe(flow) == 0
+        assert world.probe(flow) == 1
 
     def test_rule_expiry(self, config):
         world = _TableWorld(config)
@@ -43,7 +38,7 @@ class TestTableWorld:
 class TestTableTrial:
     def test_structure(self, config):
         attackers = [NaiveAttacker(config.target_flow), RandomAttacker(0.5)]
-        trial = run_table_trial(config, attackers, seed=1)
+        trial = run_trial(config, attackers, seed=1, mode="table")
         assert trial.ground_truth in (0, 1)
         assert set(trial.decisions) == {"naive", "random"}
         assert trial.outcomes["naive"] in ((0,), (1,))
@@ -51,15 +46,15 @@ class TestTableTrial:
 
     def test_deterministic_given_seed(self, config):
         attackers = [NaiveAttacker(config.target_flow)]
-        first = run_table_trial(config, attackers, seed=42)
-        second = run_table_trial(config, attackers, seed=42)
+        first = run_trial(config, attackers, seed=42, mode="table")
+        second = run_trial(config, attackers, seed=42, mode="table")
         assert first.ground_truth == second.ground_truth
         assert first.outcomes == second.outcomes
 
     def test_different_seeds_vary(self, config):
         attackers = [NaiveAttacker(config.target_flow)]
         truths = {
-            run_table_trial(config, attackers, seed=s).ground_truth
+            run_trial(config, attackers, seed=s, mode="table").ground_truth
             for s in range(25)
         }
         assert truths == {0, 1}
@@ -78,15 +73,15 @@ class TestNetworkTrial:
         # flip a 4 ms gap against a 1 ms threshold).
         attackers = [NaiveAttacker(config.target_flow)]
         for seed in range(5):
-            table = run_table_trial(config, attackers, seed=seed)
-            network = run_network_trial(config, attackers, seed=seed)
+            table = run_trial(config, attackers, seed=seed, mode="table")
+            network = run_trial(config, attackers, seed=seed, mode="network")
             assert network.ground_truth == table.ground_truth
             assert network.outcomes["naive"] == table.outcomes["naive"]
 
     def test_probe_free_attacker_skips_network(self, config):
-        trial = run_network_trial(
+        trial = run_trial(
             config, [RandomAttacker(0.5, rng=np.random.default_rng(0))],
-            seed=3,
+            seed=3, mode="network",
         )
         assert trial.outcomes["random"] == ()
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.attacker import NaiveAttacker
-from repro.experiments.trials import run_network_trial, run_table_trial
+from repro.experiments.trials import run_trial
 from repro.faults import FaultInjector, FaultPlan
 from repro.flows.config import ConfigGenerator
 
@@ -50,11 +50,13 @@ def _attackers():
 @settings(max_examples=25, deadline=None)
 @given(plan=plans, seed=trial_seeds, retries=retry_budgets)
 def test_faulty_table_trial_is_deterministic(plan, seed, retries):
-    first = run_table_trial(
-        CONFIG, _attackers(), seed, fault_plan=plan, probe_retries=retries
+    first = run_trial(
+        CONFIG, _attackers(), seed, mode="table",
+        fault_plan=plan, probe_retries=retries,
     )
-    second = run_table_trial(
-        CONFIG, _attackers(), seed, fault_plan=plan, probe_retries=retries
+    second = run_trial(
+        CONFIG, _attackers(), seed, mode="table",
+        fault_plan=plan, probe_retries=retries,
     )
     assert first == second
 
@@ -63,8 +65,10 @@ def test_faulty_table_trial_is_deterministic(plan, seed, retries):
 @given(seed=trial_seeds, fault_seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_zero_rate_plan_identical_to_no_plan_table(seed, fault_seed):
     plan = FaultPlan(seed=fault_seed)
-    bare = run_table_trial(CONFIG, _attackers(), seed)
-    planned = run_table_trial(CONFIG, _attackers(), seed, fault_plan=plan)
+    bare = run_trial(CONFIG, _attackers(), seed, mode="table")
+    planned = run_trial(
+        CONFIG, _attackers(), seed, mode="table", fault_plan=plan
+    )
     assert bare == planned
 
 
@@ -89,10 +93,10 @@ def test_faulty_network_trial_is_deterministic():
         seed=17,
     )
     for seed in range(3):
-        first = run_network_trial(
+        first = run_trial(
             CONFIG, _attackers(), seed, fault_plan=plan, probe_retries=1
         )
-        second = run_network_trial(
+        second = run_trial(
             CONFIG, _attackers(), seed, fault_plan=plan, probe_retries=1
         )
         assert first == second
@@ -101,8 +105,8 @@ def test_faulty_network_trial_is_deterministic():
 def test_zero_rate_plan_identical_to_no_plan_network():
     plan = FaultPlan.none()
     for seed in range(3):
-        bare = run_network_trial(CONFIG, _attackers(), seed)
-        planned = run_network_trial(CONFIG, _attackers(), seed, fault_plan=plan)
+        bare = run_trial(CONFIG, _attackers(), seed)
+        planned = run_trial(CONFIG, _attackers(), seed, fault_plan=plan)
         assert bare == planned
 
 
@@ -110,8 +114,8 @@ def test_fault_stream_never_perturbs_network_rng():
     # An active injector draws only from its own generator: attaching
     # one must leave the network's latency/arrival RNG stream intact.
     plan = FaultPlan(probe_reply_loss=1.0, seed=1)
-    bare = run_network_trial(CONFIG, _attackers(), seed=7)
-    faulty = run_network_trial(CONFIG, _attackers(), seed=7, fault_plan=plan)
+    bare = run_trial(CONFIG, _attackers(), seed=7)
+    faulty = run_trial(CONFIG, _attackers(), seed=7, fault_plan=plan)
     # Same world: ground truth (a function of the schedule) matches even
     # though every probe reply was eaten.
     assert faulty.ground_truth == bare.ground_truth

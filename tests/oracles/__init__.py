@@ -13,9 +13,10 @@ production to them:
   alone takes another recency estimator, simultaneous expiries
   (``multi_expiry``) or expiry on no-arrival steps only
   (``expire_on_arrival=False``);
-* :mod:`tests.oracles.recency` -- the per-state recency estimators: the
-  independence approximation state by state, which production's bulk
-  tables equal bit for bit (pinned by
+* :mod:`tests.oracles.recency` -- the scalar per-state effective rates
+  (``gamma_cached``, ``gamma_uncached``) and the per-state recency
+  estimators: the independence approximation state by state, which
+  production's bulk tables equal bit for bit (pinned by
   ``tests/core/test_sparse_dense_diff.py``), and the exact and
   Monte-Carlo estimators it is checked against (pinned by
   ``tests/core/test_recency.py`` and the estimator ablation
@@ -27,17 +28,20 @@ production to them:
 * :mod:`tests.oracles.loops` -- the serial trial loop and the serial
   screening loop (:func:`~tests.oracles.loops.serial_loops` runs a
   pipeline on both);
-* :mod:`tests.oracles.trials` -- one identically seeded network replica
-  per probing attacker, each replaying the detection window, where
-  production simulates the window once and forks it per distinct probe
-  plan (pinned by ``tests/experiments/test_network_fork_diff.py``, not
-  substituted by :func:`oracle_pipeline`: the window's work counters
-  differ between the two by design);
+* :mod:`tests.oracles.trials` -- one identically seeded world replica
+  per probing attacker, each replaying the detection window, in both
+  network and table mode and for adaptive trials, where production
+  builds the window once and forks it per distinct probe plan (pinned
+  by ``tests/experiments/test_network_fork_diff.py`` and
+  ``test_table_fork_diff.py``, not substituted by
+  :func:`oracle_pipeline`: the window's work counters differ between
+  the two by design);
 * :mod:`tests.oracles.monitor` -- ground-truth sampling of the
   simulated switch cache, for the simulator and model-agreement tests;
 * :mod:`tests.oracles.basic` -- the paper's Section IV-A chain over
   complete ``(rule, remaining-time)`` cache contents, the ground truth
-  the compact model is compared with;
+  the compact model is compared with, and the scalar switch lookup
+  over one bitmask state (``match_in_cache``, ``state_covers``);
 * :mod:`tests.oracles.probes` -- probe-outcome tables from a dict
   frontier walk, the serial selection loops and the dict adaptive
   session step, where production reads the engine's dense per-outcome

@@ -53,6 +53,19 @@ from repro.flows.universe import FlowUniverse
 NO_FLOW = -1
 
 
+def match_in_cache(ctx: ModelContext, flow: int, state: int) -> Optional[int]:
+    """Highest-priority cached rule covering ``flow`` (switch lookup)."""
+    for rule in ctx.covering[flow]:
+        if state & (1 << rule):
+            return rule
+    return None
+
+
+def state_covers(ctx: ModelContext, flow: int, state: int) -> bool:
+    """Whether any cached rule covers ``flow`` (the probe hit bit)."""
+    return match_in_cache(ctx, flow, state) is not None
+
+
 @dataclass(frozen=True, order=True)
 class CacheEntry:
     """One cache slot: rule index and remaining time in steps."""
@@ -164,7 +177,7 @@ class BasicModel:
                 install = ctx.install_rule[flow]
                 if install is None:
                     continue  # folded into the no-arrival event
-                matched = ctx.match_in_cache(flow, cached_mask)
+                matched = match_in_cache(ctx, flow, cached_mask)
                 if matched is not None:
                     position = next(
                         i for i, e in enumerate(state) if e.rule == matched
@@ -318,7 +331,7 @@ class BasicModel:
         mask = 0
         for entry in state:
             mask |= 1 << entry.rule
-        return self.context.state_covers(flow, mask)
+        return state_covers(self.context, flow, mask)
 
     # ------------------------------------------------------------------
     # Explicit matrix construction (tiny instances only)

@@ -40,6 +40,7 @@ from repro.core.masks import popcount
 from repro.flows.policy import Policy
 from repro.flows.universe import FlowUniverse
 
+from tests.oracles.basic import match_in_cache
 from tests.oracles.recency import IndependentRecencyEstimator, RecencyEstimator
 
 
@@ -56,7 +57,7 @@ def apply_probe(
       ``estimator``'s eviction split applied when the cache is full;
     * miss, uncovered: unchanged (the controller just forwards).
     """
-    if context.match_in_cache(flow, state) is not None:
+    if match_in_cache(context, flow, state) is not None:
         return [(state, 1.0)]
     install = context.install_rule[flow]
     if install is None:
@@ -217,7 +218,7 @@ class PerStateCompactModel(CompactModel):
     ) -> List[Tuple[int, Optional[int], float]]:
         """(interim state, protected rule, weight) outcomes of one arrival."""
         ctx = self.context
-        matched = ctx.match_in_cache(flow, state)
+        matched = match_in_cache(ctx, flow, state)
         if matched is not None:
             return [(state, matched, 1.0)]
         installed = ctx.install_rule[flow]

@@ -37,6 +37,7 @@ from repro.core.inference import OutcomeTable, ReconInference
 from repro.core.selection import ProbeChoice
 
 from tests.oracles import perstate
+from tests.oracles.basic import state_covers
 from tests.oracles.recency import IndependentRecencyEstimator, RecencyEstimator
 
 #: The per-state estimator of each production model the walks meet,
@@ -67,7 +68,7 @@ def probe_successors(
 
 def probe_outcome(model: CompactModel, state: int, flow: int) -> int:
     """``Q_f`` for a probe of ``flow`` against a (bitmask) state."""
-    return 1 if model.context.state_covers(flow, state) else 0
+    return 1 if state_covers(model.context, flow, state) else 0
 
 
 def walk_probes(

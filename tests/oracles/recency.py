@@ -41,6 +41,50 @@ from repro.core.compact_model import CompactModel
 from repro.core.context import ModelContext
 
 
+def cached_rules(ctx: ModelContext, state: int) -> List[int]:
+    """Cached rule indices, highest priority first."""
+    return [j for j in range(ctx.n_rules) if state & (1 << j)]
+
+
+def uncached_rules(ctx: ModelContext, state: int) -> List[int]:
+    """Uncached rule indices, highest priority first."""
+    return [j for j in range(ctx.n_rules) if not state & (1 << j)]
+
+
+def gamma_cached(ctx: ModelContext, rule: int, state: int) -> float:
+    """Effective per-step rate ``gamma`` for a *cached* rule.
+
+    Relevant flows are those covered by ``rule`` but by no cached rule
+    of higher priority (the paper's ``flowIds_l(j)`` for cached rules).
+    """
+    mask = ctx.flow_masks[rule]
+    for higher in range(rule):
+        if state & (1 << higher):
+            mask &= ~ctx.flow_masks[higher]
+    return ctx.rate_table.sum(mask)
+
+
+def gamma_uncached(ctx: ModelContext, rule: int, state: int) -> float:
+    """Effective rate for an *uncached* rule.
+
+    Relevant flows are those covered by ``rule`` but not by any cached
+    rule (they would hit the cache) nor by a higher-priority uncached
+    rule (the controller would install that rule instead).
+    """
+    mask = ctx.flow_masks[rule]
+    for other in range(ctx.n_rules):
+        if other == rule:
+            continue
+        if state & (1 << other) or other < rule:
+            mask &= ~ctx.flow_masks[other]
+    return ctx.rate_table.sum(mask)
+
+
+def total_step_rate(ctx: ModelContext) -> float:
+    """Aggregate per-step rate ``Lambda * Delta``."""
+    return ctx.rate_table.total
+
+
 @dataclass(frozen=True)
 class RecencyStats:
     """Per-state outputs of a recency estimator.
@@ -110,7 +154,7 @@ class IndependentRecencyEstimator(RecencyEstimator):
 
     def _compute(self, state: int) -> RecencyStats:
         ctx = self.context
-        cached = ctx.cached_rules(state)
+        cached = cached_rules(ctx, state)
         if not cached:
             return RecencyStats(timeout_hazards={}, eviction={})
 
@@ -126,7 +170,7 @@ class IndependentRecencyEstimator(RecencyEstimator):
                 # geometric.
                 pmf = np.full(timeout, 1.0 / timeout)
             else:
-                gamma = ctx.gamma_cached(rule, state)
+                gamma = gamma_cached(ctx, rule, state)
                 pmf = self._u_pmf(gamma, timeout)
             pmfs[rule] = pmf
             hazards[rule] = float(pmf[timeout - 1])  # P(u = t_j)
@@ -229,13 +273,13 @@ def _uncached_log_factor(
     relevant arrival for ``u_max(j) = t_j - min_{j'}(t_{j'} - u(j'))``
     steps (an older arrival's rule would have been evicted since).
     """
-    cached = ctx.cached_rules(state)
+    cached = cached_rules(ctx, state)
     if at_capacity and cached:
         min_remaining = min(ctx.timeouts[j] - assigned[j] for j in cached)
     else:
         min_remaining = None
     log_factor = 0.0
-    for rule in ctx.uncached_rules(state):
+    for rule in uncached_rules(ctx, state):
         horizon = ctx.timeouts[rule]
         if min_remaining is not None:
             horizon = ctx.timeouts[rule] - min_remaining
@@ -257,7 +301,7 @@ class ExactRecencyEstimator(RecencyEstimator):
 
     def _compute(self, state: int) -> RecencyStats:
         ctx = self.context
-        cached = ctx.cached_rules(state)  # priority-descending
+        cached = cached_rules(ctx, state)  # priority-descending
         if not cached:
             return RecencyStats(timeout_hazards={}, eviction={})
         total_assignments = 1
@@ -357,7 +401,7 @@ class MonteCarloRecencyEstimator(RecencyEstimator):
 
     def _compute(self, state: int) -> RecencyStats:
         ctx = self.context
-        cached = ctx.cached_rules(state)
+        cached = cached_rules(ctx, state)
         if not cached:
             return RecencyStats(timeout_hazards={}, eviction={})
         at_capacity = len(cached) >= ctx.cache_size
@@ -432,7 +476,7 @@ def production_stats(model: CompactModel, state: int) -> RecencyStats:
     """
     tables = model.recency_tables()
     row = model.state_index[state]
-    cached = model.context.cached_rules(state)
+    cached = cached_rules(model.context, state)
     hazards = {rule: float(tables.hazard[row, rule]) for rule in cached}
     position = int(tables.full_position[row])
     eviction: Dict[int, float] = {}

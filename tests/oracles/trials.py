@@ -1,13 +1,16 @@
-"""Oracle: one identically seeded network replica per probing attacker.
+"""Oracle: one identically seeded world replica per probing attacker.
 
-Production simulates a network trial's detection window once and forks
-the post-window network per distinct probe plan
-(:func:`repro.experiments.trials.run_network_trial`).  This oracle is
-the loop that fork path replaced: every attacker with a non-empty plan
-gets its own freshly built network -- its own defense from the factory,
-its own fault injector -- and replays the same seeded window on it
-before probing.  :func:`run_adaptive_trial` likewise gives the adaptive
-session and each baseline a replica of its own.
+Production builds a trial's detection window once and forks the
+post-window world per distinct probe plan
+(:func:`repro.experiments.trials.run_trial`), in both fidelity levels.
+These oracles are the loops that fork path replaced: every attacker
+with a non-empty plan gets its own freshly built world -- its own
+defense from the factory, its own fault injector -- and replays the
+same seeded window on it before probing.  :func:`run_network_trial`
+and :func:`run_table_trial` do this per mode;
+:func:`run_adaptive_trial` (network) and
+:func:`run_adaptive_table_trial` likewise give the adaptive session and
+the baselines replicas of their own.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from repro.core.attacker import Attacker
 from repro.experiments.trials import (
     DefenseFactory,
     TrialResult,
+    _TableWorld,
     _trial_injector,
     _trial_schedule,
 )
@@ -109,6 +113,80 @@ def run_adaptive_trial(
         decisions.update(baseline_trial.decisions)
         outcomes.update(baseline_trial.outcomes)
     return TrialResult(ground_truth=truth, decisions=decisions, outcomes=outcomes)
+
+
+def run_table_trial(
+    config: NetworkConfiguration,
+    attackers: Sequence[Attacker],
+    seed: int,
+    fault_plan: Optional[FaultPlan] = None,
+    probe_retries: int = 0,
+) -> TrialResult:
+    """One table-level trial on one replayed table per probing attacker."""
+    schedule = _trial_schedule(config, seed)
+    truth = int(
+        occurred_in_window(
+            schedule, config.target_flow, 0.0, config.window_seconds
+        )
+    )
+    decisions: Dict[str, int] = {}
+    outcomes: Dict[str, Tuple[Optional[int], ...]] = {}
+    for attacker in attackers:
+        probes = attacker.plan()
+        if not probes:
+            decisions[attacker.name] = attacker.decide(())
+            outcomes[attacker.name] = ()
+            continue
+        faults = _trial_injector(fault_plan, seed)
+        world = _TableWorld(config, faults=faults)
+        for arrival in schedule:
+            world.arrival(arrival.flow_index, arrival.time)
+        bits = tuple(
+            world.probe(config.universe.flows[flow], retries=probe_retries)
+            for flow in probes
+        )
+        decisions[attacker.name] = attacker.decide(bits)
+        outcomes[attacker.name] = bits
+    return TrialResult(ground_truth=truth, decisions=decisions, outcomes=outcomes)
+
+
+def run_adaptive_table_trial(
+    config: NetworkConfiguration,
+    adaptive_attacker: AdaptiveModelAttacker,
+    seed: int,
+    baselines: Sequence[Attacker] = (),
+) -> TrialResult:
+    """A table-mode adaptive trial, the session on a replay of its own."""
+    schedule = _trial_schedule(config, seed)
+    truth = int(
+        occurred_in_window(
+            schedule, config.target_flow, 0.0, config.window_seconds
+        )
+    )
+    decisions: Dict[str, int] = {}
+    outcomes: Dict[str, Tuple[Optional[int], ...]] = {}
+
+    session = adaptive_attacker.start_session()
+    world = _TableWorld(config)
+    for arrival in schedule:
+        world.arrival(arrival.flow_index, arrival.time)
+    while True:
+        flow = session.next_probe()
+        if flow is None:
+            break
+        session.observe(world.probe(config.universe.flows[flow]))
+
+    decisions[adaptive_attacker.name] = session.decide()
+    outcomes[adaptive_attacker.name] = tuple(
+        bit for _, bit in session.history
+    )
+    if baselines:
+        baseline_trial = run_table_trial(config, baselines, seed)
+        decisions.update(baseline_trial.decisions)
+        outcomes.update(baseline_trial.outcomes)
+    return TrialResult(
+        ground_truth=truth, decisions=decisions, outcomes=outcomes
+    )
 
 
 def _replica(

@@ -13,7 +13,7 @@ from repro.core.compact_model import CompactModel
 from repro.core.inference import ReconInference
 from repro.experiments.harness import ConfigHarness
 from repro.experiments.params import ExperimentParams
-from repro.experiments.trials import run_network_trial, run_table_trial
+from repro.experiments.trials import run_trial
 from repro.flows.arrival import sample_schedule
 from repro.flows.config import ConfigGenerator, ConfigParams
 
@@ -102,8 +102,8 @@ class TestNetworkVsTableTrials:
         )
         attackers = harness.attackers()
         for seed in range(4):
-            network = run_network_trial(config, attackers, seed=seed)
-            table = run_table_trial(config, attackers, seed=seed)
+            network = run_trial(config, attackers, seed=seed, mode="network")
+            table = run_trial(config, attackers, seed=seed, mode="table")
             assert network.ground_truth == table.ground_truth
             for name in ("naive", "model", "constrained"):
                 assert network.outcomes[name] == table.outcomes[name], name
