@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-smoke bench-full profile-headline demo examples check check-project sanitize-smoke lint stats faults-smoke parallel-smoke serve-smoke defend-smoke coverage clean
+.PHONY: install test test-fast bench bench-smoke bench-full profile-headline demo examples check sanitize-smoke lint stats faults-smoke parallel-smoke serve-smoke defend-smoke coverage clean
 
 install:
 	pip install -e .
@@ -43,7 +43,8 @@ demo:
 	$(PYTHON) -m repro.cli demo
 
 # Static analysis (docs/STATIC_ANALYSIS.md).  The domain-aware lint
-# (repro-sdn check) always runs; ruff and mypy run when installed
+# (repro-sdn check: all 12 rules in one pass, any finding fails) always
+# runs; ruff and mypy run when installed
 # (pip install -e ".[check]") and are skipped with a notice otherwise,
 # so a bare container can still run the core gate.  CI installs both.
 check:
@@ -60,21 +61,13 @@ check:
 		echo "mypy not installed; skipping (pip install -e '.[check]')"; \
 	fi
 
-# Whole-program pass (docs/STATIC_ANALYSIS.md, "check --project"):
-# call-graph seed provenance, cross-module escape analysis, worker
-# closures -- enforced against the committed lint-baseline.json (new
-# findings and stale entries both fail).
-check-project:
-	PYTHONPATH=src $(PYTHON) -m repro.cli check --project \
-		--baseline lint-baseline.json src
-
 # Runtime determinism sanitizer smoke (docs/OBSERVABILITY.md): the demo
 # under REPRO_SANITIZE=1 -- frozen cache checksums verified at every
 # span boundary, unseeded default_rng() refused.
 sanitize-smoke:
 	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m repro.cli demo
 
-lint: check check-project
+lint: check
 	PYTHONPATH=src $(PYTHON) -m pytest --collect-only -q tests benchmarks > /dev/null
 
 # Observability smoke (docs/OBSERVABILITY.md): run a tiny instrumented

@@ -600,33 +600,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    """All 12 lint rules in one pass (docs/STATIC_ANALYSIS.md).
+
+    Exit status 0 when nothing is found, 1 on any finding, 2 on usage
+    errors (a missing path, an unknown rule ID).
+    """
     import json
 
     from repro.lint import ALL_RULES, run_checks
+    from repro.lint.project import PROJECT_RULES
 
     if args.list_rules:
         for rule in ALL_RULES:
             print(f"{rule.rule_id}  {rule.summary}")
-        from repro.lint.project import PROJECT_RULES
-
-        for rule_id, summary in PROJECT_RULES:
-            print(f"{rule_id}  {summary}  [--project]")
+        for project_rule in PROJECT_RULES:
+            print(f"{project_rule.rule_id}  {project_rule.summary}")
         return 0
-    if args.project:
-        return _cmd_check_project(args)
     try:
-        findings = run_checks(
-            args.paths, select=args.select or None, jobs=args.jobs
-        )
+        findings = run_checks(args.paths, select=args.select or None)
     except (FileNotFoundError, ValueError) as error:
         print(f"repro-sdn check: {error}", file=sys.stderr)
         return 2
-    if args.format == "sarif":
-        from repro.lint.project.sarif import to_sarif
-
-        rules = [(rule.rule_id, rule.summary) for rule in ALL_RULES]
-        print(json.dumps(to_sarif(findings, rules), indent=2))
-    elif args.format == "json":
+    if args.format == "json":
         print(json.dumps([f.to_json() for f in findings], indent=2))
     else:
         for finding in findings:
@@ -637,89 +632,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         else:
             print(f"clean: no findings in {checked}")
     return 1 if findings else 0
-
-
-def _cmd_check_project(args: argparse.Namespace) -> int:
-    """The whole-program pass (docs/STATIC_ANALYSIS.md, project rules).
-
-    Exit status 0 only when there are no new findings *and* no stale
-    baseline entries; 1 on either; 2 on usage errors.
-    """
-    import json
-    from pathlib import Path
-
-    from repro.lint.project import (
-        PROJECT_RULES,
-        Baseline,
-        run_project_checks,
-        to_sarif,
-    )
-
-    if len(args.paths) != 1:
-        print(
-            "repro-sdn check --project: exactly one package directory "
-            f"expected, got {args.paths!r}",
-            file=sys.stderr,
-        )
-        return 2
-    root = args.paths[0]
-    if Path(root).name == "src" and (Path(root) / "repro").is_dir():
-        root = str(Path(root) / "repro")  # the default 'src' positional
-    baseline: Optional[Baseline] = None
-    baseline_path = args.baseline
-    if baseline_path is None and Path("lint-baseline.json").is_file():
-        baseline_path = "lint-baseline.json"
-    try:
-        if baseline_path is not None and not args.write_baseline:
-            baseline = Baseline.load(baseline_path)
-        report = run_project_checks(
-            root, baseline=baseline, select=args.select or None
-        )
-    except (OSError, ValueError) as error:
-        print(f"repro-sdn check --project: {error}", file=sys.stderr)
-        return 2
-    if args.write_baseline:
-        target = baseline_path or "lint-baseline.json"
-        document = Baseline.skeleton(report.new)
-        Path(target).write_text(
-            json.dumps(document, indent=2) + "\n", encoding="utf-8"
-        )
-        print(
-            f"wrote {len(document['entries'])} entr(y/ies) to {target}; "
-            "fill in every justification before committing",
-            file=sys.stderr,
-        )
-        return 0
-    if args.format == "sarif":
-        print(json.dumps(to_sarif(report.new, PROJECT_RULES), indent=2))
-    elif args.format == "json":
-        print(json.dumps([f.to_json() for f in report.new], indent=2))
-    else:
-        for finding in report.new:
-            print(finding.render())
-        for entry in report.stale:
-            print(
-                f"stale baseline entry: {entry.rule} {entry.path} "
-                f"[{entry.symbol}] matches nothing -- remove it"
-            )
-        graph = report.graph
-        summary = (
-            f"{len(graph.modules)} modules, {len(graph.functions)} "
-            f"functions, {len(graph.classes)} classes"
-        )
-        if report.ok:
-            waived = (
-                f" ({len(report.waived)} baselined)" if report.waived else ""
-            )
-            print(f"clean: no new project findings in {root}{waived} "
-                  f"[{summary}]")
-        else:
-            print(
-                f"\n{len(report.new)} new finding(s), "
-                f"{len(report.stale)} stale baseline entr(y/ies) in "
-                f"{root} [{summary}]"
-            )
-    return 0 if report.ok else 1
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -998,42 +910,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule IDs to run (default: all)",
     )
     check.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="finding output format",
     )
     check.add_argument(
         "--list-rules", action="store_true",
         help="print the rule IDs and summaries, then exit",
-    )
-    check.add_argument(
-        "--project", action="store_true",
-        help=(
-            "run the whole-program rules (SEED101-103, MUT101-102, "
-            "PAR101: seed flow, generator ownership, frozen-buffer "
-            "escapes, pool-worker captures) over one package directory "
-            "instead of the per-file rules"
-        ),
-    )
-    check.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help=(
-            "worker processes for the per-file pass "
-            "(default: auto; 1 forces serial)"
-        ),
-    )
-    check.add_argument(
-        "--baseline", type=str, default=None, metavar="PATH",
-        help=(
-            "project-finding waiver file "
-            "(default: lint-baseline.json when present)"
-        ),
-    )
-    check.add_argument(
-        "--write-baseline", action="store_true",
-        help=(
-            "with --project: write a baseline skeleton covering the "
-            "current findings (justifications left blank) and exit 0"
-        ),
     )
     add_common_args(check, seed=False)
     check.set_defaults(func=_cmd_check)

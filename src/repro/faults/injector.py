@@ -21,7 +21,7 @@ Determinism contract (property-tested in ``tests/faults``):
 * given the same plan (same seed) and the same sequence of injection
   queries, the injected faults are identical.
 
-Lint rule ``SEED102`` (``check --project``) enforces the
+Lint rule ``SEED102`` (``repro-sdn check``) enforces the
 injected-generator discipline on any ``*Injector`` class: build the
 generator in ``__init__``, draw only from it (see
 docs/STATIC_ANALYSIS.md).

@@ -17,10 +17,13 @@ PY001     mutable default arguments and float ``==`` comparisons
 OBS001    ``span()`` called without ``with``
 ========  ==========================================================
 
-Findings carry precise ``path:line:col`` locations and can be
-suppressed per line with ``# repro: noqa[RULE]``.  The whole-program
-rules (seed flow, generator ownership, buffer escapes, pool-worker
-captures) live in :mod:`repro.lint.project`.  See
+The whole-program rules (SEED101-103 seed flow and generator
+ownership, MUT101-102 buffer escapes, PAR101 pool-worker captures) live
+in :mod:`repro.lint.project`.  :func:`run_checks` is the one pass: it
+parses each file once, runs the per-file rules on every module and the
+project rules over every package root among its paths, and filters
+every finding through ``# repro: noqa[RULE]`` comments, the only
+waiver.  Findings carry precise ``path:line:col`` locations.  See
 ``docs/STATIC_ANALYSIS.md`` for the rationale behind each rule.
 """
 

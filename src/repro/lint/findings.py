@@ -13,6 +13,8 @@ class Finding:
     The field order doubles as the sort order, so a sorted finding list
     reads top-to-bottom through each file.  ``line`` and ``col`` are
     1-based and 0-based respectively, matching compiler convention.
+    Project rules also set ``symbol``, the qualified name of the
+    function, method or class the violation lives in.
     """
 
     path: str
@@ -20,10 +22,12 @@ class Finding:
     col: int
     rule: str
     message: str
+    symbol: str = ""
 
     def render(self) -> str:
-        """``path:line:col: RULE message`` (the CLI text format)."""
-        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
+        """``path:line:col: RULE message [symbol]`` (the CLI text format)."""
+        location = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
+        return f"{location} [{self.symbol}]" if self.symbol else location
 
     def to_json(self) -> Dict[str, Any]:
         """JSON-serialisable form (the CLI ``--format json`` output)."""
@@ -33,4 +37,5 @@ class Finding:
             "col": self.col,
             "rule": self.rule,
             "message": self.message,
+            "symbol": self.symbol,
         }

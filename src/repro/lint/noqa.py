@@ -44,6 +44,8 @@ def parse_noqa(source: str) -> Dict[int, FrozenSet[str]]:
     parse error will surface as a finding instead.
     """
     suppressed: Dict[int, FrozenSet[str]] = {}
+    if "repro:" not in source:
+        return suppressed  # _NOQA_RE needs the literal; skip tokenising
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, SyntaxError, IndentationError):

@@ -1,4 +1,4 @@
-"""Whole-program determinism analysis (``repro-sdn check --project``).
+"""Whole-program determinism rules, run by ``repro-sdn check``.
 
 The per-file rules of :mod:`repro.lint.rules` are deliberately blind to
 anything outside one module; the determinism contracts they guard --
@@ -8,7 +8,8 @@ properties.  This subpackage builds the project-level view and checks
 them across module boundaries:
 
 * :mod:`repro.lint.project.graph` -- symbol tables, the import graph,
-  and an intraprocedural-summary call graph over the package;
+  and an intraprocedural-summary call graph over one package, built
+  from the modules the runner has already parsed;
 * :mod:`repro.lint.project.seeds` -- SEED101/102/103: RNG
   seed-provenance dataflow (entropy fallbacks reachable from CLI entry
   points, generator ownership over a table of owners -- injectors,
@@ -18,29 +19,21 @@ them across module boundaries:
 * :mod:`repro.lint.project.capture` -- PAR101: pool workers that
   capture parent state, as lambdas, nested functions, or anywhere in
   their cross-module call closure;
-* :mod:`repro.lint.project.baseline` -- the committed waiver file for
-  justified findings;
-* :mod:`repro.lint.project.sarif` -- SARIF 2.1.0 rendering for code
-  scanning UIs.
+* :mod:`repro.lint.project.rules` -- the registry of the six rules.
 
-The static pass over-approximates by design; its runtime complement is
-the determinism sanitizer (:mod:`repro.obs.sanitize`, docs/OBSERVABILITY.md).
+The runner (:mod:`repro.lint.runner`) runs them over every package
+root among the checked paths, in the same pass as the per-file rules,
+and filters their findings through the same ``# repro: noqa[RULE]``
+comments.  The static pass over-approximates by design; its runtime
+complement is the determinism sanitizer (:mod:`repro.obs.sanitize`,
+docs/OBSERVABILITY.md).
 """
 
-from repro.lint.project.baseline import Baseline
 from repro.lint.project.graph import ProjectGraph
-from repro.lint.project.runner import (
-    PROJECT_RULES,
-    ProjectReport,
-    run_project_checks,
-)
-from repro.lint.project.sarif import to_sarif
+from repro.lint.project.rules import PROJECT_RULES, ProjectRule
 
 __all__ = [
-    "Baseline",
     "PROJECT_RULES",
     "ProjectGraph",
-    "ProjectReport",
-    "run_project_checks",
-    "to_sarif",
+    "ProjectRule",
 ]

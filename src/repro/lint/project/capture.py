@@ -39,7 +39,7 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Set, Tuple
 
-from repro.lint.project.findings import ProjectFinding
+from repro.lint.findings import Finding
 from repro.lint.project.graph import FunctionInfo, PoolDispatch, ProjectGraph
 
 PAR101 = "PAR101"
@@ -47,8 +47,8 @@ PAR101 = "PAR101"
 
 def _finding(
     graph: ProjectGraph, info: FunctionInfo, node: ast.AST, message: str
-) -> ProjectFinding:
-    return ProjectFinding(
+) -> Finding:
+    return Finding(
         path=graph.module_of(info).path,
         line=getattr(node, "lineno", 1),
         col=getattr(node, "col_offset", 0),
@@ -86,11 +86,11 @@ def _closure_worker(info: FunctionInfo, dispatch: PoolDispatch) -> Optional[str]
     return None
 
 
-def check_worker_closures(graph: ProjectGraph) -> List[ProjectFinding]:
-    findings: List[ProjectFinding] = []
+def check_worker_closures(graph: ProjectGraph) -> List[Finding]:
+    findings: List[Finding] = []
     seen: Set[Tuple[str, int, int]] = set()
 
-    def report(finding: ProjectFinding) -> None:
+    def report(finding: Finding) -> None:
         key = (finding.path, finding.line, finding.col)
         if key not in seen:
             seen.add(key)
@@ -133,8 +133,8 @@ def _check_member(
     member: FunctionInfo,
     dispatch_caller: str,
     installs_fresh: bool,
-) -> List[ProjectFinding]:
-    found: List[ProjectFinding] = []
+) -> List[Finding]:
+    found: List[Finding] = []
     if not installs_fresh:
         for call in member.get_instrumentation_calls:
             found.append(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.lint.project.findings import ProjectFinding
+from repro.lint.findings import Finding
 from repro.lint.project.graph import (
     FunctionInfo,
     ProjectGraph,
@@ -41,8 +41,8 @@ def _finding(
     node: ast.AST,
     rule: str,
     message: str,
-) -> ProjectFinding:
-    return ProjectFinding(
+) -> Finding:
+    return Finding(
         path=graph.module_of(info).path,
         line=getattr(node, "lineno", 1),
         col=getattr(node, "col_offset", 0),
@@ -119,9 +119,9 @@ def _bound_parameter(
     return None
 
 
-def check_escaping_arguments(graph: ProjectGraph) -> List[ProjectFinding]:
+def check_escaping_arguments(graph: ProjectGraph) -> List[Finding]:
     """MUT101: cache-aliased arrays handed to mutating callees."""
-    findings: List[ProjectFinding] = []
+    findings: List[Finding] = []
     mutated = mutated_parameters(graph)
     for info in graph.iter_functions():
         for tainted in info.tainted_args:
@@ -149,9 +149,9 @@ def check_escaping_arguments(graph: ProjectGraph) -> List[ProjectFinding]:
     return findings
 
 
-def check_attribute_stashes(graph: ProjectGraph) -> List[ProjectFinding]:
+def check_attribute_stashes(graph: ProjectGraph) -> List[Finding]:
     """MUT102: cache arrays stashed on ``self`` then written through."""
-    findings: List[ProjectFinding] = []
+    findings: List[Finding] = []
     stashes: Dict[Tuple[str, str], str] = {}
     for info in graph.functions.values():
         if info.class_name is None:

@@ -1,7 +1,7 @@
 """Project graph: symbol tables, imports, and a summary call graph.
 
-:class:`ProjectGraph` parses every module of one package and builds the
-three structures the whole-program rules query:
+:class:`ProjectGraph` indexes the parsed modules of one package and
+builds the three structures the whole-program rules query:
 
 * a **symbol table** per module -- what each local name means: an
   imported module, an imported symbol, a top-level function, or a class;
@@ -30,7 +30,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.base import AnyFunctionDef, ModuleSource, call_endpoint, dotted_name
 from repro.lint.rules.mutation import (
@@ -336,21 +336,16 @@ class ProjectGraph:
         self.callers: Dict[str, List[CallSite]] = {}
         #: method name -> classes defining it (for unique-name fallback).
         self._method_index: Dict[str, List[str]] = {}
+        #: class qname -> its self attribute types, shared by its methods.
+        self._attr_types: Dict[str, Dict[str, str]] = {}
 
     # -- construction --------------------------------------------------
     @classmethod
-    def build(cls, root: str) -> "ProjectGraph":
-        """Parse the package rooted at ``root`` (a directory containing
-        ``__init__.py``) and build every table."""
-        root_path = Path(root)
-        if not root_path.is_dir():
-            raise FileNotFoundError(f"no such package directory: {root}")
-        if not (root_path / "__init__.py").is_file():
-            raise ValueError(
-                f"{root} is not a package (missing __init__.py)"
-            )
-        graph = cls(root_path, root_path.name)
-        graph._parse_modules()
+    def build(cls, root: Path, modules: Iterable[ModuleSource]) -> "ProjectGraph":
+        """Build every table for the package at ``root`` (a directory
+        containing ``__init__.py``) from its already-parsed ``modules``."""
+        graph = cls(root, root.name)
+        graph._index_modules(modules)
         graph._index_classes()
         graph._summarise_functions()
         return graph
@@ -362,18 +357,13 @@ class ProjectGraph:
             parts = parts[:-1]
         return ".".join(parts)
 
-    def _parse_modules(self) -> None:
-        for path in sorted(self.root.rglob("*.py")):
-            if "__pycache__" in path.parts:
-                continue
-            source = ModuleSource.from_source(
-                str(path), path.read_text(encoding="utf-8")
-            )
+    def _index_modules(self, modules: Iterable[ModuleSource]) -> None:
+        for source in sorted(modules, key=lambda module: Path(module.path)):
             if source.tree is None:
-                continue  # the per-file pass reports SYN001
+                continue  # reported as SYN001 by the per-file rules
             module = ModuleInfo(
-                name=self._module_name(path),
-                path=str(path),
+                name=self._module_name(Path(source.path)),
+                path=source.path,
                 source=source,
                 fork_pools=fork_pool_names(source.tree),
             )
@@ -748,7 +738,10 @@ class _SummaryVisitor:
     def run(self) -> None:
         self._seed_types_from_annotations()
         if self.info.class_name is not None:
-            self._seed_attr_types_from_class()
+            qname = f"{self.module.name}.{self.info.class_name}"
+            if qname not in self.graph._attr_types:
+                self.graph._attr_types[qname] = self._class_attr_types(qname)
+            self.attr_types = self.graph._attr_types[qname]
         for node in ast.walk(self.info.node):
             if isinstance(node, ast.Name) and isinstance(
                 node.ctx, ast.Store
@@ -785,19 +778,18 @@ class _SummaryVisitor:
             if annotated is not None:
                 self.local_types[argument.arg] = annotated
 
-    def _seed_attr_types_from_class(self) -> None:
-        cls = self.graph.classes.get(
-            f"{self.module.name}.{self.info.class_name}"
-        )
+    def _class_attr_types(self, qname: str) -> Dict[str, str]:
+        attr_types: Dict[str, str] = {}
+        cls = self.graph.classes.get(qname)
         if cls is None:
-            return
+            return attr_types
         for item in cls.node.body:
             if isinstance(item, ast.AnnAssign) and isinstance(
                 item.target, ast.Name
             ):
                 annotated = self._annotation_class(item.annotation)
                 if annotated is not None:
-                    self.attr_types[item.target.id] = annotated
+                    attr_types[item.target.id] = annotated
             if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for inner in ast.walk(item):
@@ -817,7 +809,8 @@ class _SummaryVisitor:
                             constructed is not None
                             and constructed in self.graph.classes
                         ):
-                            self.attr_types[target.attr] = constructed
+                            attr_types[target.attr] = constructed
+        return attr_types
 
     # -- traversal -----------------------------------------------------
     def _visit(self, node: ast.AST) -> None:

@@ -34,7 +34,7 @@ import ast
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.lint.project.findings import ProjectFinding
+from repro.lint.findings import Finding
 from repro.lint.project.graph import (
     GENERATOR_ATTRS,
     CallSite,
@@ -53,8 +53,8 @@ def _finding(
     node: ast.AST,
     rule: str,
     message: str,
-) -> ProjectFinding:
-    return ProjectFinding(
+) -> Finding:
+    return Finding(
         path=graph.module_of(info).path,
         line=getattr(node, "lineno", 1),
         col=getattr(node, "col_offset", 0),
@@ -187,9 +187,9 @@ class _NoneFlow:
         return result
 
 
-def check_seed_provenance(graph: ProjectGraph) -> List[ProjectFinding]:
+def check_seed_provenance(graph: ProjectGraph) -> List[Finding]:
     """SEED101 over every ``default_rng(param)`` site in the project."""
-    findings: List[ProjectFinding] = []
+    findings: List[Finding] = []
     reachable = graph.reachable(graph.entry_points())
     flow = _NoneFlow(graph, reachable)
     for info in graph.iter_functions():
@@ -284,8 +284,8 @@ def _foreign_stream(chain: Tuple[str, ...], owned: bool) -> bool:
     return owned
 
 
-def check_generator_coupling(graph: ProjectGraph) -> List[ProjectFinding]:
-    findings: List[ProjectFinding] = []
+def check_generator_coupling(graph: ProjectGraph) -> List[Finding]:
+    findings: List[Finding] = []
     for info in graph.iter_functions():
         owner = _owner_of(info)
         setup = owner is not None and owner.sets_up(info)
@@ -326,8 +326,8 @@ def check_generator_coupling(graph: ProjectGraph) -> List[ProjectFinding]:
 # ----------------------------------------------------------------------
 # SEED103: constant worker seeds
 # ----------------------------------------------------------------------
-def check_worker_seeds(graph: ProjectGraph) -> List[ProjectFinding]:
-    findings: List[ProjectFinding] = []
+def check_worker_seeds(graph: ProjectGraph) -> List[Finding]:
+    findings: List[Finding] = []
     seen: Set[Tuple[str, int, int]] = set()
     for info in graph.iter_functions():
         for dispatch in info.pool_dispatches:

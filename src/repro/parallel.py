@@ -4,9 +4,8 @@
 ``[fn(shared, item) for item in items]``, in item order, whether the
 calls ran in worker processes or in the parent.  Probe scoring
 (:mod:`repro.core.engine`), trial and screening fan-out
-(:mod:`repro.experiments.parallel`), the session service
-(:mod:`repro.service.pool`) and the lint file pass
-(:mod:`repro.lint.runner`) all fan out through it.
+(:mod:`repro.experiments.parallel`) and the session service
+(:mod:`repro.service.pool`) all fan out through it.
 
 * **Shared state.**  ``shared`` reaches the workers through fork (the
   executor's initializer), never through pickling; each item and each

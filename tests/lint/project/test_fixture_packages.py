@@ -3,8 +3,8 @@
 Fixtures under ``fixtures/`` are *packages* -- most rules here are
 cross-module properties, so a single-file fixture could not exercise
 them.  ``expect[RULE]`` markers pin the exact ``(rule, file, line)`` of
-every finding, project and per-file alike: the two passes together must
-report all of them and nothing else.
+every finding, project and per-file alike: the one pass must report all
+of them and nothing else.
 """
 
 import re
@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 from repro.lint import run_checks
-from repro.lint.project import run_project_checks
+from repro.lint.project import PROJECT_RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PROJECT_RULE_IDS = {rule.rule_id for rule in PROJECT_RULES}
 
 _EXPECT_RE = re.compile(r"expect\[((?:[A-Z]+\d+)(?:\s*,\s*[A-Z]+\d+)*)\]")
 
@@ -36,9 +37,7 @@ def expected_triples(package):
 
 
 def actual_triples(package):
-    findings = run_project_checks(str(package)).new + run_checks(
-        [str(package)], jobs=1
-    )
+    findings = run_checks([str(package)])
     return sorted(
         (
             finding.rule,
@@ -74,26 +73,22 @@ def test_fixture_package_matches_markers(name, rules, count):
 
 @pytest.mark.parametrize("name,rules,count", FIXTURE_PACKAGES)
 def test_fixture_findings_carry_symbols(name, rules, count):
-    report = run_project_checks(str(FIXTURES / name))
-    assert report.new
-    for finding in report.new:
+    findings = [
+        f for f in run_checks([str(FIXTURES / name)]) if f.rule in PROJECT_RULE_IDS
+    ]
+    assert findings
+    for finding in findings:
         assert finding.symbol.startswith(f"{name}."), finding
         assert finding.rule in rules
 
 
 def test_select_restricts_project_rules():
     package = FIXTURES / "escape"
-    only_stash = run_project_checks(str(package), select=["MUT102"])
-    assert {f.rule for f in only_stash.new} == {"MUT102"}
-    assert len(only_stash.new) == 1
+    only_stash = run_checks([str(package)], select=["MUT102"])
+    assert {f.rule for f in only_stash} == {"MUT102"}
+    assert len(only_stash) == 1
 
 
 def test_unknown_select_raises():
-    with pytest.raises(ValueError, match="unknown project rule"):
-        run_project_checks(str(FIXTURES / "escape"), select=["NOPE999"])
-
-
-def test_non_package_root_rejected(tmp_path):
-    (tmp_path / "loose.py").write_text("x = 1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="missing __init__.py"):
-        run_project_checks(str(tmp_path))
+    with pytest.raises(ValueError, match="unknown rule"):
+        run_checks([str(FIXTURES / "escape")], select=["NOPE999"])

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -34,12 +36,21 @@ class TestExitCodes:
         assert code == 2
         assert "NOPE42" in capsys.readouterr().err
 
-    def test_project_rule_id_names_the_project_pass(self, capsys):
-        code = main(["check", "--select", "SEED102", str(FIXTURES)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "unknown rule ID(s): SEED102" in err
-        assert "--project pass" in err
+    def test_project_finding_exits_one(self, capsys):
+        package = REPO_ROOT / "tests" / "lint" / "project" / "fixtures" / "workerseed"
+        code = main(["check", str(package)])
+        assert code == 1
+        assert "SEED103" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--project"], ["--jobs", "2"], ["--baseline", "x.json"],
+         ["--write-baseline"], ["--format", "sarif"]],
+    )
+    def test_removed_options_are_rejected(self, option, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", *option, str(FIXTURES)])
+        assert exit_info.value.code == 2
 
 
 class TestOutputFormats:

@@ -1,7 +1,12 @@
 """``# repro: noqa`` parsing and line-scoped suppression."""
 
-from repro.lint import check_source
+import shutil
+from pathlib import Path
+
+from repro.lint import check_source, run_checks
 from repro.lint.noqa import ALL_RULES_SENTINEL, is_suppressed, parse_noqa
+
+PACKAGES = Path(__file__).parent / "project" / "fixtures"
 
 
 class TestParseNoqa:
@@ -35,6 +40,14 @@ class TestParseNoqa:
 
     def test_unreadable_source_yields_nothing(self):
         assert parse_noqa("def broken(:\n") == {}
+
+    def test_phrase_only_inside_a_string_yields_nothing(self):
+        # Passes the literal pre-check, then tokenising finds no comment.
+        source = 'msg = "repro: noqa[RNG001]"  # a comment, not a waiver\n'
+        assert parse_noqa(source) == {}
+
+    def test_source_without_comments_yields_nothing(self):
+        assert parse_noqa("import numpy as np\nx = np.zeros(3)\n") == {}
 
 
 class TestIsSuppressed:
@@ -75,6 +88,26 @@ class TestEndToEndSuppression:
         )
         findings = check_source("<test>", source)
         assert [(f.rule, f.line) for f in findings] == [("RNG001", 5)]
+
+    def test_noqa_waives_a_project_finding(self, tmp_path):
+        package = tmp_path / "workerseed"
+        shutil.copytree(PACKAGES / "workerseed", package)
+        stats = package / "stats.py"
+        original = stats.read_text(encoding="utf-8").splitlines(keepends=True)
+        (finding,) = run_checks([str(package)])
+        assert (finding.rule, finding.path) == ("SEED103", str(stats))
+
+        def waive(rules):
+            lines = list(original)
+            lines[finding.line - 1] = lines[finding.line - 1].replace(
+                "# expect[SEED103]", f"# repro: noqa[{rules}]"
+            )
+            stats.write_text("".join(lines), encoding="utf-8")
+
+        waive("MUT101")
+        assert [f.rule for f in run_checks([str(package)])] == ["SEED103"]
+        waive("SEED103")
+        assert run_checks([str(package)]) == []
 
     def test_syntax_error_cannot_be_suppressed(self):
         source = "def broken(:  # repro: noqa\n"

@@ -1,14 +1,19 @@
-"""File discovery, rule selection, and the clean-tree guarantee."""
+"""File discovery, package roots, rule selection, the one-parse pass,
+and the clean-tree guarantee."""
 
+import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.lint import iter_python_files, rule_by_id, run_checks
+from repro.lint import ModuleSource, iter_python_files, rule_by_id, run_checks
+from repro.lint.project import PROJECT_RULES
 from repro.lint.rules import ALL_RULES
+from repro.lint.runner import package_roots
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
+PACKAGES = Path(__file__).parent / "project" / "fixtures"
 
 
 class TestCleanTree:
@@ -24,6 +29,16 @@ class TestCleanTree:
             if (REPO_ROOT / name).is_dir()
         ]
         assert paths, "expected benchmarks/ and examples/ to exist"
+        assert run_checks(paths) == []
+
+    def test_one_pass_with_all_rules_is_clean(self):
+        # The `make check` command: all 12 rules, the project rules over
+        # both packages among the paths.
+        paths = [str(REPO_ROOT / name) for name in ("src", "benchmarks", "examples")]
+        assert package_roots(paths) == [
+            REPO_ROOT / "src" / "repro", REPO_ROOT / "benchmarks",
+        ]
+        assert len(ALL_RULES) + len(PROJECT_RULES) == 12
         assert run_checks(paths) == []
 
 
@@ -55,6 +70,11 @@ class TestSelection:
         with pytest.raises(ValueError, match="NOPE42"):
             run_checks([str(FIXTURES)], select=["NOPE42"])
 
+    def test_select_takes_project_rule_ids(self):
+        findings = run_checks([str(PACKAGES / "injector")], select="seed102,")
+        assert findings
+        assert {f.rule for f in findings} == {"SEED102"}
+
 
 class TestDiscovery:
     def test_missing_path_raises(self):
@@ -75,6 +95,49 @@ class TestDiscovery:
         target.write_text("x = 1\n")
         assert list(iter_python_files([str(target)])) == [target]
 
+    def test_overlapping_paths_yield_each_file_once(self, tmp_path):
+        (tmp_path / "a.py").write_text("x = 1\n")
+        paths = [str(tmp_path / "a.py"), str(tmp_path)]
+        assert list(iter_python_files(paths)) == [tmp_path / "a.py"]
+
+
+class TestPackageRoots:
+    def test_package_directory_is_its_own_root(self):
+        package = PACKAGES / "escape"
+        assert package_roots([str(package)]) == [package]
+
+    def test_plain_directory_contributes_the_packages_under_it(self, tmp_path):
+        for name in ("b", "a", "loose"):
+            (tmp_path / name).mkdir()
+        (tmp_path / "a" / "__init__.py").write_text("")
+        (tmp_path / "b" / "__init__.py").write_text("")
+        (tmp_path / "top.py").write_text("x = 1\n")
+        assert package_roots([str(tmp_path)]) == [tmp_path / "a", tmp_path / "b"]
+
+    def test_files_contribute_no_root_and_roots_are_not_repeated(self):
+        package = PACKAGES / "escape"
+        paths = [str(package / "model.py"), str(package), str(package)]
+        assert package_roots(paths) == [package]
+
+
+class TestOneParse:
+    def test_each_file_is_parsed_once(self, tmp_path, monkeypatch):
+        package = tmp_path / "workerseed"
+        shutil.copytree(PACKAGES / "workerseed", package)
+        parsed = []
+        original = ModuleSource.from_source.__func__
+
+        def counting(cls, path, source):
+            parsed.append(path)
+            return original(cls, path, source)
+
+        monkeypatch.setattr(ModuleSource, "from_source", classmethod(counting))
+        findings = run_checks([str(package)])
+        assert [f.rule for f in findings] == ["SEED103"]
+        files = sorted(str(path) for path in package.rglob("*.py"))
+        assert len(files) == 4
+        assert sorted(parsed) == files
+
 
 class TestSyntaxErrors:
     def test_unparsable_file_yields_syn001(self, tmp_path):
@@ -83,33 +146,3 @@ class TestSyntaxErrors:
         findings = run_checks([str(tmp_path)])
         assert [f.rule for f in findings] == ["SYN001"]
         assert findings[0].line == 1
-
-
-class TestParallelFilePass:
-    """The fork-pool file pass is invisible in the output."""
-
-    def test_forced_pool_matches_serial(self):
-        paths = [str(FIXTURES)]
-        serial = run_checks(paths, jobs=1)
-        assert serial, "fixtures must produce findings"
-        for jobs in (2, 4):
-            assert run_checks(paths, jobs=jobs) == serial
-
-    def test_auto_jobs_matches_serial_on_src(self):
-        paths = [str(REPO_ROOT / "src")]
-        assert run_checks(paths, jobs=None) == run_checks(paths, jobs=1)
-
-    def test_resolve_jobs_small_file_sets_stay_serial(self):
-        from repro.lint.runner import MIN_FILES_FOR_POOL, resolve_jobs
-
-        assert resolve_jobs(8, MIN_FILES_FOR_POOL - 1) == 1
-        assert resolve_jobs(8, 1000) == 8
-        assert resolve_jobs(1, 1000) == 1
-        assert resolve_jobs(None, 1000) >= 1
-
-    def test_select_threads_through_the_pool(self):
-        paths = [str(FIXTURES / "rng_violations.py"), str(FIXTURES)]
-        serial = run_checks(paths, select=["RNG001"], jobs=1)
-        pooled = run_checks(paths, select=["RNG001"], jobs=2)
-        assert pooled == serial
-        assert all(f.rule == "RNG001" for f in pooled)

@@ -123,7 +123,7 @@ class TestExecution:
         """Every subcommand that fans out or saves takes the canonical
         spelling."""
         parser = build_parser()
-        for command in ("select", "check", "fig6a", "robustness", "submit"):
+        for command in ("select", "fig6a", "robustness", "submit"):
             argv = [command, "--jobs", "3"]
             if command == "submit":
                 argv.insert(1, "recon")
