@@ -26,7 +26,7 @@ import argparse
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.experiments.params import ExperimentParams
 from repro.faults import FaultPlan
@@ -55,15 +55,26 @@ _EXPERIMENT_ALIASES: Dict[str, str] = {
     "fig7b": "fig7",
 }
 
-#: Removed selectors and their old values that ran the computation the
-#: program still runs (every ``kernel``/``simpath`` choice, and the
-#: independence ``estimator``).  :meth:`JobSpec.from_dict` drops them; any
-#: other value is an error, since spool files and documents come from
-#: outside the program.
-LEGACY_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "kernel": ("dense", "sparse", "auto"),
-    "simpath": ("reference", "fastpath", "auto"),
-    "estimator": ("independent", "indep"),
+def _one_of(*choices: str) -> Tuple[str, Callable[[object], bool]]:
+    return f"one of {', '.join(choices)}", choices.__contains__
+
+
+def _worker_count(value: object) -> bool:
+    return type(value) is int and value >= 1
+
+
+#: Removed fields and the old values that ran the computation the
+#: program still runs: every ``kernel``/``simpath`` choice, the
+#: independence ``estimator``, and any ``selection_jobs`` worker count
+#: (probe scoring gave the same gains at every count and now runs in
+#: process).  Each entry is ``(expected, accepts)``.
+#: :meth:`JobSpec.from_dict` drops these keys; any other value is an
+#: error, since spool files and documents come from outside the program.
+LEGACY_FIELDS: Dict[str, Tuple[str, Callable[[object], bool]]] = {
+    "kernel": _one_of("dense", "sparse", "auto"),
+    "simpath": _one_of("reference", "fastpath", "auto"),
+    "estimator": _one_of("independent", "indep"),
+    "selection_jobs": ("an integer >= 1", _worker_count),
 }
 
 
@@ -89,8 +100,6 @@ class JobSpec:
     constrained_decision: str = "map"
     screen: bool = True
     random_attacker_mode: str = "sample"
-    #: Probe-scoring engine fan-out (``ExperimentParams.selection_n_jobs``).
-    selection_jobs: int = 1
     #: Probe-set search: "exhaustive" or "greedy" (``repro-sdn select``).
     selection_method: str = "exhaustive"
     fault_plan: Optional[FaultPlan] = None
@@ -193,7 +202,6 @@ class JobSpec:
             constrained_decision=self.constrained_decision,
             screen=self.screen,
             random_attacker_mode=self.random_attacker_mode,
-            selection_n_jobs=self.selection_jobs,
             fault_plan=self.fault_plan,
             probe_retries=self.probe_retries,
             trial_jobs=self.trial_jobs,
@@ -216,7 +224,6 @@ class JobSpec:
             constrained_decision=params.constrained_decision,
             screen=params.screen,
             random_attacker_mode=params.random_attacker_mode,
-            selection_jobs=params.selection_n_jobs,
             fault_plan=params.fault_plan,
             probe_retries=params.probe_retries,
             trial_jobs=params.trial_jobs,
@@ -250,17 +257,17 @@ class JobSpec:
         """Rebuild a spec from :meth:`to_dict` output (JSON-safe).
 
         Documents and spool files written before the implementation
-        and estimator selectors were removed may still carry them; those
-        keys are dropped here once their value is checked against the
-        old choices that still hold (see :data:`LEGACY_FIELDS`).
+        selectors, the estimator and the selection fan-out were removed
+        may still carry them; those keys are dropped here once their
+        value is checked against the old values that still hold (see
+        :data:`LEGACY_FIELDS`).
         """
         values = dict(document)
-        for name, choices in LEGACY_FIELDS.items():
-            if name in values and values.pop(name) not in choices:
+        for name, (expected, accepts) in LEGACY_FIELDS.items():
+            if name in values and not accepts(values.pop(name)):
                 raise ValueError(
                     f"invalid legacy JobSpec field {name}="
-                    f"{document[name]!r} (expected one of "
-                    f"{', '.join(choices)})"
+                    f"{document[name]!r} (expected {expected})"
                 )
         known = {spec_field.name for spec_field in fields(cls)}
         unknown = sorted(set(values) - known)
@@ -334,7 +341,6 @@ class JobSpec:
             seed=int(seed) if seed is not None else None,
             trial_mode=getattr(args, "mode", "network"),
             n_probes=getattr(args, "probes", 1),
-            selection_jobs=getattr(args, "jobs", 1),
             selection_method=getattr(args, "method", "exhaustive"),
             fault_plan=fault_plan,
             probe_retries=getattr(args, "probe_retries", 0),

@@ -11,7 +11,7 @@ Subcommands map one-to-one onto the paper's evaluation artifacts::
     repro-sdn statecount
     repro-sdn headline [...]
     repro-sdn robustness [--rates 0,0.1 --kinds packet_in_loss ...]
-    repro-sdn select [--probes M --method ... --jobs J]
+    repro-sdn select [--probes M --method ...]
     repro-sdn submit recon [--spool DIR --targets 1,2 ...]
     repro-sdn serve [--spool DIR --state DIR --shards N]
     repro-sdn check [paths] [--select RULES --format text|json]
@@ -56,7 +56,6 @@ def add_common_args(
     seed: bool = True,
     seed_fallback: Optional[int] = None,
     experiment: bool = False,
-    jobs: bool = False,
     out: bool = False,
     mode: bool = False,
     mode_default: str = "network",
@@ -70,9 +69,9 @@ def add_common_args(
     :func:`_resolved_seed`, so explicit seeds behave identically
     everywhere.  ``experiment`` adds the ``--configs/--trials/--mode/
     --out`` block of the figure pipelines (plus the fault flags and
-    ``--trial-jobs``); ``jobs`` adds ``--jobs``; ``trial_jobs`` adds
-    ``--trial-jobs`` (the experiment layer's deterministic fan-out,
-    EXPERIMENTS.md); ``faults`` adds ``--fault-plan``/``--probe-retries``
+    ``--trial-jobs``); ``trial_jobs`` adds ``--trial-jobs`` (the
+    experiment layer's deterministic fan-out, EXPERIMENTS.md);
+    ``faults`` adds ``--fault-plan``/``--probe-retries``
     (docs/FAULTS.md).  ``--trace`` and ``--metrics`` are attached
     unconditionally: observability is available on every subcommand.
     """
@@ -120,11 +119,6 @@ def add_common_args(
             "--out", dest="out", type=str, default=None,
             metavar="PATH",
             help="archive the run as JSON (see repro.experiments.persist)",
-        )
-    if jobs:
-        parser.add_argument(
-            "--jobs", dest="jobs", type=int, default=1,
-            help="worker processes for probe scoring (1 = in-process)",
         )
     if trial_jobs:
         parser.add_argument(
@@ -406,7 +400,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
         inference,
         spec.n_probes,
         method=spec.selection_method,
-        n_jobs=spec.selection_jobs,
     )
     print(config.describe())
     print()
@@ -725,13 +718,13 @@ def build_parser() -> argparse.ArgumentParser:
                 "(none, delay, proactive; requires --mode network)"
             ),
         )
-        add_common_args(p, experiment=True, jobs=True)
+        add_common_args(p, experiment=True)
         p.set_defaults(func=runner)
 
     headline = sub.add_parser(
         "headline", help="the paper's summary statistics (fig6 pipeline)"
     )
-    add_common_args(headline, experiment=True, jobs=True)
+    add_common_args(headline, experiment=True)
     headline.set_defaults(func=lambda a: _cmd_fig6(a, "b"))
 
     timing = sub.add_parser("timing", help="Section VI-A latency table")
@@ -774,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument(
         "--method", choices=("exhaustive", "greedy"), default="exhaustive"
     )
-    add_common_args(select, seed_fallback=12, jobs=True)
+    add_common_args(select, seed_fallback=12)
     select.set_defaults(func=_cmd_select)
 
     reproduce = sub.add_parser(
@@ -805,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: packet_in_loss,probe_reply_loss)"
         ),
     )
-    add_common_args(robustness, seed_fallback=2017, experiment=True, jobs=True)
+    add_common_args(robustness, seed_fallback=2017, experiment=True)
     robustness.set_defaults(func=_cmd_robustness)
 
     defend = sub.add_parser(
@@ -835,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: packet_in_loss,probe_reply_loss)"
         ),
     )
-    add_common_args(defend, seed_fallback=2017, experiment=True, jobs=True)
+    add_common_args(defend, seed_fallback=2017, experiment=True)
     defend.set_defaults(func=_cmd_defend)
 
     submit = sub.add_parser(
@@ -867,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=1, metavar="N",
         help="session shards recorded on the spec (serve may override)",
     )
-    add_common_args(submit, seed_fallback=2017, experiment=True, jobs=True)
+    add_common_args(submit, seed_fallback=2017, experiment=True)
     submit.set_defaults(func=_cmd_submit)
 
     serve = sub.add_parser(

@@ -62,12 +62,9 @@ class AdaptiveSession:
         max_probes: int = 3,
         min_gain: float = 1e-9,
         allow_repeats: bool = False,
-        n_jobs: int = 1,
     ) -> None:
         if max_probes < 1:
             raise ValueError("max_probes must be >= 1")
-        if n_jobs < 1:
-            raise ValueError("n_jobs must be >= 1")
         self.inference = inference
         self.model: CompactModel = inference.model
         if candidates is None:
@@ -78,7 +75,6 @@ class AdaptiveSession:
         self.max_probes = max_probes
         self.min_gain = min_gain
         self.allow_repeats = allow_repeats
-        self.n_jobs = int(n_jobs)
 
         self._weights_full: np.ndarray = pruned(inference.dist_full)
         self._weights_absent: np.ndarray = pruned(inference.dist_absent)
@@ -112,9 +108,8 @@ class AdaptiveSession:
 
         Must be followed by :meth:`observe` with the measured bit before
         the next call.  Candidate scoring runs on the engine's batched
-        conditional-gain path (fanned out over processes when the
-        session was built with ``n_jobs > 1``); the winner scan runs in
-        canonical candidate order, so ties break toward the lowest flow.
+        conditional-gain path; the winner scan runs in canonical
+        candidate order, so ties break toward the lowest flow.
         """
         if self._pending_flow is not None:
             raise RuntimeError("observe() the pending probe first")
@@ -131,7 +126,6 @@ class AdaptiveSession:
             self._weights_full,
             self._weights_absent,
             allowed,
-            n_jobs=self.n_jobs,
         )
         best_flow: Optional[int] = None
         best_gain = self.min_gain
@@ -177,7 +171,6 @@ class AdaptiveSession:
             max_probes=self.max_probes,
             min_gain=self.min_gain,
             allow_repeats=self.allow_repeats,
-            n_jobs=self.n_jobs,
         )
         prior = self.inference.prior_absent()
         leaf_entropy = _expected_leaf_entropy(root)
@@ -200,7 +193,6 @@ def _expected_leaf_entropy(session: AdaptiveSession) -> float:
             max_probes=session.max_probes,
             min_gain=session.min_gain,
             allow_repeats=session.allow_repeats,
-            n_jobs=session.n_jobs,
         )
         child._weights_full = session._weights_full
         child._weights_absent = session._weights_absent
@@ -231,13 +223,11 @@ class AdaptiveModelAttacker:
         candidates: Optional[Sequence[int]] = None,
         max_probes: int = 3,
         min_gain: float = 1e-9,
-        n_jobs: int = 1,
     ) -> None:
         self.inference = inference
         self.candidates = candidates
         self.max_probes = max_probes
         self.min_gain = min_gain
-        self.n_jobs = int(n_jobs)
 
     def start_session(self) -> AdaptiveSession:
         """A fresh session for one trial."""
@@ -246,5 +236,4 @@ class AdaptiveModelAttacker:
             candidates=self.candidates,
             max_probes=self.max_probes,
             min_gain=self.min_gain,
-            n_jobs=self.n_jobs,
         )

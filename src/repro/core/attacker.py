@@ -93,8 +93,6 @@ class ModelAttacker(Attacker):
         tree.
     selection_method:
         ``"exhaustive"`` or ``"greedy"`` probe-set search.
-    n_jobs:
-        Fan probe scoring out over this many processes (engine option).
     """
 
     name = "model"
@@ -106,7 +104,6 @@ class ModelAttacker(Attacker):
         n_probes: int = 1,
         decision: str = "query",
         selection_method: str = "exhaustive",
-        n_jobs: int = 1,
     ) -> None:
         if decision not in ("query", "map"):
             raise ValueError(f"unknown decision rule: {decision!r}")
@@ -118,7 +115,6 @@ class ModelAttacker(Attacker):
             self.n_probes,
             candidates=candidates,
             method=selection_method,
-            n_jobs=n_jobs,
         )
         self.choice = choice
         # Built on first decision: the screening pipelines construct
@@ -176,7 +172,6 @@ class ConstrainedModelAttacker(ModelAttacker):
         n_probes: int = 1,
         decision: str = "query",
         selection_method: str = "exhaustive",
-        n_jobs: int = 1,
     ) -> None:
         if candidates is None:
             candidates = range(inference.model.context.n_flows)
@@ -191,7 +186,6 @@ class ConstrainedModelAttacker(ModelAttacker):
             n_probes=n_probes,
             decision=decision,
             selection_method=selection_method,
-            n_jobs=n_jobs,
         )
 
 

@@ -1,10 +1,10 @@
-"""Parallel cached probe-scoring engine (the Section V inner loop).
+"""Cached probe-scoring engine (the Section V inner loop).
 
 Probe selection evaluates ``IG(X̂ | Q_{f_1}, ..., Q_{f_m})`` over many
 candidate probe sequences.  The serial reference loops
 (``tests/oracles/probes.py``) rebuild every sequence's outcome table
 anew through dict-based frontier walks; this module replaces
-that inner loop with three ideas:
+that inner loop with two ideas:
 
 * **shared prefix cache** -- sibling candidates evaluated in canonical
   (ascending) order share long common prefixes; the per-inference cache
@@ -17,14 +17,11 @@ that inner loop with three ideas:
   :func:`~repro.core.inference.coverage_split` of the prefix rows
   instead of per-flow Python iteration.  Blocks have a fixed size
   (:data:`SCORE_BLOCK`) so the floating-point shapes -- and therefore
-  the results, bit for bit -- do not depend on how the work is chunked
-  across processes;
-* **opt-in multiprocessing** -- ``n_jobs > 1`` fans the scoring blocks
-  out over a :class:`~repro.parallel.ForkPool` (the inference handle is
-  inherited through fork, never pickled; a dead worker degrades the
-  batch to the serial path).  Selection results are identical for every
-  ``n_jobs`` because block shapes are fixed and the final argmax scan
-  always runs serially over all gains in canonical candidate order.
+  the results, bit for bit -- do not depend on how many candidates a
+  caller passes.
+
+Scoring runs in the calling process.  Parallelism lives one grain up,
+at trials and screens (``trial_jobs``) and at service shards.
 
 Instrumentation counters (chain evolutions, prefix-cache hits/misses,
 scored sequences) are collected in :class:`ScoringStats` and surfaced
@@ -34,7 +31,6 @@ the ``engine.select`` span's job (docs/OBSERVABILITY.md).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -46,11 +42,10 @@ from repro.core.compact_model import CompactModel
 from repro.core.gain import gains_from_tables
 from repro.core.inference import ReconInference, coverage_split
 from repro.obs import get_instrumentation
-from repro.parallel import ForkPool
 
 #: Fixed scoring block size.  Keeping block shapes constant regardless
-#: of ``n_jobs`` (and of how many candidates a caller passes) makes the
-#: vectorised gains bitwise reproducible across parallel settings.
+#: of how many candidates a caller passes makes the vectorised gains
+#: bitwise reproducible across callers.
 SCORE_BLOCK = 32
 
 #: Strict-improvement margin of the selection scans; matches the serial
@@ -58,8 +53,7 @@ SCORE_BLOCK = 32
 TIE_EPS = 1e-15
 
 #: Inference-counter key -> exported observability counter name.  The
-#: inference counters are totals (and fork workers accumulate their own
-#: copies), so the engine exports *deltas* from the parent process only.
+#: inference counters are totals, so the engine exports *deltas*.
 _OBS_COUNTER_NAMES = {
     "evolutions": "engine.evolutions",
     "prefix_cache_hits": "engine.cache.hits",
@@ -77,8 +71,7 @@ class ScoringStats:
 
     Counter semantics: totals over the lifetime of the underlying
     :class:`~repro.core.inference.ReconInference` (so the window
-    evolutions performed at fit time are included), plus any work done
-    inside multiprocessing workers on its behalf.
+    evolutions performed at fit time are included).
     """
 
     #: ``T``-step chain evolutions performed (full + per-exclusion).
@@ -93,10 +86,6 @@ class ScoringStats:
     sequences_scored: int = 0
     #: Stacked scoring blocks evaluated.
     batches: int = 0
-    #: Pool batches re-scored serially after a fork-pool failure.
-    pool_fallbacks: int = 0
-    #: Parallelism the engine was configured with.
-    n_jobs: int = 1
 
     def rows(self) -> List[List[object]]:
         """``[name, value]`` rows for plain-text tables (CLI output)."""
@@ -107,12 +96,10 @@ class ScoringStats:
             ["prefix extensions", self.prefix_extensions],
             ["sequences scored", self.sequences_scored],
             ["scoring blocks", self.batches],
-            ["pool fallbacks", self.pool_fallbacks],
-            ["n_jobs", self.n_jobs],
         ]
 
 
-def _score_block_impl(
+def _score_block(
     inference: ReconInference,
     prefix: Tuple[int, ...],
     flows: Tuple[int, ...],
@@ -133,62 +120,25 @@ def _score_block_impl(
 WorkItem = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
-def _score_block(
-    shared: Tuple[ReconInference, int], item: WorkItem
-) -> Tuple[np.ndarray, Dict[str, int]]:
-    """One scoring block, plus the inference-counter growth elsewhere.
-
-    ``shared`` is the inference and the pid of the engine's process.  A
-    worker's counters grow on its fork copy of the inference, so it
-    returns the growth for the engine to fold into its stats; in the
-    engine's own process the counters grow in place and the delta is
-    empty.
-    """
-    inference, owner = shared
-    prefix, flows = item
-    if os.getpid() == owner:
-        return _score_block_impl(inference, prefix, flows), {}
-    before = dict(inference.counters)
-    gains = _score_block_impl(inference, prefix, flows)
-    delta = {
-        key: value - before.get(key, 0)
-        for key, value in inference.counters.items()
-    }
-    return gains, delta
-
-
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
 class ProbeScoringEngine:
-    """Batched, cached, optionally parallel probe scoring.
+    """Batched, cached probe scoring.
 
     One engine wraps one fitted
     :class:`~repro.core.inference.ReconInference`; the prefix cache (and
     therefore most of the speedup) lives on the inference object, so
     repeated selections against the same inference keep getting cheaper.
-
-    ``n_jobs > 1`` fans scoring blocks out over a fork pool.  Results
-    are identical across ``n_jobs`` settings: block shapes are fixed at
-    :data:`SCORE_BLOCK` and the winner scan always runs serially over
-    all gains in canonical candidate order.
+    Block shapes are fixed at :data:`SCORE_BLOCK` and the winner scan
+    runs over all gains in canonical candidate order.
     """
 
-    def __init__(
-        self,
-        inference: ReconInference,
-        *,
-        n_jobs: int = 1,
-    ) -> None:
-        if n_jobs < 1:
-            raise ValueError("n_jobs must be >= 1")
+    def __init__(self, inference: ReconInference) -> None:
         self.inference = inference
-        self.n_jobs = int(n_jobs)
-        self.stats = ScoringStats(n_jobs=self.n_jobs)
-        self._worker_deltas: Dict[str, int] = {}
+        self.stats = ScoringStats()
         # Whatever `use_instrumentation` installed (null by default).
         self._obs = get_instrumentation()
-        self._obs.metrics.gauge("engine.pool.n_jobs").set(self.n_jobs)
         self._obs_sequences = self._obs.metrics.counter(
             "engine.sequences_scored"
         )
@@ -238,39 +188,23 @@ class ProbeScoringEngine:
         return items
 
     def _map(self, items: Sequence[WorkItem]) -> List[np.ndarray]:
-        """Evaluate scoring blocks through a per-call :class:`ForkPool`.
-
-        A dead pool re-scores the whole batch serially in the parent
-        (the serial path shares the parent's prefix cache, so nothing
-        is lost but time), counted in ``stats.pool_fallbacks`` and the
-        ``engine.pool.fallbacks`` metric (:mod:`repro.parallel`).
-        """
-        shared = (self.inference, os.getpid())
-        with ForkPool(self.n_jobs, shared, name="engine") as pool:
-            results = pool.map(_score_block, items)
-        self.stats.pool_fallbacks += pool.fallbacks
-        for _, delta in results:
-            for key, value in delta.items():
-                self._worker_deltas[key] = (
-                    self._worker_deltas.get(key, 0) + value
-                )
-        return [gains for gains, _ in results]
+        """Gains of every scoring block, in item order."""
+        return [
+            _score_block(self.inference, prefix, flows)
+            for prefix, flows in items
+        ]
 
     def _refresh_counters(self) -> None:
-        """Fold inference counters + worker deltas into the stats."""
-        merged = dict(self.inference.counters)
-        for key, value in self._worker_deltas.items():
-            merged[key] = merged.get(key, 0) + value
-        self.stats.evolutions = merged.get("evolutions", 0)
-        self.stats.cache_hits = merged.get("prefix_cache_hits", 0)
-        self.stats.cache_misses = merged.get("prefix_cache_misses", 0)
-        self.stats.prefix_extensions = merged.get("prefix_extensions", 0)
+        """Fold the inference counters into the stats."""
+        counters = self.inference.counters
+        self.stats.evolutions = counters.get("evolutions", 0)
+        self.stats.cache_hits = counters.get("prefix_cache_hits", 0)
+        self.stats.cache_misses = counters.get("prefix_cache_misses", 0)
+        self.stats.prefix_extensions = counters.get("prefix_extensions", 0)
         if self._obs.enabled:
-            # Export the growth since the previous refresh; the merged
-            # totals already include fork-worker deltas, so counting in
-            # the parent here loses nothing and double-counts nothing.
+            # Export the growth since the previous refresh.
             for key, name in _OBS_COUNTER_NAMES.items():
-                total = merged.get(key, 0)
+                total = counters.get(key, 0)
                 delta = total - self._obs_base.get(key, 0)
                 if delta > 0:
                     self._obs.metrics.counter(name).inc(delta)
@@ -419,29 +353,11 @@ class ProbeScoringEngine:
 # ----------------------------------------------------------------------
 # Adaptive-session scoring (conditional gains given observed outcomes)
 # ----------------------------------------------------------------------
-#: Shared adaptive-scoring state: (model, w_full, w_absent, mass, prior).
-_AdaptiveState = Tuple[CompactModel, np.ndarray, np.ndarray, float, float]
-
-
-def _conditional_block(
-    state: _AdaptiveState, flows: Sequence[int]
-) -> np.ndarray:
-    """Conditional gains of one candidate block (2-outcome tables)."""
-    model, w_full, w_absent, mass, prior = state
-    miss, hit = coverage_split(
-        np.stack([w_full, w_absent]), model.coverage_matrix(flows)
-    )
-    outcome_probs = np.stack([miss[0], hit[0]]) / mass
-    joint_absent = np.stack([miss[1], hit[1]]) / mass
-    return gains_from_tables(prior, joint_absent, outcome_probs)
-
-
 def conditional_gains(
     model: CompactModel,
     w_full: np.ndarray,
     w_absent: np.ndarray,
     flows: Sequence[int],
-    n_jobs: int = 1,
 ) -> np.ndarray:
     """Conditional ``IG`` about ``X̂`` of each candidate probe, batched.
 
@@ -459,10 +375,14 @@ def conditional_gains(
     if mass <= 0.0:
         return np.zeros(len(flows))
     prior = min(float(w_absent.sum()) / mass, 1.0)
-    blocks = [
-        flows[start:start + SCORE_BLOCK]
-        for start in range(0, len(flows), SCORE_BLOCK)
-    ]
-    state = (model, w_full, w_absent, mass, prior)
-    with ForkPool(n_jobs, state, name="engine") as pool:
-        return np.concatenate(pool.map(_conditional_block, blocks))
+    weights = np.stack([w_full, w_absent])
+    gains = []
+    for start in range(0, len(flows), SCORE_BLOCK):
+        # Each block's 2-outcome tables: (miss, hit) x (full, absent).
+        miss, hit = coverage_split(
+            weights, model.coverage_matrix(flows[start:start + SCORE_BLOCK])
+        )
+        outcome_probs = np.stack([miss[0], hit[0]]) / mass
+        joint_absent = np.stack([miss[1], hit[1]]) / mass
+        gains.append(gains_from_tables(prior, joint_absent, outcome_probs))
+    return np.concatenate(gains)

@@ -8,9 +8,8 @@ joint outcome distribution depends on probe *order*; following the
 paper's non-adaptive formulation we evaluate each chosen set in a fixed
 canonical order (ascending flow index).
 
-Scoring runs on the batched, cached, optionally parallel
-:class:`~repro.core.engine.ProbeScoringEngine`; pass ``n_jobs > 1`` to
-fan candidate scoring out over processes.  The original per-candidate
+Scoring runs on the batched, cached
+:class:`~repro.core.engine.ProbeScoringEngine`.  The original per-candidate
 dict-walk loops are test oracles (``tests/oracles/probes.py``); the
 differential suite holds the engine to the same probes, with gains
 within 1e-12.
@@ -43,7 +42,6 @@ def best_single_probe(
     inference: ReconInference,
     *,
     candidates: Optional[Sequence[int]] = None,
-    n_jobs: int = 1,
     engine: Optional[ProbeScoringEngine] = None,
 ) -> ProbeChoice:
     """The single probe flow with the largest information gain.
@@ -52,11 +50,11 @@ def best_single_probe(
     model an attacker who cannot launch certain flows (e.g. the
     constrained attacker of Figure 7, who cannot probe the target).
     Ties break toward the lowest flow index for determinism.  Scoring
-    runs on the batched engine; pass ``n_jobs > 1`` for multiprocess
-    fan-out or ``engine`` to reuse one across calls.
+    runs on the batched engine; pass ``engine`` to reuse one across
+    calls.
     """
     if engine is None:
-        engine = ProbeScoringEngine(inference, n_jobs=n_jobs)
+        engine = ProbeScoringEngine(inference)
     probes, gain = engine.best_single(candidates)
     return ProbeChoice(probes=probes, gain=gain, stats=engine.stats)
 
@@ -67,7 +65,6 @@ def best_probe_set(
     *,
     candidates: Optional[Sequence[int]] = None,
     method: str = "exhaustive",
-    n_jobs: int = 1,
     engine: Optional[ProbeScoringEngine] = None,
 ) -> ProbeChoice:
     """The best set of ``n_probes`` probes by joint information gain.
@@ -75,11 +72,11 @@ def best_probe_set(
     ``method="exhaustive"`` scores every size-``n_probes`` combination;
     ``method="greedy"`` grows the set one probe at a time (standard
     submodular-style heuristic, much cheaper for large candidate pools).
-    Scoring runs on the batched engine; pass ``n_jobs > 1`` for
-    multiprocess fan-out or ``engine`` to reuse one across calls.
+    Scoring runs on the batched engine; pass ``engine`` to reuse one
+    across calls.
     """
     if engine is None:
-        engine = ProbeScoringEngine(inference, n_jobs=n_jobs)
+        engine = ProbeScoringEngine(inference)
     probes, gain = engine.best_set(n_probes, candidates, method=method)
     return ProbeChoice(probes=probes, gain=gain, stats=engine.stats)
 

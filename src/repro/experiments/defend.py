@@ -72,7 +72,11 @@ from repro.experiments.harness import (
     sample_screened_harnesses,
 )
 from repro.experiments.parallel import ExecutionStats
-from repro.experiments.robustness import DEFAULT_KINDS, _VIABLE_ABSENCE
+from repro.experiments.robustness import (
+    DEFAULT_KINDS,
+    _VIABLE_ABSENCE,
+    forward_counters,
+)
 from repro.faults import FAULT_KINDS, FaultPlan
 from repro.flows.arrival import sample_schedule
 from repro.flows.config import NetworkConfiguration
@@ -113,7 +117,6 @@ _CELL_COUNTERS: Tuple[str, ...] = tuple(
 ) + (
     "attacker.probe.retries",
     "attacker.probe.unobserved",
-    "engine.pool.fallbacks",
     "experiment.pool.fallbacks",
     # defense.packets_observed is deliberately NOT snapshotted: a
     # NoDefense observes packets the bare baseline never counts, and
@@ -510,14 +513,6 @@ def _benign_cost(
     return total_delay, total_delayed, per_packet, total_rules
 
 
-def _snapshot_counters(instrumentation: Instrumentation) -> Dict[str, int]:
-    """Totals of the cell counters accumulated on one backend."""
-    return {
-        name: int(instrumentation.metrics.counter(name).value)
-        for name in _CELL_COUNTERS
-    }
-
-
 # ----------------------------------------------------------------------
 # The sweep
 # ----------------------------------------------------------------------
@@ -641,18 +636,8 @@ def run_defend(
                     delay, delayed, per_packet, rules = _benign_cost(
                         harnesses, defense_name, [base_seed, 17]
                     )
-            counters = _snapshot_counters(inner)
-            observed = int(
-                inner.metrics.counter("defense.packets_observed").value
-            )
-            if outer.enabled:
-                if observed > 0:
-                    outer.metrics.counter(
-                        "defense.packets_observed"
-                    ).inc(observed)
-                for name, value in counters.items():
-                    if value > 0:
-                        outer.metrics.counter(name).inc(value)
+            counters = forward_counters(inner, outer, _CELL_COUNTERS)
+            forward_counters(inner, outer, ("defense.packets_observed",))
             accuracies: Dict[str, float] = {}
             names = sorted(
                 {name for result in bucket for name in result.accuracies}

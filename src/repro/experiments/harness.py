@@ -114,7 +114,6 @@ class ConfigHarness:
                 self.inference,
                 n_probes=params.n_probes,
                 decision=params.decision,
-                n_jobs=params.selection_n_jobs,
             )
         # Built on first use: the screens only consult the model
         # attacker's probe choice, so rejection-sampled candidates never
@@ -138,7 +137,6 @@ class ConfigHarness:
                     self.inference,
                     n_probes=self.params.n_probes,
                     decision=self.params.constrained_decision,
-                    n_jobs=self.params.selection_n_jobs,
                 )
         return self._constrained_attacker
 
@@ -354,8 +352,6 @@ def sample_screened_harnesses(
                 for _ in range(min(batch_size, remaining)):
                     batch.append(generator.sample())
                     states.append(generator.rng.bit_generator.state)
-                if execution is not None:
-                    execution.screen_batches += 1
                 # The previous batch's verdicts stay referenced until this
                 # map returns (see screening_verdicts on why that matters).
                 verdicts = pool.map(screening_verdicts, batch)

@@ -73,12 +73,8 @@ class ExecutionStats:
     n_jobs: int = 1
     #: Trials executed through :func:`run_planned_trials`.
     trials: int = 0
-    #: Chunks the trial maps were split into.
-    trial_chunks: int = 0
     #: Screening attempts consumed (accepted + rejected samples).
     screen_attempts: int = 0
-    #: Screening batches mapped (one candidate each in the parent).
-    screen_batches: int = 0
     #: Accepted configurations rebuilt in the parent after a pooled
     #: screen; a screen run in the parent hands its harness over.
     harness_builds: int = 0
@@ -90,9 +86,7 @@ class ExecutionStats:
         return [
             ["n_jobs", self.n_jobs],
             ["trials", self.trials],
-            ["trial chunks", self.trial_chunks],
             ["screen attempts", self.screen_attempts],
-            ["screen batches", self.screen_batches],
             ["harness builds", self.harness_builds],
             ["pool fallbacks", self.pool_fallbacks],
         ]
@@ -238,7 +232,6 @@ def run_planned_trials(
         results = pool.map(run_planned_trial, plans)
     if execution is not None:
         execution.trials += len(results)
-        execution.trial_chunks += pool.chunks
         execution.pool_fallbacks += pool.fallbacks
     return results
 
@@ -282,11 +275,7 @@ def screening_verdicts(
 
     Without ``context.rng`` the harness seeds its own generator from
     ``params.seed`` -- screening never draws from it -- and the caller
-    rebuilds accepted configurations on its own.  Inside
-    a screening worker the harness's probe selection runs serially
-    whatever ``params.selection_n_jobs`` says (a
-    :class:`~repro.parallel.ForkPool` worker never forks), and the
-    engine's gains are bit-identical for every ``n_jobs`` anyway.
+    rebuilds accepted configurations on its own.
 
     When the certified float32 fast screen applies
     (repro.experiments.fastscreen) and proves the candidate rejected,

@@ -44,9 +44,6 @@ class ExperimentParams:
     #: Apply the paper's detector-viability screen to configurations.
     screen: bool = True
     random_attacker_mode: str = "sample"
-    #: Processes for the probe-scoring engine's candidate fan-out
-    #: (1 = in-process; results are identical for every setting).
-    selection_n_jobs: int = 1
     #: Seeded fault injection applied to every trial (docs/FAULTS.md);
     #: ``None`` (and an all-zero plan) leaves trials bit-identical to
     #: the fault-free pipeline.
@@ -66,8 +63,6 @@ class ExperimentParams:
             raise ValueError(f"unknown trial mode: {self.trial_mode!r}")
         if self.n_probes < 1:
             raise ValueError("n_probes must be >= 1")
-        if self.selection_n_jobs < 1:
-            raise ValueError("selection_n_jobs must be >= 1")
         if self.probe_retries < 0:
             raise ValueError("probe_retries must be >= 0")
         if self.trial_jobs < 1:

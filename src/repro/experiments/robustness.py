@@ -55,7 +55,6 @@ _SWEEP_COUNTERS: Tuple[str, ...] = tuple(
 ) + (
     "attacker.probe.retries",
     "attacker.probe.unobserved",
-    "engine.pool.fallbacks",
     "experiment.pool.fallbacks",
 )
 
@@ -129,12 +128,24 @@ class RobustnessResult:
         }
 
 
-def _snapshot_counters(instrumentation: Instrumentation) -> Dict[str, int]:
-    """Totals of the sweep counters accumulated on one backend."""
-    return {
-        name: int(instrumentation.metrics.counter(name).value)
-        for name in _SWEEP_COUNTERS
+def forward_counters(
+    inner: Instrumentation,
+    outer: Instrumentation,
+    names: Sequence[str],
+) -> Dict[str, int]:
+    """Totals of ``names`` on ``inner``, each positive one re-emitted.
+
+    The sweeps count each rate or cell on a private backend; re-emitting
+    to ``outer`` keeps the session's ``--metrics`` output whole.
+    """
+    counters = {
+        name: int(inner.metrics.counter(name).value) for name in names
     }
+    if outer.enabled:
+        for name, value in counters.items():
+            if value > 0:
+                outer.metrics.counter(name).inc(value)
+    return counters
 
 
 def run_robustness(
@@ -205,11 +216,7 @@ def run_robustness(
                         )
                         for harness in harnesses
                     ]
-            counters = _snapshot_counters(inner)
-            if outer.enabled:
-                for name, value in counters.items():
-                    if value > 0:
-                        outer.metrics.counter(name).inc(value)
+            counters = forward_counters(inner, outer, _SWEEP_COUNTERS)
             results_per_rate.append(bucket)
             counters_per_rate.append(counters)
     return RobustnessResult(

@@ -4,7 +4,7 @@ The probability kernels (Eqns. 1--7 of the paper and the Section V
 probe-scoring engine) rest on invariants that unit tests cannot fully
 cover: cached distribution arrays must never be mutated by callers,
 every transition matrix must stay (sub)stochastic, and all randomness
-must thread from explicit seeds so ``n_jobs`` runs stay bitwise
+must thread from explicit seeds so ``trial_jobs`` runs stay bitwise
 identical.  This package encodes those invariants as AST-level lint
 rules with stable IDs:
 

@@ -5,7 +5,7 @@ Every fan-out in the package goes through
 silently inherits the parent's memory image, so it is easy to write a
 worker that *appears* to work while breaking both determinism
 contracts: drawing from a generator created in the parent clones the
-parent's stream into every fork (so ``n_jobs`` changes the numbers),
+parent's stream into every fork (so ``trial_jobs`` changes the numbers),
 and writing to the parent's :class:`~repro.obs.Instrumentation` records
 nothing or double-counts.  Captures often hide one hop away -- a worker
 imported from another module, or a clean-looking worker that calls a

@@ -5,7 +5,7 @@ depend on accumulation order, and serialised artifacts are diffed
 across runs -- so any value that flows out of a ``set`` must leave it
 in sorted order.  With hash randomisation, iterating a set of strings
 (or any hash-keyed object) permutes between *processes*, which is
-exactly the cross-``n_jobs`` nondeterminism the differential suites
+exactly the cross-``trial_jobs`` nondeterminism the differential suites
 guard against.
 
 The rule taints set-valued expressions (literals, comprehensions,

@@ -1,7 +1,7 @@
 """RNG001 -- all randomness must thread from explicit seeds.
 
-The differential suites of PR 1 assert that probe selection is bitwise
-identical across ``n_jobs`` settings, and every experiment is keyed by
+The differential suites assert that experiment results are bitwise
+identical across ``trial_jobs`` settings, and every experiment is keyed by
 ``ExperimentParams.seed``.  Both guarantees die the moment any code
 path draws from OS entropy: an unseeded ``np.random.default_rng()`` or
 a module-level global (``np.random.rand`` and friends, or the stdlib

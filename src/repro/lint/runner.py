@@ -64,7 +64,9 @@ def package_roots(paths: Sequence[str]) -> List[Path]:
     A given directory with an ``__init__.py`` is a package root; a
     given directory without one contributes each package directly
     under it (so ``src`` resolves to ``src/repro``).  Plain files
-    contribute none.
+    contribute none.  A root inside another root is dropped: the outer
+    one already covers its modules, and checking both would report each
+    finding there twice, under two module names.
     """
     roots: List[Path] = []
     for raw in paths:
@@ -79,7 +81,12 @@ def package_roots(paths: Sequence[str]) -> List[Path]:
                 if child.is_dir() and (child / "__init__.py").is_file()
             )
         roots.extend(root for root in candidates if root not in roots)
-    return roots
+    resolved = [root.resolve() for root in roots]
+    return [
+        root
+        for root, full in zip(roots, resolved)
+        if not any(other in full.parents for other in resolved)
+    ]
 
 
 def select_rule_ids(select: Optional[Iterable[str]]) -> Optional[Set[str]]:

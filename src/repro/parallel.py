@@ -2,10 +2,10 @@
 
 ``ForkPool(jobs, shared, name=...).map(fn, items)`` returns
 ``[fn(shared, item) for item in items]``, in item order, whether the
-calls ran in worker processes or in the parent.  Probe scoring
-(:mod:`repro.core.engine`), trial and screening fan-out
-(:mod:`repro.experiments.parallel`) and the session service
-(:mod:`repro.service.pool`) all fan out through it.
+calls ran in worker processes or in the parent.  Trial and screening
+fan-out (:mod:`repro.experiments.parallel`) and the session service
+(:mod:`repro.service.pool`) fan out through it; probe scoring runs in
+process.
 
 * **Shared state.**  ``shared`` reaches the workers through fork (the
   executor's initializer), never through pickling; each item and each
@@ -16,7 +16,7 @@ calls ran in worker processes or in the parent.  Probe scoring
   (:func:`in_worker`) -- so nested fan-outs never fork grandchildren.
 * **Chunking.**  Items go out in chunks of ``ceil(n / (4 * jobs))``,
   the rule ``multiprocessing.Pool.map`` uses by default.  Chunking never
-  changes results; :attr:`ForkPool.chunks` counts the chunks.
+  changes results.
 * **Counters.**  When the parent's observability backend is enabled,
   each chunk runs under a fresh :class:`~repro.obs.Instrumentation` and
   returns its counter totals; the parent re-emits the merged totals in
@@ -34,7 +34,8 @@ calls ran in worker processes or in the parent.  Probe scoring
 
 The executor is created on the first pooled map and lives until
 :meth:`ForkPool.close` (or the end of a ``with`` block): the service
-keeps one pool across jobs, the other sites build one per call.
+keeps one pool across jobs, the trial map and the screening loop
+build one per call.
 """
 
 from __future__ import annotations
@@ -106,8 +107,6 @@ class ForkPool:
         self.name = name
         #: Maps re-run serially after a pool failure (0 or 1).
         self.fallbacks = 0
-        #: Chunks the maps so far were split into.
-        self.chunks = 0
         self._executor: Optional[ProcessPoolExecutor] = None
         self._retired = False
 
@@ -126,13 +125,12 @@ class ForkPool:
     ) -> List[Result]:
         """``[fn(shared, item) for item in items]``, maybe across workers."""
         items = list(items)
+        if len(items) <= 1 or not self.pooled:
+            return [fn(self.shared, item) for item in items]
         size = max(1, -(-len(items) // (self.jobs * CHUNKS_PER_WORKER)))
         chunks = [
             items[start:start + size] for start in range(0, len(items), size)
         ]
-        self.chunks += len(chunks)
-        if len(items) <= 1 or not self.pooled:
-            return [fn(self.shared, item) for item in items]
         obs = get_instrumentation()
         try:
             if self._executor is None:

@@ -130,7 +130,6 @@ def plan_session(
         inference,
         n_probes=spec.n_probes,
         decision=spec.decision,
-        n_jobs=spec.selection_jobs,
     )
     random_attacker = RandomAttacker(
         prior_present=1.0 - inference.prior_absent(),

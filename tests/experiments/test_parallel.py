@@ -8,7 +8,7 @@ documents -- and that a dying pool degrades to the parent with identical
 results, counted in ``experiment.pool.fallbacks``.
 """
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -310,43 +310,33 @@ def _spec(params, experiment):
     return JobSpec.from_params(params, experiment=experiment)
 
 
-def _execution_fields(execution):
-    return {
-        name: getattr(execution, name)
-        for name in (
-            "n_jobs", "trials", "trial_chunks", "screen_attempts",
-            "screen_batches", "harness_builds", "pool_fallbacks",
-        )
-    }
-
-
 #: ``ExecutionStats`` of the tiny pipelines below.  At ``JOBS`` these are
-#: the fan-out's counts; in the parent, screens go one candidate per
-#: batch and every accepted harness is the one screened (no rebuilds).
+#: the fan-out's counts; in the parent every accepted harness is the one
+#: screened (no rebuilds).
 EXECUTION = {
     ("fig6", 1): dict(
-        n_jobs=1, trials=16, trial_chunks=8, screen_attempts=105,
-        screen_batches=105, harness_builds=0, pool_fallbacks=0,
+        n_jobs=1, trials=16, screen_attempts=105,
+        harness_builds=0, pool_fallbacks=0,
     ),
     ("fig6", JOBS): dict(
-        n_jobs=JOBS, trials=16, trial_chunks=16, screen_attempts=105,
-        screen_batches=27, harness_builds=2, pool_fallbacks=0,
+        n_jobs=JOBS, trials=16, screen_attempts=105,
+        harness_builds=2, pool_fallbacks=0,
     ),
     ("fig7", 1): dict(
-        n_jobs=1, trials=16, trial_chunks=8, screen_attempts=6,
-        screen_batches=6, harness_builds=0, pool_fallbacks=0,
+        n_jobs=1, trials=16, screen_attempts=6,
+        harness_builds=0, pool_fallbacks=0,
     ),
     ("fig7", JOBS): dict(
-        n_jobs=JOBS, trials=16, trial_chunks=16, screen_attempts=6,
-        screen_batches=2, harness_builds=2, pool_fallbacks=0,
+        n_jobs=JOBS, trials=16, screen_attempts=6,
+        harness_builds=2, pool_fallbacks=0,
     ),
     ("robustness", 1): dict(
-        n_jobs=1, trials=24, trial_chunks=12, screen_attempts=3,
-        screen_batches=3, harness_builds=0, pool_fallbacks=0,
+        n_jobs=1, trials=24, screen_attempts=3,
+        harness_builds=0, pool_fallbacks=0,
     ),
     ("robustness", JOBS): dict(
-        n_jobs=JOBS, trials=24, trial_chunks=24, screen_attempts=3,
-        screen_batches=1, harness_builds=2, pool_fallbacks=0,
+        n_jobs=JOBS, trials=24, screen_attempts=3,
+        harness_builds=2, pool_fallbacks=0,
     ),
 }
 
@@ -375,7 +365,7 @@ class TestPipelineDifferentials:
             assert fanned.execution is not None
             assert fanned.execution.n_jobs == trial_jobs
             assert fanned.execution.trials > 0
-            assert _execution_fields(fanned.execution) == (
+            assert asdict(fanned.execution) == (
                 EXECUTION["fig6", trial_jobs]
             )
 
@@ -401,7 +391,7 @@ class TestPipelineDifferentials:
             assert _normalized(
                 fig7_to_document(serial, params=params)
             ) == _normalized(fig7_to_document(fanned, params=fanned_params))
-            assert _execution_fields(fanned.execution) == (
+            assert asdict(fanned.execution) == (
                 EXECUTION["fig7", trial_jobs]
             )
 
@@ -433,7 +423,7 @@ class TestPipelineDifferentials:
             ) == _normalized(
                 robustness_to_document(fanned, params=fanned_params)
             )
-            assert _execution_fields(fanned.execution) == (
+            assert asdict(fanned.execution) == (
                 EXECUTION["robustness", trial_jobs]
             )
 

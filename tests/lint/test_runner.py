@@ -119,6 +119,17 @@ class TestPackageRoots:
         paths = [str(package / "model.py"), str(package), str(package)]
         assert package_roots(paths) == [package]
 
+    def test_nested_roots_keep_the_outermost(self):
+        # tests/lint is a package holding the escape fixture package;
+        # checking both roots used to report each finding twice.
+        lint_tests = Path(__file__).parent
+        escape = PACKAGES / "escape"
+        assert package_roots([str(escape), str(lint_tests)]) == [lint_tests]
+        findings = run_checks([str(lint_tests), str(escape)], select="MUT102")
+        assert [(Path(f.path).name, f.line, f.symbol) for f in findings] == [
+            ("holder.py", 12, "lint.project.fixtures.escape.holder.Holder.corrupt")
+        ]
+
 
 class TestOneParse:
     def test_each_file_is_parsed_once(self, tmp_path, monkeypatch):

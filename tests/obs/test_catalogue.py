@@ -62,7 +62,7 @@ def catalogued_names():
 def test_collector_finds_the_instrumentation():
     names = emitted_names()
     # One of each kind, so a broken collector cannot pass vacuously.
-    for expected in ("sim.table.hits", "engine.pool.n_jobs",
+    for expected in ("sim.table.hits", "service.sessions.active",
                      "engine.score.batch_ms", "engine.select",
                      "experiment.trial_batch", "kernel.sparse.matvecs"):
         assert expected in names

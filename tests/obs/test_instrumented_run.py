@@ -44,7 +44,9 @@ def test_engine_histogram_and_gauge(instrumented_run):
     batch_ms = document["histograms"]["engine.score.batch_ms"]
     assert batch_ms["count"] > 0
     assert batch_ms["min"] >= 0.0
-    assert document["gauges"]["engine.pool.n_jobs"] == 1.0
+    # Scoring runs in process: the engine reports no pool gauge.
+    gauges = document["gauges"]
+    assert not [name for name in gauges if name.startswith("engine.")]
 
 
 def test_phases_record_wall_and_cpu(instrumented_run):

@@ -69,14 +69,15 @@ class TestRoundTrips:
         spec = JobSpec(config=tiny_config_params(), seed=1)
         for legacy in ({"kernel": "dense"}, {"simpath": "reference"},
                        {"kernel": "auto", "simpath": "fastpath"},
-                       {"estimator": "independent"}):
+                       {"estimator": "independent"},
+                       {"selection_jobs": 2}):
             document = {**spec.to_dict(), **legacy}
             assert JobSpec.from_dict(document) == spec
             assert JobSpec.from_dict(document).digest() == spec.digest()
 
     @pytest.mark.parametrize(
         "legacy", [{"kernel": "bogus"}, {"simpath": "turbo"},
-                   {"estimator": "montecarlo"}]
+                   {"estimator": "montecarlo"}, {"selection_jobs": 0}]
     )
     def test_from_dict_rejects_invalid_legacy_values(self, legacy):
         document = {**JobSpec(seed=1).to_dict(), **legacy}

@@ -117,17 +117,18 @@ class TestExecution:
         args = build_parser().parse_args(["select"])
         assert args.probes == 2
         assert args.method == "exhaustive"
-        assert args.jobs == 1
+        assert not hasattr(args, "jobs")
 
     def test_canonical_jobs_and_out_flags_everywhere(self):
         """Every subcommand that fans out or saves takes the canonical
         spelling."""
         parser = build_parser()
-        for command in ("select", "fig6a", "robustness", "submit"):
-            argv = [command, "--jobs", "3"]
+        for command in ("fig6a", "reproduce", "robustness", "defend",
+                        "submit"):
+            argv = [command, "--trial-jobs", "3"]
             if command == "submit":
                 argv.insert(1, "recon")
-            assert parser.parse_args(argv).jobs == 3
+            assert parser.parse_args(argv).trial_jobs == 3
         for command in ("fig6a", "fig7b", "headline", "reproduce",
                         "robustness"):
             args = parser.parse_args([command, "--out", "x.json"])
@@ -140,8 +141,9 @@ class TestExecution:
             ["fig6a", "--save", "x.json"],
             ["select", "--kernel", "sparse"],
             ["fig6a", "--simpath", "fastpath"],
+            ["select", "--jobs", "2"],
         ],
-        ids=["n-jobs", "save", "kernel", "simpath"],
+        ids=["n-jobs", "save", "kernel", "simpath", "jobs"],
     )
     def test_removed_flags_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -156,8 +158,9 @@ class TestExecution:
             if action.choices and "fig6a" in action.choices
         )
         help_text = sub.choices["fig6a"].format_help()
-        assert "--out" in help_text and "--jobs" in help_text
+        assert "--out" in help_text and "--trial-jobs" in help_text
         assert "--save" not in help_text and "--n-jobs" not in help_text
+        assert "--jobs" not in help_text
 
     def test_common_flags_everywhere(self):
         parser = build_parser()

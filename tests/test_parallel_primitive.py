@@ -141,10 +141,20 @@ class TestHealthyPool:
         assert os.getpid() not in pids
         assert pool.fallbacks == 0
 
-    def test_chunks_follow_the_pool_map_rule(self):
+    def test_chunks_follow_the_pool_map_rule(self, monkeypatch):
+        sizes = []
+
+        class _RecordingExecutor(primitive.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                chunks = list(iterables[1])
+                sizes.extend(len(chunk) for chunk in chunks)
+                return super().map(fn, iterables[0], chunks, *iterables[2:])
+
+        monkeypatch.setattr(primitive, "ProcessPoolExecutor", _RecordingExecutor)
         with ForkPool(2, SHARED, name=NAME) as pool, hang_guard():
-            pool.map(_value, range(10))  # ceil(10 / 8) = 2 per chunk
-        assert pool.chunks == 5
+            values = pool.map(_value, range(10))  # ceil(10 / 8) = 2 per chunk
+        assert values == [_value(SHARED, item) for item in range(10)]
+        assert sizes == [2] * 5
 
     def test_worker_counters_merge_into_the_parent(self):
         with ForkPool(2, SHARED, name=NAME) as pool:
