@@ -11,9 +11,12 @@ process.
   executor's initializer), never through pickling; each item and each
   result is pickled.  ``fn`` must be a module-level function.
 * **Serial cases.**  The map runs in the parent when ``jobs <= 1``, when
-  there is at most one item, when the platform has no fork start
-  method, or when the caller is itself a ``ForkPool`` worker
-  (:func:`in_worker`) -- so nested fan-outs never fork grandchildren.
+  there is no item, when there is one item and no executor is running
+  yet, when the platform has no fork start method, or when the caller is
+  itself a ``ForkPool`` worker (:func:`in_worker`) -- so nested fan-outs
+  never fork grandchildren.  A single item does not start workers, but
+  goes to running ones: a persistent pool's workers hold warm
+  per-process caches that the parent may lack.
 * **Chunking.**  Items go out in chunks of ``ceil(n / (4 * jobs))``,
   the rule ``multiprocessing.Pool.map`` uses by default.  Chunking never
   changes results.
@@ -125,7 +128,9 @@ class ForkPool:
     ) -> List[Result]:
         """``[fn(shared, item) for item in items]``, maybe across workers."""
         items = list(items)
-        if len(items) <= 1 or not self.pooled:
+        # One item starts no workers, but goes to running ones.
+        too_few = len(items) <= (1 if self._executor is None else 0)
+        if too_few or not self.pooled:
             return [fn(self.shared, item) for item in items]
         size = max(1, -(-len(items) // (self.jobs * CHUNKS_PER_WORKER)))
         chunks = [

@@ -28,7 +28,6 @@ from repro.service.service import (
 from repro.service.sessions import (
     eligible_targets,
     plan_session,
-    rescore_trials,
     session_row,
 )
 from repro.service.spool import list_pending, submit_spec
@@ -44,7 +43,6 @@ __all__ = [
     "job_document",
     "list_pending",
     "plan_session",
-    "rescore_trials",
     "resume_spec",
     "serve_jobs",
     "session_document",

@@ -3,36 +3,79 @@
 Unlike the per-call pools of :mod:`repro.experiments.parallel` (built
 and torn down inside one ``run_trials`` call), the service keeps one
 :class:`~repro.parallel.ForkPool` alive across jobs and ships each
-session to it as a single item: the picklable trial context plus its
-pre-drawn plans.  The payload runs
-:func:`~repro.experiments.parallel.run_planned_trial` over each plan,
-so a pooled session returns bit-identical ``TrialResult`` lists to
-running the same plans serially.
+session to it as a single item: the scenario key, the scenario, the
+spec, the session index and the target flow.  The payload plans the
+session (:func:`~repro.service.sessions.plan_session`), runs its trials
+with the real attacker lineup through
+:func:`~repro.experiments.parallel.run_planned_trial` and returns the
+session's checkpoint row.  Every input of a session is a pure function
+of ``(spec, index, target)``, so a pooled session returns the row the
+parent would have computed.
+
+The expensive per-scenario object, the
+:class:`~repro.core.compact_model.CompactModel`, is memoised per
+process in :attr:`SessionPool.models` (the pool's ``shared``): workers
+inherit the parent's dict at fork and then fill their own copy, so a
+scenario first served after the fork is built once per worker that
+runs one of its sessions.  On the serial path the parent's copy fills.
 
 Failure discipline is the primitive's: any exception escaping the pool
 (executor start failure, a worker exception, a worker killed mid-batch)
 permanently retires the pool for this service instance, bumps
 ``service.pool.fallbacks``, and every session from then on runs
-serially in the parent -- same plans, same results, no retry storms
+serially in the parent -- same inputs, same rows, no retry storms
 against a dead pool.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments.parallel import TrialContext, TrialPlan, run_planned_trial
-from repro.experiments.trials import TrialResult
+from repro.apispec import JobSpec
+from repro.core.compact_model import CompactModel
+from repro.experiments.parallel import TrialContext, run_planned_trial
+from repro.flows.config import NetworkConfiguration
+from repro.obs import get_instrumentation
 from repro.parallel import ForkPool
+from repro.service import sessions
 
-#: One session: its trial context and its pre-drawn plans.
-SessionTask = Tuple[TrialContext, Sequence[TrialPlan]]
+#: One session: scenario key, scenario, spec, session index, target flow.
+SessionTask = Tuple[str, NetworkConfiguration, JobSpec, int, int]
 
 
-def _run_session(_shared: None, task: SessionTask) -> List[TrialResult]:
-    """Run one whole session's trials (in a worker or the parent)."""
-    context, plans = task
-    return [run_planned_trial(context, plan) for plan in plans]
+def _run_session(
+    models: Dict[str, CompactModel], task: SessionTask
+) -> Dict[str, object]:
+    """Plan, run and score one session (in a worker or the parent)."""
+    key, scenario, spec, index, target = task
+    obs = get_instrumentation()
+    model = models.get(key)
+    if model is None:
+        with obs.span("service.model_build", job=spec.job_id or ""):
+            model = CompactModel(
+                scenario.policy,
+                scenario.universe,
+                scenario.delta,
+                scenario.cache_size,
+            )
+        models[key] = model
+    with obs.span(
+        "service.session.plan", job=spec.job_id or "", session=index, target=target
+    ):
+        # Looked up on the module, so a wrapped ``plan_session`` (a
+        # tracer's) is the one called.
+        runtime = sessions.plan_session(model, scenario, spec, index, target)
+    context = TrialContext(
+        config=runtime.config,
+        lineup=runtime.lineup,
+        mode=spec.trial_mode,
+        latency=None,
+        defense_factory=None,
+        fault_plan=spec.fault_plan,
+        probe_retries=spec.probe_retries,
+    )
+    results = [run_planned_trial(context, plan) for plan in runtime.trials]
+    return sessions.session_row(runtime, results)
 
 
 class SessionPool:
@@ -46,7 +89,9 @@ class SessionPool:
 
     def __init__(self, shards: int = 1) -> None:
         self.shards = max(1, int(shards))
-        self._pool = ForkPool(self.shards, name="service")
+        #: Scenario key -> compact model, memoised per process.
+        self.models: Dict[str, CompactModel] = {}
+        self._pool = ForkPool(self.shards, self.models, name="service")
 
     @property
     def pooled(self) -> bool:
@@ -55,16 +100,14 @@ class SessionPool:
 
     def run_sessions(
         self, tasks: Sequence[SessionTask]
-    ) -> List[List[TrialResult]]:
-        """Run several sessions' trials, one pool item per session.
+    ) -> List[Dict[str, object]]:
+        """Run several whole sessions, one pool item per session.
 
-        Returns per-session ``TrialResult`` lists in task order.  On
-        any pool failure the *whole batch* re-runs serially (trials are
-        pure functions of their plans) and the pool is retired.
+        Returns the sessions' checkpoint rows in task order.  On any
+        pool failure the *whole batch* re-runs serially (sessions are
+        pure functions of their tasks) and the pool is retired.
         """
-        return self._pool.map(
-            _run_session, [(context, tuple(plans)) for context, plans in tasks]
-        )
+        return self._pool.map(_run_session, tasks)
 
     def close(self) -> None:
         """Shut the pool down cleanly (idempotent)."""

@@ -7,10 +7,11 @@ and fall into two classes:
 
 * ``recon`` jobs: one scenario (sampled from the spec's configuration
   parameters and seed), reconnoitred target-by-target.  Each target is
-  a *session* (probe selection + trials); sessions are planned in the
-  parent with PR 5's pre-drawn randomness, sharded across the
-  persistent :class:`~repro.service.pool.SessionPool`, checkpointed
-  one ``ResultDocument`` each, and aggregated into the job result.
+  a *session* (probe selection + trials); sessions are sharded across
+  the persistent :class:`~repro.service.pool.SessionPool`, which plans,
+  runs and scores each one whole (in a worker, or in the parent on the
+  serial path), and the parent checkpoints one ``ResultDocument`` per
+  session and aggregates them into the job result.
 * batch jobs (``fig6``/``fig7``/``robustness``): dispatched to the
   existing experiment runners and persisted in the same envelope.
 
@@ -33,8 +34,6 @@ import asyncio
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.apispec import JobSpec
-from repro.core.compact_model import CompactModel
-from repro.experiments.parallel import TrialContext
 from repro.flows.config import ConfigGenerator, NetworkConfiguration
 from repro.obs import get_instrumentation
 from repro.service.checkpoint import (
@@ -43,14 +42,8 @@ from repro.service.checkpoint import (
     job_document,
     session_document,
 )
-from repro.service.pool import SessionPool
-from repro.service.sessions import (
-    SessionRuntime,
-    eligible_targets,
-    plan_session,
-    rescore_trials,
-    session_row,
-)
+from repro.service.pool import SessionPool, SessionTask
+from repro.service.sessions import eligible_targets
 
 #: Experiments the service accepts (others have no service semantics:
 #: ``reproduce`` composes jobs, ``select`` is interactive tooling).
@@ -113,11 +106,9 @@ class ReconService:
         self._queue: "asyncio.Queue[JobSpec]" = asyncio.Queue()
         self._pending: Dict[str, JobSpec] = {}
         self._completed: Dict[str, Dict[str, object]] = {}
-        #: One model per scenario key; sessions of a job (and resubmitted
-        #: jobs with the same scenario) share the transition-power caches.
-        self._models: Dict[
-            str, Tuple[NetworkConfiguration, CompactModel]
-        ] = {}
+        #: One sampled scenario per scenario key; its compact model is
+        #: memoised per process by the pool (``self.pool.models``).
+        self._scenarios: Dict[str, NetworkConfiguration] = {}
 
     # ------------------------------------------------------------------
     # Submission
@@ -191,29 +182,14 @@ class ReconService:
                 spec.job_id or "?", completed, pending
             )
 
-    def _scenario_for(
-        self, spec: JobSpec
-    ) -> Tuple[NetworkConfiguration, CompactModel]:
-        """The job's sampled scenario and its (cached) compact model."""
-        params = spec.to_params()
-        key = self._scenario_key(spec)
-        cached = self._models.get(key)
-        if cached is not None:
-            return cached
-        obs = get_instrumentation()
-        generator = ConfigGenerator(params.config, seed=spec.seed)
-        scenario = generator.sample()
-        with obs.span(
-            "service.model_build", job=spec.job_id or ""
-        ):
-            model = CompactModel(
-                scenario.policy,
-                scenario.universe,
-                scenario.delta,
-                scenario.cache_size,
-            )
-        self._models[key] = (scenario, model)
-        return scenario, model
+    def _scenario_for(self, key: str, spec: JobSpec) -> NetworkConfiguration:
+        """The job's sampled scenario (cached per scenario ``key``)."""
+        scenario = self._scenarios.get(key)
+        if scenario is None:
+            params = spec.to_params()
+            scenario = ConfigGenerator(params.config, seed=spec.seed).sample()
+            self._scenarios[key] = scenario
+        return scenario
 
     @staticmethod
     def _scenario_key(spec: JobSpec) -> str:
@@ -225,7 +201,8 @@ class ReconService:
         job_id = spec.job_id
         assert job_id is not None
         obs = get_instrumentation()
-        scenario, model = self._scenario_for(spec)
+        key = self._scenario_key(spec)
+        scenario = self._scenario_for(key, spec)
         targets = eligible_targets(scenario, spec)
 
         rows: Dict[int, Dict[str, object]] = {}
@@ -246,36 +223,22 @@ class ReconService:
             if self.max_sessions is not None:
                 batch = batch[: self.max_sessions - self.sessions_run]
             pending = pending[len(batch):]
-            runtimes: List[SessionRuntime] = []
-            active.set(len(batch))
+            tasks: List[SessionTask] = [
+                (key, scenario, spec, index, target) for index, target in batch
+            ]
+            active.set(len(tasks))
             try:
-                for index, target in batch:
-                    with obs.span(
-                        "service.session.plan",
-                        job=job_id,
-                        session=index,
-                        target=target,
-                    ):
-                        runtimes.append(
-                            plan_session(model, scenario, spec, index, target)
-                        )
-                tasks = [
-                    (self._trial_context(spec, runtime), runtime.trials)
-                    for runtime in runtimes
-                ]
                 with obs.span(
                     "service.session.batch", job=job_id, sessions=len(tasks)
                 ):
-                    batch_results = self.pool.run_sessions(tasks)
+                    batch_rows = self.pool.run_sessions(tasks)
             finally:
                 active.set(0)
-            for runtime, results in zip(runtimes, batch_results):
-                rescored = rescore_trials(results, runtime.lineup)
-                row = session_row(runtime, rescored)
+            for (index, _), row in zip(batch, batch_rows):
                 self.store.write_session(
-                    job_id, runtime.index, session_document(spec, row)
+                    job_id, index, session_document(spec, row)
                 )
-                rows[runtime.index] = row
+                rows[index] = row
                 self.sessions_run += 1
                 obs.metrics.counter("service.sessions.completed").inc()
             # Yield between batches so a long job cannot starve other
@@ -287,19 +250,6 @@ class ReconService:
         )
         self.store.write_result(job_id, document)
         return document
-
-    def _trial_context(
-        self, spec: JobSpec, runtime: SessionRuntime
-    ) -> TrialContext:
-        return TrialContext(
-            config=runtime.config,
-            lineup=runtime.worker_lineup,
-            mode=spec.trial_mode,
-            latency=None,
-            defense_factory=None,
-            fault_plan=spec.fault_plan,
-            probe_retries=spec.probe_retries,
-        )
 
     async def _run_batch(self, spec: JobSpec) -> Dict[str, object]:
         """Dispatch a fig6/fig7/robustness/defend job to its runner."""

@@ -3,36 +3,33 @@
 A *session* is one target flow reconnoitred against one shared scenario
 (the sampled network configuration of a ``recon`` job): probe
 selection, then ``n_trials`` Monte Carlo trials.  Sessions reuse the
-PR 5 determinism discipline end to end:
+planned-trial determinism discipline end to end:
 
 * every session owns a seeded generator ``default_rng([job_seed,
-  session_index])`` -- independent of execution order, so a resumed
-  service replans the exact same sessions;
+  session_index])`` -- independent of execution order and of the
+  process it runs in, so a resumed or sharded service plans the exact
+  same sessions;
 * the per-trial randomness (seed integer + probeless verdicts) is
-  pre-drawn in the parent by
-  :func:`~repro.experiments.parallel.plan_trials`, in exactly the
-  serial draw order of ``ConfigHarness.run_trials``;
-* pool workers receive only picklable stand-ins
-  (:class:`~repro.experiments.parallel._ScriptedAttacker` replays the
-  pre-drawn verdicts; :class:`ProbeOnlyAttacker` replays the planned
-  probe set) and return raw probe outcomes; the parent recomputes the
-  probing attackers' decisions from those outcomes
-  (:func:`rescore_trials`) -- ``decide`` is a pure function of the
-  outcome bits, so the rescored decisions are bit-identical to running
-  the real attackers in-trial.
+  pre-drawn by :func:`~repro.experiments.parallel.plan_trials`, in
+  exactly the serial draw order of ``ConfigHarness.run_trials``;
+* the probing attackers decide inside each trial from its outcome bits,
+  exactly as in the harness.
 
+The service runs a whole session -- :func:`plan_session`, the trials
+and :func:`session_row` -- as one item of its
+:class:`~repro.service.pool.SessionPool`, in a worker or in the parent.
 The one expensive per-scenario object -- the
 :class:`~repro.core.compact_model.CompactModel` with its shared
-transition-power caches -- is built once by the service and passed in;
-per-session work is the target-excluded evolution plus the trials,
-which is where the service's sessions/sec advantage over serially
-looping full harnesses comes from (BENCH_service.json).
+transition-power caches -- is memoised per process by the pool and
+passed in; per-session work is the target-excluded evolution plus the
+trials, which is where the service's sessions/sec advantage over
+serially looping full harnesses comes from (BENCH_service.json).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -55,41 +52,19 @@ from repro.flows.config import NetworkConfiguration
 SESSION_ATTACKERS: Tuple[str, ...] = ("naive", "model", "random")
 
 
-class ProbeOnlyAttacker(Attacker):
-    """Replays a pre-selected probe set inside a pool worker.
-
-    Probe *selection* is expensive and already done in the parent; the
-    worker only needs the probe flows to inject.  Its ``decide`` is a
-    placeholder -- the parent recomputes the real decision from the
-    returned outcome bits via :func:`rescore_trials`.
-    """
-
-    def __init__(self, name: str, probes: Sequence[int]) -> None:
-        self.name = name
-        self._probes = tuple(int(p) for p in probes)
-
-    def plan(self) -> Tuple[int, ...]:
-        return self._probes
-
-    def decide(self, outcomes: Sequence[Optional[int]]) -> int:
-        return 0
-
-
 @dataclass(frozen=True)
 class SessionRuntime:
     """One planned session: everything needed to run and score it.
 
     ``config`` is the job scenario retargeted at this session's flow;
-    ``lineup`` holds the real (parent-side) attackers; ``worker_lineup``
-    the picklable stand-ins shipped to pool workers; ``trials`` the
-    pre-drawn per-trial randomness.
+    ``lineup`` holds the session's attackers; ``trials`` the pre-drawn
+    per-trial randomness.
     """
 
     index: int
     target_flow: int
     config: NetworkConfiguration
     lineup: Tuple[Attacker, ...]
-    worker_lineup: Tuple[Attacker, ...]
     trials: Tuple[TrialPlan, ...]
     prior_absent: float
     probes: Tuple[int, ...]
@@ -138,18 +113,11 @@ def plan_session(
     )
     lineup: Tuple[Attacker, ...] = (naive, model_attacker, random_attacker)
     trials = tuple(plan_trials(rng, lineup, spec.n_trials))
-    worker_lineup = tuple(
-        attacker
-        if not attacker.plan()
-        else ProbeOnlyAttacker(attacker.name, attacker.plan())
-        for attacker in lineup
-    )
     return SessionRuntime(
         index=int(index),
         target_flow=int(target_flow),
         config=config,
         lineup=lineup,
-        worker_lineup=worker_lineup,
         trials=trials,
         prior_absent=float(inference.prior_absent()),
         probes=tuple(model_attacker.probes),
@@ -180,29 +148,6 @@ def eligible_targets(scenario: NetworkConfiguration, spec: JobSpec) -> Tuple[int
     if not covered:
         raise ValueError("scenario has no policy-covered flows to target")
     return tuple(covered[: spec.n_targets])
-
-
-def rescore_trials(
-    results: Sequence[TrialResult], lineup: Sequence[Attacker]
-) -> List[TrialResult]:
-    """Recompute probing attackers' decisions from recorded outcomes.
-
-    ``decide`` is pure given the outcome bits (decision trees and query
-    bits carry no trial state), so rescoring results produced with
-    :class:`ProbeOnlyAttacker` stand-ins -- or re-rescoring real
-    in-trial decisions -- yields exactly the serial loop's decisions.
-    Probeless attackers keep their (scripted) in-trial verdicts.
-    """
-    probing = [attacker for attacker in lineup if attacker.plan()]
-    rescored: List[TrialResult] = []
-    for trial in results:
-        decisions = dict(trial.decisions)
-        for attacker in probing:
-            decisions[attacker.name] = int(
-                attacker.decide(trial.outcomes[attacker.name])
-            )
-        rescored.append(replace(trial, decisions=decisions))
-    return rescored
 
 
 def session_row(

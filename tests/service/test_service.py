@@ -7,12 +7,17 @@ The central pins:
 * session accuracies equal a serially built
   :class:`~repro.experiments.harness.ConfigHarness` on the retargeted
   configuration with the session's generator (the differential gate);
-* pool death degrades to the serial fallback, bumps
-  ``service.pool.fallbacks``, and changes no results;
+* pool death -- a worker killed while planning or while running
+  trials -- degrades to the serial fallback, bumps
+  ``service.pool.fallbacks``, and changes no results; a platform
+  without fork runs serially with no fallback counted;
+* the compact model lives where the session runs: a pooled service
+  never builds one in the parent, a serial one builds one per scenario;
 * duplicate job ids are rejected, identical resubmission resumes.
 """
 
 import asyncio
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -21,6 +26,8 @@ import pytest
 
 import repro.experiments.parallel as parallel_mod
 import repro.parallel as primitive
+import repro.service.sessions as sessions_mod
+from repro.core.compact_model import CompactModel
 from repro.experiments.harness import ConfigHarness
 from repro.flows.config import ConfigGenerator
 from repro.obs import Instrumentation, use_instrumentation
@@ -30,13 +37,26 @@ from repro.service import (
     ServiceBudgetExhausted,
     serve_jobs,
 )
-from repro.service.sessions import eligible_targets
+from repro.service.sessions import SESSION_ATTACKERS, eligible_targets
 from tests.service.conftest import tiny_recon_spec
 from tests.test_parallel_primitive import hang_guard
 
 
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+
+
 def _digests(state, job_id):
     return CheckpointStore(state).digests(job_id)
+
+
+def _serve(service, *specs):
+    """Submit ``specs`` to ``service`` and drain it."""
+    for spec in specs:
+        service.submit(spec)
+    return asyncio.run(service.drain())
 
 
 @pytest.fixture(scope="module")
@@ -182,19 +202,24 @@ class TestPoolFallback:
         assert results[job_id]["metrics"] == document["metrics"]
 
 
+    @pytest.mark.parametrize("kill_point", ["planning", "trials"])
     def test_worker_killed_mid_batch_falls_back(
-        self, reference, tmp_path, monkeypatch
+        self, reference, tmp_path, monkeypatch, kill_point
     ):
         spec, job_id, expected, document = reference
         parent = os.getpid()
-        run_trial = parallel_mod.run_trial
+        module, name = {
+            "planning": (sessions_mod, "ReconInference"),
+            "trials": (parallel_mod, "run_trial"),
+        }[kill_point]
+        original = getattr(module, name)
 
         def _die_in_worker(*args, **kwargs):
             if os.getpid() != parent:
                 os._exit(1)
-            return run_trial(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(parallel_mod, "run_trial", _die_in_worker)
+        monkeypatch.setattr(module, name, _die_in_worker)
         service = ReconService(tmp_path / "state", shards=2)
         obs = Instrumentation()
         try:
@@ -207,6 +232,146 @@ class TestPoolFallback:
         assert not service.pool.pooled
         assert _digests(tmp_path / "state", job_id) == expected
         assert results[job_id]["metrics"] == document["metrics"]
+
+    def test_no_fork_start_method_runs_serially(
+        self, reference, tmp_path, monkeypatch
+    ):
+        spec, job_id, expected, _ = reference
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        service = ReconService(tmp_path / "state", shards=2)
+        obs = Instrumentation()
+        try:
+            with use_instrumentation(obs):
+                _serve(service, spec)
+        finally:
+            service.close()
+        assert not service.pool.pooled
+        assert obs.metrics.counter("service.pool.fallbacks").value == 0
+        assert _digests(tmp_path / "state", job_id) == expected
+
+
+@pytest.fixture
+def model_builds(monkeypatch, tmp_path):
+    """Record the pid of every ``CompactModel`` build, workers included.
+
+    Workers are forked after the patch, so they inherit it; each build
+    appends one line to a shared file (``O_APPEND`` writes this short
+    do not interleave).
+    """
+    log = tmp_path / "model-builds.log"
+    init = CompactModel.__init__
+
+    def _recording_init(self, *args, **kwargs):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompactModel, "__init__", _recording_init)
+
+    def _pids():
+        if not log.exists():
+            return []
+        return [int(line) for line in log.read_text().split()]
+
+    return _pids
+
+
+class TestModelPlacement:
+    @needs_fork
+    def test_pooled_service_never_builds_a_model_in_the_parent(
+        self, reference, tmp_path, model_builds
+    ):
+        spec, job_id, expected, _ = reference
+        service = ReconService(tmp_path / "state", shards=2)
+        try:
+            with hang_guard():
+                _serve(service, spec)
+            assert service.pool.pooled
+        finally:
+            service.close()
+        pids = model_builds()
+        assert pids, "no session built a model"
+        assert os.getpid() not in pids
+        assert not service.pool.models
+        assert _digests(tmp_path / "state", job_id) == expected
+
+    def test_serial_service_builds_one_model_per_scenario(
+        self, tmp_path, model_builds
+    ):
+        specs = [
+            tiny_recon_spec(job_id="a", targets=(0, 1)),
+            tiny_recon_spec(job_id="b", targets=(2, 3)),
+            tiny_recon_spec(job_id="c", seed=12, n_targets=2),
+        ]
+        service = ReconService(tmp_path / "state", shards=1)
+        try:
+            _serve(service, *specs)
+        finally:
+            service.close()
+        assert model_builds() == [os.getpid()] * 2
+        assert len(service.pool.models) == 2
+
+    @needs_fork
+    def test_scenario_first_served_after_the_fork(self, tmp_path):
+        first = tiny_recon_spec(job_id="first")
+        second = tiny_recon_spec(job_id="second", seed=12, n_targets=2)
+        pooled = ReconService(tmp_path / "pooled", shards=2)
+        try:
+            with hang_guard():
+                _serve(pooled, first)
+                assert pooled.pool.pooled  # the workers exist now
+                _serve(pooled, second)
+            assert pooled.pool.pooled
+        finally:
+            pooled.close()
+        serve_jobs([second], tmp_path / "serial")
+        assert _digests(tmp_path / "pooled", "second") == _digests(
+            tmp_path / "serial", "second"
+        )
+
+        params = second.to_params()
+        scenario = ConfigGenerator(params.config, seed=second.seed).sample()
+        target = eligible_targets(scenario, second)[0]
+        harness = ConfigHarness(
+            replace(scenario, target_flow=int(target)),
+            params,
+            rng=np.random.default_rng([second.seed, 0]),
+        )
+        serial = harness.run_trials().accuracies
+        row = CheckpointStore(tmp_path / "pooled").completed_sessions(
+            "second"
+        )[0]["series"]["session"]
+        assert row["accuracies"] == {
+            name: serial[name] for name in SESSION_ATTACKERS
+        }
+
+
+class TestSessionCounters:
+    #: Counted once per session's work, wherever the session runs.  The
+    #: chain counters (``kernel.*``) are not: each process powers its
+    #: own full chain.
+    PREFIXES = ("engine.", "sim.table.", "service.sessions.completed")
+
+    @needs_fork
+    def test_per_session_counters_match_serial(self, reference, tmp_path):
+        spec, _, _, _ = reference
+        totals = {}
+        for shards in (1, 2):
+            obs = Instrumentation()
+            with use_instrumentation(obs), hang_guard():
+                serve_jobs([spec], tmp_path / f"shards{shards}", shards=shards)
+            counters = obs.metrics.to_document()["counters"]
+            totals[shards] = {
+                name: value
+                for name, value in counters.items()
+                if name.startswith(self.PREFIXES) and value
+            }
+        assert totals[1]["service.sessions.completed"] == spec.n_targets
+        assert any(name.startswith("engine.") for name in totals[1])
+        assert any(name.startswith("sim.table.") for name in totals[1])
+        assert totals[2] == totals[1]
 
 
 class TestSubmissionErrors:

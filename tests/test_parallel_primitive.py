@@ -168,6 +168,14 @@ class TestHealthyPool:
             assert pool.map(_pid, items) == [os.getpid()] * len(items)
         assert pool.fallbacks == 0
 
+    def test_one_item_goes_to_running_workers(self):
+        with ForkPool(2, SHARED, name=NAME) as pool, hang_guard():
+            pool.map(_pid, ITEMS)  # starts the workers
+            (pid,) = pool.map(_pid, ITEMS[:1])
+            assert pool.map(_value, []) == []
+        assert pid != os.getpid()
+        assert pool.fallbacks == 0
+
 
 # ----------------------------------------------------------------------
 # Failures: every one re-runs the map serially and retires the pool
