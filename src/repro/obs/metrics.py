@@ -125,6 +125,19 @@ class Histogram:
         if self.high is None or value > self.high:
             self.high = value
 
+    def merge(self, other: "Histogram") -> None:
+        """Fold ``other``'s observations (same bounds) into this one."""
+        if other.bounds != self.bounds:
+            raise ValueError(f"histogram {self.name}: bounds differ")
+        for index, count in enumerate(other.bucket_counts):
+            self.bucket_counts[index] += count
+        self.count += other.count
+        self.total += other.total
+        if other.low is not None and (self.low is None or other.low < self.low):
+            self.low = other.low
+        if other.high is not None and (self.high is None or other.high > self.high):
+            self.high = other.high
+
     @property
     def mean(self) -> Optional[float]:
         """Arithmetic mean of the observations, if any."""
@@ -184,6 +197,19 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
+
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Add ``other``'s counters and histograms, in sorted name order.
+
+        Gauges are last-write values, so this registry's stay as they
+        are.  Counter and histogram sums commute: merging the registries
+        of several processes gives the totals one process would have.
+        """
+        for name in sorted(other._counters):
+            self.counter(name).inc(other._counters[name].value)
+        for name in sorted(other._histograms):
+            histogram = other._histograms[name]
+            self.histogram(name, histogram.bounds).merge(histogram)
 
     def to_document(self) -> Dict[str, object]:
         """Every instrument flattened into one sorted JSON document."""

@@ -11,20 +11,19 @@ process.
   executor's initializer), never through pickling; each item and each
   result is pickled.  ``fn`` must be a module-level function.
 * **Serial cases.**  The map runs in the parent when ``jobs <= 1``, when
-  there is no item, when there is one item and no executor is running
-  yet, when the platform has no fork start method, or when the caller is
-  itself a ``ForkPool`` worker (:func:`in_worker`) -- so nested fan-outs
-  never fork grandchildren.  A single item does not start workers, but
-  goes to running ones: a persistent pool's workers hold warm
-  per-process caches that the parent may lack.
+  there is at most one item, when the platform has no fork start
+  method, or when the caller is itself a ``ForkPool`` worker
+  (:func:`in_worker`) -- so nested fan-outs never fork grandchildren.
 * **Chunking.**  Items go out in chunks of ``ceil(n / (4 * jobs))``,
   the rule ``multiprocessing.Pool.map`` uses by default.  Chunking never
   changes results.
-* **Counters.**  When the parent's observability backend is enabled,
+* **Metrics.**  When the parent's observability backend is enabled,
   each chunk runs under a fresh :class:`~repro.obs.Instrumentation` and
-  returns its counter totals; the parent re-emits the merged totals in
-  sorted name order.  Counter sums commute, so the totals equal the
-  serial run's.
+  returns its metrics registry; the parent merges each chunk's counters
+  (zeros included) and histograms into its own
+  (:meth:`~repro.obs.metrics.MetricsRegistry.merge`).  Sums commute, so
+  the totals equal the serial run's.  Worker gauges and spans are not
+  returned.
 * **Fallback.**  The pool is a
   :class:`concurrent.futures.ProcessPoolExecutor`, so a worker that
   dies abruptly (``os._exit``, SIGKILL, the OOM killer) raises
@@ -47,9 +46,10 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from multiprocessing.context import BaseContext
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.obs import Instrumentation, get_instrumentation, use_instrumentation
+from repro.obs.metrics import MetricsRegistry
 
 #: Chunks per worker in one map (``multiprocessing.Pool.map``'s rule).
 CHUNKS_PER_WORKER = 4
@@ -81,21 +81,16 @@ def _init_worker(shared: Any) -> None:
 
 def _run_chunk(
     fn: Callable[[Any, Any], Any], chunk: Sequence[Any], collect: bool
-) -> Tuple[List[Any], Dict[str, int]]:
-    """One chunk in a worker: results, plus counter totals if collected."""
+) -> Tuple[List[Any], Optional[MetricsRegistry]]:
+    """One chunk in a worker: results, plus its metrics if collected."""
     assert _worker_shared is not None, "worker used before initialisation"
     shared = _worker_shared[0]
     if not collect:
-        return [fn(shared, item) for item in chunk], {}
+        return [fn(shared, item) for item in chunk], None
     obs = Instrumentation()
     with use_instrumentation(obs):
         results = [fn(shared, item) for item in chunk]
-    counters = obs.metrics.to_document()["counters"]
-    return results, {
-        name: value
-        for name, value in counters.items()  # type: ignore[union-attr]
-        if value
-    }
+    return results, obs.metrics
 
 
 class ForkPool:
@@ -128,9 +123,7 @@ class ForkPool:
     ) -> List[Result]:
         """``[fn(shared, item) for item in items]``, maybe across workers."""
         items = list(items)
-        # One item starts no workers, but goes to running ones.
-        too_few = len(items) <= (1 if self._executor is None else 0)
-        if too_few or not self.pooled:
+        if len(items) <= 1 or not self.pooled:
             return [fn(self.shared, item) for item in items]
         size = max(1, -(-len(items) // (self.jobs * CHUNKS_PER_WORKER)))
         chunks = [
@@ -156,13 +149,10 @@ class ForkPool:
             obs.metrics.counter(f"{self.name}.pool.fallbacks").inc()
             return [fn(self.shared, item) for item in items]
         results: List[Result] = []
-        merged: Dict[str, int] = {}
-        for chunk_results, counters in outputs:
+        for chunk_results, metrics in outputs:
             results.extend(chunk_results)
-            for counter, value in counters.items():
-                merged[counter] = merged.get(counter, 0) + value
-        for counter in sorted(merged):
-            obs.metrics.counter(counter).inc(merged[counter])
+            if metrics is not None:
+                obs.metrics.merge(metrics)
         return results
 
     def _retire(self) -> None:

@@ -17,7 +17,10 @@ The expensive per-scenario object, the
 process in :attr:`SessionPool.models` (the pool's ``shared``): workers
 inherit the parent's dict at fork and then fill their own copy, so a
 scenario first served after the fork is built once per worker that
-runs one of its sessions.  On the serial path the parent's copy fills.
+runs one of its sessions.  On the serial path, and for a batch of one
+session (which runs in the parent, like any one-item map), the parent's
+copy fills.  Nothing is evicted: each worker keeps a model for every
+scenario it has served.
 
 Failure discipline is the primitive's: any exception escaping the pool
 (executor start failure, a worker exception, a worker killed mid-batch)

@@ -85,6 +85,25 @@ class TestHistogram:
         assert payload["buckets"] == {"le_1": 1, "inf": 1}
         assert payload["count"] == 2
 
+    def test_merge_equals_one_histogram(self):
+        values = (0.5, 5.0, 50.0, 500.0)
+        whole = Histogram("a.b", bounds=(1.0, 10.0, 100.0))
+        left = Histogram("a.b", bounds=(1.0, 10.0, 100.0))
+        right = Histogram("a.b", bounds=(1.0, 10.0, 100.0))
+        for value in values:
+            whole.observe(value)
+        for value in values[:1]:
+            left.observe(value)
+        for value in values[1:]:
+            right.observe(value)
+        left.merge(right)
+        left.merge(Histogram("a.b", bounds=(1.0, 10.0, 100.0)))
+        assert left.to_json() == whole.to_json()
+
+    def test_merge_rejects_other_bounds(self):
+        with pytest.raises(ValueError, match="bounds differ"):
+            Histogram("a.b").merge(Histogram("a.b", bounds=(1.0,)))
+
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
@@ -110,6 +129,21 @@ class TestRegistry:
         assert document["counters"]["z.last"] == 2
         assert document["gauges"] == {"m.level": 4.0}
         assert document["histograms"]["h.lat"]["count"] == 1
+
+    def test_merge_adds_counters_and_histograms_keeps_gauges(self):
+        registry = MetricsRegistry()
+        registry.counter("a.b").inc(2)
+        registry.gauge("m.level").set(4)
+        other = MetricsRegistry()
+        other.counter("a.b").inc(3)
+        other.counter("z.zero").inc(0)
+        other.gauge("m.level").set(9)
+        other.histogram("h.lat").observe(3.0)
+        registry.merge(other)
+        document = registry.to_document()
+        assert document["counters"] == {"a.b": 5, "z.zero": 0}
+        assert document["gauges"] == {"m.level": 4.0}
+        assert document["histograms"] == other.to_document()["histograms"]
 
     def test_write_json_round_trips(self, tmp_path):
         registry = MetricsRegistry()

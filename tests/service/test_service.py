@@ -281,9 +281,11 @@ def model_builds(monkeypatch, tmp_path):
 class TestModelPlacement:
     @needs_fork
     def test_pooled_service_never_builds_a_model_in_the_parent(
-        self, reference, tmp_path, model_builds
+        self, tmp_path, model_builds
     ):
-        spec, job_id, expected, _ = reference
+        # Two sessions make one batch of two: both go to the workers.
+        # (A batch of one session runs in the parent.)
+        spec = tiny_recon_spec(job_id="even", n_targets=2)
         service = ReconService(tmp_path / "state", shards=2)
         try:
             with hang_guard():
@@ -295,7 +297,10 @@ class TestModelPlacement:
         assert pids, "no session built a model"
         assert os.getpid() not in pids
         assert not service.pool.models
-        assert _digests(tmp_path / "state", job_id) == expected
+        serve_jobs([spec], tmp_path / "serial")
+        assert _digests(tmp_path / "state", "even") == _digests(
+            tmp_path / "serial", "even"
+        )
 
     def test_serial_service_builds_one_model_per_scenario(
         self, tmp_path, model_builds
@@ -349,29 +354,41 @@ class TestModelPlacement:
 
 
 class TestSessionCounters:
-    #: Counted once per session's work, wherever the session runs.  The
-    #: chain counters (``kernel.*``) are not: each process powers its
-    #: own full chain.
-    PREFIXES = ("engine.", "sim.table.", "service.sessions.completed")
+    #: The chain counters are the exception: each process powers its own
+    #: full chain.
+    CHAIN = ("kernel.sparse.matvecs", "kernel.power_chain.reuses")
 
     @needs_fork
-    def test_per_session_counters_match_serial(self, reference, tmp_path):
+    def test_metrics_match_serial(self, reference, tmp_path):
         spec, _, _, _ = reference
-        totals = {}
+        documents = {}
         for shards in (1, 2):
             obs = Instrumentation()
             with use_instrumentation(obs), hang_guard():
                 serve_jobs([spec], tmp_path / f"shards{shards}", shards=shards)
-            counters = obs.metrics.to_document()["counters"]
-            totals[shards] = {
+            documents[shards] = obs.metrics.to_document()
+        counters = {
+            shards: {
                 name: value
-                for name, value in counters.items()
-                if name.startswith(self.PREFIXES) and value
+                for name, value in document["counters"].items()
+                if name not in self.CHAIN
             }
-        assert totals[1]["service.sessions.completed"] == spec.n_targets
-        assert any(name.startswith("engine.") for name in totals[1])
-        assert any(name.startswith("sim.table.") for name in totals[1])
-        assert totals[2] == totals[1]
+            for shards, document in documents.items()
+        }
+        assert counters[1]["service.sessions.completed"] == spec.n_targets
+        assert any(name.startswith("engine.") for name in counters[1])
+        assert any(name.startswith("sim.table.") for name in counters[1])
+        assert counters[2] == counters[1]
+        # Histograms hold timings; their observation counts match.
+        histograms = {
+            shards: {
+                name: histogram["count"]
+                for name, histogram in document["histograms"].items()
+            }
+            for shards, document in documents.items()
+        }
+        assert histograms[1]["engine.score.batch_ms"] > 0
+        assert histograms[2] == histograms[1]
 
 
 class TestSubmissionErrors:

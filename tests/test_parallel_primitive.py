@@ -90,7 +90,10 @@ def _raise_in_worker(shared, item):
 
 
 def _counting(shared, item):
-    get_instrumentation().metrics.counter("primitive.items").inc()
+    metrics = get_instrumentation().metrics
+    metrics.counter("primitive.items").inc()
+    metrics.counter("primitive.zero").inc(0)
+    metrics.histogram("primitive.item_value").observe(item)
     return _value(shared, item)
 
 
@@ -159,21 +162,20 @@ class TestHealthyPool:
     def test_worker_counters_merge_into_the_parent(self):
         with ForkPool(2, SHARED, name=NAME) as pool:
             results, backend = _run(pool, _counting)
+            assert pool.pooled
+        serial = Instrumentation()
+        with use_instrumentation(serial):
+            for item in ITEMS:
+                _counting(SHARED, item)
         assert results == EXPECTED
-        assert backend.metrics.counter("primitive.items").value == len(ITEMS)
+        # Zero counters and histograms come back too: the pooled
+        # document equals the serial one.
+        assert backend.metrics.to_document() == serial.metrics.to_document()
 
     @pytest.mark.parametrize("jobs,items", [(1, ITEMS), (2, ITEMS[:1])])
     def test_one_job_or_one_item_runs_in_the_parent(self, jobs, items):
         with ForkPool(jobs, SHARED, name=NAME) as pool:
             assert pool.map(_pid, items) == [os.getpid()] * len(items)
-        assert pool.fallbacks == 0
-
-    def test_one_item_goes_to_running_workers(self):
-        with ForkPool(2, SHARED, name=NAME) as pool, hang_guard():
-            pool.map(_pid, ITEMS)  # starts the workers
-            (pid,) = pool.map(_pid, ITEMS[:1])
-            assert pool.map(_value, []) == []
-        assert pid != os.getpid()
         assert pool.fallbacks == 0
 
 
