@@ -71,12 +71,21 @@ lint: check
 	PYTHONPATH=src $(PYTHON) -m pytest --collect-only -q tests benchmarks > /dev/null
 
 # Observability smoke (docs/OBSERVABILITY.md): run a tiny instrumented
-# headline experiment, then summarise its span trace.
+# headline experiment, summarise its span trace, and require the
+# simulator's, the engine's and the harness's counts to reach the
+# exported metrics document (the registry is their only record).
 stats:
 	PYTHONPATH=src $(PYTHON) -m repro.cli headline \
 		--configs 2 --trials 5 --seed 12 --mode table \
 		--trace /tmp/repro-trace.ndjson --metrics /tmp/repro-metrics.json
 	PYTHONPATH=src $(PYTHON) -m repro.cli stats /tmp/repro-trace.ndjson
+	@$(PYTHON) -c "import json; \
+		counters = json.load(open('/tmp/repro-metrics.json'))['counters']; \
+		names = ('sim.table.hits', 'sim.table.installs', 'engine.evolutions', \
+			'engine.cache.misses', 'experiment.trials'); \
+		zero = [n for n in names if not counters.get(n)]; \
+		assert not zero, f'counters missing or zero in the metrics document: {zero}'; \
+		print('stats: ' + ', '.join(f'{n}={counters[n]}' for n in names))"
 
 # Fault-injection smoke (docs/FAULTS.md): a tiny end-to-end robustness
 # sweep -- screened sampling, faulty re-trials, retries, counter export.

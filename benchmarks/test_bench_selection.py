@@ -21,6 +21,7 @@ from repro.core.selection import best_probe_set
 from repro.flows.flowid import FlowId
 from repro.flows.policy import ModelRule, Policy
 from repro.flows.universe import FlowUniverse
+from repro.obs import Instrumentation, use_instrumentation
 from tests.oracles.probes import best_probe_set_serial
 
 N_FLOWS = 10
@@ -119,10 +120,15 @@ def test_engine_speedup_at_least_2x(model):
 
 def test_engine_reuse_amortises_cache(model):
     """A second selection on a warm engine does no new prefix work."""
-    inference = _fresh_inference(model)
-    engine = ProbeScoringEngine(inference)
-    engine.best_set(2)
-    misses_after_first = engine.stats.cache_misses
-    engine.best_set(2)
-    assert engine.stats.cache_misses == misses_after_first
-    assert engine.stats.cache_hits > 0
+    backend = Instrumentation()
+    with use_instrumentation(backend):
+        inference = _fresh_inference(model)
+        engine = ProbeScoringEngine(inference)
+        engine.best_set(2)
+        misses = backend.metrics.counter("engine.cache.misses")
+        hits = backend.metrics.counter("engine.cache.hits")
+        misses_after_first = misses.value
+        hits_after_first = hits.value
+        engine.best_set(2)
+    assert misses.value == misses_after_first
+    assert hits.value > hits_after_first

@@ -374,12 +374,28 @@ def _cmd_leakage(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``repro-sdn select``'s engine table: row label -> counter name.
+_ENGINE_COUNTER_ROWS = (
+    ("evolutions", "engine.evolutions"),
+    ("prefix cache hits", "engine.cache.hits"),
+    ("prefix cache misses", "engine.cache.misses"),
+    ("prefix extensions", "engine.cache.prefix_extensions"),
+    ("sequences scored", "engine.sequences_scored"),
+    ("scoring blocks", "engine.batches"),
+)
+
+
 def _cmd_select(args: argparse.Namespace) -> int:
     from repro.core.compact_model import CompactModel
     from repro.core.inference import ReconInference
     from repro.core.selection import best_probe_set
     from repro.experiments.report import format_table
     from repro.flows.config import ConfigGenerator
+    from repro.obs import (
+        Instrumentation,
+        get_instrumentation,
+        use_instrumentation,
+    )
 
     try:
         spec = _job_spec(args, "select")
@@ -387,20 +403,28 @@ def _cmd_select(args: argparse.Namespace) -> int:
         print(f"repro-sdn select: {error}", file=sys.stderr)
         return 2
     config = ConfigGenerator(spec.config, seed=spec.seed).sample()
-    model = CompactModel(
-        config.policy,
-        config.universe,
-        config.delta,
-        config.cache_size,
-    )
-    inference = ReconInference(
-        model, config.target_flow, config.window_steps
-    )
-    choice = best_probe_set(
-        inference,
-        spec.n_probes,
-        method=spec.selection_method,
-    )
+    # The engine rows come from the metrics registry: the --metrics /
+    # --trace backend when given, else a private one around the model
+    # build (fit-time evolutions count) and the selection.
+    obs = get_instrumentation()
+    if not obs.enabled:
+        obs = Instrumentation()
+    with use_instrumentation(obs):
+        model = CompactModel(
+            config.policy,
+            config.universe,
+            config.delta,
+            config.cache_size,
+        )
+        inference = ReconInference(
+            model, config.target_flow, config.window_steps
+        )
+        choice = best_probe_set(
+            inference,
+            spec.n_probes,
+            method=spec.selection_method,
+        )
+    counters = obs.metrics.to_document()["counters"]
     print(config.describe())
     print()
     print(
@@ -415,15 +439,17 @@ def _cmd_select(args: argparse.Namespace) -> int:
             title=f"Optimal {spec.n_probes}-probe set (Section V)",
         )
     )
-    if choice.stats is not None:
-        print()
-        print(
-            format_table(
-                ["counter", "value"],
-                choice.stats.rows(),
-                title="Probe-scoring engine statistics",
-            )
+    print()
+    print(
+        format_table(
+            ["counter", "value"],
+            [
+                [label, counters.get(name, 0)]
+                for label, name in _ENGINE_COUNTER_ROWS
+            ],
+            title="Probe-scoring engine statistics",
         )
+    )
     return 0
 
 

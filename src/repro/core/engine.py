@@ -23,16 +23,16 @@ that inner loop with two ideas:
 Scoring runs in the calling process.  Parallelism lives one grain up,
 at trials and screens (``trial_jobs``) and at service shards.
 
-Instrumentation counters (chain evolutions, prefix-cache hits/misses,
-scored sequences) are collected in :class:`ScoringStats` and surfaced
-on :class:`~repro.core.selection.ProbeChoice`; where the time went is
+Work counts go to the metrics registry: the engine counts scored
+sequences and blocks (``engine.sequences_scored``, ``engine.batches``),
+the inference its chain evolutions and prefix-cache traffic
+(``engine.evolutions``, ``engine.cache.*``); where the time went is
 the ``engine.select`` span's job (docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,52 +51,6 @@ SCORE_BLOCK = 32
 #: Strict-improvement margin of the selection scans; matches the serial
 #: reference loops in :mod:`repro.core.selection`.
 TIE_EPS = 1e-15
-
-#: Inference-counter key -> exported observability counter name.  The
-#: inference counters are totals, so the engine exports *deltas*.
-_OBS_COUNTER_NAMES = {
-    "evolutions": "engine.evolutions",
-    "prefix_cache_hits": "engine.cache.hits",
-    "prefix_cache_misses": "engine.cache.misses",
-    "prefix_extensions": "engine.cache.prefix_extensions",
-}
-
-
-# ----------------------------------------------------------------------
-# Instrumentation
-# ----------------------------------------------------------------------
-@dataclass
-class ScoringStats:
-    """Counters for one probe-selection run.
-
-    Counter semantics: totals over the lifetime of the underlying
-    :class:`~repro.core.inference.ReconInference` (so the window
-    evolutions performed at fit time are included).
-    """
-
-    #: ``T``-step chain evolutions performed (full + per-exclusion).
-    evolutions: int = 0
-    #: Prefix-cache lookups served from the cache.
-    cache_hits: int = 0
-    #: Prefix-cache lookups that had to compute their entry.
-    cache_misses: int = 0
-    #: Single-probe pushes of a cached prefix distribution.
-    prefix_extensions: int = 0
-    #: Candidate probe sequences scored.
-    sequences_scored: int = 0
-    #: Stacked scoring blocks evaluated.
-    batches: int = 0
-
-    def rows(self) -> List[List[object]]:
-        """``[name, value]`` rows for plain-text tables (CLI output)."""
-        return [
-            ["evolutions", self.evolutions],
-            ["prefix cache hits", self.cache_hits],
-            ["prefix cache misses", self.cache_misses],
-            ["prefix extensions", self.prefix_extensions],
-            ["sequences scored", self.sequences_scored],
-            ["scoring blocks", self.batches],
-        ]
 
 
 def _score_block(
@@ -136,15 +90,12 @@ class ProbeScoringEngine:
 
     def __init__(self, inference: ReconInference) -> None:
         self.inference = inference
-        self.stats = ScoringStats()
         # Whatever `use_instrumentation` installed (null by default).
         self._obs = get_instrumentation()
         self._obs_sequences = self._obs.metrics.counter(
             "engine.sequences_scored"
         )
         self._obs_batches = self._obs.metrics.counter("engine.batches")
-        #: Last exported value per inference counter (for delta export).
-        self._obs_base: Dict[str, int] = {}
 
     # -- scoring ------------------------------------------------------
     def score_tails(
@@ -162,7 +113,6 @@ class ProbeScoringEngine:
             self._obs.metrics.histogram("engine.score.batch_ms").observe(
                 elapsed_ms / len(items)
             )
-        self._refresh_counters()
         if not gains:
             return np.zeros(0)
         return np.concatenate(gains)
@@ -181,8 +131,6 @@ class ProbeScoringEngine:
             (prefix, tails[start:start + SCORE_BLOCK])
             for start in range(0, len(tails), SCORE_BLOCK)
         ]
-        self.stats.sequences_scored += len(tails)
-        self.stats.batches += len(items)
         self._obs_sequences.inc(len(tails))
         self._obs_batches.inc(len(items))
         return items
@@ -193,22 +141,6 @@ class ProbeScoringEngine:
             _score_block(self.inference, prefix, flows)
             for prefix, flows in items
         ]
-
-    def _refresh_counters(self) -> None:
-        """Fold the inference counters into the stats."""
-        counters = self.inference.counters
-        self.stats.evolutions = counters.get("evolutions", 0)
-        self.stats.cache_hits = counters.get("prefix_cache_hits", 0)
-        self.stats.cache_misses = counters.get("prefix_cache_misses", 0)
-        self.stats.prefix_extensions = counters.get("prefix_extensions", 0)
-        if self._obs.enabled:
-            # Export the growth since the previous refresh.
-            for key, name in _OBS_COUNTER_NAMES.items():
-                total = counters.get(key, 0)
-                delta = total - self._obs_base.get(key, 0)
-                if delta > 0:
-                    self._obs.metrics.counter(name).inc(delta)
-                self._obs_base[key] = total
 
     # -- selection ----------------------------------------------------
     def best_single(
@@ -295,7 +227,6 @@ class ProbeScoringEngine:
                         best_probes = prefix + (tail,)
                         best_gain = float(gain)
         assert best_probes is not None
-        self._refresh_counters()
         return best_probes, best_gain
 
     def _best_set_greedy(
@@ -346,7 +277,6 @@ class ProbeScoringEngine:
             chosen = tuple(sorted(chosen + (best_flow,)))
             remaining.remove(best_flow)
             gain = best_gain
-        self._refresh_counters()
         return chosen, gain
 
 

@@ -35,7 +35,7 @@ from repro.core.gain import (
     conditional_entropy_binary,
     gains_from_tables,
 )
-from repro.obs import sanitize
+from repro.obs import counter_inc, sanitize
 
 #: Weight threshold at or below which state weights are dropped from
 #: the per-outcome rows (the dict walk's frontier pruning).
@@ -153,14 +153,10 @@ class ReconInference:
         # Whether evolutions can share the model's default-start power
         # chains (reused across every inference on this model).
         self._default_start = initial is None
-        #: Work counters read by the probe-scoring engine's
-        #: :class:`~repro.core.engine.ScoringStats`.
-        self.counters: Dict[str, int] = {
-            "evolutions": 0,
-            "prefix_cache_hits": 0,
-            "prefix_cache_misses": 0,
-            "prefix_extensions": 0,
-        }
+        # Work counts (``engine.evolutions``, ``engine.cache.*``) go to
+        # whatever backend is current when the work happens, not the one
+        # current at construction: an inference inherited by a fork pool
+        # worker must count into the worker's registry.
         #: ``exclusion tuple -> T-step evolved distribution``.
         self._evolution_cache: Dict[Tuple[int, ...], np.ndarray] = {}
         #: ``(exclusion tuple, probe prefix) -> stacked per-outcome rows``.
@@ -204,7 +200,7 @@ class ReconInference:
         cached = self._evolution_cache.get(key)
         if cached is not None:
             return cached
-        self.counters["evolutions"] += 1
+        counter_inc("engine.evolutions")
         # The model's power chain memoises A^T I_0 checkpoints across
         # every inference sharing the default start, so re-windowing the
         # same model pays only the step delta.  Chain results arrive
@@ -239,14 +235,14 @@ class ReconInference:
         key = (excl_key, probes)
         cached = self._prefix_cache.get(key)
         if cached is not None:
-            self.counters["prefix_cache_hits"] += 1
+            counter_inc("engine.cache.hits")
             return cached
-        self.counters["prefix_cache_misses"] += 1
+        counter_inc("engine.cache.misses")
         if not probes:
             rows = pruned(self.evolution(excl_key))[np.newaxis, :]
         else:
             parent = self.prefix_distribution(probes[:-1], excl_key)
-            self.counters["prefix_extensions"] += 1
+            counter_inc("engine.cache.prefix_extensions")
             rows = push_probe(self.model, parent, probes[-1])
         rows.setflags(write=False)
         self._prefix_cache[key] = rows

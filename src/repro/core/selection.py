@@ -17,10 +17,10 @@ within 1e-12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from repro.core.engine import ProbeScoringEngine, ScoringStats
+from repro.core.engine import ProbeScoringEngine
 from repro.core.inference import ReconInference
 
 
@@ -30,12 +30,6 @@ class ProbeChoice:
 
     probes: Tuple[int, ...]
     gain: float
-    #: Engine instrumentation for the selection run (``None`` where no
-    #: engine ran).  Excluded from equality so choices
-    #: compare by what was chosen, not how fast.
-    stats: Optional[ScoringStats] = field(
-        default=None, compare=False, repr=False
-    )
 
 
 def best_single_probe(
@@ -56,7 +50,7 @@ def best_single_probe(
     if engine is None:
         engine = ProbeScoringEngine(inference)
     probes, gain = engine.best_single(candidates)
-    return ProbeChoice(probes=probes, gain=gain, stats=engine.stats)
+    return ProbeChoice(probes=probes, gain=gain)
 
 
 def best_probe_set(
@@ -78,7 +72,7 @@ def best_probe_set(
     if engine is None:
         engine = ProbeScoringEngine(inference)
     probes, gain = engine.best_set(n_probes, candidates, method=method)
-    return ProbeChoice(probes=probes, gain=gain, stats=engine.stats)
+    return ProbeChoice(probes=probes, gain=gain)
 
 
 def rank_probes(

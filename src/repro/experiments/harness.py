@@ -21,7 +21,6 @@ from repro.core.attacker import (
     RandomAttacker,
 )
 from repro.core.compact_model import CompactModel
-from repro.core.engine import ScoringStats
 from repro.core.inference import ReconInference
 from repro.experiments.params import ExperimentParams
 from repro.faults import FaultPlan
@@ -139,11 +138,6 @@ class ConfigHarness:
                     decision=self.params.constrained_decision,
                 )
         return self._constrained_attacker
-
-    @property
-    def scoring_stats(self) -> Optional[ScoringStats]:
-        """Engine instrumentation from the model attacker's selection."""
-        return self.model_attacker.choice.stats
 
     @classmethod
     def sample(

@@ -63,10 +63,8 @@ SCREEN_BATCH_PER_WORKER = 2
 class ExecutionStats:
     """Counters for one experiment run.
 
-    The experiment-layer sibling of
-    :class:`~repro.core.engine.ScoringStats`: one instance threads
-    through ``sample_screened_harnesses`` and ``run_trials`` calls and
-    accumulates what the maps actually did.
+    One instance threads through ``sample_screened_harnesses`` and
+    ``run_trials`` calls and accumulates what the maps actually did.
     """
 
     #: Parallelism the run was configured with.

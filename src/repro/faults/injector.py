@@ -29,7 +29,7 @@ docs/STATIC_ANALYSIS.md).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.obs import get_instrumentation
 
 from .plan import FaultPlan
 
-#: Fault kinds as counted by the injector (obs names ``faults.injected.<kind>``).
+#: Fault kinds, each counted as ``faults.injected.<kind>``.
 FAULT_KINDS = (
     "packet_in_loss",
     "flow_mod_loss",
@@ -57,7 +57,6 @@ class FaultInjector:
     ) -> None:
         self.plan = plan
         self.rng = rng if rng is not None else np.random.default_rng(plan.seed)
-        self.counts: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
         self._outage_until = float("-inf")
         obs = get_instrumentation().metrics
         self._obs_counters = {
@@ -71,7 +70,6 @@ class FaultInjector:
         if rate <= 0.0:
             return False
         if self.rng.random() < rate:
-            self.counts[kind] += 1
             self._obs_counters[kind].inc()
             return True
         return False
@@ -101,25 +99,11 @@ class FaultInjector:
         extra = 0.0
         if self.plan.controller_jitter > 0.0:
             extra += float(self.rng.exponential(self.plan.controller_jitter))
-            self.counts["jitter"] += 1
             self._obs_counters["jitter"].inc()
         if self.plan.outage_rate > 0.0:
             if now >= self._outage_until and self.rng.random() < self.plan.outage_rate:
                 self._outage_until = now + self.plan.outage_duration
-                self.counts["outage"] += 1
                 self._obs_counters["outage"].inc()
             if now < self._outage_until:
                 extra += self._outage_until - now
         return extra
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    @property
-    def total_injected(self) -> int:
-        """Total faults injected so far (all kinds, jitter draws included)."""
-        return sum(self.counts.values())
-
-    def summary(self) -> Dict[str, int]:
-        """Copy of the per-kind injection counts."""
-        return dict(self.counts)

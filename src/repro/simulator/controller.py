@@ -33,9 +33,8 @@ class ReactiveController:
     def __init__(self, network: "Network", policy: RuleTable) -> None:
         self.network = network
         self.policy = policy
-        self.stats = {"packet_ins": 0, "installs": 0, "forward_only": 0}
-        # Observability mirror of ``stats`` (see docs/OBSERVABILITY.md);
-        # each packet-in is one control-plane round-trip.
+        # Resolved once here (see docs/OBSERVABILITY.md); each packet-in
+        # is one control-plane round-trip.
         obs = get_instrumentation().metrics
         self._obs_packet_ins = obs.counter("sim.controller.packet_ins")
         self._obs_installs = obs.counter("sim.controller.installs")
@@ -44,7 +43,6 @@ class ReactiveController:
     def handle_packet_in(self, message: PacketIn) -> None:
         """Process one miss notification."""
         network = self.network
-        self.stats["packet_ins"] += 1
         self._obs_packet_ins.inc()
         switch = network.switches[message.switch_name]
         out_port = network.route_port(switch.name, message.packet.flow.dst)
@@ -67,14 +65,12 @@ class ReactiveController:
 
         release = PacketOut(packet=message.packet, out_port=out_port)
         if rule is None:
-            self.stats["forward_only"] += 1
             self._obs_forward_only.inc()
             network.sim.schedule(
                 processing + down_link, switch.handle_packet_out, release
             )
             return
 
-        self.stats["installs"] += 1
         self._obs_installs.inc()
         install_delay = network.latency.flowmod_install_delay(network.rng)
         network.sim.schedule(

@@ -131,17 +131,8 @@ class FlowTable:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._entries: Dict[str, TableEntry] = {}
-        #: Counters exposed for tests and diagnostics.
-        self.stats = {
-            "hits": 0,
-            "misses": 0,
-            "installs": 0,
-            "evictions": 0,
-            "expirations": 0,
-        }
-        # Observability mirror of ``stats`` (see docs/OBSERVABILITY.md).
-        # Instruments are resolved once here; under the default null
-        # backend they are shared no-op singletons.
+        # Instruments are resolved once here (see docs/OBSERVABILITY.md);
+        # under the default null backend they are shared no-op singletons.
         obs = get_instrumentation().metrics
         self._obs_hits = obs.counter("sim.table.hits")
         self._obs_misses = obs.counter("sim.table.misses")
@@ -175,7 +166,6 @@ class FlowTable:
             for name, entry in self._entries.items()
         }
         clone._entries = entries
-        clone.stats = dict(self.stats)
         clone._buckets = {
             priority: {name: entries[name] for name in bucket}
             for priority, bucket in self._buckets.items()
@@ -308,7 +298,6 @@ class FlowTable:
             entry = self._entries.pop(name)
             self._index_discard(entry)
             expired.append((seq, entry))
-            self.stats["expirations"] += 1
             self._obs_expirations.inc()
         # Expired entries come back in install order.
         expired.sort(key=lambda item: item[0])
@@ -331,10 +320,8 @@ class FlowTable:
             best = self._scan(flow)
             self._winners[key] = best
         if best is None:
-            self.stats["misses"] += 1
             self._obs_misses.inc()
             return None
-        self.stats["hits"] += 1
         self._obs_hits.inc()
         if refresh:
             best.last_match = now
@@ -391,14 +378,12 @@ class FlowTable:
                 return None  # table full of permanent rules
             del self._entries[evicted.rule.name]
             self._index_discard(evicted)
-            self.stats["evictions"] += 1
             self._obs_evictions.inc()
         entry = TableEntry(
             rule=rule, out_port=out_port, install_time=now, last_match=now
         )
         self._entries[rule.name] = entry
         self._index_add(entry)
-        self.stats["installs"] += 1
         self._obs_installs.inc()
         return evicted
 

@@ -191,7 +191,9 @@ class Network:
 
         #: probe_id -> observation time (reply seen by the attacker).
         self._probe_observations: Dict[int, float] = {}
-        self.stats = {"host_sends": 0, "replies": 0}
+        metrics = get_instrumentation().metrics
+        self._obs_host_sends = metrics.counter("sim.network.host_sends")
+        self._obs_replies = metrics.counter("sim.network.replies")
 
         if self.defense is not None:
             self.defense.attach(self)
@@ -374,7 +376,7 @@ class Network:
             self.sim.schedule(delay, self.send_from_host, host, reply)
             return
         if packet.kind == ECHO_REPLY:
-            self.stats["replies"] += 1
+            self._obs_replies.inc()
             if packet.probe_id is not None:
                 if self.faults is not None and self.faults.drop_probe_reply():
                     # Injected capture loss: the reply arrives but the
@@ -392,7 +394,7 @@ class Network:
         """Inject a packet from ``host`` into its access switch."""
         switch = self.switches[host.switch_name]
         delay = self.latency.link_delay(self.rng)
-        self.stats["host_sends"] += 1
+        self._obs_host_sends.inc()
         self.sim.schedule(delay, switch.receive, packet, host.port)
 
     # ------------------------------------------------------------------

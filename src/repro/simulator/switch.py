@@ -54,15 +54,8 @@ class Switch:
         self.reactive = reactive
         #: packet_id -> (packet, in_port) awaiting a controller verdict.
         self._pending: Dict[int, Packet] = {}
-        self.stats = {
-            "received": 0,
-            "forwarded": 0,
-            "packet_ins": 0,
-            "flooded": 0,
-            "dropped": 0,
-        }
-        # Observability mirror of ``stats`` (see docs/OBSERVABILITY.md);
-        # no-op singletons under the default null backend.
+        # Resolved once here (see docs/OBSERVABILITY.md); no-op
+        # singletons under the default null backend.
         obs = get_instrumentation().metrics
         self._obs_received = obs.counter("sim.switch.received")
         self._obs_forwarded = obs.counter("sim.switch.forwarded")
@@ -77,14 +70,12 @@ class Switch:
         """Handle a packet arriving on ``in_port`` at the current time."""
         network = self.network
         now = network.sim.now
-        self.stats["received"] += 1
         self._obs_received.inc()
         network.defense_observe(self, packet)
         entry = self.table.lookup(packet.flow, now)
         if entry is None or entry.rule.action == ACTION_FLOOD:
             # The paper's default rule floods unmatched traffic; our
             # workloads never rely on it, so account and drop.
-            self.stats["flooded"] += 1
             self._obs_flooded.inc()
             return
         if entry.rule.action == ACTION_CONTROLLER:
@@ -93,7 +84,6 @@ class Switch:
         if entry.rule.action == ACTION_FORWARD:
             self._forward(packet, entry.out_port, cache_hit=True)
             return
-        self.stats["dropped"] += 1
         self._obs_dropped.inc()
 
     def _forward(
@@ -105,7 +95,6 @@ class Switch:
             extra = network.defense_forward_delay(self, packet)
             delay += extra
         network.sim.schedule(delay, network.deliver, self, out_port, packet)
-        self.stats["forwarded"] += 1
         self._obs_forwarded.inc()
 
     # ------------------------------------------------------------------
@@ -113,7 +102,6 @@ class Switch:
     # ------------------------------------------------------------------
     def _send_packet_in(self, packet: Packet, in_port: int) -> None:
         network = self.network
-        self.stats["packet_ins"] += 1
         self._obs_packet_ins.inc()
         self._pending[packet.packet_id] = packet
         if network.faults is not None and network.faults.drop_packet_in():

@@ -16,6 +16,7 @@ import pytest
 from repro.flows.flowid import FlowId
 from repro.flows.policy import ModelRule, Policy
 from repro.flows.universe import FlowUniverse
+from repro.obs import Instrumentation, use_instrumentation
 
 
 def make_universe(rates: Sequence[float], dst: int = 999) -> FlowUniverse:
@@ -80,3 +81,15 @@ def paper_scale_config():
 
     generator = ConfigGenerator(ConfigParams(), seed=2017)
     return generator.sample()
+
+
+@pytest.fixture
+def obs():
+    """A private recording backend installed for the whole test.
+
+    Every count lives only in the metrics registry, so tests read them
+    from here: ``obs.metrics.counter("sim.table.hits").value``.
+    """
+    backend = Instrumentation()
+    with use_instrumentation(backend):
+        yield backend

@@ -15,6 +15,7 @@ from repro.core.compact_model import CompactModel
 from repro.core.engine import ProbeScoringEngine
 from repro.core.inference import ReconInference
 from repro.core.selection import best_probe_set, best_single_probe
+from repro.obs import Instrumentation, use_instrumentation
 from repro.parallel import ForkPool
 from tests.conftest import make_policy, make_universe
 from tests.test_parallel_primitive import hang_guard
@@ -76,16 +77,39 @@ class TestTieBreaking:
         assert forward.gain == shuffled.gain
 
 
-def _stats_after_scoring(inference, _item):
-    """Score on a fresh inference; the engine's counter stats."""
-    engine = ProbeScoringEngine(
-        ReconInference(
-            inference.model, inference.target_flow, inference.window_steps
+#: The inference's work counters.
+INFERENCE_COUNTERS = (
+    "engine.evolutions",
+    "engine.cache.hits",
+    "engine.cache.misses",
+    "engine.cache.prefix_extensions",
+)
+
+#: The probe tails every scoring call below scores.
+TAILS = (0, 1, 2, 3)
+
+
+def _counts(backend):
+    counters = backend.metrics.to_document()["counters"]
+    return tuple(counters.get(name, 0) for name in INFERENCE_COUNTERS)
+
+
+def _counts_after_scoring(inference, _item):
+    """Fit a fresh inference and score on it; its registry counts."""
+    backend = Instrumentation()
+    with use_instrumentation(backend):
+        engine = ProbeScoringEngine(
+            ReconInference(
+                inference.model, inference.target_flow, inference.window_steps
+            )
         )
-    )
-    engine.score_tails((1,), (0, 1, 2, 3))
-    stats = engine.stats
-    return stats.evolutions, stats.cache_hits, stats.cache_misses
+        engine.score_tails((1,), TAILS)
+    return _counts(backend)
+
+
+def _score_inherited(inference, prefix):
+    """Score on the inference the worker inherited from the parent."""
+    ProbeScoringEngine(inference).score_tails(prefix, TAILS)
 
 
 class TestWorker:
@@ -94,8 +118,33 @@ class TestWorker:
     ):
         # A screening worker selects probes in its own process; the
         # engine's counters there must equal the parent's.
-        expected = _stats_after_scoring(generic_inference, None)
+        expected = _counts_after_scoring(generic_inference, None)
         with ForkPool(2, generic_inference, name="test") as pool, hang_guard():
-            in_workers = pool.map(_stats_after_scoring, [1, 2])
+            in_workers = pool.map(_counts_after_scoring, [1, 2])
         assert pool.fallbacks == 0
         assert in_workers == [expected, expected]
+
+    def test_inherited_inference_counts_into_the_worker_registry(
+        self, generic_inference
+    ):
+        # The inference was built before the pool forked, so it counts
+        # into whatever backend is current when it works: in a worker,
+        # the chunk's fresh backend, which the pool merges back.  Each
+        # worker starts from the parent's caches as they were at fork.
+        model = generic_inference.model
+        target = generic_inference.target_flow
+        window = generic_inference.window_steps
+        expected = [0] * len(INFERENCE_COUNTERS)
+        for prefix in [(1,), (2,)]:
+            inference = ReconInference(model, target, window)
+            serial = Instrumentation()
+            with use_instrumentation(serial):
+                _score_inherited(inference, prefix)
+            expected = [a + b for a, b in zip(expected, _counts(serial))]
+        parent = Instrumentation()
+        with use_instrumentation(parent), hang_guard():
+            with ForkPool(2, generic_inference, name="test") as pool:
+                pool.map(_score_inherited, [(1,), (2,)])
+        assert pool.fallbacks == 0
+        assert list(_counts(parent)) == expected
+        assert parent.metrics.counter("engine.cache.misses").value > 0

@@ -18,6 +18,7 @@ from repro.core.compact_model import CompactModel
 from repro.core.engine import ProbeScoringEngine
 from repro.core.inference import ReconInference
 from repro.core.selection import best_probe_set, best_single_probe
+from repro.obs import Instrumentation, use_instrumentation
 from tests.conftest import make_policy, make_universe
 from tests.oracles.perstate import PerStateCompactModel
 from tests.oracles.probes import (
@@ -293,30 +294,36 @@ def test_eviction_adaptive_session_matches_dict_session():
     assert _adaptive_paths(dense, oracle, 3) > 2
 
 
-def test_stats_populated():
+def test_stats_populated(obs):
     model, target, window = random_setup(0)
     inference = ReconInference(model, target, window)
     choice = best_probe_set(inference, 2, method="exhaustive")
-    stats = choice.stats
-    assert stats is not None
-    assert stats.evolutions == 2  # full + target-excluded, shared after
-    assert stats.sequences_scored > 0
-    assert stats.batches > 0
-    assert stats.cache_misses > 0
+    counter = obs.metrics.counter
+    # full + target-excluded, shared after
+    assert counter("engine.evolutions").value == 2
+    assert counter("engine.sequences_scored").value > 0
+    assert counter("engine.batches").value > 0
+    assert counter("engine.cache.misses").value > 0
+    hits = counter("engine.cache.hits").value
     # A second selection on the same inference reuses the caches.
     engine = ProbeScoringEngine(inference)
     again = engine.best_set(2, method="exhaustive")
-    assert engine.stats.evolutions == 2
-    assert engine.stats.cache_hits > 0
+    assert counter("engine.evolutions").value == 2
+    assert counter("engine.cache.hits").value > hits
     assert again[0] == choice.probes
 
 
 def test_shared_engine_across_calls():
-    """Explicitly passing an engine reuses it (and its stats)."""
+    """Explicitly passing an engine reuses it (and its counters)."""
     model, target, window = random_setup(3)
     inference = ReconInference(model, target, window)
-    engine = ProbeScoringEngine(inference)
-    first = best_single_probe(inference, engine=engine)
-    second = best_probe_set(inference, 2, engine=engine)
-    assert first.stats is engine.stats
-    assert second.stats is engine.stats
+    # The engine resolves its counters at construction, so only the
+    # passed engine's scoring lands in this backend.
+    backend = Instrumentation()
+    with use_instrumentation(backend):
+        engine = ProbeScoringEngine(inference)
+    scored = backend.metrics.counter("engine.sequences_scored")
+    best_single_probe(inference, engine=engine)
+    assert scored.value == model.context.n_flows
+    best_probe_set(inference, 2, engine=engine)
+    assert scored.value > model.context.n_flows

@@ -114,12 +114,12 @@ class TestProactiveDefense:
         for rule in config.concrete_rules:
             assert rule.name in table
 
-    def test_controller_never_installs_reactively(self, config):
+    def test_controller_never_installs_reactively(self, config, obs):
         defense = ProactiveDefense()
         network = build_network(config, defense)
         prober = Prober(network)
         prober.measure(config.universe.flows[config.target_flow])
-        assert network.controller.stats["installs"] == 0
+        assert obs.metrics.counter("sim.controller.installs").value == 0
 
     def test_side_channel_carries_no_information(self, config):
         # Same probe outcome regardless of prior traffic.

@@ -6,6 +6,8 @@ import pytest
 from repro.faults import FAULT_KINDS, FaultInjector, FaultPlan
 from repro.obs import Instrumentation, use_instrumentation
 
+from tests.faults.conftest import counting_injector, injected
+
 
 def drain(injector, n=50):
     """A fixed interleaved query sequence, as the simulator would issue."""
@@ -29,10 +31,10 @@ class TestDeterminism:
             outage_duration=2.0,
             seed=11,
         )
-        first = FaultInjector(plan)
-        second = FaultInjector(plan)
+        first, first_backend = counting_injector(plan)
+        second, second_backend = counting_injector(plan)
         assert drain(first) == drain(second)
-        assert first.summary() == second.summary()
+        assert injected(first_backend) == injected(second_backend)
 
     def test_different_seeds_differ(self):
         plan = FaultPlan(packet_in_loss=0.5, seed=1)
@@ -65,46 +67,49 @@ class TestDeterminism:
 class TestRates:
     def test_rate_one_always_fires(self):
         plan = FaultPlan(packet_in_loss=1.0, seed=0)
-        injector = FaultInjector(plan)
+        injector, backend = counting_injector(plan)
         assert all(injector.drop_packet_in() for _ in range(20))
-        assert injector.counts["packet_in_loss"] == 20
-        assert injector.total_injected == 20
+        assert injected(backend)["packet_in_loss"] == 20
+        assert sum(injected(backend).values()) == 20
 
     def test_rate_zero_never_fires(self):
-        injector = FaultInjector(FaultPlan())
+        injector, backend = counting_injector(FaultPlan())
         assert not any(injector.drop_packet_in() for _ in range(20))
-        assert injector.total_injected == 0
+        assert sum(injected(backend).values()) == 0
 
     def test_counts_track_kinds_independently(self):
         plan = FaultPlan(packet_in_loss=1.0, probe_reply_loss=1.0, seed=0)
-        injector = FaultInjector(plan)
+        injector, backend = counting_injector(plan)
         injector.drop_packet_in()
         injector.drop_probe_reply()
         injector.drop_probe_reply()
-        assert injector.summary()["packet_in_loss"] == 1
-        assert injector.summary()["probe_reply_loss"] == 2
-        assert injector.summary()["flow_mod_loss"] == 0
+        counts = injected(backend)
+        assert counts["packet_in_loss"] == 1
+        assert counts["probe_reply_loss"] == 2
+        assert counts["flow_mod_loss"] == 0
 
 
 class TestControllerDelay:
     def test_jitter_adds_positive_delay(self):
-        injector = FaultInjector(FaultPlan(controller_jitter=0.005, seed=1))
+        injector, backend = counting_injector(
+            FaultPlan(controller_jitter=0.005, seed=1)
+        )
         delays = [injector.controller_extra_delay(0.0) for _ in range(50)]
         assert all(d > 0.0 for d in delays)
-        assert injector.counts["jitter"] == 50
+        assert injected(backend)["jitter"] == 50
 
     def test_outage_stalls_until_window_closes(self):
         plan = FaultPlan(outage_rate=1.0, outage_duration=2.0, seed=1)
-        injector = FaultInjector(plan)
+        injector, backend = counting_injector(plan)
         # The packet-in starting the outage waits out the full window.
         assert injector.controller_extra_delay(10.0) == pytest.approx(2.0)
-        assert injector.counts["outage"] == 1
+        assert injected(backend)["outage"] == 1
         # Mid-outage arrivals wait the remainder; no new outage draw.
         assert injector.controller_extra_delay(11.5) == pytest.approx(0.5)
-        assert injector.counts["outage"] == 1
+        assert injected(backend)["outage"] == 1
         # Past the window a fresh outage can start (rate 1 -> it does).
         assert injector.controller_extra_delay(13.0) == pytest.approx(2.0)
-        assert injector.counts["outage"] == 2
+        assert injected(backend)["outage"] == 2
 
 
 class TestObservability:

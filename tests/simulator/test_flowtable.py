@@ -48,18 +48,18 @@ class TestEntryTimers:
 
 
 class TestLookup:
-    def test_miss_on_empty(self):
+    def test_miss_on_empty(self, obs):
         table = FlowTable(4)
         assert table.lookup(FLOW, 0.0) is None
-        assert table.stats["misses"] == 1
+        assert obs.metrics.counter("sim.table.misses").value == 1
 
-    def test_hit_and_stats(self):
+    def test_hit_and_stats(self, obs):
         table = FlowTable(4)
         table.install(rule("r", src=1, idle=5.0), 7, 0.0)
         entry = table.lookup(FLOW, 1.0)
         assert entry is not None
         assert entry.out_port == 7
-        assert table.stats["hits"] == 1
+        assert obs.metrics.counter("sim.table.hits").value == 1
 
     def test_highest_priority_wins(self):
         table = FlowTable(4)
@@ -79,20 +79,20 @@ class TestLookup:
         table.lookup(FLOW, 4.0, refresh=False)
         assert table.lookup(FLOW, 8.0) is None  # expired at 5.0
 
-    def test_peek_is_pure(self):
+    def test_peek_is_pure(self, obs):
         table = FlowTable(4)
         table.install(rule("r", idle=5.0), 0, 0.0)
-        hits_before = table.stats["hits"]
+        hits_before = obs.metrics.counter("sim.table.hits").value
         assert table.peek(FLOW, 1.0) is not None
         assert table.peek(FLOW, 6.0) is None  # expired view
-        assert table.stats["hits"] == hits_before
+        assert obs.metrics.counter("sim.table.hits").value == hits_before
 
-    def test_expired_entries_removed_on_lookup(self):
+    def test_expired_entries_removed_on_lookup(self, obs):
         table = FlowTable(4)
         table.install(rule("r", idle=2.0), 0, 0.0)
         assert table.lookup(FLOW, 3.0) is None
         assert len(table) == 0
-        assert table.stats["expirations"] == 1
+        assert obs.metrics.counter("sim.table.expirations").value == 1
 
 
 class TestInstall:
@@ -127,11 +127,11 @@ class TestInstall:
         assert result is None
         assert "new" not in table
 
-    def test_eviction_counted(self):
+    def test_eviction_counted(self, obs):
         table = FlowTable(1)
         table.install(rule("a", src=5, idle=5.0), 0, 0.0)
         table.install(rule("b", src=6, idle=5.0), 0, 1.0)
-        assert table.stats["evictions"] == 1
+        assert obs.metrics.counter("sim.table.evictions").value == 1
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,10 @@
 
 The production table's correctness contract is behavioural identity
 with the linear-scan oracle :class:`tests.oracles.ReferenceFlowTable`
--- same winners, same victims, same expiry order, same stats -- so most
-tests here run both implementations side by side.  The pinned
+-- same winners, same victims, same expiry order, same counts -- so most
+tests here run both implementations side by side.  The oracle keeps its
+own ``stats`` dict; the production table counts only in the metrics
+registry, so its counts are read from a private backend.  The pinned
 tie-breaks get dedicated cases; a seeded fuzz run pins everything else.
 """
 
@@ -16,9 +18,13 @@ from repro.flows.flowid import FlowId
 from repro.flows.rules import ACTION_FORWARD, Match, Rule
 from repro import simulator
 from repro.simulator import flowtable
+from repro.obs import Instrumentation, use_instrumentation
 from repro.simulator.flowtable import FlowTable
 
 from tests import oracles
+
+#: The table events both implementations count.
+TABLE_EVENTS = ("hits", "misses", "installs", "evictions", "expirations")
 
 
 def rule(name, src=None, priority=10, idle=0.0, hard=0.0):
@@ -39,6 +45,22 @@ BOTH = pytest.mark.parametrize(
     [oracles.ReferenceFlowTable, FlowTable],
     ids=["ReferenceFlowTable", "IndexedFlowTable"],
 )
+
+
+def registry_counts(backend):
+    """The ``sim.table.*`` counts recorded in ``backend``."""
+    return {
+        event: backend.metrics.counter(f"sim.table.{event}").value
+        for event in TABLE_EVENTS
+    }
+
+
+def table_counts(table, backend):
+    """Event counts of ``table``: the oracle keeps its own ``stats``,
+    the production table's live in ``backend``'s registry."""
+    if isinstance(table, oracles.ReferenceFlowTable):
+        return dict(table.stats)
+    return registry_counts(backend)
 
 
 class TestAlias:
@@ -101,13 +123,15 @@ class TestTieBreaks:
         assert "perm" in table
 
     @BOTH
-    def test_table_full_of_permanent_rules_drops_the_install(self, table_cls):
+    def test_table_full_of_permanent_rules_drops_the_install(
+        self, table_cls, obs
+    ):
         table = table_cls(2)
         table.install(rule("p1"), 1, 0.0)
         table.install(rule("p2"), 2, 0.0)
         assert table.install(rule("soft", idle=5.0), 3, 1.0) is None
         assert "soft" not in table
-        assert table.stats["evictions"] == 0
+        assert table_counts(table, obs)["evictions"] == 0
 
     @BOTH
     def test_sweep_returns_expired_in_install_order(self, table_cls):
@@ -193,11 +217,11 @@ def _entry_key(entry):
     )
 
 
-def _snapshot(table, now):
+def _snapshot(table, now, counts):
     return {
         "names": table.rule_names(),
         "entries": sorted(_entry_key(e) for e in table.entries),
-        "stats": dict(table.stats),
+        "counts": counts,
         "len": len(table),
         "next_expiry": table.next_expiry(now),
     }
@@ -210,7 +234,11 @@ class TestReferenceEquivalence:
     def test_random_op_streams_agree(self, seed):
         rng = random.Random(seed)
         reference = oracles.ReferenceFlowTable(4)
-        indexed = FlowTable(4)
+        # Only the production table counts into this backend: its
+        # instruments are resolved at construction.
+        backend = Instrumentation()
+        with use_instrumentation(backend):
+            indexed = FlowTable(4)
         now = 0.0
         names = [f"r{i}" for i in range(8)]
         for _ in range(300):
@@ -254,4 +282,6 @@ class TestReferenceEquivalence:
                 assert [_entry_key(e) for e in expired_ref] == [
                     _entry_key(e) for e in expired_idx
                 ]
-            assert _snapshot(reference, now) == _snapshot(indexed, now)
+            assert _snapshot(reference, now, dict(reference.stats)) == (
+                _snapshot(indexed, now, registry_counts(backend))
+            )

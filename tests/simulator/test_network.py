@@ -103,24 +103,24 @@ class TestRouting:
 
 
 class TestEndToEnd:
-    def test_echo_round_trip(self):
+    def test_echo_round_trip(self, obs):
         network, universe = small_setup()
         flow = universe.flows[0]
         network.schedule_flow_arrival(flow, 0.01)
         network.sim.run_until(1.0)
-        assert network.stats["replies"] == 1
+        assert obs.metrics.counter("sim.network.replies").value == 1
 
-    def test_miss_then_hit_installs_rule(self):
+    def test_miss_then_hit_installs_rule(self, obs):
         network, universe = small_setup()
         flow = universe.flows[0]
         network.schedule_flow_arrival(flow, 0.01)
         network.sim.run_until(0.5)
         assert network.cached_reactive_rules() == ("r0",)
-        assert network.controller.stats["installs"] == 1
+        assert obs.metrics.counter("sim.controller.installs").value == 1
         # Second packet of the same flow: no new packet-in.
         network.schedule_flow_arrival(flow, 0.5)
         network.sim.run_until(0.9)
-        assert network.controller.stats["packet_ins"] == 1
+        assert obs.metrics.counter("sim.controller.packet_ins").value == 1
 
     def test_rule_expires_after_idle_timeout(self):
         network, universe = small_setup()
@@ -128,24 +128,24 @@ class TestEndToEnd:
         network.sim.run_until(2.0)  # idle timeout is 1 s
         assert network.cached_reactive_rules() == ()
 
-    def test_uncovered_flow_forwarded_without_install(self):
+    def test_uncovered_flow_forwarded_without_install(self, obs):
         network, universe = small_setup()
         alien = FlowId(src=str_to_ip("10.0.1.9"), dst=str_to_ip("10.0.1.16"))
         # 10.0.1.9 is not one of the 4 hosts; attach-less sources cannot
         # send, so probe via the attacker (spoofed).
         network.send_probe(alien, probe_id=1)
         network.sim.run_until(0.5)
-        assert network.controller.stats["forward_only"] >= 0
+        assert obs.metrics.counter("sim.controller.forward_only").value >= 0
         assert network.cached_reactive_rules() == ()
 
-    def test_eviction_when_cache_full(self):
+    def test_eviction_when_cache_full(self, obs):
         network, universe = small_setup(cache_size=2)
         for index in range(3):
             network.schedule_flow_arrival(universe.flows[index], 0.01 * (index + 1))
         network.sim.run_until(1.0)
         cached = network.cached_reactive_rules()
         assert len(cached) == 2
-        assert network.ingress_switch.table.stats["evictions"] == 1
+        assert obs.metrics.counter("sim.table.evictions").value == 1
 
 
 class TestProbing:
@@ -191,7 +191,7 @@ class TestProbing:
 
 
 class TestPaperScaleNetwork:
-    def test_full_configuration_runs(self):
+    def test_full_configuration_runs(self, obs):
         params = ConfigParams()
         config = ConfigGenerator(params, seed=3).sample()
         network = Network(
@@ -208,6 +208,6 @@ class TestPaperScaleNetwork:
         network.schedule_arrivals(schedule)
         network.sim.run_until(5.0)
         # Every request got a reply.
-        assert network.stats["replies"] == len(schedule)
+        assert obs.metrics.counter("sim.network.replies").value == len(schedule)
         # Reactive rules never exceed the cache budget.
         assert len(network.cached_reactive_rules()) <= config.cache_size

@@ -161,7 +161,6 @@ class TestForkIsolation:
             base.rng.bit_generator.state,
             base.defense._rng.bit_generator.state,
             dict(base._probe_observations),
-            dict(base.stats),
         )
         fork = base.fork()
         rtts = probe_rtts(fork, config)
@@ -175,7 +174,6 @@ class TestForkIsolation:
             base.rng.bit_generator.state,
             base.defense._rng.bit_generator.state,
             dict(base._probe_observations),
-            dict(base.stats),
         )
         assert after == before
         # The base still probes as if the fork had never run.

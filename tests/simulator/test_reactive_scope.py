@@ -46,13 +46,13 @@ class TestAllSwitchesReactive:
         network = build("all")
         assert all(s.reactive for s in network.switches.values())
 
-    def test_each_hop_raises_its_own_packet_in(self):
+    def test_each_hop_raises_its_own_packet_in(self, obs):
         network = build("all")
         prober = Prober(network)
         prober.measure(network.universe.flows[0])
         # 3 switches on the chain each miss once.
-        assert network.controller.stats["packet_ins"] == 3
-        assert network.controller.stats["installs"] == 3
+        assert obs.metrics.counter("sim.controller.packet_ins").value == 3
+        assert obs.metrics.counter("sim.controller.installs").value == 3
 
     def test_first_packet_pays_per_hop_setup(self):
         ingress_only = build("ingress", seed=1)
@@ -86,7 +86,7 @@ class TestIngressScopeUnchanged:
         reactive = [s.name for s in network.switches.values() if s.reactive]
         assert reactive == [network.ingress_name]
 
-    def test_single_packet_in(self):
+    def test_single_packet_in(self, obs):
         network = build("ingress")
         Prober(network).measure(network.universe.flows[0])
-        assert network.controller.stats["packet_ins"] == 1
+        assert obs.metrics.counter("sim.controller.packet_ins").value == 1

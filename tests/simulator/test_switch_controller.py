@@ -13,7 +13,7 @@ from repro.simulator.topology import linear_topology
 
 
 @pytest.fixture
-def network():
+def network(obs):
     base = str_to_ip("10.0.1.0")
     server = str_to_ip("10.0.1.16")
     flows = tuple(FlowId(src=base + i, dst=server) for i in range(2))
@@ -45,24 +45,23 @@ def network():
 
 
 class TestSwitchPipeline:
-    def test_miss_raises_packet_in(self, network):
+    def test_miss_raises_packet_in(self, network, obs):
         flow = network.universe.flows[0]
         network.schedule_flow_arrival(flow, 0.0)
         network.sim.run_until(0.5)
-        ingress = network.ingress_switch
-        assert ingress.stats["packet_ins"] == 1
-        assert network.controller.stats["packet_ins"] == 1
+        assert obs.metrics.counter("sim.switch.packet_ins").value == 1
+        assert obs.metrics.counter("sim.controller.packet_ins").value == 1
 
-    def test_hit_forwards_without_controller(self, network):
+    def test_hit_forwards_without_controller(self, network, obs):
         flow = network.universe.flows[0]
         network.schedule_flow_arrival(flow, 0.0)
         network.sim.run_until(0.5)
-        before = network.controller.stats["packet_ins"]
+        before = obs.metrics.counter("sim.controller.packet_ins").value
         network.schedule_flow_arrival(flow, 0.5)
         network.sim.run_until(0.9)
-        assert network.controller.stats["packet_ins"] == before
+        assert obs.metrics.counter("sim.controller.packet_ins").value == before
 
-    def test_duplicate_packet_out_is_harmless(self, network):
+    def test_duplicate_packet_out_is_harmless(self, network, obs):
         from repro.simulator.messages import PacketOut
 
         switch = network.ingress_switch
@@ -70,7 +69,7 @@ class TestSwitchPipeline:
         # No pending entry for this packet: handle_packet_out must be a
         # no-op rather than a crash (duplicate release).
         switch.handle_packet_out(PacketOut(packet=packet, out_port=1))
-        assert switch.stats["forwarded"] == 0
+        assert obs.metrics.counter("sim.switch.forwarded").value == 0
 
     def test_preinstall_rejects_timeout_rules(self, network):
         switch = network.ingress_switch
@@ -78,7 +77,7 @@ class TestSwitchPipeline:
         with pytest.raises(ValueError, match="permanent"):
             switch.preinstall(rule, out_port=1)
 
-    def test_flood_counts_unmatched(self, network):
+    def test_flood_counts_unmatched(self, network, obs):
         # A non-ICMP packet toward an unknown destination matches only
         # the flood rule.
         switch = network.ingress_switch
@@ -86,7 +85,7 @@ class TestSwitchPipeline:
             flow=FlowId(src=1, dst=2, proto=200), kind=ECHO_REQUEST
         )
         switch.receive(alien, in_port=1)
-        assert switch.stats["flooded"] == 1
+        assert obs.metrics.counter("sim.switch.flooded").value == 1
 
 
 class TestReactiveController:
@@ -96,15 +95,15 @@ class TestReactiveController:
         network.sim.run_until(0.5)
         assert network.cached_reactive_rules() == ("r1",)
 
-    def test_forward_only_for_uncovered(self, network):
+    def test_forward_only_for_uncovered(self, network, obs):
         base = str_to_ip("10.0.1.0")
         server = str_to_ip("10.0.1.16")
         # Attacker-spoofed flow from an address with no covering rule
         # but a monitored destination: packet-in, then packet-out only.
         network.send_probe(FlowId(src=base + 9, dst=server), probe_id=1)
         network.sim.run_until(0.5)
-        assert network.controller.stats["forward_only"] == 1
-        assert network.controller.stats["installs"] == 0
+        assert obs.metrics.counter("sim.controller.forward_only").value == 1
+        assert obs.metrics.counter("sim.controller.installs").value == 0
         # The probe still completes (reply observed) -- wait, the reply
         # returns to 10.0.1.9, which has no host; the observation stays
         # pending but the network must not crash.
