@@ -35,7 +35,8 @@ from repro.flows.arrival import Arrival, occurred_in_window, sample_schedule
 from repro.flows.config import NetworkConfiguration
 from repro.flows.flowid import FlowId
 from repro.flows.rules import RuleTable
-from repro.obs import get_instrumentation
+from repro.memo import BoundedMemo
+from repro.obs import Instrumentation, get_instrumentation
 from repro.simulator.flowtable import FlowTable
 from repro.simulator.network import Network
 from repro.simulator.probing import Prober
@@ -52,6 +53,19 @@ DefenseFactory = Callable[[], "Defense"]
 #: Seconds between consecutive probes on one table world (the network
 #: prober's default send gap).
 PROBE_GAP = 0.0005
+
+#: Template networks kept per process.  Trials run one configuration
+#: after another, so a handful covers any interleaving the harness and
+#: the service produce.
+MAX_TEMPLATES = 8
+
+#: ``(id(config), latency)`` -> ``(config, instrumentation, template)``.
+#: The entry holds the configuration, so its id cannot be reused while
+#: the entry lives.
+_TEMPLATES: BoundedMemo[
+    Tuple[int, Optional[LatencyModel]],
+    Tuple[NetworkConfiguration, Instrumentation, Network],
+] = BoundedMemo(MAX_TEMPLATES)
 
 
 @dataclass(frozen=True)
@@ -221,6 +235,32 @@ def _check_mode(
         raise ValueError("defenses require network-mode trials")
 
 
+def _network_template(
+    config: NetworkConfiguration, latency: Optional[LatencyModel]
+) -> Network:
+    """The configuration's network as built: no defense, no injector, unrun.
+
+    Built once per ``(configuration, latency model)`` and kept in
+    :data:`_TEMPLATES`.  A template's instruments are bound when it is
+    built, so one built under another instrumentation backend (a pool
+    worker's chunk installs a fresh one) is rebuilt rather than counting
+    into that backend.
+    """
+    obs = get_instrumentation()
+    key = (id(config), latency)
+    entry = _TEMPLATES.get(key)
+    if entry is None or entry[1] is not obs:
+        template = Network(
+            config.concrete_rules,
+            config.universe,
+            cache_size=config.cache_size,
+            latency=latency,
+        )
+        entry = (config, obs, template)
+        _TEMPLATES[key] = entry
+    return entry[2]
+
+
 def _window_world(
     config: NetworkConfiguration,
     schedule: Sequence[Arrival],
@@ -234,22 +274,20 @@ def _window_world(
 
     The one place the fidelity level matters: table mode replays the
     schedule through a :class:`_TableWorld` (``latency`` unused, no
-    defense); network mode builds the :class:`Network` and runs it.
+    defense); network mode forks the configuration's template network,
+    reseeds the fork with ``default_rng(seed + 1)``, attaches the
+    trial's defense and injector, and runs it.  Building draws nothing
+    from the network's generator, so the fork equals a fresh
+    ``Network(..., rng=default_rng(seed + 1), defense=..., faults=...)``.
     """
     if mode == "table":
         world = _TableWorld(config, faults=faults)
         for arrival in schedule:
             world.arrival(arrival.flow_index, arrival.time)
         return _Window(world, _TableProber)
-    network = Network(
-        config.concrete_rules,
-        config.universe,
-        cache_size=config.cache_size,
-        latency=latency,
-        rng=np.random.default_rng(seed + 1),
-        defense=defense,
-        faults=faults,
-    )
+    network = _network_template(config, latency).fork()
+    network.reseed(np.random.default_rng(seed + 1))
+    network.attach(defense, faults)
     network.schedule_arrivals(schedule)
     network.sim.run_until(config.window_seconds)
     return _Window(network, Prober)

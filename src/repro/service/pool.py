@@ -19,8 +19,10 @@ inherit the parent's dict at fork and then fill their own copy, so a
 scenario first served after the fork is built once per worker that
 runs one of its sessions.  On the serial path, and for a batch of one
 session (which runs in the parent, like any one-item map), the parent's
-copy fills.  Nothing is evicted: each worker keeps a model for every
-scenario it has served.
+copy fills.  Each process keeps at most :data:`MAX_SCENARIO_MODELS`
+models and evicts the least recently used scenario; an evicted
+scenario's next session rebuilds the same model (the build is a pure
+function of the scenario).
 
 Failure discipline is the primitive's: any exception escaping the pool
 (executor start failure, a worker exception, a worker killed mid-batch)
@@ -38,6 +40,7 @@ from repro.apispec import JobSpec
 from repro.core.compact_model import CompactModel
 from repro.experiments.parallel import TrialContext, run_planned_trial
 from repro.flows.config import NetworkConfiguration
+from repro.memo import BoundedMemo
 from repro.obs import get_instrumentation
 from repro.parallel import ForkPool
 from repro.service import sessions
@@ -45,9 +48,13 @@ from repro.service import sessions
 #: One session: scenario key, scenario, spec, session index, target flow.
 SessionTask = Tuple[str, NetworkConfiguration, JobSpec, int, int]
 
+#: Compact models each process keeps (LRU by scenario key).  Well above
+#: the handful of scenarios a service typically alternates between.
+MAX_SCENARIO_MODELS = 8
+
 
 def _run_session(
-    models: Dict[str, CompactModel], task: SessionTask
+    models: BoundedMemo[str, CompactModel], task: SessionTask
 ) -> Dict[str, object]:
     """Plan, run and score one session (in a worker or the parent)."""
     key, scenario, spec, index, target = task
@@ -93,7 +100,9 @@ class SessionPool:
     def __init__(self, shards: int = 1) -> None:
         self.shards = max(1, int(shards))
         #: Scenario key -> compact model, memoised per process.
-        self.models: Dict[str, CompactModel] = {}
+        self.models: BoundedMemo[str, CompactModel] = BoundedMemo(
+            MAX_SCENARIO_MODELS
+        )
         self._pool = ForkPool(self.shards, self.models, name="service")
 
     @property
@@ -117,4 +126,4 @@ class SessionPool:
         self._pool.close()
 
 
-__all__ = ["SessionPool", "SessionTask"]
+__all__ = ["MAX_SCENARIO_MODELS", "SessionPool", "SessionTask"]

@@ -52,8 +52,8 @@ class ReactiveController:
             # installed; a packet-in can only be a race or an uncovered
             # flow -- never install reactively.
             rule = None
-        processing = network.latency.controller_processing_delay(network.rng)
-        down_link = network.latency.control_link_delay(network.rng)
+        processing = network.latency.controller_processing_delay(network.normals)
+        down_link = network.latency.control_link_delay(network.normals)
         if network.faults is not None:
             # Injected controller jitter / outage stall (docs/FAULTS.md).
             processing += network.faults.controller_extra_delay(network.sim.now)
@@ -72,7 +72,7 @@ class ReactiveController:
             return
 
         self._obs_installs.inc()
-        install_delay = network.latency.flowmod_install_delay(network.rng)
+        install_delay = network.latency.flowmod_install_delay(network.normals)
         network.sim.schedule(
             processing + down_link,
             self._install_and_release,

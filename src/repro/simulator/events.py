@@ -37,40 +37,6 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 Callback = Callable[..., None]
 
 
-class _ScheduledEvent:
-    """One queued ``fn(*args)`` call; ordered by ``(time, seq)`` (FIFO ties)."""
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        fn: Callback,
-        args: Tuple[Any, ...] = (),
-        cancelled: bool = False,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = cancelled
-
-    def __lt__(self, other: "_ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _ScheduledEvent):
-            return NotImplemented
-        return (self.time, self.seq) == (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return (
-            f"_ScheduledEvent(time={self.time!r}, seq={self.seq!r}, "
-            f"cancelled={self.cancelled!r})"
-        )
-
-
 class _EventStream:
     """A sorted batch of events owning a contiguous seq block."""
 
@@ -90,24 +56,30 @@ class _EventStream:
 
 
 class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; allows cancellation."""
+    """One queued ``fn(*args)`` call; :meth:`Simulator.schedule` returns it.
 
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
+    The heap holds ``(time, seq, handle)`` tuples, so ``heapq`` orders
+    events by ``(time, seq)`` (FIFO ties) in C and never compares two
+    handles (sequence numbers are unique).  A cancelled handle stays in
+    the heap and is skipped when it reaches the top.
+    """
+
+    __slots__ = ("time", "fn", "args", "cancelled")
+
+    def __init__(self, time: float, fn: Callback, args: Tuple[Any, ...]) -> None:
+        #: Scheduled execution time.
+        self.time = time
+        self.fn = fn
+        self.args = args
+        #: Whether the event has been cancelled.
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent)."""
-        self._event.cancelled = True
+        self.cancelled = True
 
-    @property
-    def time(self) -> float:
-        """Scheduled execution time."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the event has been cancelled."""
-        return self._event.cancelled
+    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
+        return f"EventHandle(time={self.time!r}, cancelled={self.cancelled!r})"
 
 
 class Simulator:
@@ -115,7 +87,9 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: List[_ScheduledEvent] = []
+        #: ``(time, seq, handle)`` entries, a ``heapq`` heap.
+        self._queue: List[Tuple[float, int, EventHandle]] = []
+        #: Streams with events left; one is dropped when it runs out.
         self._streams: List[_EventStream] = []
         self._seq = 0
         self._events_run = 0
@@ -143,7 +117,12 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` seconds of simulated time."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, fn, *args)
+        time = float(self._now + delay)
+        event = EventHandle(time, fn, args)
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, event))
+        return event
 
     def schedule_at(
         self, time: float, fn: Callback, *args: Any
@@ -153,10 +132,12 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule in the past ({time} < {self._now})"
             )
-        event = _ScheduledEvent(float(time), self._seq, fn, args)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        time = float(time)
+        event = EventHandle(time, fn, args)
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, event))
+        return event
 
     def schedule_stream(
         self, times: Sequence[float], run: Callable[[int], None]
@@ -192,23 +173,34 @@ class Simulator:
     def _head_stream(self) -> Optional[_EventStream]:
         """The stream owning the earliest pending event, if it beats the heap.
 
-        Also drops exhausted streams and cancelled heap-top entries, so
-        the caller can read ``self._queue[0]`` directly when ``None`` is
-        returned and the queue is non-empty.
+        Also drops cancelled heap-top entries, so the caller can read
+        ``self._queue[0]`` directly when ``None`` is returned and the
+        queue is non-empty.
         """
-        if self._streams:
-            self._streams = [s for s in self._streams if s.remaining]
         queue = self._queue
-        while queue and queue[0].cancelled:
+        while queue and queue[0][2].cancelled:
             heapq.heappop(queue)
         best: Optional[_EventStream] = None
-        best_key = (queue[0].time, queue[0].seq) if queue else None
+        if not self._streams:
+            return best
+        best_key = queue[0][:2] if queue else None
         for stream in self._streams:
-            key = (stream.times[stream.cursor], stream.seq0 + stream.cursor)
+            cursor = stream.cursor
+            key = (stream.times[cursor], stream.seq0 + cursor)
             if best_key is None or key < best_key:
                 best = stream
                 best_key = key
         return best
+
+    def _run_stream_event(self, stream: _EventStream) -> None:
+        """Fire the stream's next event, dropping the stream once it is done."""
+        index = stream.cursor
+        stream.cursor = index + 1
+        if index + 1 == len(stream.times):
+            self._streams.remove(stream)
+        self._now = stream.times[index]
+        self._events_run += 1
+        stream.run(index)
 
     @property
     def next_event_time(self) -> Optional[float]:
@@ -216,22 +208,18 @@ class Simulator:
         stream = self._head_stream()
         if stream is not None:
             return stream.times[stream.cursor]
-        return self._queue[0].time if self._queue else None
+        return self._queue[0][0] if self._queue else None
 
     def step(self) -> bool:
         """Execute the next event; returns ``False`` when queue is empty."""
         stream = self._head_stream()
         if stream is not None:
-            index = stream.cursor
-            stream.cursor = index + 1
-            self._now = stream.times[index]
-            self._events_run += 1
-            stream.run(index)
+            self._run_stream_event(stream)
             return True
         if not self._queue:
             return False
-        event = heapq.heappop(self._queue)
-        self._now = event.time
+        time, _, event = heapq.heappop(self._queue)
+        self._now = time
         self._events_run += 1
         event.fn(*event.args)
         return True
@@ -245,25 +233,22 @@ class Simulator:
         """
         if end_time < self._now:
             raise ValueError(f"end_time {end_time} is in the past")
+        queue = self._queue
+        heappop = heapq.heappop
         executed = 0
         while True:
             # One merged head probe per event (step() would re-probe).
             stream = self._head_stream()
             if stream is not None:
-                time = stream.times[stream.cursor]
+                if stream.times[stream.cursor] > end_time:
+                    break
+                self._run_stream_event(stream)
+            elif queue:
+                time, _, event = queue[0]
                 if time > end_time:
                     break
-                index = stream.cursor
-                stream.cursor = index + 1
+                heappop(queue)
                 self._now = time
-                self._events_run += 1
-                stream.run(index)
-            elif self._queue:
-                event = self._queue[0]
-                if event.time > end_time:
-                    break
-                heapq.heappop(self._queue)
-                self._now = event.time
                 self._events_run += 1
                 event.fn(*event.args)
             else:

@@ -387,6 +387,29 @@ class FlowTable:
         self._obs_installs.inc()
         return evicted
 
+    def preinstall(self, rule: Rule, out_port: int) -> None:
+        """Install a permanent entry at time zero, uncounted.
+
+        Permanent entries are set-up plumbing, not cache traffic: a
+        trial network forked from a template carries them without
+        installing them again, so ``sim.table.installs`` counts only
+        the timed :meth:`install` calls and never depends on how many
+        networks a process built.
+        """
+        if not rule.is_permanent():
+            raise ValueError(
+                f"preinstalled rule {rule.name} must be permanent"
+            )
+        if rule.name in self._entries or len(self._entries) >= self.capacity:
+            raise RuntimeError(  # pragma: no cover - setup invariant
+                f"cannot preinstall {rule.name}: name taken or table full"
+            )
+        entry = TableEntry(
+            rule=rule, out_port=out_port, install_time=0.0, last_match=0.0
+        )
+        self._entries[rule.name] = entry
+        self._index_add(entry)
+
     def _pick_victim(self, now: float) -> Optional[TableEntry]:
         """Shortest-remaining-time evictable entry (ties: oldest install)."""
         top = self._heap_top()

@@ -48,7 +48,7 @@ from repro.simulator.controller import ReactiveController
 from repro.simulator.events import Simulator
 from repro.simulator.messages import ECHO_REPLY, ECHO_REQUEST, Packet
 from repro.simulator.switch import Switch
-from repro.simulator.timing import LatencyModel
+from repro.simulator.timing import LatencyModel, NormalBlock
 from repro.simulator.topology import stanford_backbone, validate_topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -138,38 +138,22 @@ class Network:
         self.latency = latency or LatencyModel.calibrated()
         # Reproducible by default: an explicit generator wins, then an
         # explicit seed, then DEFAULT_SEED -- never OS entropy.
-        self.rng = (
+        self.reseed(
             rng
             if rng is not None
             else np.random.default_rng(DEFAULT_SEED if seed is None else seed)
         )
-        if sanitize.is_active():
-            sanitize.guard_rng("network.rng", self.rng)
         self.topology = topology if topology is not None else stanford_backbone()
         validate_topology(self.topology)
         self.universe = universe
         self.policy_rules = RuleTable(rules)
-        self.defense = defense
-        self.proactive_defense_active = False
-        if defense is not None:
-            # Resolved once here, not per packet: the hooks sit on the
-            # forwarding hot path.  Without a defense the hooks never
-            # touch instrumentation at all.
-            metrics = get_instrumentation().metrics
-            self._obs_defense_observed = metrics.counter(
-                "defense.packets_observed"
-            )
-            self._obs_defense_delayed = metrics.counter(
-                "defense.packets_delayed"
-            )
-            self._obs_defense_delay = metrics.histogram(
-                "defense.added_delay_seconds"
-            )
+        self.defense: Optional["Defense"] = None
         # Optional fault injector (docs/FAULTS.md).  ``None`` (and an
         # all-zero plan) leaves every code path byte-identical to the
         # fault-free simulator -- the injector owns its own RNG and is
         # only *consulted* at the narrow injection points.
-        self.faults = faults
+        self.faults: Optional["FaultInjector"] = None
+        self.proactive_defense_active = False
 
         nodes = sorted(self.topology.nodes)
         self.ingress_name = self.config.ingress_switch or (
@@ -194,9 +178,7 @@ class Network:
         metrics = get_instrumentation().metrics
         self._obs_host_sends = metrics.counter("sim.network.host_sends")
         self._obs_replies = metrics.counter("sim.network.replies")
-
-        if self.defense is not None:
-            self.defense.attach(self)
+        self.attach(defense, faults)
 
     def fork(self) -> "Network":
         """An independent copy of this network in its current state.
@@ -206,8 +188,8 @@ class Network:
         -- are shared through the memo.  Everything the simulation
         mutates is copied: the clock and pending events (scheduled as
         bound methods, so they act on the copy), flow tables, buffered
-        packets, probe observations, the ``rng`` state and any attached
-        defense or fault injector.  Running the fork therefore leaves
+        packets, probe observations, the ``rng`` state with its latency
+        block and any attached defense or fault injector.  Running the fork therefore leaves
         this network untouched and continues exactly as this network
         would have.  Frozen value types (flows, rules, the latency
         model) and metric instruments return themselves from
@@ -226,6 +208,51 @@ class Network:
         )
         memo: Dict[int, object] = {id(obj): obj for obj in shared}
         return copy.deepcopy(self, memo)
+
+    def reseed(self, rng: np.random.Generator) -> None:
+        """Draw every latency from ``rng`` from now on.
+
+        Only a network that has not run may be reseeded.  Building draws
+        nothing, so a reseeded fork of an unrun template draws exactly
+        what a fresh build with ``rng`` would (see
+        :func:`repro.experiments.trials._window_world`).
+        """
+        if self.sim.events_run or self.sim.pending:
+            raise ValueError("only a network that has not run can be reseeded")
+        self.rng = rng
+        #: Latency normals, drawn from ``rng`` in blocks; nothing else
+        #: may draw from ``rng`` (docs/SIMULATOR.md).
+        self.normals = NormalBlock(rng)
+        if sanitize.is_active():
+            sanitize.guard_rng("network.rng", rng)
+
+    def attach(
+        self,
+        defense: Optional["Defense"] = None,
+        faults: Optional["FaultInjector"] = None,
+    ) -> None:
+        """Attach a defense and a fault injector, once, before running.
+
+        ``Network(defense=..., faults=...)`` ends here, and so does a
+        trial's reseeded template fork: either way the defense's
+        ``attach`` hook runs once, after the permanent entries are in.
+        """
+        if self.defense is not None or self.faults is not None:
+            raise ValueError("a defense or fault injector is already attached")
+        self.faults = faults
+        if defense is None:
+            return
+        self.defense = defense
+        # Resolved once here, not per packet: the hooks sit on the
+        # forwarding hot path.  Without a defense the hooks never
+        # touch instrumentation at all.
+        metrics = get_instrumentation().metrics
+        self._obs_defense_observed = metrics.counter("defense.packets_observed")
+        self._obs_defense_delayed = metrics.counter("defense.packets_delayed")
+        self._obs_defense_delay = metrics.histogram(
+            "defense.added_delay_seconds"
+        )
+        defense.attach(self)
 
     # ------------------------------------------------------------------
     # Construction
@@ -358,7 +385,7 @@ class Network:
         if endpoint is None:
             raise KeyError(f"switch {switch.name} has no port {out_port}")
         kind, name = endpoint
-        delay = self.latency.link_delay(self.rng)
+        delay = self.latency.link_delay(self.normals)
         if kind == "switch":
             neighbor = self.switches[name]
             in_port = self._port_to_neighbor[(name, switch.name)]
@@ -372,7 +399,7 @@ class Network:
         """Host-side packet handling: echo replies and probe observation."""
         if packet.kind == ECHO_REQUEST and packet.flow.dst == host.ip:
             reply = packet.make_reply(self.sim.now)
-            delay = self.latency.host_reply_delay(self.rng)
+            delay = self.latency.host_reply_delay(self.normals)
             self.sim.schedule(delay, self.send_from_host, host, reply)
             return
         if packet.kind == ECHO_REPLY:
@@ -393,7 +420,7 @@ class Network:
     def send_from_host(self, host: HostRecord, packet: Packet) -> None:
         """Inject a packet from ``host`` into its access switch."""
         switch = self.switches[host.switch_name]
-        delay = self.latency.link_delay(self.rng)
+        delay = self.latency.link_delay(self.normals)
         self._obs_host_sends.inc()
         self.sim.schedule(delay, switch.receive, packet, host.port)
 

@@ -90,7 +90,7 @@ class Switch:
         self, packet: Packet, out_port: int, cache_hit: bool
     ) -> None:
         network = self.network
-        delay = network.latency.lookup_delay(network.rng)
+        delay = network.latency.lookup_delay(network.normals)
         if cache_hit:
             extra = network.defense_forward_delay(self, packet)
             delay += extra
@@ -111,7 +111,7 @@ class Switch:
             # neither installed nor released -- probes for it time out.
             return
         message = PacketIn(switch_name=self.name, packet=packet, in_port=in_port)
-        delay = network.latency.control_link_delay(network.rng)
+        delay = network.latency.control_link_delay(network.normals)
         network.sim.schedule(
             delay, network.controller.handle_packet_in, message
         )
@@ -134,14 +134,8 @@ class Switch:
     # Setup helpers
     # ------------------------------------------------------------------
     def preinstall(self, rule: Rule, out_port: int) -> None:
-        """Install a permanent helper rule at time zero."""
-        if not rule.is_permanent():
-            raise ValueError(
-                f"preinstalled rule {rule.name} must be permanent"
-            )
-        installed = self.table.install(rule, out_port, now=0.0)
-        if installed is not None:  # pragma: no cover - setup invariant
-            raise RuntimeError("preinstall caused an eviction")
+        """Install a permanent helper rule at time zero (uncounted)."""
+        self.table.preinstall(rule, out_port)
 
     def cached_reactive_rules(self) -> tuple:
         """Names of currently cached non-permanent rules (sorted)."""

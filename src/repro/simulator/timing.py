@@ -16,14 +16,65 @@ regenerates the comparison.
 All samples are drawn from normal distributions clipped below at a tenth
 of the mean, a pragmatic stand-in for the positively skewed latency
 noise of a real testbed.
+
+A network draws its latencies through a :class:`NormalBlock`: standard
+normals come from its generator :data:`NORMAL_BLOCK` at a time, and a
+draw returns ``mean + std * z``.  numpy's ``Generator.normal(loc,
+scale)`` computes ``loc + scale * standard_normal()``, and a block of
+``standard_normal(k)`` is the next ``k`` scalar draws, so the delays are
+bit-identical to scalar ``rng.normal`` calls -- provided nothing else
+draws from that generator (``tests/simulator/test_timing.py`` pins both
+facts).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
-from typing import Dict
+from typing import Dict, List, Union
 
 import numpy as np
+
+#: Standard normals a :class:`NormalBlock` draws at a time.  A trial
+#: draws about two thousand; a fork shares the block it was taken in.
+NORMAL_BLOCK = 512
+
+
+class NormalBlock:
+    """Normal draws from one generator, taken ``NORMAL_BLOCK`` at a time.
+
+    ``normal(loc, scale)`` matches ``Generator.normal`` bit for bit
+    while this block is the generator's only consumer.  The block list
+    is replaced, never mutated, so a deep copy shares it and copies only
+    the cursor and the generator.
+    """
+
+    __slots__ = ("rng", "_block", "_cursor")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self._block: List[float] = []
+        self._cursor = 0
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "NormalBlock":
+        clone = NormalBlock.__new__(NormalBlock)
+        clone.rng = copy.deepcopy(self.rng, memo)
+        clone._block = self._block
+        clone._cursor = self._cursor
+        return clone
+
+    def normal(self, loc: float, scale: float) -> float:
+        """The next draw of ``N(loc, scale**2)``."""
+        cursor = self._cursor
+        if cursor == len(self._block):
+            self._block = self.rng.standard_normal(NORMAL_BLOCK).tolist()
+            cursor = 0
+        self._cursor = cursor + 1
+        return loc + scale * self._block[cursor]
+
+
+#: What a latency draw reads from: a network's block or a bare generator.
+NormalSource = Union[NormalBlock, np.random.Generator]
 
 
 @dataclass(frozen=True)
@@ -52,40 +103,38 @@ class LatencyModel:
     def __deepcopy__(self, memo: Dict[int, object]) -> "LatencyModel":
         return self  # immutable: network forks share it
 
-    def _sample(
-        self, rng: np.random.Generator, mean: float, std: float
-    ) -> float:
+    def _sample(self, normals: NormalSource, mean: float, std: float) -> float:
         if mean <= 0.0:
             return 0.0
-        value = float(rng.normal(mean, std))
+        value = float(normals.normal(mean, std))
         return max(value, mean * 0.1)
 
-    def link_delay(self, rng: np.random.Generator) -> float:
+    def link_delay(self, normals: NormalSource) -> float:
         """One traversal of a data-plane link."""
-        return self._sample(rng, self.link_mean, self.link_std)
+        return self._sample(normals, self.link_mean, self.link_std)
 
-    def lookup_delay(self, rng: np.random.Generator) -> float:
+    def lookup_delay(self, normals: NormalSource) -> float:
         """One flow-table lookup and forward."""
-        return self._sample(rng, self.lookup_mean, self.lookup_std)
+        return self._sample(normals, self.lookup_mean, self.lookup_std)
 
-    def host_reply_delay(self, rng: np.random.Generator) -> float:
+    def host_reply_delay(self, normals: NormalSource) -> float:
         """Echo turnaround at the destination host."""
-        return self._sample(rng, self.host_reply_mean, self.host_reply_std)
+        return self._sample(normals, self.host_reply_mean, self.host_reply_std)
 
-    def control_link_delay(self, rng: np.random.Generator) -> float:
+    def control_link_delay(self, normals: NormalSource) -> float:
         """One-way control channel traversal."""
-        return self._sample(rng, self.control_link_mean, self.control_link_std)
+        return self._sample(normals, self.control_link_mean, self.control_link_std)
 
-    def controller_processing_delay(self, rng: np.random.Generator) -> float:
+    def controller_processing_delay(self, normals: NormalSource) -> float:
         """Controller packet-in handling time."""
         return self._sample(
-            rng, self.controller_proc_mean, self.controller_proc_std
+            normals, self.controller_proc_mean, self.controller_proc_std
         )
 
-    def flowmod_install_delay(self, rng: np.random.Generator) -> float:
+    def flowmod_install_delay(self, normals: NormalSource) -> float:
         """Switch-side flow-mod processing and insertion."""
         return self._sample(
-            rng, self.flowmod_install_mean, self.flowmod_install_std
+            normals, self.flowmod_install_mean, self.flowmod_install_std
         )
 
     def expected_setup_delay(self) -> float:

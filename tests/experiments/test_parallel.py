@@ -157,6 +157,46 @@ class TestTrialFanout:
                 )
             )
 
+    def test_network_trial_counters_match_serial(self):
+        # The network-mode twin: trials fork a per-process template
+        # network, and workers build their own templates per chunk, so
+        # every `sim.*` count must be independent of how many templates
+        # were built (permanent entries are installed uncounted).
+        plan = FaultPlan(
+            packet_in_loss=0.1,
+            flow_mod_loss=0.1,
+            probe_reply_loss=0.3,
+            controller_jitter=1e-4,
+            seed=9,
+        )
+        params = tiny_experiment_params(n_trials=6, trial_mode="network")
+
+        def counters(run):
+            backend = Instrumentation()
+            with use_instrumentation(backend):
+                run(ConfigHarness.sample(params))
+            document = backend.metrics.to_document()["counters"]
+            return {
+                name: value
+                for name, value in document.items()
+                if value and name.startswith(("faults.", "attacker.", "sim."))
+            }
+
+        serial = counters(
+            lambda harness: loops.run_trials(
+                harness, fault_plan=plan, probe_retries=1
+            )
+        )
+        assert serial["sim.table.installs"] > 0
+        assert serial["sim.network.host_sends"] > 0
+        assert any(name.startswith("faults.") for name in serial)
+        for trial_jobs in (2, 3):
+            assert serial == counters(
+                lambda harness: harness.run_trials(
+                    fault_plan=plan, probe_retries=1, trial_jobs=trial_jobs
+                )
+            )
+
     def test_params_trial_jobs_used_by_default(self):
         params = tiny_experiment_params(n_trials=6)
         serial = ConfigHarness.sample(params)

@@ -65,6 +65,7 @@ import pytest
 
 from repro.core import cnative
 from repro.experiments import trials as trial_runners
+from repro.memo import BoundedMemo
 from repro.simulator import switch
 from repro.simulator.network import Network
 
@@ -86,6 +87,13 @@ def oracle_pipeline() -> Iterator[None]:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(switch, "FlowTable", ReferenceFlowTable)
         patch.setattr(trial_runners, "FlowTable", ReferenceFlowTable)
+        # Template networks built outside hold production tables: start
+        # from an empty memo, and drop the oracle-built ones on exit.
+        patch.setattr(
+            trial_runners,
+            "_TEMPLATES",
+            BoundedMemo(trial_runners.MAX_TEMPLATES),
+        )
         patch.setattr(Network, "schedule_arrivals", network.schedule_arrivals)
         patch.setenv(cnative.DISABLE_ENV_VAR, "1")
         cnative._reset_for_tests()

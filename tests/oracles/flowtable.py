@@ -147,6 +147,17 @@ class ReferenceFlowTable:
         self._obs_installs.inc()
         return evicted
 
+    def preinstall(self, rule: Rule, out_port: int) -> None:
+        """Install a permanent entry at time zero; counted nowhere."""
+        if not rule.is_permanent():
+            raise ValueError(
+                f"preinstalled rule {rule.name} must be permanent"
+            )
+        assert rule.name not in self._entries and len(self) < self.capacity
+        self._entries[rule.name] = TableEntry(
+            rule=rule, out_port=out_port, install_time=0.0, last_match=0.0
+        )
+
     def _pick_victim(self, now: float) -> Optional[TableEntry]:
         """Shortest-remaining-time evictable entry (ties: oldest install)."""
         candidates = [e for e in self._entries.values() if e.evictable]

@@ -26,6 +26,7 @@ import pytest
 
 import repro.experiments.parallel as parallel_mod
 import repro.parallel as primitive
+import repro.service.pool as pool_mod
 import repro.service.sessions as sessions_mod
 from repro.core.compact_model import CompactModel
 from repro.experiments.harness import ConfigHarness
@@ -317,6 +318,36 @@ class TestModelPlacement:
             service.close()
         assert model_builds() == [os.getpid()] * 2
         assert len(service.pool.models) == 2
+
+    def test_evicted_scenario_rebuilds_into_identical_rows(
+        self, tmp_path, model_builds, monkeypatch
+    ):
+        # A one-model bound: the second scenario evicts the first, so
+        # the third job rebuilds the first scenario's model.
+        monkeypatch.setattr(pool_mod, "MAX_SCENARIO_MODELS", 1)
+        first = tiny_recon_spec(job_id="first", targets=(0, 1))
+        other = tiny_recon_spec(job_id="other", seed=12, n_targets=2)
+        again = tiny_recon_spec(job_id="again", targets=(0, 1))
+        service = ReconService(tmp_path / "state", shards=1)
+        try:
+            _serve(service, first, other, again)
+        finally:
+            service.close()
+        assert model_builds() == [os.getpid()] * 3
+        assert len(service.pool.models) == 1
+        serve_jobs([again], tmp_path / "fresh")
+        assert _digests(tmp_path / "state", "again") == _digests(
+            tmp_path / "fresh", "again"
+        )
+        store = CheckpointStore(tmp_path / "state")
+        first_rows, again_rows = (
+            {
+                index: row["series"]
+                for index, row in store.completed_sessions(job).items()
+            }
+            for job in ("first", "again")
+        )
+        assert first_rows and first_rows == again_rows
 
     @needs_fork
     def test_scenario_first_served_after_the_fork(self, tmp_path):

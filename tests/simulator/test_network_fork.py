@@ -85,7 +85,7 @@ class TestForkMidWindow:
         assert original.sim.now < config.window_seconds / 2
         # Cancelled now, so the fork copies it as a cancelled heap entry.
         handle.cancel()
-        assert any(event.cancelled for event in original.sim._queue)
+        assert any(event.cancelled for _, _, event in original.sim._queue)
 
         fork = original.fork()
         assert fork.sim.now == original.sim.now
@@ -122,7 +122,7 @@ class TestForkMidWindow:
         while not kinds <= covered:
             assert original.sim.step()
             assert original.sim.now < config.window_seconds
-            pending = {event.fn.__name__ for event in original.sim._queue}
+            pending = {event.fn.__name__ for _, _, event in original.sim._queue}
             if pending - covered:
                 covered |= pending
                 forks.append(original.fork())

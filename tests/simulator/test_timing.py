@@ -1,14 +1,36 @@
 """Tests for the latency model."""
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.simulator.timing import (
     DEFAULT_THRESHOLD_SECONDS,
+    NORMAL_BLOCK,
     PAPER_HIT_MEAN,
     PAPER_MISS_MEAN,
     LatencyModel,
+    NormalBlock,
 )
+
+#: The six delay components: method name -> its mean field.
+MEAN_FIELDS = {
+    "link_delay": "link_mean",
+    "lookup_delay": "lookup_mean",
+    "host_reply_delay": "host_reply_mean",
+    "control_link_delay": "control_link_mean",
+    "controller_processing_delay": "controller_proc_mean",
+    "flowmod_install_delay": "flowmod_install_mean",
+}
+COMPONENTS = tuple(MEAN_FIELDS)
+
+MODELS = {
+    "calibrated": LatencyModel.calibrated(),
+    "noiseless": LatencyModel.noiseless(),
+    "scaled": LatencyModel.calibrated().scaled(3.0),
+}
 
 
 @pytest.fixture
@@ -70,3 +92,66 @@ class TestScaled:
     def test_scale_must_be_positive(self, model):
         with pytest.raises(ValueError):
             model.scaled(0.0)
+
+
+class TestBlockDraws:
+    """A network's block-drawn latencies equal scalar ``rng.normal`` draws.
+
+    numpy computes ``normal(loc, scale)`` as ``loc + scale *
+    standard_normal()``; if a platform's numpy ever fused that into one
+    rounding, these comparisons fail instead of fixtures drifting.
+    """
+
+    DRAWS = 200_000
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_block_draws_equal_scalar_draws_bit_for_bit(self, name):
+        model = MODELS[name]
+        normals = NormalBlock(np.random.default_rng(11))
+        twin = np.random.default_rng(11)
+        order = np.random.default_rng(5).integers(
+            len(COMPONENTS), size=self.DRAWS
+        )
+        for step, index in enumerate(order.tolist()):
+            component = COMPONENTS[index]
+            if step % 2:
+                # The delay as the simulator sees it (clipped).
+                drawn = getattr(model, component)(normals)
+                scalar = getattr(model, component)(twin)
+            else:
+                # The raw draw, below the clip too.
+                mean = getattr(model, MEAN_FIELDS[component])
+                std = getattr(model, MEAN_FIELDS[component][:-4] + "std")
+                drawn = normals.normal(mean, std)
+                scalar = float(twin.normal(mean, std))
+            assert drawn == scalar, component
+        # The block's generator is ahead of the twin by exactly the
+        # unread rest of its block.
+        twin.standard_normal(len(normals._block) - normals._cursor)
+        assert normals.rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("component", COMPONENTS)
+    def test_components_with_zero_mean_draw_nothing(self, component):
+        model = replace(LatencyModel(), **{MEAN_FIELDS[component]: 0.0})
+        normals = NormalBlock(np.random.default_rng(2))
+        state = normals.rng.bit_generator.state
+        assert getattr(model, component)(normals) == 0.0
+        assert normals._cursor == 0 and not normals._block
+        assert normals.rng.bit_generator.state == state
+
+    def test_fork_mid_block_continues_with_the_original_delays(self):
+        model = LatencyModel.calibrated()
+        normals = NormalBlock(np.random.default_rng(8))
+        for _ in range(NORMAL_BLOCK + NORMAL_BLOCK // 3):
+            model.link_delay(normals)
+        assert 0 < normals._cursor < NORMAL_BLOCK
+        fork = copy.deepcopy(normals)
+        assert fork.rng is not normals.rng
+        draws = 3 * NORMAL_BLOCK
+        original = [
+            getattr(model, COMPONENTS[i % 6])(normals) for i in range(draws)
+        ]
+        forked = [
+            getattr(model, COMPONENTS[i % 6])(fork) for i in range(draws)
+        ]
+        assert forked == original
