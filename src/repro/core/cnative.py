@@ -1,13 +1,14 @@
-"""Optional native (C) kernels for chain powering.
+"""Optional native (C) kernels for the compact model's build and chains.
 
 Every reconnaissance chain is ``steps`` sparse matvecs against the
 transposed transition matrix.  scipy runs one ``csr_matvec`` per step
 from a Python loop, and each row sum is one dependency chain, so the
 loop is latency-bound, not bandwidth-bound (the matrices fit in L2).
-This module holds two small C kernels, compiled on demand with the
-system ``gcc``, that run a whole chain in one call.  Both run on a
-sliced-ELL layout: rows sorted by length, slices of 8 rows with one row
-per lane, so uneven row lengths cost little padding.
+This module holds small C kernels, compiled on demand with the system
+``gcc``.  Two of them run a whole chain in one call, on a sliced-ELL
+layout: rows sorted by length, slices of 8 rows with one row per lane,
+so uneven row lengths cost little padding.  A third builds the chain's
+transition entries.
 
 * :func:`pair_chain_f32` -- *approximate*: powers the full and the
   target-excluded chain together on one shared transposed pattern
@@ -32,15 +33,23 @@ per lane, so uneven row lengths cost little padding.
   enters a sum (not even as ``0 * inf``).  The source is compiled with
   ``-ffp-contract=off`` so the compiler cannot fuse the multiply and
   the add into an FMA, which would round once instead of twice.
+* :func:`expiry_entries` -- *exact*: the compact model's entry builder
+  behind :func:`repro.core.transition_build.build_entries`.  It expands
+  the arrival events into their at-most-one-expiry branches in one
+  scalar pass, with the same float operations in the same order as the
+  numpy expansion, and writes the entries already in stable ``(row,
+  col)`` order: rows arrive sorted, and each row's entries are counted
+  into place by column.
 
-Each kernel has a portable scalar loop and an AVX-512 loop, exported as
-separate symbols; :func:`simd_level` picks one per process from
-``__builtin_cpu_supports``.
+Each chain kernel has a portable scalar loop and an AVX-512 loop,
+exported as separate symbols; :func:`simd_level` picks one per process
+from ``__builtin_cpu_supports``.  The entry builder is scalar only.
 
 When ``gcc`` (or a writable cache directory) is unavailable, or
 ``REPRO_NO_CKERNEL=1`` is set, the module degrades to
-``available() == False``: the screen runs exact-only and the chains run
-on the scipy loop -- behaviour stays correct, only slower.
+``available() == False``: the screen runs exact-only, the chains run
+on the scipy loop and the entries come from the numpy expansion and a
+stable argsort -- behaviour stays correct, only slower.
 
 Shared objects are cached under :func:`cache_dir`, keyed by a digest of
 the C source, the compiler command line and the compiler version
@@ -65,9 +74,9 @@ import numpy as np
 CACHE_ENV_VAR = "REPRO_CKERNEL_CACHE"
 
 #: Environment kill switch: set to "1" to refuse the native kernels even
-#: when they would compile (the screen runs exact-only and the chains
-#: run on scipy; used by the differential tests to exercise the
-#: fallbacks).
+#: when they would compile (the screen runs exact-only, the chains run
+#: on scipy and the entries are built by numpy; used by the
+#: differential tests to exercise the fallbacks).
 DISABLE_ENV_VAR = "REPRO_NO_CKERNEL"
 
 #: Rows per slice of both kernels' sliced-ELL layouts (one per AVX-512
@@ -80,11 +89,12 @@ COMPILE_ARGV: Tuple[str, ...] = (
     "gcc", "-O3", "-ffp-contract=off", "-shared", "-fPIC",
 )
 
-#: SIMD builds of each kernel entry point (``repro_<kernel>_<level>``).
+#: SIMD builds of each chain kernel entry point (``repro_<kernel>_<level>``).
 LEVELS = ("scalar", "avx512")
 
 _SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <immintrin.h>
 
@@ -350,6 +360,157 @@ void repro_chain_f64_avx512(CHAIN_F64_ARGS) {
     chain_f64(sell8_matvec_avx512, CHAIN_F64_PASS);
 }
 
+/* ---- compact-model entries (exact; the expiry expansion) ----
+
+   One event per (state, arrival outcome), rows non-decreasing.  Event e
+   leaves its row's state in interim[e] with protect[e] (the rule it
+   matched or installed, -1: none) and probability base[e].  Then the
+   row's certain rules (hazard 1) expire unless protected, and at most
+   one of its candidate rules (hazard in (0, 1)) still cached and not
+   protected -- the live rules -- expires: the keep-all branch first,
+   then one branch per live rule, ascending.  The products and the
+   normaliser accumulate over live rules in ascending order, exactly as
+   the numpy builder (transition_build._expand_expiries) does, so every
+   float equals its own.  Entries of probability p > 0 are written in
+   stable (row, col) order: each row's entries are emitted into scratch,
+   then counted into place by column. */
+
+static inline int64_t expiry_live(int64_t interim, int64_t protect,
+                                  int64_t certain, int64_t candidate,
+                                  int64_t *kept) {
+    int64_t protected_bit = protect >= 0 ? (int64_t)1 << protect : 0;
+    *kept = interim & ~(certain & ~protected_bit);
+    return *kept & candidate & ~protected_bit;
+}
+
+/* Entries before the p > 0 filter: the total, and the most in one row. */
+int64_t repro_expiry_count(int64_t n_events, const int64_t *rows,
+                           const int64_t *interim, const int64_t *protect,
+                           const int64_t *certain, const int64_t *candidate,
+                           int64_t *longest_row) {
+    int64_t total = 0, longest = 0;
+    for (int64_t e = 0; e < n_events;) {
+        int64_t row = rows[e], start = total, kept;
+        for (; e < n_events && rows[e] == row; e++)
+            total += 1 + __builtin_popcountll((uint64_t)expiry_live(
+                interim[e], protect[e], certain[row], candidate[row], &kept));
+        if (total - start > longest)
+            longest = total - start;
+    }
+    *longest_row = longest;
+    return total;
+}
+
+/* Returns the number of entries written, -1 when a successor is not a
+   state (its mask in *escaped; the first in emission order), or -2 when
+   scratch cannot be allocated. */
+int64_t repro_expiry_entries(
+        int64_t n_events, int64_t n_rules, int64_t n_states,
+        const int64_t *rows, const int64_t *interim, const int64_t *protect,
+        const double *base, const int64_t *tags, const double *hazard,
+        const int64_t *certain, const int64_t *candidate,
+        const int64_t *lookup, int64_t longest_row,
+        int64_t *out_rows, int64_t *out_cols, double *out_probs,
+        int64_t *out_tags, int64_t *escaped) {
+    int64_t words = (n_states + 63) / 64, written = 0;
+    int32_t *col = malloc((size_t)(longest_row + 1) * sizeof *col);
+    int32_t *distinct = malloc((size_t)(longest_row + 1) * sizeof *distinct);
+    double *prob = malloc((size_t)(longest_row + 1) * sizeof *prob);
+    int64_t *tag = malloc((size_t)(longest_row + 1) * sizeof *tag);
+    int64_t *slot = calloc((size_t)n_states + 1, sizeof *slot);
+    uint64_t *seen = calloc((size_t)words + 1, sizeof *seen);
+    if (!col || !distinct || !prob || !tag || !slot || !seen) {
+        written = -2;
+        goto done;
+    }
+    for (int64_t e = 0; e < n_events;) {
+        int64_t row = rows[e], k = 0;
+        const double *h = hazard + row * n_rules;
+        for (; e < n_events && rows[e] == row; e++) {
+            int64_t kept, live = expiry_live(interim[e], protect[e],
+                                             certain[row], candidate[row],
+                                             &kept);
+            int rule[64];
+            double factor[64], weight[64], keep = 1.0;
+            int n_live = 0;
+            for (uint64_t bits = (uint64_t)live; bits; bits &= bits - 1) {
+                rule[n_live] = __builtin_ctzll(bits);
+                factor[n_live] = 1.0 - h[rule[n_live]];
+                keep = keep * factor[n_live];
+                n_live++;
+            }
+            for (int i = 0; i < n_live; i++) {
+                double w = h[rule[i]];
+                for (int j = 0; j < n_live; j++)
+                    if (j != i)
+                        w = w * factor[j];
+                weight[i] = w;
+            }
+            double total = keep;
+            for (int i = 0; i < n_live; i++)
+                total = total + weight[i];
+            for (int i = -1; i < n_live; i++) {
+                int64_t successor =
+                    i < 0 ? kept : kept & ~((int64_t)1 << rule[i]);
+                int64_t c = lookup[successor];
+                if (c < 0) {
+                    *escaped = successor;
+                    written = -1;
+                    goto done;
+                }
+                double p = base[e] * ((i < 0 ? keep : weight[i]) / total);
+                if (p > 0.0) {
+                    col[k] = (int32_t)c;
+                    prob[k] = p;
+                    tag[k] = tags[e];
+                    k++;
+                }
+            }
+        }
+        /* The row's distinct columns, ascending, from a bitmap scanned
+           over the words they span: at most n_states / 64 a row. */
+        int64_t d = 0, low = n_states, high = -1;
+        for (int64_t i = 0; i < k; i++) {
+            int32_t c = col[i];
+            if (slot[c]++ == 0) {
+                seen[c >> 6] |= (uint64_t)1 << (c & 63);
+                if (c < low) low = c;
+                if (c > high) high = c;
+            }
+        }
+        for (int64_t w = low >> 6; w <= high >> 6; w++) {
+            for (uint64_t bits = seen[w]; bits; bits &= bits - 1)
+                distinct[d++] = (int32_t)(64 * w + __builtin_ctzll(bits));
+            seen[w] = 0;
+        }
+        /* slot[c]: the column's count, then its next output position. */
+        int64_t at = written;
+        for (int64_t j = 0; j < d; j++) {
+            int64_t count = slot[distinct[j]];
+            slot[distinct[j]] = at;
+            at += count;
+        }
+        for (int64_t i = 0; i < k; i++) {
+            int64_t dst = slot[col[i]]++;
+            out_rows[dst] = row;
+            out_cols[dst] = col[i];
+            out_probs[dst] = prob[i];
+            out_tags[dst] = tag[i];
+        }
+        for (int64_t j = 0; j < d; j++)
+            slot[distinct[j]] = 0;
+        written += k;
+    }
+done:
+    free(col);
+    free(distinct);
+    free(prob);
+    free(tag);
+    free(slot);
+    free(seen);
+    return written;
+}
+
 int repro_simd_level(void) {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx512f")
@@ -442,6 +603,13 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     }
     library.repro_simd_level.restype = ctypes.c_int
     library.repro_simd_level.argtypes = []
+    library.repro_expiry_count.restype = i64
+    library.repro_expiry_count.argtypes = [i64, i64p, i64p, i64p, i64p, i64p, i64p]
+    library.repro_expiry_entries.restype = i64
+    library.repro_expiry_entries.argtypes = [
+        i64, i64, i64, i64p, i64p, i64p, f64p, i64p, f64p, i64p, i64p, i64p,
+        i64, i64p, i64p, f64p, i64p, i64p,
+    ]
     for kernel, types in argtypes.items():
         for level in LEVELS:
             entry = getattr(library, f"repro_{kernel}_{level}")
@@ -730,3 +898,97 @@ def _pair_chain_f32(
     out = np.empty((n, 2), dtype=np.float32)
     out[layout.perm] = x[:n]
     return out[:, 0].copy(), out[:, 1].copy()
+
+
+class EscapedSuccessor(Exception):
+    """A successor mask that is not in the state list (:attr:`mask`)."""
+
+    def __init__(self, mask: int) -> None:
+        super().__init__(f"successor mask {mask:#x} is not a state")
+        self.mask = mask
+
+
+def expiry_entries(
+    events: Sequence[np.ndarray],
+    hazard: np.ndarray,
+    certain: np.ndarray,
+    candidate: np.ndarray,
+    lookup: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The compact model's transition entries, in stable (row, col) order.
+
+    ``events`` are ``(rows, interim, protected, base, tags)`` with rows
+    non-decreasing; ``hazard`` is the ``(states, rules)`` timeout hazard
+    table, ``certain`` and ``candidate`` the per-state masks of rules
+    with hazard 1 and in ``(0, 1)``, and ``lookup`` the dense ``mask ->
+    state index`` table (-1: not a state).  Returns ``(rows, cols,
+    probs, tags)``, every float equal to the numpy builder's
+    (:func:`repro.core.transition_build.build_entries` without the
+    kernel).  A successor outside the state list raises
+    :class:`EscapedSuccessor` with the first one in emission order.
+    """
+    library = _load()
+    if library is None:
+        raise RuntimeError(f"native kernel unavailable: {_load_error}")
+    i64 = ctypes.c_int64
+    rows, interim, protected, base, tags = (
+        np.ascontiguousarray(array, dtype=dtype)
+        for array, dtype in zip(
+            events, (np.int64, np.int64, np.int64, np.float64, np.int64)
+        )
+    )
+    hazard = np.ascontiguousarray(hazard, dtype=np.float64)
+    certain = np.ascontiguousarray(certain, dtype=np.int64)
+    candidate = np.ascontiguousarray(candidate, dtype=np.int64)
+    lookup = np.ascontiguousarray(lookup, dtype=np.int64)
+    n_states, n_rules = hazard.shape
+    n_events = rows.size
+    if any(
+        array.shape != (n_events,)
+        for array in (interim, protected, base, tags)
+    ):
+        raise ValueError("event arrays differ in length")
+    if certain.shape != (n_states,) or candidate.shape != (n_states,):
+        raise ValueError("expected one certain and candidate mask per state")
+    if lookup.shape != (1 << n_rules,) or (
+        lookup.size and lookup.max() >= n_states
+    ):
+        raise ValueError("lookup must map every rule mask to -1 or a state")
+    if n_events and (
+        rows[0] < 0 or rows[-1] >= n_states or (np.diff(rows) < 0).any()
+        or interim.min() < 0 or interim.max() >= lookup.size
+        or protected.min() < -1 or protected.max() >= n_rules
+    ):
+        raise ValueError("events out of range or rows not sorted")
+    masks = [_as_ptr(array, i64) for array in (rows, interim, protected)]
+    longest_row = i64(0)
+    total = library.repro_expiry_count(
+        i64(n_events), *masks, _as_ptr(certain, i64),
+        _as_ptr(candidate, i64), ctypes.byref(longest_row),
+    )
+    out = (
+        np.empty(total, dtype=np.int64),
+        np.empty(total, dtype=np.int64),
+        np.empty(total, dtype=np.float64),
+        np.empty(total, dtype=np.int64),
+    )
+    escaped = i64(0)
+    written = library.repro_expiry_entries(
+        i64(n_events), i64(n_rules), i64(n_states), *masks,
+        _as_ptr(base, ctypes.c_double), _as_ptr(tags, i64),
+        _as_ptr(hazard, ctypes.c_double), _as_ptr(certain, i64),
+        _as_ptr(candidate, i64), _as_ptr(lookup, i64), longest_row,
+        _as_ptr(out[0], i64), _as_ptr(out[1], i64),
+        _as_ptr(out[2], ctypes.c_double), _as_ptr(out[3], i64),
+        ctypes.byref(escaped),
+    )
+    if written == -1:
+        raise EscapedSuccessor(escaped.value)
+    if written < 0:
+        raise MemoryError("native entry build could not allocate its scratch")
+    if written < total:  # entries of probability 0 were dropped
+        return (
+            out[0][:written].copy(), out[1][:written].copy(),
+            out[2][:written].copy(), out[3][:written].copy(),
+        )
+    return out

@@ -133,9 +133,6 @@ class CompactModel:
         }
         self.n_states = len(self.states)
 
-        self._entries: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = None
         self._entries_sorted: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = None
@@ -320,36 +317,18 @@ class CompactModel:
     # ------------------------------------------------------------------
     # Transition construction
     # ------------------------------------------------------------------
-    def _ensure_entries(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if self._entries is None:
-            self._entries = transition_build.build_entries(self)
-        return self._entries
-
     def _sorted_entries(
         self,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The transition entries in (row, col) order, memoised.
+        """The transition entries in stable (row, col) order, memoised.
 
-        A stable lexsort keeps duplicate (row, col) runs in emission
-        order; any tag-filtered subset of these arrays is still sorted,
+        :func:`repro.core.transition_build.build_entries` returns them
+        sorted; any tag-filtered subset of these arrays is still sorted,
         so every exclusion matrix assembles from them without its own
         sort pass.
         """
         if self._entries_sorted is None:
-            rows, cols, probs, tags = self._ensure_entries()
-            # Stable argsort of the composite key (row * n + col) -- the
-            # same permutation np.lexsort((cols, rows)) produces (the
-            # differential suite pins the equality) at ~40% of its cost
-            # on this entry volume.  No overflow: rows and cols are
-            # bounded by n_states, so the key is < n_states**2 << 2**63.
-            order = np.argsort(
-                rows * np.int64(self.n_states) + cols, kind="stable"
-            )
-            sorted_entries = (
-                rows[order], cols[order], probs[order], tags[order]
-            )
+            sorted_entries = transition_build.build_entries(self)
             # Aliased to every caller (transition_matrix, the fast
             # screen's pair layout, reachability): read-only, like the
             # transition CSR buffers (runtime complement of MUT001).

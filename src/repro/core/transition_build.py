@@ -31,11 +31,17 @@ hazards (Eqns. 6-7) via the subset rate table and eviction splits (Eqns.
 chain (:func:`build_entries`) and the probe matrices read them through
 :func:`packet_outcomes`, the one account of what a packet does to each
 state.  :func:`build_entries` then expands the arrival events into an
-at-most-one expiry per step.  Entry order and every float equal the
-per-state test oracles' bit for bit (tests/oracles/perstate.py and
-tests/oracles/recency.py, which also holds the exact and Monte-Carlo
-estimators): the vectorised builder cannot shift a persisted experiment
-number, the golden suite pins both to the same literals, and
+at-most-one expiry per step and returns the entries in stable (row,
+col) order.  The expansion runs in one pass of the native kernel
+:func:`repro.core.cnative.expiry_entries`, which writes the entries
+already sorted; without the kernel (no ``gcc``, or
+``REPRO_NO_CKERNEL=1``) the numpy expansion and a stable argsort give
+the same arrays, byte for byte (tests/core/test_build_native_diff.py).
+Every float and the order of entries within each ``(row, col)`` run
+equal the per-state test oracles' bit for bit (tests/oracles/perstate.py
+and tests/oracles/recency.py, which also holds the exact and
+Monte-Carlo estimators): the builder cannot shift a persisted
+experiment number, the golden suite pins both to the same literals, and
 tests/core/test_sparse_dense_diff.py checks the equivalence on random
 models.  Only the paper's semantics are built, for at most
 :data:`MAX_LOOKUP_RULES` rules, which
@@ -52,7 +58,9 @@ from typing import (
 
 import numpy as np
 
+from repro.core import cnative
 from repro.core.chain import per_flow_step_probabilities
+from repro.obs import get_instrumentation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.compact_model import CompactModel
@@ -109,23 +117,46 @@ def state_lookup(model: "CompactModel", states: np.ndarray) -> np.ndarray:
 
 
 def build_entries(model: "CompactModel") -> EntryArrays:
-    """All transition entries as (rows, cols, probs, flow tags)."""
-    n_rules = model.context.n_rules
-    states = np.asarray(model.states, dtype=np.int64)
-    bits = np.int64(1) << np.arange(n_rules, dtype=np.int64)
+    """All transition entries as (rows, cols, probs, flow tags).
 
-    hazard = model.recency_tables().hazard
-    cached_t = model.state_membership_matrix().T != 0  # (n, R)
-    certain = cached_t & (hazard >= 1.0)
-    candidate = cached_t & (hazard > 0.0) & (hazard < 1.0)
-    certain_mask = (certain * bits).sum(axis=1)
-    candidate_mask = (candidate * bits).sum(axis=1)
+    Sorted by ``(row, col)``, stably: entries of one ``(row, col)``
+    pair keep their emission order, so summing each run left to right
+    gives the per-state oracle's matrix entry.  Any tag-filtered subset
+    stays sorted.  Runs under a ``model.build_entries`` span.
+    """
+    native = cnative.available()
+    with get_instrumentation().span(
+        "model.build_entries",
+        kernel="native" if native else "numpy",
+        states=model.n_states,
+    ) as span:
+        n_rules = model.context.n_rules
+        states = np.asarray(model.states, dtype=np.int64)
+        bits = np.int64(1) << np.arange(n_rules, dtype=np.int64)
 
-    events = _arrival_events(model, states)
-    return _expand_expiries(
-        model, events, hazard, certain_mask, candidate_mask, bits,
-        state_lookup(model, states),
-    )
+        hazard = model.recency_tables().hazard
+        cached_t = model.state_membership_matrix().T != 0  # (n, R)
+        certain = cached_t & (hazard >= 1.0)
+        candidate = cached_t & (hazard > 0.0) & (hazard < 1.0)
+        certain_mask = (certain * bits).sum(axis=1)
+        candidate_mask = (candidate * bits).sum(axis=1)
+
+        events = _arrival_events(model, states)
+        lookup = state_lookup(model, states)
+        if native:
+            try:
+                entries = cnative.expiry_entries(
+                    events, hazard, certain_mask, candidate_mask, lookup
+                )
+            except cnative.EscapedSuccessor as escaped:
+                raise model.state_error(escaped.mask, "successor") from None
+        else:
+            entries = _expand_expiries(
+                model, events, hazard, certain_mask, candidate_mask, bits,
+                lookup,
+            )
+        span.set_attr("entries", len(entries[0]))
+    return entries
 
 
 def recency_tables(model: "CompactModel") -> RecencyTables:
@@ -423,7 +454,9 @@ def _expand_expiries(
 ) -> EntryArrays:
     """Expand events into entries, mirroring the reference's expiry split.
 
-    The reference is ``_expiry_branches_from`` in
+    The numpy path of :func:`build_entries`, taken without the native
+    kernel; like the kernel, it returns the entries in stable (row, col)
+    order.  The reference is ``_expiry_branches_from`` in
     tests/oracles/perstate.py.  Entry layout per event: the keep-all
     branch, then one expiry branch per rule ascending (masked to the
     live set) -- the reference emission order.  The keep-all product,
@@ -516,10 +549,13 @@ def _expand_expiries(
     )
     out_tags[pair_pos] = tag[ev_idx]
 
-    emit = out_probs > 0.0
-    return (
-        out_rows[emit],
-        out_cols[emit],
-        out_probs[emit],
-        out_tags[emit],
-    )
+    emit = np.flatnonzero(out_probs > 0.0)
+    # A stable argsort of the composite key row * n + col: the same
+    # permutation as np.lexsort((cols, rows)) at about 40% of its cost
+    # on this entry volume.  No overflow: rows and cols are below
+    # n_states, so the key is below n_states**2 << 2**63.
+    order = emit[np.argsort(
+        out_rows[emit] * np.int64(model.n_states) + out_cols[emit],
+        kind="stable",
+    )]
+    return out_rows[order], out_cols[order], out_probs[order], out_tags[order]

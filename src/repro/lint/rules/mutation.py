@@ -2,10 +2,10 @@
 
 The probe-scoring engine's speed comes from aliasing: ``evolution()``,
 ``prefix_distribution()``, ``coverage_vector()``, ``probe_matrix()``
-and the model's memoised transition-entry accessors
-(``_ensure_entries()`` / ``_sorted_entries()``, which the fast screen
-reads directly) return the cached object itself, and ``dist_full`` /
-``dist_absent`` *are* cache entries.  Writing through any of those
+and the model's memoised transition-entry accessor
+(``_sorted_entries()``, which the fast screen reads directly) return
+the cached object itself, and ``dist_full`` / ``dist_absent`` *are*
+cache entries.  Writing through any of those
 references corrupts
 every later score drawn from the same cache -- silently, because the
 numbers stay plausible.  (The runtime complement: the caches return
@@ -39,7 +39,6 @@ from repro.lint.findings import Finding
 #: Methods returning cached (aliased) arrays/matrices.
 CACHE_ACCESSOR_METHODS: FrozenSet[str] = frozenset(
     {
-        "_ensure_entries",
         "_sorted_entries",
         "coverage_vector",
         "evolution",
@@ -203,7 +202,7 @@ class CachedArrayMutationRule(LintRule):
     summary: ClassVar[str] = (
         "arrays returned by cache accessors "
         "(prefix_distribution/evolution/coverage_vector/probe_matrix, "
-        "_ensure_entries/_sorted_entries, dist_full/dist_absent) "
+        "_sorted_entries, dist_full/dist_absent) "
         "must not be mutated"
     )
 

@@ -9,6 +9,8 @@ a single scan over the canonical candidate order.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.compact_model import CompactModel
@@ -108,8 +110,9 @@ def _counts_after_scoring(inference, _item):
 
 
 def _score_inherited(inference, prefix):
-    """Score on the inference the worker inherited from the parent."""
+    """Score on the inference the worker inherited; the worker's pid."""
     ProbeScoringEngine(inference).score_tails(prefix, TAILS)
+    return os.getpid()
 
 
 class TestWorker:
@@ -130,21 +133,26 @@ class TestWorker:
         # The inference was built before the pool forked, so it counts
         # into whatever backend is current when it works: in a worker,
         # the chunk's fresh backend, which the pool merges back.  Each
-        # worker starts from the parent's caches as they were at fork.
+        # worker starts from the parent's caches as they were at fork
+        # and keeps them across its items, so the expected counts replay
+        # each worker's items, in order, on one fresh inference.
         model = generic_inference.model
         target = generic_inference.target_flow
         window = generic_inference.window_steps
-        expected = [0] * len(INFERENCE_COUNTERS)
-        for prefix in [(1,), (2,)]:
-            inference = ReconInference(model, target, window)
-            serial = Instrumentation()
-            with use_instrumentation(serial):
-                _score_inherited(inference, prefix)
-            expected = [a + b for a, b in zip(expected, _counts(serial))]
+        prefixes = [(1,), (2,)]
         parent = Instrumentation()
         with use_instrumentation(parent), hang_guard():
             with ForkPool(2, generic_inference, name="test") as pool:
-                pool.map(_score_inherited, [(1,), (2,)])
+                pids = pool.map(_score_inherited, prefixes)
         assert pool.fallbacks == 0
+        expected = [0] * len(INFERENCE_COUNTERS)
+        for pid in dict.fromkeys(pids):
+            inference = ReconInference(model, target, window)
+            serial = Instrumentation()
+            with use_instrumentation(serial):
+                for prefix, worker in zip(prefixes, pids):
+                    if worker == pid:
+                        _score_inherited(inference, prefix)
+            expected = [a + b for a, b in zip(expected, _counts(serial))]
         assert list(_counts(parent)) == expected
         assert parent.metrics.counter("engine.cache.misses").value > 0

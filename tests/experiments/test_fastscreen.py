@@ -120,6 +120,24 @@ class TestSoundness:
         for proof in fastscreen.PROOFS:
             assert counts[f"proof_{proof}"] <= counts["rejects"]
 
+    def test_each_candidate_records_its_model_build(self):
+        params = tiny_experiment_params()
+        backend = Instrumentation()
+        with use_instrumentation(backend):
+            for config in sample_candidates(params, 3):
+                fastscreen.screen_candidate(
+                    params, config, require_optimal_differs=True
+                )
+        spans = {span.span_id: span for span in backend.tracer.records}
+        screens = [s for s in spans.values() if s.name == "harness.fast_screen"]
+        builds = [s for s in spans.values() if s.name == "model.build_entries"]
+        assert len(screens) == len(builds) == 3
+        for build in builds:
+            assert spans[build.parent_id].name == "harness.fast_screen"
+            assert build.attrs["kernel"] == "native"
+            assert build.attrs["states"] > 0
+            assert build.attrs["entries"] > 0
+
 
 def _fastscreen_counts(backend):
     names = ["rejects", "fallbacks"]

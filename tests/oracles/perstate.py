@@ -93,12 +93,22 @@ class PerStateCompactModel(CompactModel):
         self.multi_expiry = multi_expiry
         self.expire_on_arrival = expire_on_arrival
 
-    def _ensure_entries(
+    def _sorted_entries(
         self,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if self._entries is None:
-            self._entries = self._build_entries()
-        return self._entries
+        """The per-state entries in stable (row, col) order, memoised.
+
+        ``np.lexsort`` is stable, so each duplicate ``(row, col)`` run
+        keeps the per-state loop's emission order.
+        """
+        if self._entries_sorted is None:
+            rows, cols, probs, tags = self._build_entries()
+            order = np.lexsort((cols, rows))
+            entries = (rows[order], cols[order], probs[order], tags[order])
+            for array in entries:
+                array.setflags(write=False)
+            self._entries_sorted = entries
+        return self._entries_sorted
 
     def eviction_distribution(self, state: int) -> Dict[int, float]:
         """Eviction split for a (bitmask) state, from the estimator."""
