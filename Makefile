@@ -99,15 +99,22 @@ faults-smoke:
 # Parallel-execution smoke (EXPERIMENTS.md "Parallel execution"): the
 # same tiny headline experiment serial and with --trial-jobs 2 must
 # produce identical result documents -- only the recorded fan-out
-# settings (params/job trial_jobs, provenance) may differ.  Exercises both
-# fan-out grains (config screening + trials) through the real CLI.
+# settings (params/job trial_jobs, provenance) may differ -- and equal
+# outcome counters (the fan-out column of docs/OBSERVABILITY.md, read by
+# tests/obs/catalogue.py).  Exercises both fan-out grains (config
+# screening + trials) through the real CLI.
 parallel-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli headline \
 		--configs 1 --trials 6 --seed 12 --mode table \
-		--out /tmp/repro-parallel-serial.json
+		--out /tmp/repro-parallel-serial.json \
+		--metrics /tmp/repro-parallel-serial-metrics.json
 	PYTHONPATH=src $(PYTHON) -m repro.cli headline \
 		--configs 1 --trials 6 --seed 12 --mode table \
-		--trial-jobs 2 --out /tmp/repro-parallel-jobs2.json
+		--trial-jobs 2 --out /tmp/repro-parallel-jobs2.json \
+		--metrics /tmp/repro-parallel-jobs2-metrics.json
+	PYTHONPATH=src:. $(PYTHON) -m tests.obs.catalogue \
+		/tmp/repro-parallel-serial-metrics.json \
+		/tmp/repro-parallel-jobs2-metrics.json
 	@$(PYTHON) -c "import json; \
 		docs = [json.load(open(p)) for p in \
 			('/tmp/repro-parallel-serial.json', '/tmp/repro-parallel-jobs2.json')]; \

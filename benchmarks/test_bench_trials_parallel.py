@@ -20,7 +20,6 @@ import pytest
 
 from benchmarks.conftest import experiment_params
 from repro.experiments.harness import ConfigHarness
-from repro.experiments.parallel import ExecutionStats
 from repro.experiments.report import format_table
 
 N_TRIALS = 240
@@ -33,10 +32,9 @@ def _timed_run(trial_jobs):
     harness = ConfigHarness.sample(
         experiment_params(seed=2017, n_trials=N_TRIALS)
     )
-    execution = ExecutionStats(n_jobs=trial_jobs)
     start = time.perf_counter()
-    result = harness.run_trials(trial_jobs=trial_jobs, execution=execution)
-    return result, execution, time.perf_counter() - start
+    result = harness.run_trials(trial_jobs=trial_jobs)
+    return result, time.perf_counter() - start
 
 
 @pytest.mark.skipif(
@@ -44,9 +42,9 @@ def _timed_run(trial_jobs):
     reason="parallel speedup needs >= 2 cores",
 )
 def test_bench_trials_parallel(benchmark, print_section):
-    serial_result, _, serial_seconds = _timed_run(1)
+    serial_result, serial_seconds = _timed_run(1)
 
-    parallel_result, execution, parallel_seconds = benchmark.pedantic(
+    parallel_result, parallel_seconds = benchmark.pedantic(
         lambda: _timed_run(JOBS), rounds=1, iterations=1
     )
     speedup = serial_seconds / parallel_seconds
@@ -65,8 +63,8 @@ def test_bench_trials_parallel(benchmark, print_section):
 
     # Determinism first: the fan-out must not change a single number.
     assert parallel_result.accuracies == serial_result.accuracies
-    assert execution.pool_fallbacks == 0, "pool fell back to serial"
-    assert execution.trials == N_TRIALS
+    assert parallel_result.pool_fallbacks == 0, "pool fell back to serial"
+    assert parallel_result.trials == N_TRIALS
     assert speedup >= MIN_SPEEDUP, (
         f"trial_jobs={JOBS} gave {speedup:.2f}x over serial "
         f"({serial_seconds:.2f}s -> {parallel_seconds:.2f}s), "

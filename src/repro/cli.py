@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union, cast
 
 if TYPE_CHECKING:
     from repro.apispec import JobSpec
@@ -176,18 +176,28 @@ def _maybe_save(
         print(f"saved run to {saved}")
 
 
-def _print_execution(result: object) -> None:
-    """Print the fan-out accounting table for a parallel run."""
-    execution = getattr(result, "execution", None)
-    if execution is None or execution.n_jobs <= 1:
+def _print_execution(spec: "JobSpec") -> None:
+    """Print a parallel run's fan-out counters (``--metrics``/``--trace`` only)."""
+    from repro.obs import get_instrumentation
+
+    obs = get_instrumentation()
+    if not obs.enabled or spec.trial_jobs <= 1:
         return
     from repro.experiments.report import format_table
 
+    counters = cast(Dict[str, int], obs.metrics.to_document()["counters"])
+    names = (
+        "experiment.trials",
+        "experiment.configs_sampled",
+        "experiment.harnesses_built",
+        "experiment.pool.fallbacks",
+    )
     print()
     print(
         format_table(
             ["counter", "value"],
-            execution.rows(),
+            [["trial_jobs", spec.trial_jobs]]
+            + [[name, counters.get(name, 0)] for name in names],
             title="Parallel execution statistics",
         )
     )
@@ -232,7 +242,7 @@ def _cmd_fig6(args: argparse.Namespace, which: str) -> int:
             title="Headline statistics",
         )
     )
-    _print_execution(result)
+    _print_execution(spec)
     return 0
 
 
@@ -274,7 +284,7 @@ def _cmd_fig7(args: argparse.Namespace, which: str) -> int:
             title="Summary",
         )
     )
-    _print_execution(result)
+    _print_execution(spec)
     return 0
 
 
@@ -490,7 +500,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
             title="Robustness summary",
         )
     )
-    _print_execution(result)
+    _print_execution(spec)
     return 0
 
 
@@ -564,7 +574,7 @@ def _cmd_defend(args: argparse.Namespace) -> int:
             title="Defend summary",
         )
     )
-    _print_execution(result)
+    _print_execution(spec)
     return 0
 
 

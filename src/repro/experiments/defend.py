@@ -71,7 +71,6 @@ from repro.experiments.harness import (
     ConfigResult,
     sample_screened_harnesses,
 )
-from repro.experiments.parallel import ExecutionStats
 from repro.experiments.robustness import (
     DEFAULT_KINDS,
     _VIABLE_ABSENCE,
@@ -206,8 +205,9 @@ class DefendResult:
     results_per_cell: List[List[ConfigResult]] = field(repr=False)
     #: Baseline trial results aligned with ``baseline``.
     baseline_results: List[List[ConfigResult]] = field(repr=False)
-    #: Fan-out accounting for the run.
-    execution: Optional[ExecutionStats] = field(default=None, repr=False)
+    #: Pool maps (screening and trials) re-run in the parent after a
+    #: pool failure.
+    pool_fallbacks: int = 0
 
     def cell(self, defense: str, rate: float) -> DefendCell:
         """The grid cell for this defense name and fault rate."""
@@ -579,14 +579,13 @@ def run_defend(
         rates=len(rates),
         detector=detector_method,
     ):
-        execution = ExecutionStats(n_jobs=params.trial_jobs)
         harnesses = sample_screened_harnesses(
             params,
             configs if configs is not None else params.n_configs,
             require_optimal_differs=False,
             max_attempts_factor=max_attempts_factor,
-            execution=execution,
         )
+        fallbacks = harnesses.pool_fallbacks
         generators = _shared_generators(harnesses)
         states = _snapshot_states(generators)
         structural = _structural_leakage(harnesses)
@@ -612,7 +611,6 @@ def run_defend(
                             defense_factory=factory,
                             fault_plan=plan,
                             probe_retries=params.probe_retries,
-                            execution=execution,
                         )
                         for harness in harnesses
                     ]
@@ -637,7 +635,6 @@ def run_defend(
                         harnesses, defense_name, [base_seed, 17]
                     )
             counters = forward_counters(inner, outer, _CELL_COUNTERS)
-            forward_counters(inner, outer, ("defense.packets_observed",))
             accuracies: Dict[str, float] = {}
             names = sorted(
                 {name for result in bucket for name in result.accuracies}
@@ -682,6 +679,11 @@ def run_defend(
                 cell, bucket = run_cell(defense_name, defense_name, rate)
                 cells.append(cell)
                 results_per_cell.append(bucket)
+        fallbacks += sum(
+            result.pool_fallbacks
+            for bucket in baseline_results + results_per_cell
+            for result in bucket
+        )
 
     return DefendResult(
         defenses=defenses,
@@ -694,5 +696,5 @@ def run_defend(
         baseline=baseline_cells,
         results_per_cell=results_per_cell,
         baseline_results=baseline_results,
-        execution=execution,
+        pool_fallbacks=fallbacks,
     )

@@ -58,7 +58,7 @@ from repro.core.gain import gains_from_tables
 from repro.core.inference import PRUNE, coverage_split, pruned
 from repro.experiments.params import ExperimentParams
 from repro.flows.config import NetworkConfiguration
-from repro.obs import get_instrumentation, sanitize
+from repro.obs import Span, get_instrumentation, sanitize
 from repro.obs.metrics import Counter, MetricsRegistry
 
 #: Unit roundoff of float32 and of float64 (round to nearest).
@@ -474,12 +474,12 @@ def screen_candidate(
         return FastScreenOutcome(False, model)
     with obs.span(
         "harness.fast_screen", n_flows=len(config.universe)
-    ):
+    ) as span:
         quantities = fast_quantities(
             model, config.target_flow, config.window_steps
         )
         if quantities is None:
-            return _fallback(model, "no_replica")
+            return _fallback(span, model, "no_replica")
         # Every flow whose float32 gain is within the tie width of the
         # float32 maximum could be the exact optimal probe; the
         # rejection must hold for all of them.
@@ -498,16 +498,18 @@ def screen_candidate(
         for flow in tie_set:
             verdict = certifier.verdict(int(flow))
             if verdict not in PROOFS:
-                return _fallback(model, verdict)
+                return _fallback(span, model, verdict)
             proofs.add(verdict)
+        span.set_attr("verdict", "+".join(sorted(proofs)))
     for proof in sorted(proofs):
         _OUTCOME_COUNTERS[proof](obs.metrics).inc()
     obs.metrics.counter("experiment.fastscreen_rejects").inc()
     return FastScreenOutcome(True, model)
 
 
-def _fallback(model: CompactModel, reason: str) -> FastScreenOutcome:
-    """Hand the candidate to the exact screen, counting why."""
+def _fallback(span: Span, model: CompactModel, reason: str) -> FastScreenOutcome:
+    """Hand the candidate to the exact screen, counting and tracing why."""
+    span.set_attr("verdict", reason)
     metrics = get_instrumentation().metrics
     _OUTCOME_COUNTERS[reason](metrics).inc()
     metrics.counter("experiment.fastscreen_fallbacks").inc()

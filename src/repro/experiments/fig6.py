@@ -29,7 +29,6 @@ from repro.experiments.harness import (
     ConfigResult,
     sample_screened_harnesses,
 )
-from repro.experiments.parallel import ExecutionStats
 from repro.experiments.params import VIABLE_FIG6_BINS
 from repro.obs import get_instrumentation
 
@@ -43,8 +42,9 @@ class Fig6Result:
 
     bins: Tuple[Tuple[float, float], ...]
     results_per_bin: List[List[ConfigResult]] = field(repr=False)
-    #: Fan-out accounting for the run (None on pre-parallel results).
-    execution: Optional[ExecutionStats] = field(default=None, repr=False)
+    #: Pool maps (screening and trials) re-run in the parent after a
+    #: pool failure.
+    pool_fallbacks: int = 0
 
     # ------------------------------------------------------------------
     # Figure 6a
@@ -133,7 +133,7 @@ def run_fig6(
     per_bin = configs_per_bin or max(1, params.n_configs // len(bins))
     results: List[List[ConfigResult]] = []
     obs = get_instrumentation()
-    execution = ExecutionStats(n_jobs=params.trial_jobs)
+    fallbacks = 0
     for low, high in bins:
         bin_params = params.with_absence_range(low, high)
         with obs.span("experiment.fig6.bin", low=low, high=high):
@@ -142,13 +142,13 @@ def run_fig6(
                 per_bin,
                 require_optimal_differs=True,
                 max_attempts_factor=max_attempts_factor,
-                execution=execution,
             )
             bucket = [
-                harness.run_trials(
-                    defense_factory=defense_factory, execution=execution
-                )
+                harness.run_trials(defense_factory=defense_factory)
                 for harness in harnesses
             ]
+        fallbacks += harnesses.pool_fallbacks + sum(
+            result.pool_fallbacks for result in bucket
+        )
         results.append(bucket)
-    return Fig6Result(bins=bins, results_per_bin=results, execution=execution)
+    return Fig6Result(bins=bins, results_per_bin=results, pool_fallbacks=fallbacks)

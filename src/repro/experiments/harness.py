@@ -26,7 +26,6 @@ from repro.experiments.params import ExperimentParams
 from repro.faults import FaultPlan
 from repro.experiments.parallel import (
     SCREEN_BATCH_PER_WORKER,
-    ExecutionStats,
     ScreenContext,
     plan_trials,
     run_planned_trials,
@@ -56,6 +55,8 @@ class ConfigResult:
     #: see repro.analysis.structure).
     target_install_exclusive: bool = False
     trial_results: List[TrialResult] = field(default_factory=list, repr=False)
+    #: Trial maps re-run in the parent after a pool failure (0 or 1).
+    pool_fallbacks: int = 0
 
     @property
     def improvement(self) -> float:
@@ -185,7 +186,6 @@ class ConfigHarness:
         fault_plan: Optional[FaultPlan] = None,
         probe_retries: Optional[int] = None,
         trial_jobs: Optional[int] = None,
-        execution: Optional[ExecutionStats] = None,
     ) -> ConfigResult:
         """Run the trial loop and aggregate accuracies.
 
@@ -222,7 +222,7 @@ class ConfigHarness:
             jobs=trial_jobs,
             mode=self.params.trial_mode,
         ):
-            results = run_planned_trials(
+            results, fallbacks = run_planned_trials(
                 self.config,
                 lineup,
                 plan_trials(self.rng, lineup, n_trials),
@@ -232,10 +232,11 @@ class ConfigHarness:
                 defense_factory=defense_factory,
                 fault_plan=fault_plan,
                 probe_retries=probe_retries,
-                execution=execution,
             )
         obs.metrics.counter("experiment.trials").inc(n_trials)
-        return self.config_result(names, results, keep_trials=keep_trials)
+        result = self.config_result(names, results, keep_trials=keep_trials)
+        result.pool_fallbacks = fallbacks
+        return result
 
     def config_result(
         self,
@@ -269,6 +270,13 @@ class ConfigHarness:
         )
 
 
+class ScreenedHarnesses(List[ConfigHarness]):
+    """The accepted harnesses, in acceptance order."""
+
+    #: Screening maps re-run in the parent after a pool failure (0 or 1).
+    pool_fallbacks: int = 0
+
+
 def sample_screened_harnesses(
     params: ExperimentParams,
     n_configs: int,
@@ -277,8 +285,7 @@ def sample_screened_harnesses(
     max_attempts_factor: int = 40,
     generator: Optional[ConfigGenerator] = None,
     trial_jobs: Optional[int] = None,
-    execution: Optional[ExecutionStats] = None,
-) -> List[ConfigHarness]:
+) -> ScreenedHarnesses:
     """Sample configurations until ``n_configs`` pass the screens.
 
     Mirrors the paper's procedure of restricting attention to
@@ -304,7 +311,8 @@ def sample_screened_harnesses(
       configurations are rebuilt here; once the quota is met mid-batch
       the generator is rewound to just after the last consumed sample.
       A dead pool degrades to screening in the parent with the same
-      outcome (counted once in ``pool_fallbacks``).
+      outcome; the returned list's ``pool_fallbacks`` is then 1.  The
+      sampling and exact-reject counters count consumed candidates only.
 
     Acceptance runs in attempt order, so the accepted configurations,
     the generator's post-call state, and the exhaustion error are the
@@ -319,7 +327,7 @@ def sample_screened_harnesses(
     sampled = obs.metrics.counter("experiment.configs_sampled")
     screened_out = obs.metrics.counter("experiment.configs_screened_out")
     max_attempts = max(1, n_configs) * max_attempts_factor
-    harnesses: List[ConfigHarness] = []
+    harnesses = ScreenedHarnesses()
     attempts = 0
     pool = ForkPool(trial_jobs, name="experiment")
     # Decided once, before the first map creates any executor: workers
@@ -349,13 +357,22 @@ def sample_screened_harnesses(
                 # The previous batch's verdicts stay referenced until this
                 # map returns (see screening_verdicts on why that matters).
                 verdicts = pool.map(screening_verdicts, batch)
-                for config, state, (accepted, built) in zip(
+                for config, state, (rejected_by, built) in zip(
                     batch, states, verdicts
                 ):
                     attempts += 1
                     sampled.inc()
-                    if not accepted:
+                    if rejected_by is not None:
                         screened_out.inc()
+                        # An exact rejection is counted by its reason.
+                        if rejected_by == "viability":
+                            obs.metrics.counter(
+                                "experiment.exact_screen_reject_viability"
+                            ).inc()
+                        elif rejected_by == "target":
+                            obs.metrics.counter(
+                                "experiment.exact_screen_reject_target"
+                            ).inc()
                         continue
                     if isinstance(built, ConfigHarness):
                         harness = built
@@ -363,17 +380,13 @@ def sample_screened_harnesses(
                         harness = ConfigHarness(
                             config, params, rng=generator.rng
                         )
-                        if execution is not None:
-                            execution.harness_builds += 1
                     harnesses.append(harness)
                     if len(harnesses) == n_configs:
                         # Rewind past the speculative tail: the generator
                         # resumes just after the last consumed sample.
                         generator.rng.bit_generator.state = state
                         break
+            harnesses.pool_fallbacks = pool.fallbacks
             return harnesses
         finally:
             pool.close()
-            if execution is not None:
-                execution.pool_fallbacks += pool.fallbacks
-                execution.screen_attempts += attempts

@@ -23,8 +23,9 @@ fork (never pickled), worker counters are merged into the parent (sums
 commute, so totals match an in-process run), and a pool failure --
 including a worker killed mid-map -- re-runs the map in the parent.
 Trials and screens are pure functions of their pre-drawn inputs, so the
-re-run reproduces the identical results.  Fallbacks are counted in
-:class:`ExecutionStats` and the ``experiment.pool.fallbacks`` metric.
+re-run reproduces the identical results.  Each fallback is counted on
+the pool, carried on the results as ``pool_fallbacks``, and in the
+``experiment.pool.fallbacks`` metric.
 
 The serial loops these replaced live on as test oracles
 (``tests/oracles/loops.py``).  See EXPERIMENTS.md ("Parallel
@@ -54,40 +55,6 @@ if TYPE_CHECKING:
 #: Candidate configurations sampled per speculative screening batch,
 #: as a multiple of the worker count.
 SCREEN_BATCH_PER_WORKER = 2
-
-
-# ----------------------------------------------------------------------
-# Instrumentation
-# ----------------------------------------------------------------------
-@dataclass
-class ExecutionStats:
-    """Counters for one experiment run.
-
-    One instance threads through ``sample_screened_harnesses`` and
-    ``run_trials`` calls and accumulates what the maps actually did.
-    """
-
-    #: Parallelism the run was configured with.
-    n_jobs: int = 1
-    #: Trials executed through :func:`run_planned_trials`.
-    trials: int = 0
-    #: Screening attempts consumed (accepted + rejected samples).
-    screen_attempts: int = 0
-    #: Accepted configurations rebuilt in the parent after a pooled
-    #: screen; a screen run in the parent hands its harness over.
-    harness_builds: int = 0
-    #: Pool dispatches re-run serially after a fork-pool failure.
-    pool_fallbacks: int = 0
-
-    def rows(self) -> List[List[object]]:
-        """``[name, value]`` rows for plain-text tables (CLI output)."""
-        return [
-            ["n_jobs", self.n_jobs],
-            ["trials", self.trials],
-            ["screen attempts", self.screen_attempts],
-            ["harness builds", self.harness_builds],
-            ["pool fallbacks", self.pool_fallbacks],
-        ]
 
 
 # ----------------------------------------------------------------------
@@ -204,18 +171,16 @@ def run_planned_trials(
     defense_factory: Optional[DefenseFactory] = None,
     fault_plan: Optional[FaultPlan] = None,
     probe_retries: int = 0,
-    execution: Optional[ExecutionStats] = None,
-) -> List[TrialResult]:
+) -> Tuple[List[TrialResult], int]:
     """Run pre-planned trials through a ``ForkPool`` of ``n_jobs``.
 
-    The trials run in the parent when ``n_jobs <= 1`` and across worker
-    processes otherwise; results come back in trial order.  Every trial
-    is a pure function of its :class:`TrialPlan` (the scripted verdicts
-    remove the only in-trial draw from the shared generator), so the
-    returned ``TrialResult`` list is the same either way.  If the pool
-    dies -- fork failure, worker crash, an exception escaping the map --
-    the whole batch is re-run in the parent and counted in
-    ``execution.pool_fallbacks`` / ``experiment.pool.fallbacks``.
+    Returns the results, in trial order, and the pool's fallbacks.  The
+    trials run in the parent when ``n_jobs <= 1`` and across worker
+    processes otherwise.  Every trial is a pure function of its
+    :class:`TrialPlan` (the scripted verdicts remove the only in-trial
+    draw from the shared generator), so the results are the same either
+    way.  If the pool dies -- fork failure, worker crash, an exception
+    escaping the map -- the whole batch is re-run in the parent.
     """
     context = TrialContext(
         config=config,
@@ -228,10 +193,7 @@ def run_planned_trials(
     )
     with ForkPool(n_jobs, context, name="experiment") as pool:
         results = pool.map(run_planned_trial, plans)
-    if execution is not None:
-        execution.trials += len(results)
-        execution.pool_fallbacks += pool.fallbacks
-    return results
+    return results, pool.fallbacks
 
 
 # ----------------------------------------------------------------------
@@ -251,16 +213,16 @@ class ScreenContext:
 
 def screening_verdicts(
     context: ScreenContext, config: NetworkConfiguration
-) -> Tuple[bool, Union[None, "ConfigHarness", "CompactModel"]]:
-    """``(accepted, built)`` for one candidate configuration.
+) -> Tuple[Optional[str], Union[None, "ConfigHarness", "CompactModel"]]:
+    """``(rejected_by, built)`` for one candidate configuration.
 
-    ``accepted`` says whether the candidate passes every active check
-    (``params.screen``, then ``require_optimal_differs``), evaluated in
-    the order the serial loop evaluates them.  An exact rejection bumps
-    ``experiment.exact_screen_reject_viability`` (the Section VI-B
-    condition failed) or ``experiment.exact_screen_reject_target`` (the
-    optimal probe is the target); a certified fast-screen rejection
-    counts in ``experiment.fastscreen_rejects`` instead.
+    ``rejected_by`` is ``None`` when the candidate passes every active
+    check (``params.screen``, then ``require_optimal_differs``),
+    evaluated in the order the serial loop evaluates them.  Otherwise it
+    names the rejection: ``"fastscreen"`` for a certified fast-screen
+    reject, or the exact screen's first failed check, ``"viability"``
+    (the Section VI-B condition) or ``"target"`` (the optimal probe is
+    the target), which the caller counts for the candidates it consumes.
 
     ``built`` is ``None`` without ``context.rng``.  With it, ``built``
     is what the screen built: the harness on ``context.rng`` -- which
@@ -291,20 +253,17 @@ def screening_verdicts(
             require_optimal_differs=context.require_optimal_differs,
         )
         if outcome.certified_reject:
-            return False, outcome.model if context.rng is not None else None
+            built = outcome.model if context.rng is not None else None
+            return "fastscreen", built
         model = outcome.model
     rng = context.rng
     harness = ConfigHarness(config, params, rng=rng, model=model)
-    # Each exact rejection is counted by its reason, in check order.
-    metrics = get_instrumentation().metrics
-    accepted = False
+    rejected_by: Optional[str] = None
     if params.screen and not harness.is_screened_in():
-        metrics.counter("experiment.exact_screen_reject_viability").inc()
+        rejected_by = "viability"
     elif (
         context.require_optimal_differs
         and not harness.optimal_differs_from_target()
     ):
-        metrics.counter("experiment.exact_screen_reject_target").inc()
-    else:
-        accepted = True
-    return accepted, harness if rng is not None else None
+        rejected_by = "target"
+    return rejected_by, harness if rng is not None else None

@@ -157,13 +157,11 @@ def _provenance(
     # numbers are identical for every jobs setting, but a document
     # should still record how it was produced -- and whether any pool
     # dispatch degraded to the serial fallback.
-    execution = getattr(result, "execution", None)
     if params is not None:
         provenance["trial_jobs"] = params.trial_jobs
-    elif execution is not None:
-        provenance["trial_jobs"] = execution.n_jobs
-    if execution is not None:
-        provenance["pool_fallbacks"] = execution.pool_fallbacks
+    fallbacks = getattr(result, "pool_fallbacks", None)
+    if fallbacks is not None:
+        provenance["pool_fallbacks"] = fallbacks
     return provenance
 
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.harness import ConfigResult, sample_screened_harnesses
-from repro.experiments.parallel import ExecutionStats
 from repro.faults import FAULT_KINDS, FaultPlan
 from repro.obs import Instrumentation, get_instrumentation, use_instrumentation
 
@@ -69,8 +68,9 @@ class RobustnessResult:
     results_per_rate: List[List[ConfigResult]] = field(repr=False)
     #: Per-rate fault/retry counter totals (``faults.injected.*`` etc.).
     counters_per_rate: List[Dict[str, int]] = field(default_factory=list)
-    #: Fan-out accounting for the run (None on pre-parallel results).
-    execution: Optional[ExecutionStats] = field(default=None, repr=False)
+    #: Pool maps (screening and trials) re-run in the parent after a
+    #: pool failure.
+    pool_fallbacks: int = 0
 
     def accuracy_series(self) -> Dict[str, List[Optional[float]]]:
         """Per-rate mean accuracy for every attacker in the lineup."""
@@ -133,18 +133,17 @@ def forward_counters(
     outer: Instrumentation,
     names: Sequence[str],
 ) -> Dict[str, int]:
-    """Totals of ``names`` on ``inner``, each positive one re-emitted.
+    """Totals of ``names`` on ``inner``; all of ``inner`` goes to ``outer``.
 
-    The sweeps count each rate or cell on a private backend; re-emitting
-    to ``outer`` keeps the session's ``--metrics`` output whole.
+    The sweeps count each rate or cell on a private backend; merging its
+    counters and histograms into ``outer`` keeps the session's
+    ``--metrics`` output whole.
     """
     counters = {
         name: int(inner.metrics.counter(name).value) for name in names
     }
     if outer.enabled:
-        for name, value in counters.items():
-            if value > 0:
-                outer.metrics.counter(name).inc(value)
+        outer.metrics.merge(inner.metrics)
     return counters
 
 
@@ -189,14 +188,13 @@ def run_robustness(
     with outer.span(
         "experiment.robustness", rates=len(rates), kinds=",".join(kinds)
     ):
-        execution = ExecutionStats(n_jobs=params.trial_jobs)
         harnesses = sample_screened_harnesses(
             params,
             configs if configs is not None else params.n_configs,
             require_optimal_differs=require_optimal_differs,
             max_attempts_factor=max_attempts_factor,
-            execution=execution,
         )
+        fallbacks = harnesses.pool_fallbacks
         results_per_rate: List[List[ConfigResult]] = []
         counters_per_rate: List[Dict[str, int]] = []
         for rate in rates:
@@ -212,10 +210,10 @@ def run_robustness(
                         harness.run_trials(
                             fault_plan=plan,
                             probe_retries=params.probe_retries,
-                            execution=execution,
                         )
                         for harness in harnesses
                     ]
+            fallbacks += sum(result.pool_fallbacks for result in bucket)
             counters = forward_counters(inner, outer, _SWEEP_COUNTERS)
             results_per_rate.append(bucket)
             counters_per_rate.append(counters)
@@ -225,5 +223,5 @@ def run_robustness(
         probe_retries=params.probe_retries,
         results_per_rate=results_per_rate,
         counters_per_rate=counters_per_rate,
-        execution=execution,
+        pool_fallbacks=fallbacks,
     )

@@ -9,6 +9,7 @@ the per-step arrival probabilities the Markov models consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -32,8 +33,10 @@ class FlowUniverse:
         if len(set(self.flows)) != len(self.flows):
             raise ValueError("duplicate flow identifiers in universe")
         for rate in self.rates:
-            if rate < 0:
-                raise ValueError(f"negative Poisson rate: {rate}")
+            if not math.isfinite(rate) or rate < 0:
+                raise ValueError(
+                    f"Poisson rate must be finite and non-negative: {rate}"
+                )
 
     @classmethod
     def create(

@@ -44,8 +44,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.flows.flowid import FlowId
-from repro.flows.rules import Rule
+from repro.flows.rules import ACTION_CONTROLLER, ACTION_FLOOD, Rule
 from repro.obs import get_instrumentation
+
+#: Actions of the entries that catch a table miss (network mode's
+#: permanent to-controller and flood entries): a lookup one of them wins
+#: counts as a miss, as the side channel sees it.
+MISS_ACTIONS = frozenset((ACTION_CONTROLLER, ACTION_FLOOD))
 
 
 @dataclass
@@ -310,7 +315,8 @@ class FlowTable:
 
         Returns the highest-priority covering entry, refreshing its idle
         timer (unless ``refresh=False``, used for non-mutating peeks).
-        Records hit/miss statistics.
+        Counts a hit, or a miss when no entry covers the flow or the
+        winner's action is in :data:`MISS_ACTIONS`.
         """
         self.sweep(now)
         key = (flow.src, flow.dst, flow.proto, flow.sport, flow.dport)
@@ -322,7 +328,10 @@ class FlowTable:
         if best is None:
             self._obs_misses.inc()
             return None
-        self._obs_hits.inc()
+        if best.rule.action in MISS_ACTIONS:
+            self._obs_misses.inc()
+        else:
+            self._obs_hits.inc()
         if refresh:
             best.last_match = now
             # Only an idle timeout makes the refresh move the expiry.

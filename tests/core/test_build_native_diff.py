@@ -144,10 +144,12 @@ def test_edge_models(native, rates, rules, cache_size):
 
 def test_empty_entry_set(native):
     # An infinite rate leaves every probability NaN, so no entry passes
-    # the p > 0 filter on either path.
+    # the p > 0 filter on either path.  FlowUniverse refuses the rate,
+    # so it is set past the constructor's check.
+    universe = make_universe([0.5, 0.5])
+    object.__setattr__(universe, "rates", (float("inf"), 0.5))
     model = CompactModel(
-        make_policy([({0}, 3), ({1}, 2)]),
-        make_universe([float("inf"), 0.5]), 0.05, 1,
+        make_policy([({0}, 3), ({1}, 2)]), universe, 0.05, 1,
     )
     with np.errstate(invalid="ignore"):
         entries = transition_build.build_entries(model)

@@ -138,6 +138,41 @@ class TestSoundness:
             assert build.attrs["states"] > 0
             assert build.attrs["entries"] > 0
 
+    def test_each_screen_span_records_its_verdict(self):
+        # A traced tiny screen, with the Section VI-B screen on and off
+        # so both proofs and fallbacks occur: the spans with a fallback
+        # verdict number the fallbacks, the rest the certified rejects.
+        backend = Instrumentation()
+        with use_instrumentation(backend):
+            for screen in (True, False):
+                params = replace(tiny_experiment_params(), screen=screen)
+                for config in sample_candidates(params, 20):
+                    fastscreen.screen_candidate(
+                        params, config, require_optimal_differs=True
+                    )
+        verdicts = [
+            span.attrs["verdict"]
+            for span in backend.tracer.records
+            if span.name == "harness.fast_screen"
+        ]
+        assert len(verdicts) == 40
+        fallbacks = [v for v in verdicts if v in fastscreen.FALLBACKS]
+        rejects = [v for v in verdicts if v not in fastscreen.FALLBACKS]
+        counts = _fastscreen_counts(backend)
+        assert len(fallbacks) == counts["fallbacks"] > 0
+        assert len(rejects) == counts["rejects"] > 0
+        for reason in fastscreen.FALLBACKS:
+            assert fallbacks.count(reason) == counts[f"fallback_{reason}"]
+        # A reject's verdict is its sorted proof set, each proof once.
+        for verdict in rejects:
+            proofs = verdict.split("+")
+            assert proofs == sorted(set(proofs))
+            assert set(proofs) <= set(fastscreen.PROOFS)
+        for proof in fastscreen.PROOFS:
+            assert sum(
+                proof in verdict.split("+") for verdict in rejects
+            ) == counts[f"proof_{proof}"]
+
 
 def _fastscreen_counts(backend):
     names = ["rejects", "fallbacks"]

@@ -4,15 +4,17 @@ The contract (EXPERIMENTS.md, "Parallel execution") is that every
 ``trial_jobs`` setting produces exactly the numbers the serial loops
 (:mod:`tests.oracles.loops`) produce -- same accuracies, same
 ``TrialResult`` sequences, same generator states, same persisted
-documents -- and that a dying pool degrades to the parent with identical
-results, counted in ``experiment.pool.fallbacks``.
+documents, outcome counters -- and that a dying pool degrades to the
+parent with identical results, counted in the results' ``pool_fallbacks``
+and in ``experiment.pool.fallbacks``.  Every counter comparison goes
+through :func:`tests.obs.catalogue.assert_outcome_counters_match`,
+which reads the fan-out class of each counter from the metric catalogue.
 """
 
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import pytest
 
-import repro.experiments.parallel as parallel_mod
 import repro.parallel as primitive
 from repro.apispec import JobSpec
 from repro.core.compact_model import CompactModel
@@ -31,6 +33,7 @@ from repro.flows.config import ConfigGenerator
 from repro.obs import Instrumentation, use_instrumentation
 
 from tests.experiments.conftest import tiny_experiment_params
+from tests.obs.catalogue import assert_outcome_counters_match
 from tests.oracles import loops
 
 #: Two broad bins keep fig6's double screen affordable at tiny scale.
@@ -65,6 +68,14 @@ def _normalized(document):
                 k: v for k, v in value.items() if k != "trial_jobs"
             }
     return document
+
+
+def _counters(run):
+    """The counters ``run()`` records, and what it returns."""
+    backend = Instrumentation()
+    with use_instrumentation(backend):
+        returned = run()
+    return backend.metrics.to_document()["counters"], returned
 
 
 def _accuracies(results_per_bucket):
@@ -123,39 +134,25 @@ class TestTrialFanout:
 
     def test_trial_counters_match_serial(self):
         # Table-mode `sim.table.*` counts exist only in the registry, so
-        # this is their one serial/pooled check.  `engine.*` is left out:
-        # each worker builds its own decision tree from the inherited
-        # inference (docs/OBSERVABILITY.md, fan-out exceptions).
+        # this is their one serial/pooled check.  `engine.*` is a work
+        # class: each worker builds its own decision tree from the
+        # inherited inference (docs/OBSERVABILITY.md).
         plan = FaultPlan(probe_reply_loss=0.5, seed=9)
         params = tiny_experiment_params(n_trials=8)
-
-        def counters(run):
-            backend = Instrumentation()
-            with use_instrumentation(backend):
-                run(ConfigHarness.sample(params))
-            document = backend.metrics.to_document()["counters"]
-            return {
-                name: value
-                for name, value in document.items()
-                if value
-                and (
-                    name.startswith(("faults.", "attacker.", "sim."))
-                    or name == "experiment.trials"
-                )
-            }
-
-        serial = counters(
-            lambda harness: loops.run_trials(
-                harness, fault_plan=plan, probe_retries=1
+        serial, _ = _counters(
+            lambda: loops.run_trials(
+                ConfigHarness.sample(params), fault_plan=plan, probe_retries=1
             )
         )
-        assert serial["sim.table.hits"] > 0
         for trial_jobs in TRIAL_JOBS:
-            assert serial == counters(
-                lambda harness: harness.run_trials(
+            fanned, _ = _counters(
+                lambda: ConfigHarness.sample(params).run_trials(
                     fault_plan=plan, probe_retries=1, trial_jobs=trial_jobs
                 )
             )
+            compared = assert_outcome_counters_match(serial, fanned)
+            assert compared["sim.table.hits"] > 0
+            assert compared["experiment.trials"] == 8
 
     def test_network_trial_counters_match_serial(self):
         # The network-mode twin: trials fork a per-process template
@@ -170,32 +167,31 @@ class TestTrialFanout:
             seed=9,
         )
         params = tiny_experiment_params(n_trials=6, trial_mode="network")
-
-        def counters(run):
-            backend = Instrumentation()
-            with use_instrumentation(backend):
-                run(ConfigHarness.sample(params))
-            document = backend.metrics.to_document()["counters"]
-            return {
-                name: value
-                for name, value in document.items()
-                if value and name.startswith(("faults.", "attacker.", "sim."))
-            }
-
-        serial = counters(
-            lambda harness: loops.run_trials(
-                harness, fault_plan=plan, probe_retries=1
+        serial, _ = _counters(
+            lambda: loops.run_trials(
+                ConfigHarness.sample(params), fault_plan=plan, probe_retries=1
             )
         )
         assert serial["sim.table.installs"] > 0
         assert serial["sim.network.host_sends"] > 0
         assert any(name.startswith("faults.") for name in serial)
+        # A lookup the to-controller or flood entry wins is a miss.
+        assert serial["sim.table.misses"] > 0
+        assert (
+            serial["sim.table.hits"] + serial["sim.table.misses"]
+            == serial["sim.switch.received"]
+        )
+        assert serial["sim.table.misses"] == (
+            serial["sim.switch.packet_ins"] + serial["sim.switch.flooded"]
+        )
         for trial_jobs in (2, 3):
-            assert serial == counters(
-                lambda harness: harness.run_trials(
+            fanned, _ = _counters(
+                lambda: ConfigHarness.sample(params).run_trials(
                     fault_plan=plan, probe_retries=1, trial_jobs=trial_jobs
                 )
             )
+            compared = assert_outcome_counters_match(serial, fanned)
+            assert compared["sim.switch.packet_ins"] > 0
 
     def test_params_trial_jobs_used_by_default(self):
         params = tiny_experiment_params(n_trials=6)
@@ -242,6 +238,45 @@ class TestScreeningFanout:
             a = [loops.run_trials(h, keep_trials=True) for h in serial]
             b = [h.run_trials(keep_trials=True) for h in fanned]
             assert [r.trial_results for r in a] == [r.trial_results for r in b]
+
+    @pytest.mark.parametrize(
+        "n_probes", [1, 2], ids=["fastscreen", "exact-only"]
+    )
+    def test_screening_counters_match_serial(self, n_probes):
+        # A pooled batch also screens the speculative candidates past the
+        # quota.  The outcome counters -- sampled, screened out, exact
+        # rejects by reason -- count only the candidates the loop
+        # consumes.  At seed 3 the last pooled batch screens exact
+        # rejects past the quota.
+        params = tiny_experiment_params(n_probes=n_probes)
+
+        def screen(loop, **kwargs):
+            return _counters(
+                lambda: loop(
+                    params,
+                    2,
+                    generator=ConfigGenerator(params.config, seed=3),
+                    **kwargs,
+                )
+            )
+
+        serial, _ = screen(loops.sample_screened_harnesses)
+        for trial_jobs in TRIAL_JOBS:
+            fanned, harnesses = screen(
+                sample_screened_harnesses, trial_jobs=trial_jobs
+            )
+            compared = assert_outcome_counters_match(serial, fanned)
+            assert compared["experiment.configs_sampled"] == 9
+            assert compared["experiment.configs_screened_out"] == 7
+            assert harnesses.pool_fallbacks == 0
+        if n_probes == 2:
+            assert compared["experiment.exact_screen_reject_viability"] == 7
+            # The speculative candidates were screened: work counters
+            # may count them.
+            assert (
+                fanned["experiment.harnesses_built"]
+                > serial["experiment.harnesses_built"]
+            )
 
     def test_exhaustion_error_matches_serial(self):
         for trial_jobs in TRIAL_JOBS:
@@ -354,48 +389,46 @@ def _spec(params, experiment):
     return JobSpec.from_params(params, experiment=experiment)
 
 
-#: ``ExecutionStats`` of the tiny pipelines below.  At ``JOBS`` these are
-#: the fan-out's counts; in the parent every accepted harness is the one
-#: screened (no rebuilds).
-EXECUTION = {
-    ("fig6", 1): dict(
-        n_jobs=1, trials=16, screen_attempts=105,
-        harness_builds=0, pool_fallbacks=0,
-    ),
-    ("fig6", JOBS): dict(
-        n_jobs=JOBS, trials=16, screen_attempts=105,
-        harness_builds=2, pool_fallbacks=0,
-    ),
-    ("fig7", 1): dict(
-        n_jobs=1, trials=16, screen_attempts=6,
-        harness_builds=0, pool_fallbacks=0,
-    ),
-    ("fig7", JOBS): dict(
-        n_jobs=JOBS, trials=16, screen_attempts=6,
-        harness_builds=2, pool_fallbacks=0,
-    ),
-    ("robustness", 1): dict(
-        n_jobs=1, trials=24, screen_attempts=3,
-        harness_builds=0, pool_fallbacks=0,
-    ),
-    ("robustness", JOBS): dict(
-        n_jobs=JOBS, trials=24, screen_attempts=3,
-        harness_builds=2, pool_fallbacks=0,
-    ),
+#: Outcome counters of the tiny pipelines below, equal at every
+#: ``trial_jobs``: trials run and candidate configurations sampled.
+PIPELINE_COUNTS = {
+    "fig6": (16, 105),
+    "fig7": (16, 6),
+    "robustness": (24, 3),
 }
+
+
+def _check_pipeline_counters(pipeline, serial, fanned, trial_jobs):
+    """The fan-out contract on one pipeline run against the oracle's."""
+    compared = assert_outcome_counters_match(serial, fanned)
+    assert (
+        compared["experiment.trials"],
+        compared["experiment.configs_sampled"],
+    ) == PIPELINE_COUNTS[pipeline]
+    if trial_jobs == 1:
+        # In the parent every accepted harness is the one screened: no
+        # harness is built twice.
+        assert (
+            fanned["experiment.harnesses_built"]
+            == serial["experiment.harnesses_built"]
+        )
 
 
 class TestPipelineDifferentials:
     def test_fig6_bit_identical(self):
         params = tiny_experiment_params(n_configs=2, n_trials=8)
         with loops.serial_loops():
-            serial = run_fig6(
-                _spec(params, "fig6"), bins=BINS, configs_per_bin=1
+            serial_counters, serial = _counters(
+                lambda: run_fig6(
+                    _spec(params, "fig6"), bins=BINS, configs_per_bin=1
+                )
             )
         for trial_jobs in TRIAL_JOBS:
             fanned_params = replace(params, trial_jobs=trial_jobs)
-            fanned = run_fig6(
-                _spec(fanned_params, "fig6"), bins=BINS, configs_per_bin=1
+            fanned_counters, fanned = _counters(
+                lambda: run_fig6(
+                    _spec(fanned_params, "fig6"), bins=BINS, configs_per_bin=1
+                )
             )
             assert _accuracies(serial.results_per_bin) == _accuracies(
                 fanned.results_per_bin
@@ -406,23 +439,25 @@ class TestPipelineDifferentials:
             assert _normalized(
                 fig6_to_document(serial, params=params)
             ) == _normalized(fig6_to_document(fanned, params=fanned_params))
-            assert fanned.execution is not None
-            assert fanned.execution.n_jobs == trial_jobs
-            assert fanned.execution.trials > 0
-            assert asdict(fanned.execution) == (
-                EXECUTION["fig6", trial_jobs]
+            assert fanned.pool_fallbacks == 0
+            _check_pipeline_counters(
+                "fig6", serial_counters, fanned_counters, trial_jobs
             )
 
     def test_fig7_bit_identical(self):
         params = tiny_experiment_params(n_configs=2, n_trials=8)
         with loops.serial_loops():
-            serial = run_fig7(
-                _spec(params, "fig7"), bins=BINS, configs_per_bin=1
+            serial_counters, serial = _counters(
+                lambda: run_fig7(
+                    _spec(params, "fig7"), bins=BINS, configs_per_bin=1
+                )
             )
         for trial_jobs in TRIAL_JOBS:
             fanned_params = replace(params, trial_jobs=trial_jobs)
-            fanned = run_fig7(
-                _spec(fanned_params, "fig7"), bins=BINS, configs_per_bin=1
+            fanned_counters, fanned = _counters(
+                lambda: run_fig7(
+                    _spec(fanned_params, "fig7"), bins=BINS, configs_per_bin=1
+                )
             )
             assert _accuracies(serial.results_per_bin) == _accuracies(
                 fanned.results_per_bin
@@ -435,8 +470,9 @@ class TestPipelineDifferentials:
             assert _normalized(
                 fig7_to_document(serial, params=params)
             ) == _normalized(fig7_to_document(fanned, params=fanned_params))
-            assert asdict(fanned.execution) == (
-                EXECUTION["fig7", trial_jobs]
+            assert fanned.pool_fallbacks == 0
+            _check_pipeline_counters(
+                "fig7", serial_counters, fanned_counters, trial_jobs
             )
 
     def test_robustness_bit_identical_with_fault_plan(self):
@@ -448,13 +484,17 @@ class TestPipelineDifferentials:
         )
         rates = (0.0, 0.3)
         with loops.serial_loops():
-            serial = run_robustness(
-                _spec(params, "robustness"), rates=rates, configs=2
+            serial_counters, serial = _counters(
+                lambda: run_robustness(
+                    _spec(params, "robustness"), rates=rates, configs=2
+                )
             )
         for trial_jobs in TRIAL_JOBS:
             fanned_params = replace(params, trial_jobs=trial_jobs)
-            fanned = run_robustness(
-                _spec(fanned_params, "robustness"), rates=rates, configs=2
+            fanned_counters, fanned = _counters(
+                lambda: run_robustness(
+                    _spec(fanned_params, "robustness"), rates=rates, configs=2
+                )
             )
             assert _accuracies(serial.results_per_rate) == _accuracies(
                 fanned.results_per_rate
@@ -467,8 +507,9 @@ class TestPipelineDifferentials:
             ) == _normalized(
                 robustness_to_document(fanned, params=fanned_params)
             )
-            assert asdict(fanned.execution) == (
-                EXECUTION["robustness", trial_jobs]
+            assert fanned.pool_fallbacks == 0
+            _check_pipeline_counters(
+                "robustness", serial_counters, fanned_counters, trial_jobs
             )
 
 
@@ -486,6 +527,9 @@ def _exploding_chunk(fn, chunk, collect):
 
 
 class TestFallbacks:
+    """Each pool death is counted once on the results, under the null
+    backend, and once in ``experiment.pool.fallbacks`` when recording."""
+
     def test_trial_pool_death_falls_back_serially(self, monkeypatch):
         params = tiny_experiment_params(n_trials=10)
         baseline = loops.run_trials(
@@ -494,19 +538,16 @@ class TestFallbacks:
         monkeypatch.setattr(
             primitive, "ProcessPoolExecutor", _broken_executor
         )
-        backend = Instrumentation()
-        with use_instrumentation(backend):
-            harness = ConfigHarness.sample(params)
-            execution = parallel_mod.ExecutionStats(n_jobs=JOBS)
-            result = harness.run_trials(
-                keep_trials=True, trial_jobs=JOBS, execution=execution
-            )
+        result = ConfigHarness.sample(params).run_trials(
+            keep_trials=True, trial_jobs=JOBS
+        )
         assert result.accuracies == baseline.accuracies
         assert result.trial_results == baseline.trial_results
-        assert execution.pool_fallbacks == 1
-        assert (
-            backend.metrics.counter("experiment.pool.fallbacks").value == 1
+        assert result.pool_fallbacks == 1
+        counters, _ = _counters(
+            lambda: ConfigHarness.sample(params).run_trials(trial_jobs=JOBS)
         )
+        assert counters["experiment.pool.fallbacks"] == 1
 
     def test_trial_worker_exception_falls_back_serially(self, monkeypatch):
         params = tiny_experiment_params(n_trials=10)
@@ -514,18 +555,24 @@ class TestFallbacks:
             ConfigHarness.sample(params), keep_trials=True
         )
         monkeypatch.setattr(primitive, "_run_chunk", _exploding_chunk)
-        backend = Instrumentation()
-        with use_instrumentation(backend):
-            harness = ConfigHarness.sample(params)
-            execution = parallel_mod.ExecutionStats(n_jobs=JOBS)
-            result = harness.run_trials(
-                keep_trials=True, trial_jobs=JOBS, execution=execution
-            )
+        result = ConfigHarness.sample(params).run_trials(
+            keep_trials=True, trial_jobs=JOBS
+        )
         assert result.accuracies == baseline.accuracies
         assert result.trial_results == baseline.trial_results
-        assert execution.pool_fallbacks == 1
-        assert (
-            backend.metrics.counter("experiment.pool.fallbacks").value == 1
+        assert result.pool_fallbacks == 1
+        counters, _ = _counters(
+            lambda: ConfigHarness.sample(params).run_trials(trial_jobs=JOBS)
+        )
+        assert counters["experiment.pool.fallbacks"] == 1
+
+    @staticmethod
+    def _screen(params):
+        return sample_screened_harnesses(
+            params,
+            2,
+            generator=ConfigGenerator(params.config, seed=21),
+            trial_jobs=JOBS,
         )
 
     def test_screen_pool_death_falls_back_serially(self, monkeypatch):
@@ -536,23 +583,13 @@ class TestFallbacks:
         monkeypatch.setattr(
             primitive, "ProcessPoolExecutor", _broken_executor
         )
-        backend = Instrumentation()
-        with use_instrumentation(backend):
-            execution = parallel_mod.ExecutionStats(n_jobs=JOBS)
-            harnesses = sample_screened_harnesses(
-                params,
-                2,
-                generator=ConfigGenerator(params.config, seed=21),
-                trial_jobs=JOBS,
-                execution=execution,
-            )
-        assert [_config_key(h.config) for h in harnesses] == [
+        result = self._screen(params)
+        assert [_config_key(h.config) for h in result] == [
             _config_key(h.config) for h in expected
         ]
-        assert execution.pool_fallbacks == 1
-        assert (
-            backend.metrics.counter("experiment.pool.fallbacks").value == 1
-        )
+        assert result.pool_fallbacks == 1
+        counters, _ = _counters(lambda: self._screen(params))
+        assert counters["experiment.pool.fallbacks"] == 1
 
     def test_screen_worker_exception_falls_back_serially(self, monkeypatch):
         params = tiny_experiment_params()
@@ -560,20 +597,10 @@ class TestFallbacks:
             params, 2, generator=ConfigGenerator(params.config, seed=21)
         )
         monkeypatch.setattr(primitive, "_run_chunk", _exploding_chunk)
-        backend = Instrumentation()
-        with use_instrumentation(backend):
-            execution = parallel_mod.ExecutionStats(n_jobs=JOBS)
-            harnesses = sample_screened_harnesses(
-                params,
-                2,
-                generator=ConfigGenerator(params.config, seed=21),
-                trial_jobs=JOBS,
-                execution=execution,
-            )
-        assert [_config_key(h.config) for h in harnesses] == [
+        result = self._screen(params)
+        assert [_config_key(h.config) for h in result] == [
             _config_key(h.config) for h in expected
         ]
-        assert execution.pool_fallbacks == 1
-        assert (
-            backend.metrics.counter("experiment.pool.fallbacks").value == 1
-        )
+        assert result.pool_fallbacks == 1
+        counters, _ = _counters(lambda: self._screen(params))
+        assert counters["experiment.pool.fallbacks"] == 1

@@ -19,8 +19,13 @@ class TestValidation:
             FlowUniverse((flow, flow), (0.1, 0.2))
 
     def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match="non-negative"):
             make_universe([-0.1])
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            make_universe([0.1, float(rate)])
 
 
 class TestQueries:

@@ -9,18 +9,26 @@ and documented by hand.
 
 The reverse check reads the metric catalogue table and requires every
 name in it to be emitted, as a literal or in :data:`RUNTIME_NAMES`, so
-a deleted counter cannot leave a stale row.
+a deleted counter cannot leave a stale row.  Every row carries exactly
+one fan-out class (:mod:`tests.obs.catalogue`), and every emitted
+metric has a row.
 """
 
 import ast
-import re
-from pathlib import Path
+
+import pytest
 
 from repro.faults import FAULT_KINDS
 
-ROOT = Path(__file__).resolve().parents[2]
+from tests.obs.catalogue import (
+    CATALOGUE,
+    ROOT,
+    catalogue_rows,
+    doc_names,
+    fanout_classes,
+)
+
 SOURCE = ROOT / "src" / "repro"
-CATALOGUE = ROOT / "docs" / "OBSERVABILITY.md"
 
 EMITTERS = {"counter", "gauge", "histogram", "span", "counter_inc"}
 
@@ -32,13 +40,10 @@ RUNTIME_NAMES = {f"faults.injected.{kind}" for kind in FAULT_KINDS} | {
     "service.pool.fallbacks",
 }
 
-#: A backticked dotted name, or a ``.suffix`` shorthand for a sibling of
-#: the previous full name (``reproduce.fig6`` / ``.fig7``).
-_DOC_NAME = re.compile(r"`(\.?[a-z0-9_]+(?:\.[a-z0-9_]+)*)`")
 
-
-def emitted_names():
-    """``{name: "path:line"}`` for every literal name under src/repro."""
+def emitted_names(emitters=EMITTERS):
+    """``{name: "path:line"}`` for every literal name under src/repro
+    passed to one of ``emitters``."""
     names = {}
     for path in sorted(SOURCE.rglob("*.py")):
         if "lint" in path.relative_to(SOURCE).parts:
@@ -49,7 +54,7 @@ def emitted_names():
             func = node.func
             called = getattr(func, "attr", getattr(func, "id", None))
             first = node.args[0]
-            if called in EMITTERS and isinstance(first, ast.Constant) and (
+            if called in emitters and isinstance(first, ast.Constant) and (
                 isinstance(first.value, str)
             ):
                 names.setdefault(
@@ -58,36 +63,13 @@ def emitted_names():
     return names
 
 
-def _doc_names(text):
-    """Every dotted name in ``text``, ``.suffix`` shorthands expanded."""
-    names = set()
-    previous = None
-    for token in _DOC_NAME.findall(text):
-        if token.startswith("."):
-            if previous is None:
-                continue
-            token = previous.rsplit(".", 1)[0] + token
-        elif "." not in token:
-            continue
-        names.add(token)
-        previous = token
-    return names
-
-
 def catalogued_names():
-    return _doc_names(CATALOGUE.read_text())
+    return doc_names(CATALOGUE.read_text())
 
 
 def catalogue_table_names():
     """The names in the first column of the metric catalogue table."""
-    text = CATALOGUE.read_text()
-    section = text.split("## Metric catalogue", 1)[1].split("\n## ", 1)[0]
-    rows = [
-        line.split("|")[1]
-        for line in section.splitlines()
-        if line.startswith("| `")
-    ]
-    return _doc_names("\n".join(rows))
+    return set().union(*(names for names, _ in catalogue_rows()))
 
 
 def test_collector_finds_the_instrumentation():
@@ -129,4 +111,44 @@ def test_every_catalogued_metric_is_emitted():
     assert not stale, (
         "catalogued in docs/OBSERVABILITY.md but emitted nowhere under "
         "src/repro: " + ", ".join(stale)
+    )
+
+
+def test_every_row_has_one_fanout_class():
+    classes = fanout_classes()
+    assert set(classes) == catalogue_table_names()
+    assert set(classes.values()) == {"outcome", "work"}
+    # Spot checks of the contract: what a fan-out must not change, and
+    # what it may.
+    for name in ("sim.table.misses", "experiment.trials",
+                 "experiment.exact_screen_reject_target",
+                 "service.sessions.completed", "faults.injected.outage"):
+        assert classes[name] == "outcome", name
+    for name in ("engine.cache.hits", "kernel.sparse.matvecs",
+                 "experiment.harnesses_built", "experiment.fastscreen_rejects",
+                 "experiment.pool.fallbacks", "service.pool.fallbacks"):
+        assert classes[name] == "work", name
+
+
+@pytest.mark.parametrize("fanout", ["", "both", "outcome / work"])
+def test_a_row_without_one_class_fails(fanout):
+    text = (
+        "## Metric catalogue\n\n"
+        "| Name | Kind | Fan-out | Meaning |\n"
+        "| --- | --- | --- | --- |\n"
+        "| `sim.table.hits` | counter | outcome | lookups |\n"
+        f"| `sim.table.misses` | counter | {fanout} | lookups |\n"
+    )
+    with pytest.raises(ValueError, match="sim.table.misses"):
+        fanout_classes(text)
+
+
+def test_every_emitted_metric_has_a_row():
+    # Spans are catalogued in prose; every metric needs a table row, so
+    # that it has a fan-out class.
+    metrics = emitted_names(EMITTERS - {"span"})
+    rowless = sorted(set(metrics) - catalogue_table_names())
+    assert not rowless, (
+        "emitted metrics without a catalogue row: "
+        + ", ".join(f"{name} ({metrics[name]})" for name in rowless)
     )

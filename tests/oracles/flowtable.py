@@ -14,7 +14,7 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.flows.flowid import FlowId
-from repro.flows.rules import Rule
+from repro.flows.rules import ACTION_CONTROLLER, ACTION_FLOOD, Rule
 from repro.obs import get_instrumentation
 from repro.simulator.flowtable import TableEntry
 
@@ -84,7 +84,8 @@ class ReferenceFlowTable:
 
         Returns the highest-priority covering entry, refreshing its idle
         timer (unless ``refresh=False``, used for non-mutating peeks).
-        Records hit/miss statistics.
+        Records hit/miss statistics; a to-controller or flood winner is a
+        miss.
         """
         self.sweep(now)
         best: Optional[TableEntry] = None
@@ -93,12 +94,14 @@ class ReferenceFlowTable:
                 continue
             if best is None or entry.rule.priority > best.rule.priority:
                 best = entry
-        if best is None:
+        if best is None or best.rule.action in (ACTION_CONTROLLER, ACTION_FLOOD):
             self.stats["misses"] += 1
             self._obs_misses.inc()
-            return None
-        self.stats["hits"] += 1
-        self._obs_hits.inc()
+            if best is None:
+                return None
+        else:
+            self.stats["hits"] += 1
+            self._obs_hits.inc()
         if refresh:
             best.last_match = now
         return best

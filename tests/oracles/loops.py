@@ -24,9 +24,12 @@ import pytest
 
 from repro.core.attacker import Attacker
 from repro.experiments import defend, fig6, fig7, robustness
-from repro.experiments.harness import ConfigHarness, ConfigResult
+from repro.experiments.harness import (
+    ConfigHarness,
+    ConfigResult,
+    ScreenedHarnesses,
+)
 from repro.experiments.params import ExperimentParams
-from repro.experiments.parallel import ExecutionStats
 from repro.experiments.trials import DefenseFactory, TrialResult, run_trial
 from repro.faults import FaultPlan
 from repro.flows.config import ConfigGenerator
@@ -43,7 +46,6 @@ def run_trials(
     fault_plan: Optional[FaultPlan] = None,
     probe_retries: Optional[int] = None,
     trial_jobs: Optional[int] = None,
-    execution: Optional[ExecutionStats] = None,
 ) -> ConfigResult:
     """``harness.run_trials`` as one serial loop (``trial_jobs`` ignored)."""
     n_trials = n_trials if n_trials is not None else harness.params.n_trials
@@ -97,13 +99,13 @@ def sample_screened_harnesses(
     max_attempts_factor: int = 40,
     generator: Optional[ConfigGenerator] = None,
     trial_jobs: Optional[int] = None,
-    execution: Optional[ExecutionStats] = None,
-) -> List[ConfigHarness]:
-    """The serial acceptance loop (``trial_jobs`` ignored)."""
+) -> ScreenedHarnesses:
+    """The serial acceptance loop (``trial_jobs`` ignored; no pool, so
+    ``pool_fallbacks`` stays 0)."""
     from repro.experiments import fastscreen
 
     generator = generator or ConfigGenerator(params.config, seed=params.seed)
-    harnesses: List[ConfigHarness] = []
+    harnesses = ScreenedHarnesses()
     attempts = 0
     max_attempts = max(1, n_configs) * max_attempts_factor
     obs = get_instrumentation()

@@ -39,6 +39,7 @@ from repro.service import (
     serve_jobs,
 )
 from repro.service.sessions import SESSION_ATTACKERS, eligible_targets
+from tests.obs.catalogue import assert_outcome_counters_match
 from tests.service.conftest import tiny_recon_spec
 from tests.test_parallel_primitive import hang_guard
 
@@ -385,8 +386,9 @@ class TestModelPlacement:
 
 
 class TestSessionCounters:
-    #: The chain counters are the exception: each process powers its own
-    #: full chain.
+    #: The two work counters a pooled service cannot hold: each process
+    #: powers its own full chain.  Every other work counter is pinned on
+    #: top of the outcome contract.
     CHAIN = ("kernel.sparse.matvecs", "kernel.power_chain.reuses")
 
     @needs_fork
@@ -398,6 +400,11 @@ class TestSessionCounters:
             with use_instrumentation(obs), hang_guard():
                 serve_jobs([spec], tmp_path / f"shards{shards}", shards=shards)
             documents[shards] = obs.metrics.to_document()
+        compared = assert_outcome_counters_match(
+            documents[1]["counters"], documents[2]["counters"]
+        )
+        assert compared["service.sessions.completed"] == spec.n_targets
+        assert any(name.startswith("sim.table.") for name in compared)
         counters = {
             shards: {
                 name: value
@@ -406,9 +413,7 @@ class TestSessionCounters:
             }
             for shards, document in documents.items()
         }
-        assert counters[1]["service.sessions.completed"] == spec.n_targets
         assert any(name.startswith("engine.") for name in counters[1])
-        assert any(name.startswith("sim.table.") for name in counters[1])
         assert counters[2] == counters[1]
         # Histograms hold timings; their observation counts match.
         histograms = {

@@ -87,6 +87,28 @@ class TestSwitchPipeline:
         switch.receive(alien, in_port=1)
         assert obs.metrics.counter("sim.switch.flooded").value == 1
 
+    def test_table_counts_what_the_side_channel_sees(self, network, obs):
+        # The permanent to-controller and flood entries win every
+        # reactive miss; those lookups count as table misses.
+        for flow in network.universe.flows:
+            for start in (0.0, 0.3, 1.8):
+                network.schedule_flow_arrival(flow, start)
+        network.ingress_switch.receive(
+            Packet(flow=FlowId(src=1, dst=2, proto=200), kind=ECHO_REQUEST),
+            in_port=1,
+        )
+        network.sim.run_until(3.0)
+        counters = obs.metrics_document()["counters"]
+        hits = counters["sim.table.hits"]
+        misses = counters["sim.table.misses"]
+        assert hits > 0
+        assert counters["sim.switch.packet_ins"] > 0
+        assert counters["sim.switch.flooded"] == 1
+        assert hits + misses == counters["sim.switch.received"]
+        assert misses == (
+            counters["sim.switch.packet_ins"] + counters["sim.switch.flooded"]
+        )
+
 
 class TestReactiveController:
     def test_installs_highest_priority_covering(self, network):
