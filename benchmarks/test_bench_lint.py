@@ -7,9 +7,10 @@ serial pass ``make check`` runs -- all 12 rules over ``src``,
 and ``benchmarks`` packages -- and pins two things:
 
 * the shipped tree is clean: the pass returns no finding;
-* the pass stays under a generous absolute budget (1.8-3.4 s on a
-  2-CPU x86_64 box; the budget leaves headroom for new rules before the
-  gate starts hurting).
+* the pass stays under a generous absolute budget (0.8-1.3 s on a
+  2-CPU x86_64 box, where it took 2.0-3.1 s before each module was
+  walked once into a shared node index; the budget leaves headroom for
+  new rules before the gate starts hurting).
 
 It also prints the size of the lint itself -- lines of code under
 ``src/repro/lint`` and the rule count -- so growth shows up in review.

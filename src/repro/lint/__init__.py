@@ -20,8 +20,9 @@ OBS001    ``span()`` called without ``with``
 The whole-program rules (SEED101-103 seed flow and generator
 ownership, MUT101-102 buffer escapes, PAR101 pool-worker captures) live
 in :mod:`repro.lint.project`.  :func:`run_checks` is the one pass: it
-parses each file once, runs the per-file rules on every module and the
-project rules over every package root among its paths, and filters
+parses and indexes each file once (:class:`ModuleSource`), runs the
+per-file rules on every module and the project rules over every
+package root among its paths, all reading that index, and filters
 every finding through ``# repro: noqa[RULE]`` comments, the only
 waiver.  Findings carry precise ``path:line:col`` locations.  See
 ``docs/STATIC_ANALYSIS.md`` for the rationale behind each rule.
@@ -29,17 +30,15 @@ waiver.  Findings carry precise ``path:line:col`` locations.  See
 
 from repro.lint.findings import Finding
 from repro.lint.base import LintRule, ModuleSource
-from repro.lint.rules import ALL_RULES, rule_by_id
-from repro.lint.runner import check_file, check_source, iter_python_files, run_checks
+from repro.lint.rules import ALL_RULES
+from repro.lint.runner import check_source, iter_python_files, run_checks
 
 __all__ = [
     "ALL_RULES",
     "Finding",
     "LintRule",
     "ModuleSource",
-    "check_file",
     "check_source",
     "iter_python_files",
-    "rule_by_id",
     "run_checks",
 ]

@@ -1,10 +1,24 @@
-"""Rule interface and shared AST helpers."""
+"""Rule interface, the per-module node index, and shared AST helpers."""
 
 from __future__ import annotations
 
 import ast
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, FrozenSet, Iterator, List, Optional, Union
+from itertools import chain
+from typing import (
+    ClassVar,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+    cast,
+)
 
 #: Both flavours of function definition, handled uniformly by rules.
 AnyFunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -12,19 +26,80 @@ AnyFunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 from repro.lint.findings import Finding
 from repro.lint.noqa import expand_suppressions, parse_noqa
 
+_FUNCTION_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: Node types the parser shares between all their uses (``Load``,
+#: ``Add``, ``Eq``, ...): one instance has no single place in the tree.
+_SINGLETON_TYPES = (ast.expr_context, ast.operator, ast.boolop, ast.unaryop, ast.cmpop)
+
+NodeT = TypeVar("NodeT", bound=ast.AST)
+
 
 @dataclass
 class ModuleSource:
-    """One parsed module handed to every rule.
+    """One parsed module handed to every rule, with its node index.
 
     ``tree`` is ``None`` when the file failed to parse; the runner then
     emits a single ``SYN001`` finding and skips the rules.
+
+    Construction walks the tree once and indexes it, so no rule and no
+    project-graph pass walks it again:
+
+    * :meth:`nodes` -- the nodes of given types, module-wide or below
+      one function definition, in ``ast.walk`` order;
+    * :meth:`functions` -- every function definition;
+    * :meth:`body_nodes` -- a function's own body, without the insides
+      of the functions it defines.
+
+    Contexts and operators (``Load``, ``Add``, ``Eq``, ...) are not
+    indexed: the parser shares one instance of each between all its
+    uses, so read them through their owner (``ctx``, ``op``, ``ops``).
     """
 
     path: str
     source: str
     tree: Optional[ast.Module]
     suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
+    #: Every indexed node, in ``ast.walk`` order.
+    _nodes: List[ast.AST] = field(default_factory=list, init=False, repr=False)
+    #: Node type -> where its nodes sit in ``_nodes``.
+    _by_type: Dict[type, List[int]] = field(
+        default_factory=lambda: defaultdict(list), init=False, repr=False
+    )
+    #: Function definition -> every indexed node below it, in walk order.
+    _subtrees: Dict[AnyFunctionDef, List[ast.AST]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    #: Node -> (the innermost function definition above it, whether the
+    #: node sits in that function's header: decorators, signature and
+    #: return annotation).
+    _scopes: Dict[ast.AST, Tuple[Optional[AnyFunctionDef], bool]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.tree is None:
+            return
+        top: Tuple[Optional[AnyFunctionDef], bool] = (None, False)
+        for node in ast.walk(self.tree):
+            if isinstance(node, _SINGLETON_TYPES):
+                continue
+            self._by_type[type(node)].append(len(self._nodes))
+            self._nodes.append(node)
+            scope = self._scopes.get(node, top)
+            outer = scope[0]
+            while outer is not None:
+                self._subtrees[outer].append(node)
+                outer = self._scopes[outer][0]
+            if isinstance(node, _FUNCTION_TYPES):
+                self._subtrees[node] = []
+                for child in ast.iter_child_nodes(node):
+                    # A def's statement children are its body; the rest
+                    # (arguments, decorators, returns) is its header.
+                    self._scopes[child] = (node, not isinstance(child, ast.stmt))
+            else:
+                for child in ast.iter_child_nodes(node):
+                    self._scopes[child] = scope
 
     @classmethod
     def from_source(cls, path: str, source: str) -> "ModuleSource":
@@ -32,12 +107,52 @@ class ModuleSource:
             tree: Optional[ast.Module] = ast.parse(source, filename=path)
         except SyntaxError:
             tree = None
-        return cls(
-            path=path,
-            source=source,
-            tree=tree,
-            suppressions=expand_suppressions(tree, parse_noqa(source)),
+        module = cls(path=path, source=source, tree=tree)
+        module.suppressions = expand_suppressions(
+            module.nodes(ast.stmt), parse_noqa(source)
         )
+        return module
+
+    def nodes(
+        self, *types: Type[NodeT], within: Optional[AnyFunctionDef] = None
+    ) -> List[NodeT]:
+        """The nodes that are instances of ``types``, in walk order.
+
+        Module-wide by default; with ``within``, only the nodes below
+        that function definition (its decorators, signature, body and
+        nested definitions, not the definition itself).
+        """
+        if within is not None:
+            found = [
+                node for node in self._subtrees[within] if isinstance(node, types)
+            ]
+        else:
+            positions = chain.from_iterable(
+                kept for kind, kept in self._by_type.items()
+                if issubclass(kind, types)
+            )
+            found = [self._nodes[position] for position in sorted(positions)]
+        return cast(List[NodeT], found)
+
+    def body_nodes(
+        self, function: AnyFunctionDef, *types: Type[NodeT]
+    ) -> List[NodeT]:
+        """The nodes of ``types`` in ``function``'s body, not descending
+        into nested function definitions (lambdas and classes count as
+        the body's own)."""
+        own = (function, False)
+        return [
+            node for node in self.nodes(*types, within=function)
+            if self._scopes[node] == own
+        ]
+
+    def functions(
+        self, within: Optional[AnyFunctionDef] = None
+    ) -> List[AnyFunctionDef]:
+        """Every (sync or async) function definition, module-wide or
+        below ``within``."""
+        found = self.nodes(*_FUNCTION_TYPES, within=within)
+        return cast(List[AnyFunctionDef], found)
 
 
 class LintRule:
@@ -46,6 +161,8 @@ class LintRule:
     Subclasses set :attr:`rule_id` / :attr:`summary` and implement
     :meth:`check`, yielding :class:`~repro.lint.findings.Finding`
     records (noqa filtering happens in the runner, so rules stay pure).
+    A check reads the module's node index (:meth:`ModuleSource.nodes`,
+    :meth:`ModuleSource.functions`) rather than walking the tree.
     """
 
     rule_id: ClassVar[str] = "XXX000"
@@ -87,10 +204,3 @@ def dotted_name(node: ast.expr) -> Optional[str]:
         return None
     parts.append(current.id)
     return ".".join(reversed(parts))
-
-
-def iter_function_defs(tree: ast.Module) -> Iterator[AnyFunctionDef]:
-    """Every (sync or async) function definition in the module."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

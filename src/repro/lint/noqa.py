@@ -26,7 +26,7 @@ import ast
 import io
 import re
 import tokenize
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 #: Sentinel rule set meaning "suppress everything on this line".
 ALL_RULES_SENTINEL: FrozenSet[str] = frozenset(["*"])
@@ -70,8 +70,8 @@ def parse_noqa(source: str) -> Dict[int, FrozenSet[str]]:
     return suppressed
 
 
-def _statement_spans(tree: ast.Module) -> List[Tuple[int, int]]:
-    """``(start, end)`` line spans of every statement, headers only.
+def _statement_spans(statements: Sequence[ast.stmt]) -> List[Tuple[int, int]]:
+    """``(start, end)`` line spans of ``statements``, headers only.
 
     Simple statements span ``lineno..end_lineno``.  Compound statements
     (anything carrying a ``body`` block) contribute their *header* span:
@@ -80,9 +80,7 @@ def _statement_spans(tree: ast.Module) -> List[Tuple[int, int]]:
     -- are never blanketed by a comment on the header.
     """
     spans: List[Tuple[int, int]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt):
-            continue
+    for node in statements:
         start = node.lineno
         decorators = getattr(node, "decorator_list", None)
         if decorators:
@@ -110,7 +108,8 @@ def _enclosing_span(
 
 
 def expand_suppressions(
-    tree: Optional[ast.Module], suppressions: Dict[int, FrozenSet[str]]
+    statements: Optional[Sequence[ast.stmt]],
+    suppressions: Dict[int, FrozenSet[str]],
 ) -> Dict[int, FrozenSet[str]]:
     """Extend each suppression to its statement's full physical span.
 
@@ -119,12 +118,13 @@ def expand_suppressions(
     continuation) suppresses the named rules on **every** line of that
     statement, so findings anchored to the statement's first line are
     caught by a comment on its last.  Lines outside any statement keep
-    their line-scoped suppression.  With no tree (unparsable file) the
-    raw map is returned unchanged.
+    their line-scoped suppression.  ``statements`` is every statement
+    of the module, in walk order; with none (unparsable file) the raw
+    map is returned unchanged.
     """
-    if tree is None or not suppressions:
+    if statements is None or not suppressions:
         return suppressions
-    spans = _statement_spans(tree)
+    spans = _statement_spans(statements)
     expanded: Dict[int, FrozenSet[str]] = {}
 
     def _merge(line: int, rules: FrozenSet[str]) -> None:

@@ -45,25 +45,14 @@ from repro.lint.project.graph import FunctionInfo, PoolDispatch, ProjectGraph
 PAR101 = "PAR101"
 
 
-def _finding(
-    graph: ProjectGraph, info: FunctionInfo, node: ast.AST, message: str
-) -> Finding:
-    return Finding(
-        path=graph.module_of(info).path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0),
-        rule=PAR101,
-        message=message,
-        symbol=info.qname,
-    )
-
-
 def _is_obs_module(graph: ProjectGraph, module: str) -> bool:
     prefix = f"{graph.package}.obs"
     return module == prefix or module.startswith(prefix + ".")
 
 
-def _closure_worker(info: FunctionInfo, dispatch: PoolDispatch) -> Optional[str]:
+def _closure_worker(
+    graph: ProjectGraph, info: FunctionInfo, dispatch: PoolDispatch
+) -> Optional[str]:
     """Why the dispatched worker is a closure, or ``None`` if it is not."""
     worker = dispatch.worker
     if isinstance(worker, ast.Lambda):
@@ -73,10 +62,8 @@ def _closure_worker(info: FunctionInfo, dispatch: PoolDispatch) -> Optional[str]
         )
     if isinstance(worker, ast.Name) and dispatch.worker_qname is None:
         nested = any(
-            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name == worker.id
-            for node in ast.walk(info.node)
-            if node is not info.node
+            node.name == worker.id
+            for node in graph.module_of(info).source.functions(within=info.node)
         )
         if nested:
             return (
@@ -98,9 +85,9 @@ def check_worker_closures(graph: ProjectGraph) -> List[Finding]:
 
     for info in graph.iter_functions():
         for dispatch in info.pool_dispatches:
-            closure_reason = _closure_worker(info, dispatch)
+            closure_reason = _closure_worker(graph, info, dispatch)
             if closure_reason is not None:
-                report(_finding(graph, info, dispatch.worker, closure_reason))
+                report(graph.finding(info, dispatch.worker, PAR101, closure_reason))
             roots = [
                 qname
                 for qname in (
@@ -111,7 +98,7 @@ def check_worker_closures(graph: ProjectGraph) -> List[Finding]:
             ]
             if not roots:
                 continue
-            closure = graph.closure(roots)
+            closure = graph.reachable(roots)
             installs_fresh = dispatch.fresh_backend or any(
                 graph.functions[qname].installs_fresh_instrumentation
                 for qname in closure
@@ -138,10 +125,10 @@ def _check_member(
     if not installs_fresh:
         for call in member.get_instrumentation_calls:
             found.append(
-                _finding(
-                    graph,
+                graph.finding(
                     member,
                     call,
+                    PAR101,
                     f"reached from the pool dispatch in {dispatch_caller}: "
                     "get_instrumentation() resolves to the parent's "
                     "backend under fork -- install a fresh backend with "
@@ -152,10 +139,10 @@ def _check_member(
     if not _is_obs_module(graph, member.module):
         for node, origin_module, name in member.global_reads:
             found.append(
-                _finding(
-                    graph,
+                graph.finding(
                     member,
                     node,
+                    PAR101,
                     f"reached from the pool dispatch in {dispatch_caller}: "
                     f"reads parent-owned global '{name}' from "
                     f"{origin_module}; pass seeds/state through the task "

@@ -35,23 +35,6 @@ MUT101 = "MUT101"
 MUT102 = "MUT102"
 
 
-def _finding(
-    graph: ProjectGraph,
-    info: FunctionInfo,
-    node: ast.AST,
-    rule: str,
-    message: str,
-) -> Finding:
-    return Finding(
-        path=graph.module_of(info).path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0),
-        rule=rule,
-        message=message,
-        symbol=info.qname,
-    )
-
-
 def mutated_parameters(graph: ProjectGraph) -> Dict[str, Set[str]]:
     """Fixpoint: for each function, the parameters it mutates in place
     (directly, or by forwarding into another mutating parameter)."""
@@ -135,8 +118,7 @@ def check_escaping_arguments(graph: ProjectGraph) -> List[Finding]:
             if parameter is None or parameter not in mutated[callee_qname]:
                 continue
             findings.append(
-                _finding(
-                    graph,
+                graph.finding(
                     info,
                     tainted.site.node,
                     MUT101,
@@ -172,8 +154,7 @@ def check_attribute_stashes(graph: ProjectGraph) -> List[Finding]:
             if stashed_in is None:
                 continue
             findings.append(
-                _finding(
-                    graph,
+                graph.finding(
                     info,
                     mutation.node,
                     MUT102,

@@ -33,10 +33,12 @@ from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.base import AnyFunctionDef, ModuleSource, call_endpoint, dotted_name
+from repro.lint.findings import Finding
 from repro.lint.rules.mutation import (
     CACHE_ACCESSOR_METHODS,
     CACHE_ATTRIBUTES,
     INPLACE_METHODS,
+    enables_write,
 )
 
 #: Attribute names conventionally bound to ``numpy.random.Generator``s.
@@ -118,11 +120,6 @@ POOL_DISPATCH_METHODS: FrozenSet[str] = frozenset(
     }
 )
 
-#: Methods that write a recorded trace/metrics stream to disk.
-TRACE_SINK_METHODS: FrozenSet[str] = frozenset(
-    {"write_trace", "write_metrics", "write_ndjson"}
-)
-
 #: The :class:`repro.parallel.ForkPool` constructor, by call endpoint.
 FORK_POOL = "ForkPool"
 
@@ -131,11 +128,11 @@ def _is_fork_pool_call(node: Optional[ast.AST]) -> bool:
     return isinstance(node, ast.Call) and call_endpoint(node.func) == FORK_POOL
 
 
-def fork_pool_names(tree: ast.AST) -> FrozenSet[str]:
-    """Dotted names bound from ``ForkPool(...)`` anywhere in ``tree``
+def fork_pool_names(module: ModuleSource) -> FrozenSet[str]:
+    """Dotted names bound from ``ForkPool(...)`` anywhere in ``module``
     (assignment or ``with ... as``; scopes are not told apart)."""
     targets: List[ast.expr] = []
-    for node in ast.walk(tree):
+    for node in module.nodes(ast.Assign, ast.AnnAssign, ast.withitem):
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
             _is_fork_pool_call(node.value)
         ):
@@ -281,13 +278,8 @@ class FunctionInfo:
     pool_dispatches: List[PoolDispatch] = field(default_factory=list)
     get_instrumentation_calls: List[ast.Call] = field(default_factory=list)
     installs_fresh_instrumentation: bool = False
-    trace_sink_calls: List[ast.Call] = field(default_factory=list)
     #: Module-global reads resolved to ``(module, name)`` pairs.
     global_reads: List[Tuple[ast.Name, str, str]] = field(default_factory=list)
-
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
 
 
 @dataclass
@@ -346,7 +338,7 @@ class ProjectGraph:
         containing ``__init__.py``) from its already-parsed ``modules``."""
         graph = cls(root, root.name)
         graph._index_modules(modules)
-        graph._index_classes()
+        graph._index_definitions()
         graph._summarise_functions()
         return graph
 
@@ -365,7 +357,7 @@ class ProjectGraph:
                 name=self._module_name(Path(source.path)),
                 path=source.path,
                 source=source,
-                fork_pools=fork_pool_names(source.tree),
+                fork_pools=fork_pool_names(source),
             )
             self._build_symbol_table(module)
             self.modules[module.name] = module
@@ -463,34 +455,41 @@ class ProjectGraph:
                             f"assigned from {endpoint}()"
                         )
 
-    # -- class index ---------------------------------------------------
-    def _index_classes(self) -> None:
+    # -- definitions ---------------------------------------------------
+    def _index_definitions(self) -> None:
+        """Register every module-level function, class and method.
+
+        Every signature is in place before any summary runs, so call
+        resolution sees targets in any module -- a caller is routinely
+        parsed before its callee's module.
+        """
         for module in self.modules.values():
             tree = module.source.tree
             assert tree is not None
             for statement in tree.body:
-                if not isinstance(statement, ast.ClassDef):
-                    continue
-                qname = f"{module.name}.{statement.name}"
-                info = ClassInfo(
-                    qname=qname, module=module.name, node=statement
-                )
-                for base in statement.bases:
-                    resolved = self._resolve_symbol_expr(module, base)
-                    if resolved is not None and self._is_project_name(
-                        resolved
-                    ):
-                        info.base_qname = resolved
-                        break
-                for item in statement.body:
-                    if isinstance(
-                        item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        info.methods[item.name] = f"{qname}.{item.name}"
-                self.classes[qname] = info
+                if isinstance(
+                    statement, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ):
+                    self._register_one(module, statement, None)
+                elif isinstance(statement, ast.ClassDef):
+                    self._index_class(module, statement)
         for info in self.classes.values():
             for method in info.methods:
                 self._method_index.setdefault(method, []).append(info.qname)
+
+    def _index_class(self, module: ModuleInfo, statement: ast.ClassDef) -> None:
+        qname = f"{module.name}.{statement.name}"
+        info = ClassInfo(qname=qname, module=module.name, node=statement)
+        for base in statement.bases:
+            resolved = self._resolve_symbol_expr(module, base)
+            if resolved is not None and self._is_project_name(resolved):
+                info.base_qname = resolved
+                break
+        for item in statement.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                method = self._register_one(module, item, statement.name)
+                info.methods[item.name] = method.qname
+        self.classes[qname] = info
 
     def _is_project_name(self, qname: str) -> bool:
         return qname == self.package or qname.startswith(self.package + ".")
@@ -512,37 +511,8 @@ class ProjectGraph:
 
     # -- function summaries --------------------------------------------
     def _summarise_functions(self) -> None:
-        # Pass 1: register every function's signature, so call
-        # resolution in pass 2 can see targets in any module -- a
-        # caller is routinely parsed before its callee's module.
-        pending: List[Tuple[ModuleInfo, FunctionInfo]] = []
-        for module in self.modules.values():
-            tree = module.source.tree
-            assert tree is not None
-            for statement in tree.body:
-                if isinstance(
-                    statement, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    pending.append(
-                        (module, self._register_one(module, statement, None))
-                    )
-                elif isinstance(statement, ast.ClassDef):
-                    for item in statement.body:
-                        if isinstance(
-                            item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                        ):
-                            pending.append(
-                                (
-                                    module,
-                                    self._register_one(
-                                        module, item, statement.name
-                                    ),
-                                )
-                            )
-        # Pass 2: fill the intraprocedural summaries.
-        for module, info in pending:
-            _SummaryVisitor(self, module, info).run()
         for info in self.functions.values():
+            _SummaryVisitor(self, self.modules[info.module], info).run()
             for site in info.calls:
                 if site.callee is not None:
                     self.callers.setdefault(site.callee, []).append(site)
@@ -599,8 +569,6 @@ class ProjectGraph:
         func = node.func
         if isinstance(func, ast.Name):
             resolved = self._resolve_symbol_expr(module, func)
-            if resolved is None and func.id in local_types:
-                resolved = None  # calling an instance: untracked __call__
             if resolved is None:
                 return None, 0
             return self._as_callable(resolved), 0
@@ -609,29 +577,23 @@ class ProjectGraph:
         receiver = func.value
         method = func.attr
         # self.method() -> own class (walking single project bases).
-        if isinstance(receiver, ast.Name) and receiver.id == "self":
-            if info.class_name is not None:
-                owner: Optional[str] = f"{module.name}.{info.class_name}"
-                while owner is not None:
-                    cls = self.classes.get(owner)
-                    if cls is None:
-                        break
-                    target = cls.methods.get(method)
-                    if target is not None:
-                        return target, 1
-                    owner = cls.base_qname
-        # module.func() through an imported module alias.
-        dotted = dotted_name(func)
-        if dotted is not None:
-            resolved = self._resolve_symbol_expr(module, func)
-            if resolved is not None and self._is_project_name(resolved):
-                callable_q = self._as_callable(resolved)
-                if callable_q is not None and callable_q in self.functions:
-                    offset = 1 if self._is_method_qname(callable_q) else 0
-                    # ``instance.attr.method`` resolves via typed
-                    # receivers below; a direct hit here is a
-                    # module-level function or ``Class.method``.
-                    return callable_q, 0 if offset == 0 else 0
+        if (
+            isinstance(receiver, ast.Name)
+            and receiver.id == "self"
+            and info.class_name is not None
+        ):
+            target = self._lookup_method(
+                f"{module.name}.{info.class_name}", method
+            )
+            if target is not None:
+                return target, 1
+        # module.func() through an imported module alias; a direct hit
+        # is a module-level function or ``Class.method``.
+        resolved = self._resolve_symbol_expr(module, func)
+        if resolved is not None and self._is_project_name(resolved):
+            callable_q = self._as_callable(resolved)
+            if callable_q is not None and callable_q in self.functions:
+                return callable_q, 0
         # instance.method() through a locally typed receiver.
         receiver_type: Optional[str] = None
         if isinstance(receiver, ast.Name):
@@ -643,24 +605,26 @@ class ProjectGraph:
         ):
             receiver_type = attr_types.get(receiver.attr)
         if receiver_type is not None:
-            owner = receiver_type
-            while owner is not None:
-                cls = self.classes.get(owner)
-                if cls is None:
-                    break
-                target = cls.methods.get(method)
-                if target is not None:
-                    return target, 1
-                owner = cls.base_qname
+            target = self._lookup_method(receiver_type, method)
+            if target is not None:
+                return target, 1
         # Fallback: the method name is defined by exactly one class.
         owners = self._method_index.get(method, [])
         if len(owners) == 1:
             return self.classes[owners[0]].methods[method], 1
         return None, 0
 
-    def _is_method_qname(self, qname: str) -> bool:
-        info = self.functions.get(qname)
-        return info is not None and info.is_method
+    def _lookup_method(self, owner: Optional[str], method: str) -> Optional[str]:
+        """``method`` on the class ``owner``, or on its project bases."""
+        while owner is not None:
+            cls = self.classes.get(owner)
+            if cls is None:
+                return None
+            target = cls.methods.get(method)
+            if target is not None:
+                return target
+            owner = cls.base_qname
+        return None
 
     def _as_callable(self, qname: str) -> Optional[str]:
         """Map a resolved symbol to a function: itself or ``__init__``."""
@@ -693,10 +657,6 @@ class ProjectGraph:
                     frontier.append(site.callee)
         return seen
 
-    def closure(self, roots: Sequence[str]) -> Set[str]:
-        """Alias of :meth:`reachable` (worker-closure terminology)."""
-        return self.reachable(roots)
-
     def entry_points(self) -> List[str]:
         """CLI entry functions: everything defined in a ``cli`` module."""
         roots: List[str] = []
@@ -711,6 +671,19 @@ class ProjectGraph:
 
     def module_of(self, info: FunctionInfo) -> ModuleInfo:
         return self.modules[info.module]
+
+    def finding(
+        self, info: FunctionInfo, node: ast.AST, rule: str, message: str
+    ) -> Finding:
+        """A ``rule`` finding at ``node``, inside the function ``info``."""
+        return Finding(
+            path=self.module_of(info).path,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
+            rule=rule,
+            message=message,
+            symbol=info.qname,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -742,11 +715,9 @@ class _SummaryVisitor:
             if qname not in self.graph._attr_types:
                 self.graph._attr_types[qname] = self._class_attr_types(qname)
             self.attr_types = self.graph._attr_types[qname]
-        for node in ast.walk(self.info.node):
-            if isinstance(node, ast.Name) and isinstance(
-                node.ctx, ast.Store
-            ):
-                self.local_names.add(node.id)
+        for name in self.module.source.nodes(ast.Name, within=self.info.node):
+            if isinstance(name.ctx, ast.Store):
+                self.local_names.add(name.id)
         for statement in self.info.node.body:
             self._visit(statement)
 
@@ -792,9 +763,7 @@ class _SummaryVisitor:
                     attr_types[item.target.id] = annotated
             if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            for inner in ast.walk(item):
-                if not isinstance(inner, ast.Assign):
-                    continue
+            for inner in self.module.source.nodes(ast.Assign, within=item):
                 for target in inner.targets:
                     if (
                         isinstance(target, ast.Attribute)
@@ -827,10 +796,6 @@ class _SummaryVisitor:
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             self._visit_name_load(node)
         for child in ast.iter_child_nodes(node):
-            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                # Already dispatched above; still walk the value side for
-                # calls, reads, and nested mutations.
-                pass
             self._visit(child)
 
     # -- assignments ---------------------------------------------------
@@ -938,17 +903,13 @@ class _SummaryVisitor:
         if isinstance(func, ast.Attribute) and func.attr == "default_rng":
             value = func.value
             if isinstance(value, ast.Name):
-                return value.id in self.module.numpy_random_aliases or (
-                    False
-                )
-            if (
+                return value.id in self.module.numpy_random_aliases
+            return (
                 isinstance(value, ast.Attribute)
                 and value.attr == "random"
                 and isinstance(value.value, ast.Name)
-            ):
-                return value.value.id in self.module.numpy_aliases
-            if isinstance(value, ast.Name):
-                return value.id in self.module.numpy_random_aliases
+                and value.value.id in self.module.numpy_aliases
+            )
         return False
 
     def _classify_rng_seed(self, node: ast.Call) -> RngSite:
@@ -999,8 +960,6 @@ class _SummaryVisitor:
             self.info.get_instrumentation_calls.append(node)
         if endpoint == "use_instrumentation":
             self.info.installs_fresh_instrumentation = True
-        if endpoint in TRACE_SINK_METHODS:
-            self.info.trace_sink_calls.append(node)
 
         if isinstance(func, ast.Attribute):
             # Generator draws, with alias-expanded receiver chains.
@@ -1017,7 +976,7 @@ class _SummaryVisitor:
                     self.info.mutations.append(
                         Mutation(node=node, kind="inplace", base=base)
                     )
-                elif func.attr == "setflags" and _enables_write(node):
+                elif func.attr == "setflags" and enables_write(node):
                     self.info.mutations.append(
                         Mutation(node=node, kind="setflags", base=base)
                     )
@@ -1116,16 +1075,3 @@ class _SummaryVisitor:
         origin = self.graph.modules.get(origin_module)
         if origin is not None and symbol in origin.tainted_globals:
             self.info.global_reads.append((node, origin_module, symbol))
-
-
-def _enables_write(node: ast.Call) -> bool:
-    for keyword in node.keywords:
-        if keyword.arg == "write":
-            value = keyword.value
-            return not (
-                isinstance(value, ast.Constant) and value.value is False
-            )
-    if node.args:
-        first = node.args[0]
-        return not (isinstance(first, ast.Constant) and first.value is False)
-    return False

@@ -47,29 +47,13 @@ SEED102 = "SEED102"
 SEED103 = "SEED103"
 
 
-def _finding(
-    graph: ProjectGraph,
-    info: FunctionInfo,
-    node: ast.AST,
-    rule: str,
-    message: str,
-) -> Finding:
-    return Finding(
-        path=graph.module_of(info).path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0),
-        rule=rule,
-        message=message,
-        symbol=info.qname,
-    )
-
-
 # ----------------------------------------------------------------------
 # SEED101: entropy fallback reachable from the CLI
 # ----------------------------------------------------------------------
-def _locally_guarded(info: FunctionInfo, param: str) -> bool:
+def _locally_guarded(graph: ProjectGraph, info: FunctionInfo, param: str) -> bool:
     """True when ``param`` is re-bound against ``None`` before use."""
-    for node in ast.walk(info.node):
+    module = graph.module_of(info).source
+    for node in module.nodes(ast.If, ast.Assign, within=info.node):
         if isinstance(node, ast.If) and _compares_none(node.test, param):
             for inner in ast.walk(node):
                 if (
@@ -177,7 +161,7 @@ class _NoneFlow:
                 isinstance(expression, ast.Name)
                 and expression.id in caller.params
                 and expression.id in caller.none_default_params
-                and not _locally_guarded(caller, expression.id)
+                and not _locally_guarded(self.graph, caller, expression.id)
             ):
                 upstream = self.evidence(site.caller, expression.id)
                 if upstream is not None:
@@ -199,7 +183,7 @@ def check_seed_provenance(graph: ProjectGraph) -> List[Finding]:
             if site.kind not in ("param", "param_none_default"):
                 continue
             assert site.param is not None
-            if _locally_guarded(info, site.param):
+            if _locally_guarded(graph, info, site.param):
                 continue
             evidence = flow.evidence(info.qname, site.param)
             if evidence is None and site.kind == "param_none_default":
@@ -210,8 +194,7 @@ def check_seed_provenance(graph: ProjectGraph) -> List[Finding]:
                 continue
             if evidence is not None:
                 findings.append(
-                    _finding(
-                        graph,
+                    graph.finding(
                         info,
                         site.node,
                         SEED101,
@@ -292,8 +275,7 @@ def check_generator_coupling(graph: ProjectGraph) -> List[Finding]:
         if owner is not None and not setup:
             for call in info.generator_constructions:
                 findings.append(
-                    _finding(
-                        graph,
+                    graph.finding(
                         info,
                         call,
                         SEED102,
@@ -309,8 +291,7 @@ def check_generator_coupling(graph: ProjectGraph) -> List[Finding]:
                 continue  # deriving the owner's own child stream
             source = ".".join(draw.chain)
             findings.append(
-                _finding(
-                    graph,
+                graph.finding(
                     info,
                     draw.node,
                     SEED102,
@@ -341,7 +322,7 @@ def check_worker_seeds(graph: ProjectGraph) -> List[Finding]:
             ]
             if not roots:
                 continue
-            for member_qname in sorted(graph.closure(roots)):
+            for member_qname in sorted(graph.reachable(roots)):
                 member = graph.functions.get(member_qname)
                 if member is None:
                     continue
@@ -357,8 +338,7 @@ def check_worker_seeds(graph: ProjectGraph) -> List[Finding]:
                         continue
                     seen.add(key)
                     findings.append(
-                        _finding(
-                            graph,
+                        graph.finding(
                             member,
                             site.node,
                             SEED103,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.lint.base import LintRule
 from repro.lint.rules.determinism import SetIterationRule
@@ -22,14 +22,6 @@ ALL_RULES: List[LintRule] = [
     ObservabilityContextRule(),
 ]
 
-_BY_ID: Dict[str, LintRule] = {rule.rule_id: rule for rule in ALL_RULES}
-
-
-def rule_by_id(rule_id: str) -> Optional[LintRule]:
-    """The registered rule with this ID, if any."""
-    return _BY_ID.get(rule_id.upper())
-
-
 __all__ = [
     "ALL_RULES",
     "CachedArrayMutationRule",
@@ -38,5 +30,4 @@ __all__ = [
     "SetIterationRule",
     "UnseededRandomnessRule",
     "UnvalidatedTransitionMatrixRule",
-    "rule_by_id",
 ]

@@ -22,13 +22,7 @@ from __future__ import annotations
 import ast
 from typing import ClassVar, FrozenSet, Iterator, List, Optional, Set
 
-from repro.lint.base import (
-    AnyFunctionDef,
-    LintRule,
-    ModuleSource,
-    call_endpoint,
-    iter_function_defs,
-)
+from repro.lint.base import LintRule, ModuleSource, call_endpoint
 from repro.lint.findings import Finding
 
 #: Call endpoints whose output order follows input iteration order.
@@ -169,13 +163,16 @@ class SetIterationRule(LintRule):
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if module.tree is None:
+        # Every set value grows from a display, a comprehension or a
+        # set()/frozenset() call -- what an empty tracker recognises.
+        # A module without one has nothing to flag.
+        roots = module.nodes(ast.Set, ast.SetComp, ast.Call)
+        if module.tree is None or not any(map(_SetTracker().is_set_expr, roots)):
             return
-        scopes: List[Optional[AnyFunctionDef]] = [None]
-        scopes.extend(iter_function_defs(module.tree))
-        for scope in scopes:
+        bodies = [module.tree.body]
+        bodies.extend(function.body for function in module.functions())
+        for body in bodies:
             walker = _ScopeWalker(self, module)
-            body = module.tree.body if scope is None else scope.body
             for statement in body:
                 walker.visit(statement)
             yield from walker.findings

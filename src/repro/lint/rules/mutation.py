@@ -26,14 +26,9 @@ Mutating a fresh copy is always fine: ``w = acc().copy(); w[0] = 1``.
 from __future__ import annotations
 
 import ast
-from typing import ClassVar, FrozenSet, Iterator, List, Optional, Set
+from typing import ClassVar, FrozenSet, Iterator, List, Set
 
-from repro.lint.base import (
-    AnyFunctionDef,
-    LintRule,
-    ModuleSource,
-    iter_function_defs,
-)
+from repro.lint.base import LintRule, ModuleSource
 from repro.lint.findings import Finding
 
 #: Methods returning cached (aliased) arrays/matrices.
@@ -70,6 +65,20 @@ def _is_accessor_expr(node: ast.expr) -> bool:
         return node.func.attr in CACHE_ACCESSOR_METHODS
     if isinstance(node, ast.Attribute):
         return node.attr in CACHE_ATTRIBUTES
+    return False
+
+
+def enables_write(node: ast.Call) -> bool:
+    """Whether a ``setflags(...)`` call turns writes back on."""
+    for keyword in node.keywords:
+        if keyword.arg == "write":
+            value = keyword.value
+            return not (
+                isinstance(value, ast.Constant) and value.value is False
+            )
+    if node.args:
+        first = node.args[0]
+        return not (isinstance(first, ast.Constant) and first.value is False)
     return False
 
 
@@ -158,7 +167,7 @@ class _FunctionTaint(ast.NodeVisitor):
                         "place; take a .copy() first",
                     )
                 )
-            elif func.attr == "setflags" and self._enables_write(node):
+            elif func.attr == "setflags" and enables_write(node):
                 self.findings.append(
                     self.rule.finding(
                         self.module,
@@ -168,21 +177,6 @@ class _FunctionTaint(ast.NodeVisitor):
                     )
                 )
         self.generic_visit(node)
-
-    @staticmethod
-    def _enables_write(node: ast.Call) -> bool:
-        for keyword in node.keywords:
-            if keyword.arg == "write":
-                value = keyword.value
-                return not (
-                    isinstance(value, ast.Constant) and value.value is False
-                )
-        if node.args:
-            first = node.args[0]
-            return not (
-                isinstance(first, ast.Constant) and first.value is False
-            )
-        return False
 
     # Nested functions get their own scope/pass; do not descend.
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -207,13 +201,17 @@ class CachedArrayMutationRule(LintRule):
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if module.tree is None:
+        # Taint starts only at a cache accessor or a cache attribute; a
+        # module that names neither has nothing to flag.
+        if module.tree is None or not any(
+            node.attr in CACHE_ACCESSOR_METHODS or node.attr in CACHE_ATTRIBUTES
+            for node in module.nodes(ast.Attribute)
+        ):
             return
-        scopes: List[Optional[AnyFunctionDef]] = [None]
-        scopes.extend(iter_function_defs(module.tree))
-        for scope in scopes:
+        bodies = [module.tree.body]
+        bodies.extend(function.body for function in module.functions())
+        for body in bodies:
             walker = _FunctionTaint(self, module)
-            body = module.tree.body if scope is None else scope.body
             for statement in body:
                 walker.visit(statement)
             yield from walker.findings

@@ -47,9 +47,7 @@ class ObservabilityContextRule(LintRule):
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if module.tree is None:
-            return
-        for node in ast.walk(module.tree):
+        for node in module.nodes(ast.Expr, ast.Assign, ast.AnnAssign):
             if isinstance(node, ast.Expr) and _is_obs_context_call(node.value):
                 endpoint = call_endpoint(node.value.func)
                 yield self.finding(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import ast
 from typing import ClassVar, Iterator, List, Optional
 
-from repro.lint.base import LintRule, ModuleSource, iter_function_defs
+from repro.lint.base import LintRule, ModuleSource
 from repro.lint.findings import Finding
 
 _MUTABLE_CALLS = frozenset({"dict", "list", "set"})
@@ -54,9 +54,7 @@ class PythonHygieneRule(LintRule):
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if module.tree is None:
-            return
-        for function in iter_function_defs(module.tree):
+        for function in module.functions():
             defaults: List[Optional[ast.expr]] = list(function.args.defaults)
             defaults.extend(function.args.kw_defaults)
             for default in defaults:
@@ -67,9 +65,7 @@ class PythonHygieneRule(LintRule):
                         f"mutable default argument in {function.name}(); "
                         "default to None and build inside the body",
                     )
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Compare):
-                continue
+        for node in module.nodes(ast.Compare):
             operands = [node.left, *node.comparators]
             for op, left, right in zip(
                 node.ops, operands[:-1], operands[1:]

@@ -112,38 +112,36 @@ STDLIB_RANDOM_API: FrozenSet[str] = frozenset(
 )
 
 
-class _ImportAliases(ast.NodeVisitor):
-    """Track how ``numpy``, ``numpy.random``, ``default_rng`` and the
-    stdlib ``random`` module are named."""
+class _ImportAliases:
+    """How ``numpy``, ``numpy.random``, ``default_rng`` and the stdlib
+    ``random`` module are named, from every import in the module."""
 
-    def __init__(self) -> None:
+    def __init__(self, module: ModuleSource) -> None:
         self.numpy: Set[str] = set()
         self.numpy_random: Set[str] = set()
         self.default_rng: Set[str] = set()
         self.stdlib_random: Set[str] = set()
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            bound = alias.asname or alias.name.split(".")[0]
-            if alias.name == "random":
-                self.stdlib_random.add(bound)
-            elif alias.name == "numpy":
-                self.numpy.add(bound)
-            elif alias.name == "numpy.random":
-                if alias.asname is not None:
-                    self.numpy_random.add(alias.asname)
-                else:
-                    self.numpy.add(bound)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "numpy":
+        for node in module.nodes(ast.Import):
             for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
                 if alias.name == "random":
-                    self.numpy_random.add(alias.asname or alias.name)
-        elif node.module == "numpy.random":
-            for alias in node.names:
-                if alias.name == "default_rng":
-                    self.default_rng.add(alias.asname or alias.name)
+                    self.stdlib_random.add(bound)
+                elif alias.name == "numpy":
+                    self.numpy.add(bound)
+                elif alias.name == "numpy.random":
+                    if alias.asname is not None:
+                        self.numpy_random.add(alias.asname)
+                    else:
+                        self.numpy.add(bound)
+        for imported in module.nodes(ast.ImportFrom):
+            if imported.module == "numpy":
+                for alias in imported.names:
+                    if alias.name == "random":
+                        self.numpy_random.add(alias.asname or alias.name)
+            elif imported.module == "numpy.random":
+                for alias in imported.names:
+                    if alias.name == "default_rng":
+                        self.default_rng.add(alias.asname or alias.name)
 
 
 class UnseededRandomnessRule(LintRule):
@@ -156,19 +154,15 @@ class UnseededRandomnessRule(LintRule):
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if module.tree is None:
-            return
-        aliases = _ImportAliases()
-        aliases.visit(module.tree)
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                finding = self._check_call(module, node, aliases)
-                if finding is not None:
-                    yield finding
-            if isinstance(node, ast.Attribute):
-                finding = self._check_attribute(module, node, aliases)
-                if finding is not None:
-                    yield finding
+        aliases = _ImportAliases(module)
+        for call in module.nodes(ast.Call):
+            finding = self._check_call(module, call, aliases)
+            if finding is not None:
+                yield finding
+        for attribute in module.nodes(ast.Attribute):
+            finding = self._check_attribute(module, attribute, aliases)
+            if finding is not None:
+                yield finding
 
     # ------------------------------------------------------------------
     def _is_numpy_random(

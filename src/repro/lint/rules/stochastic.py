@@ -21,13 +21,7 @@ import ast
 import re
 from typing import ClassVar, FrozenSet, Iterator
 
-from repro.lint.base import (
-    AnyFunctionDef,
-    LintRule,
-    ModuleSource,
-    call_endpoint,
-    iter_function_defs,
-)
+from repro.lint.base import LintRule, ModuleSource, call_endpoint
 from repro.lint.findings import Finding
 
 #: scipy.sparse constructors that assemble a matrix from triplets/data.
@@ -65,45 +59,20 @@ class UnvalidatedTransitionMatrixRule(LintRule):
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if module.tree is None:
-            return
-        for function in iter_function_defs(module.tree):
-            if not self._is_construction_site(function):
-                continue
-            if self._calls_validator(function):
-                continue
-            yield self.finding(
-                module,
-                function,
-                f"{function.name}() constructs a transition matrix "
-                "without routing it through chain.validate_stochastic",
+        for function in module.functions():
+            # The function's own calls: lambdas and nested classes
+            # count, nested function definitions do not.
+            endpoints = {
+                call_endpoint(call.func)
+                for call in module.body_nodes(function, ast.Call)
+            }
+            constructs = _MATRIX_DEF_RE.search(function.name) or (
+                endpoints & SPARSE_CONSTRUCTORS
             )
-
-    # ------------------------------------------------------------------
-    def _is_construction_site(self, function: AnyFunctionDef) -> bool:
-        if _MATRIX_DEF_RE.search(function.name):
-            return True
-        for node in self._walk_own(function):
-            if isinstance(node, ast.Call):
-                endpoint = call_endpoint(node.func)
-                if endpoint in SPARSE_CONSTRUCTORS:
-                    return True
-        return False
-
-    def _calls_validator(self, function: AnyFunctionDef) -> bool:
-        for node in self._walk_own(function):
-            if isinstance(node, ast.Call):
-                if call_endpoint(node.func) == VALIDATOR_NAME:
-                    return True
-        return False
-
-    @staticmethod
-    def _walk_own(function: AnyFunctionDef) -> Iterator[ast.AST]:
-        """Walk a function body without descending into nested defs."""
-        stack: list[ast.AST] = list(function.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
+            if constructs and VALIDATOR_NAME not in endpoints:
+                yield self.finding(
+                    module,
+                    function,
+                    f"{function.name}() constructs a transition matrix "
+                    "without routing it through chain.validate_stochastic",
+                )

@@ -1,7 +1,9 @@
 """File discovery, rule orchestration and noqa filtering.
 
-``run_checks`` is the one lint pass.  It reads and parses every Python
-file under the given paths once, runs the per-file rules on each module,
+``run_checks`` is the one lint pass.  It reads, parses and indexes
+every Python file under the given paths once
+(:class:`~repro.lint.base.ModuleSource`), runs the per-file rules on
+each module,
 and runs the project rules over every package root among the paths,
 building each :class:`~repro.lint.project.ProjectGraph` from the same
 parsed modules.  Every finding, project findings included, is filtered
@@ -148,14 +150,6 @@ def check_source(
     return sorted(
         f for f in _file_findings(module, rules) if not _waived(module, f)
     )
-
-
-def check_file(
-    path: Path, select: Optional[Iterable[str]] = None
-) -> List[Finding]:
-    """Run the (selected) per-file rules over one file on disk."""
-    source = path.read_text(encoding="utf-8")
-    return check_source(str(path), source, select=select)
 
 
 def run_checks(

