@@ -105,11 +105,11 @@ faults-smoke:
 # screening + trials) through the real CLI.
 parallel-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli headline \
-		--configs 1 --trials 6 --seed 12 --mode table \
+		--configs 2 --trials 6 --seed 12 --mode table \
 		--out /tmp/repro-parallel-serial.json \
 		--metrics /tmp/repro-parallel-serial-metrics.json
 	PYTHONPATH=src $(PYTHON) -m repro.cli headline \
-		--configs 1 --trials 6 --seed 12 --mode table \
+		--configs 2 --trials 6 --seed 12 --mode table \
 		--trial-jobs 2 --out /tmp/repro-parallel-jobs2.json \
 		--metrics /tmp/repro-parallel-jobs2-metrics.json
 	PYTHONPATH=src:. $(PYTHON) -m tests.obs.catalogue \

@@ -7,12 +7,14 @@ loop is latency-bound, not bandwidth-bound (the matrices fit in L2).
 This module holds small C kernels, compiled on demand with the system
 ``gcc``.  Two of them run a whole chain in one call, on a sliced-ELL
 layout: rows sorted by length, slices of 8 rows with one row per lane,
-so uneven row lengths cost little padding.  A third builds the chain's
-transition entries.
+so uneven row lengths cost little padding.  Three more build what the
+chains read, so a screened candidate's only numpy work between the
+model's hazard tables and its pair chain is the bookkeeping around
+these calls.
 
 * :func:`pair_chain_f32` -- *approximate*: powers the full and the
   target-excluded chain together on one shared transposed pattern
-  (:func:`pair_sell8_layout`).  Each stored entry holds both matrices'
+  (:func:`entry_pair_layout`).  Each stored entry holds both matrices'
   ``float32`` values, and the state interleaves both chains as
   ``float32`` pairs, so one 64-bit gather per 8 entries feeds both
   chains.  Each lane sums in float64 and rounds to float32 once per
@@ -30,26 +32,48 @@ transition entries.
   Each lane sums its own row in CSR index order as ``s = s + d*x`` -- a
   rounded multiply, then a rounded add, exactly scipy's order.  Lanes
   past their row's end are masked out of the add, so padding never
-  enters a sum (not even as ``0 * inf``).  The source is compiled with
-  ``-ffp-contract=off`` so the compiler cannot fuse the multiply and
-  the add into an FMA, which would round once instead of twice.
-* :func:`expiry_entries` -- *exact*: the compact model's entry builder
-  behind :func:`repro.core.transition_build.build_entries`.  It expands
-  the arrival events into their at-most-one-expiry branches in one
-  scalar pass, with the same float operations in the same order as the
-  numpy expansion, and writes the entries already in stable ``(row,
-  col)`` order: rows arrive sorted, and each row's entries are counted
-  into place by column.
+  enters a sum (not even as ``0 * inf``).
+* :func:`eviction_tables` -- *exact*: the eviction splits of the
+  at-capacity states (Eqns. 3-5) behind
+  :func:`repro.core.transition_build.recency_tables`, one state at a
+  time, padded to its largest cached timeout as the numpy grouping
+  pads it.
+* :func:`expiry_entries` -- *exact*: the compact model's entries behind
+  :func:`repro.core.transition_build.build_entries`.  Row by row it
+  enumerates the arrival events in the order the numpy ``lexsort``
+  reaches and expands each into its at-most-one-expiry branches, with
+  the same float operations in the same order as the numpy expansion;
+  it writes the entries already in stable ``(row, col)`` order (each
+  row's entries are counted into place by column), and no event array
+  is built.
+* :func:`entry_pair_layout` -- *exact*: :func:`pair_chain_f32`'s layout
+  and bound inputs behind :func:`repro.experiments.fastscreen.pair_layout`,
+  straight from the sorted entries: each ``(row, col)`` run summed, then
+  transposed by a stable counting sort by column.
+
+The exact kernels reproduce numpy's summation orders where numpy sums:
+``.sum(axis=...)`` along a contiguous axis is pairwise -- left to right
+from 0.0 below 8 terms, eight accumulators combined
+``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` for 8 to 128 terms, a recursive
+split above 128 -- and ``np.add.reduceat`` over a run ``a`` is ``a[0] +
+pairwise(a[1:])``; a left-to-right loop differs from both in the last
+ulp.  Running sums (``cumsum``, ``bincount``) are left to right.  The
+source is compiled with ``-ffp-contract=off`` so the compiler cannot
+fuse a multiply and an add into an FMA, which would round once instead
+of twice.  ``tests/core/test_build_native_diff.py``,
+``tests/core/test_eviction_native_diff.py`` and
+``tests/experiments/test_pair_layout_diff.py`` pin every output
+byte-identical to the numpy path's.
 
 Each chain kernel has a portable scalar loop and an AVX-512 loop,
 exported as separate symbols; :func:`simd_level` picks one per process
-from ``__builtin_cpu_supports``.  The entry builder is scalar only.
+from ``__builtin_cpu_supports``.  The build kernels are scalar only.
 
 When ``gcc`` (or a writable cache directory) is unavailable, or
 ``REPRO_NO_CKERNEL=1`` is set, the module degrades to
 ``available() == False``: the screen runs exact-only, the chains run
-on the scipy loop and the entries come from the numpy expansion and a
-stable argsort -- behaviour stays correct, only slower.
+on the scipy loop and the model is built by numpy -- behaviour stays
+correct, only slower.
 
 Shared objects are cached under :func:`cache_dir`, keyed by a digest of
 the C source, the compiler command line and the compiler version
@@ -75,8 +99,8 @@ CACHE_ENV_VAR = "REPRO_CKERNEL_CACHE"
 
 #: Environment kill switch: set to "1" to refuse the native kernels even
 #: when they would compile (the screen runs exact-only, the chains run
-#: on scipy and the entries are built by numpy; used by the
-#: differential tests to exercise the fallbacks).
+#: on scipy and the model is built by numpy; used by the differential
+#: tests to exercise the fallbacks).
 DISABLE_ENV_VAR = "REPRO_NO_CKERNEL"
 
 #: Rows per slice of both kernels' sliced-ELL layouts (one per AVX-512
@@ -360,20 +384,239 @@ void repro_chain_f64_avx512(CHAIN_F64_ARGS) {
     chain_f64(sell8_matvec_avx512, CHAIN_F64_PASS);
 }
 
-/* ---- compact-model entries (exact; the expiry expansion) ----
+/* ---- numpy's summation orders (exact kernels below) ----
 
-   One event per (state, arrival outcome), rows non-decreasing.  Event e
-   leaves its row's state in interim[e] with protect[e] (the rule it
-   matched or installed, -1: none) and probability base[e].  Then the
-   row's certain rules (hazard 1) expire unless protected, and at most
-   one of its candidate rules (hazard in (0, 1)) still cached and not
-   protected -- the live rules -- expires: the keep-all branch first,
-   then one branch per live rule, ascending.  The products and the
-   normaliser accumulate over live rules in ascending order, exactly as
-   the numpy builder (transition_build._expand_expiries) does, so every
-   float equals its own.  Entries of probability p > 0 are written in
-   stable (row, col) order: each row's entries are emitted into scratch,
-   then counted into place by column. */
+   np.add.reduce along a contiguous axis, as .sum(axis=...) runs it:
+   plain left-to-right from 0.0 below 8 terms; 8 to 128 terms into
+   eight accumulators, combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+   then the tail left to right; above 128 terms a split at half the
+   length (rounded down to a multiple of 8), each half summed the same
+   way.  np.add.reduceat over a run a[0..n) is a[0] + pairwise(a[1..n))
+   (a[0] alone when n == 1). */
+
+static double pairwise_sum(const double *a, int64_t n) {
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res = res + a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] = r[j] + a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res = res + a[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+static double reduceat_sum(const double *a, int64_t n) {
+    return n == 1 ? a[0] : a[0] + pairwise_sum(a + 1, n - 1);
+}
+
+/* ---- eviction splits (Eqns. 3-5; exact) ----
+
+   For each at-capacity state, its cached rules ascending and the
+   probability that each is evicted, with the same float operations in
+   the same order as the numpy build (transition_build._eviction_tables):
+   every rule's remaining-time pmf padded with zeros to the state's
+   largest cached timeout S, the reversed running sum, the exclusive
+   survival and the midpoint term, the prefix and suffix products along
+   the rule axis, and the two axis sums in numpy's pairwise order.  Rule
+   r's recency pmf row starts at pmf[start[r] + inverse[r][i] * t_r] for
+   state i.  Returns 0, -1 when a state does not hold capacity rules, or
+   -2 when scratch cannot be allocated. */
+
+int64_t repro_eviction_tables(
+        int64_t n_full, int64_t capacity, int64_t n_rules, int64_t n_states,
+        const int64_t *states, const int64_t *full_idx,
+        const int64_t *timeouts, const double *pmf, const int64_t *start,
+        const int64_t *inverse, int64_t *out_rules, double *out_probs) {
+    int64_t longest = 1;
+    for (int64_t r = 0; r < n_rules; r++)
+        if (timeouts[r] > longest)
+            longest = timeouts[r];
+    size_t cells = (size_t)(capacity + 1) * (size_t)longest;
+    double *rem = malloc(cells * sizeof *rem);
+    double *term = malloc(cells * sizeof *term);
+    double *prefix = malloc(cells * sizeof *prefix);
+    double *suffix = malloc(cells * sizeof *suffix);
+    double *product = malloc((size_t)longest * sizeof *product);
+    double *raw = malloc((size_t)(capacity + 1) * sizeof *raw);
+    int64_t status = 0;
+    if (!rem || !term || !prefix || !suffix || !product || !raw) {
+        status = -2;
+        goto done;
+    }
+    for (int64_t p = 0; p < n_full; p++) {
+        int64_t state = full_idx[p], support = 0, slot = 0;
+        int64_t *rules = out_rules + p * capacity;
+        double *probs = out_probs + p * capacity;
+        if (__builtin_popcountll((uint64_t)states[state]) != capacity) {
+            status = -1;
+            goto done;
+        }
+        for (uint64_t bits = (uint64_t)states[state]; bits; bits &= bits - 1) {
+            int64_t rule = __builtin_ctzll(bits);
+            rules[slot++] = rule;
+            if (timeouts[rule] > support)
+                support = timeouts[rule];
+        }
+        if (capacity == 1) {
+            probs[0] = 1.0;
+            continue;
+        }
+        for (int64_t r = 0; r < capacity; r++) {
+            int64_t rule = rules[r], t = timeouts[rule];
+            const double *row = pmf + start[rule]
+                                + inverse[rule * n_states + state] * t;
+            double *m = rem + r * support, *q = term + r * support;
+            for (int64_t k = 0; k < support; k++)
+                m[k] = k < t ? row[t - 1 - k] : 0.0;
+            double tail = m[support - 1];
+            q[support - 1] = (tail - m[support - 1]) + 0.5 * m[support - 1];
+            for (int64_t k = support - 2; k >= 0; k--) {
+                tail = tail + m[k];
+                q[k] = (tail - m[k]) + 0.5 * m[k];
+            }
+        }
+        for (int64_t k = 0; k < support; k++) {
+            prefix[k] = 1.0;
+            suffix[capacity * support + k] = 1.0;
+        }
+        for (int64_t r = 0; r < capacity; r++)
+            for (int64_t k = 0; k < support; k++)
+                prefix[(r + 1) * support + k] =
+                    prefix[r * support + k] * term[r * support + k];
+        for (int64_t r = capacity - 1; r >= 0; r--)
+            for (int64_t k = 0; k < support; k++)
+                suffix[r * support + k] =
+                    suffix[(r + 1) * support + k] * term[r * support + k];
+        for (int64_t r = 0; r < capacity; r++) {
+            const double *m = rem + r * support;
+            for (int64_t k = 0; k < support; k++)
+                product[k] = m[k] * (prefix[r * support + k]
+                                     * suffix[(r + 1) * support + k]);
+            raw[r] = 0.0 + pairwise_sum(product, support);
+        }
+        double total = 0.0 + pairwise_sum(raw, capacity);
+        for (int64_t r = 0; r < capacity; r++)
+            probs[r] = total > 0.0 ? raw[r] / total : 1.0 / (double)capacity;
+    }
+done:
+    free(rem);
+    free(term);
+    free(prefix);
+    free(suffix);
+    free(product);
+    free(raw);
+    return status;
+}
+
+/* ---- compact-model entries (exact; arrival events and expiry split) ----
+
+   Row by row, the row's arrival events in emission order: the
+   no-arrival event (weight p_none, tag -1); then each flow whose
+   probability is not <= 0, ascending: one event for a hit (the first
+   cached covering rule is protected), for an uncovered flow, or for an
+   install with room, else one per eviction slot of positive split (the
+   victim leaves, the install is protected, weight p_flow * split).
+   That is the order transition_build._arrival_events reaches by its
+   lexsort.  Then each event's state loses its certain rules (hazard 1)
+   unless protected, and at most one of its candidate rules (hazard in
+   (0, 1)) still cached and not protected -- the live rules -- expires:
+   the keep-all branch first, then one branch per live rule, ascending.
+   The products and the normaliser accumulate over live rules in
+   ascending order, exactly as the numpy builder
+   (transition_build._expand_expiries) does, so every float equals its
+   own.  Entries of probability p > 0 are written in stable (row, col)
+   order: each row's entries are emitted into scratch, then counted into
+   place by column. */
+
+typedef struct {
+    int64_t n_states, n_rules, n_flows, capacity;
+    const int64_t *states;
+    const int64_t *cover_ptr, *cover_rules;
+    const double *p_flows;
+    double p_none;
+    const double *hazard;
+    const int64_t *full_position, *evict_rules;
+    const double *evict_probs;
+    const int64_t *lookup;
+} entry_model;
+
+/* One arrival event: the state it leaves, the rule it protects (-1:
+   none), its probability and its flow (-1: no arrival). */
+typedef struct {
+    int64_t interim, protect, tag;
+    double base;
+} arrival;
+
+/* The row's events into ev; returns their number, or -3 when a state at
+   capacity has no eviction row. */
+static int64_t arrival_events(const entry_model *m, int64_t row,
+                              arrival *ev) {
+    int64_t state = m->states[row], n = 0;
+    int64_t load = __builtin_popcountll((uint64_t)state);
+    ev[n++] = (arrival){state, -1, -1, m->p_none};
+    for (int64_t f = 0; f < m->n_flows; f++) {
+        double p = m->p_flows[f];
+        if (p <= 0.0)
+            continue;
+        const int64_t *cover = m->cover_rules + m->cover_ptr[f];
+        int64_t n_cover = m->cover_ptr[f + 1] - m->cover_ptr[f];
+        int64_t matched = -1;
+        for (int64_t i = 0; i < n_cover && matched < 0; i++)
+            if ((state >> cover[i]) & 1)
+                matched = cover[i];
+        if (n_cover == 0 || matched >= 0) {
+            ev[n++] = (arrival){state, matched, f, p * 1.0};
+            continue;
+        }
+        int64_t install = cover[0], install_bit = (int64_t)1 << install;
+        if (load < m->capacity) {
+            ev[n++] = (arrival){state | install_bit, install, f, p * 1.0};
+        } else if (load == m->capacity) {
+            int64_t position = m->full_position[row];
+            if (position < 0)
+                return -3;
+            for (int64_t slot = 0; slot < m->capacity; slot++) {
+                double split = m->evict_probs[position * m->capacity + slot];
+                if (!(split > 0.0))
+                    continue;
+                int64_t victim = m->evict_rules[position * m->capacity + slot];
+                ev[n++] = (arrival){(state & ~((int64_t)1 << victim))
+                                        | install_bit,
+                                    install, f, p * split};
+            }
+        }
+    }
+    return n;
+}
+
+/* The row's certain and candidate rule masks, from its hazards. */
+static void expiry_masks(const entry_model *m, int64_t row,
+                         int64_t *certain, int64_t *candidate) {
+    const double *h = m->hazard + row * m->n_rules;
+    *certain = *candidate = 0;
+    for (uint64_t bits = (uint64_t)m->states[row]; bits; bits &= bits - 1) {
+        int rule = __builtin_ctzll(bits);
+        if (h[rule] >= 1.0)
+            *certain |= (int64_t)1 << rule;
+        else if (h[rule] > 0.0 && h[rule] < 1.0)
+            *candidate |= (int64_t)1 << rule;
+    }
+}
 
 static inline int64_t expiry_live(int64_t interim, int64_t protect,
                                   int64_t certain, int64_t candidate,
@@ -383,53 +626,73 @@ static inline int64_t expiry_live(int64_t interim, int64_t protect,
     return *kept & candidate & ~protected_bit;
 }
 
-/* Entries before the p > 0 filter: the total, and the most in one row. */
-int64_t repro_expiry_count(int64_t n_events, const int64_t *rows,
-                           const int64_t *interim, const int64_t *protect,
-                           const int64_t *certain, const int64_t *candidate,
-                           int64_t *longest_row) {
+/* Scratch for the most events one row can have. */
+static arrival *alloc_events(const entry_model *m) {
+    int64_t most = 1 + m->n_flows * (m->capacity > 1 ? m->capacity : 1);
+    return malloc((size_t)most * sizeof(arrival));
+}
+
+/* Entries before the p > 0 filter: the total (or -2, -3 as above), and
+   the most in one row. */
+int64_t repro_expiry_count(const entry_model *m, int64_t *longest_row) {
+    arrival *ev = alloc_events(m);
     int64_t total = 0, longest = 0;
-    for (int64_t e = 0; e < n_events;) {
-        int64_t row = rows[e], start = total, kept;
-        for (; e < n_events && rows[e] == row; e++)
-            total += 1 + __builtin_popcountll((uint64_t)expiry_live(
-                interim[e], protect[e], certain[row], candidate[row], &kept));
-        if (total - start > longest)
-            longest = total - start;
+    if (!ev) {
+        total = -2;
+        goto done;
+    }
+    for (int64_t row = 0; row < m->n_states; row++) {
+        int64_t n = arrival_events(m, row, ev), here = 0, certain,
+                candidate, kept;
+        if (n < 0) {
+            total = n;
+            goto done;
+        }
+        expiry_masks(m, row, &certain, &candidate);
+        for (int64_t e = 0; e < n; e++)
+            here += 1 + __builtin_popcountll((uint64_t)expiry_live(
+                ev[e].interim, ev[e].protect, certain, candidate, &kept));
+        total += here;
+        if (here > longest)
+            longest = here;
     }
     *longest_row = longest;
+done:
+    free(ev);
     return total;
 }
 
 /* Returns the number of entries written, -1 when a successor is not a
-   state (its mask in *escaped; the first in emission order), or -2 when
-   scratch cannot be allocated. */
+   state (its mask in *escaped; the first in emission order), -2 when
+   scratch cannot be allocated, or -3 as above. */
 int64_t repro_expiry_entries(
-        int64_t n_events, int64_t n_rules, int64_t n_states,
-        const int64_t *rows, const int64_t *interim, const int64_t *protect,
-        const double *base, const int64_t *tags, const double *hazard,
-        const int64_t *certain, const int64_t *candidate,
-        const int64_t *lookup, int64_t longest_row,
+        const entry_model *m, int64_t longest_row,
         int64_t *out_rows, int64_t *out_cols, double *out_probs,
         int64_t *out_tags, int64_t *escaped) {
-    int64_t words = (n_states + 63) / 64, written = 0;
+    int64_t n_states = m->n_states, words = (n_states + 63) / 64;
+    int64_t written = 0;
+    arrival *ev = alloc_events(m);
     int32_t *col = malloc((size_t)(longest_row + 1) * sizeof *col);
     int32_t *distinct = malloc((size_t)(longest_row + 1) * sizeof *distinct);
     double *prob = malloc((size_t)(longest_row + 1) * sizeof *prob);
     int64_t *tag = malloc((size_t)(longest_row + 1) * sizeof *tag);
     int64_t *slot = calloc((size_t)n_states + 1, sizeof *slot);
     uint64_t *seen = calloc((size_t)words + 1, sizeof *seen);
-    if (!col || !distinct || !prob || !tag || !slot || !seen) {
+    if (!ev || !col || !distinct || !prob || !tag || !slot || !seen) {
         written = -2;
         goto done;
     }
-    for (int64_t e = 0; e < n_events;) {
-        int64_t row = rows[e], k = 0;
-        const double *h = hazard + row * n_rules;
-        for (; e < n_events && rows[e] == row; e++) {
-            int64_t kept, live = expiry_live(interim[e], protect[e],
-                                             certain[row], candidate[row],
-                                             &kept);
+    for (int64_t row = 0; row < n_states; row++) {
+        int64_t n = arrival_events(m, row, ev), k = 0, certain, candidate;
+        if (n < 0) {
+            written = n;
+            goto done;
+        }
+        expiry_masks(m, row, &certain, &candidate);
+        const double *h = m->hazard + row * m->n_rules;
+        for (int64_t e = 0; e < n; e++) {
+            int64_t kept, live = expiry_live(ev[e].interim, ev[e].protect,
+                                             certain, candidate, &kept);
             int rule[64];
             double factor[64], weight[64], keep = 1.0;
             int n_live = 0;
@@ -452,17 +715,17 @@ int64_t repro_expiry_entries(
             for (int i = -1; i < n_live; i++) {
                 int64_t successor =
                     i < 0 ? kept : kept & ~((int64_t)1 << rule[i]);
-                int64_t c = lookup[successor];
+                int64_t c = m->lookup[successor];
                 if (c < 0) {
                     *escaped = successor;
                     written = -1;
                     goto done;
                 }
-                double p = base[e] * ((i < 0 ? keep : weight[i]) / total);
+                double p = ev[e].base * ((i < 0 ? keep : weight[i]) / total);
                 if (p > 0.0) {
                     col[k] = (int32_t)c;
                     prob[k] = p;
-                    tag[k] = tags[e];
+                    tag[k] = ev[e].tag;
                     k++;
                 }
             }
@@ -502,6 +765,7 @@ int64_t repro_expiry_entries(
         written += k;
     }
 done:
+    free(ev);
     free(col);
     free(distinct);
     free(prob);
@@ -509,6 +773,114 @@ done:
     free(slot);
     free(seen);
     return written;
+}
+
+/* ---- the fast screen's pair layout (exact; PairSell8 from entries) ----
+
+   From the (row, col)-sorted entries: each (row, col) run collapses to
+   one transposed entry, summed as np.add.reduceat sums it, over every
+   entry (first) and with the target's entries as 0.0 (second).  The
+   transposed rows (the columns) are ordered by run count, descending,
+   ties by index (a stable counting sort); within a transposed row the
+   runs keep their row order.  Rows and columns are renumbered by that
+   order.  Two calls: repro_pair_shape sizes the layout, then
+   repro_pair_fill writes it into zeroed arrays. */
+
+/* Fills perm (n), ptr (slices + 1) and *max_run; returns the stored
+   entries, -1 when entries are out of range or not (row, col)-sorted,
+   or -2 when scratch cannot be allocated. */
+int64_t repro_pair_shape(int64_t n_entries, int64_t n, const int64_t *rows,
+                         const int64_t *cols, int32_t *perm, int64_t *ptr,
+                         int64_t *max_run) {
+    int64_t *runs = calloc((size_t)n + 1, sizeof *runs);
+    int64_t *first = calloc((size_t)n + 2, sizeof *first);
+    int64_t status = 0, longest = 0;
+    if (!runs || !first) {
+        status = -2;
+        goto done;
+    }
+    for (int64_t e = 0, start = 0; e < n_entries; e++) {
+        if (rows[e] < 0 || rows[e] >= n || cols[e] < 0 || cols[e] >= n
+            || (e > 0 && (rows[e] < rows[e - 1]
+                          || (rows[e] == rows[e - 1]
+                              && cols[e] < cols[e - 1])))) {
+            status = -1;
+            goto done;
+        }
+        if (e == 0 || rows[e] != rows[e - 1] || cols[e] != cols[e - 1]) {
+            runs[cols[e]]++;
+            start = e;
+        }
+        if (e - start + 1 > longest)
+            longest = e - start + 1;
+    }
+    /* first[len]: the sorted position of the first row of that run count
+       (counts descending). */
+    for (int64_t c = 0; c < n; c++)
+        first[runs[c]]++;
+    for (int64_t len = n, at = 0; len >= 0; len--) {
+        int64_t count = first[len];
+        first[len] = at;
+        at += count;
+    }
+    for (int64_t c = 0; c < n; c++)
+        perm[first[runs[c]]++] = (int32_t)c;
+    int64_t slices = (n + 7) / 8;
+    ptr[0] = 0;
+    for (int64_t s = 0; s < slices; s++)
+        ptr[s + 1] = ptr[s] + 8 * runs[perm[8 * s]];
+    status = ptr[slices];
+done:
+    free(runs);
+    free(first);
+    *max_run = longest;
+    return status;
+}
+
+/* Writes the layout's cols and (first, second) vals and the largest
+   row sum of the first matrix (np.bincount's sequential sums, NaN if
+   any is); returns 0, or -2 when scratch cannot be allocated. */
+int64_t repro_pair_fill(int64_t n_entries, int64_t n, int64_t target,
+                        int64_t max_run, const int64_t *rows,
+                        const int64_t *cols, const double *probs,
+                        const int64_t *tags, const int32_t *perm,
+                        const int64_t *ptr, int32_t *out_cols,
+                        float *out_vals, double *row_sum) {
+    int32_t *position = malloc((size_t)(n + 1) * sizeof *position);
+    int64_t *next = calloc((size_t)n + 1, sizeof *next);
+    double *sums = calloc((size_t)n + 1, sizeof *sums);
+    double *kept = malloc((size_t)(max_run + 1) * sizeof *kept);
+    int64_t status = 0;
+    if (!position || !next || !sums || !kept) {
+        status = -2;
+        goto done;
+    }
+    for (int64_t i = 0; i < n; i++)
+        position[perm[i]] = (int32_t)i;
+    for (int64_t e = 0; e < n_entries;) {
+        int64_t row = rows[e], c = cols[e], start = e;
+        for (; e < n_entries && rows[e] == row && cols[e] == c; e++)
+            kept[e - start] = tags[e] != target ? probs[e] : 0.0;
+        double full = reduceat_sum(probs + start, e - start);
+        double excluded = reduceat_sum(kept, e - start);
+        int64_t lane = position[c];
+        int64_t at = ptr[lane / 8] + 8 * next[c]++ + lane % 8;
+        out_cols[at] = position[row];
+        out_vals[2 * at] = (float)full;
+        out_vals[2 * at + 1] = (float)excluded;
+        sums[row] = sums[row] + full;
+    }
+    double best = n ? sums[0] : 0.0;
+    for (int64_t i = 0; i < n && best == best; i++)
+        if (sums[i] != sums[i] || sums[i] > best)
+            best = sums[i];
+    *row_sum = best;
+done:
+    free(position);
+    free(next);
+    free(sums);
+    free(kept);
+    return status;
 }
 
 int repro_simd_level(void) {
@@ -589,6 +961,27 @@ def _compile(target: str) -> None:
                     pass
 
 
+class _EntryModel(ctypes.Structure):
+    """The C ``entry_model``: what the entry builder reads, per state."""
+
+    _fields_ = [
+        ("n_states", ctypes.c_int64),
+        ("n_rules", ctypes.c_int64),
+        ("n_flows", ctypes.c_int64),
+        ("capacity", ctypes.c_int64),
+        ("states", ctypes.POINTER(ctypes.c_int64)),
+        ("cover_ptr", ctypes.POINTER(ctypes.c_int64)),
+        ("cover_rules", ctypes.POINTER(ctypes.c_int64)),
+        ("p_flows", ctypes.POINTER(ctypes.c_double)),
+        ("p_none", ctypes.c_double),
+        ("hazard", ctypes.POINTER(ctypes.c_double)),
+        ("full_position", ctypes.POINTER(ctypes.c_int64)),
+        ("evict_rules", ctypes.POINTER(ctypes.c_int64)),
+        ("evict_probs", ctypes.POINTER(ctypes.c_double)),
+        ("lookup", ctypes.POINTER(ctypes.c_int64)),
+    ]
+
+
 def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     i32p = ctypes.POINTER(ctypes.c_int32)
     i64p = ctypes.POINTER(ctypes.c_int64)
@@ -603,13 +996,24 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     }
     library.repro_simd_level.restype = ctypes.c_int
     library.repro_simd_level.argtypes = []
-    library.repro_expiry_count.restype = i64
-    library.repro_expiry_count.argtypes = [i64, i64p, i64p, i64p, i64p, i64p, i64p]
-    library.repro_expiry_entries.restype = i64
-    library.repro_expiry_entries.argtypes = [
-        i64, i64, i64, i64p, i64p, i64p, f64p, i64p, f64p, i64p, i64p, i64p,
-        i64, i64p, i64p, f64p, i64p, i64p,
-    ]
+    kernels = {
+        "eviction_tables": [
+            i64, i64, i64, i64, i64p, i64p, i64p, f64p, i64p, i64p, i64p, f64p,
+        ],
+        "expiry_count": [ctypes.POINTER(_EntryModel), i64p],
+        "expiry_entries": [
+            ctypes.POINTER(_EntryModel), i64, i64p, i64p, f64p, i64p, i64p,
+        ],
+        "pair_shape": [i64, i64, i64p, i64p, i32p, i64p, i64p],
+        "pair_fill": [
+            i64, i64, i64, i64, i64p, i64p, f64p, i64p, i32p, i64p, i32p,
+            f32p, f64p,
+        ],
+    }
+    for kernel, types in kernels.items():
+        entry = getattr(library, f"repro_{kernel}")
+        entry.restype = i64
+        entry.argtypes = types
     for kernel, types in argtypes.items():
         for level in LEVELS:
             entry = getattr(library, f"repro_{kernel}_{level}")
@@ -669,6 +1073,13 @@ def _reset_for_tests() -> None:
         _simd_level = "none"
 
 
+def _native() -> ctypes.CDLL:
+    library = _load()
+    if library is None:
+        raise RuntimeError(f"native kernel unavailable: {_load_error}")
+    return library
+
+
 def _entry(kernel: str, level: str):
     """The ``level`` build of ``kernel`` (the private SIMD binding).
 
@@ -676,9 +1087,7 @@ def _entry(kernel: str, level: str):
     loop on AVX-512 hosts.  Asking for AVX-512 on a CPU without it
     raises instead of faulting.
     """
-    library = _load()
-    if library is None:
-        raise RuntimeError(f"native kernel unavailable: {_load_error}")
+    library = _native()
     if level not in LEVELS:
         raise ValueError(f"unknown SIMD level {level!r}")
     if level == "avx512" and _simd_level != "avx512":
@@ -900,6 +1309,74 @@ def _pair_chain_f32(
     return out[:, 0].copy(), out[:, 1].copy()
 
 
+def _scratch_failed(status: int, what: str) -> None:
+    if status == -2:
+        raise MemoryError(f"native {what} could not allocate its scratch")
+
+
+def eviction_tables(
+    states: np.ndarray,
+    full_idx: np.ndarray,
+    capacity: int,
+    timeouts: Sequence[int],
+    pmfs: Sequence[Tuple[np.ndarray, np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Eviction splits of the at-capacity states (Eqns. 3-5).
+
+    ``states`` are the model's state masks, ``full_idx`` the indices of
+    those holding ``capacity`` rules, and ``pmfs[r]`` rule ``r``'s
+    recency pmf rows as ``(unique_rows, inverse)``: state ``i``'s row is
+    ``unique_rows[inverse[i]]``, of length ``timeouts[r]``.  Returns
+    ``(rules, probs)``, both ``(len(full_idx), capacity)``: each state's
+    cached rules ascending and the probability that each is evicted,
+    byte-identical to :func:`repro.core.transition_build.recency_tables`
+    without the kernel.
+    """
+    library = _native()
+    i64 = ctypes.c_int64
+    states = np.ascontiguousarray(states, dtype=np.int64)
+    full_idx = np.ascontiguousarray(full_idx, dtype=np.int64)
+    timeouts = np.ascontiguousarray(timeouts, dtype=np.int64)
+    n_states, n_rules, n_full = states.size, timeouts.size, full_idx.size
+    if len(pmfs) != n_rules or any(
+        np.shape(rows)[1:] != (timeout,) or np.shape(inverse) != (n_states,)
+        for (rows, inverse), timeout in zip(pmfs, timeouts)
+    ):
+        raise ValueError("expected one (rows, inverse) pmf table per rule")
+    if n_full and (full_idx.min() < 0 or full_idx.max() >= n_states):
+        raise ValueError("full_idx out of range")
+    rules = np.empty((n_full, capacity), dtype=np.int64)
+    probs = np.empty((n_full, capacity), dtype=np.float64)
+    if n_full == 0:
+        return rules, probs
+    if (timeouts < 1).any() or states.min() < 0 or states.max() >> n_rules:
+        raise ValueError("timeouts must be positive and states rule masks")
+    sizes = [np.size(rows) for rows, _ in pmfs]
+    table = np.concatenate(
+        [np.asarray(rows, dtype=np.float64).ravel() for rows, _ in pmfs]
+    )
+    start = np.zeros(n_rules, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=start[1:])
+    inverse = np.ascontiguousarray(
+        np.stack([inverse for _, inverse in pmfs]), dtype=np.int64
+    )
+    if inverse.min() < 0 or (
+        inverse.max(axis=1) >= np.array(sizes) // timeouts
+    ).any():
+        raise ValueError("pmf inverse indices out of range")
+    status = library.repro_eviction_tables(
+        i64(n_full), i64(capacity), i64(n_rules), i64(n_states),
+        _as_ptr(states, i64), _as_ptr(full_idx, i64),
+        _as_ptr(timeouts, i64), _as_ptr(table, ctypes.c_double),
+        _as_ptr(start, i64), _as_ptr(inverse, i64),
+        _as_ptr(rules, i64), _as_ptr(probs, ctypes.c_double),
+    )
+    if status == -1:
+        raise ValueError("full_idx must name states holding capacity rules")
+    _scratch_failed(status, "eviction tables")
+    return rules, probs
+
+
 class EscapedSuccessor(Exception):
     """A successor mask that is not in the state list (:attr:`mask`)."""
 
@@ -909,63 +1386,83 @@ class EscapedSuccessor(Exception):
 
 
 def expiry_entries(
-    events: Sequence[np.ndarray],
-    hazard: np.ndarray,
-    certain: np.ndarray,
-    candidate: np.ndarray,
+    states: np.ndarray,
+    covering: Sequence[Sequence[int]],
+    p_flows: np.ndarray,
+    p_none: float,
+    capacity: int,
+    tables: Sequence[np.ndarray],
     lookup: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The compact model's transition entries, in stable (row, col) order.
 
-    ``events`` are ``(rows, interim, protected, base, tags)`` with rows
-    non-decreasing; ``hazard`` is the ``(states, rules)`` timeout hazard
-    table, ``certain`` and ``candidate`` the per-state masks of rules
-    with hazard 1 and in ``(0, 1)``, and ``lookup`` the dense ``mask ->
-    state index`` table (-1: not a state).  Returns ``(rows, cols,
-    probs, tags)``, every float equal to the numpy builder's
+    ``states`` are the state masks; ``covering[f]`` flow ``f``'s
+    covering rules, highest priority first; ``p_flows`` and ``p_none``
+    the per-step arrival probabilities; ``tables`` the recency tables
+    ``(hazard, full_position, evict_rules, evict_probs)`` of
+    :class:`repro.core.transition_build.RecencyTables`; and ``lookup``
+    the dense ``mask -> state index`` table (-1: not a state).  Each
+    row's arrival events are enumerated and expanded in one pass, so no
+    event array is built.  Returns ``(rows, cols, probs, tags)``, every
+    array byte-identical to the numpy builder's
     (:func:`repro.core.transition_build.build_entries` without the
     kernel).  A successor outside the state list raises
     :class:`EscapedSuccessor` with the first one in emission order.
     """
-    library = _load()
-    if library is None:
-        raise RuntimeError(f"native kernel unavailable: {_load_error}")
+    library = _native()
     i64 = ctypes.c_int64
-    rows, interim, protected, base, tags = (
+    hazard, full_position, evict_rules, evict_probs = (
         np.ascontiguousarray(array, dtype=dtype)
         for array, dtype in zip(
-            events, (np.int64, np.int64, np.int64, np.float64, np.int64)
+            tables, (np.float64, np.int64, np.int64, np.float64)
         )
     )
-    hazard = np.ascontiguousarray(hazard, dtype=np.float64)
-    certain = np.ascontiguousarray(certain, dtype=np.int64)
-    candidate = np.ascontiguousarray(candidate, dtype=np.int64)
+    states = np.ascontiguousarray(states, dtype=np.int64)
+    p_flows = np.ascontiguousarray(p_flows, dtype=np.float64)
     lookup = np.ascontiguousarray(lookup, dtype=np.int64)
     n_states, n_rules = hazard.shape
-    n_events = rows.size
-    if any(
-        array.shape != (n_events,)
-        for array in (interim, protected, base, tags)
-    ):
-        raise ValueError("event arrays differ in length")
-    if certain.shape != (n_states,) or candidate.shape != (n_states,):
-        raise ValueError("expected one certain and candidate mask per state")
-    if lookup.shape != (1 << n_rules,) or (
-        lookup.size and lookup.max() >= n_states
-    ):
+    n_flows = len(covering)
+    cover_ptr = np.zeros(n_flows + 1, dtype=np.int64)
+    np.cumsum([len(rules) for rules in covering], out=cover_ptr[1:])
+    cover_rules = np.fromiter(
+        (rule for rules in covering for rule in rules), dtype=np.int64,
+        count=int(cover_ptr[-1]),
+    )
+    if states.shape != (n_states,) or full_position.shape != (n_states,):
+        raise ValueError("expected one state mask and full position per state")
+    if lookup.shape != (1 << n_rules,) or lookup.max() >= n_states:
         raise ValueError("lookup must map every rule mask to -1 or a state")
-    if n_events and (
-        rows[0] < 0 or rows[-1] >= n_states or (np.diff(rows) < 0).any()
-        or interim.min() < 0 or interim.max() >= lookup.size
-        or protected.min() < -1 or protected.max() >= n_rules
+    if p_flows.shape != (n_flows,) or (
+        cover_rules.size and (cover_rules.min() < 0 or cover_rules.max() >= n_rules)
     ):
-        raise ValueError("events out of range or rows not sorted")
-    masks = [_as_ptr(array, i64) for array in (rows, interim, protected)]
+        raise ValueError("expected one arrival probability and cover per flow")
+    n_full = evict_rules.shape[0]
+    if evict_rules.shape != (n_full, capacity) or (
+        evict_probs.shape != evict_rules.shape
+    ):
+        raise ValueError("eviction tables must be (full states, capacity)")
+    if n_states and (
+        states.min() < 0 or states.max() >= lookup.size
+        or full_position.min() < -1 or full_position.max() >= n_full
+    ):
+        raise ValueError("states or full positions out of range")
+    if evict_rules.size and (
+        evict_rules.min() < 0 or evict_rules.max() >= n_rules
+    ):
+        raise ValueError("eviction victims out of range")
+    model = _EntryModel(
+        n_states, n_rules, n_flows, capacity,
+        _as_ptr(states, i64), _as_ptr(cover_ptr, i64),
+        _as_ptr(cover_rules, i64), _as_ptr(p_flows, ctypes.c_double),
+        float(p_none), _as_ptr(hazard, ctypes.c_double),
+        _as_ptr(full_position, i64), _as_ptr(evict_rules, i64),
+        _as_ptr(evict_probs, ctypes.c_double), _as_ptr(lookup, i64),
+    )
     longest_row = i64(0)
     total = library.repro_expiry_count(
-        i64(n_events), *masks, _as_ptr(certain, i64),
-        _as_ptr(candidate, i64), ctypes.byref(longest_row),
+        ctypes.byref(model), ctypes.byref(longest_row)
     )
+    _check_entry_status(total)
     out = (
         np.empty(total, dtype=np.int64),
         np.empty(total, dtype=np.int64),
@@ -974,21 +1471,80 @@ def expiry_entries(
     )
     escaped = i64(0)
     written = library.repro_expiry_entries(
-        i64(n_events), i64(n_rules), i64(n_states), *masks,
-        _as_ptr(base, ctypes.c_double), _as_ptr(tags, i64),
-        _as_ptr(hazard, ctypes.c_double), _as_ptr(certain, i64),
-        _as_ptr(candidate, i64), _as_ptr(lookup, i64), longest_row,
+        ctypes.byref(model), longest_row,
         _as_ptr(out[0], i64), _as_ptr(out[1], i64),
         _as_ptr(out[2], ctypes.c_double), _as_ptr(out[3], i64),
         ctypes.byref(escaped),
     )
     if written == -1:
         raise EscapedSuccessor(escaped.value)
-    if written < 0:
-        raise MemoryError("native entry build could not allocate its scratch")
+    _check_entry_status(written)
     if written < total:  # entries of probability 0 were dropped
         return (
             out[0][:written].copy(), out[1][:written].copy(),
             out[2][:written].copy(), out[3][:written].copy(),
         )
     return out
+
+
+def _check_entry_status(status: int) -> None:
+    _scratch_failed(status, "entry build")
+    if status == -3:
+        raise ValueError("a state at capacity has no eviction row")
+
+
+def entry_pair_layout(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    probs: np.ndarray,
+    tags: np.ndarray,
+    target: int,
+    n: int,
+) -> Tuple[PairSell8, int, float]:
+    """:class:`PairSell8` of a transposed chain and its target-excluded copy.
+
+    ``(rows, cols, probs, tags)`` are an ``n``-state chain's entries in
+    ``(row, col)`` order.  Each ``(row, col)`` run collapses to one
+    entry, summed as ``np.add.reduceat`` sums it: over every entry for
+    the first value, with ``target``'s entries zeroed for the second.
+    Returns the layout of the transposed pattern, the longest run, and
+    the largest row sum of the first matrix, each byte-identical to
+    :func:`repro.experiments.fastscreen.pair_layout` without the kernel.
+    """
+    library = _native()
+    i64 = ctypes.c_int64
+    rows, cols, tags = (
+        np.ascontiguousarray(array, dtype=np.int64) for array in (rows, cols, tags)
+    )
+    probs = np.ascontiguousarray(probs, dtype=np.float64)
+    n_entries = rows.size
+    if any(array.shape != (n_entries,) for array in (cols, probs, tags)):
+        raise ValueError("entry arrays differ in length")
+    n_slices = -(-n // SLICE)
+    perm = np.empty(n, dtype=np.int32)
+    ptr = np.empty(n_slices + 1, dtype=np.int64)
+    max_run = i64(0)
+    stored = library.repro_pair_shape(
+        i64(n_entries), i64(n), _as_ptr(rows, i64), _as_ptr(cols, i64),
+        _as_ptr(perm, ctypes.c_int32), _as_ptr(ptr, i64),
+        ctypes.byref(max_run),
+    )
+    if stored == -1:
+        raise ValueError("entries out of range or not (row, col)-sorted")
+    _scratch_failed(stored, "pair layout")
+    layout_cols = np.zeros(stored, dtype=np.int32)
+    vals = np.zeros((stored, 2), dtype=np.float32)
+    row_sum = ctypes.c_double(0.0)
+    status = library.repro_pair_fill(
+        i64(n_entries), i64(n), i64(target), max_run,
+        _as_ptr(rows, i64), _as_ptr(cols, i64),
+        _as_ptr(probs, ctypes.c_double), _as_ptr(tags, i64),
+        _as_ptr(perm, ctypes.c_int32), _as_ptr(ptr, i64),
+        _as_ptr(layout_cols, ctypes.c_int32), _as_ptr(vals, ctypes.c_float),
+        ctypes.byref(row_sum),
+    )
+    _scratch_failed(status, "pair layout")
+    return (
+        PairSell8(n, ptr, layout_cols, vals, perm), max_run.value,
+        row_sum.value,
+    )

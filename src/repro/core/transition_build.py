@@ -32,11 +32,24 @@ chain (:func:`build_entries`) and the probe matrices read them through
 :func:`packet_outcomes`, the one account of what a packet does to each
 state.  :func:`build_entries` then expands the arrival events into an
 at-most-one expiry per step and returns the entries in stable (row,
-col) order.  The expansion runs in one pass of the native kernel
-:func:`repro.core.cnative.expiry_entries`, which writes the entries
-already sorted; without the kernel (no ``gcc``, or
-``REPRO_NO_CKERNEL=1``) the numpy expansion and a stable argsort give
-the same arrays, byte for byte (tests/core/test_build_native_diff.py).
+col) order.
+
+What runs where: the hazards and recency pmfs always come from numpy
+(:func:`_hazard_tables`: its ``np.power`` and ``math.expm1`` values
+have no bit-exact C twin), and so do the probe matrices.  With the
+native kernels (:mod:`repro.core.cnative`), the eviction splits come
+from one C pass over the at-capacity states
+(:func:`repro.core.cnative.eviction_tables`), and the arrival events,
+their expiry expansion and the (row, col) placement from another
+(:func:`repro.core.cnative.expiry_entries`), which builds no event
+array.  Without them (no ``gcc``, or ``REPRO_NO_CKERNEL=1``),
+:func:`_eviction_tables`, :func:`_arrival_events` with its ``lexsort``,
+and :func:`_expand_expiries` with its stable argsort give the same
+arrays, byte for byte (tests/core/test_build_native_diff.py and
+tests/core/test_eviction_native_diff.py): the kernels repeat each float
+operation in numpy's order, including the pairwise order of numpy's
+axis sums (see :mod:`repro.core.cnative`).
+
 Every float and the order of entries within each ``(row, col)`` run
 equal the per-state test oracles' bit for bit (tests/oracles/perstate.py
 and tests/oracles/recency.py, which also holds the exact and
@@ -53,7 +66,7 @@ from __future__ import annotations
 
 import math
 from typing import (
-    TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    TYPE_CHECKING, List, NamedTuple, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -130,47 +143,58 @@ def build_entries(model: "CompactModel") -> EntryArrays:
         kernel="native" if native else "numpy",
         states=model.n_states,
     ) as span:
-        n_rules = model.context.n_rules
+        ctx = model.context
         states = np.asarray(model.states, dtype=np.int64)
-        bits = np.int64(1) << np.arange(n_rules, dtype=np.int64)
-
-        hazard = model.recency_tables().hazard
-        cached_t = model.state_membership_matrix().T != 0  # (n, R)
-        certain = cached_t & (hazard >= 1.0)
-        candidate = cached_t & (hazard > 0.0) & (hazard < 1.0)
-        certain_mask = (certain * bits).sum(axis=1)
-        candidate_mask = (candidate * bits).sum(axis=1)
-
-        events = _arrival_events(model, states)
+        tables = model.recency_tables()
         lookup = state_lookup(model, states)
         if native:
+            p_flows, p_none = per_flow_step_probabilities(
+                np.asarray(ctx.step_rates)
+            )
             try:
                 entries = cnative.expiry_entries(
-                    events, hazard, certain_mask, candidate_mask, lookup
+                    states, ctx.covering, p_flows, p_none, ctx.cache_size,
+                    tables, lookup,
                 )
             except cnative.EscapedSuccessor as escaped:
                 raise model.state_error(escaped.mask, "successor") from None
         else:
             entries = _expand_expiries(
-                model, events, hazard, certain_mask, candidate_mask, bits,
-                lookup,
+                model, _arrival_events(model, states), tables.hazard, lookup
             )
         span.set_attr("entries", len(entries[0]))
     return entries
 
 
 def recency_tables(model: "CompactModel") -> RecencyTables:
-    """:class:`RecencyTables` for every state of ``model``."""
-    membership = model.state_membership_matrix() != 0  # (R, n)
-    hazard, pmfs = _hazard_tables(model, membership)
-    full_idx = np.nonzero(
-        model.state_popcounts() == model.context.cache_size
-    )[0]
-    evict_rules, evict_probs = _eviction_tables(
-        model, membership, full_idx, pmfs
-    )
-    full_position = np.full(model.n_states, -1, dtype=np.int64)
-    full_position[full_idx] = np.arange(full_idx.size, dtype=np.int64)
+    """:class:`RecencyTables` for every state of ``model``.
+
+    Runs under a ``model.recency_tables`` span.  The hazards come from
+    numpy; the eviction splits from the native kernel
+    (:func:`repro.core.cnative.eviction_tables`) when it loads, else
+    from numpy, byte for byte the same.
+    """
+    native = cnative.available()
+    with get_instrumentation().span(
+        "model.recency_tables",
+        kernel="native" if native else "numpy",
+        states=model.n_states,
+    ):
+        ctx = model.context
+        membership = model.state_membership_matrix() != 0  # (R, n)
+        hazard, pmfs = _hazard_tables(model, membership)
+        full_idx = np.nonzero(model.state_popcounts() == ctx.cache_size)[0]
+        if native:
+            evict_rules, evict_probs = cnative.eviction_tables(
+                np.asarray(model.states, dtype=np.int64), full_idx,
+                ctx.cache_size, ctx.timeouts, pmfs,
+            )
+        else:
+            evict_rules, evict_probs = _eviction_tables(
+                model, membership, full_idx, pmfs
+            )
+        full_position = np.full(model.n_states, -1, dtype=np.int64)
+        full_position[full_idx] = np.arange(full_idx.size, dtype=np.int64)
     return RecencyTables(hazard, full_position, evict_rules, evict_probs)
 
 
@@ -179,7 +203,7 @@ def recency_tables(model: "CompactModel") -> RecencyTables:
 # ----------------------------------------------------------------------
 def _hazard_tables(
     model: "CompactModel", membership: np.ndarray
-) -> Tuple[np.ndarray, List[Optional[PmfTable]]]:
+) -> Tuple[np.ndarray, List[PmfTable]]:
     """Per-(state, rule) hazards and per-rule normalised pmf tables.
 
     Returns ``(hazard, pmfs)``: ``hazard[i, j]`` is rule ``j``'s
@@ -197,14 +221,14 @@ def _hazard_tables(
     n_rules, n_states = membership.shape
     flow_masks = np.asarray(ctx.flow_masks, dtype=np.int64)
     hazard = np.zeros((n_states, n_rules))
-    pmfs: List[Optional[PmfTable]] = [None] * n_rules
+    pmfs: List[PmfTable] = []
     for rule in range(n_rules):
         cached = membership[rule]
         timeout = ctx.timeouts[rule]
         if ctx.policy[rule].hard:
             pmf_n = np.full((1, timeout), 1.0 / timeout)
             hazard[cached, rule] = 1.0 / timeout
-            pmfs[rule] = (pmf_n, np.zeros(n_states, dtype=np.int64))
+            pmfs.append((pmf_n, np.zeros(n_states, dtype=np.int64)))
             continue
         # gamma_cached: rule flows minus higher-priority cached coverage.
         effective = np.where(cached, flow_masks[rule], np.int64(0))
@@ -229,7 +253,7 @@ def _hazard_tables(
         pmf_n[degenerate, 0] = 1.0
         pmf_n[normal] = pmf[normal] / total[normal, None]
         hazard[cached, rule] = pmf_n[inverse[cached], timeout - 1]
-        pmfs[rule] = (pmf_n, inverse)
+        pmfs.append((pmf_n, inverse))
     return hazard, pmfs
 
 
@@ -240,9 +264,9 @@ def _eviction_tables(
     model: "CompactModel",
     membership: np.ndarray,
     full_idx: np.ndarray,
-    pmfs: List[Optional[PmfTable]],
+    pmfs: List[PmfTable],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Eviction splits for every at-capacity state.
+    """Eviction splits for every at-capacity state (the numpy path).
 
     Returns ``(rules, probs)``, both ``(n_full, cache_size)``: the
     cached rules of each full state in ascending order and their
@@ -290,9 +314,7 @@ def _eviction_tables(
             timeout = int(timeouts[rule])
             in_state = cells // capacity
             slot = cells - in_state * capacity
-            table = pmfs[rule]
-            assert table is not None
-            unique_rows, inverse = table
+            unique_rows, inverse = pmfs[rule]
             source = unique_rows[inverse[full_group[in_state]]]
             pmf[in_state, slot, :timeout] = source[:, ::-1]
         survival = pmf[:, :, ::-1].cumsum(axis=2)[:, :, ::-1] - pmf
@@ -413,7 +435,9 @@ def _arrival_events(
 
     One event per (state, arrival outcome), in the reference loop's
     emission order: by row, then the no-arrival event first, flows
-    ascending, eviction victims in cached order.
+    ascending, eviction victims in cached order.  The numpy path of
+    :func:`build_entries`; the native kernel enumerates the same events
+    row by row instead.
     """
     from repro.core.compact_model import NO_FLOW
 
@@ -447,9 +471,6 @@ def _expand_expiries(
     model: "CompactModel",
     events: Tuple[np.ndarray, ...],
     hazard: np.ndarray,
-    certain_mask: np.ndarray,
-    candidate_mask: np.ndarray,
-    bits: np.ndarray,
     lookup: np.ndarray,
 ) -> EntryArrays:
     """Expand events into entries, mirroring the reference's expiry split.
@@ -466,6 +487,12 @@ def _expand_expiries(
     bit-for-bit.
     """
     n_rules = model.context.n_rules
+    bits = np.int64(1) << np.arange(n_rules, dtype=np.int64)
+    cached_t = model.state_membership_matrix().T != 0  # (n, R)
+    certain_mask = ((cached_t & (hazard >= 1.0)) * bits).sum(axis=1)
+    candidate_mask = (
+        (cached_t & (hazard > 0.0) & (hazard < 1.0)) * bits
+    ).sum(axis=1)
     rows, interim, protected, base, tag = events
     count = rows.size
     protected_bit = np.where(

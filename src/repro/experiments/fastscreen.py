@@ -257,12 +257,14 @@ class FastQuantities:
 def reachable_states(model: CompactModel) -> np.ndarray:
     """Boolean mask of states reachable from the initial distribution.
 
-    Fixpoint of one-step successor expansion over the positive-entry
+    Closure of one-step successor expansion over the positive-entry
     transition graph -- an over-approximation of the support of the
     chain's distribution at *any* horizon.  Pure index arithmetic: a
     state outside this set has exactly zero probability at every step,
     which is what lets the screen certify ``p_hit == 0`` (and hence a
-    failed viability screen) without trusting float32 rounding.
+    failed viability screen) without trusting float32 rounding.  A
+    frontier search over the run-merged ``(row, col)`` pattern visits
+    each edge once.
 
     The model's states are already the *live* ones (subsets of the
     installable rules), but live is not reachable: a rule installed
@@ -271,17 +273,26 @@ def reachable_states(model: CompactModel) -> np.ndarray:
     arrival steps too, the screen's model default).  Priority order
     alone never separates live rules (installing them in descending
     priority order always misses), so without those two cases the
-    fixpoint returns every state; tests/core/test_live_states_diff.py
+    search returns every state; tests/core/test_live_states_diff.py
     shows all three.
     """
     rows, cols, _, _ = model._sorted_entries()
     reach = model.initial_distribution() > 0.0
-    while True:
-        successors = cols[reach[rows]]
-        before = int(reach.sum())
-        reach[successors] = True
-        if int(reach.sum()) == before:
-            return reach
+    if len(rows) == 0:
+        return reach
+    starts = run_starts(rows, cols)
+    successors = cols[starts]
+    indptr = np.searchsorted(rows[starts], np.arange(model.n_states + 1))
+    frontier = np.flatnonzero(reach)
+    while frontier.size:
+        first, last = indptr[frontier], indptr[frontier + 1]
+        counts = last - first
+        # Each frontier row's successor slice, gathered in one index.
+        offsets = np.repeat(first - (np.cumsum(counts) - counts), counts)
+        found = successors[np.arange(counts.sum()) + offsets]
+        frontier = np.unique(found[~reach[found]])
+        reach[frontier] = True
+    return reach
 
 
 def pair_layout(
@@ -290,12 +301,13 @@ def pair_layout(
     """The kernel layout of both chains, with two inputs to their bound.
 
     Builds the transposed pattern straight from the model's sorted
-    entries.  Each duplicate ``(row, col)`` run collapses with one
-    ``np.add.reduceat`` per value array: over every entry for the full
-    value (the exact path's own call, so the same value bit for bit),
-    and with the target's entries zeroed for the excluded value, which
-    is 0 where the whole run is the target's.  A stable argsort by
-    column then gives the transposed order.
+    entries, with :func:`repro.core.cnative.entry_pair_layout` when the
+    kernel loads and with numpy (:func:`_numpy_pair_layout`) otherwise,
+    byte for byte the same.  Each duplicate ``(row, col)`` run
+    collapses as ``np.add.reduceat`` sums it: over every entry for the
+    full value (the exact path's own call, so the same value bit for
+    bit), and with the target's entries zeroed for the excluded value,
+    which is 0 where the whole run is the target's.
 
     Also returns the longest run, which bounds how far the excluded
     values' float64 summation order can move them from the exact path's
@@ -303,8 +315,32 @@ def pair_layout(
     full matrix, nudged up by its own float64 rounding, which bounds the
     ℓ1 norm of both transposed operators.
     """
-    rows, cols, probs, tags = model._sorted_entries()
+    entries = model._sorted_entries()
     n = model.n_states
+    if cnative.available():
+        layout, max_run, row_sum = cnative.entry_pair_layout(
+            *entries, target, n
+        )
+    else:
+        layout, max_run, row_sum = _numpy_pair_layout(entries, target, n)
+    if sanitize.is_active():
+        for piece in (layout.ptr, layout.cols, layout.vals, layout.perm):
+            piece.setflags(write=False)
+        sanitize.guard_array("fastscreen.pair_layout.vals", layout.vals)
+    return layout, max_run, row_sum * (1.0 + n * U64)
+
+
+def _numpy_pair_layout(
+    entries: Tuple[np.ndarray, ...], target: int, n: int
+) -> Tuple[cnative.PairSell8, int, float]:
+    """:func:`pair_layout` without the kernel, before the row-sum nudge.
+
+    One ``np.add.reduceat`` per value array collapses the runs; a
+    stable argsort by column then gives the transposed order.  The pair
+    chain itself needs the kernel, so this path is the reference the
+    kernel's layout is pinned to (tests/experiments/test_pair_layout_diff.py).
+    """
+    rows, cols, probs, tags = entries
     starts = run_starts(rows, cols)
     full = np.add.reduceat(probs, starts)
     excluded = np.add.reduceat(np.where(tags != target, probs, 0.0), starts)
@@ -319,24 +355,34 @@ def pair_layout(
     layout = cnative.pair_sell8_layout(
         indptr, run_rows[order], full[order], excluded[order]
     )
-    if sanitize.is_active():
-        for piece in (layout.ptr, layout.cols, layout.vals, layout.perm):
-            piece.setflags(write=False)
-        sanitize.guard_array("fastscreen.pair_layout.vals", layout.vals)
     max_run = int(np.diff(starts, append=len(rows)).max())
     row_sum = float(np.bincount(run_rows, weights=full, minlength=n).max())
-    return layout, max_run, row_sum * (1.0 + n * U64)
+    return layout, max_run, row_sum
 
 
 def fast_quantities(
     model: CompactModel, target: int, window_steps: int
 ) -> Optional[FastQuantities]:
-    """The float32 screen quantities, or ``None`` when not computable."""
+    """The float32 screen quantities, or ``None`` when not computable.
+
+    The layout and the chain run under ``screen.pair_layout`` and
+    ``screen.pair_chain`` spans.
+    """
     if len(model._sorted_entries()[0]) == 0:
         return None
-    layout, max_run, row_sum = pair_layout(model, target)
+    obs = get_instrumentation()
+    with obs.span("screen.pair_layout"):
+        layout, max_run, row_sum = pair_layout(model, target)
     x0 = model.initial_distribution()
-    dist_full32, dist_absent32 = cnative.pair_chain_f32(layout, x0, window_steps)
+    with obs.span(
+        "screen.pair_chain",
+        steps=window_steps,
+        states=model.n_states,
+        simd=cnative.simd_level(),
+    ):
+        dist_full32, dist_absent32 = cnative.pair_chain_f32(
+            layout, x0, window_steps
+        )
     dist_full = dist_full32.astype(np.float64)
     dist_absent = dist_absent32.astype(np.float64)
     bounds = error_bounds(

@@ -29,7 +29,7 @@ from repro.experiments.harness import (
     ConfigResult,
     sample_screened_harnesses,
 )
-from repro.experiments.params import VIABLE_FIG6_BINS
+from repro.experiments.params import VIABLE_FIG6_BINS, split_configs
 from repro.obs import get_instrumentation
 
 if TYPE_CHECKING:
@@ -115,8 +115,10 @@ def run_fig6(
     """Run the Figure 6 experiment.
 
     ``spec`` is a :class:`~repro.apispec.JobSpec`; anything else raises
-    ``TypeError``.  Its ``n_configs`` configurations are split evenly
-    across the absence bins unless ``configs_per_bin`` is given.  Each
+    ``TypeError``.  Exactly its ``n_configs`` configurations are split
+    across the absence bins, the first bins taking the remainder
+    (:func:`~repro.experiments.params.split_configs`; fewer than one per
+    bin raises ``ValueError``), unless ``configs_per_bin`` is given.  Each
     sampled configuration must pass the viability screen *and* have its
     optimal probe differ from the target -- a rare combination (a few
     percent of random configurations), hence the generous
@@ -130,11 +132,11 @@ def run_fig6(
         spec.defense, caller="run_fig6"
     )
     bins = tuple(bins)
-    per_bin = configs_per_bin or max(1, params.n_configs // len(bins))
+    counts = split_configs(params.n_configs, len(bins), configs_per_bin)
     results: List[List[ConfigResult]] = []
     obs = get_instrumentation()
     fallbacks = 0
-    for low, high in bins:
+    for (low, high), per_bin in zip(bins, counts):
         bin_params = params.with_absence_range(low, high)
         with obs.span("experiment.fig6.bin", low=low, high=high):
             harnesses = sample_screened_harnesses(

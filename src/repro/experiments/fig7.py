@@ -23,7 +23,7 @@ from repro.experiments.harness import (
     ConfigResult,
     sample_screened_harnesses,
 )
-from repro.experiments.params import VIABLE_FIG7_BINS
+from repro.experiments.params import VIABLE_FIG7_BINS, split_configs
 from repro.obs import get_instrumentation
 
 if TYPE_CHECKING:
@@ -140,7 +140,8 @@ def run_fig7(
     """Run the Figure 7 experiment (viability screen only).
 
     ``spec`` is a :class:`~repro.apispec.JobSpec`; anything else raises
-    ``TypeError``.
+    ``TypeError``.  Its ``n_configs`` configurations are split across the
+    bins as :func:`~repro.experiments.fig6.run_fig6` splits them.
     """
     from repro.apispec import require_spec
     from repro.countermeasures.registry import single_defense_factory
@@ -150,11 +151,11 @@ def run_fig7(
         spec.defense, caller="run_fig7"
     )
     bins = tuple(bins)
-    per_bin = configs_per_bin or max(1, params.n_configs // len(bins))
+    counts = split_configs(params.n_configs, len(bins), configs_per_bin)
     results: List[List[ConfigResult]] = []
     obs = get_instrumentation()
     fallbacks = 0
-    for low, high in bins:
+    for (low, high), per_bin in zip(bins, counts):
         bin_params = params.with_absence_range(low, high)
         with obs.span("experiment.fig7.bin", low=low, high=high):
             harnesses = sample_screened_harnesses(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.faults import FaultPlan
 from repro.flows.config import ConfigParams
@@ -128,3 +128,23 @@ VIABLE_FIG7_BINS: Tuple[Tuple[float, float], ...] = (
     (0.55, 0.75),
     (0.75, 0.95),
 )
+
+
+def split_configs(
+    n_configs: int, n_bins: int, per_bin: Optional[int] = None
+) -> List[int]:
+    """Configurations to sample in each of ``n_bins`` absence bins.
+
+    ``per_bin`` configurations in every bin when given; otherwise
+    exactly ``n_configs`` in all, the first bins taking the remainder.
+    Fewer configurations than bins raise ``ValueError``.
+    """
+    if per_bin:
+        return [per_bin] * n_bins
+    if n_configs < n_bins:
+        raise ValueError(
+            f"n_configs={n_configs} is fewer than the {n_bins} absence "
+            "bins: ask for at least one configuration per bin"
+        )
+    base, extra = divmod(n_configs, n_bins)
+    return [base + (index < extra) for index in range(n_bins)]

@@ -25,6 +25,7 @@ if TYPE_CHECKING:
     from repro.apispec import JobSpec
 from repro.experiments.fig6 import Fig6Result, run_fig6
 from repro.experiments.fig7 import Fig7Result, run_fig7
+from repro.experiments.params import VIABLE_FIG7_BINS
 from repro.obs import get_instrumentation
 from repro.experiments.report import (
     format_cdf,
@@ -189,7 +190,11 @@ def reproduce_all(
 
     start = time.perf_counter()
     with obs.span("reproduce.fig7"):
-        fig7 = run_fig7(replace(run_spec, experiment="fig7"))
+        # At least one configuration per Figure 7 bin.
+        fig7 = run_fig7(replace(
+            run_spec, experiment="fig7",
+            n_configs=max(len(VIABLE_FIG7_BINS), run_spec.n_configs),
+        ))
     elapsed["fig7"] = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -13,6 +13,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Set,
     Tuple,
     Type,
     TypeVar,
@@ -75,6 +76,9 @@ class ModuleSource:
     #: return annotation).
     _scopes: Dict[ast.AST, Tuple[Optional[AnyFunctionDef], bool]] = field(
         default_factory=dict, init=False, repr=False
+    )
+    _aliases: Optional["ImportAliases"] = field(
+        default=None, init=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -153,6 +157,62 @@ class ModuleSource:
         below ``within``."""
         found = self.nodes(*_FUNCTION_TYPES, within=within)
         return cast(List[AnyFunctionDef], found)
+
+    def import_aliases(self) -> "ImportAliases":
+        """The module's :class:`ImportAliases`, built on first use."""
+        if self._aliases is None:
+            self._aliases = ImportAliases(self)
+        return self._aliases
+
+
+class ImportAliases:
+    """How ``numpy``, ``numpy.random``, ``default_rng`` and the stdlib
+    ``random`` module are named, from every import in the module --
+    module-level and inside function bodies alike.  RNG001 and the
+    project graph's seed sites read the same table."""
+
+    def __init__(self, module: ModuleSource) -> None:
+        self.numpy: Set[str] = set()
+        self.numpy_random: Set[str] = set()
+        self.default_rng: Set[str] = set()
+        self.stdlib_random: Set[str] = set()
+        for node in module.nodes(ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if alias.name == "random":
+                    self.stdlib_random.add(bound)
+                elif alias.name == "numpy":
+                    self.numpy.add(bound)
+                elif alias.name == "numpy.random":
+                    if alias.asname is not None:
+                        self.numpy_random.add(alias.asname)
+                    else:
+                        self.numpy.add(bound)
+        for imported in module.nodes(ast.ImportFrom):
+            if imported.module == "numpy":
+                for alias in imported.names:
+                    if alias.name == "random":
+                        self.numpy_random.add(alias.asname or alias.name)
+            elif imported.module == "numpy.random":
+                for alias in imported.names:
+                    if alias.name == "default_rng":
+                        self.default_rng.add(alias.asname or alias.name)
+
+    def is_numpy_random(self, node: ast.expr) -> bool:
+        """Whether an expression denotes the ``numpy.random`` module."""
+        if isinstance(node, ast.Name):
+            return node.id in self.numpy_random
+        if isinstance(node, ast.Attribute) and node.attr == "random":
+            return isinstance(node.value, ast.Name) and node.value.id in self.numpy
+        return False
+
+    def is_default_rng(self, func: ast.expr) -> bool:
+        """Whether a call target denotes ``numpy.random.default_rng``."""
+        if isinstance(func, ast.Name):
+            return func.id in self.default_rng
+        if isinstance(func, ast.Attribute) and func.attr == "default_rng":
+            return self.is_numpy_random(func.value)
+        return False
 
 
 class LintRule:

@@ -304,10 +304,6 @@ class ModuleInfo:
     symbols: Dict[str, str] = field(default_factory=dict)
     #: Module-level names bound to RNG/instrumentation state -> reason.
     tainted_globals: Dict[str, str] = field(default_factory=dict)
-    #: Aliases under which ``numpy`` / ``numpy.random`` are imported.
-    numpy_aliases: Set[str] = field(default_factory=set)
-    numpy_random_aliases: Set[str] = field(default_factory=set)
-    default_rng_aliases: Set[str] = field(default_factory=set)
     #: Dotted names bound from ``ForkPool(...)`` anywhere in the module.
     fork_pools: FrozenSet[str] = frozenset()
 
@@ -397,13 +393,6 @@ class ProjectGraph:
             bound = alias.asname or alias.name.split(".")[0]
             target = alias.name if alias.asname else alias.name.split(".")[0]
             module.symbols[bound] = target
-            if alias.name == "numpy":
-                module.numpy_aliases.add(bound)
-            elif alias.name == "numpy.random":
-                if alias.asname is not None:
-                    module.numpy_random_aliases.add(alias.asname)
-                else:
-                    module.numpy_aliases.add(bound)
 
     def _resolve_import_module(
         self, module: ModuleInfo, node: ast.ImportFrom
@@ -424,14 +413,6 @@ class ProjectGraph:
         origin = self._resolve_import_module(module, node)
         if origin is None:
             return
-        if origin == "numpy":
-            for alias in node.names:
-                if alias.name == "random":
-                    module.numpy_random_aliases.add(alias.asname or alias.name)
-        if origin == "numpy.random":
-            for alias in node.names:
-                if alias.name == "default_rng":
-                    module.default_rng_aliases.add(alias.asname or alias.name)
         for alias in node.names:
             if alias.name == "*":
                 continue
@@ -896,22 +877,6 @@ class _SummaryVisitor:
             )
 
     # -- calls ---------------------------------------------------------
-    def _is_default_rng_call(self, node: ast.Call) -> bool:
-        func = node.func
-        if isinstance(func, ast.Name):
-            return func.id in self.module.default_rng_aliases
-        if isinstance(func, ast.Attribute) and func.attr == "default_rng":
-            value = func.value
-            if isinstance(value, ast.Name):
-                return value.id in self.module.numpy_random_aliases
-            return (
-                isinstance(value, ast.Attribute)
-                and value.attr == "random"
-                and isinstance(value.value, ast.Name)
-                and value.value.id in self.module.numpy_aliases
-            )
-        return False
-
     def _classify_rng_seed(self, node: ast.Call) -> RngSite:
         if not node.args and not node.keywords:
             return RngSite(node=node, kind="unseeded")
@@ -951,7 +916,7 @@ class _SummaryVisitor:
         func = node.func
         endpoint = call_endpoint(func)
 
-        if self._is_default_rng_call(node):
+        if self.module.source.import_aliases().is_default_rng(func):
             self.info.rng_sites.append(self._classify_rng_seed(node))
         if endpoint in GENERATOR_CONSTRUCTORS:
             self.info.generator_constructions.append(node)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 from typing import ClassVar, FrozenSet, Iterator, Set
 
-from repro.lint.base import LintRule, ModuleSource
+from repro.lint.base import ImportAliases, LintRule, ModuleSource
 from repro.lint.findings import Finding
 
 #: Legacy module-level ``numpy.random`` API backed by the hidden global
@@ -112,38 +112,6 @@ STDLIB_RANDOM_API: FrozenSet[str] = frozenset(
 )
 
 
-class _ImportAliases:
-    """How ``numpy``, ``numpy.random``, ``default_rng`` and the stdlib
-    ``random`` module are named, from every import in the module."""
-
-    def __init__(self, module: ModuleSource) -> None:
-        self.numpy: Set[str] = set()
-        self.numpy_random: Set[str] = set()
-        self.default_rng: Set[str] = set()
-        self.stdlib_random: Set[str] = set()
-        for node in module.nodes(ast.Import):
-            for alias in node.names:
-                bound = alias.asname or alias.name.split(".")[0]
-                if alias.name == "random":
-                    self.stdlib_random.add(bound)
-                elif alias.name == "numpy":
-                    self.numpy.add(bound)
-                elif alias.name == "numpy.random":
-                    if alias.asname is not None:
-                        self.numpy_random.add(alias.asname)
-                    else:
-                        self.numpy.add(bound)
-        for imported in module.nodes(ast.ImportFrom):
-            if imported.module == "numpy":
-                for alias in imported.names:
-                    if alias.name == "random":
-                        self.numpy_random.add(alias.asname or alias.name)
-            elif imported.module == "numpy.random":
-                for alias in imported.names:
-                    if alias.name == "default_rng":
-                        self.default_rng.add(alias.asname or alias.name)
-
-
 class UnseededRandomnessRule(LintRule):
     """RNG001: unseeded generators and the legacy global RNG."""
 
@@ -154,7 +122,7 @@ class UnseededRandomnessRule(LintRule):
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        aliases = _ImportAliases(module)
+        aliases = module.import_aliases()
         for call in module.nodes(ast.Call):
             finding = self._check_call(module, call, aliases)
             if finding is not None:
@@ -165,32 +133,10 @@ class UnseededRandomnessRule(LintRule):
                 yield finding
 
     # ------------------------------------------------------------------
-    def _is_numpy_random(
-        self, node: ast.expr, aliases: _ImportAliases
-    ) -> bool:
-        """Whether an expression denotes the ``numpy.random`` module."""
-        if isinstance(node, ast.Name):
-            return node.id in aliases.numpy_random
-        if isinstance(node, ast.Attribute) and node.attr == "random":
-            return (
-                isinstance(node.value, ast.Name)
-                and node.value.id in aliases.numpy
-            )
-        return False
-
-    def _is_default_rng(
-        self, func: ast.expr, aliases: _ImportAliases
-    ) -> bool:
-        if isinstance(func, ast.Name):
-            return func.id in aliases.default_rng
-        if isinstance(func, ast.Attribute) and func.attr == "default_rng":
-            return self._is_numpy_random(func.value, aliases)
-        return False
-
     def _check_call(
-        self, module: ModuleSource, node: ast.Call, aliases: _ImportAliases
+        self, module: ModuleSource, node: ast.Call, aliases: ImportAliases
     ) -> Finding | None:
-        if not self._is_default_rng(node.func, aliases):
+        if not aliases.is_default_rng(node.func):
             return None
         if node.args or node.keywords:
             return None
@@ -205,7 +151,7 @@ class UnseededRandomnessRule(LintRule):
         self,
         module: ModuleSource,
         node: ast.Attribute,
-        aliases: _ImportAliases,
+        aliases: ImportAliases,
     ) -> Finding | None:
         if (
             node.attr in STDLIB_RANDOM_API
@@ -220,7 +166,7 @@ class UnseededRandomnessRule(LintRule):
             )
         if node.attr not in LEGACY_GLOBAL_API:
             return None
-        if not self._is_numpy_random(node.value, aliases):
+        if not aliases.is_numpy_random(node.value):
             return None
         return self.finding(
             module,

@@ -1,9 +1,9 @@
 """Differential tests: the native entry build is the numpy build, byte for byte.
 
-:func:`repro.core.transition_build.build_entries` expands the arrival
-events in one pass of the native kernel
+:func:`repro.core.transition_build.build_entries` enumerates the
+arrival events and expands them in one pass of the native kernel
 (:func:`repro.core.cnative.expiry_entries`) when it loads, and with the
-numpy expansion plus a stable argsort otherwise.  Both return the
+numpy events, expansion and a stable argsort otherwise.  Both return the
 entries in stable ``(row, col)`` order.  These tests pin, comparing
 dtypes and bytes:
 
@@ -15,8 +15,8 @@ dtypes and bytes:
   stably (tests/oracles/perstate.py), with the kernel loaded, disabled
   (``REPRO_NO_CKERNEL=1``) and without gcc;
 * an empty entry set, a successor outside the state list (the same
-  error on both paths), and the ``model.build_entries`` span naming the
-  kernel that ran.
+  error on both paths), inputs the kernel refuses, and the
+  ``model.build_entries`` span naming the kernel that ran.
 """
 
 from __future__ import annotations
@@ -169,23 +169,44 @@ def test_entries_come_row_col_sorted(native):
 
 
 def test_malformed_events_are_refused(native):
+    # The kernel enumerates each row's arrival events from these inputs;
+    # any that would index out of bounds are refused before it runs.
     model = CompactModel(
         make_policy([({0}, 3), ({1}, 2)]), make_universe([0.4, 0.6]), 0.05, 1
     )
+    ctx = model.context
     states = np.asarray(model.states, dtype=np.int64)
-    events = transition_build._arrival_events(model, states)
-    hazard = model.recency_tables().hazard
-    masks = np.zeros(model.n_states, dtype=np.int64)
+    tables = model.recency_tables()
     lookup = transition_build.state_lookup(model, states)
-    reversed_rows = (events[0][::-1],) + tuple(events[1:])
-    with pytest.raises(ValueError, match="rows not sorted"):
-        cnative.expiry_entries(reversed_rows, hazard, masks, masks, lookup)
-    with pytest.raises(ValueError, match="differ in length"):
-        cnative.expiry_entries(
-            events[:4] + (events[4][1:],), hazard, masks, masks, lookup
+    p_flows = np.array([0.2, 0.3])
+
+    def build(**changes):
+        args = dict(
+            states=states, covering=ctx.covering, p_flows=p_flows,
+            p_none=0.5, capacity=1, tables=tables, lookup=lookup,
         )
+        args.update(changes)
+        return cnative.expiry_entries(**args)
+
+    assert len(build()[0]) > 0
     with pytest.raises(ValueError, match="lookup"):
-        cnative.expiry_entries(events, hazard, masks, masks, lookup[:-1])
+        build(lookup=lookup[:-1])
+    with pytest.raises(ValueError, match="one state mask"):
+        build(states=states[:-1])
+    with pytest.raises(ValueError, match="cover per flow"):
+        build(p_flows=p_flows[:1])
+    with pytest.raises(ValueError, match="cover per flow"):
+        build(covering=((0,), (2,)))
+    with pytest.raises(ValueError, match="full states, capacity"):
+        build(capacity=2)
+    victims = tables.evict_rules.copy()
+    victims[0, 0] = 5
+    with pytest.raises(ValueError, match="victims out of range"):
+        build(tables=tables._replace(evict_rules=victims))
+    # A state at capacity without an eviction row.
+    no_row = np.where(tables.full_position >= 0, -1, tables.full_position)
+    with pytest.raises(ValueError, match="no eviction row"):
+        build(tables=tables._replace(full_position=no_row))
 
 
 # ----------------------------------------------------------------------

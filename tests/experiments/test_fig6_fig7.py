@@ -107,3 +107,22 @@ class TestFig7:
         for row in table.values():
             for name in FIG7_ATTACKERS:
                 assert 0.0 <= row[name] <= 1.0
+
+
+class TestConfigCount:
+    """``n_configs`` is the number of configurations run, per pipeline."""
+
+    def test_fig6_with_fewer_configs_than_bins_raises(self):
+        spec = tiny_job_spec("fig6", n_configs=1)
+        with pytest.raises(ValueError, match=r"n_configs=1 .* 2 absence bins"):
+            run_fig6(spec, bins=BINS)
+
+    def test_fig7_with_fewer_configs_than_bins_raises(self):
+        spec = tiny_job_spec("fig7", n_configs=2)
+        with pytest.raises(ValueError, match=r"n_configs=2 .* 3 absence bins"):
+            run_fig7(spec)
+
+    def test_fig7_runs_exactly_n_configs(self):
+        spec = tiny_job_spec("fig7", n_trials=4, n_configs=3, seed=72)
+        result = run_fig7(spec, bins=BINS)
+        assert [len(bucket) for bucket in result.results_per_bin] == [2, 1]

@@ -8,6 +8,7 @@ from repro.experiments.params import (
     VIABLE_FIG7_BINS,
     ExperimentParams,
     bench_scale,
+    split_configs,
 )
 
 from tests.experiments.conftest import tiny_experiment_params
@@ -94,3 +95,21 @@ class TestTinyParams:
         params = tiny_experiment_params()
         assert params.config.n_flows == 4
         assert params.config.window_steps == 100
+
+
+class TestSplitConfigs:
+    @pytest.mark.parametrize(
+        "n_configs, n_bins, expected",
+        [(2, 2, [1, 1]), (5, 2, [3, 2]), (4, 3, [2, 1, 1]), (12, 3, [4, 4, 4])],
+    )
+    def test_exactly_n_configs_first_bins_take_the_remainder(
+        self, n_configs, n_bins, expected
+    ):
+        assert split_configs(n_configs, n_bins) == expected
+
+    def test_per_bin_overrides_the_total(self):
+        assert split_configs(1, 3, per_bin=2) == [2, 2, 2]
+
+    def test_fewer_configs_than_bins_names_both(self):
+        with pytest.raises(ValueError, match=r"n_configs=1 .* 2 absence bins"):
+            split_configs(1, 2)

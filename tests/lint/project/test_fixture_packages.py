@@ -59,6 +59,7 @@ FIXTURE_PACKAGES = [
     ("defense", {"SEED102", "RNG001"}, 6),
     ("service", {"SEED102"}, 3),
     ("poolworker", {"PAR101"}, 8),
+    ("localseed", {"SEED103"}, 1),
 ]
 
 
