@@ -160,12 +160,17 @@ serve-smoke:
 # Defense smoke (docs/DEFENSES.md): the countermeasure x attacker grid
 # end-to-end through the CLI -- every built-in defense attached to the
 # simulated network, the online recon detector scored in each cell,
-# defense/detector counters exported.  Not part of tier-1; ~6 seconds
-# of wall clock.
+# defense/detector counters exported, and the grid's result document
+# saved and read back.  Not part of tier-1; ~6 seconds of wall clock.
 defend-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli defend \
 		--configs 2 --trials 4 --seed 5 \
-		--metrics /tmp/repro-defend-metrics.json
+		--metrics /tmp/repro-defend-metrics.json \
+		--out /tmp/repro-defend.json
+	@PYTHONPATH=src $(PYTHON) -c "from repro.experiments.persist import SCHEMA_VERSION, load_document; \
+		d = load_document('/tmp/repro-defend.json'); \
+		assert (d['artifact'], d['schema_version'], d['job']['experiment']) == ('defend', SCHEMA_VERSION, 'defend'), d['artifact']; \
+		print('defend-smoke: defend document saved and reloaded')"
 
 # Coverage gate (CI runs this with pytest-cov installed; locally it is
 # skipped with a notice when pytest-cov is absent, like ruff/mypy in

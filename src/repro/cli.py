@@ -38,13 +38,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional, Union, cast
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, cast
 
 if TYPE_CHECKING:
     from repro.apispec import JobSpec
-    from repro.experiments.fig6 import Fig6Result
-    from repro.experiments.fig7 import Fig7Result
-    from repro.experiments.robustness import RobustnessResult
 
 
 # ----------------------------------------------------------------------
@@ -161,19 +158,18 @@ def _job_spec(args: argparse.Namespace, experiment: str) -> "JobSpec":
     return JobSpec.from_args(args, experiment)
 
 
-def _maybe_save(
-    args: argparse.Namespace,
-    result: Union["Fig6Result", "Fig7Result", "RobustnessResult"],
-    spec: Optional["JobSpec"] = None,
-) -> None:
-    path = getattr(args, "out", None)
-    if path:
-        from repro.experiments.persist import save_result
+def _run_job(args: argparse.Namespace, spec: "JobSpec") -> Any:
+    """Run a batch job; with ``--out``, archive its result document.
 
-        saved = save_result(
-            result, path, spec=spec, seed=_resolved_seed(args)
-        )
-        print(f"saved run to {saved}")
+    The runner comes from :data:`repro.experiments.persist.RUNNERS`, the
+    table ``reproduce_all`` and the service dispatch through too.
+    """
+    from repro.experiments.persist import RUNNERS, save_result
+
+    result = RUNNERS[spec.experiment](spec)
+    if args.out:
+        print(f"saved run to {save_result(result, args.out, spec)}")
+    return result
 
 
 def _print_execution(spec: "JobSpec") -> None:
@@ -211,12 +207,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig6(args: argparse.Namespace, which: str) -> int:
-    from repro.experiments.fig6 import run_fig6
     from repro.experiments.report import format_cdf, format_series, format_table
 
     spec = _job_spec(args, "fig6")
-    result = run_fig6(spec)
-    _maybe_save(args, result, spec)
+    result = _run_job(args, spec)
     if which == "a":
         print(
             format_series(
@@ -247,12 +241,10 @@ def _cmd_fig6(args: argparse.Namespace, which: str) -> int:
 
 
 def _cmd_fig7(args: argparse.Namespace, which: str) -> int:
-    from repro.experiments.fig7 import run_fig7
     from repro.experiments.report import format_series, format_table
 
     spec = _job_spec(args, "fig7")
-    result = run_fig7(spec)
-    _maybe_save(args, result, spec)
+    result = _run_job(args, spec)
     if which == "a":
         table = result.accuracy_by_covering_count()
         rows = [
@@ -476,11 +468,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
     from repro.experiments.report import format_series, format_table
-    from repro.experiments.robustness import run_robustness
 
     spec = _job_spec(args, "robustness")
-    result = run_robustness(spec)
-    _maybe_save(args, result, spec)
+    result = _run_job(args, spec)
     print(
         format_series(
             "fault rate",
@@ -505,16 +495,14 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
 
 
 def _cmd_defend(args: argparse.Namespace) -> int:
-    from repro.experiments.defend import run_defend
     from repro.experiments.report import format_table
 
     spec = _job_spec(args, "defend")
     try:
-        result = run_defend(spec)
+        result = _run_job(args, spec)
     except ValueError as error:
         print(f"repro-sdn defend: {error}", file=sys.stderr)
         return 2
-    _maybe_save(args, result, spec)
     clean = result.rates[0]
     rows = []
     # result.baseline holds one cell per fault rate; the clean-channel

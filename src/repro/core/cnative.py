@@ -49,7 +49,9 @@ these calls.
 * :func:`entry_pair_layout` -- *exact*: :func:`pair_chain_f32`'s layout
   and bound inputs behind :func:`repro.experiments.fastscreen.pair_layout`,
   straight from the sorted entries: each ``(row, col)`` run summed, then
-  transposed by a stable counting sort by column.
+  transposed by a stable counting sort by column.  It has no numpy twin
+  in the package: the screen runs only where the kernel loads, so the
+  numpy build is a test oracle (``tests/oracles/pairlayout.py``).
 
 The exact kernels reproduce numpy's summation orders where numpy sums:
 ``.sum(axis=...)`` along a contiguous axis is pairwise -- left to right
@@ -63,7 +65,7 @@ fuse a multiply and an add into an FMA, which would round once instead
 of twice.  ``tests/core/test_build_native_diff.py``,
 ``tests/core/test_eviction_native_diff.py`` and
 ``tests/experiments/test_pair_layout_diff.py`` pin every output
-byte-identical to the numpy path's.
+byte-identical to the numpy path's (for the pair layout, the oracle's).
 
 Each chain kernel has a portable scalar loop and an AVX-512 loop,
 exported as separate symbols; :func:`simd_level` picks one per process
@@ -1244,31 +1246,6 @@ class PairSell8(NamedTuple):
         return int(self.ptr[1] // SLICE) if self.n else 0
 
 
-def pair_sell8_layout(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    first: np.ndarray,
-    second: np.ndarray,
-) -> PairSell8:
-    """:class:`PairSell8` of one CSR pattern with two value arrays.
-
-    ``first`` and ``second`` are rounded to ``float32`` here.
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    n = len(indptr) - 1
-    nnz = int(indptr[-1])
-    indices = np.asarray(indices)
-    order, _, ptr, slot = _sell8_slots(indptr, indices)
-    position = np.empty(n, dtype=np.int32)
-    position[order] = np.arange(n, dtype=np.int32)
-    cols = np.zeros(ptr[-1], dtype=np.int32)
-    vals = np.zeros((ptr[-1], 2), dtype=np.float32)
-    cols[slot] = position[indices[:nnz]]
-    vals[slot, 0] = np.asarray(first)[:nnz]
-    vals[slot, 1] = np.asarray(second)[:nnz]
-    return PairSell8(n, ptr, cols, vals, order.astype(np.int32))
-
-
 def pair_chain_f32(
     layout: PairSell8, x0: np.ndarray, steps: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -1508,8 +1485,8 @@ def entry_pair_layout(
     entry, summed as ``np.add.reduceat`` sums it: over every entry for
     the first value, with ``target``'s entries zeroed for the second.
     Returns the layout of the transposed pattern, the longest run, and
-    the largest row sum of the first matrix, each byte-identical to
-    :func:`repro.experiments.fastscreen.pair_layout` without the kernel.
+    the largest row sum of the first matrix, each byte-identical to the
+    numpy build in ``tests/oracles/pairlayout.py``.
     """
     library = _native()
     i64 = ctypes.c_int64

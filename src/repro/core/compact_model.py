@@ -65,7 +65,6 @@ from repro.core.context import ModelContext
 from repro.core.masks import (
     indices_from_mask,
     iter_bits,
-    popcount,
     subsets_within,
 )
 from repro.flows.policy import Policy
@@ -220,14 +219,14 @@ class CompactModel:
         return cached
 
     def state_popcounts(self) -> np.ndarray:
-        """Cached-rule count of every state, as a frozen int vector."""
+        """Cached-rule count of every state, as a frozen int vector.
+
+        The column sums of :meth:`state_membership_matrix` (0/1 values,
+        so every sum is exact).
+        """
         cached = self._state_popcounts
         if cached is None:
-            cached = np.fromiter(
-                (popcount(state) for state in self.states),
-                dtype=np.int64,
-                count=self.n_states,
-            )
+            cached = self.state_membership_matrix().sum(axis=0).astype(np.int64)
             cached.setflags(write=False)
             self._state_popcounts = cached
         if sanitize.is_active():

@@ -225,7 +225,8 @@ def supports(params: ExperimentParams) -> bool:
     The replica covers the default single-probe selection -- the
     configuration every headline pipeline runs.  Multi-probe selection
     screens exactly, as does any machine where the native kernel is
-    unavailable (or disabled with ``REPRO_NO_CKERNEL=1``).
+    unavailable (or disabled with ``REPRO_NO_CKERNEL=1``): the pair
+    layout and the pair chain are built and run by the kernel alone.
     """
     return params.n_probes == 1 and cnative.available()
 
@@ -301,13 +302,13 @@ def pair_layout(
     """The kernel layout of both chains, with two inputs to their bound.
 
     Builds the transposed pattern straight from the model's sorted
-    entries, with :func:`repro.core.cnative.entry_pair_layout` when the
-    kernel loads and with numpy (:func:`_numpy_pair_layout`) otherwise,
-    byte for byte the same.  Each duplicate ``(row, col)`` run
-    collapses as ``np.add.reduceat`` sums it: over every entry for the
-    full value (the exact path's own call, so the same value bit for
-    bit), and with the target's entries zeroed for the excluded value,
-    which is 0 where the whole run is the target's.
+    entries with :func:`repro.core.cnative.entry_pair_layout` (the
+    screen runs only where the kernel loads; :func:`supports`).  Each
+    duplicate ``(row, col)`` run collapses as ``np.add.reduceat`` sums
+    it: over every entry for the full value (the exact path's own call,
+    so the same value bit for bit), and with the target's entries zeroed
+    for the excluded value, which is 0 where the whole run is the
+    target's.
 
     Also returns the longest run, which bounds how far the excluded
     values' float64 summation order can move them from the exact path's
@@ -315,49 +316,15 @@ def pair_layout(
     full matrix, nudged up by its own float64 rounding, which bounds the
     ℓ1 norm of both transposed operators.
     """
-    entries = model._sorted_entries()
     n = model.n_states
-    if cnative.available():
-        layout, max_run, row_sum = cnative.entry_pair_layout(
-            *entries, target, n
-        )
-    else:
-        layout, max_run, row_sum = _numpy_pair_layout(entries, target, n)
+    layout, max_run, row_sum = cnative.entry_pair_layout(
+        *model._sorted_entries(), target, n
+    )
     if sanitize.is_active():
         for piece in (layout.ptr, layout.cols, layout.vals, layout.perm):
             piece.setflags(write=False)
         sanitize.guard_array("fastscreen.pair_layout.vals", layout.vals)
     return layout, max_run, row_sum * (1.0 + n * U64)
-
-
-def _numpy_pair_layout(
-    entries: Tuple[np.ndarray, ...], target: int, n: int
-) -> Tuple[cnative.PairSell8, int, float]:
-    """:func:`pair_layout` without the kernel, before the row-sum nudge.
-
-    One ``np.add.reduceat`` per value array collapses the runs; a
-    stable argsort by column then gives the transposed order.  The pair
-    chain itself needs the kernel, so this path is the reference the
-    kernel's layout is pinned to (tests/experiments/test_pair_layout_diff.py).
-    """
-    rows, cols, probs, tags = entries
-    starts = run_starts(rows, cols)
-    full = np.add.reduceat(probs, starts)
-    excluded = np.add.reduceat(np.where(tags != target, probs, 0.0), starts)
-    run_rows = rows[starts]
-    run_cols = cols[starts]
-    # A stable argsort of 16-bit keys is a radix sort: about 5x faster
-    # than on int64 keys at this size.
-    keys = run_cols.astype(np.uint16) if n <= 1 << 16 else run_cols
-    order = np.argsort(keys, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(run_cols, minlength=n), out=indptr[1:])
-    layout = cnative.pair_sell8_layout(
-        indptr, run_rows[order], full[order], excluded[order]
-    )
-    max_run = int(np.diff(starts, append=len(rows)).max())
-    row_sum = float(np.bincount(run_rows, weights=full, minlength=n).max())
-    return layout, max_run, row_sum
 
 
 def fast_quantities(

@@ -21,61 +21,31 @@ grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.cdf import empirical_cdf, survival_at
-from repro.experiments.harness import (
-    ConfigResult,
-    sample_screened_harnesses,
-)
-from repro.experiments.params import VIABLE_FIG6_BINS, split_configs
-from repro.obs import get_instrumentation
+from repro.experiments.harness import BinnedResult, mean_accuracy, run_binned
+from repro.experiments.params import VIABLE_FIG6_BINS
 
 if TYPE_CHECKING:
     from repro.apispec import JobSpec
 
 
-@dataclass
-class Fig6Result:
-    """Everything needed to print/plot Figures 6a and 6b."""
+class Fig6Result(BinnedResult):
+    """Everything needed to print/plot Figures 6a and 6b.
 
-    bins: Tuple[Tuple[float, float], ...]
-    results_per_bin: List[List[ConfigResult]] = field(repr=False)
-    #: Pool maps (screening and trials) re-run in the parent after a
-    #: pool failure.
-    pool_fallbacks: int = 0
+    :meth:`accuracy_series` (Figure 6a) is the per-bin mean accuracy of
+    the model and naive attackers.
+    """
 
-    # ------------------------------------------------------------------
-    # Figure 6a
-    # ------------------------------------------------------------------
-    def accuracy_series(self) -> Dict[str, List[Optional[float]]]:
-        """Per-bin mean accuracy for the model and naive attackers."""
-        series: Dict[str, List[Optional[float]]] = {"model": [], "naive": []}
-        for bucket in self.results_per_bin:
-            for name in series:
-                if bucket:
-                    series[name].append(
-                        sum(r.accuracies[name] for r in bucket) / len(bucket)
-                    )
-                else:
-                    series[name].append(None)
-        return series
-
-    def bin_centers(self) -> List[float]:
-        """Midpoints of the absence-probability bins."""
-        return [(low + high) / 2 for low, high in self.bins]
+    ATTACKERS: ClassVar[Tuple[str, ...]] = ("model", "naive")
 
     # ------------------------------------------------------------------
     # Figure 6b
     # ------------------------------------------------------------------
     def improvements(self) -> List[float]:
         """Per-configuration additive improvements (all bins pooled)."""
-        return [
-            result.improvement
-            for bucket in self.results_per_bin
-            for result in bucket
-        ]
+        return [result.improvement for result in self._all_results()]
 
     def improvement_cdf(self) -> List[Tuple[float, float]]:
         """Empirical CDF points of the improvements (Figure 6b)."""
@@ -87,20 +57,13 @@ class Fig6Result:
     def headline(self) -> Dict[str, float]:
         """The paper's summary statistics over these configurations."""
         improvements = self.improvements()
-        all_results = [r for bucket in self.results_per_bin for r in bucket]
-        mean_improvement = sum(improvements) / len(improvements)
+        all_results = self._all_results()
         return {
-            "mean_improvement": mean_improvement,
+            "mean_improvement": sum(improvements) / len(improvements),
             "frac_configs_improving_15pct": survival_at(improvements, 0.15),
             "frac_configs_improving_35pct": survival_at(improvements, 0.35),
-            "mean_model_accuracy": sum(
-                r.accuracies["model"] for r in all_results
-            )
-            / len(all_results),
-            "mean_naive_accuracy": sum(
-                r.accuracies["naive"] for r in all_results
-            )
-            / len(all_results),
+            "mean_model_accuracy": mean_accuracy(all_results, "model"),
+            "mean_naive_accuracy": mean_accuracy(all_results, "naive"),
             "n_configs": float(len(all_results)),
         }
 
@@ -114,43 +77,19 @@ def run_fig6(
 ) -> Fig6Result:
     """Run the Figure 6 experiment.
 
-    ``spec`` is a :class:`~repro.apispec.JobSpec`; anything else raises
-    ``TypeError``.  Exactly its ``n_configs`` configurations are split
-    across the absence bins, the first bins taking the remainder
-    (:func:`~repro.experiments.params.split_configs`; fewer than one per
-    bin raises ``ValueError``), unless ``configs_per_bin`` is given.  Each
+    ``spec``'s configurations are split across the absence bins as
+    :func:`~repro.experiments.harness.run_binned` splits them.  Each
     sampled configuration must pass the viability screen *and* have its
     optimal probe differ from the target -- a rare combination (a few
     percent of random configurations), hence the generous
     rejection-sampling budget ``max_attempts_factor``.
     """
-    from repro.apispec import require_spec
-    from repro.countermeasures.registry import single_defense_factory
-
-    spec, params = require_spec(spec, caller="run_fig6")
-    defense_factory = single_defense_factory(
-        spec.defense, caller="run_fig6"
+    return run_binned(
+        Fig6Result,
+        spec,
+        experiment="fig6",
+        bins=bins,
+        configs_per_bin=configs_per_bin,
+        require_optimal_differs=True,
+        max_attempts_factor=max_attempts_factor,
     )
-    bins = tuple(bins)
-    counts = split_configs(params.n_configs, len(bins), configs_per_bin)
-    results: List[List[ConfigResult]] = []
-    obs = get_instrumentation()
-    fallbacks = 0
-    for (low, high), per_bin in zip(bins, counts):
-        bin_params = params.with_absence_range(low, high)
-        with obs.span("experiment.fig6.bin", low=low, high=high):
-            harnesses = sample_screened_harnesses(
-                bin_params,
-                per_bin,
-                require_optimal_differs=True,
-                max_attempts_factor=max_attempts_factor,
-            )
-            bucket = [
-                harness.run_trials(defense_factory=defense_factory)
-                for harness in harnesses
-            ]
-        fallbacks += harnesses.pool_fallbacks + sum(
-            result.pool_fallbacks for result in bucket
-        )
-        results.append(bucket)
-    return Fig6Result(bins=bins, results_per_bin=results, pool_fallbacks=fallbacks)

@@ -16,15 +16,15 @@ beat the random attacker comfortably.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.harness import (
+    BinnedResult,
     ConfigResult,
-    sample_screened_harnesses,
+    mean_accuracy,
+    run_binned,
 )
-from repro.experiments.params import VIABLE_FIG7_BINS, split_configs
-from repro.obs import get_instrumentation
+from repro.experiments.params import VIABLE_FIG7_BINS
 
 if TYPE_CHECKING:
     from repro.apispec import JobSpec
@@ -33,18 +33,21 @@ if TYPE_CHECKING:
 FIG7_ATTACKERS: Tuple[str, ...] = ("constrained", "naive", "random")
 
 
-@dataclass
-class Fig7Result:
-    """Everything needed to print/plot Figures 7a and 7b."""
+def _mean_accuracies(bucket: List[ConfigResult]) -> Dict[str, float]:
+    """Each Figure 7 attacker's mean accuracy, plus the bucket size."""
+    row = {name: mean_accuracy(bucket, name) for name in FIG7_ATTACKERS}
+    row["n_configs"] = float(len(bucket))
+    return row
 
-    bins: Tuple[Tuple[float, float], ...]
-    results_per_bin: List[List[ConfigResult]] = field(repr=False)
-    #: Pool maps (screening and trials) re-run in the parent after a
-    #: pool failure.
-    pool_fallbacks: int = 0
 
-    def _all_results(self) -> List[ConfigResult]:
-        return [r for bucket in self.results_per_bin for r in bucket]
+class Fig7Result(BinnedResult):
+    """Everything needed to print/plot Figures 7a and 7b.
+
+    :meth:`accuracy_series` (Figure 7b) is the per-absence-bin mean
+    accuracy of the three attackers.
+    """
+
+    ATTACKERS: ClassVar[Tuple[str, ...]] = FIG7_ATTACKERS
 
     # ------------------------------------------------------------------
     # Figure 7a: accuracy vs number of rules covering the target
@@ -56,36 +59,10 @@ class Fig7Result:
         groups: Dict[int, List[ConfigResult]] = {}
         for result in self._all_results():
             groups.setdefault(result.n_rules_covering_target, []).append(result)
-        table: Dict[int, Dict[str, float]] = {}
-        for count, bucket in sorted(groups.items()):
-            table[count] = {
-                name: sum(r.accuracies[name] for r in bucket) / len(bucket)
-                for name in FIG7_ATTACKERS
-            }
-            table[count]["n_configs"] = float(len(bucket))
-        return table
-
-    # ------------------------------------------------------------------
-    # Figure 7b: accuracy vs probability of absence
-    # ------------------------------------------------------------------
-    def accuracy_series(self) -> Dict[str, List[Optional[float]]]:
-        """Per-absence-bin mean accuracy for the three attackers."""
-        series: Dict[str, List[Optional[float]]] = {
-            name: [] for name in FIG7_ATTACKERS
+        return {
+            count: _mean_accuracies(bucket)
+            for count, bucket in sorted(groups.items())
         }
-        for bucket in self.results_per_bin:
-            for name in series:
-                if bucket:
-                    series[name].append(
-                        sum(r.accuracies[name] for r in bucket) / len(bucket)
-                    )
-                else:
-                    series[name].append(None)
-        return series
-
-    def bin_centers(self) -> List[float]:
-        """Midpoints of the absence-probability bins."""
-        return [(low + high) / 2 for low, high in self.bins]
 
     # ------------------------------------------------------------------
     # Sharing-structure split (explains the constrained-naive gap)
@@ -105,25 +82,15 @@ class Fig7Result:
                 "exclusive" if result.target_install_exclusive else "shared"
             )
             groups[key].append(result)
-        table: Dict[str, Dict[str, float]] = {}
-        for key, bucket in groups.items():
-            if not bucket:
-                continue
-            table[key] = {
-                name: sum(r.accuracies[name] for r in bucket) / len(bucket)
-                for name in FIG7_ATTACKERS
-            }
-            table[key]["n_configs"] = float(len(bucket))
-        return table
+        return {
+            key: _mean_accuracies(bucket)
+            for key, bucket in groups.items()
+            if bucket
+        }
 
     def summary(self) -> Dict[str, float]:
         """Mean accuracies pooled over all configurations."""
-        results = self._all_results()
-        summary = {
-            name: sum(r.accuracies[name] for r in results) / len(results)
-            for name in FIG7_ATTACKERS
-        }
-        summary["n_configs"] = float(len(results))
+        summary = _mean_accuracies(self._all_results())
         summary["constrained_minus_naive"] = (
             summary["constrained"] - summary["naive"]
         )
@@ -139,37 +106,15 @@ def run_fig7(
 ) -> Fig7Result:
     """Run the Figure 7 experiment (viability screen only).
 
-    ``spec`` is a :class:`~repro.apispec.JobSpec`; anything else raises
-    ``TypeError``.  Its ``n_configs`` configurations are split across the
-    bins as :func:`~repro.experiments.fig6.run_fig6` splits them.
+    ``spec``'s configurations are split across the absence bins as
+    :func:`~repro.experiments.harness.run_binned` splits them.
     """
-    from repro.apispec import require_spec
-    from repro.countermeasures.registry import single_defense_factory
-
-    spec, params = require_spec(spec, caller="run_fig7")
-    defense_factory = single_defense_factory(
-        spec.defense, caller="run_fig7"
+    return run_binned(
+        Fig7Result,
+        spec,
+        experiment="fig7",
+        bins=bins,
+        configs_per_bin=configs_per_bin,
+        require_optimal_differs=False,
+        max_attempts_factor=max_attempts_factor,
     )
-    bins = tuple(bins)
-    counts = split_configs(params.n_configs, len(bins), configs_per_bin)
-    results: List[List[ConfigResult]] = []
-    obs = get_instrumentation()
-    fallbacks = 0
-    for (low, high), per_bin in zip(bins, counts):
-        bin_params = params.with_absence_range(low, high)
-        with obs.span("experiment.fig7.bin", low=low, high=high):
-            harnesses = sample_screened_harnesses(
-                bin_params,
-                per_bin,
-                require_optimal_differs=False,
-                max_attempts_factor=max_attempts_factor,
-            )
-            bucket = [
-                harness.run_trials(defense_factory=defense_factory)
-                for harness in harnesses
-            ]
-        fallbacks += harnesses.pool_fallbacks + sum(
-            result.pool_fallbacks for result in bucket
-        )
-        results.append(bucket)
-    return Fig7Result(bins=bins, results_per_bin=results, pool_fallbacks=fallbacks)

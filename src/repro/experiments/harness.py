@@ -9,7 +9,10 @@ detector-viability screen, and the trial loop producing accuracies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tuple, Type,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from repro.core.attacker import (
 )
 from repro.core.compact_model import CompactModel
 from repro.core.inference import ReconInference
-from repro.experiments.params import ExperimentParams
+from repro.experiments.params import ExperimentParams, split_configs
 from repro.faults import FaultPlan
 from repro.experiments.parallel import (
     SCREEN_BATCH_PER_WORKER,
@@ -36,6 +39,9 @@ from repro.flows.config import ConfigGenerator, NetworkConfiguration
 from repro.obs import get_instrumentation
 from repro.parallel import ForkPool
 from repro.simulator.timing import LatencyModel
+
+if TYPE_CHECKING:
+    from repro.apispec import JobSpec
 
 
 @dataclass
@@ -67,6 +73,11 @@ class ConfigResult:
     def constrained_improvement(self) -> float:
         """Constrained-model accuracy minus naive (Fig. 7 comparison)."""
         return self.accuracies["constrained"] - self.accuracies["naive"]
+
+
+def mean_accuracy(bucket: Sequence[ConfigResult], name: str) -> float:
+    """Mean accuracy of attacker ``name`` over a non-empty bucket."""
+    return sum(r.accuracies[name] for r in bucket) / len(bucket)
 
 
 class ConfigHarness:
@@ -390,3 +401,87 @@ def sample_screened_harnesses(
             return harnesses
         finally:
             pool.close()
+
+
+@dataclass
+class BinnedResult:
+    """Configurations sampled per absence-probability bin (Figures 6, 7)."""
+
+    #: The attackers :meth:`accuracy_series` plots.
+    ATTACKERS: ClassVar[Tuple[str, ...]] = ()
+
+    bins: Tuple[Tuple[float, float], ...]
+    results_per_bin: List[List[ConfigResult]] = field(repr=False)
+    #: Pool maps (screening and trials) re-run in the parent after a
+    #: pool failure.
+    pool_fallbacks: int = 0
+
+    def _all_results(self) -> List[ConfigResult]:
+        return [r for bucket in self.results_per_bin for r in bucket]
+
+    def accuracy_series(self) -> Dict[str, List[Optional[float]]]:
+        """Per-bin mean accuracy of each plotted attacker."""
+        return {
+            name: [
+                mean_accuracy(bucket, name) if bucket else None
+                for bucket in self.results_per_bin
+            ]
+            for name in self.ATTACKERS
+        }
+
+    def bin_centers(self) -> List[float]:
+        """Midpoints of the absence-probability bins."""
+        return [(low + high) / 2 for low, high in self.bins]
+
+
+Binned = TypeVar("Binned", bound=BinnedResult)
+
+
+def run_binned(
+    result_type: Type[Binned],
+    spec: "JobSpec",
+    *,
+    experiment: str,
+    bins: Sequence[Tuple[float, float]],
+    configs_per_bin: Optional[int],
+    require_optimal_differs: bool,
+    max_attempts_factor: int,
+) -> Binned:
+    """Screen and run ``spec``'s configurations bin by bin.
+
+    ``spec`` is a :class:`~repro.apispec.JobSpec`; anything else raises
+    ``TypeError``.  Exactly its ``n_configs`` configurations are split
+    across the absence ``bins``, the first bins taking the remainder
+    (:func:`~repro.experiments.params.split_configs`; fewer than one per
+    bin raises ``ValueError``), unless ``configs_per_bin`` is given.
+    Each bin runs under an ``experiment.<experiment>.bin`` span.
+    """
+    from repro.apispec import require_spec
+    from repro.countermeasures.registry import single_defense_factory
+
+    caller = f"run_{experiment}"
+    spec, params = require_spec(spec, caller=caller)
+    defense_factory = single_defense_factory(spec.defense, caller=caller)
+    bins = tuple(bins)
+    counts = split_configs(params.n_configs, len(bins), configs_per_bin)
+    results: List[List[ConfigResult]] = []
+    obs = get_instrumentation()
+    fallbacks = 0
+    for (low, high), per_bin in zip(bins, counts):
+        bin_params = params.with_absence_range(low, high)
+        with obs.span(f"experiment.{experiment}.bin", low=low, high=high):
+            harnesses = sample_screened_harnesses(
+                bin_params,
+                per_bin,
+                require_optimal_differs=require_optimal_differs,
+                max_attempts_factor=max_attempts_factor,
+            )
+            bucket = [
+                harness.run_trials(defense_factory=defense_factory)
+                for harness in harnesses
+            ]
+        fallbacks += harnesses.pool_fallbacks + sum(
+            result.pool_fallbacks for result in bucket
+        )
+        results.append(bucket)
+    return result_type(bins, results, fallbacks)

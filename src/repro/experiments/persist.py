@@ -1,10 +1,15 @@
 """Persist experiment results as JSON for plotting and archival.
 
-The figure objects (:class:`~repro.experiments.fig6.Fig6Result`,
-:class:`~repro.experiments.fig7.Fig7Result`) carry live references to
-configurations; this module flattens them into plain-JSON documents so a
-full run's numbers can be archived, diffed between runs, or plotted
-without re-running hours of sampling.
+The batch results (:class:`~repro.experiments.fig6.Fig6Result`,
+:class:`~repro.experiments.fig7.Fig7Result`, the robustness sweep and
+the defend grid) carry live references to configurations; this module
+flattens them into plain-JSON documents so a full run's numbers can be
+archived, diffed between runs, or plotted without re-running hours of
+sampling.  It is also the one place that knows which batch experiments
+exist: :data:`RUNNERS` maps each to its runner (the CLI,
+``reproduce_all`` and the service all dispatch through it), and
+:func:`result_document` builds each one's document from its
+:class:`~repro.apispec.JobSpec`.
 
 Since schema version 2 every artifact shares one envelope, the
 :class:`ResultDocument`:
@@ -12,42 +17,52 @@ Since schema version 2 every artifact shares one envelope, the
 * ``artifact`` / ``schema_version`` -- what this is and how to read it;
 * ``job`` -- the full :class:`~repro.apispec.JobSpec` the run was
   submitted with (schema version 3; the unified job API);
-* ``params`` -- the :class:`~repro.experiments.params.ExperimentParams`
-  the run used (when known);
+* ``params`` -- the spec's
+  :class:`~repro.experiments.params.ExperimentParams` view (``None``
+  on the service's recon documents);
 * ``metrics`` -- the artifact's headline numbers (``headline`` for
   fig6, ``summary`` for fig7);
 * ``series`` -- the plottable series (bins, accuracy curves, CDFs);
 * ``configurations`` -- per-configuration rows;
 * ``provenance`` -- repro version, git commit, and seed.
 
-For backward compatibility the legacy v1 top-level keys (``headline``,
-``summary``, ``bins``, ``accuracy_series``, ...) are still mirrored at
-the top level on save, and :func:`load_document` upgrades old files to
+The v1 top-level keys (``headline``, ``summary``, ``bins``,
+``accuracy_series``, ...) are still mirrored at the top level on save,
+so written bytes stay the same for old consumers; and
+:func:`load_document` still reads v1 and v2 files, upgrading them to
 the current shape in memory via :func:`migrate_document`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import subprocess
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union,
+)
 
-
-if TYPE_CHECKING:
-    from repro.apispec import JobSpec
-from repro.experiments.defend import DefendResult
-from repro.experiments.fig6 import Fig6Result
-from repro.experiments.fig7 import Fig7Result
+from repro.apispec import EXPERIMENTS, JobSpec, require_spec
+from repro.experiments.defend import DefendResult, run_defend
+from repro.experiments.fig6 import Fig6Result, run_fig6
+from repro.experiments.fig7 import Fig7Result, run_fig7
 from repro.experiments.harness import ConfigResult
-from repro.experiments.params import ExperimentParams
-from repro.experiments.robustness import RobustnessResult
+from repro.experiments.robustness import RobustnessResult, run_robustness
 from repro.version import __version__
 
 PathLike = Union[str, Path]
+
+BatchResult = Union[Fig6Result, Fig7Result, RobustnessResult, DefendResult]
+
+#: The runner of every batch experiment, by ``JobSpec.experiment``.
+RUNNERS: Dict[str, Callable[[JobSpec], Any]] = {
+    "fig6": run_fig6,
+    "fig7": run_fig7,
+    "robustness": run_robustness,
+    "defend": run_defend,
+}
 
 #: Current result-document schema.  v1 (implicit, unversioned) had
 #: per-artifact ad-hoc shapes; v2 is the unified envelope; v3 records
@@ -81,6 +96,15 @@ def _git_sha() -> Optional[str]:
     return sha if output.returncode == 0 and sha else None
 
 
+def job_provenance(spec: JobSpec) -> Dict[str, object]:
+    """Repro version, git commit and seed of a document built for ``spec``."""
+    return {
+        "repro_version": __version__,
+        "git_sha": _git_sha(),
+        "seed": spec.seed,
+    }
+
+
 @dataclass(frozen=True)
 class ResultDocument:
     """The unified, versioned envelope every saved result uses."""
@@ -101,7 +125,8 @@ class ResultDocument:
 
         Old consumers read ``document["headline"]`` (fig6),
         ``document["summary"]`` (fig7), and the series keys at the top
-        level; those aliases are kept for one more schema generation.
+        level; those mirrors are still written, so a document's bytes
+        do not depend on which consumer reads it.
         """
         document: Dict[str, object] = {
             "artifact": self.artifact,
@@ -141,214 +166,102 @@ def _config_row(result: ConfigResult) -> Dict[str, object]:
     }
 
 
-def _provenance(
-    params: Optional[ExperimentParams],
-    seed: Optional[int],
-    result: Optional[object] = None,
-) -> Dict[str, object]:
-    if seed is None and params is not None:
-        seed = params.seed
-    provenance: Dict[str, object] = {
-        "repro_version": __version__,
-        "git_sha": _git_sha(),
-        "seed": seed,
-    }
-    # Fan-out provenance (EXPERIMENTS.md, "Parallel execution"): the
-    # numbers are identical for every jobs setting, but a document
-    # should still record how it was produced -- and whether any pool
-    # dispatch degraded to the serial fallback.
-    if params is not None:
-        provenance["trial_jobs"] = params.trial_jobs
-    fallbacks = getattr(result, "pool_fallbacks", None)
-    if fallbacks is not None:
-        provenance["pool_fallbacks"] = fallbacks
-    return provenance
+#: An artifact's own sections: metrics, series, configuration buckets.
+_Sections = Tuple[
+    Dict[str, float], Dict[str, object], Sequence[Sequence[ConfigResult]]
+]
 
 
-def _params_dict(
-    params: Optional[ExperimentParams],
-) -> Optional[Dict[str, object]]:
-    return asdict(params) if params is not None else None
+def _fig6_sections(result: Fig6Result) -> _Sections:
+    return result.headline(), {
+        "bins": [list(b) for b in result.bins],
+        "bin_centers": result.bin_centers(),
+        "accuracy_series": result.accuracy_series(),
+        "improvement_cdf": [list(p) for p in result.improvement_cdf()],
+    }, result.results_per_bin
 
 
-def _resolve_spec(
-    artifact: str,
-    spec: Optional["JobSpec"],
-    params: Optional[ExperimentParams],
-    seed: Optional[int],
-) -> Tuple[Optional[Dict[str, object]], Optional[ExperimentParams]]:
-    """``(job, params)`` from whichever of spec/params the caller gave.
+def _fig7_sections(result: Fig7Result) -> _Sections:
+    return result.summary(), {
+        "bins": [list(b) for b in result.bins],
+        "bin_centers": result.bin_centers(),
+        "accuracy_series": result.accuracy_series(),
+        "accuracy_by_covering_count": {
+            str(count): row
+            for count, row in result.accuracy_by_covering_count().items()
+        },
+    }, result.results_per_bin
 
-    A spec is canonical: its ``to_params()`` view fills the legacy
-    ``params`` section.  Legacy params-only calls still get a full
-    ``job`` record by wrapping them into a :class:`~repro.apispec.JobSpec`.
+
+def _robustness_sections(result: RobustnessResult) -> _Sections:
+    return result.summary(), {
+        "rates": list(result.rates),
+        "kinds": list(result.kinds),
+        "accuracy_series": result.accuracy_series(),
+        "faults_injected": result.faults_injected(),
+        "counters_per_rate": [dict(c) for c in result.counters_per_rate],
+    }, result.results_per_rate
+
+
+def _defend_sections(result: DefendResult) -> _Sections:
+    # The baseline buckets first (one per rate), then the grid cells in
+    # the result's (defense-major, rate-minor) order, as in "cells".
+    return result.summary(), {
+        "defenses": list(result.defenses),
+        "rates": list(result.rates),
+        "kinds": list(result.kinds),
+        "detector_method": result.detector_method,
+        "structural_leakage_bits": result.structural_leakage_bits,
+        "baseline": [cell.to_dict() for cell in result.baseline],
+        "cells": [cell.to_dict() for cell in result.cells],
+    }, result.baseline_results + result.results_per_cell
+
+
+#: Each batch result type's artifact name and sections.
+_ARTIFACTS: Dict[Type[Any], Tuple[str, Callable[[Any], _Sections]]] = {
+    Fig6Result: ("fig6", _fig6_sections),
+    Fig7Result: ("fig7", _fig7_sections),
+    RobustnessResult: ("robustness", _robustness_sections),
+    DefendResult: ("defend", _defend_sections),
+}
+
+
+def result_document(result: BatchResult, spec: JobSpec) -> Dict[str, object]:
+    """The plain-JSON :class:`ResultDocument` of a batch run of ``spec``.
+
+    ``spec`` fills the ``job`` and ``params`` sections and the
+    provenance, which also records the run's ``trial_jobs`` and how
+    many pool maps fell back to the parent (EXPERIMENTS.md, "Parallel
+    execution": the numbers are identical for every setting, but a
+    document still records how it was produced).  Anything but a
+    :class:`~repro.apispec.JobSpec`, or a result of another type,
+    raises ``TypeError``.
     """
-    if spec is not None:
-        return spec.to_dict(), spec.to_params()
-    if params is not None:
-        from repro.apispec import JobSpec
-
-        wrapped = JobSpec.from_params(params, experiment=artifact)
-        if params.seed is None and seed is not None:
-            wrapped = dataclasses.replace(wrapped, seed=seed)
-        return wrapped.to_dict(), params
-    return None, None
-
-
-def fig6_to_document(
-    result: Fig6Result,
-    *,
-    params: Optional[ExperimentParams] = None,
-    seed: Optional[int] = None,
-    spec: Optional["JobSpec"] = None,
-) -> Dict[str, object]:
-    """A plain-JSON :class:`ResultDocument` for a Figure 6 run."""
-    job, params = _resolve_spec("fig6", spec, params, seed)
-    return ResultDocument(
-        artifact="fig6",
-        metrics=result.headline(),
-        series={
-            "bins": [list(b) for b in result.bins],
-            "bin_centers": result.bin_centers(),
-            "accuracy_series": result.accuracy_series(),
-            "improvement_cdf": [list(p) for p in result.improvement_cdf()],
-        },
-        configurations=[
-            [_config_row(r) for r in bucket]
-            for bucket in result.results_per_bin
-        ],
-        params=_params_dict(params),
-        provenance=_provenance(params, seed, result),
-        job=job,
-    ).to_json()
-
-
-def fig7_to_document(
-    result: Fig7Result,
-    *,
-    params: Optional[ExperimentParams] = None,
-    seed: Optional[int] = None,
-    spec: Optional["JobSpec"] = None,
-) -> Dict[str, object]:
-    """A plain-JSON :class:`ResultDocument` for a Figure 7 run."""
-    job, params = _resolve_spec("fig7", spec, params, seed)
-    return ResultDocument(
-        artifact="fig7",
-        metrics=result.summary(),
-        series={
-            "bins": [list(b) for b in result.bins],
-            "bin_centers": result.bin_centers(),
-            "accuracy_series": result.accuracy_series(),
-            "accuracy_by_covering_count": {
-                str(count): row
-                for count, row in result.accuracy_by_covering_count().items()
-            },
-        },
-        configurations=[
-            [_config_row(r) for r in bucket]
-            for bucket in result.results_per_bin
-        ],
-        params=_params_dict(params),
-        provenance=_provenance(params, seed, result),
-        job=job,
-    ).to_json()
-
-
-def robustness_to_document(
-    result: RobustnessResult,
-    *,
-    params: Optional[ExperimentParams] = None,
-    seed: Optional[int] = None,
-    spec: Optional["JobSpec"] = None,
-) -> Dict[str, object]:
-    """A plain-JSON :class:`ResultDocument` for a robustness sweep."""
-    job, params = _resolve_spec("robustness", spec, params, seed)
-    return ResultDocument(
-        artifact="robustness",
-        metrics=result.summary(),
-        series={
-            "rates": list(result.rates),
-            "kinds": list(result.kinds),
-            "accuracy_series": result.accuracy_series(),
-            "faults_injected": result.faults_injected(),
-            "counters_per_rate": [
-                dict(c) for c in result.counters_per_rate
-            ],
-        },
-        configurations=[
-            [_config_row(r) for r in bucket]
-            for bucket in result.results_per_rate
-        ],
-        params=_params_dict(params),
-        provenance=_provenance(params, seed, result),
-        job=job,
-    ).to_json()
-
-
-def defend_to_document(
-    result: DefendResult,
-    *,
-    params: Optional[ExperimentParams] = None,
-    seed: Optional[int] = None,
-    spec: Optional["JobSpec"] = None,
-) -> Dict[str, object]:
-    """A plain-JSON :class:`ResultDocument` for a defend grid run.
-
-    ``configurations`` carries the baseline buckets first (one per
-    rate), then the grid cells in the result's (defense-major,
-    rate-minor) order, mirroring ``series["cells"]``.
-    """
-    job, params = _resolve_spec("defend", spec, params, seed)
-    return ResultDocument(
-        artifact="defend",
-        metrics=result.summary(),
-        series={
-            "defenses": list(result.defenses),
-            "rates": list(result.rates),
-            "kinds": list(result.kinds),
-            "detector_method": result.detector_method,
-            "structural_leakage_bits": result.structural_leakage_bits,
-            "baseline": [cell.to_dict() for cell in result.baseline],
-            "cells": [cell.to_dict() for cell in result.cells],
-        },
-        configurations=[
-            [_config_row(r) for r in bucket]
-            for bucket in result.baseline_results + result.results_per_cell
-        ],
-        params=_params_dict(params),
-        provenance=_provenance(params, seed, result),
-        job=job,
-    ).to_json()
-
-
-def save_result(
-    result: Union[Fig6Result, Fig7Result, RobustnessResult, DefendResult],
-    path: PathLike,
-    *,
-    params: Optional[ExperimentParams] = None,
-    seed: Optional[int] = None,
-    spec: Optional["JobSpec"] = None,
-) -> Path:
-    """Serialise a figure result to ``path`` (JSON); returns the path.
-
-    ``spec`` (canonical) or ``params``/``seed`` (legacy), when given,
-    are recorded in the document's ``job``/``params``/``provenance``
-    sections.
-    """
-    if isinstance(result, Fig6Result):
-        document = fig6_to_document(result, params=params, seed=seed, spec=spec)
-    elif isinstance(result, Fig7Result):
-        document = fig7_to_document(result, params=params, seed=seed, spec=spec)
-    elif isinstance(result, RobustnessResult):
-        document = robustness_to_document(
-            result, params=params, seed=seed, spec=spec
-        )
-    elif isinstance(result, DefendResult):
-        document = defend_to_document(
-            result, params=params, seed=seed, spec=spec
-        )
-    else:
+    spec, params = require_spec(spec, caller="result_document")
+    entry = _ARTIFACTS.get(type(result))
+    if entry is None:
         raise TypeError(f"unsupported result type: {type(result).__name__}")
+    artifact, sections = entry
+    metrics, series, buckets = sections(result)
+    provenance = job_provenance(spec)
+    provenance["trial_jobs"] = params.trial_jobs
+    provenance["pool_fallbacks"] = result.pool_fallbacks
+    return ResultDocument(
+        artifact=artifact,
+        metrics=dict(metrics),
+        series=series,
+        configurations=[
+            [_config_row(r) for r in bucket] for bucket in buckets
+        ],
+        params=asdict(params),
+        provenance=provenance,
+        job=spec.to_dict(),
+    ).to_json()
+
+
+def save_result(result: BatchResult, path: PathLike, spec: JobSpec) -> Path:
+    """Write ``result``'s :func:`result_document` to ``path``; returns it."""
+    document = result_document(result, spec)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(document, indent=2, sort_keys=True))
@@ -368,8 +281,6 @@ def _job_from_legacy_params(
     """
     if not isinstance(params, dict):
         return None
-    from repro.apispec import EXPERIMENTS, JobSpec
-
     seed = params.get("seed")
     if seed is None and isinstance(provenance, dict):
         seed = provenance.get("seed")

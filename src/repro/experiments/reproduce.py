@@ -19,13 +19,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Union
 
 if TYPE_CHECKING:
     from repro.apispec import JobSpec
-from repro.experiments.fig6 import Fig6Result, run_fig6
-from repro.experiments.fig7 import Fig7Result, run_fig7
+from repro.experiments.fig6 import Fig6Result
+from repro.experiments.fig7 import Fig7Result
 from repro.experiments.params import VIABLE_FIG7_BINS
+from repro.experiments.persist import RUNNERS, save_result
 from repro.obs import get_instrumentation
 from repro.experiments.report import (
     format_cdf,
@@ -44,10 +45,9 @@ class ReproductionReport:
     fig7: Fig7Result
     timing: Dict[str, object]
     statecount: Dict[str, object]
+    #: The job the report was produced from.
+    job: "JobSpec"
     elapsed_seconds: Dict[str, float] = field(default_factory=dict)
-    #: The job the report was produced from (None on legacy-path runs
-    #: predating the unified job API).
-    job: Optional["JobSpec"] = None
 
     def render(self) -> str:
         """The full plain-text report, artifact by artifact."""
@@ -137,16 +137,13 @@ class ReproductionReport:
 
     def save(self, directory: Union[str, Path]) -> Path:
         """Archive the figure runs and the text report under a directory."""
-        from repro.experiments.persist import save_result
-
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        fig6_spec = fig7_spec = None
-        if self.job is not None:
-            fig6_spec = replace(self.job, experiment="fig6")
-            fig7_spec = replace(self.job, experiment="fig7")
-        save_result(self.fig6, directory / "fig6.json", spec=fig6_spec)
-        save_result(self.fig7, directory / "fig7.json", spec=fig7_spec)
+        for name, result in (("fig6", self.fig6), ("fig7", self.fig7)):
+            save_result(
+                result, directory / f"{name}.json",
+                replace(self.job, experiment=name),
+            )
         (directory / "report.txt").write_text(self.render())
         return directory
 
@@ -182,20 +179,20 @@ def reproduce_all(
     )
     elapsed: Dict[str, float] = {}
     obs = get_instrumentation()
-
-    start = time.perf_counter()
-    with obs.span("reproduce.fig6"):
-        fig6 = run_fig6(replace(run_spec, experiment="fig6"))
-    elapsed["fig6"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    with obs.span("reproduce.fig7"):
+    figures: Dict[str, Any] = {}
+    for figure_spec in (
+        replace(run_spec, experiment="fig6"),
         # At least one configuration per Figure 7 bin.
-        fig7 = run_fig7(replace(
+        replace(
             run_spec, experiment="fig7",
             n_configs=max(len(VIABLE_FIG7_BINS), run_spec.n_configs),
-        ))
-    elapsed["fig7"] = time.perf_counter() - start
+        ),
+    ):
+        name = figure_spec.experiment
+        start = time.perf_counter()
+        with obs.span(f"reproduce.{name}"):
+            figures[name] = RUNNERS[name](figure_spec)
+        elapsed[name] = time.perf_counter() - start
 
     start = time.perf_counter()
     with obs.span("reproduce.timing"):
@@ -205,8 +202,8 @@ def reproduce_all(
     statecount = statecount_report()
 
     return ReproductionReport(
-        fig6=fig6,
-        fig7=fig7,
+        fig6=figures["fig6"],
+        fig7=figures["fig7"],
         timing=timing,
         statecount=statecount,
         elapsed_seconds=elapsed,

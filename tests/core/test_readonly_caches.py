@@ -108,6 +108,7 @@ class TestFrozenModelCaches:
 
     def test_state_popcounts_is_readonly_and_cached(self, model):
         popcounts = model.state_popcounts()
+        assert popcounts.dtype == np.int64
         assert not popcounts.flags.writeable
         with pytest.raises(ValueError):
             popcounts[0] = 3

@@ -20,11 +20,7 @@ import pytest
 from repro.apispec import JobSpec
 from repro.experiments.defend import BASELINE, run_defend
 from repro.experiments.fig6 import run_fig6
-from repro.experiments.persist import (
-    defend_to_document,
-    fig6_to_document,
-    fig7_to_document,
-)
+from repro.experiments.persist import result_document
 from repro.experiments.reproduce import reproduce_all
 from repro.obs import Instrumentation, use_instrumentation
 from repro.service import serve_jobs
@@ -62,10 +58,12 @@ def canonical(document):
 
 class TestNoneDefenseIsInvisible:
     def test_fig6_bit_identical_with_and_without_none_defense(self):
+        # Both documents are built from ``spec``, so only the results
+        # may differ.
         spec = tiny_network_spec(experiment="fig6")
-        undefended = fig6_to_document(run_fig6(spec))
-        defended = fig6_to_document(
-            run_fig6(dataclasses.replace(spec, defense=("none",)))
+        undefended = result_document(run_fig6(spec), spec)
+        defended = result_document(
+            run_fig6(dataclasses.replace(spec, defense=("none",))), spec
         )
         assert canonical(undefended) == canonical(defended)
 
@@ -75,12 +73,13 @@ class TestNoneDefenseIsInvisible:
         defended = reproduce_all(
             dataclasses.replace(spec, defense=("none",))
         )
-        assert canonical(fig6_to_document(plain.fig6)) == canonical(
-            fig6_to_document(defended.fig6)
-        )
-        assert canonical(fig7_to_document(plain.fig7)) == canonical(
-            fig7_to_document(defended.fig7)
-        )
+        for name in ("fig6", "fig7"):
+            figure_spec = dataclasses.replace(spec, experiment=name)
+            assert canonical(
+                result_document(getattr(plain, name), figure_spec)
+            ) == canonical(
+                result_document(getattr(defended, name), figure_spec)
+            )
 
     def test_none_cell_equals_undefended_baseline(self):
         result = run_defend(tiny_network_spec(), defenses=("none",))
@@ -102,7 +101,7 @@ class TestDefendGridDeterminism:
     @pytest.fixture(scope="class")
     def serial_document(self):
         spec = tiny_network_spec()
-        return canonical(defend_to_document(run_defend(spec), spec=spec))
+        return canonical(result_document(run_defend(spec), spec))
 
     @pytest.mark.parametrize("trial_jobs", [2, 4])
     def test_bit_identical_for_any_trial_jobs(
@@ -110,13 +109,13 @@ class TestDefendGridDeterminism:
     ):
         spec = tiny_network_spec(trial_jobs=trial_jobs)
         document = canonical(
-            defend_to_document(run_defend(spec), spec=spec)
+            result_document(run_defend(spec), spec)
         )
         assert document == serial_document
 
     def test_grid_repeats_bit_identically(self, serial_document):
         spec = tiny_network_spec()
-        again = canonical(defend_to_document(run_defend(spec), spec=spec))
+        again = canonical(result_document(run_defend(spec), spec))
         assert again == serial_document
 
     def test_rejects_table_mode(self):

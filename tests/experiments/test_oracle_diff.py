@@ -21,12 +21,7 @@ from repro.experiments import fastscreen, trials
 from repro.experiments.defend import run_defend
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.fig7 import run_fig7
-from repro.experiments.persist import (
-    defend_to_document,
-    fig6_to_document,
-    fig7_to_document,
-    robustness_to_document,
-)
+from repro.experiments.persist import result_document
 from repro.experiments.robustness import run_robustness
 from repro.simulator import switch
 from repro.simulator.network import Network
@@ -74,7 +69,7 @@ class TestFig6:
         def run():
             spec = JobSpec.from_params(params, experiment="fig6")
             result = run_fig6(spec, bins=BINS, configs_per_bin=2)
-            return fig6_to_document(result, params=params)
+            return result_document(result, spec)
 
         oracle, production = run_both(run)
         assert oracle == production
@@ -87,7 +82,7 @@ class TestFig7:
         def run():
             spec = JobSpec.from_params(params, experiment="fig7")
             result = run_fig7(spec, bins=BINS, configs_per_bin=2)
-            return fig7_to_document(result, params=params)
+            return result_document(result, spec)
 
         oracle, production = run_both(run)
         assert oracle == production
@@ -104,7 +99,7 @@ class TestRobustness:
         def run():
             spec = JobSpec.from_params(params, experiment="robustness")
             result = run_robustness(spec, rates=(0.0, 1.0))
-            return robustness_to_document(result, params=params)
+            return result_document(result, spec)
 
         oracle, production = run_both(run)
         assert oracle == production
@@ -125,7 +120,7 @@ class TestDefend:
 
         def run():
             result = run_defend(spec)
-            return defend_to_document(result, spec=spec)
+            return result_document(result, spec)
 
         oracle, production = run_both(run)
         assert oracle == production
@@ -142,7 +137,7 @@ class TestTrialJobs:
             )
             spec = JobSpec.from_params(params, experiment="fig6")
             result = run_fig6(spec, bins=BINS, configs_per_bin=2)
-            document = fig6_to_document(result, params=params)
+            document = result_document(result, spec)
             return {
                 key: document[key]
                 for key in ("metrics", "series", "configurations")

@@ -2,16 +2,18 @@
 
 :func:`repro.experiments.fastscreen.pair_layout` builds the float32
 pair chain's layout from the model's sorted entries with the native
-kernel (:func:`repro.core.cnative.entry_pair_layout`) when it loads,
-and with numpy otherwise.  A run's sum is ``np.add.reduceat``'s, ``a[0]
-+ pairwise(a[1:])``, which a left-to-right loop does not reproduce.
-These tests pin, comparing dtypes and bytes:
+kernel (:func:`repro.core.cnative.entry_pair_layout`); without the
+kernel the screen does not run (:func:`~repro.experiments.fastscreen.supports`).
+A run's sum is ``np.add.reduceat``'s, ``a[0] + pairwise(a[1:])``, which
+a left-to-right loop does not reproduce.  These tests pin, comparing
+dtypes and bytes, the kernel against the numpy oracle
+(:func:`tests.oracles.pairlayout.numpy_pair_layout`):
 
-* the kernel against numpy on synthetic entries with runs of length 1,
-  7, 8, 9, 17 and 130, and a target with no entries;
-* :func:`~repro.experiments.fastscreen.pair_layout` in every kernel mode
-  (loaded, ``REPRO_NO_CKERNEL=1``, no gcc) against numpy on the
-  hypothesis models of ``test_sparse_dense_diff``.
+* on synthetic entries with runs of length 1, 7, 8, 9, 17 and 130, and
+  a target with no entries;
+* through :func:`~repro.experiments.fastscreen.pair_layout` on the
+  hypothesis models of ``test_sparse_dense_diff``; in the no-kernel
+  modes (``REPRO_NO_CKERNEL=1``, no gcc) the screen must be off.
 
 They also pin :func:`~repro.experiments.fastscreen.reachable_states`,
 a frontier search over the run-merged pattern, to the fixpoint it
@@ -38,6 +40,7 @@ from tests.core import test_sparse_dense_diff as dense
 from tests.core.test_build_native_diff import MODES, kernel_mode
 from tests.experiments.conftest import tiny_experiment_params
 from tests.experiments.test_fastscreen import _StartedModel, sample_candidates
+from tests.oracles.pairlayout import numpy_pair_layout
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +84,7 @@ def test_kernel_matches_numpy_on_synthetic_runs(native, target, seed):
     )
     _assert_same_layout(
         cnative.entry_pair_layout(*entries, target, n),
-        fastscreen._numpy_pair_layout(entries, target, n),
+        numpy_pair_layout(entries, target, n),
     )
 
 
@@ -100,17 +103,22 @@ def test_every_mode_matches_numpy_on_random_models(spec):
     entries = model._sorted_entries()
     if len(entries[0]) == 0:
         return
-    for target in (0, dense.N_FLOWS - 1):
-        expected = fastscreen._numpy_pair_layout(entries, target, model.n_states)
-        expected = expected[:2] + (
-            expected[2] * (1.0 + model.n_states * fastscreen.U64),
-        )
-        for mode in MODES:
-            with kernel_mode(mode) as build:
-                if build is not None:
-                    _assert_same_layout(
-                        fastscreen.pair_layout(model, target), expected
-                    )
+    for mode in MODES:
+        with kernel_mode(mode) as build:
+            if build is None:
+                continue
+            params = tiny_experiment_params()
+            assert fastscreen.supports(params) == (build == "native")
+            if build != "native":
+                continue
+            for target in (0, dense.N_FLOWS - 1):
+                expected = numpy_pair_layout(entries, target, model.n_states)
+                expected = expected[:2] + (
+                    expected[2] * (1.0 + model.n_states * fastscreen.U64),
+                )
+                _assert_same_layout(
+                    fastscreen.pair_layout(model, target), expected
+                )
 
 
 def test_spans_inside_the_screen(native):

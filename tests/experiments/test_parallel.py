@@ -22,11 +22,7 @@ from repro.experiments import fastscreen
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.fig7 import run_fig7
 from repro.experiments.harness import ConfigHarness, sample_screened_harnesses
-from repro.experiments.persist import (
-    fig6_to_document,
-    fig7_to_document,
-    robustness_to_document,
-)
+from repro.experiments.persist import result_document
 from repro.experiments.robustness import run_robustness
 from repro.faults import FaultPlan
 from repro.flows.config import ConfigGenerator
@@ -437,8 +433,10 @@ class TestPipelineDifferentials:
             assert serial.improvement_cdf() == fanned.improvement_cdf()
             assert serial.headline() == fanned.headline()
             assert _normalized(
-                fig6_to_document(serial, params=params)
-            ) == _normalized(fig6_to_document(fanned, params=fanned_params))
+                result_document(serial, _spec(params, "fig6"))
+            ) == _normalized(
+                result_document(fanned, _spec(fanned_params, "fig6"))
+            )
             assert fanned.pool_fallbacks == 0
             _check_pipeline_counters(
                 "fig6", serial_counters, fanned_counters, trial_jobs
@@ -468,8 +466,10 @@ class TestPipelineDifferentials:
                 fanned.accuracy_by_covering_count()
             )
             assert _normalized(
-                fig7_to_document(serial, params=params)
-            ) == _normalized(fig7_to_document(fanned, params=fanned_params))
+                result_document(serial, _spec(params, "fig7"))
+            ) == _normalized(
+                result_document(fanned, _spec(fanned_params, "fig7"))
+            )
             assert fanned.pool_fallbacks == 0
             _check_pipeline_counters(
                 "fig7", serial_counters, fanned_counters, trial_jobs
@@ -503,9 +503,9 @@ class TestPipelineDifferentials:
             assert serial.counters_per_rate == fanned.counters_per_rate
             assert serial.summary() == fanned.summary()
             assert _normalized(
-                robustness_to_document(serial, params=params)
+                result_document(serial, _spec(params, "robustness"))
             ) == _normalized(
-                robustness_to_document(fanned, params=fanned_params)
+                result_document(fanned, _spec(fanned_params, "robustness"))
             )
             assert fanned.pool_fallbacks == 0
             _check_pipeline_counters(

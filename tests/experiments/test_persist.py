@@ -10,10 +10,9 @@ from repro.experiments.fig7 import run_fig7
 from repro.experiments.persist import (
     SCHEMA_VERSION,
     compare_headlines,
-    fig6_to_document,
-    fig7_to_document,
     load_document,
     migrate_document,
+    result_document,
     save_result,
 )
 from repro.version import __version__
@@ -22,38 +21,43 @@ from tests.experiments.conftest import tiny_experiment_params, tiny_job_spec
 
 BINS = ((0.5, 0.75), (0.75, 0.95))
 
+FIG6_SPEC = tiny_job_spec("fig6", n_trials=6, seed=91)
+FIG7_SPEC = tiny_job_spec("fig7", n_trials=6, seed=92)
+
 
 @pytest.fixture(scope="module")
 def fig6_result():
-    return run_fig6(
-        tiny_job_spec("fig6", n_trials=6, seed=91), bins=BINS,
-        configs_per_bin=1,
-    )
+    return run_fig6(FIG6_SPEC, bins=BINS, configs_per_bin=1)
 
 
 @pytest.fixture(scope="module")
 def fig7_result():
-    return run_fig7(
-        tiny_job_spec("fig7", n_trials=6, seed=92), bins=BINS,
-        configs_per_bin=1,
-    )
+    return run_fig7(FIG7_SPEC, bins=BINS, configs_per_bin=1)
+
+
+def fig6_document(result):
+    return result_document(result, FIG6_SPEC)
+
+
+def fig7_document(result):
+    return result_document(result, FIG7_SPEC)
 
 
 class TestDocuments:
     def test_fig6_document_is_json(self, fig6_result):
-        document = fig6_to_document(fig6_result)
+        document = fig6_document(fig6_result)
         text = json.dumps(document)  # must not raise
         assert '"artifact": "fig6"' in text
         assert document["headline"]["n_configs"] == 2.0
 
     def test_fig7_document_is_json(self, fig7_result):
-        document = fig7_to_document(fig7_result)
+        document = fig7_document(fig7_result)
         json.dumps(document)
         assert document["artifact"] == "fig7"
         assert set(document["summary"]) >= {"constrained", "naive", "random"}
 
     def test_config_rows_complete(self, fig6_result):
-        document = fig6_to_document(fig6_result)
+        document = fig6_document(fig6_result)
         for bucket in document["configurations"]:
             for row in bucket:
                 assert {"prior_absent", "accuracies", "improvement"} <= set(
@@ -63,19 +67,21 @@ class TestDocuments:
 
 class TestSaveLoad:
     def test_roundtrip(self, fig6_result, tmp_path):
-        path = save_result(fig6_result, tmp_path / "out" / "fig6.json")
+        path = save_result(
+            fig6_result, tmp_path / "out" / "fig6.json", FIG6_SPEC
+        )
         assert path.exists()
         document = load_document(path)
         assert document["artifact"] == "fig6"
         assert document["bins"] == [list(b) for b in BINS]
 
     def test_fig7_roundtrip(self, fig7_result, tmp_path):
-        path = save_result(fig7_result, tmp_path / "fig7.json")
+        path = save_result(fig7_result, tmp_path / "fig7.json", FIG7_SPEC)
         assert load_document(path)["artifact"] == "fig7"
 
     def test_unsupported_type_rejected(self, tmp_path):
         with pytest.raises(TypeError):
-            save_result(object(), tmp_path / "x.json")
+            save_result(object(), tmp_path / "x.json", FIG6_SPEC)
 
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "foreign.json"
@@ -86,7 +92,7 @@ class TestSaveLoad:
 
 class TestResultDocumentEnvelope:
     def test_documents_carry_the_versioned_envelope(self, fig6_result):
-        document = fig6_to_document(fig6_result)
+        document = fig6_document(fig6_result)
         assert document["schema_version"] == SCHEMA_VERSION
         assert document["metrics"] == document["headline"]
         assert set(document["series"]) == {
@@ -98,33 +104,39 @@ class TestResultDocumentEnvelope:
         assert "git_sha" in document["provenance"]
 
     def test_fig7_metrics_mirror_summary(self, fig7_result):
-        document = fig7_to_document(fig7_result)
+        document = fig7_document(fig7_result)
         assert document["metrics"] == document["summary"]
         assert "accuracy_by_covering_count" in document["series"]
 
-    def test_params_and_seed_recorded_when_given(self, fig6_result, tmp_path):
-        params = tiny_experiment_params(n_trials=6, seed=91)
-        path = save_result(
-            fig6_result, tmp_path / "fig6.json", params=params, seed=91
-        )
+    def test_spec_fills_job_params_and_provenance(self, fig6_result, tmp_path):
+        path = save_result(fig6_result, tmp_path / "fig6.json", FIG6_SPEC)
         document = load_document(path)
+        assert document["job"] == FIG6_SPEC.to_dict()
         assert document["params"]["n_trials"] == 6
         assert document["params"]["seed"] == 91
         assert document["provenance"]["seed"] == 91
+        assert document["provenance"]["trial_jobs"] == 1
+        assert document["provenance"]["pool_fallbacks"] == 0
 
-    def test_seed_defaults_to_params_seed(self, fig6_result):
-        params = tiny_experiment_params(n_trials=6, seed=91)
-        document = fig6_to_document(fig6_result, params=params)
-        assert document["provenance"]["seed"] == params.seed
-
-    def test_params_default_to_none(self, fig6_result):
-        assert fig6_to_document(fig6_result)["params"] is None
+    @pytest.mark.parametrize(
+        "spec",
+        [None, tiny_experiment_params(n_trials=6, seed=91)],
+        ids=["none", "params"],
+    )
+    def test_writers_require_a_job_spec(self, fig6_result, tmp_path, spec):
+        with pytest.raises(TypeError, match="expected a JobSpec"):
+            result_document(fig6_result, spec)
+        with pytest.raises(TypeError, match="expected a JobSpec"):
+            save_result(fig6_result, tmp_path / "fig6.json", spec)
+        with pytest.raises(TypeError):
+            save_result(fig6_result, tmp_path / "fig6.json")
+        assert not (tmp_path / "fig6.json").exists()
 
 
 class TestMigration:
     def _legacy_v1(self, fig6_result):
         """A pre-envelope (v1) document as older releases wrote it."""
-        document = fig6_to_document(fig6_result)
+        document = fig6_document(fig6_result)
         for key in ("schema_version", "params", "metrics", "series",
                     "provenance"):
             del document[key]
@@ -152,7 +164,7 @@ class TestMigration:
         assert json.loads(path.read_text()) == legacy
 
     def test_current_documents_pass_through_unchanged(self, fig6_result):
-        document = fig6_to_document(fig6_result)
+        document = fig6_document(fig6_result)
         assert migrate_document(document) is document
 
     def test_migrate_rejects_artifactless_dicts(self):
@@ -160,7 +172,7 @@ class TestMigration:
             migrate_document({"hello": 1})
 
     def test_compare_headlines_accepts_v1_and_v2(self, fig6_result):
-        v2 = fig6_to_document(fig6_result)
+        v2 = fig6_document(fig6_result)
         v1 = self._legacy_v1(fig6_result)
         rows = compare_headlines(v1, v2)
         assert rows
@@ -263,7 +275,7 @@ class TestV3DefendFixture:
 
 class TestCompareHeadlines:
     def test_deltas(self, fig6_result):
-        document = fig6_to_document(fig6_result)
+        document = fig6_document(fig6_result)
         rows = compare_headlines(document, document)
         assert rows
         for row in rows:
@@ -272,5 +284,5 @@ class TestCompareHeadlines:
     def test_requires_fig6(self, fig6_result, fig7_result):
         with pytest.raises(ValueError):
             compare_headlines(
-                fig6_to_document(fig6_result), fig7_to_document(fig7_result)
+                fig6_document(fig6_result), fig7_document(fig7_result)
             )

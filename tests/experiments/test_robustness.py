@@ -14,17 +14,18 @@ from repro.experiments.robustness import (
 from repro.faults import FaultPlan
 from repro.obs import Instrumentation, use_instrumentation
 
-from tests.experiments.conftest import tiny_experiment_params, tiny_job_spec
+from tests.experiments.conftest import tiny_job_spec
 
 RATES = (0.0, 1.0)
+
+SPEC = tiny_job_spec("robustness", n_trials=8, probe_retries=1)
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    spec = tiny_job_spec("robustness", n_trials=8, probe_retries=1)
     backend = Instrumentation()
     with use_instrumentation(backend):
-        result = run_robustness(spec, rates=RATES)
+        result = run_robustness(SPEC, rates=RATES)
     return result, backend
 
 
@@ -121,12 +122,7 @@ class TestValidation:
 class TestPersistence:
     def test_document_roundtrip(self, sweep, tmp_path):
         result, _ = sweep
-        path = save_result(
-            result,
-            tmp_path / "robustness.json",
-            params=tiny_experiment_params(),
-            seed=123,
-        )
+        path = save_result(result, tmp_path / "robustness.json", SPEC)
         document = load_document(path)
         assert document["artifact"] == "robustness"
         assert document["metrics"]["n_rates"] == 2.0
@@ -138,4 +134,4 @@ class TestPersistence:
 
     def test_unsupported_type_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="unsupported result type"):
-            save_result(object(), tmp_path / "nope.json")
+            save_result(object(), tmp_path / "nope.json", SPEC)

@@ -16,6 +16,7 @@ import pytest
 from repro.apispec import JobSpec
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.fig7 import run_fig7
+from repro.experiments.persist import RUNNERS
 from repro.experiments.reproduce import reproduce_all
 from repro.faults import FaultPlan
 
@@ -83,8 +84,8 @@ class TestReproduce:
             seen["fig7"] = params
             return object()
 
-        monkeypatch.setattr("repro.experiments.reproduce.run_fig6", fake_fig6)
-        monkeypatch.setattr("repro.experiments.reproduce.run_fig7", fake_fig7)
+        monkeypatch.setitem(RUNNERS, "fig6", fake_fig6)
+        monkeypatch.setitem(RUNNERS, "fig7", fake_fig7)
         plan = FaultPlan(packet_in_loss=0.1, seed=8)
         reproduce_all(
             _reproduce_spec(
@@ -98,13 +99,10 @@ class TestReproduce:
 
     def test_defaults_keep_the_clean_channel(self, monkeypatch):
         seen = {}
-        monkeypatch.setattr(
-            "repro.experiments.reproduce.run_fig6",
-            lambda params: seen.setdefault("params", params),
+        monkeypatch.setitem(
+            RUNNERS, "fig6", lambda params: seen.setdefault("params", params)
         )
-        monkeypatch.setattr(
-            "repro.experiments.reproduce.run_fig7", lambda params: object()
-        )
+        monkeypatch.setitem(RUNNERS, "fig7", lambda params: object())
         reproduce_all(_reproduce_spec(scale=0.01, seed=99), timing_samples=5)
         assert seen["params"].fault_plan is None
         assert seen["params"].probe_retries == 0

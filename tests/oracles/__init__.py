@@ -48,6 +48,11 @@ production to them:
   state rows (pinned by ``tests/core/test_selection_engine.py``); the
   walk perturbs through the per-state estimator, not production's probe
   matrices;
+* :mod:`tests.oracles.pairlayout` -- the fast screen's pair layout
+  built by numpy, the reference the native
+  :func:`~repro.core.cnative.entry_pair_layout` is pinned to (by
+  ``tests/experiments/test_pair_layout_diff.py``; the screen itself
+  runs only where that kernel loads);
 * the exact-only screen and the scipy chain loop
   (:func:`repro.core.chain.scipy_chain`), which are production's own
   fallbacks when the native kernels are disabled (``REPRO_NO_CKERNEL=1``).
@@ -70,14 +75,15 @@ from repro.simulator import switch
 from repro.simulator.network import Network
 
 from tests.oracles import (
-    basic, dense, fullstate, loops, monitor, network, perstate, probes,
-    recency, trials,
+    basic, dense, fullstate, loops, monitor, network, pairlayout, perstate,
+    probes, recency, trials,
 )
 from tests.oracles.flowtable import ReferenceFlowTable
 
 __all__ = [
     "ReferenceFlowTable", "basic", "dense", "fullstate", "loops", "monitor",
-    "network", "oracle_pipeline", "perstate", "probes", "recency", "trials",
+    "network", "oracle_pipeline", "pairlayout", "perstate", "probes",
+    "recency", "trials",
 ]
 
 

@@ -23,7 +23,7 @@ from typing import Iterator, List, Optional, Sequence
 import pytest
 
 from repro.core.attacker import Attacker
-from repro.experiments import defend, fig6, fig7, robustness
+from repro.experiments import defend, harness, robustness
 from repro.experiments.harness import (
     ConfigHarness,
     ConfigResult,
@@ -156,7 +156,7 @@ def serial_loops() -> Iterator[None]:
     """Run the enclosed pipelines on the two serial loops."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ConfigHarness, "run_trials", run_trials)
-        for module in (defend, fig6, fig7, robustness):
+        for module in (defend, harness, robustness):
             patch.setattr(
                 module, "sample_screened_harnesses", sample_screened_harnesses
             )
