@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -85,7 +86,7 @@ def bench_compare(request, print_section):
         stored_mean = entry["stats"]["mean"]
         measured_mean = benchmark.stats.stats.mean
         session = getattr(request.config, "_benchmarksession", None)
-        current = getattr(session, "machine_info", None) or {}
+        current = session.get_machine_info() if session is not None else {}
         stored_print = _machine_fingerprint(baseline.get("machine_info", {}))
         current_print = _machine_fingerprint(current)
         report = (
@@ -147,12 +148,12 @@ def get_fig6_result():
         from repro.apispec import JobSpec
         from repro.experiments.fig6 import run_fig6
 
+        params = replace(
+            experiment_params(seed=2017),
+            n_configs=len(FIG6_BINS) * scaled_configs(FIG6_PER_BIN_FULL),
+        )
         _experiment_cache[key] = run_fig6(
-            JobSpec.from_params(
-                experiment_params(seed=2017), experiment="fig6"
-            ),
-            bins=FIG6_BINS,
-            configs_per_bin=scaled_configs(FIG6_PER_BIN_FULL),
+            JobSpec.from_params(params, experiment="fig6")
         )
     return _experiment_cache[key]
 
@@ -164,12 +165,12 @@ def get_fig7_result():
         from repro.apispec import JobSpec
         from repro.experiments.fig7 import run_fig7
 
+        params = replace(
+            experiment_params(seed=1848),
+            n_configs=len(FIG7_BINS) * scaled_configs(FIG7_PER_BIN_FULL),
+        )
         _experiment_cache[key] = run_fig7(
-            JobSpec.from_params(
-                experiment_params(seed=1848), experiment="fig7"
-            ),
-            bins=FIG7_BINS,
-            configs_per_bin=scaled_configs(FIG7_PER_BIN_FULL),
+            JobSpec.from_params(params, experiment="fig7")
         )
     return _experiment_cache[key]
 

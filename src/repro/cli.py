@@ -569,8 +569,8 @@ def _cmd_defend(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service import resume_spec, submit_spec
 
-    spec = resume_spec(_job_spec(args, args.experiment))
     try:
+        spec = resume_spec(_job_spec(args, args.experiment))
         path = submit_spec(args.spool, spec)
     except ValueError as error:
         print(f"repro-sdn submit: {error}", file=sys.stderr)
@@ -861,8 +861,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "experiment",
-        choices=("recon", "fig6", "fig7", "robustness", "defend"),
-        help="what the job runs (recon = per-target service sessions)",
+        help=(
+            "what the job runs: recon (per-target service sessions) or a "
+            "batch experiment the service runs (docs/SERVICE.md)"
+        ),
     )
     submit.add_argument(
         "--spool", type=str, default="spool", metavar="DIR",

@@ -72,11 +72,11 @@ from repro.experiments.harness import (
     sample_screened_harnesses,
 )
 from repro.experiments.robustness import (
-    DEFAULT_KINDS,
-    _VIABLE_ABSENCE,
+    MAX_ATTEMPTS_FACTOR,
     forward_counters,
+    sweep_axes,
 )
-from repro.faults import FAULT_KINDS, FaultPlan
+from repro.faults import FAULT_KINDS
 from repro.flows.arrival import sample_schedule
 from repro.flows.config import NetworkConfiguration
 from repro.obs import Instrumentation, get_instrumentation, use_instrumentation
@@ -94,7 +94,7 @@ BASELINE = "baseline"
 #: Defense names swept by default: the full registry.
 DEFAULT_DEFENSES: Tuple[str, ...] = DEFENSE_CHOICES
 
-#: Fault-rate grid swept by default (clean channel only; pass --rates
+#: Fault-rate grid swept by default (clean channel only; set ``rates``
 #: to cross defenses with faults).
 DEFAULT_RATES: Tuple[float, ...] = (0.0,)
 
@@ -516,24 +516,17 @@ def _benign_cost(
 # ----------------------------------------------------------------------
 # The sweep
 # ----------------------------------------------------------------------
-def run_defend(
-    spec: "JobSpec",
-    *,
-    defenses: Optional[Sequence[str]] = None,
-    rates: Optional[Sequence[float]] = None,
-    kinds: Optional[Sequence[str]] = None,
-    detector: Optional[str] = None,
-    configs: Optional[int] = None,
-    max_attempts_factor: int = 400,
-) -> DefendResult:
-    """Run the countermeasure x attacker x fault-plan grid.
+def run_defend(spec: "JobSpec") -> DefendResult:
+    """Run the countermeasure x attacker x fault-plan grid ``spec`` describes.
 
-    ``spec`` is a :class:`~repro.apispec.JobSpec` (its
-    ``defense``/``detector``/``rates``/``kinds`` fields supply the grid
-    unless overridden here).  Network-mode trials are required: a
-    defense only exists at a simulated switch.  The screened
-    configurations are sampled once and every cell -- including the
-    undefended baseline -- re-trials exactly the same worlds.
+    ``spec`` is a :class:`~repro.apispec.JobSpec`; anything else raises
+    ``TypeError``.  Its ``defense``/``detector`` fields (or the full
+    registry and the logistic detector) and its ``rates``/``kinds``
+    (:func:`~repro.experiments.robustness.sweep_axes`) supply the grid.
+    Network-mode trials are required: a defense only exists at a
+    simulated switch.  The screened configurations are sampled once and
+    every cell -- including the undefended baseline -- re-trials
+    exactly the same worlds.
     """
     from repro.apispec import require_spec
 
@@ -543,33 +536,9 @@ def run_defend(
             "the defend grid requires network-mode trials "
             f"(got trial_mode={params.trial_mode!r}); pass --mode network"
         )
-    if defenses is None:
-        defenses = (
-            spec.defense if spec.defense is not None else DEFAULT_DEFENSES
-        )
-    defenses = tuple(str(name) for name in defenses)
-    if not defenses:
-        raise ValueError("defenses must be non-empty")
-    for name in defenses:
-        make_defense(name)  # validate every name eagerly
-    if rates is None:
-        rates = spec.rates if spec.rates is not None else DEFAULT_RATES
-    rates = tuple(float(rate) for rate in rates)
-    if not rates:
-        raise ValueError("rates must be non-empty")
-    if kinds is None:
-        kinds = spec.kinds if spec.kinds is not None else DEFAULT_KINDS
-    kinds = tuple(kinds)
-    detector_method = (
-        detector
-        if detector is not None
-        else (spec.detector if spec.detector is not None else "logistic")
-    )
-    ReconDetector(method=detector_method)  # validate eagerly
-    base_plan = params.fault_plan or FaultPlan()
-    base_plan.with_rate(kinds, 0.0)  # validate the kinds eagerly
-    if params.config.absence_range == (0.0, 1.0):
-        params = params.with_absence_range(*_VIABLE_ABSENCE)
+    defenses = spec.defense or DEFAULT_DEFENSES
+    detector_method = spec.detector or "logistic"
+    params, rates, kinds, base_plan = sweep_axes(spec, params, DEFAULT_RATES)
     base_seed = params.seed if params.seed is not None else 0
 
     outer = get_instrumentation()
@@ -580,10 +549,7 @@ def run_defend(
         detector=detector_method,
     ):
         harnesses = sample_screened_harnesses(
-            params,
-            configs if configs is not None else params.n_configs,
-            require_optimal_differs=False,
-            max_attempts_factor=max_attempts_factor,
+            params, params.n_configs, max_attempts_factor=MAX_ATTEMPTS_FACTOR
         )
         fallbacks = harnesses.pool_fallbacks
         generators = _shared_generators(harnesses)

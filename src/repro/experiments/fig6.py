@@ -21,7 +21,7 @@ grows.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Tuple
 
 from repro.analysis.cdf import empirical_cdf, survival_at
 from repro.experiments.harness import BinnedResult, mean_accuracy, run_binned
@@ -29,6 +29,9 @@ from repro.experiments.params import VIABLE_FIG6_BINS
 
 if TYPE_CHECKING:
     from repro.apispec import JobSpec
+
+#: Candidates sampled per requested configuration before a bin gives up.
+MAX_ATTEMPTS_FACTOR = 400
 
 
 class Fig6Result(BinnedResult):
@@ -68,28 +71,22 @@ class Fig6Result(BinnedResult):
         }
 
 
-def run_fig6(
-    spec: "JobSpec",
-    *,
-    bins: Sequence[Tuple[float, float]] = VIABLE_FIG6_BINS,
-    configs_per_bin: Optional[int] = None,
-    max_attempts_factor: int = 400,
-) -> Fig6Result:
-    """Run the Figure 6 experiment.
+def run_fig6(spec: "JobSpec") -> Fig6Result:
+    """Run the Figure 6 experiment ``spec`` describes.
 
-    ``spec``'s configurations are split across the absence bins as
+    ``spec``'s configurations are split across
+    :data:`~repro.experiments.params.VIABLE_FIG6_BINS` as
     :func:`~repro.experiments.harness.run_binned` splits them.  Each
     sampled configuration must pass the viability screen *and* have its
     optimal probe differ from the target -- a rare combination (a few
     percent of random configurations), hence the generous
-    rejection-sampling budget ``max_attempts_factor``.
+    rejection-sampling budget :data:`MAX_ATTEMPTS_FACTOR`.
     """
     return run_binned(
         Fig6Result,
         spec,
         experiment="fig6",
-        bins=bins,
-        configs_per_bin=configs_per_bin,
+        bins=VIABLE_FIG6_BINS,
         require_optimal_differs=True,
-        max_attempts_factor=max_attempts_factor,
+        max_attempts_factor=MAX_ATTEMPTS_FACTOR,
     )

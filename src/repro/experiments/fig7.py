@@ -16,7 +16,7 @@ beat the random attacker comfortably.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Tuple
 
 from repro.experiments.harness import (
     BinnedResult,
@@ -28,6 +28,9 @@ from repro.experiments.params import VIABLE_FIG7_BINS
 
 if TYPE_CHECKING:
     from repro.apispec import JobSpec
+
+#: Candidates sampled per requested configuration before a bin gives up.
+MAX_ATTEMPTS_FACTOR = 150
 
 #: Attackers plotted in Figure 7.
 FIG7_ATTACKERS: Tuple[str, ...] = ("constrained", "naive", "random")
@@ -97,24 +100,18 @@ class Fig7Result(BinnedResult):
         return summary
 
 
-def run_fig7(
-    spec: "JobSpec",
-    *,
-    bins: Sequence[Tuple[float, float]] = VIABLE_FIG7_BINS,
-    configs_per_bin: Optional[int] = None,
-    max_attempts_factor: int = 150,
-) -> Fig7Result:
-    """Run the Figure 7 experiment (viability screen only).
+def run_fig7(spec: "JobSpec") -> Fig7Result:
+    """Run the Figure 7 experiment ``spec`` describes (viability screen only).
 
-    ``spec``'s configurations are split across the absence bins as
+    ``spec``'s configurations are split across
+    :data:`~repro.experiments.params.VIABLE_FIG7_BINS` as
     :func:`~repro.experiments.harness.run_binned` splits them.
     """
     return run_binned(
         Fig7Result,
         spec,
         experiment="fig7",
-        bins=bins,
-        configs_per_bin=configs_per_bin,
+        bins=VIABLE_FIG7_BINS,
         require_optimal_differs=False,
-        max_attempts_factor=max_attempts_factor,
+        max_attempts_factor=MAX_ATTEMPTS_FACTOR,
     )

@@ -69,11 +69,6 @@ class ConfigResult:
         """Additive accuracy improvement of model over naive (Fig. 6b)."""
         return self.accuracies["model"] - self.accuracies["naive"]
 
-    @property
-    def constrained_improvement(self) -> float:
-        """Constrained-model accuracy minus naive (Fig. 7 comparison)."""
-        return self.accuracies["constrained"] - self.accuracies["naive"]
-
 
 def mean_accuracy(bucket: Sequence[ConfigResult], name: str) -> float:
     """Mean accuracy of attacker ``name`` over a non-empty bucket."""
@@ -443,7 +438,6 @@ def run_binned(
     *,
     experiment: str,
     bins: Sequence[Tuple[float, float]],
-    configs_per_bin: Optional[int],
     require_optimal_differs: bool,
     max_attempts_factor: int,
 ) -> Binned:
@@ -453,7 +447,7 @@ def run_binned(
     ``TypeError``.  Exactly its ``n_configs`` configurations are split
     across the absence ``bins``, the first bins taking the remainder
     (:func:`~repro.experiments.params.split_configs`; fewer than one per
-    bin raises ``ValueError``), unless ``configs_per_bin`` is given.
+    bin raises ``ValueError``).
     Each bin runs under an ``experiment.<experiment>.bin`` span.
     """
     from repro.apispec import require_spec
@@ -463,7 +457,7 @@ def run_binned(
     spec, params = require_spec(spec, caller=caller)
     defense_factory = single_defense_factory(spec.defense, caller=caller)
     bins = tuple(bins)
-    counts = split_configs(params.n_configs, len(bins), configs_per_bin)
+    counts = split_configs(params.n_configs, len(bins))
     results: List[List[ConfigResult]] = []
     obs = get_instrumentation()
     fallbacks = 0

@@ -130,17 +130,12 @@ VIABLE_FIG7_BINS: Tuple[Tuple[float, float], ...] = (
 )
 
 
-def split_configs(
-    n_configs: int, n_bins: int, per_bin: Optional[int] = None
-) -> List[int]:
+def split_configs(n_configs: int, n_bins: int) -> List[int]:
     """Configurations to sample in each of ``n_bins`` absence bins.
 
-    ``per_bin`` configurations in every bin when given; otherwise
-    exactly ``n_configs`` in all, the first bins taking the remainder.
+    Exactly ``n_configs`` in all, the first bins taking the remainder.
     Fewer configurations than bins raise ``ValueError``.
     """
-    if per_bin:
-        return [per_bin] * n_bins
     if n_configs < n_bins:
         raise ValueError(
             f"n_configs={n_configs} is fewer than the {n_bins} absence "

@@ -45,8 +45,9 @@ class ReproductionReport:
     fig7: Fig7Result
     timing: Dict[str, object]
     statecount: Dict[str, object]
-    #: The job the report was produced from.
-    job: "JobSpec"
+    #: The spec each figure ran, by experiment name: a saved figure
+    #: document's ``job`` reruns to that document.
+    jobs: Dict[str, "JobSpec"]
     elapsed_seconds: Dict[str, float] = field(default_factory=dict)
 
     def render(self) -> str:
@@ -140,10 +141,7 @@ class ReproductionReport:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         for name, result in (("fig6", self.fig6), ("fig7", self.fig7)):
-            save_result(
-                result, directory / f"{name}.json",
-                replace(self.job, experiment=name),
-            )
+            save_result(result, directory / f"{name}.json", self.jobs[name])
         (directory / "report.txt").write_text(self.render())
         return directory
 
@@ -180,15 +178,15 @@ def reproduce_all(
     elapsed: Dict[str, float] = {}
     obs = get_instrumentation()
     figures: Dict[str, Any] = {}
-    for figure_spec in (
-        replace(run_spec, experiment="fig6"),
+    jobs = {
+        "fig6": replace(run_spec, experiment="fig6"),
         # At least one configuration per Figure 7 bin.
-        replace(
+        "fig7": replace(
             run_spec, experiment="fig7",
             n_configs=max(len(VIABLE_FIG7_BINS), run_spec.n_configs),
         ),
-    ):
-        name = figure_spec.experiment
+    }
+    for name, figure_spec in jobs.items():
         start = time.perf_counter()
         with obs.span(f"reproduce.{name}"):
             figures[name] = RUNNERS[name](figure_spec)
@@ -207,5 +205,5 @@ def reproduce_all(
         timing=timing,
         statecount=statecount,
         elapsed_seconds=elapsed,
-        job=spec,
+        jobs=jobs,
     )

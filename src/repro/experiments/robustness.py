@@ -11,10 +11,9 @@ Screening matches Figure 7 (viability only), not Figure 6's extra
 "optimal probe differs from target" restriction: that restriction
 accepts well under 1% of sampled configurations even in the viable
 absence band, and the sweep compares *degradation*, which does not
-need the case split.  Pass ``require_optimal_differs=True`` to get the
-Figure 6 population anyway.  When ``params`` still carry the full
-default absence range, it is narrowed to the viable band (the screens
-accept essentially nothing below 0.35; see EXPERIMENTS.md).
+need the case split.  When the spec still carries the full default
+absence range, it is narrowed to the viable band (the screens accept
+essentially nothing below 0.35; see EXPERIMENTS.md).
 
 Expected shape (EXPERIMENTS.md): the *probe's information* decays with
 the fault rate while the model attacker stays at or above the naive
@@ -32,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.harness import ConfigResult, sample_screened_harnesses
+from repro.experiments.params import ExperimentParams
 from repro.faults import FAULT_KINDS, FaultPlan
 from repro.obs import Instrumentation, get_instrumentation, use_instrumentation
 
@@ -47,6 +47,10 @@ DEFAULT_RATES: Tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.4)
 #: Absence band substituted for the full default range; mirrors the
 #: union of :data:`~repro.experiments.params.VIABLE_FIG6_BINS`.
 _VIABLE_ABSENCE: Tuple[float, float] = (0.35, 0.95)
+
+#: Candidates sampled per requested configuration before screening
+#: gives up (the robustness and defend sweeps alike).
+MAX_ATTEMPTS_FACTOR = 400
 
 #: Metric names snapshotted per rate from the inner instrumentation.
 _SWEEP_COUNTERS: Tuple[str, ...] = tuple(
@@ -147,42 +151,45 @@ def forward_counters(
     return counters
 
 
-def run_robustness(
-    spec: "JobSpec",
-    *,
-    rates: Optional[Sequence[float]] = None,
-    kinds: Optional[Sequence[str]] = None,
-    configs: Optional[int] = None,
-    require_optimal_differs: bool = False,
-    max_attempts_factor: int = 400,
-) -> RobustnessResult:
-    """Run the accuracy-vs-fault-rate sweep.
+def sweep_axes(
+    spec: "JobSpec", params: ExperimentParams, default_rates: Tuple[float, ...]
+) -> Tuple[ExperimentParams, Tuple[float, ...], Tuple[str, ...], FaultPlan]:
+    """``params``, rates, kinds and base fault plan of a sweep over ``spec``.
 
-    ``spec`` is a :class:`~repro.apispec.JobSpec` (whose ``rates``/
-    ``kinds`` fields supply the grid unless overridden here); anything
-    else raises ``TypeError``.  ``spec.fault_plan`` (or an all-zero
-    plan) is the base: each swept rate is applied to every kind in
-    ``kinds`` on top of it.  The screened configurations are sampled
-    once -- the same worlds are re-trialled at every rate -- and
-    ``spec.probe_retries`` governs the attacker's retransmission
-    budget throughout.
+    The rates are ``spec.rates`` or ``default_rates`` (empty raises
+    ``ValueError``), the kinds ``spec.kinds`` or :data:`DEFAULT_KINDS`
+    (an unknown kind raises here, before any sampling), and the base
+    plan ``spec.fault_plan`` or an all-zero plan.  A spec with the full
+    default absence range samples from :data:`_VIABLE_ABSENCE` instead.
     """
-    from repro.apispec import require_spec
-
-    spec, params = require_spec(spec, caller="run_robustness")
-    if rates is None:
-        rates = spec.rates if spec.rates is not None else DEFAULT_RATES
-    if kinds is None:
-        kinds = spec.kinds if spec.kinds is not None else DEFAULT_KINDS
-    rates = tuple(float(r) for r in rates)
+    rates = spec.rates if spec.rates is not None else default_rates
     if not rates:
         raise ValueError("rates must be non-empty")
-    kinds = tuple(kinds)
+    kinds = spec.kinds if spec.kinds is not None else DEFAULT_KINDS
     base_plan = params.fault_plan or FaultPlan()
     # Validate the kinds eagerly (with_rate raises on unknown names).
     base_plan.with_rate(kinds, 0.0)
     if params.config.absence_range == (0.0, 1.0):
         params = params.with_absence_range(*_VIABLE_ABSENCE)
+    return params, rates, kinds, base_plan
+
+
+def run_robustness(spec: "JobSpec") -> RobustnessResult:
+    """Run the accuracy-vs-fault-rate sweep ``spec`` describes.
+
+    ``spec`` is a :class:`~repro.apispec.JobSpec`; anything else raises
+    ``TypeError``.  Its ``rates``/``kinds`` fields (or the module
+    defaults) supply the grid, and ``spec.fault_plan`` (or an all-zero
+    plan) is the base: each swept rate is applied to every kind on top
+    of it (:func:`sweep_axes`).  The screened configurations are
+    sampled once -- the same worlds are re-trialled at every rate --
+    and ``spec.probe_retries`` governs the attacker's retransmission
+    budget throughout.
+    """
+    from repro.apispec import require_spec
+
+    spec, params = require_spec(spec, caller="run_robustness")
+    params, rates, kinds, base_plan = sweep_axes(spec, params, DEFAULT_RATES)
 
     outer = get_instrumentation()
     with outer.span(
@@ -190,9 +197,8 @@ def run_robustness(
     ):
         harnesses = sample_screened_harnesses(
             params,
-            configs if configs is not None else params.n_configs,
-            require_optimal_differs=require_optimal_differs,
-            max_attempts_factor=max_attempts_factor,
+            params.n_configs,
+            max_attempts_factor=MAX_ATTEMPTS_FACTOR,
         )
         fallbacks = harnesses.pool_fallbacks
         results_per_rate: List[List[ConfigResult]] = []

@@ -121,15 +121,9 @@ class ReconService:
         the resume path -- completed sessions are loaded from
         checkpoints instead of re-run.
         """
-        if spec.experiment not in SERVICE_EXPERIMENTS:
-            raise ValueError(
-                f"experiment {spec.experiment!r} cannot be served; "
-                f"expected one of {', '.join(SERVICE_EXPERIMENTS)}"
-            )
+        spec = resume_spec(spec)
         if spec.seed is None:
             raise ValueError("service jobs require an explicit seed")
-        if spec.job_id is None:
-            spec = spec.with_job_id(f"job-{spec.digest()[:12]}")
         job_id = spec.job_id
         assert job_id is not None
         if job_id in self._pending:
@@ -287,7 +281,17 @@ def serve_jobs(
 
 
 def resume_spec(spec: JobSpec) -> JobSpec:
-    """Normalise a spec the way :meth:`ReconService.submit` would."""
+    """Normalise a spec the way :meth:`ReconService.submit` does.
+
+    An experiment outside :data:`SERVICE_EXPERIMENTS` raises
+    ``ValueError``; a spec without a ``job_id`` gets the deterministic
+    default ``job-<digest12>``.
+    """
+    if spec.experiment not in SERVICE_EXPERIMENTS:
+        raise ValueError(
+            f"experiment {spec.experiment!r} cannot be served; "
+            f"expected one of {', '.join(SERVICE_EXPERIMENTS)}"
+        )
     if spec.job_id is None:
         return spec.with_job_id(f"job-{spec.digest()[:12]}")
     return spec

@@ -23,6 +23,8 @@ from repro.service.service import resume_spec
 def submit_spec(spool: PathLike, spec: JobSpec) -> Path:
     """Write one job into the spool; returns the spool file path.
 
+    An experiment the service cannot run raises ``ValueError`` here,
+    not at ``serve`` time (:func:`~repro.service.service.resume_spec`).
     The spec gets its deterministic default job id if it has none.  An
     existing spool entry under the same id must carry the same spec
     digest; anything else is a duplicate-id error, mirroring

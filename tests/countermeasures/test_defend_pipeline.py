@@ -82,7 +82,7 @@ class TestNoneDefenseIsInvisible:
             )
 
     def test_none_cell_equals_undefended_baseline(self):
-        result = run_defend(tiny_network_spec(), defenses=("none",))
+        result = run_defend(tiny_network_spec(defense=("none",)))
         none_cell = result.cell("none", 0.0).to_dict()
         baseline = result.baseline[0].to_dict()
         assert none_cell.pop("defense") == "none"
@@ -124,7 +124,7 @@ class TestDefendGridDeterminism:
 
     def test_rejects_unknown_defense(self):
         with pytest.raises(ValueError, match="unknown defense"):
-            run_defend(tiny_network_spec(), defenses=("firewall",))
+            run_defend(tiny_network_spec(defense=("firewall",)))
 
 
 class TestDefendThroughService:

@@ -4,29 +4,28 @@ import pytest
 
 from repro.experiments.fig6 import Fig6Result, run_fig6
 from repro.experiments.fig7 import FIG7_ATTACKERS, Fig7Result, run_fig7
+from repro.experiments.params import VIABLE_FIG6_BINS, VIABLE_FIG7_BINS
 
 from tests.experiments.conftest import tiny_job_spec
-
-#: Two high-absence bins where the screens accept a few percent of
-#: configurations, keeping tiny-scale rejection sampling fast.
-BINS = ((0.5, 0.75), (0.75, 0.95))
 
 
 @pytest.fixture(scope="module")
 def fig6_result() -> Fig6Result:
-    spec = tiny_job_spec("fig6", n_trials=10, seed=61)
-    return run_fig6(spec, bins=BINS, configs_per_bin=2)
+    # Two configurations per Figure 6 bin.
+    spec = tiny_job_spec("fig6", n_configs=4, n_trials=10, seed=61)
+    return run_fig6(spec)
 
 
 @pytest.fixture(scope="module")
 def fig7_result() -> Fig7Result:
-    spec = tiny_job_spec("fig7", n_trials=10, seed=71)
-    return run_fig7(spec, bins=BINS, configs_per_bin=2)
+    # Split 2/1/1 over the three Figure 7 bins.
+    spec = tiny_job_spec("fig7", n_configs=4, n_trials=10, seed=71)
+    return run_fig7(spec)
 
 
 class TestFig6:
     def test_bin_structure(self, fig6_result):
-        assert fig6_result.bins == BINS
+        assert fig6_result.bins == VIABLE_FIG6_BINS
         assert len(fig6_result.results_per_bin) == 2
         assert all(len(bucket) == 2 for bucket in fig6_result.results_per_bin)
 
@@ -45,7 +44,7 @@ class TestFig6:
 
     def test_bin_centers(self, fig6_result):
         centers = fig6_result.bin_centers()
-        expected = [(low + high) / 2 for low, high in BINS]
+        expected = [(low + high) / 2 for low, high in VIABLE_FIG6_BINS]
         assert centers == [pytest.approx(c) for c in expected]
 
     def test_improvements_and_cdf(self, fig6_result):
@@ -73,7 +72,8 @@ class TestFig6:
 
 class TestFig7:
     def test_bin_structure(self, fig7_result):
-        assert len(fig7_result.results_per_bin) == 2
+        assert fig7_result.bins == VIABLE_FIG7_BINS
+        assert [len(b) for b in fig7_result.results_per_bin] == [2, 1, 1]
 
     def test_configs_only_screened(self, fig7_result):
         for bucket in fig7_result.results_per_bin:
@@ -115,7 +115,7 @@ class TestConfigCount:
     def test_fig6_with_fewer_configs_than_bins_raises(self):
         spec = tiny_job_spec("fig6", n_configs=1)
         with pytest.raises(ValueError, match=r"n_configs=1 .* 2 absence bins"):
-            run_fig6(spec, bins=BINS)
+            run_fig6(spec)
 
     def test_fig7_with_fewer_configs_than_bins_raises(self):
         spec = tiny_job_spec("fig7", n_configs=2)
@@ -123,6 +123,6 @@ class TestConfigCount:
             run_fig7(spec)
 
     def test_fig7_runs_exactly_n_configs(self):
-        spec = tiny_job_spec("fig7", n_trials=4, n_configs=3, seed=72)
-        result = run_fig7(spec, bins=BINS)
-        assert [len(bucket) for bucket in result.results_per_bin] == [2, 1]
+        spec = tiny_job_spec("fig7", n_trials=4, n_configs=5, seed=72)
+        result = run_fig7(spec)
+        assert [len(bucket) for bucket in result.results_per_bin] == [2, 2, 1]

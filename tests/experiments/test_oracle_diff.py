@@ -32,9 +32,6 @@ from tests.experiments.conftest import (
     tiny_experiment_params,
 )
 
-BINS = ((0.5, 0.75), (0.75, 0.95))
-
-
 def run_both(run):
     """One pipeline on the oracles, then in production."""
     with oracles.oracle_pipeline():
@@ -64,11 +61,12 @@ class TestOracleSubstitution:
 
 class TestFig6:
     def test_documents_identical(self):
-        params = tiny_experiment_params(n_trials=10, seed=61)
+        # Two configurations per Figure 6 bin.
+        params = tiny_experiment_params(n_configs=4, n_trials=10, seed=61)
 
         def run():
             spec = JobSpec.from_params(params, experiment="fig6")
-            result = run_fig6(spec, bins=BINS, configs_per_bin=2)
+            result = run_fig6(spec)
             return result_document(result, spec)
 
         oracle, production = run_both(run)
@@ -77,11 +75,11 @@ class TestFig6:
 
 class TestFig7:
     def test_documents_identical(self):
-        params = tiny_experiment_params(n_trials=10, seed=71)
+        params = tiny_experiment_params(n_configs=4, n_trials=10, seed=71)
 
         def run():
             spec = JobSpec.from_params(params, experiment="fig7")
-            result = run_fig7(spec, bins=BINS, configs_per_bin=2)
+            result = run_fig7(spec)
             return result_document(result, spec)
 
         oracle, production = run_both(run)
@@ -97,8 +95,10 @@ class TestRobustness:
         )
 
         def run():
-            spec = JobSpec.from_params(params, experiment="robustness")
-            result = run_robustness(spec, rates=(0.0, 1.0))
+            spec = JobSpec.from_params(
+                params, experiment="robustness", rates=(0.0, 1.0)
+            )
+            result = run_robustness(spec)
             return result_document(result, spec)
 
         oracle, production = run_both(run)
@@ -133,10 +133,10 @@ class TestTrialJobs:
         # what the certified pre-screen decides.
         def run(trial_jobs):
             params = tiny_experiment_params(
-                n_trials=10, seed=61, trial_jobs=trial_jobs
+                n_configs=4, n_trials=10, seed=61, trial_jobs=trial_jobs
             )
             spec = JobSpec.from_params(params, experiment="fig6")
-            result = run_fig6(spec, bins=BINS, configs_per_bin=2)
+            result = run_fig6(spec)
             document = result_document(result, spec)
             return {
                 key: document[key]

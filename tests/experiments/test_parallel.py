@@ -32,9 +32,6 @@ from tests.experiments.conftest import tiny_experiment_params
 from tests.obs.catalogue import assert_outcome_counters_match
 from tests.oracles import loops
 
-#: Two broad bins keep fig6's double screen affordable at tiny scale.
-BINS = ((0.0, 0.5), (0.5, 1.0))
-
 JOBS = 2
 
 #: Production runs its trials and screens in the parent at 1 and in a
@@ -388,8 +385,8 @@ def _spec(params, experiment):
 #: Outcome counters of the tiny pipelines below, equal at every
 #: ``trial_jobs``: trials run and candidate configurations sampled.
 PIPELINE_COUNTS = {
-    "fig6": (16, 105),
-    "fig7": (16, 6),
+    "fig6": (16, 98),
+    "fig7": (24, 7),
     "robustness": (24, 3),
 }
 
@@ -415,16 +412,12 @@ class TestPipelineDifferentials:
         params = tiny_experiment_params(n_configs=2, n_trials=8)
         with loops.serial_loops():
             serial_counters, serial = _counters(
-                lambda: run_fig6(
-                    _spec(params, "fig6"), bins=BINS, configs_per_bin=1
-                )
+                lambda: run_fig6(_spec(params, "fig6"))
             )
         for trial_jobs in TRIAL_JOBS:
             fanned_params = replace(params, trial_jobs=trial_jobs)
             fanned_counters, fanned = _counters(
-                lambda: run_fig6(
-                    _spec(fanned_params, "fig6"), bins=BINS, configs_per_bin=1
-                )
+                lambda: run_fig6(_spec(fanned_params, "fig6"))
             )
             assert _accuracies(serial.results_per_bin) == _accuracies(
                 fanned.results_per_bin
@@ -443,19 +436,16 @@ class TestPipelineDifferentials:
             )
 
     def test_fig7_bit_identical(self):
-        params = tiny_experiment_params(n_configs=2, n_trials=8)
+        # One configuration per Figure 7 bin.
+        params = tiny_experiment_params(n_configs=3, n_trials=8)
         with loops.serial_loops():
             serial_counters, serial = _counters(
-                lambda: run_fig7(
-                    _spec(params, "fig7"), bins=BINS, configs_per_bin=1
-                )
+                lambda: run_fig7(_spec(params, "fig7"))
             )
         for trial_jobs in TRIAL_JOBS:
             fanned_params = replace(params, trial_jobs=trial_jobs)
             fanned_counters, fanned = _counters(
-                lambda: run_fig7(
-                    _spec(fanned_params, "fig7"), bins=BINS, configs_per_bin=1
-                )
+                lambda: run_fig7(_spec(fanned_params, "fig7"))
             )
             assert _accuracies(serial.results_per_bin) == _accuracies(
                 fanned.results_per_bin
@@ -482,19 +472,13 @@ class TestPipelineDifferentials:
             fault_plan=FaultPlan(seed=3),
             probe_retries=1,
         )
-        rates = (0.0, 0.3)
+        spec = replace(_spec(params, "robustness"), rates=(0.0, 0.3))
         with loops.serial_loops():
-            serial_counters, serial = _counters(
-                lambda: run_robustness(
-                    _spec(params, "robustness"), rates=rates, configs=2
-                )
-            )
+            serial_counters, serial = _counters(lambda: run_robustness(spec))
         for trial_jobs in TRIAL_JOBS:
-            fanned_params = replace(params, trial_jobs=trial_jobs)
+            fanned_spec = replace(spec, trial_jobs=trial_jobs)
             fanned_counters, fanned = _counters(
-                lambda: run_robustness(
-                    _spec(fanned_params, "robustness"), rates=rates, configs=2
-                )
+                lambda: run_robustness(fanned_spec)
             )
             assert _accuracies(serial.results_per_rate) == _accuracies(
                 fanned.results_per_rate
@@ -502,10 +486,8 @@ class TestPipelineDifferentials:
             assert serial.accuracy_series() == fanned.accuracy_series()
             assert serial.counters_per_rate == fanned.counters_per_rate
             assert serial.summary() == fanned.summary()
-            assert _normalized(
-                result_document(serial, _spec(params, "robustness"))
-            ) == _normalized(
-                result_document(fanned, _spec(fanned_params, "robustness"))
+            assert _normalized(result_document(serial, spec)) == _normalized(
+                result_document(fanned, fanned_spec)
             )
             assert fanned.pool_fallbacks == 0
             _check_pipeline_counters(

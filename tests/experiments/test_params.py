@@ -107,9 +107,6 @@ class TestSplitConfigs:
     ):
         assert split_configs(n_configs, n_bins) == expected
 
-    def test_per_bin_overrides_the_total(self):
-        assert split_configs(1, 3, per_bin=2) == [2, 2, 2]
-
     def test_fewer_configs_than_bins_names_both(self):
         with pytest.raises(ValueError, match=r"n_configs=1 .* 2 absence bins"):
             split_configs(1, 2)

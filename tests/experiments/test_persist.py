@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.fig7 import run_fig7
+from repro.experiments.params import VIABLE_FIG6_BINS
 from repro.experiments.persist import (
     SCHEMA_VERSION,
     compare_headlines,
@@ -19,20 +20,19 @@ from repro.version import __version__
 
 from tests.experiments.conftest import tiny_experiment_params, tiny_job_spec
 
-BINS = ((0.5, 0.75), (0.75, 0.95))
-
-FIG6_SPEC = tiny_job_spec("fig6", n_trials=6, seed=91)
-FIG7_SPEC = tiny_job_spec("fig7", n_trials=6, seed=92)
+#: One configuration per absence bin.
+FIG6_SPEC = tiny_job_spec("fig6", n_configs=2, n_trials=6, seed=91)
+FIG7_SPEC = tiny_job_spec("fig7", n_configs=3, n_trials=6, seed=92)
 
 
 @pytest.fixture(scope="module")
 def fig6_result():
-    return run_fig6(FIG6_SPEC, bins=BINS, configs_per_bin=1)
+    return run_fig6(FIG6_SPEC)
 
 
 @pytest.fixture(scope="module")
 def fig7_result():
-    return run_fig7(FIG7_SPEC, bins=BINS, configs_per_bin=1)
+    return run_fig7(FIG7_SPEC)
 
 
 def fig6_document(result):
@@ -73,7 +73,7 @@ class TestSaveLoad:
         assert path.exists()
         document = load_document(path)
         assert document["artifact"] == "fig6"
-        assert document["bins"] == [list(b) for b in BINS]
+        assert document["bins"] == [list(b) for b in VIABLE_FIG6_BINS]
 
     def test_fig7_roundtrip(self, fig7_result, tmp_path):
         path = save_result(fig7_result, tmp_path / "fig7.json", FIG7_SPEC)

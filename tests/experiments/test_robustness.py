@@ -1,6 +1,7 @@
 """Tests for the accuracy-vs-fault-rate robustness sweep."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -18,14 +19,16 @@ from tests.experiments.conftest import tiny_job_spec
 
 RATES = (0.0, 1.0)
 
-SPEC = tiny_job_spec("robustness", n_trials=8, probe_retries=1)
+SPEC = replace(
+    tiny_job_spec("robustness", n_trials=8, probe_retries=1), rates=RATES
+)
 
 
 @pytest.fixture(scope="module")
 def sweep():
     backend = Instrumentation()
     with use_instrumentation(backend):
-        result = run_robustness(SPEC, rates=RATES)
+        result = run_robustness(SPEC)
     return result, backend
 
 
@@ -88,9 +91,11 @@ class TestSweep:
 
 class TestDeterminism:
     def test_same_params_same_curves(self):
-        spec = tiny_job_spec("robustness", n_trials=6)
-        first = run_robustness(spec, rates=(0.0, 0.5))
-        second = run_robustness(spec, rates=(0.0, 0.5))
+        spec = replace(
+            tiny_job_spec("robustness", n_trials=6), rates=(0.0, 0.5)
+        )
+        first = run_robustness(spec)
+        second = run_robustness(spec)
         assert first.accuracy_series() == second.accuracy_series()
         assert first.counters_per_rate == second.counters_per_rate
 
@@ -98,23 +103,27 @@ class TestDeterminism:
 class TestValidation:
     def test_empty_rates_rejected(self):
         with pytest.raises(ValueError, match="rates"):
-            run_robustness(tiny_job_spec("robustness"), rates=())
+            run_robustness(replace(tiny_job_spec("robustness"), rates=()))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown loss kind"):
             run_robustness(
-                tiny_job_spec("robustness"), kinds=("controller_jitter",)
+                replace(
+                    tiny_job_spec("robustness"), kinds=("controller_jitter",)
+                )
             )
 
     def test_base_plan_rates_are_overridden_per_sweep_point(self):
-        spec = tiny_job_spec(
-            "robustness",
-            n_trials=4,
-            fault_plan=FaultPlan(packet_in_loss=0.9, seed=3),
+        spec = replace(
+            tiny_job_spec(
+                "robustness",
+                n_trials=4,
+                fault_plan=FaultPlan(packet_in_loss=0.9, seed=3),
+            ),
+            rates=(0.0,),
+            kinds=("packet_in_loss",),
         )
-        result = run_robustness(
-            spec, rates=(0.0,), kinds=("packet_in_loss",)
-        )
+        result = run_robustness(spec)
         # Rate 0 overrides the base plan's 0.9: nothing may fire.
         assert result.faults_injected() == [0]
 

@@ -22,9 +22,6 @@ from repro.faults import FaultPlan
 
 from tests.experiments.conftest import tiny_experiment_params
 
-BINS = ((0.0, 0.5), (0.5, 1.0))
-
-
 def _params(**overrides):
     return tiny_experiment_params(**overrides)
 
@@ -44,11 +41,10 @@ def _reproduce_spec(**fields):
 
 class TestFig6:
     def test_zero_plan_bit_identical(self):
-        params = _params()
-        bare = run_fig6(_spec(params, "fig6"), bins=BINS, configs_per_bin=2)
-        planned = run_fig6(
-            _spec(_with_zero_plan(params), "fig6"), bins=BINS, configs_per_bin=2
-        )
+        # Two configurations per Figure 6 bin.
+        params = _params(n_configs=4)
+        bare = run_fig6(_spec(params, "fig6"))
+        planned = run_fig6(_spec(_with_zero_plan(params), "fig6"))
         assert planned.accuracy_series() == bare.accuracy_series()
         assert planned.improvement_cdf() == bare.improvement_cdf()
         assert planned.headline() == bare.headline()
@@ -56,11 +52,10 @@ class TestFig6:
 
 class TestFig7:
     def test_zero_plan_bit_identical(self):
-        params = _params()
-        bare = run_fig7(_spec(params, "fig7"), bins=BINS, configs_per_bin=2)
-        planned = run_fig7(
-            _spec(_with_zero_plan(params), "fig7"), bins=BINS, configs_per_bin=2
-        )
+        # Two configurations per Figure 7 bin.
+        params = _params(n_configs=6)
+        bare = run_fig7(_spec(params, "fig7"))
+        planned = run_fig7(_spec(_with_zero_plan(params), "fig7"))
         assert planned.accuracy_series() == bare.accuracy_series()
         assert (
             planned.accuracy_by_covering_count()

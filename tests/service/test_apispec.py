@@ -223,7 +223,7 @@ class TestLegacyRunnerShims:
 
         params = tiny_experiment_params(n_trials=4, n_configs=2)
         with pytest.raises(TypeError, match="run_fig6: expected a JobSpec"):
-            run_fig6(params, configs_per_bin=1)
+            run_fig6(params)
 
     def test_reproduce_all_rejects_legacy_keywords(self):
         from repro.experiments.reproduce import reproduce_all

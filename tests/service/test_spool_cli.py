@@ -48,6 +48,29 @@ class TestSubmit:
         assert status == 2
         assert "different spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["select", "reproduce"])
+    def test_spool_rejects_an_experiment_the_service_cannot_run(
+        self, tmp_path, experiment
+    ):
+        spool = tmp_path / "spool"
+        spec = tiny_recon_spec(experiment=experiment)
+        with pytest.raises(ValueError, match="cannot be served"):
+            submit_spec(spool, spec)
+        assert list_pending(spool) == []
+
+    @pytest.mark.parametrize(
+        "experiment, message",
+        [("select", "cannot be served"), ("bogus", "unknown experiment")],
+    )
+    def test_submit_of_an_unservable_experiment_exits_two(
+        self, tmp_path, capsys, experiment, message
+    ):
+        spool = str(tmp_path / "spool")
+        status = main(["submit", experiment, "--spool", spool, *_TINY])
+        assert status == 2
+        assert message in capsys.readouterr().err
+        assert list_pending(spool) == []
+
 
 class TestServe:
     def test_empty_spool_is_a_clean_noop(self, tmp_path, capsys):
