@@ -88,13 +88,21 @@ stats:
 		print('stats: ' + ', '.join(f'{n}={counters[n]}' for n in names))"
 
 # Fault-injection smoke (docs/FAULTS.md): a tiny end-to-end robustness
-# sweep -- screened sampling, faulty re-trials, retries, counter export.
+# sweep -- screened sampling, faulty re-trials, retries, counter export;
+# fails if the injected-loss or retry counters read zero.
 # Not part of tier-1; a couple of minutes of wall clock.
 faults-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli robustness \
 		--configs 2 --trials 6 --mode table --rates 0,0.3 \
 		--probe-retries 1 --seed 5 \
 		--metrics /tmp/repro-faults-metrics.json
+	@$(PYTHON) -c "import json; \
+		counters = json.load(open('/tmp/repro-faults-metrics.json'))['counters']; \
+		names = ('faults.injected.packet_in_loss', \
+			'faults.injected.probe_reply_loss', 'attacker.probe.retries'); \
+		zero = [n for n in names if not counters.get(n)]; \
+		assert not zero, f'counters missing or zero in the metrics document: {zero}'; \
+		print('faults-smoke: ' + ', '.join(f'{n}={counters[n]}' for n in names))"
 
 # Parallel-execution smoke (EXPERIMENTS.md "Parallel execution"): the
 # same tiny headline experiment serial and with --trial-jobs 2 must

@@ -55,6 +55,12 @@ _EXPERIMENT_ALIASES: Dict[str, str] = {
     "fig7b": "fig7",
 }
 
+
+def canonical_experiment(name: str) -> str:
+    """The experiment a CLI subcommand name runs (figure variants collapse)."""
+    return _EXPERIMENT_ALIASES.get(name, name)
+
+
 def _one_of(*choices: str) -> Tuple[str, Callable[[object], bool]]:
     return f"one of {', '.join(choices)}", choices.__contains__
 
@@ -65,9 +71,11 @@ def _worker_count(value: object) -> bool:
 
 #: Removed fields and the old values that ran the computation the
 #: program still runs: every ``kernel``/``simpath`` choice, the
-#: independence ``estimator``, and any ``selection_jobs`` worker count
+#: independence ``estimator``, any ``selection_jobs`` worker count
 #: (probe scoring gave the same gains at every count and now runs in
-#: process).  Each entry is ``(expected, accepts)``.
+#: process), and the Section VI protocol's one setting of each attacker
+#: rule and of the viability ``screen``.  Each entry is
+#: ``(expected, accepts)``.
 #: :meth:`JobSpec.from_dict` drops these keys; any other value is an
 #: error, since spool files and documents come from outside the program.
 LEGACY_FIELDS: Dict[str, Tuple[str, Callable[[object], bool]]] = {
@@ -75,7 +83,24 @@ LEGACY_FIELDS: Dict[str, Tuple[str, Callable[[object], bool]]] = {
     "simpath": _one_of("reference", "fastpath", "auto"),
     "estimator": _one_of("independent", "indep"),
     "selection_jobs": ("an integer >= 1", _worker_count),
+    "decision": _one_of("query"),
+    "constrained_decision": _one_of("map"),
+    "random_attacker_mode": _one_of("sample"),
+    "screen": ("true", lambda value: value is True),
 }
+
+
+def _params_fields(source: object) -> Dict[str, object]:
+    """``source``'s values of every :class:`ExperimentParams` field.
+
+    Read with ``getattr`` (``asdict`` would turn the nested config and
+    fault plan into dicts), so both bridge directions follow the field
+    list of ``ExperimentParams`` itself.
+    """
+    return {
+        params_field.name: getattr(source, params_field.name)
+        for params_field in fields(ExperimentParams)
+    }
 
 
 @dataclass(frozen=True)
@@ -96,10 +121,6 @@ class JobSpec:
     seed: Optional[int] = None
     trial_mode: str = "network"
     n_probes: int = 1
-    decision: str = "query"
-    constrained_decision: str = "map"
-    screen: bool = True
-    random_attacker_mode: str = "sample"
     #: Probe-set search: "exhaustive" or "greedy" (``repro-sdn select``).
     selection_method: str = "exhaustive"
     fault_plan: Optional[FaultPlan] = None
@@ -191,21 +212,7 @@ class JobSpec:
     # ------------------------------------------------------------------
     def to_params(self) -> ExperimentParams:
         """The :class:`ExperimentParams` equivalent of this job."""
-        return ExperimentParams(
-            config=self.config,
-            n_configs=self.n_configs,
-            n_trials=self.n_trials,
-            seed=self.seed,
-            trial_mode=self.trial_mode,
-            n_probes=self.n_probes,
-            decision=self.decision,
-            constrained_decision=self.constrained_decision,
-            screen=self.screen,
-            random_attacker_mode=self.random_attacker_mode,
-            fault_plan=self.fault_plan,
-            probe_retries=self.probe_retries,
-            trial_jobs=self.trial_jobs,
-        )
+        return ExperimentParams(**_params_fields(self))
 
     @classmethod
     def from_params(
@@ -214,19 +221,7 @@ class JobSpec:
         """Wrap legacy :class:`ExperimentParams` into a job spec."""
         return cls(
             experiment=experiment,
-            config=params.config,
-            n_configs=params.n_configs,
-            n_trials=params.n_trials,
-            seed=params.seed,
-            trial_mode=params.trial_mode,
-            n_probes=params.n_probes,
-            decision=params.decision,
-            constrained_decision=params.constrained_decision,
-            screen=params.screen,
-            random_attacker_mode=params.random_attacker_mode,
-            fault_plan=params.fault_plan,
-            probe_retries=params.probe_retries,
-            trial_jobs=params.trial_jobs,
+            **_params_fields(params),
             **extra,  # type: ignore[arg-type]
         )
 
@@ -257,10 +252,10 @@ class JobSpec:
         """Rebuild a spec from :meth:`to_dict` output (JSON-safe).
 
         Documents and spool files written before the implementation
-        selectors, the estimator and the selection fan-out were removed
-        may still carry them; those keys are dropped here once their
-        value is checked against the old values that still hold (see
-        :data:`LEGACY_FIELDS`).
+        selectors, the estimator, the selection fan-out and the fixed
+        protocol settings were removed may still carry them; those keys
+        are dropped here once their value is checked against the old
+        values that still hold (see :data:`LEGACY_FIELDS`).
         """
         values = dict(document)
         for name, (expected, accepts) in LEGACY_FIELDS.items():
@@ -313,7 +308,7 @@ class JobSpec:
         onto their runner).  Only flags the subcommand actually declares
         are consulted, so one constructor serves every subparser.
         """
-        experiment = _EXPERIMENT_ALIASES.get(experiment, experiment)
+        experiment = canonical_experiment(experiment)
         seed = getattr(args, "seed", None)
         if seed is None:
             seed = getattr(args, "seed_fallback", None)

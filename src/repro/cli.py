@@ -567,9 +567,10 @@ def _cmd_defend(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import resume_spec, submit_spec
+    from repro.service import check_servable, resume_spec, submit_spec
 
     try:
+        check_servable(args.experiment)
         spec = resume_spec(_job_spec(args, args.experiment))
         path = submit_spec(args.spool, spec)
     except ValueError as error:

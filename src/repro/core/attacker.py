@@ -192,10 +192,9 @@ class ConstrainedModelAttacker(ModelAttacker):
 class RandomAttacker(Attacker):
     """No probes; guess from the prior probability of occurrence.
 
-    ``mode="sample"`` draws the verdict Bernoulli(P(X̂=1)) per trial (the
-    paper's random attacker, which "simply chooses whether the flow
-    occurred based on its a priori probability");  ``mode="map"`` always
-    answers with the prior MAP.
+    Each verdict is a Bernoulli(P(X̂=1)) draw: the paper's random
+    attacker "simply chooses whether the flow occurred based on its a
+    priori probability".
     """
 
     name = "random"
@@ -204,15 +203,11 @@ class RandomAttacker(Attacker):
         self,
         prior_present: float,
         rng: Optional[np.random.Generator] = None,
-        mode: str = "sample",
         seed: Optional[int] = None,
     ) -> None:
         if not 0.0 <= prior_present <= 1.0:
             raise ValueError(f"prior out of range: {prior_present}")
-        if mode not in ("sample", "map"):
-            raise ValueError(f"unknown mode: {mode!r}")
         self.prior_present = float(prior_present)
-        self.mode = mode
         # Reproducible by default: an explicit generator wins, then an
         # explicit seed, then a fixed seed -- never OS entropy.
         self._rng = (
@@ -227,6 +222,4 @@ class RandomAttacker(Attacker):
     def decide(self, outcomes: Sequence[Optional[int]]) -> int:
         if outcomes:
             raise ValueError("random attacker sends no probes")
-        if self.mode == "map":
-            return 1 if self.prior_present > 0.5 else 0
         return int(self._rng.random() < self.prior_present)

@@ -28,7 +28,7 @@ sums.  The replica is certified by an error bound derived per candidate
   reach, an integer argument immune to rounding), or the member is the
   target flow while the caller requires the optimal probe to differ;
 * anything short of that -- thin margins, tiny outcome probabilities,
-  a non-target member with the screen off -- falls back to the exact
+  a model without transitions -- falls back to the exact
   float64 screen, and *every accepted configuration* is re-confirmed
   exactly (the harness is built and its verdicts are the ones
   recorded), so accepted results are bit-identical to an exact-only
@@ -80,9 +80,8 @@ GAIN_EVAL_SLACK = 256 * U64
 PROOFS = ("target", "unreachable", "margin")
 
 #: Why a candidate went to the exact screen; every fallback bumps
-#: exactly one counter.  ``non_target``: the screen is off and a tie-set
-#: member is not the target, so nothing can reject it.
-FALLBACKS = ("thin_margin", "tiny_probability", "non_target", "no_replica")
+#: exactly one counter.
+FALLBACKS = ("thin_margin", "tiny_probability", "no_replica")
 
 #: The counter of each proof and fallback reason (literal names, so the
 #: catalogue test sees them; created on first use).
@@ -94,7 +93,6 @@ _OUTCOME_COUNTERS: Dict[str, Callable[[MetricsRegistry], Counter]] = {
     "tiny_probability": lambda m: m.counter(
         "experiment.fastscreen_fallback_tiny_probability"
     ),
-    "non_target": lambda m: m.counter("experiment.fastscreen_fallback_non_target"),
     "no_replica": lambda m: m.counter("experiment.fastscreen_fallback_no_replica"),
 }
 
@@ -402,13 +400,11 @@ class _Certifier:
         model: CompactModel,
         quantities: FastQuantities,
         target: int,
-        screen: bool,
         require_optimal_differs: bool,
     ) -> None:
         self.model = model
         self.quantities = quantities
         self.target = target
-        self.screen = screen
         self.require_optimal_differs = require_optimal_differs
         self._reach: Optional[np.ndarray] = None
         self._coverage: Optional[np.ndarray] = None
@@ -435,8 +431,6 @@ class _Certifier:
         """
         if self.require_optimal_differs and flow == self.target:
             return "target"
-        if not self.screen:
-            return "non_target"
         quantities = self.quantities
         bounds = quantities.bounds
         p_hit = quantities.p_hit[flow]
@@ -474,7 +468,9 @@ def screen_candidate(
     ``certified_reject=True`` is a proof obligation: the exact serial
     loop would reject this candidate.  Any uncertainty returns
     ``certified_reject=False`` together with the built model so the
-    exact screen can reuse it.
+    exact screen can reuse it.  The verdict depends on ``config`` alone:
+    the viability screen always applies, so ``params`` only keeps the
+    signature every screening caller uses.
     """
     obs = get_instrumentation()
     model = CompactModel(
@@ -483,8 +479,6 @@ def screen_candidate(
         config.delta,
         config.cache_size,
     )
-    if not (params.screen or require_optimal_differs):
-        return FastScreenOutcome(False, model)
     with obs.span(
         "harness.fast_screen", n_flows=len(config.universe)
     ) as span:
@@ -504,7 +498,6 @@ def screen_candidate(
             model,
             quantities,
             config.target_flow,
-            params.screen,
             require_optimal_differs,
         )
         proofs: Set[str] = set()

@@ -94,32 +94,35 @@ class ConfigHarness:
         obs = get_instrumentation()
         self._obs = obs
 
-        with obs.span(
-            "harness.model_build",
-            n_flows=len(config.universe),
-            cache_size=config.cache_size,
-        ):
-            # ``model`` lets the fast screen hand over the CompactModel
-            # it already built for this configuration instead of paying
-            # for a second identical build (repro.experiments.fastscreen).
-            self.model = model if model is not None else CompactModel(
-                config.policy,
-                config.universe,
-                config.delta,
-                config.cache_size,
-            )
+        # ``model`` lets the fast screen hand over the CompactModel it
+        # already built for this configuration instead of paying for a
+        # second identical build (repro.experiments.fastscreen).
+        if model is None:
+            with obs.span(
+                "harness.model_build",
+                n_flows=len(config.universe),
+                cache_size=config.cache_size,
+            ):
+                model = CompactModel(
+                    config.policy,
+                    config.universe,
+                    config.delta,
+                    config.cache_size,
+                )
+        self.model = model
+        with obs.span("harness.inference", steps=config.window_steps):
             self.inference = ReconInference(
-                self.model, config.target_flow, config.window_steps
+                model, config.target_flow, config.window_steps
             )
 
         self.naive_attacker = NaiveAttacker(config.target_flow)
         with obs.span(
             "harness.probe_selection", n_probes=params.n_probes
         ):
+            # The paper's model attacker returns the query bit, which
+            # the viability screen makes sound for the optimal probe.
             self.model_attacker = ModelAttacker(
-                self.inference,
-                n_probes=params.n_probes,
-                decision=params.decision,
+                self.inference, n_probes=params.n_probes, decision="query"
             )
         # Built on first use: the screens only consult the model
         # attacker's probe choice, so rejection-sampled candidates never
@@ -128,7 +131,6 @@ class ConfigHarness:
         self.random_attacker = RandomAttacker(
             prior_present=1.0 - self.inference.prior_absent(),
             rng=self.rng,
-            mode=params.random_attacker_mode,
         )
         obs.metrics.counter("experiment.harnesses_built").inc()
 
@@ -139,10 +141,13 @@ class ConfigHarness:
             with self._obs.span(
                 "harness.probe_selection", n_probes=self.params.n_probes
             ):
+                # Its probe may fail the query-viability condition (the
+                # viable probe being exactly the forbidden one), so it
+                # classifies through the posterior instead of the bit.
                 self._constrained_attacker = ConstrainedModelAttacker(
                     self.inference,
                     n_probes=self.params.n_probes,
-                    decision=self.params.constrained_decision,
+                    decision="map",
                 )
         return self._constrained_attacker
 
@@ -295,8 +300,8 @@ def sample_screened_harnesses(
     """Sample configurations until ``n_configs`` pass the screens.
 
     Mirrors the paper's procedure of restricting attention to
-    configurations where the side channel can work at all
-    (``screen=True`` in params), optionally also requiring the
+    configurations where the side channel can work at all (the
+    Section VI-B viability screen), optionally also requiring the
     model-optimal probe to differ from the target (Figure 6's case
     split).  Raises ``RuntimeError`` if the acceptance rate is too low.
 

@@ -217,7 +217,7 @@ def screening_verdicts(
     """``(rejected_by, built)`` for one candidate configuration.
 
     ``rejected_by`` is ``None`` when the candidate passes every active
-    check (``params.screen``, then ``require_optimal_differs``),
+    check (the viability screen, then ``require_optimal_differs``),
     evaluated in the order the serial loop evaluates them.  Otherwise it
     names the rejection: ``"fastscreen"`` for a certified fast-screen
     reject, or the exact screen's first failed check, ``"viability"``
@@ -259,7 +259,7 @@ def screening_verdicts(
     rng = context.rng
     harness = ConfigHarness(config, params, rng=rng, model=model)
     rejected_by: Optional[str] = None
-    if params.screen and not harness.is_screened_in():
+    if not harness.is_screened_in():
         rejected_by = "viability"
     elif (
         context.require_optimal_differs

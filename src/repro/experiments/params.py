@@ -4,7 +4,11 @@
 (:class:`~repro.flows.config.ConfigParams`) with evaluation knobs: how
 many configurations and trials, whether trials run on the full
 packet-level network simulation or the fast table-level replay, and the
-attackers' probe budgets.
+attackers' probe budgets.  The rest of the Section VI protocol is fixed,
+not a knob: the model attacker answers with its probe's query bit, the
+Figure 7 attacker decides by MAP, the random attacker samples its prior
+(all built by :class:`~repro.experiments.harness.ConfigHarness`), and
+every configuration passes the Section VI-B viability screen.
 
 The paper runs 100 configurations x 100 trials per figure; that takes
 tens of minutes here (it took a 128 GB server there), so the scale is a
@@ -33,17 +37,6 @@ class ExperimentParams:
     #: "network" = packet-level DES; "table" = fast flow-table replay.
     trial_mode: str = "network"
     n_probes: int = 1
-    #: Attacker decision rule for single probes: "query" or "map".
-    #: The paper's model attacker returns the query bit directly, which
-    #: the viability screen makes sound for the *optimal* probe.
-    decision: str = "query"
-    #: Decision rule for the constrained (Figure 7) attacker.  Its probe
-    #: may fail the query-viability condition (the viable probe being
-    #: exactly the forbidden one), so it classifies via the posterior.
-    constrained_decision: str = "map"
-    #: Apply the paper's detector-viability screen to configurations.
-    screen: bool = True
-    random_attacker_mode: str = "sample"
     #: Seeded fault injection applied to every trial (docs/FAULTS.md);
     #: ``None`` (and an all-zero plan) leaves trials bit-identical to
     #: the fault-free pipeline.

@@ -10,10 +10,8 @@ meeting this condition.")
 This module names the screens explicitly so the harness, the figure
 pipelines, and downstream users apply exactly the same criteria:
 
-* :func:`paper_screen` -- the condition above (the library default);
-* :func:`gain_screen` -- an alternative, threshold on the optimal
-  probe's information gain (useful for sensitivity studies where the
-  paper screen's hard 0.5 cut is too brittle);
+* :func:`paper_screen` -- the condition above, which every sampled
+  configuration must pass;
 * :func:`screen_report` -- all quantities a screen decision rests on,
   for logging and debugging rejected configurations.
 """
@@ -79,12 +77,3 @@ def paper_screen(
 ) -> bool:
     """The paper's detector-viability screen."""
     return screen_report(inference, probe).paper_accepted
-
-
-def gain_screen(
-    inference: ReconInference,
-    min_gain_bits: float = 1e-3,
-    probe: Optional[int] = None,
-) -> bool:
-    """Accept when the optimal probe carries at least ``min_gain_bits``."""
-    return screen_report(inference, probe).optimal_gain >= min_gain_bits

@@ -22,6 +22,7 @@ from repro.service.service import (
     SERVICE_EXPERIMENTS,
     ReconService,
     ServiceBudgetExhausted,
+    check_servable,
     resume_spec,
     serve_jobs,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "SERVICE_EXPERIMENTS",
     "ServiceBudgetExhausted",
     "SessionPool",
+    "check_servable",
     "document_digest",
     "eligible_targets",
     "job_document",

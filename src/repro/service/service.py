@@ -35,7 +35,7 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.apispec import JobSpec
+from repro.apispec import EXPERIMENTS, JobSpec, canonical_experiment
 from repro.experiments.persist import RUNNERS, result_document
 from repro.flows.config import ConfigGenerator, NetworkConfiguration
 from repro.obs import get_instrumentation
@@ -280,18 +280,35 @@ def serve_jobs(
         service.close()
 
 
+def check_servable(experiment: str) -> None:
+    """Raise ``ValueError`` unless the service runs ``experiment``.
+
+    The one check behind :func:`resume_spec` and ``repro-sdn submit``,
+    which runs it on the subcommand's experiment name (figure variants
+    included) before building a spec; both messages list
+    :data:`SERVICE_EXPERIMENTS`.
+    """
+    experiment = canonical_experiment(experiment)
+    if experiment in SERVICE_EXPERIMENTS:
+        return
+    served = ", ".join(SERVICE_EXPERIMENTS)
+    if experiment not in EXPERIMENTS:
+        raise ValueError(
+            f"unknown experiment: {experiment!r}; expected one of {served}"
+        )
+    raise ValueError(
+        f"experiment {experiment!r} cannot be served; expected one of {served}"
+    )
+
+
 def resume_spec(spec: JobSpec) -> JobSpec:
     """Normalise a spec the way :meth:`ReconService.submit` does.
 
     An experiment outside :data:`SERVICE_EXPERIMENTS` raises
-    ``ValueError``; a spec without a ``job_id`` gets the deterministic
-    default ``job-<digest12>``.
+    ``ValueError`` (:func:`check_servable`); a spec without a ``job_id``
+    gets the deterministic default ``job-<digest12>``.
     """
-    if spec.experiment not in SERVICE_EXPERIMENTS:
-        raise ValueError(
-            f"experiment {spec.experiment!r} cannot be served; "
-            f"expected one of {', '.join(SERVICE_EXPERIMENTS)}"
-        )
+    check_servable(spec.experiment)
     if spec.job_id is None:
         return spec.with_job_id(f"job-{spec.digest()[:12]}")
     return spec
@@ -301,6 +318,7 @@ __all__ = [
     "ReconService",
     "SERVICE_EXPERIMENTS",
     "ServiceBudgetExhausted",
+    "check_servable",
     "serve_jobs",
     "resume_spec",
 ]

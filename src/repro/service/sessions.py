@@ -102,14 +102,10 @@ def plan_session(
     inference = ReconInference(model, config.target_flow, config.window_steps)
     naive = NaiveAttacker(config.target_flow)
     model_attacker = ModelAttacker(
-        inference,
-        n_probes=spec.n_probes,
-        decision=spec.decision,
+        inference, n_probes=spec.n_probes, decision="query"
     )
     random_attacker = RandomAttacker(
-        prior_present=1.0 - inference.prior_absent(),
-        rng=rng,
-        mode=spec.random_attacker_mode,
+        prior_present=1.0 - inference.prior_absent(), rng=rng
     )
     lineup: Tuple[Attacker, ...] = (naive, model_attacker, random_attacker)
     trials = tuple(plan_trials(rng, lineup, spec.n_trials))

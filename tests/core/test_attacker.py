@@ -109,13 +109,9 @@ class TestRandomAttacker:
         with pytest.raises(ValueError):
             attacker.decide([1])
 
-    def test_map_mode_deterministic(self):
-        assert RandomAttacker(0.8, mode="map").decide(()) == 1
-        assert RandomAttacker(0.2, mode="map").decide(()) == 0
-
     def test_sample_mode_frequency(self):
         rng = np.random.default_rng(0)
-        attacker = RandomAttacker(0.7, rng=rng, mode="sample")
+        attacker = RandomAttacker(0.7, rng=rng)
         decisions = [attacker.decide(()) for _ in range(2000)]
         assert 0.65 < np.mean(decisions) < 0.75
 
@@ -124,5 +120,7 @@ class TestRandomAttacker:
             RandomAttacker(prior_present=1.5)
 
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            RandomAttacker(0.5, mode="guess")
+        # The paper's random attacker always samples its prior: there
+        # is no mode to choose.
+        with pytest.raises(TypeError):
+            RandomAttacker(0.5, mode="map")  # type: ignore[call-arg]

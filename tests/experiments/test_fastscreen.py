@@ -95,14 +95,6 @@ class TestSoundness:
         # stream, otherwise the fast path silently degrades to exact.
         assert certified >= 30
 
-    def test_screen_off_certifies_nothing_without_the_restriction(self):
-        params = replace(tiny_experiment_params(), screen=False)
-        for config in sample_candidates(params, 5):
-            outcome = fastscreen.screen_candidate(
-                params, config, require_optimal_differs=False
-            )
-            assert not outcome.certified_reject
-
     def test_counters_classify_every_candidate(self):
         params = tiny_experiment_params()
         backend = Instrumentation()
@@ -139,13 +131,13 @@ class TestSoundness:
             assert build.attrs["entries"] > 0
 
     def test_each_screen_span_records_its_verdict(self):
-        # A traced tiny screen, with the Section VI-B screen on and off
-        # so both proofs and fallbacks occur: the spans with a fallback
-        # verdict number the fallbacks, the rest the certified rejects.
+        # A traced tiny screen over two absence ranges, so both proofs
+        # and fallbacks occur: the spans with a fallback verdict number
+        # the fallbacks, the rest the certified rejects.
         backend = Instrumentation()
         with use_instrumentation(backend):
-            for screen in (True, False):
-                params = replace(tiny_experiment_params(), screen=screen)
+            for absence in ((0.0, 1.0), (0.35, 0.65)):
+                params = tiny_experiment_params().with_absence_range(*absence)
                 for config in sample_candidates(params, 20):
                     fastscreen.screen_candidate(
                         params, config, require_optimal_differs=True
@@ -219,7 +211,6 @@ class TestOutcomeSplit:
             "proof_margin": 14,
             "fallback_thin_margin": 2,
             "fallback_tiny_probability": 0,
-            "fallback_non_target": 0,
             "fallback_no_replica": 0,
         }
 
@@ -257,8 +248,11 @@ class TestOutcomeSplit:
         )
 
     @pytest.mark.parametrize("trial_jobs", [1, 2])
-    def test_screen_off_rejects_the_target_exactly(self, trial_jobs):
-        params = replace(tiny_experiment_params(), screen=False)
+    def test_exact_screen_rejects_the_target(self, trial_jobs):
+        # A tiny stream whose fast screen proves most rejects by the
+        # target proof, and hands over one candidate that passes the
+        # viability screen exactly but whose optimal probe is the target.
+        params = tiny_experiment_params().with_absence_range(0.35, 0.65)
         backend = Instrumentation()
         with use_instrumentation(backend):
             with pytest.raises(RuntimeError, match="configurations accepted"):
@@ -270,24 +264,14 @@ class TestOutcomeSplit:
                     generator=ConfigGenerator(params.config, seed=20170),
                     trial_jobs=trial_jobs,
                 )
-        counts = _screen_counts(backend)
-        assert counts["exact_screen_reject_viability"] == 0
-        assert counts["exact_screen_reject_target"] > 0
-        assert counts["configs_screened_out"] == (
-            counts["fastscreen_rejects"] + counts["exact_screen_reject_target"]
-        )
-
-    def test_screen_off_falls_back_on_non_target_members(self):
-        params = replace(tiny_experiment_params(), screen=False)
-        backend = Instrumentation()
-        with use_instrumentation(backend):
-            for config in sample_candidates(params, 20):
-                fastscreen.screen_candidate(
-                    params, config, require_optimal_differs=True
-                )
-        counts = _fastscreen_counts(backend)
-        assert counts["rejects"] == counts["proof_target"] > 0
-        assert counts["fallbacks"] == counts["fallback_non_target"] > 0
+        assert _screen_counts(backend) == {
+            "configs_sampled": 20,
+            "configs_screened_out": 19,
+            "fastscreen_rejects": 18,
+            "exact_screen_reject_viability": 0,
+            "exact_screen_reject_target": 1,
+        }
+        assert _fastscreen_counts(backend)["proof_target"] == 18
 
 
 def _assert_inside_bounds(params, config):
@@ -465,7 +449,7 @@ class TestAdversarialCut:
                     model, near.target_flow, near.window_steps
                 )
                 certifier = fastscreen._Certifier(
-                    model, quantities, near.target_flow, True, False
+                    model, quantities, near.target_flow, False
                 )
                 assert certifier.verdict(flow) in fastscreen.FALLBACKS
                 # The whole candidate: a certificate must agree with the
@@ -500,7 +484,7 @@ class TestAdversarialCut:
                     posterior_present_given_hit=np.array([1.0 - posterior]),
                     bounds=bounds,
                 )
-                certifier = fastscreen._Certifier(None, quantities, 1, True, False)
+                certifier = fastscreen._Certifier(None, quantities, 1, False)
                 assert certifier.verdict(0) in fastscreen.FALLBACKS
 
     def test_replica_well_below_the_cut_is_rejected(self):
@@ -515,7 +499,7 @@ class TestAdversarialCut:
             posterior_present_given_hit=np.array([0.9]),
             bounds=bounds,
         )
-        certifier = fastscreen._Certifier(None, quantities, 1, True, False)
+        certifier = fastscreen._Certifier(None, quantities, 1, False)
         assert certifier.verdict(0) == "margin"
 
 
@@ -588,6 +572,6 @@ class TestExactZeros:
         assert not paper_screen(inference, flow)
         fast = fastscreen.fast_quantities(model, self.TARGET, self.WINDOW)
         certifier = fastscreen._Certifier(
-            model, fast, self.TARGET, screen=True, require_optimal_differs=False
+            model, fast, self.TARGET, require_optimal_differs=False
         )
         assert certifier.verdict(flow) == "unreachable"

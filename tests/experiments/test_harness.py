@@ -94,11 +94,6 @@ class TestSampleScreened:
         assert len(harnesses) == 2
         assert all(h.is_screened_in() for h in harnesses)
 
-    def test_screen_can_be_disabled(self):
-        params = tiny_experiment_params(screen=False)
-        harnesses = sample_screened_harnesses(params, 2)
-        assert len(harnesses) == 2
-
     def test_gives_up_when_impossible(self):
         params = tiny_experiment_params()
         generator = ConfigGenerator(params.config, seed=9)

@@ -7,7 +7,6 @@ from repro.core.inference import ReconInference
 from repro.core.selection import best_single_probe
 from repro.experiments.screening import (
     ScreenReport,
-    gain_screen,
     paper_screen,
     screen_report,
 )
@@ -65,11 +64,6 @@ class TestScreens:
         assert paper_screen(inference) == screen_report(
             inference
         ).paper_accepted
-
-    def test_gain_screen_threshold(self, inference):
-        gain = screen_report(inference).optimal_gain
-        assert gain_screen(inference, min_gain_bits=gain * 0.5)
-        assert not gain_screen(inference, min_gain_bits=gain * 2 + 1e-6)
 
     def test_uncovered_probe_rejected(self, inference):
         # Flow 3 is covered by no rule: never a viable detector.

@@ -8,8 +8,10 @@ valid and loadable.
 
 import pytest
 
+from repro.core.compact_model import CompactModel
 from repro.experiments.harness import ConfigHarness
 from repro.experiments.params import ExperimentParams
+from repro.flows.config import ConfigGenerator
 from repro.obs import Instrumentation, use_instrumentation
 from repro.obs.trace import iter_spans, read_ndjson
 
@@ -56,6 +58,7 @@ def test_phases_record_wall_and_cpu(instrumented_run):
     # model attacker, lazily for the constrained attacker's first use.
     expected_counts = {
         "harness.model_build": 1,
+        "harness.inference": 1,
         "harness.probe_selection": 2,
         "experiment.trial_batch": 1,
     }
@@ -105,6 +108,22 @@ def test_spans_nest_trials_under_the_run(instrumented_run, tmp_path):
     selects = list(iter_spans(records, "engine.select"))
     assert selects, "probe selection must be traced"
     assert list(iter_spans(records, "harness.model_build"))
+
+
+def test_a_handed_over_model_opens_no_build_span():
+    # The fast screen hands its CompactModel to the harness; only the
+    # inference's exact chains are then timed.
+    params = ExperimentParams(n_trials=N_TRIALS, seed=11, trial_mode="table")
+    config = ConfigGenerator(params.config, seed=11).sample()
+    model = CompactModel(
+        config.policy, config.universe, config.delta, config.cache_size
+    )
+    obs = Instrumentation()
+    with use_instrumentation(obs):
+        ConfigHarness(config, params, model=model)
+    phases = obs.metrics_document()["phases"]
+    assert "harness.model_build" not in phases
+    assert phases["harness.inference"]["count"] == 1
 
 
 def test_metrics_document_exports_valid_json(instrumented_run, tmp_path):

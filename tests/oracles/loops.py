@@ -139,7 +139,7 @@ def sample_screened_harnesses(
         else:
             harness = ConfigHarness.sample(params, generator=generator)
             sampled.inc()
-        if params.screen and not harness.is_screened_in():
+        if not harness.is_screened_in():
             screened_out.inc()
             obs.metrics.counter("experiment.exact_screen_reject_viability").inc()
             continue

@@ -1,6 +1,7 @@
 """JobSpec: the unified public job API (round trips and validation)."""
 
 import argparse
+import dataclasses
 
 import pytest
 
@@ -57,6 +58,24 @@ class TestRoundTrips:
         spec = JobSpec.from_params(params, experiment="fig7")
         assert spec.to_params() == params
         assert spec.experiment == "fig7"
+        # Every ExperimentParams field crosses the bridge both ways.
+        params = ExperimentParams(
+            config=tiny_config_params(),
+            n_configs=3,
+            n_trials=7,
+            seed=5,
+            trial_mode="table",
+            n_probes=2,
+            fault_plan=FaultPlan(packet_in_loss=0.1, seed=2),
+            probe_retries=1,
+            trial_jobs=2,
+        )
+        default = ExperimentParams()
+        assert all(
+            getattr(params, f.name) != getattr(default, f.name)
+            for f in dataclasses.fields(ExperimentParams)
+        )
+        assert JobSpec.from_params(params).to_params() == params
 
     def test_from_dict_rejects_unknown_fields(self):
         spec = JobSpec(config=tiny_config_params(), seed=1)
@@ -70,14 +89,18 @@ class TestRoundTrips:
         for legacy in ({"kernel": "dense"}, {"simpath": "reference"},
                        {"kernel": "auto", "simpath": "fastpath"},
                        {"estimator": "independent"},
-                       {"selection_jobs": 2}):
+                       {"selection_jobs": 2}, {"decision": "query"},
+                       {"constrained_decision": "map"},
+                       {"random_attacker_mode": "sample"}, {"screen": True}):
             document = {**spec.to_dict(), **legacy}
             assert JobSpec.from_dict(document) == spec
             assert JobSpec.from_dict(document).digest() == spec.digest()
 
     @pytest.mark.parametrize(
         "legacy", [{"kernel": "bogus"}, {"simpath": "turbo"},
-                   {"estimator": "montecarlo"}, {"selection_jobs": 0}]
+                   {"estimator": "montecarlo"}, {"selection_jobs": 0},
+                   {"decision": "map"}, {"screen": False}, {"screen": 1},
+                   {"random_attacker_mode": "map"}]
     )
     def test_from_dict_rejects_invalid_legacy_values(self, legacy):
         document = {**JobSpec(seed=1).to_dict(), **legacy}
@@ -88,6 +111,8 @@ class TestRoundTrips:
     def test_legacy_selectors_are_not_spec_fields(self):
         with pytest.raises(TypeError):
             JobSpec(kernel="auto")  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            JobSpec(decision="query")  # type: ignore[call-arg]
         assert "kernel" not in JobSpec().to_dict()
         assert "simpath" not in JobSpec().to_dict()
 

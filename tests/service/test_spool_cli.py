@@ -6,7 +6,12 @@ import pytest
 
 from repro.apispec import JobSpec
 from repro.cli import main
-from repro.service import CheckpointStore, list_pending, submit_spec
+from repro.service import (
+    SERVICE_EXPERIMENTS,
+    CheckpointStore,
+    list_pending,
+    submit_spec,
+)
 from tests.service.conftest import tiny_recon_spec
 
 #: Flags matching tests/service/conftest.tiny_recon_spec's geometry so
@@ -68,7 +73,12 @@ class TestSubmit:
         spool = str(tmp_path / "spool")
         status = main(["submit", experiment, "--spool", spool, *_TINY])
         assert status == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        # The message names what the service runs, and only that.
+        listed = err.split("expected one of ", 1)[1].strip().split(", ")
+        assert listed == list(SERVICE_EXPERIMENTS)
+        assert "reproduce" not in listed and "select" not in listed
         assert list_pending(spool) == []
 
 
@@ -153,7 +163,14 @@ class TestLegacySpoolFiles:
         store.record_job(spec)
         path = tmp_path / "state" / "job-old" / "job.json"
         record = json.loads(path.read_text())
-        record["spec"].update(kernel="auto", simpath="auto")
+        record["spec"].update(
+            kernel="auto",
+            simpath="auto",
+            decision="query",
+            constrained_decision="map",
+            random_attacker_mode="sample",
+            screen=True,
+        )
         record["digest"] = "0" * 64  # the digest the old fields gave
         path.write_text(json.dumps(record))
         assert store.load_job("job-old").digest() == spec.digest()
