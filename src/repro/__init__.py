@@ -16,7 +16,8 @@ The package is organised in layers:
 * :mod:`repro.experiments` -- the Section VI evaluation harness
   reproducing every figure and measurement in the paper.
 * :mod:`repro.countermeasures` -- the Section VII-B defenses.
-* :mod:`repro.analysis` -- metrics, entropy helpers, state-count math.
+* :mod:`repro.analysis` -- latency CDFs, the timing threshold's ROC,
+  leakage maps, rule-sharing structure, state-count math.
 
 Quickstart::
 

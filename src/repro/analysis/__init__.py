@@ -1,39 +1,19 @@
-"""Metrics, distribution helpers, and state-space arithmetic."""
+"""Latency CDFs, threshold ROC, leakage maps, rule structure, state counts."""
 
-from repro.analysis.metrics import (
-    Accuracy,
-    BinnedSeries,
-    accuracy_from_pairs,
-    confusion_counts,
-    wilson_interval,
-)
-from repro.analysis.cdf import empirical_cdf, cdf_at
+from repro.analysis.cdf import empirical_cdf
 from repro.analysis.statecount import (
     basic_state_count,
     compact_state_count,
     state_count_table,
 )
-from repro.analysis.leakage import (
-    compare_structures,
-    leakage_map,
-    worst_case_leakage,
-)
-from repro.analysis.roc import best_threshold, perfect_band, roc_points
+from repro.analysis.leakage import compare_structures, leakage_map
+from repro.analysis.roc import roc_points
 
 __all__ = [
     "compare_structures",
     "leakage_map",
-    "worst_case_leakage",
-    "best_threshold",
-    "perfect_band",
     "roc_points",
-    "Accuracy",
-    "BinnedSeries",
-    "accuracy_from_pairs",
-    "confusion_counts",
-    "wilson_interval",
     "empirical_cdf",
-    "cdf_at",
     "basic_state_count",
     "compact_state_count",
     "state_count_table",

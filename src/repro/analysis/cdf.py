@@ -3,7 +3,8 @@
 Figure 6b plots the cumulative distribution, across network
 configurations, of the additive accuracy improvement the model attacker
 achieves over the naive attacker.  :func:`empirical_cdf` produces the
-step-function points; :func:`cdf_at` evaluates the fraction at a value.
+step-function points; :func:`survival_at` evaluates the fraction of
+configurations at or above a value.
 """
 
 from __future__ import annotations
@@ -30,13 +31,6 @@ def empirical_cdf(samples: Sequence[float]) -> List[Tuple[float, float]]:
     return points
 
 
-def cdf_at(samples: Sequence[float], x: float) -> float:
-    """``P(X <= x)`` under the empirical distribution."""
-    if not samples:
-        raise ValueError("no samples")
-    return sum(1 for s in samples if s <= x) / len(samples)
-
-
 def survival_at(samples: Sequence[float], x: float) -> float:
     """``P(X >= x)`` under the empirical distribution.
 
@@ -46,15 +40,3 @@ def survival_at(samples: Sequence[float], x: float) -> float:
     if not samples:
         raise ValueError("no samples")
     return sum(1 for s in samples if s >= x) / len(samples)
-
-
-def quantile(samples: Sequence[float], q: float) -> float:
-    """Inclusive empirical quantile (nearest-rank)."""
-    if not samples:
-        raise ValueError("no samples")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("quantile must be in [0, 1]")
-    ordered = sorted(samples)
-    # ceil(q * n), clamped to rank >= 1 (which also covers q = 0).
-    rank = max(1, int(-(-q * len(ordered) // 1)))
-    return ordered[rank - 1]

@@ -9,16 +9,15 @@ policy level:
   reconnaissance target), the best single-probe information gain an
   attacker could extract.  The defender reads this as a heat map of
   which communications the rule structure exposes.
-* :func:`worst_case_leakage` -- the maximum over targets, i.e. the rule
-  structure's leakage figure-of-merit.
 * :func:`compare_structures` -- rows comparing several candidate
   structures (e.g. the original, a microflow split, a coarse merge) on
-  per-target and worst-case leakage.
+  worst-case and mean leakage; the worst case over targets is the rule
+  structure's leakage figure-of-merit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.compact_model import CompactModel
 from repro.core.inference import ReconInference
@@ -54,24 +53,6 @@ def leakage_map(
         )
         leaks[int(target)] = best_single_probe(inference, candidates=candidates).gain
     return leaks
-
-
-def worst_case_leakage(
-    policy: Policy,
-    universe: FlowUniverse,
-    delta: float,
-    cache_size: int,
-    window_steps: int,
-    candidates: Optional[Sequence[int]] = None,
-) -> Tuple[int, float]:
-    """The most exposed target flow and its leakage, in bits."""
-    leaks = leakage_map(
-        policy, universe, delta, cache_size, window_steps, candidates
-    )
-    if not leaks:
-        return (-1, 0.0)
-    target = max(leaks, key=leaks.get)
-    return (target, leaks[target])
 
 
 def compare_structures(

@@ -1,18 +1,17 @@
 """ROC analysis of the timing classifier's threshold.
 
 The attacker turns a measured response time into a hit/miss bit by
-thresholding ("e.g., 1 ms", Section VI-A).  These helpers quantify how
-forgiving that choice is: given samples of the two latency populations,
-they sweep thresholds, compute the hit/miss confusion rates, and locate
-the threshold band within which classification stays essentially
-perfect -- the quantitative backing for the paper's remark that the two
-cases are "easily distinguishable".
+thresholding ("e.g., 1 ms", Section VI-A).  :func:`roc_points` sweeps
+thresholds over samples of the two latency populations and computes the
+hit/miss confusion rates -- the quantitative backing for the paper's
+remark that the two cases are "easily distinguishable".
+:func:`score_auc` ranks the defend grid's detector scores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 
 @dataclass(frozen=True)
@@ -56,26 +55,6 @@ def roc_points(
     return points
 
 
-def auc(points: Sequence[ThresholdPoint]) -> float:
-    """Area under the ROC curve traced by these threshold points.
-
-    Trapezoidal rule over ``(false_hit_rate, true_hit_rate)`` pairs,
-    anchored at ``(0, 0)`` and ``(1, 1)``.  The pairs are sorted
-    internally, so the result is invariant under any permutation of the
-    threshold sweep.
-    """
-    if not points:
-        raise ValueError("need at least one threshold point")
-    pairs = sorted(
-        [(p.false_hit_rate, p.true_hit_rate) for p in points]
-        + [(0.0, 0.0), (1.0, 1.0)]
-    )
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(pairs, pairs[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return area
-
-
 def score_auc(
     positives: Sequence[float], negatives: Sequence[float]
 ) -> float:
@@ -97,36 +76,3 @@ def score_auc(
             elif pos == neg:
                 wins += 0.5
     return wins / (len(positives) * len(negatives))
-
-
-def best_threshold(
-    hit_rtts: Sequence[float],
-    miss_rtts: Sequence[float],
-    n_candidates: int = 200,
-) -> ThresholdPoint:
-    """The accuracy-maximising threshold over a geometric sweep."""
-    low = min(min(hit_rtts), min(miss_rtts))
-    high = max(max(hit_rtts), max(miss_rtts))
-    if low <= 0:
-        raise ValueError("response times must be positive")
-    ratio = (high / low) ** (1.0 / max(n_candidates - 1, 1))
-    thresholds = [low * ratio**i for i in range(n_candidates)]
-    points = roc_points(hit_rtts, miss_rtts, thresholds)
-    return max(points, key=lambda p: p.accuracy)
-
-
-def perfect_band(
-    hit_rtts: Sequence[float], miss_rtts: Sequence[float]
-) -> Tuple[float, float]:
-    """The open interval of thresholds with zero classification error.
-
-    Empty populations overlap gives a zero-width band ``(t, t)``.  For
-    the paper's measurements the band spans roughly the maximum hit time
-    to the minimum miss time -- the 1 ms choice sits comfortably inside.
-    """
-    low = max(hit_rtts)
-    high = min(miss_rtts)
-    if high < low:
-        midpoint = (low + high) / 2
-        return (midpoint, midpoint)
-    return (low, high)

@@ -6,14 +6,14 @@ probe carries the same cache signal as probing the target itself and
 the constrained attacker matches the naive one; when the target's best
 evidence sits in an exact (unshared) rule, every admissible probe is
 blind to it and the constrained attacker falls back to the prior.
-These helpers quantify that structure so experiment outputs can be
-grouped and explained.
+:func:`target_structure` quantifies that structure so experiment
+outputs can be grouped and explained.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set
+from typing import FrozenSet, Set
 
 from repro.flows.policy import Policy
 
@@ -28,11 +28,6 @@ class TargetStructure:
     sibling_flows: FrozenSet[int]
     #: Rules covering the target and nothing else (exact/microflow rules).
     exclusive_rules: FrozenSet[int]
-
-    @property
-    def has_siblings(self) -> bool:
-        """Whether any admissible probe shares a rule with the target."""
-        return bool(self.sibling_flows)
 
     @property
     def install_rule_is_exclusive(self) -> bool:
@@ -65,22 +60,3 @@ def target_structure(policy: Policy, target_flow: int) -> TargetStructure:
         sibling_flows=frozenset(siblings),
         exclusive_rules=frozenset(exclusive),
     )
-
-
-def sharing_census(policy: Policy) -> Dict[str, List[int]]:
-    """Partition covered flows by their sharing structure.
-
-    Returns ``{"shared": [...], "exclusive_install": [...]}`` -- flows
-    whose install rule is shared vs exclusive.  Experiment reports use
-    this to split Figure-7-style results into the regime where the
-    constrained attacker can work and the regime where it cannot.
-    """
-    shared: List[int] = []
-    exclusive: List[int] = []
-    for flow in sorted(policy.covered_flows()):
-        structure = target_structure(policy, flow)
-        if structure.install_rule_is_exclusive:
-            exclusive.append(flow)
-        else:
-            shared.append(flow)
-    return {"shared": shared, "exclusive_install": exclusive}

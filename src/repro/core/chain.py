@@ -100,11 +100,6 @@ class TransitionOperator:
         self._sell8: Optional[cnative.Sell8] = None
         self.shape: Tuple[int, int] = tuple(matrix.shape)  # type: ignore[assignment]
 
-    @property
-    def is_sparse(self) -> bool:
-        """Whether the operator wraps a sparse matrix."""
-        return self._csr_t is not None
-
     def power(self, distribution: np.ndarray, steps: int) -> np.ndarray:
         """``distribution @ A^steps`` for a 1-D vector or 2-D row stack."""
         if steps < 0:
@@ -287,11 +282,6 @@ def stationary_distribution(
             return nxt
         current = nxt
     raise RuntimeError("power iteration did not converge")
-
-
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    """Total-variation distance between two distributions."""
-    return float(0.5 * np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
 def per_flow_step_probabilities(

@@ -154,11 +154,6 @@ class CompactModel:
         """The underlying abstract policy."""
         return self.context.policy
 
-    @property
-    def empty_state_index(self) -> int:
-        """Index of the empty-cache state (the standard start state)."""
-        return self.state_index[0]
-
     def index_of(self, state: int, role: str) -> int:
         """Index of the (bitmask) ``state``, or a ``ValueError``.
 

@@ -117,13 +117,6 @@ class ProbeScoringEngine:
             return np.zeros(0)
         return np.concatenate(gains)
 
-    def sequence_gain(self, probes: Sequence[int]) -> float:
-        """``IG(X̂ | Q_{f_1}, ..., Q_{f_m})`` for one ordered sequence."""
-        probes = tuple(int(f) for f in probes)
-        if not probes:
-            return 0.0
-        return float(self.score_tails(probes[:-1], probes[-1:])[0])
-
     def _block_items(
         self, prefix: Tuple[int, ...], tails: Tuple[int, ...]
     ) -> List[WorkItem]:

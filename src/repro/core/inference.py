@@ -32,7 +32,6 @@ from repro.core.compact_model import CompactModel
 from repro.core.gain import (
     Outcome,
     binary_entropy,
-    conditional_entropy_binary,
     gains_from_tables,
 )
 from repro.obs import counter_inc, sanitize
@@ -257,17 +256,10 @@ class ReconInference:
         """Chain-consistent ``P(X̂ = 0)``: total target-excluded mass.
 
         Equals ``(1 - p_f̂)^T`` for the normalised chain; the paper's
-        closed form ``e^{-lambda T Delta}`` is
-        :meth:`prior_absent_poisson`.
+        closed form ``e^{-lambda T Delta}`` converges to it as
+        ``Delta -> 0``.
         """
         return float(self.dist_absent.sum())
-
-    def prior_absent_poisson(self) -> float:
-        """The paper's closed-form prior ``e^{-lambda_f̂ T Delta}``."""
-        import math
-
-        rate = self.model.context.step_rates[self.target_flow]
-        return math.exp(-rate * self.window_steps)
 
     def prior_entropy(self) -> float:
         """``H(X̂)`` in bits."""
@@ -343,7 +335,7 @@ class ReconInference:
 
         The engine's arithmetic: one :func:`~repro.core.gain.gains_from_tables`
         over :meth:`outcome_arrays`, so equal bit for bit to
-        :meth:`~repro.core.engine.ProbeScoringEngine.sequence_gain`.
+        :meth:`~repro.core.engine.ProbeScoringEngine.score_tails`.
         """
         probes = tuple(int(f) for f in probes)
         if not probes:
@@ -353,13 +345,6 @@ class ReconInference:
         )
         return float(
             gains_from_tables(self.prior_absent(), joint_absent, outcome_probs)[0]
-        )
-
-    def conditional_entropy(self, probes: Sequence[int]) -> float:
-        """``H(X̂ | Q)`` in bits."""
-        table = self.outcome_table(probes)
-        return conditional_entropy_binary(
-            table.joint_absent, table.outcome_probs
         )
 
     def hit_probability(self, flow: int) -> float:

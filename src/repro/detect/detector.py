@@ -111,11 +111,6 @@ class ReconDetector:
         self._weights = weights
         self._bias = bias
 
-    @property
-    def fitted(self) -> bool:
-        """Whether :meth:`fit` has run."""
-        return self._mean is not None
-
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------

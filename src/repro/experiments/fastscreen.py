@@ -458,7 +458,6 @@ class _Certifier:
 
 
 def screen_candidate(
-    params: ExperimentParams,
     config: NetworkConfiguration,
     *,
     require_optimal_differs: bool,
@@ -469,8 +468,7 @@ def screen_candidate(
     loop would reject this candidate.  Any uncertainty returns
     ``certified_reject=False`` together with the built model so the
     exact screen can reuse it.  The verdict depends on ``config`` alone:
-    the viability screen always applies, so ``params`` only keeps the
-    signature every screening caller uses.
+    the viability screen always applies.
     """
     obs = get_instrumentation()
     model = CompactModel(

@@ -248,9 +248,7 @@ def screening_verdicts(
     model = None
     if fastscreen.supports(params):
         outcome = fastscreen.screen_candidate(
-            params,
-            config,
-            require_optimal_differs=context.require_optimal_differs,
+            config, require_optimal_differs=context.require_optimal_differs
         )
         if outcome.certified_reject:
             built = outcome.model if context.rng is not None else None

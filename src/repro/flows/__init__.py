@@ -21,7 +21,7 @@ from repro.flows.flowid import FlowId, ip_to_str, str_to_ip
 from repro.flows.rules import Match, Rule, RuleTable
 from repro.flows.policy import ModelRule, Policy
 from repro.flows.universe import FlowUniverse
-from repro.flows.arrival import PoissonArrivalProcess, merge_schedules
+from repro.flows.arrival import PoissonArrivalProcess
 from repro.flows.config import (
     NetworkConfiguration,
     ConfigGenerator,
@@ -39,7 +39,6 @@ __all__ = [
     "Policy",
     "FlowUniverse",
     "PoissonArrivalProcess",
-    "merge_schedules",
     "NetworkConfiguration",
     "ConfigGenerator",
     "enumerate_mask_rules",

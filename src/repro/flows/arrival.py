@@ -3,16 +3,16 @@
 In the paper's evaluation, each source host runs a script that picks
 packet send times from a Poisson process with the flow's parameter
 ``lambda_f`` (Section VI-A).  :class:`PoissonArrivalProcess` reproduces
-that: it draws exponential inter-arrival gaps and yields absolute send
-times inside a horizon.  :func:`merge_schedules` interleaves per-flow
-schedules into one time-ordered trace for the simulator and for the fast
-table-level trial runner.
+that: it draws exponential inter-arrival gaps and returns absolute send
+times inside a horizon.  :func:`sample_schedule` interleaves the
+per-flow draws into one time-ordered trace for the simulator and for the
+fast table-level trial runner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,11 +55,6 @@ class PoissonArrivalProcess:
         times = self._rng.uniform(start, start + horizon, size=count)
         times.sort()
         return [float(t) for t in times]
-
-    def iter_gaps(self) -> Iterator[float]:
-        """Unbounded stream of exponential inter-arrival gaps."""
-        while True:
-            yield float(self._rng.exponential(1.0 / self.rate))
 
 
 def sample_schedule(
@@ -110,18 +105,6 @@ class PiecewiseRateProfile:
             raise ValueError("factors must be non-negative")
         self.breakpoints = tuple(float(b) for b in breakpoints)
         self.factors = tuple(float(f) for f in factors)
-
-    def factor_at(self, time: float) -> float:
-        """The multiplier in effect at ``time``."""
-        if time < 0:
-            raise ValueError("time must be non-negative")
-        current = self.factors[0]
-        for start, factor in zip(self.breakpoints, self.factors):
-            if time >= start:
-                current = factor
-            else:
-                break
-        return current
 
     def mean_factor(self, horizon: float) -> float:
         """Time-average of the multiplier over ``[0, horizon]``.
@@ -188,17 +171,6 @@ def sample_schedule_with_profile(
     return arrivals
 
 
-def merge_schedules(
-    schedules: Iterable[Sequence[Arrival]],
-) -> List[Arrival]:
-    """Merge several time-ordered schedules into one ordered schedule."""
-    merged: List[Arrival] = []
-    for schedule in schedules:
-        merged.extend(schedule)
-    merged.sort(key=lambda a: a.time)
-    return merged
-
-
 def occurred_in_window(
     schedule: Sequence[Arrival],
     flow_index: int,
@@ -214,16 +186,3 @@ def occurred_in_window(
         a.flow_index == flow_index and window_start <= a.time <= window_end
         for a in schedule
     )
-
-
-def arrivals_to_steps(
-    schedule: Sequence[Arrival], delta: float
-) -> List[Tuple[int, int]]:
-    """Quantise a schedule to model steps.
-
-    Returns ``(step, flow_index)`` pairs where ``step = floor(time/delta)``;
-    used when cross-checking the Markov models against sampled traces.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return [(int(a.time // delta), a.flow_index) for a in schedule]

@@ -55,8 +55,7 @@ def enumerate_mask_rules(
     0, pinned to 1, or wildcarded, giving ``3**mask_bits`` rules (81 for
     the paper's 4 bits).  The high address bits are always pinned to the
     base address.  Rules are returned without priorities (priority 0);
-    callers assign distinct priorities, e.g. via
-    :func:`repro.flows.policy.specificity_priorities`.
+    callers assign distinct priorities.
     """
     if mask_bits < 0 or mask_bits > 16:
         raise ValueError(f"unreasonable mask_bits: {mask_bits}")
@@ -332,6 +331,3 @@ class ConfigGenerator:
             f"{max_attempts} attempts (absence_range={self.params.absence_range})"
         )
 
-    def sample_many(self, count: int) -> List[NetworkConfiguration]:
-        """Draw ``count`` independent configurations."""
-        return [self.sample() for _ in range(count)]

@@ -79,18 +79,6 @@ class FlowId:
             if not 0 <= value <= 0xFFFF:
                 raise ValueError(f"{field_name} out of range: {value}")
 
-    @classmethod
-    def from_strs(
-        cls,
-        src: str,
-        dst: str,
-        proto: int = PROTO_ICMP,
-        sport: int = 0,
-        dport: int = 0,
-    ) -> "FlowId":
-        """Build a :class:`FlowId` from dotted-quad address strings."""
-        return cls(str_to_ip(src), str_to_ip(dst), proto, sport, dport)
-
     def __deepcopy__(self, memo: Dict[int, object]) -> "FlowId":
         return self  # immutable: network forks share it
 

@@ -3,8 +3,9 @@
 Section IV of the paper abstracts each rule to the set of flow identifiers
 it covers, together with a priority total order and a timeout measured in
 model steps of duration ``Delta``.  :class:`ModelRule` and :class:`Policy`
-are that abstraction; :meth:`Policy.from_rule_table` derives it from the
-concrete wildcard rules over a finite flow universe.
+are that abstraction; the configuration generator
+(:mod:`repro.flows.config`) builds it alongside the concrete wildcard
+rules it abstracts.
 
 Throughout :mod:`repro.core`, flows are referenced by their integer index
 into the :class:`~repro.flows.universe.FlowUniverse`, and rules by their
@@ -15,9 +16,8 @@ integer index into the policy (0-based, in *descending* priority order, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Tuple
 
-from repro.flows.rules import Rule, RuleTable
 from repro.flows.universe import FlowUniverse
 
 
@@ -114,75 +114,6 @@ class Policy:
             covered |= rule.flows
         return frozenset(covered)
 
-    def match_in_cache(
-        self, flow_index: int, cached: FrozenSet[int]
-    ) -> Optional[int]:
-        """Switch lookup semantics: highest-priority *cached* covering rule.
-
-        Returns the matched rule index, or ``None`` on a table miss.  Note
-        that a lower-priority cached rule matches even when a higher-
-        priority *uncached* rule also covers the flow -- the switch only
-        consults its cache (Section III-B2).
-        """
-        for rule_index in self.covering(flow_index):
-            if rule_index in cached:
-                return rule_index
-        return None
-
-    def install_on_miss(self, flow_index: int) -> Optional[int]:
-        """Rule the controller installs on a miss for ``flow_index``.
-
-        The controller responds with the highest-priority covering rule in
-        the full policy; ``None`` when the policy does not cover the flow
-        (the controller then just forwards the packet without installing).
-        """
-        return self.highest_covering(flow_index)
-
-    @classmethod
-    def from_rule_table(
-        cls,
-        table: RuleTable,
-        universe: FlowUniverse,
-        delta: float,
-    ) -> "Policy":
-        """Abstract a concrete :class:`~repro.flows.rules.RuleTable`.
-
-        ``delta`` is the model step duration in seconds; concrete rule
-        timeouts (seconds) are converted to steps with ceiling rounding so
-        a rule never expires earlier in the model than in reality.
-        Permanent rules (no timeout) are excluded: the paper's
-        pre-installed helper rules are invisible to the reconnaissance
-        model because they are never installed reactively.
-        """
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        model_rules: List[ModelRule] = []
-        for rule in table:
-            if rule.is_permanent():
-                continue
-            flow_indices = frozenset(
-                index
-                for index, flow in enumerate(universe.flows)
-                if rule.covers(flow)
-            )
-            if not flow_indices:
-                continue
-            timeout = rule.idle_timeout or rule.hard_timeout
-            steps = max(1, int(-(-timeout // delta)))  # ceiling division
-            model_rules.append(
-                ModelRule(
-                    index=len(model_rules),
-                    name=rule.name,
-                    flows=flow_indices,
-                    timeout_steps=steps,
-                    priority=rule.priority,
-                    # 0.0 is the exact "timeout disabled" sentinel.
-                    hard=rule.idle_timeout == 0.0  # repro: noqa[PY001]
-                    and rule.hard_timeout > 0.0,
-                )
-            )
-        return cls(model_rules)
-
     def describe(self, universe: Optional[FlowUniverse] = None) -> str:
         """Multi-line human-readable policy dump."""
         lines = []
@@ -194,31 +125,3 @@ class Policy:
             )
         return "\n".join(lines)
 
-
-def specificity_priorities(
-    rules: Iterable[Rule], base: int = 100
-) -> List[Rule]:
-    """Assign distinct priorities, more-specific rules higher.
-
-    Utility for building valid rule tables from generated wildcard rules:
-    rules are ranked by total pinned bits (descending) with a stable
-    arbitrary tie-break, and re-created with distinct priorities starting
-    at ``base`` going up.  This mirrors the usual longest-prefix-first
-    convention and satisfies the distinct-priority requirement for
-    overlapping rules.
-    """
-    from dataclasses import replace
-
-    ordered = sorted(
-        rules,
-        key=lambda r: (
-            r.src.specificity()
-            + r.dst.specificity()
-            + r.sport.specificity()
-            + r.dport.specificity(),
-            r.name,
-        ),
-    )
-    return [
-        replace(rule, priority=base + rank) for rank, rule in enumerate(ordered)
-    ]

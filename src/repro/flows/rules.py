@@ -72,12 +72,6 @@ class Match:
         common = self.mask & other.mask
         return (self.value & common) == (other.value & common)
 
-    def subsumes(self, other: "Match") -> bool:
-        """Whether every key matched by ``other`` is matched by ``self``."""
-        if (self.mask & other.mask) != self.mask:
-            return False
-        return (self.value & self.mask) == (other.value & self.mask)
-
     @classmethod
     def exact(cls, value: int, width: int = 32) -> "Match":
         """Exact match on a ``width``-bit key."""
@@ -220,13 +214,6 @@ class RuleTable:
     def rules(self) -> Tuple[Rule, ...]:
         """All rules, highest priority first."""
         return self._rules
-
-    def by_name(self, name: str) -> Rule:
-        """Look a rule up by its unique name."""
-        for rule in self._rules:
-            if rule.name == name:
-                return rule
-        raise KeyError(name)
 
     def highest_covering(self, flow: FlowId) -> Optional[Rule]:
         """The highest-priority rule covering ``flow``, or ``None``.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.flows.flowid import FlowId
 
@@ -38,17 +38,6 @@ class FlowUniverse:
                     f"Poisson rate must be finite and non-negative: {rate}"
                 )
 
-    @classmethod
-    def create(
-        cls, pairs: Iterable[Tuple[FlowId, float]]
-    ) -> "FlowUniverse":
-        """Build a universe from ``(flow, rate)`` pairs."""
-        pair_list = list(pairs)
-        return cls(
-            flows=tuple(flow for flow, _ in pair_list),
-            rates=tuple(rate for _, rate in pair_list),
-        )
-
     def __deepcopy__(self, memo: Dict[int, object]) -> "FlowUniverse":
         return self  # immutable: network forks share it
 
@@ -59,24 +48,11 @@ class FlowUniverse:
         """Index of ``flow`` in the universe (raises ``ValueError`` if absent)."""
         return self.flows.index(flow)
 
-    def rate_of(self, flow: FlowId) -> float:
-        """Poisson rate of a flow identified by its :class:`FlowId`."""
-        return self.rates[self.index_of(flow)]
-
-    @property
-    def total_rate(self) -> float:
-        """Aggregate arrival rate ``Lambda`` across all flows."""
-        return float(sum(self.rates))
-
     def step_rates(self, delta: float) -> List[float]:
         """Per-step expected arrivals ``lambda_f * Delta`` for each flow."""
         if delta <= 0:
             raise ValueError("delta must be positive")
         return [rate * delta for rate in self.rates]
-
-    def rate_map(self) -> Dict[FlowId, float]:
-        """Mapping from flow identifier to rate."""
-        return dict(zip(self.flows, self.rates))
 
     def with_rates(self, rates: Sequence[float]) -> "FlowUniverse":
         """A copy of this universe with replaced rates (same flows)."""

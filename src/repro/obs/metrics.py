@@ -20,13 +20,9 @@ uninstrumented run pays one attribute chase and a no-op call per event.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_left
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
-
-PathLike = Union[str, Path]
+from typing import Dict, List, Optional, Tuple
 
 #: Version stamp of the exported metrics document.
 METRICS_SCHEMA_VERSION = 1
@@ -228,15 +224,6 @@ class MetricsRegistry:
                 for name in sorted(self._histograms)
             },
         }
-
-    def write_json(self, path: PathLike) -> Path:
-        """Serialise :meth:`to_document` to ``path``; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.to_document(), indent=2, sort_keys=True)
-        )
-        return path
 
 
 # ----------------------------------------------------------------------

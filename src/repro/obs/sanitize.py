@@ -130,10 +130,6 @@ def is_active() -> bool:
     return _ACTIVE is not None
 
 
-def get_sanitizer() -> Optional[Sanitizer]:
-    return _ACTIVE
-
-
 def guard_array(name: str, array: np.ndarray) -> None:
     """Register ``array`` when the sanitizer is active; no-op otherwise."""
     if _ACTIVE is not None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 PathLike = Union[str, Path]
 
@@ -251,10 +251,3 @@ def read_ndjson(path: PathLike) -> List[Dict[str, object]]:
                 )
             spans.append(record)
     return spans
-
-
-def iter_spans(records: List[Dict[str, object]], name: str) -> Iterator[Dict[str, object]]:
-    """Yield the records whose ``name`` matches exactly."""
-    for record in records:
-        if record.get("name") == name:
-            yield record

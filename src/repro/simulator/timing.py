@@ -137,18 +137,6 @@ class LatencyModel:
             normals, self.flowmod_install_mean, self.flowmod_install_std
         )
 
-    def expected_setup_delay(self) -> float:
-        """Mean extra delay ``t_setup`` on the miss path.
-
-        Packet-in up, processing, flow-mod down, install -- the terms the
-        paper folds into ``t_setup`` (Section III-A).
-        """
-        return (
-            2 * self.control_link_mean
-            + self.controller_proc_mean
-            + self.flowmod_install_mean
-        )
-
     @classmethod
     def calibrated(cls) -> "LatencyModel":
         """Defaults calibrated to the paper's measured distributions."""

@@ -15,7 +15,7 @@ switch, the server sits behind another).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import networkx as nx
 
@@ -24,11 +24,6 @@ BACKBONE_ROUTERS: Tuple[str, str] = ("bbra", "bbrb")
 
 #: Zone router pairs (a/b redundancy per zone).
 ZONE_PREFIXES: Tuple[str, ...] = ("boz", "coz", "goz", "poz", "roz", "soz", "yoz")
-
-
-def zone_routers() -> List[str]:
-    """All fourteen zone router names."""
-    return [f"{prefix}{suffix}" for prefix in ZONE_PREFIXES for suffix in "ab"]
 
 
 def stanford_backbone() -> nx.Graph:
@@ -65,11 +60,6 @@ def linear_topology(n_switches: int) -> nx.Graph:
     for left, right in zip(names, names[1:]):
         graph.add_edge(left, right)
     return graph
-
-
-def single_switch_topology() -> nx.Graph:
-    """One switch (the minimal setting for model-vs-simulator checks)."""
-    return linear_topology(1)
 
 
 def validate_topology(graph: nx.Graph) -> None:

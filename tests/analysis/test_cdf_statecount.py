@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.cdf import cdf_at, empirical_cdf, quantile, survival_at
+from repro.analysis.cdf import empirical_cdf, survival_at
 from repro.analysis.statecount import (
     basic_state_count,
     basic_state_count_uniform,
@@ -35,26 +35,10 @@ class TestEmpiricalCdf:
 
 
 class TestCdfQueries:
-    def test_cdf_at(self):
-        samples = [1.0, 2.0, 3.0, 4.0]
-        assert cdf_at(samples, 2.5) == 0.5
-        assert cdf_at(samples, 4.0) == 1.0
-        assert cdf_at(samples, 0.0) == 0.0
-
     def test_survival_at(self):
         samples = [0.1, 0.2, 0.3, 0.4]
         assert survival_at(samples, 0.3) == 0.5
         assert survival_at(samples, 0.05) == 1.0
-
-    def test_quantile(self):
-        samples = [10.0, 20.0, 30.0, 40.0]
-        assert quantile(samples, 0.0) == 10.0
-        assert quantile(samples, 0.5) == 20.0
-        assert quantile(samples, 1.0) == 40.0
-
-    def test_quantile_validation(self):
-        with pytest.raises(ValueError):
-            quantile([1.0], 1.5)
 
 
 class TestBasicStateCount:

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.leakage import (
     compare_structures,
     leakage_map,
-    worst_case_leakage,
 )
 from repro.countermeasures.transform import (
     merge_to_coarse,
@@ -55,9 +54,10 @@ class TestWorstCase:
     def test_matches_map_maximum(self, setting):
         policy, universe = setting
         leaks = leakage_map(policy, universe, DELTA, 2, WINDOW)
-        target, value = worst_case_leakage(
-            policy, universe, DELTA, 2, WINDOW
+        (row,) = compare_structures(
+            {"original": policy}, universe, DELTA, 2, WINDOW
         )
+        target, value = row["worst_target"], row["worst_leakage_bits"]
         assert value == pytest.approx(max(leaks.values()))
         assert leaks[target] == pytest.approx(value)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.roc import best_threshold, perfect_band, roc_points
+from repro.analysis.roc import roc_points
 
 
 @pytest.fixture
@@ -47,28 +47,11 @@ class TestRocPoints:
             roc_points([], [1.0], [0.5])
 
 
-class TestBestThreshold:
-    def test_beats_paper_threshold_or_ties(self, populations):
-        hits, misses = populations
-        best = best_threshold(hits, misses)
-        (paper,) = roc_points(hits, misses, [1e-3])
-        assert best.accuracy >= paper.accuracy - 1e-9
-
-    def test_rejects_nonpositive_samples(self):
-        with pytest.raises(ValueError):
-            best_threshold([0.0, 1.0], [2.0])
-
-
 class TestPerfectBand:
-    def test_separable_band(self):
-        low, high = perfect_band([1.0, 2.0], [5.0, 7.0])
-        assert (low, high) == (2.0, 5.0)
-
-    def test_overlapping_band_collapses(self):
-        low, high = perfect_band([1.0, 6.0], [5.0, 7.0])
-        assert low == high == pytest.approx(5.5)
-
     def test_paper_band_contains_1ms(self, populations):
+        # Every hit is faster and every miss slower than 1 ms: the
+        # paper's threshold sits inside the zero-error band.
         hits, misses = populations
-        low, high = perfect_band(hits, misses)
-        assert low < 1e-3 < high
+        (point,) = roc_points(hits, misses, [1e-3])
+        assert point.true_hit_rate == 1.0
+        assert point.false_hit_rate == 0.0

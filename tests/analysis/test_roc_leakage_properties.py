@@ -2,11 +2,10 @@
 
 The defend grid (``repro-sdn defend``) leans on both modules for its
 per-cell channel metrics, so their mathematical invariants are pinned
-here: ROC curves are monotone staircases, every AUC lands in [0, 1]
-and is invariant under reordering the threshold sweep, rank AUC is
-antisymmetric in its populations, and per-target leakage is a
+here: ROC curves are monotone staircases, rank AUC lands in [0, 1]
+and is antisymmetric in its populations, per-target leakage is a
 non-negative number of bits bounded by the probe's binary outcome
-alphabet.
+alphabet, and the worst case over targets is the leakage map's maximum.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.leakage import leakage_map, worst_case_leakage
-from repro.analysis.roc import auc, roc_points, score_auc
+from repro.analysis.leakage import compare_structures, leakage_map
+from repro.analysis.roc import roc_points, score_auc
 from repro.flows.config import ConfigGenerator
 
 from tests.experiments.conftest import tiny_config_params
@@ -67,25 +66,6 @@ class TestRocProperties:
             assert 0.0 <= point.true_hit_rate <= 1.0
             assert 0.0 <= point.false_hit_rate <= 1.0
             assert 0.0 <= point.accuracy <= 1.0
-
-    @given(rtt_samples(), rtt_samples(), thresholds_strategy())
-    def test_auc_in_unit_interval(self, hits, misses, thresholds):
-        area = auc(roc_points(hits, misses, thresholds))
-        assert 0.0 <= area <= 1.0 + 1e-12
-
-    @given(
-        rtt_samples(),
-        rtt_samples(),
-        thresholds_strategy(min_size=2),
-        st.randoms(use_true_random=False),
-    )
-    def test_auc_invariant_under_threshold_permutation(
-        self, hits, misses, thresholds, rand
-    ):
-        baseline = auc(roc_points(hits, misses, thresholds))
-        shuffled = list(thresholds)
-        rand.shuffle(shuffled)
-        assert auc(roc_points(hits, misses, shuffled)) == baseline
 
     @given(rtt_samples(min_size=0), rtt_samples(min_size=0))
     def test_score_auc_in_unit_interval(self, positives, negatives):
@@ -146,6 +126,7 @@ class TestLeakageProperties:
             config.window_steps,
         )
         leaks = leakage_map(*args)
-        target, worst = worst_case_leakage(*args)
+        (row,) = compare_structures({"sampled": config.policy}, *args[1:])
+        target, worst = row["worst_target"], row["worst_leakage_bits"]
         assert worst == max(leaks.values())
         assert leaks[target] == worst

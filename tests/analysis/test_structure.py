@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.structure import sharing_census, target_structure
+from repro.analysis.structure import target_structure
 
 from tests.conftest import make_policy
 
@@ -30,23 +30,12 @@ class TestTargetStructure:
 
     def test_fully_shared_flow(self, policy):
         structure = target_structure(policy, 2)
-        assert structure.has_siblings
+        assert structure.sibling_flows == frozenset({3})
         assert structure.exclusive_rules == frozenset()
 
     def test_uncovered_flow(self, policy):
         structure = target_structure(policy, 9)
         assert structure.covering_rules == frozenset()
         assert not structure.install_rule_is_exclusive
-        assert not structure.has_siblings
+        assert structure.sibling_flows == frozenset()
 
-
-class TestSharingCensus:
-    def test_partition(self, policy):
-        census = sharing_census(policy)
-        assert census["exclusive_install"] == [0, 4]
-        assert census["shared"] == [1, 2, 3]
-
-    def test_partition_is_exhaustive(self, policy):
-        census = sharing_census(policy)
-        together = set(census["shared"]) | set(census["exclusive_install"])
-        assert together == set(policy.covered_flows())

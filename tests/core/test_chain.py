@@ -10,7 +10,6 @@ from repro.core.chain import (
     point_distribution,
     row_sums,
     stationary_distribution,
-    total_variation,
     validate_stochastic,
 )
 
@@ -92,14 +91,6 @@ class TestStationary:
         assert np.allclose(pi @ two_state_matrix, pi, atol=1e-9)
 
 
-class TestTotalVariation:
-    def test_identical(self):
-        assert total_variation(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0
-
-    def test_disjoint(self):
-        assert total_variation(np.array([1.0, 0]), np.array([0, 1.0])) == 1.0
-
-
 class TestPerFlowStepProbabilities:
     def test_normalisation(self):
         p_flows, p_none = per_flow_step_probabilities(np.array([0.1, 0.3]))
@@ -172,8 +163,6 @@ class TestTransitionOperator:
         start = np.array([0.6, 0.4])
         dense_op = TransitionOperator(two_state_matrix)
         sparse_op = TransitionOperator(sparse.csr_matrix(two_state_matrix))
-        assert not dense_op.is_sparse
-        assert sparse_op.is_sparse
         assert np.allclose(
             dense_op.power(start, 13), sparse_op.power(start, 13), atol=1e-14
         )

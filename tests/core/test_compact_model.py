@@ -41,7 +41,7 @@ class TestStateSpace:
         assert model.n_states == expected
 
     def test_empty_state_is_indexed(self, fig2b_model):
-        assert fig2b_model.states[fig2b_model.empty_state_index] == 0
+        assert fig2b_model.states[fig2b_model.state_index[0]] == 0
 
     def test_state_rules_roundtrip(self, fig2b_model):
         index = fig2b_model.state_index[mask_from_indices([0, 1])]
@@ -133,7 +133,7 @@ class TestTransitionMatrix:
         # From the empty state, excluding flow 0 removes exactly p_f0.
         full = fig2b_model.transition_matrix()
         excl = fig2b_model.transition_matrix(exclude_flows=(0,))
-        row = fig2b_model.empty_state_index
+        row = fig2b_model.state_index[0]
         rates = np.asarray(fig2b_model.context.step_rates)
         p_f0 = rates[0] / (1.0 + rates.sum())
         lost = full[row].sum() - excl[row].sum()
@@ -162,14 +162,14 @@ class TestTransitionMatrix:
     def test_install_transition_exists(self, fig2b_model):
         # empty --f0 arrival--> {r0} must have positive probability.
         matrix = fig2b_model.transition_matrix().toarray()
-        source = fig2b_model.empty_state_index
+        source = fig2b_model.state_index[0]
         target = fig2b_model.state_index[mask_from_indices([0])]
         assert matrix[source, target] > 0
 
     def test_miss_installs_highest_priority_rule(self, fig2b_model):
         # From empty, an f0 arrival installs r0 (not r1).
         matrix = fig2b_model.transition_matrix().toarray()
-        source = fig2b_model.empty_state_index
+        source = fig2b_model.state_index[0]
         to_r1_only = fig2b_model.state_index[mask_from_indices([1])]
         # {r1} alone is reachable only through f1 arrivals; its
         # probability from empty equals p_f1 (modulo expiry branching).
@@ -197,7 +197,7 @@ class TestTransitionMatrix:
 class TestEvolution:
     def test_initial_distribution_default_empty(self, fig2b_model):
         dist = fig2b_model.initial_distribution()
-        assert dist[fig2b_model.empty_state_index] == 1.0
+        assert dist[fig2b_model.state_index[0]] == 1.0
 
     def test_initial_distribution_custom(self, fig2b_model):
         dist = fig2b_model.initial_distribution(frozenset({1}))

@@ -1,10 +1,12 @@
 """Tests for reconnaissance inference (Section V probabilities)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.compact_model import CompactModel
-from repro.core.gain import binary_entropy
+from repro.core.gain import binary_entropy, conditional_entropy_binary
 from repro.core.inference import OutcomeTable, ReconInference
 from repro.experiments.screening import paper_screen
 
@@ -58,7 +60,11 @@ class TestPriors:
             inf = ReconInference(
                 model, target_flow=0, window_steps=int(window_seconds / delta)
             )
-            return abs(inf.prior_absent() - inf.prior_absent_poisson())
+            # The paper's closed-form prior e^{-lambda_f T Delta}.
+            poisson = math.exp(
+                -model.context.step_rates[0] * inf.window_steps
+            )
+            return abs(inf.prior_absent() - poisson)
 
         assert gap(0.025) < gap(0.25)
         assert gap(0.025) < 0.01
@@ -140,8 +146,9 @@ class TestInformationGain:
     def test_gain_decomposition(self, inference):
         probes = (0, 1)
         gain = inference.information_gain(probes)
-        expected = inference.prior_entropy() - inference.conditional_entropy(
-            probes
+        table = inference.outcome_table(probes)
+        expected = inference.prior_entropy() - conditional_entropy_binary(
+            table.joint_absent, table.outcome_probs
         )
         assert gain == pytest.approx(max(expected, 0.0))
 

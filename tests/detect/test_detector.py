@@ -92,7 +92,6 @@ class TestReconDetector:
 
     def test_score_requires_fit(self):
         detector = ReconDetector(method="threshold")
-        assert not detector.fitted
         with pytest.raises(RuntimeError, match="fit"):
             detector.score(window(received=1))
 

@@ -70,9 +70,7 @@ class TestSoundness:
         certified = 0
         for config in sample_candidates(params, 60):
             outcome = fastscreen.screen_candidate(
-                params,
-                config,
-                require_optimal_differs=require_optimal_differs,
+                config, require_optimal_differs=require_optimal_differs
             )
             assert outcome.model is not None
             harness = ConfigHarness(
@@ -101,7 +99,7 @@ class TestSoundness:
         with use_instrumentation(backend):
             for config in sample_candidates(params, 20):
                 fastscreen.screen_candidate(
-                    params, config, require_optimal_differs=True
+                    config, require_optimal_differs=True
                 )
         counts = _fastscreen_counts(backend)
         assert counts["rejects"] + counts["fallbacks"] == 20
@@ -118,7 +116,7 @@ class TestSoundness:
         with use_instrumentation(backend):
             for config in sample_candidates(params, 3):
                 fastscreen.screen_candidate(
-                    params, config, require_optimal_differs=True
+                    config, require_optimal_differs=True
                 )
         spans = {span.span_id: span for span in backend.tracer.records}
         screens = [s for s in spans.values() if s.name == "harness.fast_screen"]
@@ -140,7 +138,7 @@ class TestSoundness:
                 params = tiny_experiment_params().with_absence_range(*absence)
                 for config in sample_candidates(params, 20):
                     fastscreen.screen_candidate(
-                        params, config, require_optimal_differs=True
+                        config, require_optimal_differs=True
                     )
         verdicts = [
             span.attrs["verdict"]
@@ -201,7 +199,7 @@ class TestOutcomeSplit:
                 generator = ConfigGenerator(params.config, seed=2017 * 10 + index)
                 for _ in range(8):
                     fastscreen.screen_candidate(
-                        params, generator.sample(), require_optimal_differs=True
+                        generator.sample(), require_optimal_differs=True
                     )
         assert _fastscreen_counts(backend) == {
             "rejects": 14,
@@ -455,7 +453,7 @@ class TestAdversarialCut:
                 # The whole candidate: a certificate must agree with the
                 # exact screen.
                 outcome = fastscreen.screen_candidate(
-                    params, near, require_optimal_differs=False
+                    near, require_optimal_differs=False
                 )
                 if outcome.certified_reject:
                     harness = ConfigHarness(

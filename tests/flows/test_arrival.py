@@ -9,8 +9,6 @@ from repro.flows.arrival import (
     Arrival,
     PiecewiseRateProfile,
     PoissonArrivalProcess,
-    arrivals_to_steps,
-    merge_schedules,
     occurred_in_window,
     sample_schedule,
     sample_schedule_with_profile,
@@ -47,11 +45,6 @@ class TestPoissonArrivalProcess:
         # Poisson(30): standard error ~ sqrt(30/300) ~ 0.32.
         assert 28.5 < mean < 31.5
 
-    def test_iter_gaps_positive(self, rng):
-        gaps = PoissonArrivalProcess(4.0, rng).iter_gaps()
-        for _, gap in zip(range(10), gaps):
-            assert gap > 0
-
 
 class TestSchedules:
     def test_sample_schedule_ordered(self, rng):
@@ -67,13 +60,6 @@ class TestSchedules:
         seen = {a.flow_index for a in schedule}
         assert seen == {0, 1}
 
-    def test_merge_schedules(self):
-        a = [Arrival(1.0, 0), Arrival(3.0, 0)]
-        b = [Arrival(2.0, 1)]
-        merged = merge_schedules([a, b])
-        assert [arr.time for arr in merged] == [1.0, 2.0, 3.0]
-        assert [arr.flow_index for arr in merged] == [0, 1, 0]
-
     def test_occurred_in_window(self):
         schedule = [Arrival(5.0, 2), Arrival(9.0, 1)]
         assert occurred_in_window(schedule, 2, 0.0, 10.0)
@@ -83,14 +69,6 @@ class TestSchedules:
     def test_occurred_window_boundaries_inclusive(self):
         schedule = [Arrival(5.0, 0)]
         assert occurred_in_window(schedule, 0, 5.0, 5.0)
-
-    def test_arrivals_to_steps(self):
-        schedule = [Arrival(0.05, 1), Arrival(0.31, 0)]
-        assert arrivals_to_steps(schedule, 0.1) == [(0, 1), (3, 0)]
-
-    def test_arrivals_to_steps_requires_positive_delta(self):
-        with pytest.raises(ValueError):
-            arrivals_to_steps([], 0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -102,13 +80,6 @@ class TestSchedules:
 
 
 class TestPiecewiseRateProfile:
-    def test_factor_lookup(self):
-        profile = PiecewiseRateProfile([0.0, 10.0, 20.0], [1.0, 2.0, 0.5])
-        assert profile.factor_at(0.0) == 1.0
-        assert profile.factor_at(9.99) == 1.0
-        assert profile.factor_at(10.0) == 2.0
-        assert profile.factor_at(100.0) == 0.5
-
     def test_mean_factor(self):
         profile = PiecewiseRateProfile([0.0, 10.0], [1.0, 3.0])
         assert profile.mean_factor(20.0) == pytest.approx(2.0)
@@ -130,8 +101,6 @@ class TestPiecewiseRateProfile:
             PiecewiseRateProfile([0.0, 5.0, 3.0], [1, 1, 1])  # unsorted
         with pytest.raises(ValueError):
             PiecewiseRateProfile([0.0], [-1.0])  # negative factor
-        with pytest.raises(ValueError):
-            PiecewiseRateProfile([0.0], [1.0]).factor_at(-1.0)
 
     def test_flat_profile_matches_homogeneous_statistics(self):
         universe = make_universe([2.0])

@@ -144,7 +144,7 @@ class TestConfigGenerator:
 
     def test_sample_many(self):
         generator = ConfigGenerator(ConfigParams(), seed=11)
-        configs = generator.sample_many(3)
+        configs = [generator.sample() for _ in range(3)]
         assert len(configs) == 3
         targets = {c.target_flow for c in configs}
         rates = {c.universe.rates for c in configs}

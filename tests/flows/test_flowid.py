@@ -52,11 +52,6 @@ class TestFlowId:
         assert flow.sport == 0
         assert flow.dport == 0
 
-    def test_from_strs(self):
-        flow = FlowId.from_strs("10.0.1.3", "10.0.1.16")
-        assert flow.src == str_to_ip("10.0.1.3")
-        assert flow.dst == str_to_ip("10.0.1.16")
-
     def test_reversed_swaps_endpoints_and_ports(self):
         flow = FlowId(src=1, dst=2, proto=PROTO_TCP, sport=1000, dport=80)
         rev = flow.reversed()
@@ -96,12 +91,16 @@ class TestFlowId:
             FlowId(**kwargs)
 
     def test_describe_without_ports(self):
-        flow = FlowId.from_strs("10.0.1.2", "10.0.1.16")
+        flow = FlowId(str_to_ip("10.0.1.2"), str_to_ip("10.0.1.16"))
         assert flow.describe() == "10.0.1.2 -> 10.0.1.16 (icmp)"
 
     def test_describe_with_ports(self):
-        flow = FlowId.from_strs(
-            "10.0.1.2", "10.0.1.16", proto=PROTO_TCP, sport=1234, dport=80
+        flow = FlowId(
+            str_to_ip("10.0.1.2"),
+            str_to_ip("10.0.1.16"),
+            proto=PROTO_TCP,
+            sport=1234,
+            dport=80,
         )
         assert "10.0.1.2:1234" in flow.describe()
         assert "(tcp)" in flow.describe()

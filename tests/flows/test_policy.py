@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.flows.policy import ModelRule, Policy, specificity_priorities
-from repro.flows.rules import Match, Rule, RuleTable
-
-from tests.conftest import make_universe
+from repro.flows.policy import ModelRule, Policy
 
 
 class TestModelRule:
@@ -67,84 +64,8 @@ class TestPolicyQueries:
     def test_covered_flows(self, tiny_policy):
         assert tiny_policy.covered_flows() == frozenset({0, 1, 2})
 
-    def test_match_in_cache_prefers_cached_priority(self, tiny_policy):
-        # Both r0 and r1 cached: f0 matches r0.
-        assert tiny_policy.match_in_cache(0, frozenset({0, 1})) == 0
-        # Only r1 cached: f0 matches r1 even though r0 is higher priority
-        # in the policy (the switch consults only its cache).
-        assert tiny_policy.match_in_cache(0, frozenset({1})) == 1
-        assert tiny_policy.match_in_cache(0, frozenset({2})) is None
-
-    def test_install_on_miss_is_policy_best(self, tiny_policy):
-        assert tiny_policy.install_on_miss(0) == 0
-        assert tiny_policy.install_on_miss(1) == 1
-        assert tiny_policy.install_on_miss(3) is None
-
     def test_describe_lists_rules(self, tiny_policy):
         text = tiny_policy.describe()
         for rank in range(3):
             assert f"r{rank}" in text
 
-
-class TestFromRuleTable:
-    def _table_and_universe(self):
-        rules = [
-            Rule(name="specific", src=Match.exact(0), priority=10,
-                 idle_timeout=0.95),
-            Rule(name="broad", src=Match(0, 0xFFFFFFFE), priority=5,
-                 idle_timeout=2.0),
-            Rule(name="permanent", src=Match.ANY, priority=1),
-        ]
-        universe = make_universe([0.1, 0.2])
-        return RuleTable(rules), universe
-
-    def test_permanent_rules_excluded(self):
-        table, universe = self._table_and_universe()
-        policy = Policy.from_rule_table(table, universe, delta=0.5)
-        assert [r.name for r in policy] == ["specific", "broad"]
-
-    def test_timeouts_converted_with_ceiling(self):
-        table, universe = self._table_and_universe()
-        policy = Policy.from_rule_table(table, universe, delta=0.5)
-        assert policy[0].timeout_steps == 2  # ceil(0.95 / 0.5)
-        assert policy[1].timeout_steps == 4
-
-    def test_flow_sets_computed(self):
-        table, universe = self._table_and_universe()
-        policy = Policy.from_rule_table(table, universe, delta=0.5)
-        assert policy[0].flows == frozenset({0})
-        assert policy[1].flows == frozenset({0, 1})
-
-    def test_delta_must_be_positive(self):
-        table, universe = self._table_and_universe()
-        with pytest.raises(ValueError):
-            Policy.from_rule_table(table, universe, delta=0.0)
-
-    def test_rules_covering_nothing_dropped(self):
-        rules = [
-            Rule(name="offnet", src=Match.exact(77), priority=3,
-                 idle_timeout=1.0),
-            Rule(name="onnet", src=Match.exact(0), priority=2,
-                 idle_timeout=1.0),
-        ]
-        universe = make_universe([0.1])
-        policy = Policy.from_rule_table(RuleTable(rules), universe, delta=1.0)
-        assert [r.name for r in policy] == ["onnet"]
-
-
-class TestSpecificityPriorities:
-    def test_more_specific_rules_get_higher_priority(self):
-        exact = Rule(name="exact", src=Match.exact(1), priority=0)
-        broad = Rule(name="broad", src=Match.ANY, priority=0)
-        ranked = specificity_priorities([exact, broad])
-        by_name = {r.name: r.priority for r in ranked}
-        assert by_name["exact"] > by_name["broad"]
-
-    def test_priorities_distinct(self):
-        rules = [
-            Rule(name=f"r{i}", src=Match.exact(i), priority=0)
-            for i in range(5)
-        ]
-        ranked = specificity_priorities(rules)
-        priorities = [r.priority for r in ranked]
-        assert len(set(priorities)) == len(priorities)

@@ -28,24 +28,6 @@ class TestMatchAlgebra:
         if a.matches(key) and b.matches(key):
             assert a.overlaps(b)
 
-    @given(matches(), matches(), keys)
-    def test_subsumes_definition(self, a, b, key):
-        if a.subsumes(b) and b.matches(key):
-            assert a.matches(key)
-
-    @given(matches())
-    def test_any_subsumes_everything(self, a):
-        assert Match.ANY.subsumes(a)
-
-    @given(matches())
-    def test_subsumes_reflexive(self, a):
-        assert a.subsumes(a)
-
-    @given(matches(), matches(), matches())
-    def test_subsumes_transitive(self, a, b, c):
-        if a.subsumes(b) and b.subsumes(c):
-            assert a.subsumes(c)
-
     @given(keys)
     def test_exact_matches_only_itself(self, value):
         match = Match.exact(value)

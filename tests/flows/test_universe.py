@@ -29,12 +29,6 @@ class TestValidation:
 
 
 class TestQueries:
-    def test_create_from_pairs(self):
-        flow = FlowId(src=1, dst=2)
-        universe = FlowUniverse.create([(flow, 0.5)])
-        assert universe.flows == (flow,)
-        assert universe.rates == (0.5,)
-
     def test_len(self):
         assert len(make_universe([0.1, 0.2, 0.3])) == 3
 
@@ -42,15 +36,12 @@ class TestQueries:
         universe = make_universe([0.1, 0.7])
         flow = universe.flows[1]
         assert universe.index_of(flow) == 1
-        assert universe.rate_of(flow) == 0.7
+        assert universe.rates[universe.index_of(flow)] == 0.7
 
     def test_index_of_missing_raises(self):
         universe = make_universe([0.1])
         with pytest.raises(ValueError):
             universe.index_of(FlowId(src=42, dst=43))
-
-    def test_total_rate(self):
-        assert make_universe([0.1, 0.2, 0.3]).total_rate == pytest.approx(0.6)
 
     def test_step_rates_scale_by_delta(self):
         universe = make_universe([0.5, 1.0])
@@ -59,12 +50,6 @@ class TestQueries:
     def test_step_rates_positive_delta(self):
         with pytest.raises(ValueError):
             make_universe([0.1]).step_rates(0.0)
-
-    def test_rate_map(self):
-        universe = make_universe([0.1, 0.2])
-        mapping = universe.rate_map()
-        assert mapping[universe.flows[0]] == 0.1
-        assert len(mapping) == 2
 
     def test_with_rates_keeps_flows(self):
         universe = make_universe([0.1, 0.2])

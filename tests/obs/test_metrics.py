@@ -1,7 +1,5 @@
 """Counter/gauge/histogram semantics and the registry document."""
 
-import json
-
 import pytest
 
 from repro.obs.metrics import (
@@ -144,10 +142,3 @@ class TestRegistry:
         assert document["counters"] == {"a.b": 5, "z.zero": 0}
         assert document["gauges"] == {"m.level": 4.0}
         assert document["histograms"] == other.to_document()["histograms"]
-
-    def test_write_json_round_trips(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("a.b").inc(7)
-        path = registry.write_json(tmp_path / "sub" / "metrics.json")
-        loaded = json.loads(path.read_text())
-        assert loaded["counters"]["a.b"] == 7

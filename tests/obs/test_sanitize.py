@@ -16,7 +16,6 @@ from repro.obs.sanitize import (
     DeterminismError,
     Sanitizer,
     enabled_by_env,
-    get_sanitizer,
     is_active,
     sanitized,
 )
@@ -114,7 +113,6 @@ class TestRngGuards:
 class TestActivation:
     def test_inactive_by_default(self):
         assert not is_active()
-        assert get_sanitizer() is None
 
     def test_nested_activation_reuses_outer(self):
         with sanitized() as outer:

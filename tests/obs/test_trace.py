@@ -5,7 +5,6 @@ import pytest
 from repro.obs.trace import (
     REQUIRED_SPAN_KEYS,
     Tracer,
-    iter_spans,
     read_ndjson,
 )
 
@@ -113,15 +112,3 @@ def test_read_ndjson_rejects_missing_keys(tmp_path):
     path.write_text('{"span_id": 1, "name": "a"}\n')
     with pytest.raises(ValueError, match="missing"):
         read_ndjson(path)
-
-
-def test_iter_spans_filters_by_exact_name(tmp_path):
-    tracer = Tracer()
-    with tracer.span("keep"):
-        pass
-    with tracer.span("keeper"):
-        pass
-    with tracer.span("keep"):
-        pass
-    records = read_ndjson(tracer.write_ndjson(tmp_path / "t.ndjson"))
-    assert len(list(iter_spans(records, "keep"))) == 2

@@ -128,7 +128,7 @@ def sample_screened_harnesses(
             config = generator.sample()
             sampled.inc()
             outcome = fastscreen.screen_candidate(
-                params, config, require_optimal_differs=require_optimal_differs
+                config, require_optimal_differs=require_optimal_differs
             )
             if outcome.certified_reject:
                 screened_out.inc()

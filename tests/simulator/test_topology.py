@@ -7,10 +7,8 @@ from repro.simulator.topology import (
     BACKBONE_ROUTERS,
     ZONE_PREFIXES,
     linear_topology,
-    single_switch_topology,
     stanford_backbone,
     validate_topology,
-    zone_routers,
 )
 
 
@@ -29,7 +27,10 @@ class TestStanfordBackbone:
 
     def test_zone_routers_uplink_to_both_backbones(self):
         graph = stanford_backbone()
-        for zone in zone_routers():
+        kinds = nx.get_node_attributes(graph, "kind")
+        zones = [node for node, kind in kinds.items() if kind == "zone"]
+        assert len(zones) == 14
+        for zone in zones:
             for core in BACKBONE_ROUTERS:
                 assert graph.has_edge(zone, core)
 
@@ -57,7 +58,7 @@ class TestLinearTopology:
         assert graph.number_of_edges() == 3
 
     def test_single(self):
-        graph = single_switch_topology()
+        graph = linear_topology(1)
         assert graph.number_of_nodes() == 1
 
     def test_invalid_size(self):
