@@ -66,18 +66,16 @@ def basic_state_count_uniform(
     return total
 
 
-def compact_state_count(
-    n_rules: int, cache_size: int, include_empty: bool = False
-) -> int:
+def compact_state_count(n_rules: int, cache_size: int) -> int:
     """Compact-model state count ``sum_{k=1..n} C(|Rules|, k)``.
 
-    This is the paper's formula, over every subset of the rules.
-    ``include_empty=True`` adds the empty-cache start state that the
-    implementation carries (the paper's count starts at ``k = 1``).
-    The implementation enumerates only subsets of the rules some flow
-    installs (:attr:`CompactModel.live_rules`), so its ``n_states`` is
-    this count for the number of installable rules, with the empty
-    state: ``compact_state_count(popcount(live_rules), n, True)``.
+    This is the paper's formula, over every subset of the rules; it
+    starts at ``k = 1``, so it leaves out the empty-cache start state
+    that the implementation carries.  The implementation enumerates
+    only subsets of the rules some flow installs
+    (:attr:`CompactModel.live_rules`), so its ``n_states`` is this count
+    for the number of installable rules, plus the empty state:
+    ``compact_state_count(popcount(live_rules), n) + 1``.
     """
     if cache_size < 0 or n_rules < 0:
         raise ValueError("arguments must be non-negative")
@@ -85,7 +83,7 @@ def compact_state_count(
         math.comb(n_rules, size)
         for size in range(1, min(cache_size, n_rules) + 1)
     )
-    return total + (1 if include_empty else 0)
+    return total
 
 
 def state_count_table(

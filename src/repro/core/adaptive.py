@@ -217,23 +217,10 @@ class AdaptiveModelAttacker:
 
     name = "adaptive"
 
-    def __init__(
-        self,
-        inference: ReconInference,
-        candidates: Optional[Sequence[int]] = None,
-        max_probes: int = 3,
-        min_gain: float = 1e-9,
-    ) -> None:
+    def __init__(self, inference: ReconInference, max_probes: int = 3) -> None:
         self.inference = inference
-        self.candidates = candidates
         self.max_probes = max_probes
-        self.min_gain = min_gain
 
     def start_session(self) -> AdaptiveSession:
-        """A fresh session for one trial."""
-        return AdaptiveSession(
-            self.inference,
-            candidates=self.candidates,
-            max_probes=self.max_probes,
-            min_gain=self.min_gain,
-        )
+        """A fresh session for one trial, free to probe any flow."""
+        return AdaptiveSession(self.inference, max_probes=self.max_probes)

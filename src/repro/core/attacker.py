@@ -168,24 +168,18 @@ class ConstrainedModelAttacker(ModelAttacker):
     def __init__(
         self,
         inference: ReconInference,
-        candidates: Optional[Sequence[int]] = None,
         n_probes: int = 1,
         decision: str = "query",
-        selection_method: str = "exhaustive",
     ) -> None:
-        if candidates is None:
-            candidates = range(inference.model.context.n_flows)
         allowed = [
-            int(f) for f in candidates if int(f) != inference.target_flow
+            flow
+            for flow in range(inference.model.context.n_flows)
+            if flow != inference.target_flow
         ]
         if not allowed:
             raise ValueError("no candidate probes besides the target")
         super().__init__(
-            inference,
-            candidates=allowed,
-            n_probes=n_probes,
-            decision=decision,
-            selection_method=selection_method,
+            inference, candidates=allowed, n_probes=n_probes, decision=decision
         )
 
 
@@ -200,21 +194,15 @@ class RandomAttacker(Attacker):
     name = "random"
 
     def __init__(
-        self,
-        prior_present: float,
-        rng: Optional[np.random.Generator] = None,
-        seed: Optional[int] = None,
+        self, prior_present: float, rng: np.random.Generator
     ) -> None:
         if not 0.0 <= prior_present <= 1.0:
             raise ValueError(f"prior out of range: {prior_present}")
         self.prior_present = float(prior_present)
-        # Reproducible by default: an explicit generator wins, then an
-        # explicit seed, then a fixed seed -- never OS entropy.
-        self._rng = (
-            rng
-            if rng is not None
-            else np.random.default_rng(0 if seed is None else seed)
-        )
+        #: The caller's generator: the harness and the service share
+        #: theirs, so verdicts are drawn in trial order
+        #: (repro.experiments.parallel).
+        self._rng = rng
 
     def plan(self) -> Tuple[int, ...]:
         return ()

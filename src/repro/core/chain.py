@@ -234,15 +234,21 @@ def row_sums(matrix: MatrixLike) -> np.ndarray:
     return np.asarray(np.asarray(matrix).sum(axis=1)).ravel()
 
 
+#: Row-sum tolerance of :func:`validate_stochastic`.
+STOCHASTIC_ATOL = 1e-9
+
+
 def validate_stochastic(
-    matrix: MatrixLike, atol: float = 1e-9, substochastic: bool = False
+    matrix: MatrixLike, substochastic: bool = False
 ) -> None:
     """Raise ``ValueError`` unless rows sum to one (or at most one).
 
     With ``substochastic=True``, rows may sum to anything in ``[0, 1]``
     (the target-excluded matrices of Section V-A).  Accepts dense
-    arrays, ``np.matrix``, and every scipy-sparse format.
+    arrays, ``np.matrix``, and every scipy-sparse format.  Sums are
+    checked to :data:`STOCHASTIC_ATOL`.
     """
+    atol = STOCHASTIC_ATOL
     sums = row_sums(matrix)
     if substochastic:
         if (sums > 1.0 + atol).any() or (sums < -atol).any():

@@ -142,9 +142,7 @@ class CompactModel:
         self._state_popcounts: Optional[np.ndarray] = None
         self._matrix_cache: Dict[Tuple[int, ...], sparse.csr_matrix] = {}
         self._operator_cache: Dict[Tuple[int, ...], TransitionOperator] = {}
-        self._chain_cache: Dict[
-            Tuple[Tuple[int, ...], Optional[bytes]], PowerChain
-        ] = {}
+        self._chain_cache: Dict[Tuple[int, ...], PowerChain] = {}
 
     # ------------------------------------------------------------------
     # Public conveniences
@@ -421,68 +419,42 @@ class CompactModel:
             self._operator_cache[key] = operator
         return operator
 
-    def power_chain(
-        self,
-        exclude_flows: Iterable[int] = (),
-        start: Optional[np.ndarray] = None,
-    ) -> PowerChain:
-        """Memoised incremental power chain per (exclusion set, start).
+    def power_chain(self, exclude_flows: Iterable[int] = ()) -> PowerChain:
+        """Memoised incremental power chain from the empty cache, per
+        exclusion set.
 
-        ``start=None`` means the model's initial distribution -- the
-        common case, shared across every inference fitted on this model,
-        so re-windowing (fig6/fig7 sweeps, the window ablation) pays
-        only the step delta instead of a full re-powering.
+        Shared across every inference fitted on this model, so
+        re-windowing (fig6/fig7 sweeps, the window ablation) pays only
+        the step delta instead of a full re-powering.
         """
-        key = (
-            self._exclusion_key(exclude_flows),
-            None if start is None else np.asarray(start).tobytes(),
-        )
+        key = self._exclusion_key(exclude_flows)
         chain = self._chain_cache.get(key)
         if chain is None:
-            initial = self.initial_distribution() if start is None else start
-            chain = PowerChain(self.transition_operator(key[0]), initial)
+            chain = PowerChain(
+                self.transition_operator(key), self.initial_distribution()
+            )
             self._chain_cache[key] = chain
         return chain
 
     # ------------------------------------------------------------------
     # Distribution evolution
     # ------------------------------------------------------------------
-    def initial_distribution(
-        self, state: Optional[FrozenSet[int]] = None
-    ) -> np.ndarray:
-        """Point distribution at ``state`` (default: empty cache).
-
-        ``state`` must be a cache state that can occur: at most
-        ``cache_size`` rules, each installable by some flow.  A start
-        holding a rule no flow installs raises a ``ValueError`` naming
-        that rule (the model has no such state, and the switch never
-        reaches one).
-        """
+    def initial_distribution(self) -> np.ndarray:
+        """Point distribution at the empty cache (Section VI-A's start)."""
         from repro.core.chain import point_distribution
-        from repro.core.masks import mask_from_indices
 
-        mask = 0 if state is None else mask_from_indices(state)
         return point_distribution(
-            self.n_states, self.index_of(mask, "start state")
+            self.n_states, self.index_of(0, "start state")
         )
 
-    def distribution_after(
-        self,
-        steps: int,
-        initial: Optional[np.ndarray] = None,
-        exclude_flows: Iterable[int] = (),
-    ) -> np.ndarray:
+    def distribution_after(self, steps: int) -> np.ndarray:
         """``I_T = A^T I_0`` (Eqn. 8), row-vector convention.
 
-        Default-start evolutions go through the memoised power chain, so
-        repeated calls with growing ``steps`` pay only the delta; the
-        result is always a fresh writable copy.
+        Goes through the memoised power chain, so repeated calls with
+        growing ``steps`` pay only the delta; the result is always a
+        fresh writable copy.
         """
-        if initial is None:
-            chain = self.power_chain(exclude_flows)
-            return np.array(chain.advance(steps))
-        operator = self.transition_operator(exclude_flows)
-        return operator.power(np.asarray(initial, dtype=np.float64), steps)
+        return np.array(self.power_chain().advance(steps))
 
     def rule_presence_marginals(self, distribution: np.ndarray) -> np.ndarray:
         """``P(rule_j in cache)`` for each rule, under a state distribution."""

@@ -125,9 +125,7 @@ class ReconInference:
     target_flow:
         Universe index of the target flow ``f̂``.
     window_steps:
-        The detection window ``T`` in steps.
-    initial:
-        Optional initial state distribution (default: empty cache).
+        The detection window ``T`` in steps, from an empty cache.
     """
 
     def __init__(
@@ -135,7 +133,6 @@ class ReconInference:
         model: CompactModel,
         target_flow: int,
         window_steps: int,
-        initial: Optional[np.ndarray] = None,
         precomputed_full: Optional[np.ndarray] = None,
     ) -> None:
         if window_steps < 0:
@@ -144,14 +141,6 @@ class ReconInference:
         self.target_flow = int(target_flow)
         self.window_steps = int(window_steps)
 
-        start = model.initial_distribution() if initial is None else initial
-        # Private copy, frozen: the start distribution feeds every cache
-        # entry, so neither the caller's array nor ours may drift.
-        self._start = np.array(start, dtype=np.float64)
-        self._start.setflags(write=False)
-        # Whether evolutions can share the model's default-start power
-        # chains (reused across every inference on this model).
-        self._default_start = initial is None
         # Work counts (``engine.evolutions``, ``engine.cache.*``) go to
         # whatever backend is current when the work happens, not the one
         # current at construction: an inference inherited by a fork pool
@@ -201,14 +190,11 @@ class ReconInference:
             return cached
         counter_inc("engine.evolutions")
         # The model's power chain memoises A^T I_0 checkpoints across
-        # every inference sharing the default start, so re-windowing the
-        # same model pays only the step delta.  Chain results arrive
-        # frozen -- aliased cache entries stay read-only (the runtime
-        # complement of lint rule MUT001).
-        chain = self.model.power_chain(
-            key, None if self._default_start else self._start
-        )
-        dist = chain.advance(self.window_steps)
+        # every inference on the model, so re-windowing the same model
+        # pays only the step delta.  Chain results arrive frozen --
+        # aliased cache entries stay read-only (the runtime complement
+        # of lint rule MUT001).
+        dist = self.model.power_chain(key).advance(self.window_steps)
         self._evolution_cache[key] = dist
         if sanitize.is_active():
             sanitize.guard_array(f"inference.evolution[{key}]", dist)

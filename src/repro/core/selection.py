@@ -36,7 +36,6 @@ def best_single_probe(
     inference: ReconInference,
     *,
     candidates: Optional[Sequence[int]] = None,
-    engine: Optional[ProbeScoringEngine] = None,
 ) -> ProbeChoice:
     """The single probe flow with the largest information gain.
 
@@ -44,12 +43,9 @@ def best_single_probe(
     model an attacker who cannot launch certain flows (e.g. the
     constrained attacker of Figure 7, who cannot probe the target).
     Ties break toward the lowest flow index for determinism.  Scoring
-    runs on the batched engine; pass ``engine`` to reuse one across
-    calls.
+    runs on the batched engine.
     """
-    if engine is None:
-        engine = ProbeScoringEngine(inference)
-    probes, gain = engine.best_single(candidates)
+    probes, gain = ProbeScoringEngine(inference).best_single(candidates)
     return ProbeChoice(probes=probes, gain=gain)
 
 
@@ -59,30 +55,23 @@ def best_probe_set(
     *,
     candidates: Optional[Sequence[int]] = None,
     method: str = "exhaustive",
-    engine: Optional[ProbeScoringEngine] = None,
 ) -> ProbeChoice:
     """The best set of ``n_probes`` probes by joint information gain.
 
     ``method="exhaustive"`` scores every size-``n_probes`` combination;
     ``method="greedy"`` grows the set one probe at a time (standard
     submodular-style heuristic, much cheaper for large candidate pools).
-    Scoring runs on the batched engine; pass ``engine`` to reuse one
-    across calls.
+    Scoring runs on the batched engine.
     """
-    if engine is None:
-        engine = ProbeScoringEngine(inference)
-    probes, gain = engine.best_set(n_probes, candidates, method=method)
+    probes, gain = ProbeScoringEngine(inference).best_set(
+        n_probes, candidates, method=method
+    )
     return ProbeChoice(probes=probes, gain=gain)
 
 
-def rank_probes(
-    inference: ReconInference,
-    candidates: Optional[Sequence[int]] = None,
-) -> Tuple[ProbeChoice, ...]:
-    """All single-probe candidates ranked by information gain (desc)."""
-    if candidates is None:
-        candidates = range(inference.model.context.n_flows)
-    flows = [int(flow) for flow in candidates]
+def rank_probes(inference: ReconInference) -> Tuple[ProbeChoice, ...]:
+    """Every flow as a single probe, ranked by information gain (desc)."""
+    flows = list(range(inference.model.context.n_flows))
     gains = ProbeScoringEngine(inference).score_tails((), flows)
     scored = [
         ProbeChoice(probes=(flow,), gain=float(gain))

@@ -6,7 +6,8 @@ Cui et al. [9]).  The defense tracks, per flow identifier at the
 reactive switch, how many packets have been seen since the flow was last
 quiet; the first ``first_k`` packets of each burst are delayed by a
 sample from the same distribution as the controller setup time, making
-hit and miss timings indistinguishable to the prober.
+hit and miss timings indistinguishable to the prober.  A flow quiet for
+longer than :attr:`DelayDefense.QUIET_RESET` starts a new burst.
 
 The cost the paper notes -- added buffering and delay for legitimate
 first packets -- is directly measurable here via
@@ -33,21 +34,17 @@ class DelayDefense(Defense):
 
     name = "delay"
 
-    def __init__(
-        self,
-        first_k: int = 2,
-        delay_mean: float = 3.6e-3,
-        delay_std: float = 1.8e-3,
-        quiet_reset: float = 1.0,
-    ) -> None:
+    #: Mean and standard deviation of the added delay (seconds): the
+    #: controller setup time's distribution.
+    DELAY_MEAN = 3.6e-3
+    DELAY_STD = 1.8e-3
+    #: Seconds of quiet after which a flow's next packets are "first".
+    QUIET_RESET = 1.0
+
+    def __init__(self, first_k: int = 2) -> None:
         if first_k < 1:
             raise ValueError("first_k must be >= 1")
-        if delay_mean < 0 or delay_std < 0 or quiet_reset <= 0:
-            raise ValueError("delays must be non-negative, reset positive")
         self.first_k = first_k
-        self.delay_mean = delay_mean
-        self.delay_std = delay_std
-        self.quiet_reset = quiet_reset
         #: flow -> (packets seen in current burst, last packet time).
         self._seen: Dict[FlowId, Tuple[int, float]] = {}
         #: flow -> {packet identity -> burst position}.  A retransmitted
@@ -91,7 +88,7 @@ class DelayDefense(Defense):
         now = self._network.sim.now
         count, last = self._seen.get(packet.flow, (0, -float("inf")))
         slots = self._burst_slots.setdefault(packet.flow, {})
-        if now - last > self.quiet_reset:
+        if now - last > self.QUIET_RESET:
             count = 0  # the flow went quiet; its next packets are "first"
             slots.clear()
         identity = self._packet_identity(packet)
@@ -124,8 +121,8 @@ class DelayDefense(Defense):
         if position > self.first_k:
             return 0.0
         assert self._rng is not None, "attach() must run before forwarding"
-        delay = float(self._rng.normal(self.delay_mean, self.delay_std))
-        delay = max(delay, self.delay_mean * 0.1)
+        delay = float(self._rng.normal(self.DELAY_MEAN, self.DELAY_STD))
+        delay = max(delay, self.DELAY_MEAN * 0.1)
         self.delays_added += delay
         self.packets_delayed += 1
         return delay

@@ -41,29 +41,24 @@ class ReconDetector:
 
     ``fit`` calibrates on labelled benign/attack windows; ``score``
     maps a window to ``[0, 1]`` (higher = more probe-like).  A window
-    scoring above ``alert_threshold`` counts as an alert.
+    scoring above :attr:`ALERT_THRESHOLD` counts as an alert.
     """
 
-    def __init__(
-        self,
-        method: str = "threshold",
-        seed: int = 0,
-        alert_threshold: float = 0.5,
-        epochs: int = 200,
-        learning_rate: float = 0.5,
-    ) -> None:
+    #: Score above which a window is an alert.
+    ALERT_THRESHOLD = 0.5
+    #: Full-batch gradient steps of the logistic fit.
+    EPOCHS = 200
+    #: Gradient step size of the logistic fit.
+    LEARNING_RATE = 0.5
+
+    def __init__(self, method: str = "threshold", seed: int = 0) -> None:
         if method not in DETECTOR_CHOICES:
             raise ValueError(
                 f"unknown detector method {method!r}; choose from "
                 f"{', '.join(DETECTOR_CHOICES)}"
             )
-        if epochs < 1 or learning_rate <= 0:
-            raise ValueError("epochs must be >= 1, learning_rate positive")
         self.method = method
         self.seed = int(seed)
-        self.alert_threshold = float(alert_threshold)
-        self.epochs = int(epochs)
-        self.learning_rate = float(learning_rate)
         self._mean: Optional[np.ndarray] = None
         self._std: Optional[np.ndarray] = None
         self._weights: Optional[np.ndarray] = None
@@ -102,12 +97,12 @@ class ReconDetector:
         rng = np.random.default_rng(self.seed)
         weights = rng.normal(0.0, 0.01, size=len(FEATURE_NAMES))
         bias = 0.0
-        for _ in range(self.epochs):
+        for _ in range(self.EPOCHS):
             logits = np.clip(x @ weights + bias, -60.0, 60.0)
             probs = 1.0 / (1.0 + np.exp(-logits))
             error = probs - y
-            weights -= self.learning_rate * (x.T @ error) / len(y)
-            bias -= self.learning_rate * float(error.mean())
+            weights -= self.LEARNING_RATE * (x.T @ error) / len(y)
+            bias -= self.LEARNING_RATE * float(error.mean())
         self._weights = weights
         self._bias = bias
 
@@ -129,7 +124,7 @@ class ReconDetector:
             logit = float(np.clip(z @ self._weights + self._bias, -60.0, 60.0))
         value = 1.0 / (1.0 + float(np.exp(-logit)))
         self._obs_scored.inc()
-        if value > self.alert_threshold:
+        if value > self.ALERT_THRESHOLD:
             self._obs_alerts.inc()
         return value
 

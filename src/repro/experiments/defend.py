@@ -43,7 +43,6 @@ defense itself.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import (
@@ -74,6 +73,9 @@ from repro.experiments.harness import (
 from repro.experiments.robustness import (
     MAX_ATTEMPTS_FACTOR,
     forward_counters,
+    restore_states,
+    shared_generators,
+    snapshot_states,
     sweep_axes,
 )
 from repro.faults import FAULT_KINDS
@@ -248,41 +250,6 @@ class DefendResult:
                 cell.benign_delay_seconds
             )
         return summary
-
-
-# ----------------------------------------------------------------------
-# World identity: restore the shared generator between cells
-# ----------------------------------------------------------------------
-def _shared_generators(
-    harnesses: Sequence[ConfigHarness],
-) -> List[np.random.Generator]:
-    """The distinct generator objects the harnesses draw trials from.
-
-    ``sample_screened_harnesses`` hands every harness (and its random
-    attacker) the *same* generator, so this is normally a one-element
-    list -- but identity-dedup keeps the restore correct even if that
-    sharing ever changes.
-    """
-    generators: List[np.random.Generator] = []
-    for harness in harnesses:
-        for generator in (harness.rng, harness.random_attacker._rng):
-            if not any(generator is seen for seen in generators):
-                generators.append(generator)
-    return generators
-
-
-def _snapshot_states(
-    generators: Sequence[np.random.Generator],
-) -> List[Dict[str, object]]:
-    return [copy.deepcopy(g.bit_generator.state) for g in generators]
-
-
-def _restore_states(
-    generators: Sequence[np.random.Generator],
-    states: Sequence[Dict[str, object]],
-) -> None:
-    for generator, state in zip(generators, states):
-        generator.bit_generator.state = copy.deepcopy(state)
 
 
 # ----------------------------------------------------------------------
@@ -469,7 +436,7 @@ def _detector_metrics(
     benign_scores = detector.scores(benign)
     attack_scores = detector.scores(attack)
     alert_rate = sum(
-        1 for score in attack_scores if score > detector.alert_threshold
+        1 for score in attack_scores if score > detector.ALERT_THRESHOLD
     ) / len(attack_scores)
     return score_auc(attack_scores, benign_scores), alert_rate
 
@@ -552,8 +519,8 @@ def run_defend(spec: "JobSpec") -> DefendResult:
             params, params.n_configs, max_attempts_factor=MAX_ATTEMPTS_FACTOR
         )
         fallbacks = harnesses.pool_fallbacks
-        generators = _shared_generators(harnesses)
-        states = _snapshot_states(generators)
+        generators = shared_generators(harnesses)
+        states = snapshot_states(generators)
         structural = _structural_leakage(harnesses)
         detector_config = harnesses[0].config
 
@@ -570,7 +537,7 @@ def run_defend(spec: "JobSpec") -> DefendResult:
             with outer.span(
                 "experiment.defend.cell", defense=label, rate=rate
             ):
-                _restore_states(generators, states)
+                restore_states(generators, states)
                 with use_instrumentation(inner):
                     bucket = [
                         harness.run_trials(

@@ -38,7 +38,6 @@ from repro.experiments.trials import DefenseFactory, TrialResult
 from repro.flows.config import ConfigGenerator, NetworkConfiguration
 from repro.obs import get_instrumentation
 from repro.parallel import ForkPool
-from repro.simulator.timing import LatencyModel
 
 if TYPE_CHECKING:
     from repro.apispec import JobSpec
@@ -59,10 +58,12 @@ class ConfigResult:
     #: Whether the rule a target miss installs covers only the target
     #: (the regime where no sibling probe can see the target's tracks;
     #: see repro.analysis.structure).
-    target_install_exclusive: bool = False
-    trial_results: List[TrialResult] = field(default_factory=list, repr=False)
-    #: Trial maps re-run in the parent after a pool failure (0 or 1).
-    pool_fallbacks: int = 0
+    target_install_exclusive: bool
+    #: The trials behind ``accuracies``, in trial order.
+    trial_results: List[TrialResult] = field(repr=False)
+    #: Trial maps re-run in the parent after a pool failure (0 or 1);
+    #: set by :meth:`ConfigHarness.run_trials`.
+    pool_fallbacks: int = field(default=0, init=False)
 
     @property
     def improvement(self) -> float:
@@ -84,13 +85,11 @@ class ConfigHarness:
         params: ExperimentParams,
         *,
         rng: Optional[np.random.Generator] = None,
-        latency: Optional[LatencyModel] = None,
         model: Optional[CompactModel] = None,
     ) -> None:
         self.config = config
         self.params = params
         self.rng = rng if rng is not None else np.random.default_rng(params.seed)
-        self.latency = latency
         obs = get_instrumentation()
         self._obs = obs
 
@@ -152,13 +151,9 @@ class ConfigHarness:
         return self._constrained_attacker
 
     @classmethod
-    def sample(
-        cls,
-        params: ExperimentParams,
-        generator: Optional[ConfigGenerator] = None,
-    ) -> "ConfigHarness":
+    def sample(cls, params: ExperimentParams) -> "ConfigHarness":
         """Sample a fresh configuration under ``params`` and wrap it."""
-        generator = generator or ConfigGenerator(params.config, seed=params.seed)
+        generator = ConfigGenerator(params.config, seed=params.seed)
         config = generator.sample()
         return cls(config, params, rng=generator.rng)
 
@@ -192,7 +187,6 @@ class ConfigHarness:
         *,
         n_trials: Optional[int] = None,
         attackers: Optional[Sequence[Attacker]] = None,
-        keep_trials: bool = False,
         defense_factory: Optional[DefenseFactory] = None,
         fault_plan: Optional[FaultPlan] = None,
         probe_retries: Optional[int] = None,
@@ -239,13 +233,12 @@ class ConfigHarness:
                 plan_trials(self.rng, lineup, n_trials),
                 n_jobs=trial_jobs,
                 mode=self.params.trial_mode,
-                latency=self.latency,
                 defense_factory=defense_factory,
                 fault_plan=fault_plan,
                 probe_retries=probe_retries,
             )
         obs.metrics.counter("experiment.trials").inc(n_trials)
-        result = self.config_result(names, results, keep_trials=keep_trials)
+        result = self.config_result(names, results)
         result.pool_fallbacks = fallbacks
         return result
 
@@ -253,8 +246,6 @@ class ConfigHarness:
         self,
         names: Sequence[str],
         results: Sequence[TrialResult],
-        *,
-        keep_trials: bool = False,
     ) -> ConfigResult:
         """Aggregate finished trials into this configuration's result."""
         accuracies = {
@@ -277,7 +268,7 @@ class ConfigHarness:
             prior_absent=self.inference.prior_absent(),
             n_rules_covering_target=len(self.config.rules_covering_target()),
             target_install_exclusive=structure.install_rule_is_exclusive,
-            trial_results=list(results) if keep_trials else [],
+            trial_results=list(results),
         )
 
 
@@ -295,7 +286,6 @@ def sample_screened_harnesses(
     require_optimal_differs: bool = False,
     max_attempts_factor: int = 40,
     generator: Optional[ConfigGenerator] = None,
-    trial_jobs: Optional[int] = None,
 ) -> ScreenedHarnesses:
     """Sample configurations until ``n_configs`` pass the screens.
 
@@ -308,9 +298,9 @@ def sample_screened_harnesses(
     Candidates are sampled from ``generator`` here, the only place its
     stream is consumed, and screened by
     :func:`~repro.experiments.parallel.screening_verdicts` through a
-    :class:`~repro.parallel.ForkPool` of ``trial_jobs`` (default
-    ``params.trial_jobs``) workers.  Every accepted harness holds
-    ``generator.rng``, as does its random attacker.
+    :class:`~repro.parallel.ForkPool` of ``params.trial_jobs`` workers.
+    Every accepted harness holds ``generator.rng``, as does its random
+    attacker.
 
     * **In the parent** (``trial_jobs <= 1``, no fork, or already inside
       a pool worker) each batch is one candidate: ``generator.sample``
@@ -330,10 +320,7 @@ def sample_screened_harnesses(
     same for every ``trial_jobs`` (repro.experiments.parallel).
     """
     generator = generator or ConfigGenerator(params.config, seed=params.seed)
-    if trial_jobs is None:
-        trial_jobs = params.trial_jobs
-    if trial_jobs < 1:
-        raise ValueError("trial_jobs must be >= 1")
+    trial_jobs = params.trial_jobs
     obs = get_instrumentation()
     sampled = obs.metrics.counter("experiment.configs_sampled")
     screened_out = obs.metrics.counter("experiment.configs_screened_out")

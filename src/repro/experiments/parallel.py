@@ -46,7 +46,6 @@ from repro.faults import FaultPlan
 from repro.flows.config import NetworkConfiguration
 from repro.obs import get_instrumentation
 from repro.parallel import ForkPool
-from repro.simulator.timing import LatencyModel
 
 if TYPE_CHECKING:
     from repro.core.compact_model import CompactModel
@@ -125,7 +124,6 @@ class TrialContext:
     config: NetworkConfiguration
     lineup: Tuple[Attacker, ...]
     mode: str
-    latency: Optional[LatencyModel]
     defense_factory: Optional[DefenseFactory]
     fault_plan: Optional[FaultPlan]
     probe_retries: int
@@ -153,7 +151,6 @@ def run_planned_trial(context: TrialContext, plan: TrialPlan) -> TrialResult:
             _scripted_lineup(context.lineup, plan),
             plan.seed,
             mode=context.mode,
-            latency=context.latency,
             defense_factory=context.defense_factory,
             fault_plan=context.fault_plan,
             probe_retries=context.probe_retries,
@@ -167,7 +164,6 @@ def run_planned_trials(
     *,
     n_jobs: int,
     mode: str = "network",
-    latency: Optional[LatencyModel] = None,
     defense_factory: Optional[DefenseFactory] = None,
     fault_plan: Optional[FaultPlan] = None,
     probe_retries: int = 0,
@@ -186,7 +182,6 @@ def run_planned_trials(
         config=config,
         lineup=tuple(lineup),
         mode=mode,
-        latency=latency,
         defense_factory=defense_factory,
         fault_plan=fault_plan,
         probe_retries=int(probe_retries),

@@ -67,16 +67,6 @@ class ExperimentParams:
         """Copy with the target-flow absence range replaced."""
         return replace(self, config=replace(self.config, absence_range=(low, high)))
 
-    def scaled(self, factor: float) -> "ExperimentParams":
-        """Copy with configuration and trial counts scaled down/up."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return replace(
-            self,
-            n_configs=max(1, int(self.n_configs * factor)),
-            n_trials=max(1, int(self.n_trials * factor)),
-        )
-
 
 def bench_scale() -> float:
     """Benchmark scale factor from the environment.

@@ -118,7 +118,6 @@ class ResultDocument:
     #: The full :class:`~repro.apispec.JobSpec` as a plain-JSON mapping
     #: (schema v3); ``None`` when the spec is unknown (migrated v1).
     job: Optional[Dict[str, object]] = None
-    schema_version: int = SCHEMA_VERSION
 
     def to_json(self) -> Dict[str, object]:
         """Plain-JSON mapping, with the legacy v1 keys mirrored.
@@ -130,7 +129,7 @@ class ResultDocument:
         """
         document: Dict[str, object] = {
             "artifact": self.artifact,
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "version": __version__,
             "job": self.job,
             "params": self.params,

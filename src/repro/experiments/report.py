@@ -12,6 +12,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
 
+#: Rows a rendered CDF is thinned to (plus its last step point).
+CDF_ROWS = 25
+
 
 def format_table(
     headers: Sequence[str],
@@ -68,12 +71,11 @@ def format_series(
 def format_cdf(
     points: Sequence[Tuple[float, float]],
     title: Optional[str] = None,
-    max_points: int = 25,
 ) -> str:
-    """Render CDF step points, thinned to at most ``max_points`` rows."""
-    if len(points) > max_points:
-        stride = len(points) / max_points
-        thinned = [points[int(i * stride)] for i in range(max_points)]
+    """Render CDF step points, thinned to about :data:`CDF_ROWS` rows."""
+    if len(points) > CDF_ROWS:
+        stride = len(points) / CDF_ROWS
+        thinned = [points[int(i * stride)] for i in range(CDF_ROWS)]
         if thinned[-1] != points[-1]:
             thinned.append(points[-1])
         points = thinned

@@ -146,11 +146,7 @@ class ReproductionReport:
         return directory
 
 
-def reproduce_all(
-    spec: "JobSpec",
-    *,
-    timing_samples: int = 300,
-) -> ReproductionReport:
+def reproduce_all(spec: "JobSpec") -> ReproductionReport:
     """Regenerate every artifact at a fraction of the paper's size.
 
     ``spec`` is a :class:`~repro.apispec.JobSpec` (anything else raises
@@ -194,7 +190,7 @@ def reproduce_all(
 
     start = time.perf_counter()
     with obs.span("reproduce.timing"):
-        timing = timing_table(n_samples=timing_samples, seed=spec.seed or 0)
+        timing = timing_table(seed=spec.seed or 0)
     elapsed["timing"] = time.perf_counter() - start
 
     statecount = statecount_report()

@@ -4,8 +4,10 @@ The paper's evaluation (Figure 6) assumes a clean control channel.
 This sweep measures how the reconnaissance accuracy of each attacker
 degrades when the simulated network misbehaves: one set of screened
 configurations is sampled **once**, then re-evaluated at each fault
-rate, so the curves differ only in the injected faults (and the
-attacker's retry budget), never in the sampled worlds.
+rate from the same generator state (restored before every rate, as the
+defend grid does per cell), so every rate replays the same trial seeds
+and random-attacker verdicts and the curves differ only in the injected
+faults, never in the sampled worlds or schedules.
 
 Screening matches Figure 7 (viability only), not Figure 6's extra
 "optimal probe differs from target" restriction: that restriction
@@ -27,10 +29,17 @@ baseline.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.harness import ConfigResult, sample_screened_harnesses
+import numpy as np
+
+from repro.experiments.harness import (
+    ConfigHarness,
+    ConfigResult,
+    sample_screened_harnesses,
+)
 from repro.experiments.params import ExperimentParams
 from repro.faults import FAULT_KINDS, FaultPlan
 from repro.obs import Instrumentation, get_instrumentation, use_instrumentation
@@ -151,6 +160,40 @@ def forward_counters(
     return counters
 
 
+def shared_generators(
+    harnesses: Sequence[ConfigHarness],
+) -> List[np.random.Generator]:
+    """The distinct generator objects the harnesses draw trials from.
+
+    ``sample_screened_harnesses`` hands every harness (and its random
+    attacker) the *same* generator, so this is normally a one-element
+    list -- but identity-dedup keeps the restore correct even if that
+    sharing ever changes.
+    """
+    generators: List[np.random.Generator] = []
+    for harness in harnesses:
+        for generator in (harness.rng, harness.random_attacker._rng):
+            if not any(generator is seen for seen in generators):
+                generators.append(generator)
+    return generators
+
+
+def snapshot_states(
+    generators: Sequence[np.random.Generator],
+) -> List[Dict[str, object]]:
+    """Copies of the generators' bit-generator states."""
+    return [copy.deepcopy(g.bit_generator.state) for g in generators]
+
+
+def restore_states(
+    generators: Sequence[np.random.Generator],
+    states: Sequence[Dict[str, object]],
+) -> None:
+    """Rewind each generator to its :func:`snapshot_states` copy."""
+    for generator, state in zip(generators, states):
+        generator.bit_generator.state = copy.deepcopy(state)
+
+
 def sweep_axes(
     spec: "JobSpec", params: ExperimentParams, default_rates: Tuple[float, ...]
 ) -> Tuple[ExperimentParams, Tuple[float, ...], Tuple[str, ...], FaultPlan]:
@@ -182,9 +225,10 @@ def run_robustness(spec: "JobSpec") -> RobustnessResult:
     defaults) supply the grid, and ``spec.fault_plan`` (or an all-zero
     plan) is the base: each swept rate is applied to every kind on top
     of it (:func:`sweep_axes`).  The screened configurations are
-    sampled once -- the same worlds are re-trialled at every rate --
-    and ``spec.probe_retries`` governs the attacker's retransmission
-    budget throughout.
+    sampled once and the shared generator is restored before every
+    rate, so each rate re-trials the same worlds with the same trial
+    seeds and random-attacker draws; ``spec.probe_retries`` governs the
+    attacker's retransmission budget throughout.
     """
     from repro.apispec import require_spec
 
@@ -201,6 +245,8 @@ def run_robustness(spec: "JobSpec") -> RobustnessResult:
             max_attempts_factor=MAX_ATTEMPTS_FACTOR,
         )
         fallbacks = harnesses.pool_fallbacks
+        generators = shared_generators(harnesses)
+        states = snapshot_states(generators)
         results_per_rate: List[List[ConfigResult]] = []
         counters_per_rate: List[Dict[str, int]] = []
         for rate in rates:
@@ -211,6 +257,7 @@ def run_robustness(spec: "JobSpec") -> RobustnessResult:
             # the session backend so --metrics output still sees them.
             inner = Instrumentation()
             with outer.span("experiment.robustness.rate", rate=rate):
+                restore_states(generators, states)
                 with use_instrumentation(inner):
                     bucket = [
                         harness.run_trials(

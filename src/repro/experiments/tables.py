@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -31,8 +31,13 @@ from repro.simulator.timing import (
     PAPER_HIT_STD,
     PAPER_MISS_MEAN,
     PAPER_MISS_STD,
-    LatencyModel,
 )
+
+#: The evaluation's state-space parameters: 12 rules, cache 6, and the
+#: largest TTL in the menu at ``Delta = 0.1`` (in steps).
+STATECOUNT_RULES = 12
+STATECOUNT_TIMEOUT = 10
+STATECOUNT_CACHE = 6
 
 
 @dataclass(frozen=True)
@@ -47,12 +52,7 @@ class TimingRow:
     samples: int
 
 
-def timing_table(
-    n_samples: int = 300,
-    seed: int = 0,
-    latency: Optional[LatencyModel] = None,
-    threshold: float = DEFAULT_THRESHOLD_SECONDS,
-) -> Dict[str, object]:
+def timing_table(n_samples: int = 300, seed: int = 0) -> Dict[str, object]:
     """Measure the hit/miss latency populations on the simulator.
 
     Reproduces the Section VI-A measurement: a single reactive rule is
@@ -74,10 +74,10 @@ def timing_table(
         rules,
         universe,
         cache_size=6,
-        latency=latency,
         rng=np.random.default_rng(seed),
     )
-    prober = Prober(network, threshold=threshold)
+    prober = Prober(network)
+    threshold = DEFAULT_THRESHOLD_SECONDS
     probe_flow = flows[0]
 
     miss_rtts: List[float] = []
@@ -118,25 +118,23 @@ def timing_table(
     }
 
 
-def statecount_report(
-    n_rules: int = 12,
-    timeout: int = 10,
-    cache_size: int = 6,
-) -> Dict[str, object]:
+def statecount_report() -> Dict[str, object]:
     """The basic-vs-compact state-space comparison.
 
-    Defaults are the evaluation's parameters (12 rules, cache 6, the
-    largest TTL in the menu at ``Delta = 0.1``); also includes the
-    paper's Section IV-A2 worked example (10 rules, t=100, n=8) with
+    At the evaluation's parameters (:data:`STATECOUNT_RULES`,
+    :data:`STATECOUNT_TIMEOUT`, :data:`STATECOUNT_CACHE`); also includes
+    the paper's Section IV-A2 worked example (10 rules, t=100, n=8) with
     both the formula's value and the figure the paper quotes.
     """
     return {
         "experiment": {
-            "n_rules": n_rules,
-            "timeout": timeout,
-            "cache_size": cache_size,
-            "basic": basic_state_count_uniform(n_rules, timeout, cache_size),
-            "compact": compact_state_count(n_rules, cache_size),
+            "n_rules": STATECOUNT_RULES,
+            "timeout": STATECOUNT_TIMEOUT,
+            "cache_size": STATECOUNT_CACHE,
+            "basic": basic_state_count_uniform(
+                STATECOUNT_RULES, STATECOUNT_TIMEOUT, STATECOUNT_CACHE
+            ),
+            "compact": compact_state_count(STATECOUNT_RULES, STATECOUNT_CACHE),
         },
         "paper_example": {
             "n_rules": 10,

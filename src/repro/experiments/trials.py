@@ -40,7 +40,6 @@ from repro.obs import Instrumentation, get_instrumentation
 from repro.simulator.flowtable import FlowTable
 from repro.simulator.network import Network
 from repro.simulator.probing import Prober
-from repro.simulator.timing import LatencyModel
 
 if TYPE_CHECKING:
     from repro.core.adaptive import AdaptiveModelAttacker
@@ -51,20 +50,19 @@ if TYPE_CHECKING:
 DefenseFactory = Callable[[], "Defense"]
 
 #: Seconds between consecutive probes on one table world (the network
-#: prober's default send gap).
-PROBE_GAP = 0.0005
+#: prober's send gap).
+PROBE_GAP = Prober.GAP
 
 #: Template networks kept per process.  Trials run one configuration
 #: after another, so a handful covers any interleaving the harness and
 #: the service produce.
 MAX_TEMPLATES = 8
 
-#: ``(id(config), latency)`` -> ``(config, instrumentation, template)``.
-#: The entry holds the configuration, so its id cannot be reused while
-#: the entry lives.
+#: ``id(config)`` -> ``(config, instrumentation, template)``.  The entry
+#: holds the configuration, so its id cannot be reused while the entry
+#: lives.
 _TEMPLATES: BoundedMemo[
-    Tuple[int, Optional[LatencyModel]],
-    Tuple[NetworkConfiguration, Instrumentation, Network],
+    int, Tuple[NetworkConfiguration, Instrumentation, Network]
 ] = BoundedMemo(MAX_TEMPLATES)
 
 
@@ -235,26 +233,23 @@ def _check_mode(
         raise ValueError("defenses require network-mode trials")
 
 
-def _network_template(
-    config: NetworkConfiguration, latency: Optional[LatencyModel]
-) -> Network:
+def _network_template(config: NetworkConfiguration) -> Network:
     """The configuration's network as built: no defense, no injector, unrun.
 
-    Built once per ``(configuration, latency model)`` and kept in
+    Built once per configuration and kept in
     :data:`_TEMPLATES`.  A template's instruments are bound when it is
     built, so one built under another instrumentation backend (a pool
     worker's chunk installs a fresh one) is rebuilt rather than counting
     into that backend.
     """
     obs = get_instrumentation()
-    key = (id(config), latency)
+    key = id(config)
     entry = _TEMPLATES.get(key)
     if entry is None or entry[1] is not obs:
         template = Network(
             config.concrete_rules,
             config.universe,
             cache_size=config.cache_size,
-            latency=latency,
         )
         entry = (config, obs, template)
         _TEMPLATES[key] = entry
@@ -266,26 +261,26 @@ def _window_world(
     schedule: Sequence[Arrival],
     seed: int,
     mode: str,
-    latency: Optional[LatencyModel] = None,
     defense: Optional["Defense"] = None,
     faults: Optional[FaultInjector] = None,
 ) -> _Window:
     """The trial's world at the end of the detection window.
 
     The one place the fidelity level matters: table mode replays the
-    schedule through a :class:`_TableWorld` (``latency`` unused, no
-    defense); network mode forks the configuration's template network,
-    reseeds the fork with ``default_rng(seed + 1)``, attaches the
-    trial's defense and injector, and runs it.  Building draws nothing
-    from the network's generator, so the fork equals a fresh
-    ``Network(..., rng=default_rng(seed + 1), defense=..., faults=...)``.
+    schedule through a :class:`_TableWorld` (no defense); network mode
+    forks the configuration's template network, reseeds the fork with
+    ``default_rng(seed + 1)``, attaches the trial's defense and
+    injector, and runs it.  Building draws nothing from the network's
+    generator, so the fork equals a fresh
+    ``Network(..., rng=default_rng(seed + 1))`` given the same
+    ``attach(defense, faults)``.
     """
     if mode == "table":
         world = _TableWorld(config, faults=faults)
         for arrival in schedule:
             world.arrival(arrival.flow_index, arrival.time)
         return _Window(world, _TableProber)
-    network = _network_template(config, latency).fork()
+    network = _network_template(config).fork()
     network.reseed(np.random.default_rng(seed + 1))
     network.attach(defense, faults)
     network.schedule_arrivals(schedule)
@@ -337,37 +332,26 @@ def run_adaptive_trial(
     adaptive_attacker: "AdaptiveModelAttacker",
     seed: int,
     mode: str = "table",
-    baselines: Sequence[Attacker] = (),
-    latency: Optional[LatencyModel] = None,
 ) -> TrialResult:
-    """One trial driving an adaptive attacker (and optional baselines).
+    """One trial driving an adaptive attacker.
 
     The adaptive attacker interleaves probe selection and observation
-    (:class:`repro.core.adaptive.AdaptiveModelAttacker`).  The window is
-    built once: the session probes a fork of it (the world itself when
-    no baseline probes), and the baselines probe it as in
-    :func:`run_trial`.
+    (:class:`repro.core.adaptive.AdaptiveModelAttacker`) on the world
+    at the end of the detection window.
     """
     _check_mode(mode)
     schedule = _trial_schedule(config, seed)
     session = adaptive_attacker.start_session()
-    window = _window_world(config, schedule, seed, mode, latency=latency)
-    lineup = _plan_lineup(baselines)
-    probing = any(probes for _, probes in lineup)
-    prober = window.prober(window.world.fork() if probing else window.world)
+    window = _window_world(config, schedule, seed, mode)
+    prober = window.prober(window.world)
     while (flow := session.next_probe()) is not None:
         session.observe(prober.measure(config.universe.flows[flow]).outcome)
-    verdict = session.decide()
-    history = tuple(bit for _, bit in session.history)
-    decisions, outcomes = _probe_lineup(
-        window if probing else None, config, lineup
-    )
     name = adaptive_attacker.name
     return _result(
         config,
         schedule,
-        {name: verdict, **decisions},
-        {name: history, **outcomes},
+        {name: session.decide()},
+        {name: tuple(bit for _, bit in session.history)},
     )
 
 
@@ -377,7 +361,6 @@ def run_trial(
     seed: int,
     *,
     mode: str = "network",
-    latency: Optional[LatencyModel] = None,
     defense_factory: Optional[DefenseFactory] = None,
     fault_plan: Optional[FaultPlan] = None,
     probe_retries: int = 0,
@@ -402,7 +385,6 @@ def run_trial(
             schedule,
             seed,
             mode,
-            latency=latency,
             defense=defense_factory() if defense_factory is not None else None,
             faults=_trial_injector(fault_plan, seed),
         )

@@ -1,7 +1,7 @@
 """The :class:`FaultInjector`: the runtime half of the fault layer.
 
 One injector instance is attached to a :class:`~repro.simulator.network.
-Network` (``Network(..., faults=injector)``) and consulted at three
+Network` (``network.attach(defense, injector)``) and consulted at three
 narrow injection points:
 
 * ``Switch._send_packet_in``  -> :meth:`FaultInjector.drop_packet_in`

@@ -61,9 +61,8 @@ def sample_schedule(
     universe: FlowUniverse,
     horizon: float,
     rng: np.random.Generator,
-    start: float = 0.0,
 ) -> List[Arrival]:
-    """Sample a full multi-flow arrival schedule over ``[start, start+horizon)``.
+    """Sample a full multi-flow arrival schedule over ``[0, horizon)``.
 
     Returns time-ordered :class:`Arrival` records covering every flow in
     the universe, each drawn from its own independent Poisson process --
@@ -73,7 +72,7 @@ def sample_schedule(
     for index, rate in enumerate(universe.rates):
         process = PoissonArrivalProcess(rate, rng)
         arrivals.extend(
-            Arrival(time, index) for time in process.sample(horizon, start)
+            Arrival(time, index) for time in process.sample(horizon)
         )
     arrivals.sort(key=lambda a: a.time)
     return arrivals

@@ -47,7 +47,6 @@ def enumerate_mask_rules(
     base_address: int = DEFAULT_BASE_ADDRESS,
     mask_bits: int = 4,
     server_address: int = DEFAULT_SERVER_ADDRESS,
-    proto: Optional[int] = PROTO_ICMP,
 ) -> List[Rule]:
     """Enumerate all value/mask source rules over ``2**mask_bits`` hosts.
 
@@ -87,7 +86,7 @@ def enumerate_mask_rules(
                 name=f"r_m{wildcards}_{code:03d}",
                 src=src,
                 dst=Match.exact(server_address),
-                proto=proto,
+                proto=PROTO_ICMP,
                 priority=0,
                 action=ACTION_FORWARD,
             )
@@ -181,15 +180,12 @@ class NetworkConfiguration:
         """Detection window length in seconds."""
         return self.window_steps * self.delta
 
-    def absence_probability(self, flow_index: Optional[int] = None) -> float:
-        """Prior ``P(X̂=0) = exp(-lambda_f * T * Delta)`` for a flow.
+    def absence_probability(self) -> float:
+        """Prior ``P(X̂=0) = exp(-lambda_f * T * Delta)`` for the target.
 
-        Defaults to the target flow.  This is the paper's closed-form
-        prior (Section V-A).
+        This is the paper's closed-form prior (Section V-A).
         """
-        if flow_index is None:
-            flow_index = self.target_flow
-        rate = self.universe.rates[flow_index]
+        rate = self.universe.rates[self.target_flow]
         return math.exp(-rate * self.window_steps * self.delta)
 
     def rules_covering_target(self) -> Tuple[int, ...]:

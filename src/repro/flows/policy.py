@@ -58,10 +58,9 @@ class Policy:
     would silently distort state-space sizes).
     """
 
-    def __init__(self, rules: Sequence[ModelRule], validate: bool = True) -> None:
+    def __init__(self, rules: Sequence[ModelRule]) -> None:
         self._rules: Tuple[ModelRule, ...] = tuple(rules)
-        if validate:
-            self._validate()
+        self._validate()
         self._covering_cache: Dict[int, Tuple[int, ...]] = {}
 
     def _validate(self) -> None:

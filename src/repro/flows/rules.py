@@ -28,6 +28,11 @@ ACTION_CONTROLLER = "controller"
 #: Sentinel action meaning "flood on all ports" (the paper's default rule).
 ACTION_FLOOD = "flood"
 
+#: Width of every match key (IPv4 addresses; ports and protocol fit).
+KEY_BITS = 32
+#: The mask that pins every key bit: an exact match.
+FULL_MASK = (1 << KEY_BITS) - 1
+
 
 @dataclass(frozen=True)
 class Match:
@@ -55,9 +60,9 @@ class Match:
         """True when the field matches every key."""
         return self.mask == 0
 
-    def is_exact(self, width: int = 32) -> bool:
-        """True when the field pins all ``width`` bits."""
-        return self.mask == (1 << width) - 1
+    def is_exact(self) -> bool:
+        """True when the field pins all :data:`KEY_BITS` bits."""
+        return self.mask == FULL_MASK
 
     def specificity(self) -> int:
         """Number of pinned bits; used for specificity-based priorities."""
@@ -73,16 +78,16 @@ class Match:
         return (self.value & common) == (other.value & common)
 
     @classmethod
-    def exact(cls, value: int, width: int = 32) -> "Match":
-        """Exact match on a ``width``-bit key."""
-        return cls(value, (1 << width) - 1)
+    def exact(cls, value: int) -> "Match":
+        """Exact match on a :data:`KEY_BITS`-bit key."""
+        return cls(value, FULL_MASK)
 
     @classmethod
-    def prefix(cls, value: int, prefix_len: int, width: int = 32) -> "Match":
+    def prefix(cls, value: int, prefix_len: int) -> "Match":
         """Classic CIDR prefix match."""
-        if not 0 <= prefix_len <= width:
+        if not 0 <= prefix_len <= KEY_BITS:
             raise ValueError(f"prefix length out of range: {prefix_len}")
-        mask = ((1 << width) - 1) ^ ((1 << (width - prefix_len)) - 1)
+        mask = FULL_MASK ^ ((1 << (KEY_BITS - prefix_len)) - 1)
         return cls(value & mask, mask)
 
     def describe_ip(self) -> str:
@@ -179,15 +184,14 @@ class RuleTable:
     total order on every flow's covering set).
     """
 
-    def __init__(self, rules: Iterable[Rule], validate: bool = True) -> None:
+    def __init__(self, rules: Iterable[Rule]) -> None:
         self._rules: Tuple[Rule, ...] = tuple(
             sorted(rules, key=lambda r: (-r.priority, r.name))
         )
         names = [rule.name for rule in self._rules]
         if len(set(names)) != len(names):
             raise ValueError("duplicate rule names in table")
-        if validate:
-            self._check_overlap_priorities()
+        self._check_overlap_priorities()
 
     def _check_overlap_priorities(self) -> None:
         rules = self._rules

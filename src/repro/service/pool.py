@@ -79,7 +79,6 @@ def _run_session(
         config=runtime.config,
         lineup=runtime.lineup,
         mode=spec.trial_mode,
-        latency=None,
         defense_factory=None,
         fault_plan=spec.fault_plan,
         probe_retries=spec.probe_retries,

@@ -28,7 +28,7 @@ from repro.simulator.switch import Switch
 from repro.simulator.controller import ReactiveController
 from repro.simulator.timing import LatencyModel
 from repro.simulator.topology import stanford_backbone
-from repro.simulator.network import Network, NetworkConfig
+from repro.simulator.network import Network
 from repro.simulator.probing import Prober, ProbeResult
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "LatencyModel",
     "stanford_backbone",
     "Network",
-    "NetworkConfig",
     "Prober",
     "ProbeResult",
 ]

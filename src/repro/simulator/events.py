@@ -85,8 +85,8 @@ class EventHandle:
 class Simulator:
     """A deterministic discrete-event simulator clock."""
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         #: ``(time, seq, handle)`` entries, a ``heapq`` heap.
         self._queue: List[Tuple[float, int, EventHandle]] = []
         #: Streams with events left; one is dropped when it runs out.

@@ -308,15 +308,13 @@ class FlowTable:
         expired.sort(key=lambda item: item[0])
         return [entry for _, entry in expired]
 
-    def lookup(
-        self, flow: FlowId, now: float, refresh: bool = True
-    ) -> Optional[TableEntry]:
+    def lookup(self, flow: FlowId, now: float) -> Optional[TableEntry]:
         """Match ``flow`` against the table.
 
         Returns the highest-priority covering entry, refreshing its idle
-        timer (unless ``refresh=False``, used for non-mutating peeks).
-        Counts a hit, or a miss when no entry covers the flow or the
-        winner's action is in :data:`MISS_ACTIONS`.
+        timer (:meth:`peek` is the non-mutating lookup).  Counts a hit,
+        or a miss when no entry covers the flow or the winner's action
+        is in :data:`MISS_ACTIONS`.
         """
         self.sweep(now)
         key = (flow.src, flow.dst, flow.proto, flow.sport, flow.dport)
@@ -332,11 +330,10 @@ class FlowTable:
             self._obs_misses.inc()
         else:
             self._obs_hits.inc()
-        if refresh:
-            best.last_match = now
-            # Only an idle timeout makes the refresh move the expiry.
-            if best.rule.idle_timeout > 0:
-                self._reschedule(best)
+        best.last_match = now
+        # Only an idle timeout makes the refresh move the expiry.
+        if best.rule.idle_timeout > 0:
+            self._reschedule(best)
         return best
 
     def _scan(self, flow: FlowId) -> Optional[TableEntry]:

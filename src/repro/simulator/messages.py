@@ -50,14 +50,13 @@ class Packet:
         created: float = 0.0,
         spoofed: bool = False,
         probe_id: Optional[int] = None,
-        packet_id: Optional[int] = None,
     ) -> None:
         self.flow = flow
         self.kind = kind
         self.created = created
         self.spoofed = spoofed
         self.probe_id = probe_id
-        self.packet_id = next(_packet_ids) if packet_id is None else packet_id
+        self.packet_id = next(_packet_ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Packet):

@@ -56,10 +56,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults import FaultInjector
     from repro.flows.arrival import Arrival
 
-#: Default RNG seed when neither ``rng`` nor ``seed`` is given, so bare
-#: ``Network(...)`` constructions are reproducible run to run.  Real
-#: experiments thread ``ExperimentParams.seed`` through ``rng``.
+#: RNG seed when no ``rng`` is given, so bare ``Network(...)``
+#: constructions are reproducible run to run.  Real experiments thread
+#: ``ExperimentParams.seed`` through ``rng``.
 DEFAULT_SEED = 0
+
+#: Table slots beyond the permanent entries on a transit (non-reactive)
+#: switch; transit tables only hold the permanent plumbing.
+TRANSIT_CAPACITY_SLACK = 16
+#: The attacker's address: this far above the highest flow address.
+ATTACKER_IP_OFFSET = 100
 
 #: Priority of per-destination routing rules (below reactive rules).
 ROUTE_PRIORITY = 50
@@ -82,39 +88,6 @@ class HostRecord:
         return self  # immutable: forks share it
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Assembly options for :class:`Network`.
-
-    ``reactive_scope`` selects which switches run the reactive policy:
-
-    * ``"ingress"`` (default, the modelled setting): only the switch the
-      monitored hosts attach to reacts; transit switches carry
-      proactive routing.  This matches the paper's single-switch model
-      while keeping the multi-hop topology real for latency.
-    * ``"all"``: every switch on the path misses independently and
-      installs its own copy of the rules -- each first packet pays one
-      controller round trip per hop, a strictly harsher (and noisier)
-      version of the side channel useful for sensitivity studies.
-    """
-
-    cache_size: int = 6
-    ingress_switch: Optional[str] = None
-    server_switch: Optional[str] = None
-    transit_capacity_slack: int = 16
-    attacker_ip_offset: int = 100
-    reactive_scope: str = "ingress"
-
-    def __post_init__(self) -> None:
-        if self.reactive_scope not in ("ingress", "all"):
-            raise ValueError(
-                f"unknown reactive_scope: {self.reactive_scope!r}"
-            )
-
-    def __deepcopy__(self, memo: Dict[int, object]) -> "NetworkConfig":
-        return self  # immutable: forks share it
-
-
 class Network:
     """A simulated SDN network hosting the reconnaissance scenario."""
 
@@ -126,45 +99,36 @@ class Network:
         latency: Optional[LatencyModel] = None,
         topology: Optional[nx.Graph] = None,
         rng: Optional[np.random.Generator] = None,
-        config: Optional[NetworkConfig] = None,
         defense: Optional["Defense"] = None,
-        seed: Optional[int] = None,
-        faults: Optional["FaultInjector"] = None,
     ) -> None:
-        self.config = config or NetworkConfig(cache_size=cache_size)
-        if config is not None and config.cache_size != cache_size:
-            raise ValueError("cache_size disagrees with config.cache_size")
+        self.cache_size = cache_size
         self.sim = Simulator()
         self.latency = latency or LatencyModel.calibrated()
-        # Reproducible by default: an explicit generator wins, then an
-        # explicit seed, then DEFAULT_SEED -- never OS entropy.
+        # Reproducible by default: an explicit generator wins, then
+        # DEFAULT_SEED -- never OS entropy.
         self.reseed(
-            rng
-            if rng is not None
-            else np.random.default_rng(DEFAULT_SEED if seed is None else seed)
+            rng if rng is not None else np.random.default_rng(DEFAULT_SEED)
         )
         self.topology = topology if topology is not None else stanford_backbone()
         validate_topology(self.topology)
         self.universe = universe
         self.policy_rules = RuleTable(rules)
         self.defense: Optional["Defense"] = None
-        # Optional fault injector (docs/FAULTS.md).  ``None`` (and an
-        # all-zero plan) leaves every code path byte-identical to the
-        # fault-free simulator -- the injector owns its own RNG and is
-        # only *consulted* at the narrow injection points.
+        # Optional fault injector (docs/FAULTS.md), set by :meth:`attach`.
+        # ``None`` (and an all-zero plan) leaves every code path
+        # byte-identical to the fault-free simulator -- the injector owns
+        # its own RNG and is only *consulted* at the narrow injection
+        # points.
         self.faults: Optional["FaultInjector"] = None
         self.proactive_defense_active = False
 
+        # The Stanford backbone's client and server zones; any other
+        # topology uses its first and last switch by name.
         nodes = sorted(self.topology.nodes)
-        self.ingress_name = self.config.ingress_switch or (
-            "boza" if "boza" in self.topology else nodes[0]
-        )
-        self.server_switch_name = self.config.server_switch or (
+        self.ingress_name = "boza" if "boza" in self.topology else nodes[0]
+        self.server_switch_name = (
             "yoza" if "yoza" in self.topology else nodes[-1]
         )
-        for name in (self.ingress_name, self.server_switch_name):
-            if name not in self.topology:
-                raise ValueError(f"switch {name!r} not in topology")
 
         self._build_hosts()
         self._build_ports()
@@ -178,7 +142,7 @@ class Network:
         metrics = get_instrumentation().metrics
         self._obs_host_sends = metrics.counter("sim.network.host_sends")
         self._obs_replies = metrics.counter("sim.network.replies")
-        self.attach(defense, faults)
+        self.attach(defense)
 
     def fork(self) -> "Network":
         """An independent copy of this network in its current state.
@@ -233,7 +197,7 @@ class Network:
     ) -> None:
         """Attach a defense and a fault injector, once, before running.
 
-        ``Network(defense=..., faults=...)`` ends here, and so does a
+        ``Network(defense=...)`` ends here, and so does a
         trial's reseeded template fork: either way the defense's
         ``attach`` hook runs once, after the permanent entries are in.
         """
@@ -262,7 +226,7 @@ class Network:
         dst_ips = sorted(
             {flow.dst for flow in self.universe.flows} - set(src_ips)
         )
-        self.attacker_ip = max(src_ips + dst_ips) + self.config.attacker_ip_offset
+        self.attacker_ip = max(src_ips + dst_ips) + ATTACKER_IP_OFFSET
         self.hosts: Dict[str, HostRecord] = {}
         self.host_by_ip: Dict[int, HostRecord] = {}
         self._host_plan: List[Tuple[str, int, str]] = []
@@ -311,13 +275,9 @@ class Network:
     def _build_switches(self) -> None:
         self.switches: Dict[str, Switch] = {}
         for name in self.topology.nodes:
-            reactive = (
-                self.config.reactive_scope == "all"
-                or name == self.ingress_name
-            )
             # Provisional capacity; finalised after preinstallation.
             self.switches[name] = Switch(
-                name, self, capacity=10_000, reactive=reactive
+                name, self, capacity=10_000, reactive=name == self.ingress_name
             )
 
     def _preinstall_rules(self) -> None:
@@ -359,11 +319,7 @@ class Network:
             # Reactive rules compete for exactly cache_size slots on the
             # reactive switch; transit tables just need room for the
             # permanent plumbing.
-            slack = (
-                self.config.cache_size
-                if reactive
-                else self.config.transit_capacity_slack
-            )
+            slack = self.cache_size if reactive else TRANSIT_CAPACITY_SLACK
             switch.table.capacity = len(switch.table) + slack
 
     # ------------------------------------------------------------------

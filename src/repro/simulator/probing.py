@@ -73,44 +73,31 @@ class ProbeResult:
 class Prober:
     """Sequential probe measurement against a live network.
 
-    Parameters
-    ----------
-    retries:
-        Extra transmissions after an unanswered probe before giving up
-        (default 0: one shot, exactly the pre-fault-layer behaviour).
-    backoff:
-        Multiplier applied to the timeout after every unanswered
-        attempt (capped at ``max_timeout``).
-    max_timeout:
-        Upper bound on the per-attempt timeout under backoff (default:
-        ``8 * timeout``).
+    ``retries`` is the number of extra transmissions after an unanswered
+    probe before giving up (default 0: one shot, exactly the
+    pre-fault-layer behaviour).  The timing is the paper's setup:
+    :attr:`THRESHOLD` classifies a reply, an attempt waits
+    :attr:`TIMEOUT` for it, every unanswered attempt multiplies the
+    timeout by :attr:`BACKOFF` up to :attr:`MAX_TIMEOUT`, and
+    back-to-back probes are :attr:`GAP` apart.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        threshold: float = DEFAULT_THRESHOLD_SECONDS,
-        timeout: float = 0.25,
-        gap: float = 0.0005,
-        retries: int = 0,
-        backoff: float = 2.0,
-        max_timeout: Optional[float] = None,
-    ) -> None:
-        if threshold <= 0 or timeout <= 0 or gap < 0:
-            raise ValueError("threshold/timeout must be positive, gap >= 0")
+    #: Reply-time cut between a cache hit and a miss (seconds).
+    THRESHOLD = DEFAULT_THRESHOLD_SECONDS
+    #: Seconds an attempt waits for its reply.
+    TIMEOUT = 0.25
+    #: Seconds between back-to-back probes.
+    GAP = 0.0005
+    #: Timeout multiplier after every unanswered attempt.
+    BACKOFF = 2.0
+    #: Cap on the per-attempt timeout under backoff.
+    MAX_TIMEOUT = 8.0 * TIMEOUT
+
+    def __init__(self, network: Network, retries: int = 0) -> None:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1, got {backoff}")
         self.network = network
-        self.threshold = threshold
-        self.timeout = timeout
-        self.gap = gap
         self.retries = int(retries)
-        self.backoff = backoff
-        self.max_timeout = 8.0 * timeout if max_timeout is None else max_timeout
-        if self.max_timeout < timeout:
-            raise ValueError("max_timeout must be >= timeout")
         obs = get_instrumentation().metrics
         self._obs_retries = obs.counter("attacker.probe.retries")
         self._obs_unobserved = obs.counter("attacker.probe.unobserved")
@@ -133,12 +120,13 @@ class Prober:
         the observation time (not the deadline) and back-to-back probes
         stay tightly spaced, like a real attacker's.  Unanswered probes
         are retransmitted up to ``retries`` times with the timeout
-        growing by ``backoff`` per attempt (capped at ``max_timeout``);
+        growing by :attr:`BACKOFF` per attempt (capped at
+        :attr:`MAX_TIMEOUT`);
         only then does the clock advance to the attempt's deadline, so
         the zero-retry path is identical to the historical one.
         """
         sim = self.network.sim
-        timeout = self.timeout
+        timeout = self.TIMEOUT
         attempts = 0
         # One probe identity per measurement: a retransmission re-sends
         # the *same* probe (same ICMP id/seq), like a real attacker's
@@ -156,7 +144,7 @@ class Prober:
                     flow=flow,
                     send_time=send_time,
                     rtt=observed - send_time,
-                    threshold=self.threshold,
+                    threshold=self.THRESHOLD,
                     attempts=attempts,
                 )
             if attempts > self.retries:
@@ -165,7 +153,7 @@ class Prober:
                     flow=flow,
                     send_time=send_time,
                     rtt=None,
-                    threshold=self.threshold,
+                    threshold=self.THRESHOLD,
                     attempts=attempts,
                 )
             # Retransmit: wait out the rest of this attempt's timeout
@@ -173,14 +161,14 @@ class Prober:
             # then back off.
             self._obs_retries.inc()
             sim.run_until(send_time + timeout)
-            timeout = min(timeout * self.backoff, self.max_timeout)
+            timeout = min(timeout * self.BACKOFF, self.MAX_TIMEOUT)
 
     def measure_flows(self, flows: Sequence[FlowId]) -> List[ProbeResult]:
         """Measure several probes back to back with a small gap."""
         results: List[ProbeResult] = []
         for index, flow in enumerate(flows):
-            if index > 0 and self.gap > 0:
-                self.network.sim.run_until(self.network.sim.now + self.gap)
+            if index > 0:
+                self.network.sim.run_until(self.network.sim.now + self.GAP)
             results.append(self.measure(flow))
         return results
 

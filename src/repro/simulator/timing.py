@@ -79,26 +79,29 @@ NormalSource = Union[NormalBlock, np.random.Generator]
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Delay components (seconds): means and standard deviations."""
+    """Delay components (seconds): means and standard deviations.
+
+    :meth:`calibrated` holds the values every program runs on.
+    """
 
     #: Per-link propagation + serialisation delay.
-    link_mean: float = 6.5e-6
-    link_std: float = 5.0e-6
+    link_mean: float
+    link_std: float
     #: Per-switch table lookup + forwarding.
-    lookup_mean: float = 3.0e-6
-    lookup_std: float = 2.5e-6
+    lookup_mean: float
+    lookup_std: float
     #: Destination host turnaround for an echo reply.
-    host_reply_mean: float = 16.0e-6
-    host_reply_std: float = 10.0e-6
+    host_reply_mean: float
+    host_reply_std: float
     #: One-way switch <-> controller control-channel delay.
-    control_link_mean: float = 4.0e-4
-    control_link_std: float = 2.0e-4
+    control_link_mean: float
+    control_link_std: float
     #: Controller packet-in processing (rule computation).
-    controller_proc_mean: float = 2.9e-3
-    controller_proc_std: float = 1.9e-3
+    controller_proc_mean: float
+    controller_proc_std: float
     #: Flow-mod handling + table insertion at the switch.
-    flowmod_install_mean: float = 3.0e-4
-    flowmod_install_std: float = 1.5e-4
+    flowmod_install_mean: float
+    flowmod_install_std: float
 
     def __deepcopy__(self, memo: Dict[int, object]) -> "LatencyModel":
         return self  # immutable: network forks share it
@@ -139,13 +142,26 @@ class LatencyModel:
 
     @classmethod
     def calibrated(cls) -> "LatencyModel":
-        """Defaults calibrated to the paper's measured distributions."""
-        return cls()
+        """Delays calibrated to the paper's measured distributions."""
+        return cls(
+            link_mean=6.5e-6,
+            link_std=5.0e-6,
+            lookup_mean=3.0e-6,
+            lookup_std=2.5e-6,
+            host_reply_mean=16.0e-6,
+            host_reply_std=10.0e-6,
+            control_link_mean=4.0e-4,
+            control_link_std=2.0e-4,
+            controller_proc_mean=2.9e-3,
+            controller_proc_std=1.9e-3,
+            flowmod_install_mean=3.0e-4,
+            flowmod_install_std=1.5e-4,
+        )
 
     @classmethod
     def noiseless(cls) -> "LatencyModel":
         """All standard deviations zeroed (deterministic delays)."""
-        base = cls()
+        base = cls.calibrated()
         return replace(
             base,
             link_std=0.0,
@@ -154,25 +170,6 @@ class LatencyModel:
             control_link_std=0.0,
             controller_proc_std=0.0,
             flowmod_install_std=0.0,
-        )
-
-    def scaled(self, factor: float) -> "LatencyModel":
-        """All means and stds multiplied by ``factor`` (what-if studies)."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return LatencyModel(
-            link_mean=self.link_mean * factor,
-            link_std=self.link_std * factor,
-            lookup_mean=self.lookup_mean * factor,
-            lookup_std=self.lookup_std * factor,
-            host_reply_mean=self.host_reply_mean * factor,
-            host_reply_std=self.host_reply_std * factor,
-            control_link_mean=self.control_link_mean * factor,
-            control_link_std=self.control_link_std * factor,
-            controller_proc_mean=self.controller_proc_mean * factor,
-            controller_proc_std=self.controller_proc_std * factor,
-            flowmod_install_mean=self.flowmod_install_mean * factor,
-            flowmod_install_std=self.flowmod_install_std * factor,
         )
 
 

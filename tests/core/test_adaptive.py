@@ -169,7 +169,7 @@ class TestAttackerWrapper:
         assert second.next_probe() == flow  # same fresh state
 
     def test_trial_runner_integration(self):
-        from repro.experiments.trials import run_adaptive_trial
+        from repro.experiments.trials import run_adaptive_trial, run_trial
         from repro.core.attacker import NaiveAttacker
         from repro.flows.config import ConfigGenerator
 
@@ -183,15 +183,13 @@ class TestAttackerWrapper:
             model, config.target_flow, config.window_steps
         )
         attacker = AdaptiveModelAttacker(inference, max_probes=2)
-        trial = run_adaptive_trial(
-            config,
-            attacker,
-            seed=4,
-            mode="table",
-            baselines=[NaiveAttacker(config.target_flow)],
+        trial = run_adaptive_trial(config, attacker, seed=4, mode="table")
+        baseline = run_trial(
+            config, [NaiveAttacker(config.target_flow)], 4, mode="table"
         )
         assert "adaptive" in trial.decisions
-        assert "naive" in trial.decisions
+        assert "naive" in baseline.decisions
+        assert trial.ground_truth == baseline.ground_truth
         assert len(trial.outcomes["adaptive"]) <= 2
 
     def test_network_mode_integration(self):

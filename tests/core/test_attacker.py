@@ -11,6 +11,7 @@ from repro.core.attacker import (
 )
 from repro.core.compact_model import CompactModel
 from repro.core.inference import ReconInference
+from repro.core.selection import best_single_probe
 
 from tests.conftest import make_policy, make_universe
 
@@ -91,21 +92,27 @@ class TestConstrainedModelAttacker:
         assert inference.target_flow not in attacker.plan()
 
     def test_respects_extra_candidates(self, inference):
-        attacker = ConstrainedModelAttacker(inference, candidates=[0, 1])
-        assert attacker.plan() == (1,)
+        # The best probe among every flow but the target.
+        best = best_single_probe(inference, candidates=[1, 2, 3])
+        assert ConstrainedModelAttacker(inference).plan() == best.probes
 
-    def test_no_alternatives_rejected(self, inference):
+    def test_no_alternatives_rejected(self):
+        # A universe holding only the target leaves nothing to probe.
+        model = CompactModel(
+            make_policy([({0}, 4)]), make_universe([0.3]), 0.25, cache_size=1
+        )
+        inference = ReconInference(model, target_flow=0, window_steps=30)
         with pytest.raises(ValueError, match="besides the target"):
-            ConstrainedModelAttacker(inference, candidates=[0])
+            ConstrainedModelAttacker(inference)
 
 
 class TestRandomAttacker:
     def test_sends_no_probes(self):
-        attacker = RandomAttacker(prior_present=0.7)
+        attacker = RandomAttacker(0.7, np.random.default_rng(0))
         assert attacker.plan() == ()
 
     def test_rejects_outcomes(self):
-        attacker = RandomAttacker(prior_present=0.7)
+        attacker = RandomAttacker(0.7, np.random.default_rng(0))
         with pytest.raises(ValueError):
             attacker.decide([1])
 
@@ -117,10 +124,10 @@ class TestRandomAttacker:
 
     def test_prior_validation(self):
         with pytest.raises(ValueError):
-            RandomAttacker(prior_present=1.5)
+            RandomAttacker(1.5, np.random.default_rng(0))
 
     def test_mode_validation(self):
         # The paper's random attacker always samples its prior: there
         # is no mode to choose.
         with pytest.raises(TypeError):
-            RandomAttacker(0.5, mode="map")  # type: ignore[call-arg]
+            RandomAttacker(0.5, np.random.default_rng(0), mode="map")  # type: ignore[call-arg]

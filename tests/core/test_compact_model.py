@@ -60,7 +60,7 @@ class TestStateSpace:
         )
         assert model.live_rules == mask_from_indices([0, 2])
         assert model.n_states == 1 + math.comb(2, 1) + math.comb(2, 2)
-        assert model.n_states == compact_state_count(2, 2, include_empty=True)
+        assert model.n_states == compact_state_count(2, 2) + 1
         assert not any(state & mask_from_indices([1]) for state in model.states)
 
     def test_more_rules_than_the_lookup_limit_raise(self):
@@ -110,12 +110,12 @@ class TestStateLookupErrors:
             [({0, 1}, 3), ({0}, 3), ({2}, 3)], [0.1, 0.1, 0.1], cache_size=2
         )
         with pytest.raises(ValueError, match=r"rule 1 \(r1\)"):
-            model.initial_distribution(frozenset({0, 1}))
+            model.index_of(mask_from_indices([0, 1]), "start state")
         with pytest.raises(ValueError, match=r"rule 1 \(r1\)"):
             model.index_of(mask_from_indices([1]), "start state")
-        # Installable starts still work.
-        start = model.initial_distribution(frozenset({0, 2}))
-        assert start[model.state_index[mask_from_indices([0, 2])]] == 1.0
+        # Installable states still resolve.
+        index = model.index_of(mask_from_indices([0, 2]), "start state")
+        assert model.state_index[mask_from_indices([0, 2])] == index
 
 
 class TestTransitionMatrix:
@@ -199,10 +199,14 @@ class TestEvolution:
         dist = fig2b_model.initial_distribution()
         assert dist[fig2b_model.state_index[0]] == 1.0
 
-    def test_initial_distribution_custom(self, fig2b_model):
-        dist = fig2b_model.initial_distribution(frozenset({1}))
+    def test_initial_distribution_custom(self, fig2b_model, monkeypatch):
+        # The power chain starts from whatever initial_distribution
+        # returns: the seam the cached-start screen tests build on.
         index = fig2b_model.state_index[mask_from_indices([1])]
-        assert dist[index] == 1.0
+        start = np.zeros(fig2b_model.n_states)
+        start[index] = 1.0
+        monkeypatch.setattr(fig2b_model, "initial_distribution", lambda: start)
+        assert fig2b_model.power_chain().advance(0)[index] == 1.0
 
     def test_distribution_after_preserves_mass(self, fig2b_model):
         dist = fig2b_model.distribution_after(40)
@@ -211,7 +215,7 @@ class TestEvolution:
 
     def test_excluded_mass_equals_absence_probability(self, fig2b_model):
         steps = 30
-        dist = fig2b_model.distribution_after(steps, exclude_flows=(0,))
+        dist = fig2b_model.power_chain((0,)).advance(steps)
         rates = np.asarray(fig2b_model.context.step_rates)
         p_f0 = rates[0] / (1.0 + rates.sum())
         assert dist.sum() == pytest.approx((1.0 - p_f0) ** steps)

@@ -108,9 +108,7 @@ def test_models_agree_on_surviving_marginals(
     basic_final = basic.distribution_after(
         STEPS, exclude_flows=excluded, prune=0.0
     )
-    compact_final = compact.distribution_after(
-        STEPS, exclude_flows=excluded
-    )
+    compact_final = compact.power_chain(excluded).advance(STEPS)
     basic_marginals = basic.rule_presence_marginals(basic_final)
     compact_marginals = compact.rule_presence_marginals(compact_final)
     assert basic_marginals == pytest.approx(compact_marginals, abs=0.05)

@@ -70,19 +70,6 @@ class TestFrozenInferenceCaches:
         supplied[0] = -1.0
         assert inf.dist_full[0] != -1.0
 
-    def test_initial_distribution_is_copied_not_aliased(self, model):
-        start = model.initial_distribution()
-        start = np.array(start)  # ensure we hold a writable copy
-        inf = ReconInference(
-            model, target_flow=0, window_steps=5, initial=start
-        )
-        before = float(inf.dist_full[0])
-        start[:] = 0.0
-        inf2 = ReconInference(
-            model, target_flow=0, window_steps=5
-        )
-        assert float(inf2.dist_full[0]) == pytest.approx(before)
-
 
 class TestFrozenModelCaches:
     def test_coverage_vector_is_readonly(self, model):

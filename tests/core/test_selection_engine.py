@@ -313,16 +313,17 @@ def test_stats_populated(obs):
 
 
 def test_shared_engine_across_calls():
-    """Explicitly passing an engine reuses it (and its counters)."""
+    """One engine serves several selections (and keeps its counters)."""
     model, target, window = random_setup(3)
     inference = ReconInference(model, target, window)
-    # The engine resolves its counters at construction, so only the
-    # passed engine's scoring lands in this backend.
+    # The engine resolves its counters at construction, so only this
+    # engine's scoring lands in this backend.
     backend = Instrumentation()
     with use_instrumentation(backend):
         engine = ProbeScoringEngine(inference)
     scored = backend.metrics.counter("engine.sequences_scored")
-    best_single_probe(inference, engine=engine)
+    single, _ = engine.best_single(None)
+    assert single == best_single_probe(inference).probes
     assert scored.value == model.context.n_flows
-    best_probe_set(inference, 2, engine=engine)
+    engine.best_set(2, None)
     assert scored.value > model.context.n_flows

@@ -58,7 +58,6 @@ class TestDefenseFactoryPlumbing:
         result = harness.run_trials(
             n_trials=4,
             defense_factory=lambda: ProactiveDefense(),
-            keep_trials=True,
         )
         for trial in result.trial_results:
             for name in ("naive", "model"):
@@ -68,7 +67,6 @@ class TestDefenseFactoryPlumbing:
         result = harness.run_trials(
             n_trials=4,
             defense_factory=lambda: DelayDefense(first_k=3),
-            keep_trials=True,
         )
         for trial in result.trial_results:
             for name in ("naive", "model"):

@@ -39,7 +39,7 @@ class TestDelayDefense:
         assert not hit.hit  # the defense pushed the hit over 1 ms
 
     def test_later_packets_undelayed(self, config):
-        defense = DelayDefense(first_k=2, quiet_reset=100.0)
+        defense = DelayDefense(first_k=2)
         network = build_network(config, defense)
         prober = Prober(network)
         flow = config.universe.flows[config.target_flow]
@@ -70,7 +70,7 @@ class TestDelayDefense:
         assert defense.packets_delayed == 0
 
     def test_quiet_reset_reactivates(self, config):
-        defense = DelayDefense(first_k=2, quiet_reset=0.5)
+        defense = DelayDefense(first_k=2)
         network = build_network(config, defense)
         prober = Prober(network)
         flow = config.universe.flows[config.target_flow]
@@ -79,7 +79,8 @@ class TestDelayDefense:
         prober.measure(flow)
         prober.measure(flow)
         saturated_count = defense.packets_delayed
-        network.sim.run_until(network.sim.now + 1.0)  # go quiet
+        # Go quiet.
+        network.sim.run_until(network.sim.now + 2 * DelayDefense.QUIET_RESET)
         # After the quiet period the next packets count as "first" again;
         # within the first two, any cache hit is delayed.
         prober.measure(flow)
@@ -89,8 +90,6 @@ class TestDelayDefense:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             DelayDefense(first_k=0)
-        with pytest.raises(ValueError):
-            DelayDefense(quiet_reset=0.0)
 
 
 class TestProactiveDefense:
@@ -162,19 +161,26 @@ class TestDelayDefenseUnderRetries:
     ``first_k`` budget.
     """
 
+    @pytest.fixture(autouse=True)
+    def fixed_pad(self, monkeypatch):
+        """A deterministic 10 ms pad, so a padded reply is plainly slow."""
+        monkeypatch.setattr(DelayDefense, "DELAY_MEAN", 0.01)
+        monkeypatch.setattr(DelayDefense, "DELAY_STD", 0.0)
+
     def build(self, config, reply_draws):
         from repro.faults import FaultInjector, FaultPlan
 
-        defense = DelayDefense(first_k=2, delay_mean=0.01, delay_std=0.0)
+        defense = DelayDefense(first_k=2)
         network = Network(
             config.concrete_rules,
             config.universe,
             cache_size=config.cache_size,
             rng=np.random.default_rng(0),
-            defense=defense,
-            faults=FaultInjector(
-                FaultPlan(probe_reply_loss=0.5),
-                rng=_ScriptedRng(reply_draws),
+        )
+        network.attach(
+            defense,
+            FaultInjector(
+                FaultPlan(probe_reply_loss=0.5), rng=_ScriptedRng(reply_draws)
             ),
         )
         return network, defense
@@ -183,7 +189,7 @@ class TestDelayDefenseUnderRetries:
         # Reply draws: miss reply kept, first hit reply eaten, its
         # retransmission's reply kept.
         network, defense = self.build(config, [0.9, 0.1, 0.9])
-        prober = Prober(network, retries=1, timeout=0.05)
+        prober = Prober(network, retries=1)
         flow = config.universe.flows[config.target_flow]
         prober.measure(flow)           # miss: burst slot 1, no padding
         result = prober.measure(flow)  # hit, retried once
@@ -198,7 +204,7 @@ class TestDelayDefenseUnderRetries:
 
     def test_retransmission_consumes_no_fresh_budget(self, config):
         network, defense = self.build(config, [0.9, 0.1, 0.9, 0.9])
-        prober = Prober(network, retries=1, timeout=0.05)
+        prober = Prober(network, retries=1)
         flow = config.universe.flows[config.target_flow]
         prober.measure(flow)           # slot 1 (miss)
         prober.measure(flow)           # slot 2, retried: padded twice

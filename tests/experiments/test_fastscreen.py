@@ -19,8 +19,10 @@ import numpy as np
 import pytest
 
 from repro.core import cnative
+from repro.core.chain import point_distribution
 from repro.core.compact_model import CompactModel
 from repro.core.inference import ReconInference
+from repro.core.masks import mask_from_indices
 from repro.experiments import fastscreen
 from repro.experiments.harness import ConfigHarness, sample_screened_harnesses
 from repro.experiments.params import VIABLE_FIG6_BINS, ExperimentParams
@@ -220,7 +222,9 @@ class TestOutcomeSplit:
         backend = Instrumentation()
         with use_instrumentation(backend):
             for index, (low, high) in enumerate(VIABLE_FIG6_BINS):
-                params = ExperimentParams(seed=2017).with_absence_range(low, high)
+                params = ExperimentParams(
+                    seed=2017, trial_jobs=trial_jobs
+                ).with_absence_range(low, high)
                 generator = ConfigGenerator(params.config, seed=2017 * 10 + index)
                 with pytest.raises(RuntimeError, match="configurations accepted"):
                     sample_screened_harnesses(
@@ -229,7 +233,6 @@ class TestOutcomeSplit:
                         require_optimal_differs=True,
                         max_attempts_factor=1,
                         generator=generator,
-                        trial_jobs=trial_jobs,
                     )
         counts = _screen_counts(backend)
         assert counts == {
@@ -250,7 +253,9 @@ class TestOutcomeSplit:
         # A tiny stream whose fast screen proves most rejects by the
         # target proof, and hands over one candidate that passes the
         # viability screen exactly but whose optimal probe is the target.
-        params = tiny_experiment_params().with_absence_range(0.35, 0.65)
+        params = tiny_experiment_params(
+            trial_jobs=trial_jobs
+        ).with_absence_range(0.35, 0.65)
         backend = Instrumentation()
         with use_instrumentation(backend):
             with pytest.raises(RuntimeError, match="configurations accepted"):
@@ -260,7 +265,6 @@ class TestOutcomeSplit:
                     require_optimal_differs=True,
                     max_attempts_factor=1,
                     generator=ConfigGenerator(params.config, seed=20170),
-                    trial_jobs=trial_jobs,
                 )
         assert _screen_counts(backend) == {
             "configs_sampled": 20,
@@ -504,9 +508,9 @@ class TestAdversarialCut:
 class _StartedModel(CompactModel):
     """A switch that starts with rule 0 cached instead of empty."""
 
-    def initial_distribution(self, state=None):
-        return super().initial_distribution(
-            frozenset({0}) if state is None else state
+    def initial_distribution(self):
+        return point_distribution(
+            self.n_states, self.index_of(mask_from_indices([0]), "start state")
         )
 
 

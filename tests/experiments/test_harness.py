@@ -67,7 +67,7 @@ class TestRunTrials:
         )
 
     def test_keep_trials(self, harness):
-        result = harness.run_trials(n_trials=4, keep_trials=True)
+        result = harness.run_trials(n_trials=4)
         assert len(result.trial_results) == 4
 
     def test_custom_attackers(self, harness):
@@ -126,22 +126,12 @@ class TestSampleScreened:
             lambda h, p: h.run_trials(trial_jobs=-5),
             "trial_jobs must be >= 1",
         ),
-        (
-            lambda h, p: sample_screened_harnesses(p, 1, trial_jobs=0),
-            "trial_jobs must be >= 1",
-        ),
-        (
-            lambda h, p: sample_screened_harnesses(p, 1, trial_jobs=-5),
-            "trial_jobs must be >= 1",
-        ),
     ],
     ids=[
         "run_trials-n_trials-0",
         "run_trials-n_trials-negative",
         "run_trials-trial_jobs-0",
         "run_trials-trial_jobs-negative",
-        "sample_screened-trial_jobs-0",
-        "sample_screened-trial_jobs-negative",
     ],
 )
 def test_overrides_validated_like_params(harness, call, message):

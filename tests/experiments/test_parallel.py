@@ -87,8 +87,8 @@ class TestTrialFanout:
             params = tiny_experiment_params(n_trials=12)
             serial = ConfigHarness.sample(params)
             fanned = ConfigHarness.sample(params)
-            a = loops.run_trials(serial, keep_trials=True)
-            b = fanned.run_trials(keep_trials=True, trial_jobs=trial_jobs)
+            a = loops.run_trials(serial)
+            b = fanned.run_trials(trial_jobs=trial_jobs)
             assert a.accuracies == b.accuracies
             assert a.trial_results == b.trial_results
             assert a.screened == b.screened
@@ -104,8 +104,8 @@ class TestTrialFanout:
             params = tiny_experiment_params(n_trials=4, trial_mode="network")
             serial = ConfigHarness.sample(params)
             fanned = ConfigHarness.sample(params)
-            a = loops.run_trials(serial, keep_trials=True)
-            b = fanned.run_trials(keep_trials=True, trial_jobs=trial_jobs)
+            a = loops.run_trials(serial)
+            b = fanned.run_trials(trial_jobs=trial_jobs)
             assert a.accuracies == b.accuracies
             assert a.trial_results == b.trial_results
 
@@ -116,10 +116,10 @@ class TestTrialFanout:
             serial = ConfigHarness.sample(params)
             fanned = ConfigHarness.sample(params)
             a = loops.run_trials(
-                serial, keep_trials=True, fault_plan=plan, probe_retries=1
+                serial, fault_plan=plan, probe_retries=1
             )
             b = fanned.run_trials(
-                keep_trials=True, fault_plan=plan, probe_retries=1,
+                fault_plan=plan, probe_retries=1,
                 trial_jobs=trial_jobs,
             )
             assert a.accuracies == b.accuracies
@@ -190,8 +190,8 @@ class TestTrialFanout:
         params = tiny_experiment_params(n_trials=6)
         serial = ConfigHarness.sample(params)
         fanned = ConfigHarness.sample(replace(params, trial_jobs=JOBS))
-        a = loops.run_trials(serial, keep_trials=True)
-        b = fanned.run_trials(keep_trials=True)
+        a = loops.run_trials(serial)
+        b = fanned.run_trials()
         assert a.trial_results == b.trial_results
 
     def test_duplicate_attacker_names_rejected(self):
@@ -217,7 +217,7 @@ class TestScreeningFanout:
                 params, 3, generator=serial_gen
             )
             fanned = sample_screened_harnesses(
-                params, 3, generator=fanned_gen, trial_jobs=trial_jobs
+                replace(params, trial_jobs=trial_jobs), 3, generator=fanned_gen
             )
             assert [_config_key(h.config) for h in serial] == [
                 _config_key(h.config) for h in fanned
@@ -228,8 +228,8 @@ class TestScreeningFanout:
                 == fanned_gen.rng.bit_generator.state
             )
             # ...so the trial loops that follow are bit-identical too.
-            a = [loops.run_trials(h, keep_trials=True) for h in serial]
-            b = [h.run_trials(keep_trials=True) for h in fanned]
+            a = [loops.run_trials(h) for h in serial]
+            b = [h.run_trials(trial_jobs=1) for h in fanned]
             assert [r.trial_results for r in a] == [r.trial_results for r in b]
 
     @pytest.mark.parametrize(
@@ -243,21 +243,18 @@ class TestScreeningFanout:
         # rejects past the quota.
         params = tiny_experiment_params(n_probes=n_probes)
 
-        def screen(loop, **kwargs):
+        def screen(loop, trial_jobs=1):
             return _counters(
                 lambda: loop(
-                    params,
+                    replace(params, trial_jobs=trial_jobs),
                     2,
                     generator=ConfigGenerator(params.config, seed=3),
-                    **kwargs,
                 )
             )
 
         serial, _ = screen(loops.sample_screened_harnesses)
         for trial_jobs in TRIAL_JOBS:
-            fanned, harnesses = screen(
-                sample_screened_harnesses, trial_jobs=trial_jobs
-            )
+            fanned, harnesses = screen(sample_screened_harnesses, trial_jobs)
             compared = assert_outcome_counters_match(serial, fanned)
             assert compared["experiment.configs_sampled"] == 9
             assert compared["experiment.configs_screened_out"] == 7
@@ -284,12 +281,11 @@ class TestScreeningFanout:
                 )
             with pytest.raises(RuntimeError) as fanned_error:
                 sample_screened_harnesses(
-                    params,
+                    replace(params, trial_jobs=trial_jobs),
                     3,
                     require_optimal_differs=True,
                     max_attempts_factor=1,
                     generator=ConfigGenerator(params.config, seed=11),
-                    trial_jobs=trial_jobs,
                 )
             assert str(serial_error.value) == str(fanned_error.value)
 
@@ -325,7 +321,6 @@ class TestInProcessScreening:
                 require_optimal_differs=True,
                 max_attempts_factor=100,
                 generator=generator,
-                trial_jobs=1,
             )
         counters = {
             name: value
@@ -515,13 +510,13 @@ class TestFallbacks:
     def test_trial_pool_death_falls_back_serially(self, monkeypatch):
         params = tiny_experiment_params(n_trials=10)
         baseline = loops.run_trials(
-            ConfigHarness.sample(params), keep_trials=True
+            ConfigHarness.sample(params)
         )
         monkeypatch.setattr(
             primitive, "ProcessPoolExecutor", _broken_executor
         )
         result = ConfigHarness.sample(params).run_trials(
-            keep_trials=True, trial_jobs=JOBS
+            trial_jobs=JOBS
         )
         assert result.accuracies == baseline.accuracies
         assert result.trial_results == baseline.trial_results
@@ -534,11 +529,11 @@ class TestFallbacks:
     def test_trial_worker_exception_falls_back_serially(self, monkeypatch):
         params = tiny_experiment_params(n_trials=10)
         baseline = loops.run_trials(
-            ConfigHarness.sample(params), keep_trials=True
+            ConfigHarness.sample(params)
         )
         monkeypatch.setattr(primitive, "_run_chunk", _exploding_chunk)
         result = ConfigHarness.sample(params).run_trials(
-            keep_trials=True, trial_jobs=JOBS
+            trial_jobs=JOBS
         )
         assert result.accuracies == baseline.accuracies
         assert result.trial_results == baseline.trial_results
@@ -551,10 +546,9 @@ class TestFallbacks:
     @staticmethod
     def _screen(params):
         return sample_screened_harnesses(
-            params,
+            replace(params, trial_jobs=JOBS),
             2,
             generator=ConfigGenerator(params.config, seed=21),
-            trial_jobs=JOBS,
         )
 
     def test_screen_pool_death_falls_back_serially(self, monkeypatch):

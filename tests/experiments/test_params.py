@@ -36,20 +36,6 @@ class TestExperimentParams:
         # Other settings untouched.
         assert params.n_configs == 100
 
-    def test_scaled(self):
-        params = ExperimentParams(n_configs=100, n_trials=100).scaled(0.1)
-        assert params.n_configs == 10
-        assert params.n_trials == 10
-
-    def test_scaled_floors_at_one(self):
-        params = ExperimentParams(n_configs=2, n_trials=2).scaled(0.01)
-        assert params.n_configs == 1
-        assert params.n_trials == 1
-
-    def test_scaled_validates(self):
-        with pytest.raises(ValueError):
-            ExperimentParams().scaled(0.0)
-
 
 class TestBenchScale:
     def test_default_reduced(self, monkeypatch):

@@ -16,7 +16,7 @@ def report() -> ReproductionReport:
     spec = JobSpec(
         experiment="reproduce", scale=0.01, seed=31, trial_mode="table"
     )
-    return reproduce_all(spec, timing_samples=40)
+    return reproduce_all(spec)
 
 
 class TestReproduceAll:

@@ -99,6 +99,23 @@ class TestDeterminism:
         assert first.accuracy_series() == second.accuracy_series()
         assert first.counters_per_rate == second.counters_per_rate
 
+    def test_rates_differ_only_in_the_faults(self):
+        # Every rate re-trials the same worlds from the same generator
+        # state: two clean rates give equal results, and the random
+        # attacker, which never probes, scores the same at every rate.
+        clean = run_robustness(
+            replace(tiny_job_spec("robustness", n_trials=20), rates=(0.0, 0.0))
+        )
+        first, second = clean.results_per_rate
+        assert first == second
+        lossy = run_robustness(
+            replace(
+                tiny_job_spec("robustness", n_trials=20), rates=(0.0, 0.5, 1.0)
+            )
+        )
+        random = lossy.accuracy_series()["random"]
+        assert random == [random[0]] * len(random)
+
 
 class TestValidation:
     def test_empty_rates_rejected(self):

@@ -7,9 +7,10 @@ oracle (:mod:`tests.oracles.trials`) replays the window on a fresh
 table world per probing attacker.  The two must return equal
 :class:`TrialResult` objects over the network suite's seeds, configs
 and lineups, every fault kind with and without a probe retry, harness
-attackers, and the adaptive trial with and without probing baselines.
+attackers, and the adaptive trial beside same-seed baselines.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.adaptive import AdaptiveModelAttacker
@@ -29,6 +30,7 @@ from tests.experiments.test_network_fork_diff import (
     FAULT_PLANS,
     LINEUPS,
     SEEDS,
+    merged,
     mixed_lineup,
 )
 from tests.oracles import trials as oracle
@@ -99,7 +101,7 @@ def test_harness_model_attackers():
             harness.naive_attacker,
             harness.model_attacker,
             harness.constrained_attacker,
-            RandomAttacker(0.5, seed=9),
+            RandomAttacker(0.5, rng=np.random.default_rng(9)),
         )
 
     for seed in SEEDS:
@@ -128,7 +130,8 @@ def test_adaptive_table_trial(adaptive, lineup_name, seed):
     expected = oracle.run_adaptive_table_trial(
         config, attacker, seed, baselines=baselines()
     )
-    actual = trials.run_adaptive_trial(
-        config, attacker, seed, mode="table", baselines=baselines()
+    actual = merged(
+        trials.run_adaptive_trial(config, attacker, seed, mode="table"),
+        trials.run_trial(config, baselines(), seed, mode="table"),
     )
     assert actual == expected

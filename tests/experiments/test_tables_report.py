@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.report import (
+    CDF_ROWS,
     format_cdf,
     format_series,
     format_table,
@@ -75,9 +76,9 @@ class TestReportRendering:
 
     def test_format_cdf_thinning(self):
         points = [(i / 100, (i + 1) / 100) for i in range(100)]
-        text = format_cdf(points, max_points=10)
-        # Thinned to ~10 rows plus header/rule.
-        assert len(text.splitlines()) <= 14
+        text = format_cdf(points)
+        # Thinned to CDF_ROWS rows, the last point, a header and a rule.
+        assert len(text.splitlines()) <= CDF_ROWS + 4
 
     def test_paper_vs_measured_ratio(self):
         text = paper_vs_measured([("metric", 2.0, 1.0)])

@@ -29,7 +29,6 @@ from repro.memo import BoundedMemo
 from repro.obs import Instrumentation, use_instrumentation
 from repro.simulator.network import Network
 from repro.simulator.probing import Prober
-from repro.simulator.timing import LatencyModel
 
 from tests import oracles
 from tests.experiments.conftest import tiny_config_params, tiny_experiment_params
@@ -118,10 +117,9 @@ class TestForkEqualsFreshBuild:
             config.universe,
             cache_size=config.cache_size,
             rng=np.random.default_rng(SEED + 1),
-            defense=fresh_defense,
-            faults=fresh_faults,
         )
-        fork = trials._network_template(config, None).fork()
+        fresh.attach(fresh_defense, fresh_faults)
+        fork = trials._network_template(config).fork()
         fork.reseed(np.random.default_rng(SEED + 1))
         fork.attach(*extras())
 
@@ -155,15 +153,14 @@ class TestForkEqualsFreshBuild:
             config.universe,
             cache_size=config.cache_size,
             rng=np.random.default_rng(SEED + 1),
-            defense=DelayDefense(),
-            faults=trials._trial_injector(plan, SEED),
         )
+        fresh.attach(DelayDefense(), trials._trial_injector(plan, SEED))
         run_window(fresh, config)
         assert tables(window.world) == tables(fresh)
         assert probe(window.world, config) == probe(fresh, config)
 
     def test_attach_once_and_reseed_only_unrun(self, config, fresh_memo):
-        network = trials._network_template(config, None).fork()
+        network = trials._network_template(config).fork()
         network.attach(DelayDefense())
         with pytest.raises(ValueError, match="already attached"):
             network.attach(DelayDefense())
@@ -177,7 +174,7 @@ class TestTemplateIsolation:
         params = tiny_experiment_params(trial_mode="network")
         harness = ConfigHarness.sample(params)
         config = harness.config
-        template = trials._network_template(config, None)
+        template = trials._network_template(config)
         before = (
             copy.deepcopy(tables(template)),
             template.sim.now,
@@ -198,7 +195,7 @@ class TestTemplateIsolation:
                 fault_plan=FAULT_PLANS["flow_mod_loss"],
                 probe_retries=1,
             )
-        assert trials._network_template(config, None) is template
+        assert trials._network_template(config) is template
         after = (
             tables(template),
             template.sim.now,
@@ -227,25 +224,25 @@ class TestTemplateIsolation:
 
         first, second = Instrumentation(), Instrumentation()
         with use_instrumentation(first):
-            template = trials._network_template(config, None)
-            assert trials._network_template(config, None) is template
+            template = trials._network_template(config)
+            assert trials._network_template(config) is template
         with use_instrumentation(second):
-            assert trials._network_template(config, None) is not template
+            assert trials._network_template(config) is not template
             trials.run_trial(config, lineup, 5, mode="network")
         assert not sim_counts(first)
         assert sim_counts(second)["sim.network.host_sends"] > 0
 
     def test_oracle_pipeline_builds_oracle_templates(self, fresh_memo):
         config = ConfigGenerator(tiny_config_params(), seed=3).sample()
-        production = trials._network_template(config, None)
+        production = trials._network_template(config)
         with oracles.oracle_pipeline():
-            template = trials._network_template(config, None)
+            template = trials._network_template(config)
             assert template is not production
             assert all(
                 isinstance(node.table, oracles.ReferenceFlowTable)
                 for node in template.switches.values()
             )
-        assert trials._network_template(config, None) is production
+        assert trials._network_template(config) is production
 
 
 class TestTemplateMemo:
@@ -254,19 +251,9 @@ class TestTemplateMemo:
             ConfigGenerator(tiny_config_params(), seed=seed).sample()
             for seed in range(trials.MAX_TEMPLATES + 3)
         ]
-        built = [trials._network_template(c, None) for c in configs]
+        built = [trials._network_template(c) for c in configs]
         assert len(fresh_memo) == trials.MAX_TEMPLATES
         # The newest templates are kept, the oldest were evicted.
-        assert trials._network_template(configs[-1], None) is built[-1]
-        assert trials._network_template(configs[0], None) is not built[0]
+        assert trials._network_template(configs[-1]) is built[-1]
+        assert trials._network_template(configs[0]) is not built[0]
         assert len(fresh_memo) == trials.MAX_TEMPLATES
-
-    def test_one_template_per_latency_model(self, config, fresh_memo):
-        calibrated = trials._network_template(config, None)
-        scaled = trials._network_template(config, LatencyModel().scaled(2.0))
-        assert scaled is not calibrated
-        assert scaled.latency == LatencyModel().scaled(2.0)
-        assert (
-            trials._network_template(config, LatencyModel().scaled(2.0))
-            is scaled
-        )

@@ -37,7 +37,7 @@ class TestTableWorld:
 
 class TestTableTrial:
     def test_structure(self, config):
-        attackers = [NaiveAttacker(config.target_flow), RandomAttacker(0.5)]
+        attackers = [NaiveAttacker(config.target_flow), RandomAttacker(0.5, np.random.default_rng(0))]
         trial = run_trial(config, attackers, seed=1, mode="table")
         assert trial.ground_truth in (0, 1)
         assert set(trial.decisions) == {"naive", "random"}

@@ -85,8 +85,7 @@ class TestReproduce:
         reproduce_all(
             _reproduce_spec(
                 scale=0.01, seed=99, fault_plan=plan, probe_retries=2
-            ),
-            timing_samples=5,
+            )
         )
         for key in ("fig6", "fig7"):
             assert seen[key].fault_plan == plan
@@ -98,7 +97,7 @@ class TestReproduce:
             RUNNERS, "fig6", lambda params: seen.setdefault("params", params)
         )
         monkeypatch.setitem(RUNNERS, "fig7", lambda params: object())
-        reproduce_all(_reproduce_spec(scale=0.01, seed=99), timing_samples=5)
+        reproduce_all(_reproduce_spec(scale=0.01, seed=99))
         assert seen["params"].fault_plan is None
         assert seen["params"].probe_retries == 0
 
@@ -126,7 +125,6 @@ class TestHarnessLevel:
         (harness,) = sample_screened_harnesses(params, 1)
         lossy = harness.run_trials(
             fault_plan=FaultPlan(probe_reply_loss=1.0),
-            keep_trials=True,
         )
         for trial in lossy.trial_results:
             assert trial.outcomes["naive"] == (None,)
@@ -144,7 +142,6 @@ class TestHarnessLevel:
         (harness,) = sample_screened_harnesses(params, 1)
         lossy = harness.run_trials(
             fault_plan=FaultPlan(probe_reply_loss=0.5, seed=9),
-            keep_trials=True,
         )
         observed = [
             trial.outcomes["naive"][0] is not None

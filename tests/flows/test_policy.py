@@ -43,10 +43,6 @@ class TestPolicyValidation:
         with pytest.raises(ValueError, match="covers no flows"):
             Policy(rules)
 
-    def test_validation_can_be_skipped(self):
-        rules = [ModelRule(0, "a", frozenset(), 5, 2)]
-        assert len(Policy(rules, validate=False)) == 1
-
 
 class TestPolicyQueries:
     def test_covering_order(self, tiny_policy):

@@ -142,10 +142,6 @@ class TestRuleTable:
         )
         assert len(table) == 2
 
-    def test_validation_can_be_skipped(self):
-        table = RuleTable([_rule("a", 5), _rule("b", 5)], validate=False)
-        assert len(table) == 2
-
     def test_highest_covering_respects_priority(self):
         specific = Rule(name="specific", src=Match.exact(1), priority=10)
         broad = Rule(name="broad", src=Match.ANY, priority=1)

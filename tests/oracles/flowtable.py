@@ -77,13 +77,11 @@ class ReferenceFlowTable:
     # ------------------------------------------------------------------
     # Lookup / install
     # ------------------------------------------------------------------
-    def lookup(
-        self, flow: FlowId, now: float, refresh: bool = True
-    ) -> Optional[TableEntry]:
+    def lookup(self, flow: FlowId, now: float) -> Optional[TableEntry]:
         """Match ``flow`` against the table.
 
         Returns the highest-priority covering entry, refreshing its idle
-        timer (unless ``refresh=False``, used for non-mutating peeks).
+        timer.
         Records hit/miss statistics; a to-controller or flood winner is a
         miss.
         """
@@ -102,8 +100,7 @@ class ReferenceFlowTable:
         else:
             self.stats["hits"] += 1
             self._obs_hits.inc()
-        if refresh:
-            best.last_match = now
+        best.last_match = now
         return best
 
     def peek(self, flow: FlowId, now: float) -> Optional[TableEntry]:

@@ -41,7 +41,6 @@ def run_trials(
     *,
     n_trials: Optional[int] = None,
     attackers: Optional[Sequence[Attacker]] = None,
-    keep_trials: bool = False,
     defense_factory: Optional[DefenseFactory] = None,
     fault_plan: Optional[FaultPlan] = None,
     probe_retries: Optional[int] = None,
@@ -81,14 +80,13 @@ def run_trials(
                     lineup,
                     seed,
                     mode=harness.params.trial_mode,
-                    latency=harness.latency,
                     defense_factory=defense_factory,
                     fault_plan=fault_plan,
                     probe_retries=probe_retries,
                 )
             trial_counter.inc()
             results.append(trial)
-    return harness.config_result(names, results, keep_trials=keep_trials)
+    return harness.config_result(names, results)
 
 
 def sample_screened_harnesses(
@@ -98,10 +96,9 @@ def sample_screened_harnesses(
     require_optimal_differs: bool = False,
     max_attempts_factor: int = 40,
     generator: Optional[ConfigGenerator] = None,
-    trial_jobs: Optional[int] = None,
 ) -> ScreenedHarnesses:
-    """The serial acceptance loop (``trial_jobs`` ignored; no pool, so
-    ``pool_fallbacks`` stays 0)."""
+    """The serial acceptance loop (``params.trial_jobs`` ignored; no
+    pool, so ``pool_fallbacks`` stays 0)."""
     from repro.experiments import fastscreen
 
     generator = generator or ConfigGenerator(params.config, seed=params.seed)
@@ -137,7 +134,9 @@ def sample_screened_harnesses(
                 config, params, rng=generator.rng, model=outcome.model
             )
         else:
-            harness = ConfigHarness.sample(params, generator=generator)
+            harness = ConfigHarness(
+                generator.sample(), params, rng=generator.rng
+            )
             sampled.inc()
         if not harness.is_screened_in():
             screened_out.inc()

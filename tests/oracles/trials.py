@@ -34,14 +34,12 @@ from repro.flows.arrival import occurred_in_window
 from repro.flows.config import NetworkConfiguration
 from repro.simulator.network import Network
 from repro.simulator.probing import Prober
-from repro.simulator.timing import LatencyModel
 
 
 def run_network_trial(
     config: NetworkConfiguration,
     attackers: Sequence[Attacker],
     seed: int,
-    latency: Optional[LatencyModel] = None,
     defense_factory: Optional[DefenseFactory] = None,
     fault_plan: Optional[FaultPlan] = None,
     probe_retries: int = 0,
@@ -64,7 +62,6 @@ def run_network_trial(
         network = _replica(
             config,
             seed,
-            latency,
             defense=defense_factory() if defense_factory is not None else None,
             faults=_trial_injector(fault_plan, seed),
         )
@@ -83,7 +80,6 @@ def run_adaptive_trial(
     adaptive_attacker: AdaptiveModelAttacker,
     seed: int,
     baselines: Sequence[Attacker] = (),
-    latency: Optional[LatencyModel] = None,
 ) -> TrialResult:
     """A network-mode adaptive trial, the session on a replica of its own."""
     schedule = _trial_schedule(config, seed)
@@ -93,7 +89,7 @@ def run_adaptive_trial(
         )
     )
     session = adaptive_attacker.start_session()
-    network = _replica(config, seed, latency)
+    network = _replica(config, seed)
     network.schedule_arrivals(schedule)
     network.sim.run_until(config.window_seconds)
     prober = Prober(network)
@@ -107,9 +103,7 @@ def run_adaptive_trial(
         adaptive_attacker.name: tuple(bit for _, bit in session.history)
     }
     if baselines:
-        baseline_trial = run_network_trial(
-            config, baselines, seed, latency=latency
-        )
+        baseline_trial = run_network_trial(config, baselines, seed)
         decisions.update(baseline_trial.decisions)
         outcomes.update(baseline_trial.outcomes)
     return TrialResult(ground_truth=truth, decisions=decisions, outcomes=outcomes)
@@ -192,17 +186,15 @@ def run_adaptive_table_trial(
 def _replica(
     config: NetworkConfiguration,
     seed: int,
-    latency: Optional[LatencyModel],
     defense: Optional[Defense] = None,
     faults: Optional[FaultInjector] = None,
 ) -> Network:
     """A freshly built network seeded like every other replica."""
-    return Network(
+    network = Network(
         config.concrete_rules,
         config.universe,
         cache_size=config.cache_size,
-        latency=latency,
         rng=np.random.default_rng(seed + 1),
-        defense=defense,
-        faults=faults,
     )
+    network.attach(defense, faults)
+    return network

@@ -76,7 +76,7 @@ def saved_documents(tmp_path_factory):
         _run_job(
             argparse.Namespace(out=str(paths[experiment])), _spec(experiment)
         )
-    reproduced = reproduce_all(REPRODUCE_SPEC, timing_samples=5).save(
+    reproduced = reproduce_all(REPRODUCE_SPEC).save(
         directory / "reproduce"
     )
     for name in ("fig6", "fig7"):

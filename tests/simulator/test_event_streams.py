@@ -24,7 +24,8 @@ class TestValidation:
             sim.schedule_stream([2.0, 1.0], lambda i: None)
 
     def test_times_before_the_clock_rejected(self):
-        sim = Simulator(start_time=5.0)
+        sim = Simulator()
+        sim.run_until(5.0)
         with pytest.raises(ValueError, match="non-decreasing"):
             sim.schedule_stream([4.0], lambda i: None)
 

@@ -36,7 +36,8 @@ class TestScheduling:
             sim.schedule(-1.0, lambda: None)
 
     def test_schedule_at_past_rejected(self):
-        sim = Simulator(start_time=10.0)
+        sim = Simulator()
+        sim.run_until(10.0)
         with pytest.raises(ValueError):
             sim.schedule_at(5.0, lambda: None)
 
@@ -95,7 +96,8 @@ class TestRunUntil:
         assert log == [5]
 
     def test_past_horizon_rejected(self):
-        sim = Simulator(start_time=5.0)
+        sim = Simulator()
+        sim.run_until(5.0)
         with pytest.raises(ValueError):
             sim.run_until(1.0)
 

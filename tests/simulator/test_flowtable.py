@@ -76,7 +76,7 @@ class TestLookup:
     def test_lookup_without_refresh(self):
         table = FlowTable(4)
         table.install(rule("r", idle=5.0), 0, 0.0)
-        table.lookup(FLOW, 4.0, refresh=False)
+        table.peek(FLOW, 4.0)  # the lookup that leaves the timer alone
         assert table.lookup(FLOW, 8.0) is None  # expired at 5.0
 
     def test_peek_is_pure(self, obs):

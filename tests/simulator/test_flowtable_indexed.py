@@ -260,9 +260,8 @@ class TestReferenceEquivalence:
                     assert _entry_key(got_ref) == _entry_key(got_idx)
             elif op == 2:
                 flow = FlowId(src=rng.randrange(1, 5), dst=9)
-                refresh = rng.random() < 0.7
-                got_ref = reference.lookup(flow, now, refresh=refresh)
-                got_idx = indexed.lookup(flow, now, refresh=refresh)
+                got_ref = reference.lookup(flow, now)
+                got_idx = indexed.lookup(flow, now)
                 assert (got_ref is None) == (got_idx is None)
                 if got_ref is not None:
                     assert _entry_key(got_ref) == _entry_key(got_idx)

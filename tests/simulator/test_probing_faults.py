@@ -34,14 +34,15 @@ def make_network(faults=None):
         )
         for i in range(3)
     ]
-    return Network(
+    network = Network(
         rules,
         universe,
         cache_size=3,
         topology=linear_topology(3),
         rng=np.random.default_rng(1),
-        faults=faults,
     )
+    network.attach(None, faults)
+    return network
 
 
 class _ScriptedRng:
@@ -57,9 +58,7 @@ class _ScriptedRng:
 class TestUnobservedProbes:
     def test_probe_reply_loss_surfaces_unobserved(self):
         network = make_network(FaultInjector(FaultPlan(probe_reply_loss=1.0)))
-        result = Prober(network, timeout=0.05).measure(
-            network.universe.flows[0]
-        )
+        result = Prober(network).measure(network.universe.flows[0])
         assert not result.observed
         assert result.rtt is None
         assert result.attempts == 1
@@ -69,9 +68,7 @@ class TestUnobservedProbes:
 
     def test_packet_in_loss_surfaces_unobserved(self):
         network = make_network(FaultInjector(FaultPlan(packet_in_loss=1.0)))
-        result = Prober(network, timeout=0.05).measure(
-            network.universe.flows[0]
-        )
+        result = Prober(network).measure(network.universe.flows[0])
         assert not result.observed
 
     def test_probe_observation_unknown_id_is_none(self):
@@ -83,7 +80,7 @@ class TestUnobservedProbes:
         # used ProbeResult.outcome, which silently mapped "no reply" to
         # "miss" (0).  An eaten reply must surface as None instead.
         network = make_network(FaultInjector(FaultPlan(probe_reply_loss=1.0)))
-        prober = Prober(network, timeout=0.05)
+        prober = Prober(network)
         bits = prober.outcomes(
             [network.universe.flows[0], network.universe.flows[1]]
         )
@@ -96,7 +93,7 @@ class TestUnobservedProbes:
             network = make_network(
                 FaultInjector(FaultPlan(probe_reply_loss=1.0))
             )
-            prober = Prober(network, timeout=0.05)
+            prober = Prober(network)
             prober.measure(network.universe.flows[0])
         assert backend.metrics.counter("attacker.probe.unobserved").value == 1
 
@@ -110,7 +107,7 @@ class TestRetries:
         network = make_network(injector)
         backend = Instrumentation()
         with use_instrumentation(backend):
-            prober = Prober(network, timeout=0.05, retries=1)
+            prober = Prober(network, retries=1)
         result = prober.measure(network.universe.flows[0])
         assert result.observed
         assert result.attempts == 2
@@ -119,36 +116,34 @@ class TestRetries:
 
     def test_exhausted_retries_give_up(self):
         network = make_network(FaultInjector(FaultPlan(probe_reply_loss=1.0)))
-        prober = Prober(network, timeout=0.02, retries=2)
+        prober = Prober(network, retries=2)
         result = prober.measure(network.universe.flows[0])
         assert not result.observed
         assert result.attempts == 3
 
     def test_backoff_grows_and_caps_the_wait(self):
         network = make_network(FaultInjector(FaultPlan(probe_reply_loss=1.0)))
-        timeout = 0.02
-        prober = Prober(
-            network, timeout=timeout, retries=3, backoff=2.0,
-            max_timeout=3 * timeout,
-        )
+        timeout = Prober.TIMEOUT
+        assert Prober.BACKOFF == 2.0 and Prober.MAX_TIMEOUT == 8 * timeout
+        prober = Prober(network, retries=5)
         before = network.sim.now
         result = prober.measure(network.universe.flows[0])
-        assert result.attempts == 4
-        # Attempt windows waited out before each retransmit: t, then 2t,
-        # then 3t (capped below 4t by max_timeout).  The final attempt
-        # stops at its last simulated event rather than its deadline, so
-        # the total wait sits between the three full windows and the
-        # fourth (capped) one.
+        assert result.attempts == 6
+        # Attempt windows waited out before each retransmit: t, 2t, 4t,
+        # 8t, then 8t again (capped below 16t by MAX_TIMEOUT).  The final
+        # attempt stops at its last simulated event rather than its
+        # deadline, so the total wait sits between the five full windows
+        # and the sixth (capped) one.
         waited = network.sim.now - before
-        assert waited >= timeout * (1 + 2 + 3)
-        assert waited < timeout * (1 + 2 + 3 + 3)
+        assert waited >= timeout * (1 + 2 + 4 + 8 + 8)
+        assert waited < timeout * (1 + 2 + 4 + 8 + 8 + 8)
 
     def test_zero_retry_clock_matches_historical_path(self):
         # With retries=0 the prober must behave exactly as before the
         # fault layer: the clock stops at the observation, not at the
         # deadline, and a single attempt is recorded.
         network = make_network()
-        prober = Prober(network, timeout=0.5, retries=0)
+        prober = Prober(network, retries=0)
         before = network.sim.now
         result = prober.measure(network.universe.flows[0])
         assert result.attempts == 1
@@ -158,10 +153,6 @@ class TestRetries:
         network = make_network()
         with pytest.raises(ValueError, match="retries"):
             Prober(network, retries=-1)
-        with pytest.raises(ValueError, match="backoff"):
-            Prober(network, backoff=0.5)
-        with pytest.raises(ValueError, match="max_timeout"):
-            Prober(network, timeout=0.2, max_timeout=0.1)
 
 
 class TestProbeResultProperties:

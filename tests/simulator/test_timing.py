@@ -1,7 +1,7 @@
 """Tests for the latency model."""
 
 import copy
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,7 +29,12 @@ COMPONENTS = tuple(MEAN_FIELDS)
 MODELS = {
     "calibrated": LatencyModel.calibrated(),
     "noiseless": LatencyModel.noiseless(),
-    "scaled": LatencyModel.calibrated().scaled(3.0),
+    "scaled": LatencyModel(
+        **{
+            field.name: 3.0 * getattr(LatencyModel.calibrated(), field.name)
+            for field in fields(LatencyModel)
+        }
+    ),
 }
 
 
@@ -80,19 +85,6 @@ class TestDerivedQuantities:
         assert PAPER_HIT_MEAN < DEFAULT_THRESHOLD_SECONDS < PAPER_MISS_MEAN
 
 
-class TestScaled:
-    def test_scaling_multiplies_all_fields(self, model):
-        scaled = model.scaled(2.0)
-        assert scaled.link_mean == pytest.approx(2 * model.link_mean)
-        assert scaled.controller_proc_std == pytest.approx(
-            2 * model.controller_proc_std
-        )
-
-    def test_scale_must_be_positive(self, model):
-        with pytest.raises(ValueError):
-            model.scaled(0.0)
-
-
 class TestBlockDraws:
     """A network's block-drawn latencies equal scalar ``rng.normal`` draws.
 
@@ -131,7 +123,7 @@ class TestBlockDraws:
 
     @pytest.mark.parametrize("component", COMPONENTS)
     def test_components_with_zero_mean_draw_nothing(self, component):
-        model = replace(LatencyModel(), **{MEAN_FIELDS[component]: 0.0})
+        model = replace(LatencyModel.calibrated(), **{MEAN_FIELDS[component]: 0.0})
         normals = NormalBlock(np.random.default_rng(2))
         state = normals.rng.bit_generator.state
         assert getattr(model, component)(normals) == 0.0

@@ -73,7 +73,7 @@ class TestModelTracksSimulator:
         )
         probe = harness.model_attacker.probes[0]
         table = harness.inference.outcome_table((probe,))
-        result = harness.run_trials(n_trials=2000, keep_trials=True)
+        result = harness.run_trials(n_trials=2000)
         joint = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
         for trial in result.trial_results:
             outcome = trial.outcomes["model"][0]
