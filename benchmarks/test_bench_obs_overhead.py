@@ -17,11 +17,11 @@ pin that discipline:
   (same probes, same gain, bitwise).
 
 The event counts are taken from a *recording* run of the same selection
-(``engine.batches`` counts ``_block_items`` calls, each of which emits
-a fixed number of engine increments; the ``engine.evolutions`` and
-``engine.cache.*`` counters count the inference's increments one for
-one), so the bound tracks the code as it evolves rather than a
-hand-maintained constant.
+(each scored prefix emits a fixed number of engine increments and
+scores at least one block, so ``engine.batches`` bounds the prefixes
+from above; the ``engine.evolutions`` and ``engine.cache.*`` counters
+count the inference's increments one for one), so the bound tracks the
+code as it evolves rather than a hand-maintained constant.
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ RULE_SPECS = [
 
 RATES = [0.6, 1.1, 0.4, 0.9, 0.5, 1.3, 0.7, 0.3, 1.0, 0.8]
 
-#: Counter increments per ``_block_items`` call on the null path
-#: (``engine.sequences_scored`` + ``engine.batches``).
+#: Counter increments per scored prefix on the null path
+#: (``engine.sequences_scored`` + ``engine.batches``, once each per
+#: ``ProbeScoringEngine._score`` call).
 _OBS_CALLS_PER_BATCH = 2
 
 #: The counters the inference bumps through ``counter_inc``, one

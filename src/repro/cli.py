@@ -207,67 +207,31 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig6(args: argparse.Namespace, which: str) -> int:
-    from repro.experiments.report import format_cdf, format_series, format_table
+    from repro.experiments.report import (
+        fig6a_section,
+        fig6b_section,
+        headline_section,
+    )
 
     spec = _job_spec(args, "fig6")
     result = _run_job(args, spec)
-    if which == "a":
-        print(
-            format_series(
-                "P(absent)",
-                result.bin_centers(),
-                result.accuracy_series(),
-                title="Figure 6a: average accuracy vs P(absence of target)",
-            )
-        )
-    else:
-        print(
-            format_cdf(
-                result.improvement_cdf(),
-                title="Figure 6b: CDF of improvement over naive attacker",
-            )
-        )
-    headline = result.headline()
+    print(fig6a_section(result) if which == "a" else fig6b_section(result))
     print()
-    print(
-        format_table(
-            ["metric", "value"],
-            [[k, v] for k, v in headline.items()],
-            title="Headline statistics",
-        )
-    )
+    print(headline_section(result))
     _print_execution(spec)
     return 0
 
 
 def _cmd_fig7(args: argparse.Namespace, which: str) -> int:
-    from repro.experiments.report import format_series, format_table
+    from repro.experiments.report import (
+        fig7a_section,
+        fig7b_section,
+        format_table,
+    )
 
     spec = _job_spec(args, "fig7")
     result = _run_job(args, spec)
-    if which == "a":
-        table = result.accuracy_by_covering_count()
-        rows = [
-            [count, row["constrained"], row["naive"], row["random"],
-             int(row["n_configs"])]
-            for count, row in table.items()
-        ]
-        print(
-            format_table(
-                ["#covering rules", "constrained", "naive", "random", "configs"],
-                rows,
-                title="Figure 7a: accuracy vs rules covering the target",
-            )
-        )
-    else:
-        print(
-            format_series(
-                "P(absent)",
-                result.bin_centers(),
-                result.accuracy_series(),
-                title="Figure 7b: accuracy vs P(absence of target)",
-            )
-        )
+    print(fig7a_section(result) if which == "a" else fig7b_section(result))
     print()
     print(
         format_table(
@@ -281,28 +245,16 @@ def _cmd_fig7(args: argparse.Namespace, which: str) -> int:
 
 
 def _cmd_timing(args: argparse.Namespace) -> int:
-    from repro.experiments.report import paper_vs_measured
+    from repro.experiments.report import timing_section
     from repro.experiments.tables import timing_table
 
     seed = _resolved_seed(args)
-    table = timing_table(
-        n_samples=args.samples, seed=seed if seed is not None else 0
-    )
-    hit, miss = table["hit"], table["miss"]
     print(
-        paper_vs_measured(
-            [
-                ("hit mean (ms)", hit.paper_mean * 1e3, hit.mean * 1e3),
-                ("hit std (ms)", hit.paper_std * 1e3, hit.std * 1e3),
-                ("miss mean (ms)", miss.paper_mean * 1e3, miss.mean * 1e3),
-                ("miss std (ms)", miss.paper_std * 1e3, miss.std * 1e3),
-            ],
-            title="Section VI-A probe latency characterisation",
+        timing_section(
+            timing_table(
+                n_samples=args.samples, seed=seed if seed is not None else 0
+            )
         )
-    )
-    print(
-        f"\nthreshold = {table['threshold'] * 1e3:g} ms, "
-        f"classification accuracy = {table['threshold_accuracy']:.4f}"
     )
     return 0
 
@@ -682,36 +634,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_statecount(_: argparse.Namespace) -> int:
-    from repro.experiments.report import format_table
+    from repro.experiments.report import statecount_section
     from repro.experiments.tables import statecount_report
 
-    report = statecount_report()
-    exp = report["experiment"]
-    example = report["paper_example"]
-    print(
-        format_table(
-            ["setting", "basic model states", "compact model states"],
-            [
-                [
-                    f"evaluation (|Rules|={exp['n_rules']}, t={exp['timeout']}, "
-                    f"n={exp['cache_size']})",
-                    exp["basic"],
-                    exp["compact"],
-                ],
-                [
-                    f"paper example (|Rules|={example['n_rules']}, "
-                    f"t={example['timeout']}, n={example['cache_size']})",
-                    example["basic_formula"],
-                    "-",
-                ],
-            ],
-            title="State-space sizes (Sections IV-A2 / IV-B)",
-        )
-    )
-    print(
-        "\nnote: the paper quotes ~5.9e7 for its example; the printed "
-        "formula evaluates to the figure above (see EXPERIMENTS.md)."
-    )
+    print(statecount_section(statecount_report()))
     return 0
 
 

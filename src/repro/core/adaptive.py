@@ -14,8 +14,8 @@ implements that attacker on top of the compact model:
   perturbation included);
 * each step greedily picks the candidate flow with the largest
   *conditional* information gain about ``X̂`` given everything seen;
-* the session stops after its probe budget or when no candidate gains
-  more than ``min_gain``.
+* the session stops after its probe budget or when no unprobed flow
+  gains more than :data:`MIN_GAIN`.
 
 A note on optimality: the session is *myopic* — each probe maximises
 the immediate conditional gain.  Against a non-adaptive plan executed
@@ -30,7 +30,7 @@ millibit of each other; the benchmarks report both.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -39,13 +39,18 @@ from repro.core.engine import conditional_gains
 from repro.core.gain import binary_entropy
 from repro.core.inference import ReconInference, pruned, push_probe
 
+#: The conditional gain, in bits, a next probe must exceed.
+MIN_GAIN = 1e-9
+
 
 class AdaptiveSession:
     """One adaptive probing session against one target flow.
 
+    Every flow is a candidate probe, each probed at most once.
+
     Usage (driven by a trial runner or a live attack loop)::
 
-        session = AdaptiveSession(inference, candidates=range(16))
+        session = AdaptiveSession(inference, max_probes=3)
         while True:
             flow = session.next_probe()
             if flow is None:
@@ -55,26 +60,12 @@ class AdaptiveSession:
         verdict = session.decide()
     """
 
-    def __init__(
-        self,
-        inference: ReconInference,
-        candidates: Optional[Sequence[int]] = None,
-        max_probes: int = 3,
-        min_gain: float = 1e-9,
-        allow_repeats: bool = False,
-    ) -> None:
+    def __init__(self, inference: ReconInference, max_probes: int = 3) -> None:
         if max_probes < 1:
             raise ValueError("max_probes must be >= 1")
         self.inference = inference
         self.model: CompactModel = inference.model
-        if candidates is None:
-            candidates = range(self.model.context.n_flows)
-        self.candidates = sorted(set(int(f) for f in candidates))
-        if not self.candidates:
-            raise ValueError("no candidate probes")
         self.max_probes = max_probes
-        self.min_gain = min_gain
-        self.allow_repeats = allow_repeats
 
         self._weights_full: np.ndarray = pruned(inference.dist_full)
         self._weights_absent: np.ndarray = pruned(inference.dist_absent)
@@ -117,9 +108,7 @@ class AdaptiveSession:
             return None
         used = {flow for flow, _ in self.history}
         allowed = [
-            flow
-            for flow in self.candidates
-            if self.allow_repeats or flow not in used
+            flow for flow in range(self.model.context.n_flows) if flow not in used
         ]
         gains = conditional_gains(
             self.model,
@@ -128,7 +117,7 @@ class AdaptiveSession:
             allowed,
         )
         best_flow: Optional[int] = None
-        best_gain = self.min_gain
+        best_gain = MIN_GAIN
         for flow, gain in zip(allowed, gains):
             if gain > best_gain + 1e-15:
                 best_flow = flow
@@ -165,13 +154,7 @@ class AdaptiveSession:
         Computed by expanding the adaptive policy's outcome tree under
         the model: ``H(X̂) - E[H(X̂ | leaf)]``.
         """
-        root = AdaptiveSession(
-            self.inference,
-            candidates=self.candidates,
-            max_probes=self.max_probes,
-            min_gain=self.min_gain,
-            allow_repeats=self.allow_repeats,
-        )
+        root = AdaptiveSession(self.inference, max_probes=self.max_probes)
         prior = self.inference.prior_absent()
         leaf_entropy = _expected_leaf_entropy(root)
         return max(binary_entropy(prior) - leaf_entropy, 0.0)
@@ -187,13 +170,7 @@ def _expected_leaf_entropy(session: AdaptiveSession) -> float:
     if mass <= 0.0:
         return 0.0
     for bit in (0, 1):
-        child = AdaptiveSession(
-            session.inference,
-            candidates=session.candidates,
-            max_probes=session.max_probes,
-            min_gain=session.min_gain,
-            allow_repeats=session.allow_repeats,
-        )
+        child = AdaptiveSession(session.inference, max_probes=session.max_probes)
         child._weights_full = session._weights_full
         child._weights_absent = session._weights_absent
         child.history = list(session.history)

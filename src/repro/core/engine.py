@@ -70,10 +70,6 @@ def _score_block(
     )
 
 
-#: One scoring work item: (shared probe prefix, block of final probes).
-WorkItem = Tuple[Tuple[int, ...], Tuple[int, ...]]
-
-
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
@@ -102,38 +98,29 @@ class ProbeScoringEngine:
         self, prefix: Sequence[int], tails: Sequence[int]
     ) -> np.ndarray:
         """Gains of ``prefix + (f,)`` for every tail flow ``f``."""
-        items = self._block_items(
-            tuple(int(f) for f in prefix), tuple(int(f) for f in tails)
-        )
+        tails = tuple(int(f) for f in tails)
         started = time.perf_counter() if self._obs.enabled else 0.0
-        gains = self._map(items)
-        if self._obs.enabled and items:
-            # Per-batch latency, in ms: one scoring pass over `items`.
+        gains = self._score(tuple(int(f) for f in prefix), tails)
+        if self._obs.enabled and tails:
+            # Per-batch latency, in ms: the pass's time per scoring block.
             elapsed_ms = (time.perf_counter() - started) * 1000.0
+            n_blocks = -(-len(tails) // SCORE_BLOCK)
             self._obs.metrics.histogram("engine.score.batch_ms").observe(
-                elapsed_ms / len(items)
+                elapsed_ms / n_blocks
             )
-        if not gains:
-            return np.zeros(0)
-        return np.concatenate(gains)
+        return gains
 
-    def _block_items(
+    def _score(
         self, prefix: Tuple[int, ...], tails: Tuple[int, ...]
-    ) -> List[WorkItem]:
-        items = [
-            (prefix, tails[start:start + SCORE_BLOCK])
+    ) -> np.ndarray:
+        """Gains of ``prefix + (f,)`` per tail, in blocks of :data:`SCORE_BLOCK`."""
+        blocks = [
+            _score_block(self.inference, prefix, tails[start:start + SCORE_BLOCK])
             for start in range(0, len(tails), SCORE_BLOCK)
         ]
         self._obs_sequences.inc(len(tails))
-        self._obs_batches.inc(len(items))
-        return items
-
-    def _map(self, items: Sequence[WorkItem]) -> List[np.ndarray]:
-        """Gains of every scoring block, in item order."""
-        return [
-            _score_block(self.inference, prefix, flows)
-            for prefix, flows in items
-        ]
+        self._obs_batches.inc(len(blocks))
+        return np.concatenate(blocks) if blocks else np.zeros(0)
 
     # -- selection ----------------------------------------------------
     def best_single(
@@ -196,29 +183,16 @@ class ProbeScoringEngine:
         # Group the lexicographic combination order by shared prefix:
         # every size-(m-1) prefix is walked once and all of its tail
         # candidates are scored in stacked blocks.
-        plan: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-        items: List[WorkItem] = []
+        best_probes: Optional[Tuple[int, ...]] = None
+        best_gain = 0.0
         for prefix in combinations(candidates, n_probes - 1):
             tails = tuple(c for c in candidates if c > prefix[-1])
             if not tails:
                 continue
-            plan.append((prefix, tails))
-            items.extend(self._block_items(prefix, tails))
-        gains = self._map(items)
-
-        best_probes: Optional[Tuple[int, ...]] = None
-        best_gain = 0.0
-        cursor = 0
-        for prefix, tails in plan:
-            for start in range(0, len(tails), SCORE_BLOCK):
-                block_gains = gains[cursor]
-                cursor += 1
-                for tail, gain in zip(
-                    tails[start:start + SCORE_BLOCK], block_gains
-                ):
-                    if best_probes is None or gain > best_gain + TIE_EPS:
-                        best_probes = prefix + (tail,)
-                        best_gain = float(gain)
+            for tail, gain in zip(tails, self._score(prefix, tails)):
+                if best_probes is None or gain > best_gain + TIE_EPS:
+                    best_probes = prefix + (tail,)
+                    best_gain = float(gain)
         assert best_probes is not None
         return best_probes, best_gain
 
@@ -239,23 +213,10 @@ class ProbeScoringEngine:
                 groups.setdefault(sequence[:-1], []).append(
                     (flow, sequence[-1])
                 )
-            plan: List[Tuple[List[Tuple[int, int]], int]] = []
-            items: List[WorkItem] = []
+            flow_gains: Dict[int, float] = {}
             for prefix in sorted(groups):
                 members = groups[prefix]
-                before = len(items)
-                items.extend(
-                    self._block_items(
-                        prefix, tuple(tail for _, tail in members)
-                    )
-                )
-                plan.append((members, len(items) - before))
-            results = self._map(items)
-            flow_gains: Dict[int, float] = {}
-            cursor = 0
-            for members, n_blocks in plan:
-                values = np.concatenate(results[cursor:cursor + n_blocks])
-                cursor += n_blocks
+                values = self._score(prefix, tuple(tail for _, tail in members))
                 for (flow, _), value in zip(members, values):
                     flow_gains[flow] = float(value)
 

@@ -43,7 +43,6 @@ defense itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -63,6 +62,7 @@ from repro.analysis.roc import (
     roc_points,
     score_auc,
 )
+from repro.core.gain import binary_entropy
 from repro.countermeasures.registry import DEFENSE_CHOICES, make_defense
 from repro.detect import CounterWindow, ReconDetector, WindowRecorder
 from repro.experiments.harness import (
@@ -280,12 +280,7 @@ def _binary_capacity(accuracy: float) -> float:
     the structural leakage is ``1 - H2(error)``.
     """
     error = min(max(1.0 - accuracy, 0.0), 1.0)
-    if error <= 0.0 or error >= 1.0:
-        return 1.0
-    entropy = -(
-        error * math.log2(error) + (1.0 - error) * math.log2(1.0 - error)
-    )
-    return max(0.0, 1.0 - entropy)
+    return max(0.0, 1.0 - binary_entropy(error))
 
 
 def _cell_network(
@@ -541,9 +536,7 @@ def run_defend(spec: "JobSpec") -> DefendResult:
                 with use_instrumentation(inner):
                     bucket = [
                         harness.run_trials(
-                            defense_factory=factory,
-                            fault_plan=plan,
-                            probe_retries=params.probe_retries,
+                            defense_factory=factory, fault_plan=plan
                         )
                         for harness in harnesses
                     ]

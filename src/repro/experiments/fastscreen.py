@@ -13,12 +13,12 @@ on one shared transposed pattern, with float32 storage and float64
 sums.  The replica is certified by an error bound derived per candidate
 (:func:`error_bounds`), not calibrated from samples:
 
-* the float32 information gains, outcome probabilities, and posteriors
-  mirror the exact screen's arithmetic -- the same pruning, the same
-  :func:`~repro.core.inference.coverage_split` of the state rows (so an
-  outcome side without mass is exactly 0.0 in both), the same
-  :func:`~repro.core.gain.gains_from_tables`, the same clamping -- but
-  from float32 chain outputs;
+* the replica calls the exact screen's function
+  (:func:`~repro.experiments.screening.screen`) on the pruned float32
+  chain rows over all flows, so its outcome probabilities and
+  posteriors are computed as the exact ones are (an outcome side
+  without mass is exactly 0.0 in both), and its gains come from that
+  split through the engine's :func:`~repro.core.gain.gains_from_tables`;
 * a candidate is rejected *only* when every flow that could be the exact
   optimal probe (the gain tie-set, whose width follows from the gain
   bound) provably fails the screen -- each member's posterior sits
@@ -55,8 +55,9 @@ from repro.core import cnative
 from repro.core.compact_model import CompactModel, run_starts
 from repro.core.engine import TIE_EPS
 from repro.core.gain import gains_from_tables
-from repro.core.inference import PRUNE, coverage_split, pruned
+from repro.core.inference import PRUNE, pruned
 from repro.experiments.params import ExperimentParams
+from repro.experiments.screening import Screen, screen
 from repro.flows.config import NetworkConfiguration
 from repro.obs import Span, get_instrumentation, sanitize
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -245,10 +246,8 @@ class FastQuantities:
     """Float32 replicas of every quantity the paper screen consults."""
 
     gains: np.ndarray
-    p_hit: np.ndarray
-    p_miss: np.ndarray
-    posterior_absent_given_miss: np.ndarray
-    posterior_present_given_hit: np.ndarray
+    #: The screen of every flow on the replica rows.
+    screen: Screen
     #: How far each quantity may sit from the exact screen's.
     bounds: ErrorBounds
 
@@ -360,36 +359,20 @@ def fast_quantities(
     )
 
     n_flows = model.context.n_flows
-    coverage = model.coverage_matrix(tuple(range(n_flows)))
-    # The exact screen's split: ReconInference.outcome_arrays on the
-    # pruned chain rows.
-    miss, hit = coverage_split(
-        np.stack([pruned(dist_full), pruned(dist_absent)]), coverage
+    replica = screen(
+        pruned(dist_full)[np.newaxis],
+        pruned(dist_absent)[np.newaxis],
+        model.coverage_matrix(tuple(range(n_flows))),
     )
-    miss_full, miss_absent = miss
-    hit_full, hit_absent = hit
-    outcome_probs = np.stack([miss_full, hit_full])
-    joint_absent = np.stack([miss_absent, hit_absent])
     # The exact prior is at most 1 (binary_entropy clamps it there), so
     # clamping the replica's only shrinks its error.
     prior_absent = min(float(dist_absent.sum()), 1.0)
-    gains = gains_from_tables(prior_absent, joint_absent, outcome_probs)
-
-    # OutcomeTable.posterior_absent: clamp the joint into [0, p], divide;
-    # 0.5 when the outcome probability is not positive.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        post_miss = np.clip(miss_absent, 0.0, miss_full) / miss_full
-        post_hit = np.clip(hit_absent, 0.0, hit_full) / hit_full
-    post_miss = np.where(miss_full > 0.0, post_miss, 0.5)
-    post_hit = np.where(hit_full > 0.0, post_hit, 0.5)
-    return FastQuantities(
-        gains=gains,
-        p_hit=hit_full,
-        p_miss=miss_full,
-        posterior_absent_given_miss=post_miss,
-        posterior_present_given_hit=1.0 - post_hit,
-        bounds=bounds,
+    gains = gains_from_tables(
+        prior_absent,
+        np.stack([replica.joint_absent_miss, replica.joint_absent_hit]),
+        np.stack([replica.p_miss, replica.p_hit]),
     )
+    return FastQuantities(gains=gains, screen=replica, bounds=bounds)
 
 
 class _Certifier:
@@ -431,10 +414,10 @@ class _Certifier:
         """
         if self.require_optimal_differs and flow == self.target:
             return "target"
-        quantities = self.quantities
-        bounds = quantities.bounds
-        p_hit = quantities.p_hit[flow]
-        p_miss = quantities.p_miss[flow]
+        replica = self.quantities.screen
+        bounds = self.quantities.bounds
+        p_hit = replica.p_hit[flow]
+        p_miss = replica.p_miss[flow]
         for p, complement in ((p_hit, False), (p_miss, True)):
             if p <= bounds.sums:
                 # Either exactly zero (the probe can never hit, or never
@@ -448,8 +431,8 @@ class _Certifier:
                 ):
                     return "unreachable"
                 return "tiny_probability"
-        margin_miss = 0.5 - quantities.posterior_absent_given_miss[flow]
-        margin_hit = 0.5 - quantities.posterior_present_given_hit[flow]
+        margin_miss = 0.5 - replica.posterior_absent_given_miss[flow]
+        margin_hit = 0.5 - replica.posterior_present_given_hit[flow]
         if margin_miss > bounds.posterior(p_miss) or margin_hit > bounds.posterior(
             p_hit
         ):

@@ -189,14 +189,13 @@ class ConfigHarness:
         attackers: Optional[Sequence[Attacker]] = None,
         defense_factory: Optional[DefenseFactory] = None,
         fault_plan: Optional[FaultPlan] = None,
-        probe_retries: Optional[int] = None,
         trial_jobs: Optional[int] = None,
     ) -> ConfigResult:
         """Run the trial loop and aggregate accuracies.
 
-        ``fault_plan`` / ``probe_retries`` override the values carried
-        by ``self.params`` (used by the robustness sweep to reuse one
-        set of screened harnesses across fault rates).  ``trial_jobs``
+        ``fault_plan`` overrides ``self.params.fault_plan`` (used by the
+        robustness sweep to reuse one set of screened harnesses across
+        fault rates).  ``trial_jobs``
         overrides ``params.trial_jobs``: the trials are pre-drawn from
         ``self.rng`` and run in the parent at 1, across a fork pool
         above, with bit-identical results (repro.experiments.parallel).
@@ -206,8 +205,6 @@ class ConfigHarness:
             raise ValueError("n_configs and n_trials must be >= 1")
         if fault_plan is None:
             fault_plan = self.params.fault_plan
-        if probe_retries is None:
-            probe_retries = self.params.probe_retries
         if trial_jobs is None:
             trial_jobs = self.params.trial_jobs
         if trial_jobs < 1:
@@ -235,7 +232,7 @@ class ConfigHarness:
                 mode=self.params.trial_mode,
                 defense_factory=defense_factory,
                 fault_plan=fault_plan,
-                probe_retries=probe_retries,
+                probe_retries=self.params.probe_retries,
             )
         obs.metrics.counter("experiment.trials").inc(n_trials)
         result = self.config_result(names, results)

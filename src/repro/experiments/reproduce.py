@@ -29,10 +29,14 @@ from repro.experiments.params import VIABLE_FIG7_BINS
 from repro.experiments.persist import RUNNERS, save_result
 from repro.obs import get_instrumentation
 from repro.experiments.report import (
-    format_cdf,
-    format_series,
+    fig6a_section,
+    fig6b_section,
+    fig7a_section,
+    fig7b_section,
     format_table,
-    paper_vs_measured,
+    headline_section,
+    statecount_section,
+    timing_section,
 )
 from repro.experiments.tables import statecount_report, timing_table
 
@@ -52,80 +56,15 @@ class ReproductionReport:
 
     def render(self) -> str:
         """The full plain-text report, artifact by artifact."""
-        sections: List[str] = []
-
-        sections.append(
-            format_series(
-                "P(absent)",
-                self.fig6.bin_centers(),
-                self.fig6.accuracy_series(),
-                title="Figure 6a: accuracy vs P(absence), model vs naive",
-            )
-        )
-        sections.append(
-            format_cdf(
-                self.fig6.improvement_cdf(),
-                title="Figure 6b: CDF of improvement over naive",
-            )
-        )
-        headline = self.fig6.headline()
-        sections.append(
-            format_table(
-                ["metric", "value"],
-                [[key, value] for key, value in headline.items()],
-                title="Headline statistics",
-            )
-        )
-
-        fig7a = self.fig7.accuracy_by_covering_count()
-        sections.append(
-            format_table(
-                ["#covering rules", "constrained", "naive", "random", "configs"],
-                [
-                    [count, row["constrained"], row["naive"], row["random"],
-                     int(row["n_configs"])]
-                    for count, row in fig7a.items()
-                ],
-                title="Figure 7a: accuracy vs rules covering the target",
-            )
-        )
-        sections.append(
-            format_series(
-                "P(absent)",
-                self.fig7.bin_centers(),
-                self.fig7.accuracy_series(),
-                title="Figure 7b: accuracy vs P(absence), constrained",
-            )
-        )
-
-        hit, miss = self.timing["hit"], self.timing["miss"]
-        sections.append(
-            paper_vs_measured(
-                [
-                    ("hit mean (ms)", hit.paper_mean * 1e3, hit.mean * 1e3),
-                    ("hit std (ms)", hit.paper_std * 1e3, hit.std * 1e3),
-                    ("miss mean (ms)", miss.paper_mean * 1e3, miss.mean * 1e3),
-                    ("miss std (ms)", miss.paper_std * 1e3, miss.std * 1e3),
-                ],
-                title="Section VI-A timing characterisation",
-            )
-        )
-
-        exp = self.statecount["experiment"]
-        sections.append(
-            format_table(
-                ["setting", "basic", "compact"],
-                [
-                    [
-                        "evaluation parameters",
-                        float(exp["basic"]),
-                        float(exp["compact"]),
-                    ]
-                ],
-                title="State-space sizes",
-            )
-        )
-
+        sections: List[str] = [
+            fig6a_section(self.fig6),
+            fig6b_section(self.fig6),
+            headline_section(self.fig6),
+            fig7a_section(self.fig7),
+            fig7b_section(self.fig7),
+            timing_section(self.timing),
+            statecount_section(self.statecount),
+        ]
         if self.elapsed_seconds:
             sections.append(
                 format_table(

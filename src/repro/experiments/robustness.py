@@ -260,10 +260,7 @@ def run_robustness(spec: "JobSpec") -> RobustnessResult:
                 restore_states(generators, states)
                 with use_instrumentation(inner):
                     bucket = [
-                        harness.run_trials(
-                            fault_plan=plan,
-                            probe_retries=params.probe_retries,
-                        )
+                        harness.run_trials(fault_plan=plan)
                         for harness in harnesses
                     ]
             fallbacks += sum(result.pool_fallbacks for result in bucket)

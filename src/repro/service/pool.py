@@ -5,7 +5,8 @@ and torn down inside one ``run_trials`` call), the service keeps one
 :class:`~repro.parallel.ForkPool` alive across jobs and ships each
 session to it as a single item: the scenario key, the scenario, the
 spec, the session index and the target flow.  The payload plans the
-session (:func:`~repro.service.sessions.plan_session`), runs its trials
+session (:func:`~repro.service.sessions.plan_session` builds its
+:class:`~repro.experiments.harness.ConfigHarness`), runs its trials
 with the real attacker lineup through
 :func:`~repro.experiments.parallel.run_planned_trial` and returns the
 session's checkpoint row.  Every input of a session is a pure function
@@ -74,17 +75,17 @@ def _run_session(
     ):
         # Looked up on the module, so a wrapped ``plan_session`` (a
         # tracer's) is the one called.
-        runtime = sessions.plan_session(model, scenario, spec, index, target)
+        harness, plans = sessions.plan_session(model, scenario, spec, index, target)
     context = TrialContext(
-        config=runtime.config,
-        lineup=runtime.lineup,
+        config=harness.config,
+        lineup=sessions.session_lineup(harness),
         mode=spec.trial_mode,
         defense_factory=None,
         fault_plan=spec.fault_plan,
         probe_retries=spec.probe_retries,
     )
-    results = [run_planned_trial(context, plan) for plan in runtime.trials]
-    return sessions.session_row(runtime, results)
+    results = [run_planned_trial(context, plan) for plan in plans]
+    return sessions.session_row(index, harness, results)
 
 
 class SessionPool:

@@ -5,7 +5,8 @@ A *session* is one target flow reconnoitred against one shared scenario
 selection, then ``n_trials`` Monte Carlo trials.  Sessions reuse the
 planned-trial determinism discipline end to end:
 
-* every session owns a seeded generator ``default_rng([job_seed,
+* every session is a :class:`~repro.experiments.harness.ConfigHarness`
+  on its own seeded generator ``default_rng([job_seed,
   session_index])`` -- independent of execution order and of the
   process it runs in, so a resumed or sharded service plans the exact
   same sessions;
@@ -28,20 +29,15 @@ serially looping full harnesses comes from (BENCH_service.json).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.apispec import JobSpec
-from repro.core.attacker import (
-    Attacker,
-    ModelAttacker,
-    NaiveAttacker,
-    RandomAttacker,
-)
+from repro.core.attacker import Attacker
 from repro.core.compact_model import CompactModel
-from repro.core.inference import ReconInference
+from repro.experiments.harness import ConfigHarness
 from repro.experiments.parallel import TrialPlan, plan_trials
 from repro.experiments.trials import TrialResult
 from repro.flows.config import NetworkConfiguration
@@ -50,24 +46,6 @@ from repro.flows.config import NetworkConfiguration
 #: (Figure 7) attacker is a batch-experiment concern; recon sessions
 #: compare the model attacker against the naive and random baselines.
 SESSION_ATTACKERS: Tuple[str, ...] = ("naive", "model", "random")
-
-
-@dataclass(frozen=True)
-class SessionRuntime:
-    """One planned session: everything needed to run and score it.
-
-    ``config`` is the job scenario retargeted at this session's flow;
-    ``lineup`` holds the session's attackers; ``trials`` the pre-drawn
-    per-trial randomness.
-    """
-
-    index: int
-    target_flow: int
-    config: NetworkConfiguration
-    lineup: Tuple[Attacker, ...]
-    trials: Tuple[TrialPlan, ...]
-    prior_absent: float
-    probes: Tuple[int, ...]
 
 
 def session_rng(seed: int, index: int) -> np.random.Generator:
@@ -80,44 +58,35 @@ def session_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
+def session_lineup(harness: ConfigHarness) -> Tuple[Attacker, ...]:
+    """The harness's attackers named by :data:`SESSION_ATTACKERS`, in order."""
+    return (harness.naive_attacker, harness.model_attacker, harness.random_attacker)
+
+
 def plan_session(
     model: CompactModel,
     scenario: NetworkConfiguration,
     spec: JobSpec,
     index: int,
     target_flow: int,
-) -> SessionRuntime:
+) -> Tuple[ConfigHarness, Tuple[TrialPlan, ...]]:
     """Plan one session (the service's only generator-constructing path).
 
-    Mirrors ``ConfigHarness`` construction for the reduced session
-    lineup -- same attacker build order, same generator draw order --
-    so a session's accuracies are bit-identical to building a fresh
-    harness on the retargeted configuration with the same generator
-    (the differential test in tests/service/test_service.py pins this).
+    Builds a :class:`~repro.experiments.harness.ConfigHarness` on the
+    scenario retargeted at ``target_flow``, holding the session's
+    generator and the shared ``model``, and pre-draws the trials of
+    :func:`session_lineup` from that generator.
     """
     if spec.seed is None:
         raise ValueError("service jobs require an explicit seed")
-    rng = session_rng(spec.seed, index)
-    config = replace(scenario, target_flow=int(target_flow))
-    inference = ReconInference(model, config.target_flow, config.window_steps)
-    naive = NaiveAttacker(config.target_flow)
-    model_attacker = ModelAttacker(
-        inference, n_probes=spec.n_probes, decision="query"
+    harness = ConfigHarness(
+        replace(scenario, target_flow=int(target_flow)),
+        spec.to_params(),
+        rng=session_rng(spec.seed, index),
+        model=model,
     )
-    random_attacker = RandomAttacker(
-        prior_present=1.0 - inference.prior_absent(), rng=rng
-    )
-    lineup: Tuple[Attacker, ...] = (naive, model_attacker, random_attacker)
-    trials = tuple(plan_trials(rng, lineup, spec.n_trials))
-    return SessionRuntime(
-        index=int(index),
-        target_flow=int(target_flow),
-        config=config,
-        lineup=lineup,
-        trials=trials,
-        prior_absent=float(inference.prior_absent()),
-        probes=tuple(model_attacker.probes),
-    )
+    trials = plan_trials(harness.rng, session_lineup(harness), spec.n_trials)
+    return harness, tuple(trials)
 
 
 def eligible_targets(scenario: NetworkConfiguration, spec: JobSpec) -> Tuple[int, ...]:
@@ -147,7 +116,7 @@ def eligible_targets(scenario: NetworkConfiguration, spec: JobSpec) -> Tuple[int
 
 
 def session_row(
-    runtime: SessionRuntime, results: Sequence[TrialResult]
+    index: int, harness: ConfigHarness, results: Sequence[TrialResult]
 ) -> Dict[str, object]:
     """The session's checkpoint row (plain JSON, fully deterministic)."""
     n_trials = len(results)
@@ -157,10 +126,10 @@ def session_row(
             if trial.correct(name):
                 correct[name] += 1
     return {
-        "session": runtime.index,
-        "target_flow": runtime.target_flow,
-        "prior_absent": runtime.prior_absent,
-        "probes": list(runtime.probes),
+        "session": int(index),
+        "target_flow": harness.config.target_flow,
+        "prior_absent": harness.inference.prior_absent(),
+        "probes": list(harness.model_attacker.probes),
         "trials": n_trials,
         "accuracies": {
             name: correct[name] / n_trials for name in SESSION_ATTACKERS

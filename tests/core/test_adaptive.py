@@ -61,20 +61,9 @@ class TestSessionProtocol:
             session.observe(0)
         assert len(seen) == len(set(seen))
 
-    def test_candidate_restriction(self, inference):
-        session = AdaptiveSession(inference, candidates=[1, 2], max_probes=5)
-        while True:
-            flow = session.next_probe()
-            if flow is None:
-                break
-            assert flow in (1, 2)
-            session.observe(0)
-
     def test_validation(self, inference):
         with pytest.raises(ValueError):
             AdaptiveSession(inference, max_probes=0)
-        with pytest.raises(ValueError):
-            AdaptiveSession(inference, candidates=[])
 
 
 class TestPosteriors:
@@ -145,14 +134,7 @@ class TestAdaptiveVsNonAdaptive:
         for second in range(inference.model.context.n_flows):
             if second == first:
                 continue
-            table = inference.outcome_table((first, second))
-            from repro.core.gain import information_gain
-
-            gain = information_gain(
-                inference.prior_absent(),
-                table.joint_absent,
-                table.outcome_probs,
-            )
+            gain = inference.information_gain((first, second))
             best_fixed = max(best_fixed, gain)
         fresh = AdaptiveSession(inference, max_probes=2)
         assert fresh.expected_information() >= best_fixed - 1e-9

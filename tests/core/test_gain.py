@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.gain import (
-    binary_entropy,
+from repro.core.gain import binary_entropy
+
+from tests.oracles.probes import (
     conditional_entropy_binary,
     entropy,
     information_gain,

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gain import gains_from_tables
-from repro.core.gain import (
-    binary_entropy,
+from repro.core.gain import binary_entropy, gains_from_tables
+
+from tests.oracles.probes import (
     conditional_entropy_binary,
     entropy,
     information_gain,

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core.compact_model import CompactModel
-from repro.core.gain import binary_entropy, conditional_entropy_binary
+from repro.core.gain import binary_entropy
 from repro.core.inference import OutcomeTable, ReconInference
 from repro.experiments.screening import paper_screen
 
 from tests.conftest import make_policy, make_universe
+from tests.oracles.probes import conditional_entropy_binary
 
 DELTA = 0.25
 

@@ -214,9 +214,7 @@ def _adaptive_paths(dense, oracle, budget):
         return 1
     leaves = 0
     for bit in (0, 1):
-        dense_child = AdaptiveSession(
-            dense.inference, candidates=dense.candidates, max_probes=budget
-        )
+        dense_child = AdaptiveSession(dense.inference, max_probes=budget)
         dense_child._weights_full = dense._weights_full
         dense_child._weights_absent = dense._weights_absent
         dense_child.history = list(dense.history)
@@ -240,7 +238,7 @@ def test_adaptive_session_matches_dict_session(seed):
     model, target, window = random_setup(seed)
     inference = ReconInference(model, target, window)
     candidates = range(model.context.n_flows)
-    dense = AdaptiveSession(inference, candidates=candidates, max_probes=3)
+    dense = AdaptiveSession(inference, max_probes=3)
     oracle = DictSession(inference, candidates)
     assert _adaptive_paths(dense, oracle, 3) >= 1
 
@@ -288,7 +286,7 @@ def test_eviction_outcome_table_matches_walk(probes):
 def test_eviction_adaptive_session_matches_dict_session():
     inference = eviction_setup()
     candidates = range(inference.model.context.n_flows)
-    dense = AdaptiveSession(inference, candidates=candidates, max_probes=3)
+    dense = AdaptiveSession(inference, max_probes=3)
     oracle = DictSession(inference, candidates)
     assert _adaptive_paths(dense, oracle, 3) > 2
 

@@ -26,7 +26,7 @@ from repro.core.masks import mask_from_indices
 from repro.experiments import fastscreen
 from repro.experiments.harness import ConfigHarness, sample_screened_harnesses
 from repro.experiments.params import VIABLE_FIG6_BINS, ExperimentParams
-from repro.experiments.screening import paper_screen
+from repro.experiments.screening import Screen, paper_screen
 from repro.flows.config import ConfigGenerator
 from repro.flows.universe import FlowUniverse
 from repro.obs import Instrumentation, use_instrumentation
@@ -317,10 +317,10 @@ def _assert_inside_bounds(params, config):
     for flow in range(len(config.universe)):
         table = inference.outcome_table((flow,))
         assert abs(
-            fast.p_hit[flow] - table.outcome_probs.get((1,), 0.0)
+            fast.screen.p_hit[flow] - table.outcome_probs.get((1,), 0.0)
         ) <= bounds.sums
         assert abs(
-            fast.p_miss[flow] - table.outcome_probs.get((0,), 0.0)
+            fast.screen.p_miss[flow] - table.outcome_probs.get((0,), 0.0)
         ) <= bounds.sums
 
 
@@ -429,6 +429,18 @@ def _near_cut(config, flow):
     return near
 
 
+def _screen(p, posterior_absent_given_miss, posterior_present_given_hit):
+    """A one-probe screen with outcome probability ``p`` on both sides."""
+    return Screen(
+        p_miss=np.array([p]),
+        p_hit=np.array([p]),
+        joint_absent_miss=np.zeros(1),
+        joint_absent_hit=np.zeros(1),
+        posterior_absent_given_miss=np.array([posterior_absent_given_miss]),
+        posterior_present_given_hit=np.array([posterior_present_given_hit]),
+    )
+
+
 class TestAdversarialCut:
     """Candidates whose exact posterior sits just above 0.5 are never
     certified rejected on the strength of that posterior."""
@@ -480,10 +492,7 @@ class TestAdversarialCut:
                 posterior = min(max(replica_joint, 0.0), replica_p) / replica_p
                 quantities = fastscreen.FastQuantities(
                     gains=np.zeros(1),
-                    p_hit=np.array([replica_p]),
-                    p_miss=np.array([replica_p]),
-                    posterior_absent_given_miss=np.array([posterior]),
-                    posterior_present_given_hit=np.array([1.0 - posterior]),
+                    screen=_screen(replica_p, posterior, 1.0 - posterior),
                     bounds=bounds,
                 )
                 certifier = fastscreen._Certifier(None, quantities, 1, False)
@@ -495,10 +504,7 @@ class TestAdversarialCut:
         posterior = 0.5 - 2 * bounds.posterior(p)
         quantities = fastscreen.FastQuantities(
             gains=np.zeros(1),
-            p_hit=np.array([p]),
-            p_miss=np.array([p]),
-            posterior_absent_given_miss=np.array([posterior]),
-            posterior_present_given_hit=np.array([0.9]),
+            screen=_screen(p, posterior, 0.9),
             bounds=bounds,
         )
         certifier = fastscreen._Certifier(None, quantities, 1, False)
@@ -564,8 +570,8 @@ class TestExactZeros:
     @pytest.mark.parametrize("flow", [ALL, NONE])
     def test_fast_quantities(self, model, flow):
         fast = fastscreen.fast_quantities(model, self.TARGET, self.WINDOW)
-        empty = fast.p_miss if flow == self.ALL else fast.p_hit
-        full = fast.p_hit if flow == self.ALL else fast.p_miss
+        empty = fast.screen.p_miss if flow == self.ALL else fast.screen.p_hit
+        full = fast.screen.p_hit if flow == self.ALL else fast.screen.p_miss
         assert empty[flow] == 0.0
         assert full[flow] > 0.5
 
@@ -577,3 +583,46 @@ class TestExactZeros:
             model, fast, self.TARGET, require_optimal_differs=False
         )
         assert certifier.verdict(flow) == "unreachable"
+
+
+class TestExactChainsThroughTheReplica:
+    """The replica path, fed the exact float64 chains, screens like the harness.
+
+    The candidates are the pinned streams of perfbench's ``screen``
+    workload: the first 8 samples of each Figure 6 bin's generator,
+    seeded ``2017 * 10 + bin``.
+    """
+
+    def test_verdicts_match_paper_screen(self, monkeypatch):
+        verdicts = []
+        for index, (low, high) in enumerate(VIABLE_FIG6_BINS):
+            params = ExperimentParams(
+                seed=2017, n_trials=10, trial_mode="table"
+            ).with_absence_range(low, high)
+            generator = ConfigGenerator(params.config, seed=2017 * 10 + index)
+            for _ in range(8):
+                config = generator.sample()
+                model = CompactModel(
+                    config.policy,
+                    config.universe,
+                    config.delta,
+                    config.cache_size,
+                )
+                inference = ReconInference(
+                    model, config.target_flow, config.window_steps
+                )
+                exact = (inference.dist_full, inference.dist_absent)
+                monkeypatch.setattr(
+                    cnative, "pair_chain_f32", lambda *_, exact=exact: exact
+                )
+                quantities = fastscreen.fast_quantities(
+                    model, config.target_flow, config.window_steps
+                )
+                expected = [
+                    paper_screen(inference, flow)
+                    for flow in range(len(config.universe))
+                ]
+                assert quantities.screen.accepted.tolist() == expected
+                verdicts.extend(expected)
+        assert len(verdicts) >= 16
+        assert any(verdicts) and not all(verdicts)

@@ -112,16 +112,11 @@ class TestTrialFanout:
     def test_run_trials_with_faults_and_retries(self):
         for trial_jobs in TRIAL_JOBS:
             plan = FaultPlan(packet_in_loss=0.4, probe_reply_loss=0.2, seed=5)
-            params = tiny_experiment_params(n_trials=10)
+            params = tiny_experiment_params(n_trials=10, probe_retries=1)
             serial = ConfigHarness.sample(params)
             fanned = ConfigHarness.sample(params)
-            a = loops.run_trials(
-                serial, fault_plan=plan, probe_retries=1
-            )
-            b = fanned.run_trials(
-                fault_plan=plan, probe_retries=1,
-                trial_jobs=trial_jobs,
-            )
+            a = loops.run_trials(serial, fault_plan=plan)
+            b = fanned.run_trials(fault_plan=plan, trial_jobs=trial_jobs)
             assert a.accuracies == b.accuracies
             assert a.trial_results == b.trial_results
 
@@ -131,16 +126,16 @@ class TestTrialFanout:
         # class: each worker builds its own decision tree from the
         # inherited inference (docs/OBSERVABILITY.md).
         plan = FaultPlan(probe_reply_loss=0.5, seed=9)
-        params = tiny_experiment_params(n_trials=8)
+        params = tiny_experiment_params(n_trials=8, probe_retries=1)
         serial, _ = _counters(
             lambda: loops.run_trials(
-                ConfigHarness.sample(params), fault_plan=plan, probe_retries=1
+                ConfigHarness.sample(params), fault_plan=plan
             )
         )
         for trial_jobs in TRIAL_JOBS:
             fanned, _ = _counters(
                 lambda: ConfigHarness.sample(params).run_trials(
-                    fault_plan=plan, probe_retries=1, trial_jobs=trial_jobs
+                    fault_plan=plan, trial_jobs=trial_jobs
                 )
             )
             compared = assert_outcome_counters_match(serial, fanned)
@@ -159,10 +154,12 @@ class TestTrialFanout:
             controller_jitter=1e-4,
             seed=9,
         )
-        params = tiny_experiment_params(n_trials=6, trial_mode="network")
+        params = tiny_experiment_params(
+            n_trials=6, trial_mode="network", probe_retries=1
+        )
         serial, _ = _counters(
             lambda: loops.run_trials(
-                ConfigHarness.sample(params), fault_plan=plan, probe_retries=1
+                ConfigHarness.sample(params), fault_plan=plan
             )
         )
         assert serial["sim.table.installs"] > 0
@@ -180,7 +177,7 @@ class TestTrialFanout:
         for trial_jobs in (2, 3):
             fanned, _ = _counters(
                 lambda: ConfigHarness.sample(params).run_trials(
-                    fault_plan=plan, probe_retries=1, trial_jobs=trial_jobs
+                    fault_plan=plan, trial_jobs=trial_jobs
                 )
             )
             compared = assert_outcome_counters_match(serial, fanned)

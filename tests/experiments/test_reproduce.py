@@ -35,14 +35,44 @@ class TestReproduceAll:
         for marker in (
             "Figure 6a",
             "Figure 6b",
-            "Headline",
+            "Headline statistics",
             "Figure 7a",
             "Figure 7b",
-            "timing characterisation",
-            "State-space sizes",
+            "Section VI-A probe latency characterisation",
+            "threshold = ",
+            "State-space sizes (Sections IV-A2 / IV-B)",
+            "paper example",
             "Wall-clock",
         ):
             assert marker in text, marker
+
+    def test_render_contains_every_cli_section(self, report, monkeypatch, capsys):
+        # Each subcommand, fed the report's results, prints sections the
+        # report contains verbatim.
+        from repro import cli
+        from repro.experiments import tables
+
+        results = {"fig6": report.fig6, "fig7": report.fig7}
+        monkeypatch.setattr(
+            cli, "_run_job", lambda args, spec: results[spec.experiment]
+        )
+        monkeypatch.setattr(tables, "timing_table", lambda **_: report.timing)
+        text = report.render()
+        for command in (
+            "fig6a", "fig6b", "headline", "fig7a", "fig7b", "timing",
+            "statecount",
+        ):
+            assert cli.main([command]) == 0
+            printed = capsys.readouterr().out.rstrip("\n")
+            # Figure 7's summary table is the CLI's own.
+            printed = printed.split("\n\nSummary\n")[0]
+            if command in ("timing", "statecount"):
+                sections = [printed]
+            else:
+                # The figure, then (Figure 6) the headline table.
+                sections = printed.split("\n\n")
+            for section in sections:
+                assert section in text, (command, section)
 
     def test_save_archives_everything(self, report, tmp_path):
         directory = report.save(tmp_path / "run")

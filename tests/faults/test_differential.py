@@ -110,9 +110,7 @@ class TestHarnessLevel:
         (harness,) = sample_screened_harnesses(params, 1)
         (harness2,) = sample_screened_harnesses(params, 1)
         bare = harness.run_trials()
-        planned = harness2.run_trials(
-            fault_plan=FaultPlan.none(), probe_retries=0
-        )
+        planned = harness2.run_trials(fault_plan=FaultPlan.none())
         assert planned.accuracies == bare.accuracies
 
     def test_faults_do_change_outcomes_at_high_rates(self):

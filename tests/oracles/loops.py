@@ -43,15 +43,12 @@ def run_trials(
     attackers: Optional[Sequence[Attacker]] = None,
     defense_factory: Optional[DefenseFactory] = None,
     fault_plan: Optional[FaultPlan] = None,
-    probe_retries: Optional[int] = None,
     trial_jobs: Optional[int] = None,
 ) -> ConfigResult:
     """``harness.run_trials`` as one serial loop (``trial_jobs`` ignored)."""
     n_trials = n_trials if n_trials is not None else harness.params.n_trials
     if fault_plan is None:
         fault_plan = harness.params.fault_plan
-    if probe_retries is None:
-        probe_retries = harness.params.probe_retries
     lineup = tuple(attackers) if attackers is not None else harness.attackers()
     names = [attacker.name for attacker in lineup]
     if len(set(names)) != len(names):
@@ -82,7 +79,7 @@ def run_trials(
                     mode=harness.params.trial_mode,
                     defense_factory=defense_factory,
                     fault_plan=fault_plan,
-                    probe_retries=probe_retries,
+                    probe_retries=harness.params.probe_retries,
                 )
             trial_counter.inc()
             results.append(trial)

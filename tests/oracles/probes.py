@@ -11,6 +11,10 @@ rows replaced live here, over ``{state mask: weight}`` dicts:
   which feeds the next probe (Section V-B);
 * :func:`walk_outcome_table` / :func:`walk_information_gain` -- the
   joint outcome table and gain of a probe sequence from two walks;
+* :func:`entropy`, :func:`conditional_entropy_binary` and
+  :func:`information_gain` -- the scalar entropies and gain over dict
+  outcome tables that :func:`repro.core.gain.gains_from_tables`
+  replaced;
 * :func:`best_single_probe_serial` / :func:`best_probe_set_serial` --
   the per-candidate selection loops the engine replaced;
 * :class:`DictSession` -- the adaptive session step over dict
@@ -25,14 +29,15 @@ code with production's probe matrices.
 
 from __future__ import annotations
 
+import math
 import weakref
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.compact_model import CompactModel
-from repro.core.gain import information_gain
+from repro.core.gain import Outcome, binary_entropy
 from repro.core.inference import OutcomeTable, ReconInference
 from repro.core.selection import ProbeChoice
 
@@ -209,6 +214,62 @@ def walk_outcome_table(
     return OutcomeTable(
         probes=key, outcome_probs=outcome_probs, joint_absent=joint_absent
     )
+
+
+def entropy(probabilities: Sequence[float]) -> float:
+    """Shannon entropy of a distribution, in bits.
+
+    Tolerates tiny negative values from floating-point round-off and an
+    overall normalisation drift below 1e-6.
+    """
+    total = 0.0
+    mass = 0.0
+    for p in probabilities:
+        if p < -1e-12:
+            raise ValueError(f"negative probability: {p}")
+        p = max(p, 0.0)
+        mass += p
+        if p > 0.0:
+            total -= p * math.log2(p)
+    if abs(mass - 1.0) > 1e-6:
+        raise ValueError(f"probabilities sum to {mass}, expected 1")
+    return total
+
+
+def conditional_entropy_binary(
+    joint_absent: Mapping[Outcome, float],
+    outcome_probs: Mapping[Outcome, float],
+) -> float:
+    """``H(X̂ | Q)`` for binary ``X̂`` from joint outcome tables.
+
+    ``outcome_probs[q] = P(Q = q)`` and ``joint_absent[q] =
+    P(X̂ = 0 ∧ Q = q)``; the ``X̂ = 1`` joint follows by complement.
+    Outcomes with zero probability contribute nothing.
+    """
+    total = 0.0
+    for outcome, p_q in outcome_probs.items():
+        if p_q <= 0.0:
+            continue
+        p_absent = min(max(joint_absent.get(outcome, 0.0), 0.0), p_q)
+        p_present = p_q - p_absent
+        # sum over x of P(x, q) * log(1 / P(x | q))
+        for p_joint in (p_absent, p_present):
+            if p_joint <= 0.0:
+                continue
+            total += p_joint * math.log2(p_q / p_joint)
+    return total
+
+
+def information_gain(
+    prior_absent: float,
+    joint_absent: Mapping[Outcome, float],
+    outcome_probs: Mapping[Outcome, float],
+) -> float:
+    """``IG(X̂ | Q) = H(X̂) - H(X̂ | Q)``, clipped at zero."""
+    gain = binary_entropy(prior_absent) - conditional_entropy_binary(
+        joint_absent, outcome_probs
+    )
+    return max(gain, 0.0)
 
 
 def walk_information_gain(

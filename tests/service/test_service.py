@@ -211,7 +211,7 @@ class TestPoolFallback:
         spec, job_id, expected, document = reference
         parent = os.getpid()
         module, name = {
-            "planning": (sessions_mod, "ReconInference"),
+            "planning": (sessions_mod, "ConfigHarness"),
             "trials": (parallel_mod, "run_trial"),
         }[kill_point]
         original = getattr(module, name)
