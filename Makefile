@@ -73,7 +73,9 @@ lint: check
 # Observability smoke (docs/OBSERVABILITY.md): run a tiny instrumented
 # headline experiment, summarise its span trace, and require the
 # simulator's, the engine's and the harness's counts to reach the
-# exported metrics document (the registry is their only record).
+# exported metrics document (the registry is their only record).  The
+# certified pre-screen's reject and margin-proof counts must be non-zero
+# too, so a pre-screen that falls back on every candidate fails.
 stats:
 	PYTHONPATH=src $(PYTHON) -m repro.cli headline \
 		--configs 2 --trials 5 --seed 12 --mode table \
@@ -82,7 +84,8 @@ stats:
 	@$(PYTHON) -c "import json; \
 		counters = json.load(open('/tmp/repro-metrics.json'))['counters']; \
 		names = ('sim.table.hits', 'sim.table.installs', 'engine.evolutions', \
-			'engine.cache.misses', 'experiment.trials'); \
+			'engine.cache.misses', 'experiment.trials', \
+			'experiment.fastscreen_rejects', 'experiment.fastscreen_proof_margin'); \
 		zero = [n for n in names if not counters.get(n)]; \
 		assert not zero, f'counters missing or zero in the metrics document: {zero}'; \
 		print('stats: ' + ', '.join(f'{n}={counters[n]}' for n in names))"

@@ -69,7 +69,7 @@ from repro.core.masks import (
 )
 from repro.flows.policy import Policy
 from repro.flows.universe import FlowUniverse
-from repro.obs import sanitize
+from repro.obs import get_instrumentation, sanitize
 
 #: Flow tag used for the no-arrival event in transition entries.
 NO_FLOW = -1
@@ -100,6 +100,7 @@ class CompactModel:
         of more than :data:`~repro.core.transition_build.MAX_LOOKUP_RULES`
         rules raises ``ValueError``.
 
+    The state list is enumerated under a ``model.states`` span.
     Transition matrices are CSR, assembled from the entries of the
     vectorised builder (:func:`repro.core.transition_build.build_entries`).
     """
@@ -126,7 +127,9 @@ class CompactModel:
         for rule in self.context.install_rule:
             if rule is not None:
                 self.live_rules |= 1 << rule
-        self.states: List[int] = subsets_within(self.live_rules, cache_size)
+        with get_instrumentation().span("model.states") as span:
+            self.states: List[int] = subsets_within(self.live_rules, cache_size)
+            span.set_attr("states", len(self.states))
         self.state_index: Dict[int, int] = {
             state: index for index, state in enumerate(self.states)
         }

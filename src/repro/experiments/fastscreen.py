@@ -17,16 +17,15 @@ sums.  The replica is certified by an error bound derived per candidate
   (:func:`~repro.experiments.screening.screen`) on the pruned float32
   chain rows over all flows, so its outcome probabilities and
   posteriors are computed as the exact ones are (an outcome side
-  without mass is exactly 0.0 in both), and its gains come from that
-  split through the engine's :func:`~repro.core.gain.gains_from_tables`;
-* a candidate is rejected *only* when every flow that could be the exact
-  optimal probe (the gain tie-set, whose width follows from the gain
-  bound) provably fails the screen -- each member's posterior sits
-  further than the posterior bound below the paper's 0.5 cut, the
-  member's outcome probability is *exactly* zero by graph reachability
-  (no float64 chain can put mass on states the transition graph cannot
-  reach, an integer argument immune to rounding), or the member is the
-  target flow while the caller requires the optimal probe to differ;
+  without mass is exactly 0.0 in both);
+* a candidate is rejected *only* when every flow provably fails the
+  screen, so the exact optimal probe does too, whichever flow it is:
+  the flow's posterior sits further than the posterior bound below the
+  paper's 0.5 cut, its outcome probability is *exactly* zero by graph
+  reachability (no float64 chain can put mass on states the transition
+  graph cannot reach, an integer argument immune to rounding), or it is
+  the target flow while the caller requires the optimal probe to
+  differ;
 * anything short of that -- thin margins, tiny outcome probabilities,
   a model without transitions -- falls back to the exact
   float64 screen, and *every accepted configuration* is re-confirmed
@@ -34,7 +33,7 @@ sums.  The replica is certified by an error bound derived per candidate
   recorded), so accepted results are bit-identical to an exact-only
   screen.
 
-Every candidate bumps one outcome counter per proof its tie-set used
+Every candidate bumps one outcome counter per proof its flows used
 (``experiment.fastscreen_proof_*``) or the one reason it fell back
 (``experiment.fastscreen_fallback_*``); docs/OBSERVABILITY.md lists
 them.  tests/experiments/test_fastscreen.py checks measured errors
@@ -45,7 +44,6 @@ exact-only run (``REPRO_NO_CKERNEL=1``) on the test oracles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set, Tuple
 
@@ -53,8 +51,6 @@ import numpy as np
 
 from repro.core import cnative
 from repro.core.compact_model import CompactModel, run_starts
-from repro.core.engine import TIE_EPS
-from repro.core.gain import gains_from_tables
 from repro.core.inference import PRUNE, pruned
 from repro.experiments.params import ExperimentParams
 from repro.experiments.screening import Screen, screen
@@ -71,13 +67,8 @@ U64 = 2.0 ** -53
 #: ``U32``.
 TINY32 = 2.0 ** -149
 
-#: Bound on the float64 rounding of one information gain, exact and
-#: replica evaluations together: each evaluates eight ``x log2(p/x)``
-#: terms of at most 2 bits, each within a few ulps, and sums them.
-GAIN_EVAL_SLACK = 256 * U64
-
-#: The proofs that reject a tie-set member.  A certified reject bumps
-#: the counter of every proof its tie-set used, so the counts overlap.
+#: The proofs that reject a flow.  A certified reject bumps the counter
+#: of every proof its flows used, so the counts overlap.
 PROOFS = ("target", "unreachable", "margin")
 
 #: Why a candidate went to the exact screen; every fallback bumps
@@ -98,23 +89,6 @@ _OUTCOME_COUNTERS: Dict[str, Callable[[MetricsRegistry], Counter]] = {
 }
 
 
-def entropy_modulus(h: float) -> float:
-    """Modulus of continuity of ``eta(z) = -z log2 z`` on ``[0, 2]``.
-
-    For ``s, t`` in ``[0, 2]`` with ``|s - t| <= h <= 1/8``,
-    ``|eta(s) - eta(t)| <= h (log2(1/h) + 1)``.  On ``[0, 1]`` the
-    classical bound ``eta(|s - t|)`` holds; on ``[1, 2]`` the slope is at
-    most ``log2(e) + 1 < 3 <= log2(1/h)``; across 1 the two pieces add to
-    at most ``eta(a) + eta(b) <= 2 eta(h/2)`` with ``a + b <= h``, which
-    is the value returned.  Above ``1/8`` no bound is claimed (``inf``).
-    """
-    if h <= 0.0:
-        return 0.0
-    if h > 0.125:
-        return math.inf
-    return h * (1.0 - math.log2(h))
-
-
 @dataclass(frozen=True)
 class ErrorBounds:
     """Derived bounds on the replica's error against the exact screen."""
@@ -125,17 +99,6 @@ class ErrorBounds:
     #: ``|replica - exact|`` for every probability the screen sums:
     #: outcome probabilities, joints, the prior.
     sums: float
-    #: ``|replica - exact|`` for every information gain.
-    gains: float
-
-    @property
-    def tie_width(self) -> float:
-        """Gain gap below the replica maximum that may hold the exact optimum.
-
-        The exact winner ``w`` has ``G(w) >= max G - TIE_EPS``; each
-        side moves by at most ``gains``.
-        """
-        return 2.0 * self.gains + TIE_EPS
 
     def posterior(self, p: float) -> float:
         """Bound on a posterior's error at replica outcome probability ``p``.
@@ -186,13 +149,6 @@ def error_bounds(
        more, and each float64 sum over ``n`` states rounds by at most
        ``(n + 2) v M`` per path: every probability the screen sums is
        off by at most ``sums = chain + n PRUNE + 2 (n + 2) v M``.
-    6. A gain is ``H(prior) - sum_q [eta(J_q) + eta(p_q - J_q) -
-       eta(p_q)]`` over the two outcomes, clipped at 0 (1-Lipschitz),
-       with ``J_q`` clipped into ``[0, p_q]`` (which moves it by at most
-       ``sums``).  The arguments move by ``sums`` (both prior terms,
-       ``J_q``, ``p_q``) or ``2 sums`` (``p_q - J_q``), so with
-       :func:`entropy_modulus` ``w``:
-       ``gains = 6 w(sums) + 2 w(2 sums) + GAIN_EVAL_SLACK``.
 
     Values rounded into float32's subnormal range err by up to
     ``TINY32 / 2`` beyond the relative bounds; those terms, at most
@@ -207,15 +163,7 @@ def error_bounds(
     per_step = c * g * masses + 2.0 * tiny * max(masses, 1.0)
     chain = a ** steps * (u * mass + tiny + steps * per_step)
     sums = chain + n_states * PRUNE + 2.0 * (n_states + 2) * v * masses
-    if masses > 2.0:
-        gains = math.inf  # outside entropy_modulus's domain
-    else:
-        gains = (
-            6.0 * entropy_modulus(sums)
-            + 2.0 * entropy_modulus(2.0 * sums)
-            + GAIN_EVAL_SLACK
-        )
-    return ErrorBounds(chain=chain, sums=sums, gains=gains)
+    return ErrorBounds(chain=chain, sums=sums)
 
 
 def supports(params: ExperimentParams) -> bool:
@@ -245,11 +193,12 @@ class FastScreenOutcome:
 class FastQuantities:
     """Float32 replicas of every quantity the paper screen consults."""
 
-    gains: np.ndarray
     #: The screen of every flow on the replica rows.
     screen: Screen
     #: How far each quantity may sit from the exact screen's.
     bounds: ErrorBounds
+    #: Every flow's coverage row, as the screen split the chains by.
+    coverage: np.ndarray
 
 
 def reachable_states(model: CompactModel) -> np.ndarray:
@@ -358,21 +307,11 @@ def fast_quantities(
         float(np.abs(x0).sum()),
     )
 
-    n_flows = model.context.n_flows
+    coverage = model.coverage_matrix(range(model.context.n_flows))
     replica = screen(
-        pruned(dist_full)[np.newaxis],
-        pruned(dist_absent)[np.newaxis],
-        model.coverage_matrix(tuple(range(n_flows))),
+        pruned(dist_full)[np.newaxis], pruned(dist_absent)[np.newaxis], coverage
     )
-    # The exact prior is at most 1 (binary_entropy clamps it there), so
-    # clamping the replica's only shrinks its error.
-    prior_absent = min(float(dist_absent.sum()), 1.0)
-    gains = gains_from_tables(
-        prior_absent,
-        np.stack([replica.joint_absent_miss, replica.joint_absent_hit]),
-        np.stack([replica.p_miss, replica.p_hit]),
-    )
-    return FastQuantities(gains=gains, screen=replica, bounds=bounds)
+    return FastQuantities(screen=replica, bounds=bounds, coverage=coverage)
 
 
 class _Certifier:
@@ -390,18 +329,12 @@ class _Certifier:
         self.target = target
         self.require_optimal_differs = require_optimal_differs
         self._reach: Optional[np.ndarray] = None
-        self._coverage: Optional[np.ndarray] = None
 
     def _covered_unreachable(self, flow: int, complement: bool) -> bool:
         """Whether the flow's (un)covered states carry provably no mass."""
         if self._reach is None:
             self._reach = reachable_states(self.model)
-        if self._coverage is None:
-            n_flows = self.model.context.n_flows
-            self._coverage = self.model.coverage_matrix(
-                tuple(range(n_flows))
-            )
-        covered = self._coverage[flow] > 0.0
+        covered = self.quantities.coverage[flow] > 0.0
         if complement:
             covered = ~covered
         return not bool((covered & self._reach).any())
@@ -468,13 +401,8 @@ def screen_candidate(
         )
         if quantities is None:
             return _fallback(span, model, "no_replica")
-        # Every flow whose float32 gain is within the tie width of the
-        # float32 maximum could be the exact optimal probe; the
-        # rejection must hold for all of them.
-        tie_set = np.flatnonzero(
-            quantities.gains
-            >= quantities.gains.max() - quantities.bounds.tie_width
-        )
+        # Any flow could be the exact optimal probe; the rejection must
+        # hold for all of them.
         certifier = _Certifier(
             model,
             quantities,
@@ -482,8 +410,8 @@ def screen_candidate(
             require_optimal_differs,
         )
         proofs: Set[str] = set()
-        for flow in tie_set:
-            verdict = certifier.verdict(int(flow))
+        for flow in range(len(config.universe)):
+            verdict = certifier.verdict(flow)
             if verdict not in PROOFS:
                 return _fallback(span, model, verdict)
             proofs.add(verdict)

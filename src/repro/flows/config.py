@@ -36,6 +36,7 @@ from repro.flows.flowid import PROTO_ICMP, FlowId, str_to_ip
 from repro.flows.policy import ModelRule, Policy
 from repro.flows.rules import ACTION_FORWARD, Match, Rule
 from repro.flows.universe import FlowUniverse
+from repro.obs import get_instrumentation
 
 #: Default base address of the 16 source hosts (``10.0.1.0``).
 DEFAULT_BASE_ADDRESS = str_to_ip("10.0.1.0")
@@ -305,23 +306,27 @@ class ConfigGenerator:
         return int(candidates[int(self._rng.integers(len(candidates)))])
 
     def sample(self, max_attempts: int = 200) -> NetworkConfiguration:
-        """Draw one configuration; retries until a valid target exists."""
-        for _ in range(max_attempts):
-            universe = self._sample_universe()
-            concrete, policy = self._sample_rules(universe)
-            target = self._pick_target(universe, policy)
-            if target is None:
-                continue
-            return NetworkConfiguration(
-                universe=universe,
-                concrete_rules=concrete,
-                policy=policy,
-                cache_size=self.params.cache_size,
-                delta=self.params.delta,
-                window_steps=self.params.window_steps,
-                target_flow=target,
-                params=self.params,
-            )
+        """Draw one configuration; retries until a valid target exists.
+
+        Runs under a ``config.sample`` span.
+        """
+        with get_instrumentation().span("config.sample"):
+            for _ in range(max_attempts):
+                universe = self._sample_universe()
+                concrete, policy = self._sample_rules(universe)
+                target = self._pick_target(universe, policy)
+                if target is None:
+                    continue
+                return NetworkConfiguration(
+                    universe=universe,
+                    concrete_rules=concrete,
+                    policy=policy,
+                    cache_size=self.params.cache_size,
+                    delta=self.params.delta,
+                    window_steps=self.params.window_steps,
+                    target_flow=target,
+                    params=self.params,
+                )
         raise RuntimeError(
             "could not sample a configuration with a valid target flow in "
             f"{max_attempts} attempts (absence_range={self.params.absence_range})"
