@@ -22,10 +22,14 @@ these calls.
   AVX-512 loop's FMA and the scalar loop's multiply-then-add round
   identically and the two builds are bit-identical.  Rows are
   renumbered by their sorted position, so each slice's sums are stored
-  contiguously.  It is only ever used behind the certified screen
-  (:mod:`repro.experiments.fastscreen`), which derives its error bound
-  and falls back to the exact float64 path whenever that bound cannot
-  certify a verdict.
+  contiguously.  The chain runs in chunks: a :class:`PairChain` keeps
+  the interleaved sorted-order state and the kernel's scratch between
+  calls, and each call resumes from that state, so a run split into
+  chunks is bit-identical to one call of the same total.  The certified
+  screen (:mod:`repro.experiments.fastscreen`), its only user, reads the
+  sorted state at checkpoints, stops as soon as its certificate holds
+  and falls back to the exact float64 path whenever its derived bound
+  cannot certify a verdict.
 * :func:`chain_f64` -- *exact*: the float64 chain behind
   :class:`~repro.core.chain.TransitionOperator`, bit-identical to
   scipy's ``csr_matvec`` loop by construction (:func:`sell8_layout`).
@@ -1246,44 +1250,73 @@ class PairSell8(NamedTuple):
         return int(self.ptr[1] // SLICE) if self.n else 0
 
 
-def pair_chain_f32(
-    layout: PairSell8, x0: np.ndarray, steps: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``steps`` float32 matvecs ``x <- M x`` of both matrices of a layout.
+class PairChain:
+    """Both chains of a :class:`PairSell8` layout, advanced in chunks.
 
-    Both chains start from ``x0`` (rounded to ``float32``; it must be
-    finite) and the final pair returns in the original row order.
+    Holds the interleaved ``(full, excluded)`` float32 pairs in the
+    layout's sorted row order, padded to whole slices, and the kernel's
+    scratch; :func:`pair_chain_f32` advances them in place, so chunks of
+    any length resume where the last one stopped and ``a`` steps then
+    ``b`` steps are bit-identical to one run of ``a + b``.  Both chains
+    start from ``x0`` rounded to float32, which must be finite.
+    """
+
+    def __init__(self, layout: PairSell8, x0: np.ndarray) -> None:
+        n = layout.n
+        if np.shape(x0) != (n,):
+            raise ValueError(f"expected a vector of {n} states, got {np.shape(x0)}")
+        # Padding lanes past n stay 0 (no column refers to them).
+        state = np.zeros((layout.n_slices * SLICE, 2), dtype=np.float32)
+        with np.errstate(over="ignore"):
+            state[:n] = np.asarray(x0)[layout.perm, np.newaxis]
+        if not np.isfinite(state).all():
+            # An infinite x[0] would turn every padding entry's 0 * x[0]
+            # into NaN; a NaN would be summed silently.
+            raise ValueError("the initial vector must be finite in float32")
+        self.layout = layout
+        #: Steps run so far.
+        self.steps = 0
+        self._state = state
+        # The sorted position of each original row (``perm`` inverted).
+        self._position = np.empty(n, dtype=np.intp)
+        self._position[layout.perm] = np.arange(n)
+        self._scratch = np.empty_like(state)
+        self._args = (
+            ctypes.c_int64(layout.n_slices),
+            _as_ptr(layout.ptr, ctypes.c_int64),
+            _as_ptr(layout.cols, ctypes.c_int32),
+            _as_ptr(layout.vals, ctypes.c_float),
+            _as_ptr(state, ctypes.c_float),
+            _as_ptr(self._scratch, ctypes.c_float),
+        )
+
+    @property
+    def chains(self) -> np.ndarray:
+        """The current ``(full, excluded)`` rows, ``(2, n)``, in sorted
+        row order (a view)."""
+        return self._state[: self.layout.n].T
+
+    def unsorted(self, values: np.ndarray) -> np.ndarray:
+        """``values`` indexed by sorted row position along the last axis,
+        reordered to the original rows (a copy)."""
+        return np.take(values, self._position, axis=-1)
+
+
+def pair_chain_f32(chain: PairChain, steps: int) -> None:
+    """Advance both chains by ``steps`` float32 matvecs ``x <- M x``.
+
     Sums run in float64 and are rounded to float32 once per step.
     """
-    return _pair_chain_f32(simd_level(), layout, x0, steps)
+    _pair_chain_f32(simd_level(), chain, steps)
 
 
-def _pair_chain_f32(
-    level: str, layout: PairSell8, x0: np.ndarray, steps: int
-) -> Tuple[np.ndarray, np.ndarray]:
+def _pair_chain_f32(level: str, chain: PairChain, steps: int) -> None:
     entry = _entry("pair_chain_f32", level)
-    n = layout.n
-    if np.shape(x0) != (n,):
-        raise ValueError(f"expected a vector of {n} states, got {np.shape(x0)}")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    # Interleaved (full, excluded) pairs in sorted order; padding lanes
-    # past n stay 0 (no column refers to them).
-    x = np.zeros((layout.n_slices * SLICE, 2), dtype=np.float32)
-    x[:n] = np.asarray(x0)[layout.perm, np.newaxis]
-    scratch = np.empty_like(x)
-    entry(
-        ctypes.c_int64(layout.n_slices),
-        ctypes.c_int64(int(steps)),
-        _as_ptr(layout.ptr, ctypes.c_int64),
-        _as_ptr(layout.cols, ctypes.c_int32),
-        _as_ptr(layout.vals, ctypes.c_float),
-        _as_ptr(x, ctypes.c_float),
-        _as_ptr(scratch, ctypes.c_float),
-    )
-    out = np.empty((n, 2), dtype=np.float32)
-    out[layout.perm] = x[:n]
-    return out[:, 0].copy(), out[:, 1].copy()
+    count, *pointers = chain._args
+    entry(count, ctypes.c_int64(int(steps)), *pointers)
+    chain.steps += int(steps)
 
 
 def _scratch_failed(status: int, what: str) -> None:

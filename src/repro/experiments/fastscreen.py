@@ -33,6 +33,17 @@ sums.  The replica is certified by an error bound derived per candidate
   recorded), so accepted results are bit-identical to an exact-only
   screen.
 
+The chain runs in chunks of ``ceil(T / CHECKPOINTS)`` steps.  At each
+checkpoint ``t < T`` the replica estimates both chains at ``T`` from
+step ``t`` -- the full chain as it stands, the excluded one scaled by
+its measured per-step mass decay -- and extends the bound by a derived
+truncation term (:func:`checkpoint_bounds`, measured on the replica's
+own vectors).  The chain stops at the first checkpoint where every
+flow has a proof under that bound; otherwise it runs to ``T`` and the
+candidate is decided exactly as a single full-length run decides it.
+A stop only ever certifies a reject, so it never turns a reject into
+a fallback.
+
 Every candidate bumps one outcome counter per proof its flows used
 (``experiment.fastscreen_proof_*``) or the one reason it fell back
 (``experiment.fastscreen_fallback_*``); docs/OBSERVABILITY.md lists
@@ -45,7 +56,7 @@ exact-only run (``REPRO_NO_CKERNEL=1``) on the test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -66,6 +77,12 @@ U64 = 2.0 ** -53
 #: subnormal range errs by at most half of it, beyond the relative
 #: ``U32``.
 TINY32 = 2.0 ** -149
+
+#: How often the pair chain tries the certificate: every
+#: ``ceil(T / CHECKPOINTS)`` steps, so every 100 at the headline's
+#: ``T = 1500``.  Checks cost a screen of every flow each; checking four
+#: times as often made the screen slower, not faster.
+CHECKPOINTS = 15
 
 #: The proofs that reject a flow.  A certified reject bumps the counter
 #: of every proof its flows used, so the counts overlap.
@@ -149,20 +166,101 @@ def error_bounds(
        more, and each float64 sum over ``n`` states rounds by at most
        ``(n + 2) v M`` per path: every probability the screen sums is
        off by at most ``sums = chain + n PRUNE + 2 (n + 2) v M``.
+    6. Stopping at step ``t < T`` (:func:`checkpoint_bounds`), with
+       ``L = T - t``, the replica estimates ``x^_T`` by ``y_t = ρ^L
+       x_t`` for a rate ``0 <= ρ <= 1``: 1 for the full chain, whose
+       mass stays put, and ``||x_{t+1}||_1 / ||x_t||_1`` (at most 1)
+       for the excluded one, whose mass decays.  Split
+       ``y_t - x^_T = (ρ^L x_t - A^L x_t) + A^L (x_t - x^_t) +
+       (A^L x^_t - x^_T)``.  The last two are at most ``a^L e_t``, with
+       ``e_t`` step 4's chain bound at ``t``, and ``L (k + 1) v a^T M``
+       by step 3.  With ``r = A x_t - ρ x_t`` the first telescopes to
+       ``Σ_{j<L} ρ^j A^{L-1-j} r``, at most ``a^L G ||r||_1`` with
+       ``G = min(L, 1 / (1 - ρ))``.  The residual is measured on the
+       replica's own vectors against the exact operator:
+       ``||r||_1 <= ||x_{t+1} - ρ x_t||_1 + ||x_{t+1} - A x_t||_1``,
+       and by steps 1 and 2 the last is at most ``((u + 2 m v) +
+       (u + k v)(1 + u + 2 m v)) a M`` plus the subnormal terms.
+       Measuring ``||x_{t+1} - ρ x_t||_1`` in float64 errs by at most
+       ``4 (n + 2) v M``, and scaling ``x_t`` by a float64 ``ρ^L`` by
+       at most ``3 L v M``.  Step 5 then applies unchanged, with ``M``
+       at ``T``.  At ``t = T`` every added term is zero: the bound is
+       steps 1-5's, bit for bit.
 
     Values rounded into float32's subnormal range err by up to
     ``TINY32 / 2`` beyond the relative bounds; those terms, at most
-    ``2 n TINY32`` per step, are added to ``c g M``.
+    ``2 n TINY32`` per step, are added to ``c g M`` (and to step 6's
+    one-step error).
     """
-    u, v, k = U32, U64, max_in_degree
     a = max(1.0, max_row_sum)
+    chain, masses = _chain_bound(
+        steps, n_states, max_in_degree, max_run, a, mass
+    )
+    return _with_sums(chain, n_states, masses)
+
+
+def checkpoint_bounds(
+    at: int,
+    steps: int,
+    n_states: int,
+    max_in_degree: int,
+    max_run: int,
+    max_row_sum: float,
+    mass: float,
+    drifts: Sequence[Tuple[float, float]],
+) -> ErrorBounds:
+    """The bounds on estimating step ``steps`` from checkpoint ``at``.
+
+    Step 6 of :func:`error_bounds`.  ``drifts`` holds one ``(residual,
+    rate)`` pair per chain: the measured ``||x_{at+1} - ρ x_at||_1`` and
+    the ``ρ`` in ``[0, 1]`` its estimate scales by.  The chain bound is
+    the largest over the chains; at ``at == steps`` it is
+    :func:`error_bounds`' bit for bit.
+    """
+    u, v, k, n = U32, U64, max_in_degree, n_states
+    a = max(1.0, max_row_sum)
+    lag = steps - at
+    so_far, _ = _chain_bound(at, n, k, max_run, a, mass)
+    _, masses = _chain_bound(steps, n, k, max_run, a, mass)
+    one_step = u + 2 * max_run * v + (u + k * v) * (1.0 + u + 2 * max_run * v)
+    # What measuring the residual misses: the replica's own step against
+    # the exact operator, and the float64 rounding of the measurement.
+    unmeasured = (
+        one_step * a * masses
+        + 2.0 * n * TINY32 * max(masses, 1.0)
+        + 4.0 * (n + 2) * v * masses
+    )
+    exact_steps = lag * (k + 1) * v * a ** steps * masses
+    scaling = 3.0 * lag * v * masses
+
+    def truncation(residual: float, rate: float) -> float:
+        terms = lag if rate >= 1.0 else min(lag, 1.0 / (1.0 - rate))
+        return a ** lag * terms * (residual + unmeasured)
+
+    chain = max(
+        a ** lag * so_far + truncation(residual, rate) + exact_steps + scaling
+        for residual, rate in drifts
+    )
+    return _with_sums(chain, n, masses)
+
+
+def _chain_bound(
+    steps: int, n_states: int, k: int, max_run: int, a: float, mass: float
+) -> Tuple[float, float]:
+    """Step 4's chain bound at ``steps``, and the mass bound ``M``."""
+    u, v = U32, U64
     g = (1.0 + u + 2 * max_run * v) * (1.0 + u + k * v) * a
     tiny = n_states * TINY32
     masses = g ** steps * ((1.0 + u) * mass + (steps + 1) * tiny)
     c = 2.0 * u + u * u + (2 * k + 2 * max_run + 1) * v
     per_step = c * g * masses + 2.0 * tiny * max(masses, 1.0)
     chain = a ** steps * (u * mass + tiny + steps * per_step)
-    sums = chain + n_states * PRUNE + 2.0 * (n_states + 2) * v * masses
+    return chain, masses
+
+
+def _with_sums(chain: float, n_states: int, masses: float) -> ErrorBounds:
+    """Step 5: the bound on every probability the screen sums."""
+    sums = chain + n_states * PRUNE + 2.0 * (n_states + 2) * U64 * masses
     return ErrorBounds(chain=chain, sums=sums)
 
 
@@ -274,12 +372,23 @@ def pair_layout(
 
 
 def fast_quantities(
-    model: CompactModel, target: int, window_steps: int
+    model: CompactModel,
+    target: int,
+    window_steps: int,
+    certified: Callable[[FastQuantities], bool],
 ) -> Optional[FastQuantities]:
     """The float32 screen quantities, or ``None`` when not computable.
 
-    The layout and the chain run under ``screen.pair_layout`` and
-    ``screen.pair_chain`` spans.
+    The pair chain runs in chunks.  At each checkpoint before
+    ``window_steps`` the replica estimates both chains at
+    ``window_steps`` (step 6 of :func:`error_bounds`) and stops as soon
+    as ``certified`` accepts the quantities; otherwise it runs to
+    ``window_steps`` and returns the quantities there, where ``certified``
+    is not consulted.
+
+    The layout and the chain, checkpoints included, run under
+    ``screen.pair_layout`` and ``screen.pair_chain`` spans; the chain's
+    records ``stopped_at``, the steps it ran.
     """
     if len(model._sorted_entries()[0]) == 0:
         return None
@@ -287,40 +396,82 @@ def fast_quantities(
     with obs.span("screen.pair_layout"):
         layout, max_run, row_sum = pair_layout(model, target)
     x0 = model.initial_distribution()
-    with obs.span(
-        "screen.pair_chain",
-        steps=window_steps,
-        states=model.n_states,
-        simd=cnative.simd_level(),
-    ):
-        dist_full32, dist_absent32 = cnative.pair_chain_f32(
-            layout, x0, window_steps
-        )
-    dist_full = dist_full32.astype(np.float64)
-    dist_absent = dist_absent32.astype(np.float64)
-    bounds = error_bounds(
-        window_steps,
+    inputs = (
         model.n_states,
         layout.max_row_length,
         max_run,
         row_sum,
         float(np.abs(x0).sum()),
     )
-
     coverage = model.coverage_matrix(range(model.context.n_flows))
-    replica = screen(
-        pruned(dist_full)[np.newaxis], pruned(dist_absent)[np.newaxis], coverage
+    with obs.span(
+        "screen.pair_chain",
+        steps=window_steps,
+        states=model.n_states,
+        simd=cnative.simd_level(),
+    ) as span:
+        chain = cnative.PairChain(layout, x0)
+        for at in (*_checkpoints(window_steps), window_steps):
+            cnative.pair_chain_f32(chain, at - chain.steps)
+            quantities = _replica(*_estimate(chain, window_steps, inputs), coverage)
+            if at < window_steps and certified(quantities):
+                break
+        span.set_attr("stopped_at", chain.steps)
+    return quantities
+
+
+def _checkpoints(steps: int) -> range:
+    """The steps before ``steps`` at which the chain tries the certificate."""
+    stride = max(1, -(-steps // CHECKPOINTS))
+    return range(stride, steps, stride)
+
+
+def _estimate(
+    chain: cnative.PairChain, steps: int, inputs: Tuple[int, int, int, float, float]
+) -> Tuple[np.ndarray, np.ndarray, ErrorBounds]:
+    """Both chains' estimates at ``steps`` from ``chain``'s step, and their bounds.
+
+    ``inputs`` are :func:`error_bounds`' arguments after ``steps``.  At
+    ``steps`` the estimates are the chains themselves, bounded by
+    :func:`error_bounds`.  Before it, the chain runs one more step to
+    measure each chain's drift (step 6); the ℓ1 norms are taken in the
+    kernel's sorted row order, as they do not depend on it.
+    """
+    at = chain.steps
+    now = chain.chains.astype(np.float64, order="C")
+    if at == steps:
+        return (*chain.unsorted(now), error_bounds(steps, *inputs))
+    cnative.pair_chain_f32(chain, 1)
+    ahead = chain.chains.astype(np.float64, order="C")
+    mass = np.abs(now[1]).sum()
+    rate = min(1.0, np.abs(ahead[1]).sum() / mass) if mass > 0.0 else 0.0
+    rates = np.array([[1.0], [rate]])
+    residuals = np.abs(ahead - now * rates).sum(axis=1)
+    bounds = checkpoint_bounds(
+        at, steps, *inputs, tuple(zip(residuals.tolist(), rates[:, 0].tolist()))
     )
+    return (*chain.unsorted(now * rates ** (steps - at)), bounds)
+
+
+def _replica(
+    full: np.ndarray, absent: np.ndarray, bounds: ErrorBounds, coverage: np.ndarray
+) -> FastQuantities:
+    """The screen of every flow on the replica's estimates of both chains."""
+    replica = screen(pruned(full)[np.newaxis], pruned(absent)[np.newaxis], coverage)
     return FastQuantities(screen=replica, bounds=bounds, coverage=coverage)
 
 
 class _Certifier:
-    """Per-candidate certification state (reachability is lazy)."""
+    """Per-candidate certification state (reachability is lazy).
+
+    One certifier serves every checkpoint of a candidate's chain, so
+    reachability runs at most once.
+    """
 
     def __init__(
         self,
         model: CompactModel,
-        quantities: FastQuantities,
+        quantities: Optional[FastQuantities],
         target: int,
         require_optimal_differs: bool,
     ) -> None:
@@ -329,6 +480,13 @@ class _Certifier:
         self.target = target
         self.require_optimal_differs = require_optimal_differs
         self._reach: Optional[np.ndarray] = None
+
+    def certifies(self, quantities: FastQuantities) -> bool:
+        """Whether every flow has a proof on ``quantities``, now its own."""
+        self.quantities = quantities
+        return all(
+            self.verdict(flow) in PROOFS for flow in range(len(quantities.coverage))
+        )
 
     def _covered_unreachable(self, flow: int, complement: bool) -> bool:
         """Whether the flow's (un)covered states carry provably no mass."""
@@ -396,19 +554,17 @@ def screen_candidate(
     with obs.span(
         "harness.fast_screen", n_flows=len(config.universe)
     ) as span:
+        # Any flow could be the exact optimal probe; the rejection must
+        # hold for all of them, at a checkpoint or at the window's end.
+        certifier = _Certifier(
+            model, None, config.target_flow, require_optimal_differs
+        )
         quantities = fast_quantities(
-            model, config.target_flow, config.window_steps
+            model, config.target_flow, config.window_steps, certifier.certifies
         )
         if quantities is None:
             return _fallback(span, model, "no_replica")
-        # Any flow could be the exact optimal probe; the rejection must
-        # hold for all of them.
-        certifier = _Certifier(
-            model,
-            quantities,
-            config.target_flow,
-            require_optimal_differs,
-        )
+        certifier.quantities = quantities
         proofs: Set[str] = set()
         for flow in range(len(config.universe)):
             verdict = certifier.verdict(flow)

@@ -49,6 +49,14 @@ def _random_stochastic(rng: np.random.Generator, n: int) -> np.ndarray:
     return matrix / matrix.sum(axis=1, keepdims=True)
 
 
+def _run(level: str, layout: cnative.PairSell8, x0: np.ndarray, steps: int):
+    """``steps`` pair-chain steps of the ``level`` build from ``x0``, as
+    ``(full, excluded)`` vectors in the original row order."""
+    chain = cnative.PairChain(layout, x0)
+    cnative._pair_chain_f32(level, chain, steps)
+    return chain.unsorted(chain.chains)
+
+
 @pytest.fixture(params=cnative.LEVELS)
 def level(request, monkeypatch, reset_kernel):
     """Each SIMD build the host can run (skips AVX-512 elsewhere)."""
@@ -105,8 +113,9 @@ class TestDisabled:
         n = 4
         layout = _pair_layout(np.eye(n), np.eye(n))
         x0 = np.full(n, 1.0 / n)
+        chain = cnative.PairChain(layout, x0)
         with pytest.raises(RuntimeError, match="native kernel unavailable"):
-            cnative.pair_chain_f32(layout, x0, 3)
+            cnative.pair_chain_f32(chain, 3)
 
     def test_chain_raises_when_unavailable(self, monkeypatch, reset_kernel):
         monkeypatch.setenv(cnative.DISABLE_ENV_VAR, "1")
@@ -167,7 +176,7 @@ class TestKernel:
         ).chain
         levels = ("scalar", "avx512") if cnative.simd_level() == "avx512" else ("scalar",)
         for level in levels:
-            y1, y2 = cnative._pair_chain_f32(level, layout, x0, steps)
+            y1, y2 = _run(level, layout, x0, steps)
             assert y1.dtype == y2.dtype == np.float32
             assert np.abs(y1 - want1).sum() <= bound
             assert np.abs(y2 - want2).sum() <= bound
@@ -182,8 +191,8 @@ class TestKernel:
         b = a * (rng.random((n, n)) < 0.5)
         layout = _pair_layout(a, b)
         x0 = rng.random(n)
-        scalar = cnative._pair_chain_f32("scalar", layout, x0, steps)
-        avx512 = cnative._pair_chain_f32("avx512", layout, x0, steps)
+        scalar = _run("scalar", layout, x0, steps)
+        avx512 = _run("avx512", layout, x0, steps)
         for got, want in zip(avx512, scalar):
             np.testing.assert_array_equal(got, want)
 
@@ -192,9 +201,11 @@ class TestKernel:
         a = _random_stochastic(rng, 21)
         layout = _pair_layout(a, a)
         x0 = rng.random(21)
+        chain = cnative.PairChain(layout, x0)
+        cnative.pair_chain_f32(chain, 5)
+        assert chain.steps == 5
         for got, want in zip(
-            cnative.pair_chain_f32(layout, x0, 5),
-            cnative._pair_chain_f32(cnative.simd_level(), layout, x0, 5),
+            chain.unsorted(chain.chains), _run(cnative.simd_level(), layout, x0, 5)
         ):
             np.testing.assert_array_equal(got, want)
 
@@ -206,15 +217,50 @@ class TestKernel:
         x0 = np.full(n, 1.0 / n)
         x0.setflags(write=False)
         before = x0.copy()
-        cnative.pair_chain_f32(layout, x0, 5)
+        chain = cnative.PairChain(layout, x0)
+        cnative.pair_chain_f32(chain, 2)
+        cnative.pair_chain_f32(chain, 3)
         np.testing.assert_array_equal(x0, before)
 
     def test_pair_chain_shape_and_steps_checked(self):
         layout = _pair_layout(np.eye(3), np.eye(3))
         with pytest.raises(ValueError, match="expected a vector of 3"):
-            cnative.pair_chain_f32(layout, np.ones(4), 1)
+            cnative.PairChain(layout, np.ones(4))
+        chain = cnative.PairChain(layout, np.ones(3))
         with pytest.raises(ValueError, match="non-negative"):
-            cnative.pair_chain_f32(layout, np.ones(3), -1)
+            cnative.pair_chain_f32(chain, -1)
+        assert chain.steps == 0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e39])
+    @pytest.mark.parametrize("state", [0, 2])
+    def test_non_finite_initial_vector_refused(self, bad, state):
+        # 1e39 is finite in float64 but overflows float32.  State 0 is
+        # the one every padding entry reads.
+        layout = _pair_layout(np.eye(3), np.eye(3))
+        x0 = np.ones(3)
+        x0[state] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            cnative.PairChain(layout, x0)
+
+    @pytest.mark.parametrize(
+        "chunks", [[1] * 9, [3, 5, 1, 7], [2, 4, 6, 8], [0, 11, 0, 2]]
+    )
+    def test_chunks_bit_identical_to_one_run(self, level, chunks):
+        # Odd chunks end in the kernel's scratch and are copied back;
+        # even ones end in place.  n = 37 leaves a partial last slice.
+        rng = np.random.default_rng(sum(chunks))
+        n = 37
+        a = _random_stochastic(rng, n)
+        layout = _pair_layout(a, a * (rng.random((n, n)) < 0.6))
+        x0 = rng.random(n)
+        chain = cnative.PairChain(layout, x0)
+        for steps in chunks:
+            cnative._pair_chain_f32(level, chain, steps)
+        assert chain.steps == sum(chunks)
+        for got, want in zip(
+            chain.unsorted(chain.chains), _run(level, layout, x0, sum(chunks))
+        ):
+            np.testing.assert_array_equal(got, want)
 
 
 def _chain_pieces(matrix: np.ndarray):

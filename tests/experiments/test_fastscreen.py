@@ -70,12 +70,19 @@ class TestSoundness:
         self, require_optimal_differs, absence
     ):
         params = tiny_experiment_params().with_absence_range(*absence)
-        certified = 0
+        certified = stopped_early = 0
         for config in sample_candidates(params, 60):
-            outcome = fastscreen.screen_candidate(
-                config, require_optimal_differs=require_optimal_differs
-            )
+            backend = Instrumentation()
+            with use_instrumentation(backend):
+                outcome = fastscreen.screen_candidate(
+                    config, require_optimal_differs=require_optimal_differs
+                )
             assert outcome.model is not None
+            stopped_at = [
+                span.attrs["stopped_at"]
+                for span in backend.tracer.records
+                if span.name == "screen.pair_chain"
+            ]
             harness = ConfigHarness(
                 config,
                 params,
@@ -88,6 +95,7 @@ class TestSoundness:
             )
             if outcome.certified_reject:
                 certified += 1
+                stopped_early += stopped_at[0] < config.window_steps
                 assert exact_reject, (
                     "unsound certificate: the exact screen accepts "
                     f"target={config.target_flow}"
@@ -103,8 +111,11 @@ class TestSoundness:
                         f"(target={config.target_flow})"
                     )
         # The pre-pass must actually decide a useful share of the
-        # stream, otherwise the fast path silently degrades to exact.
+        # stream, otherwise the fast path silently degrades to exact;
+        # and some of those rejects must stop the chain at a checkpoint,
+        # so the early path is under the check.
         assert certified >= 30
+        assert stopped_early > 0
 
     def test_counters_classify_every_candidate(self):
         params = tiny_experiment_params()
@@ -292,19 +303,31 @@ class TestOutcomeSplit:
         assert _fastscreen_counts(backend)["proof_target"] == 16
 
 
+def _at_window(model, target, steps):
+    """The fast screen's quantities at the window's end, never stopping early."""
+    return fastscreen.fast_quantities(model, target, steps, lambda _: False)
+
+
 def _assert_inside_bounds(params, config):
-    """Measured replica errors against the exact screen, within the bounds."""
+    """Measured replica errors against the exact screen, within the bounds.
+
+    At every checkpoint and at the window's end: the estimate of each
+    chain at ``T`` against the exact float64 chain, and every screened
+    probability against the exact outcome table's.
+    """
     model = CompactModel(
         config.policy,
         config.universe,
         config.delta,
         config.cache_size,
     )
+    steps = config.window_steps
+    checked = []
     fast = fastscreen.fast_quantities(
-        model, config.target_flow, config.window_steps
+        model, config.target_flow, steps, lambda q: checked.append(q) or False
     )
     assert fast is not None
-    bounds = fast.bounds
+    assert len(checked) == len(fastscreen._checkpoints(steps))
     harness = ConfigHarness(
         config,
         params,
@@ -312,25 +335,35 @@ def _assert_inside_bounds(params, config):
         model=model,
     )
     inference = harness.inference
-    layout, _, _ = fastscreen.pair_layout(model, config.target_flow)
-    chains = cnative.pair_chain_f32(
-        layout, model.initial_distribution(), config.window_steps
-    )
     exact = (inference.dist_full, inference.dist_absent)
-    for got, want in zip(chains, exact):
-        assert np.abs(got - want).sum() <= bounds.chain
-    assert abs(
-        min(float(chains[1].astype(np.float64).sum()), 1.0)
-        - inference.prior_absent()
-    ) <= bounds.sums
-    for flow in range(len(config.universe)):
-        table = inference.outcome_table((flow,))
+    layout, max_run, row_sum = fastscreen.pair_layout(model, config.target_flow)
+    x0 = model.initial_distribution()
+    inputs = (
+        model.n_states, layout.max_row_length, max_run, row_sum, float(x0.sum())
+    )
+    chain = cnative.PairChain(layout, x0)
+    for at in (*fastscreen._checkpoints(steps), steps):
+        cnative.pair_chain_f32(chain, at - chain.steps)
+        *estimates, bounds = fastscreen._estimate(chain, steps, inputs)
+        for got, want in zip(estimates, exact):
+            assert np.abs(got - want).sum() <= bounds.chain, at
         assert abs(
-            fast.screen.p_hit[flow] - table.outcome_probs.get((1,), 0.0)
+            min(float(estimates[1].sum()), 1.0) - inference.prior_absent()
         ) <= bounds.sums
-        assert abs(
-            fast.screen.p_miss[flow] - table.outcome_probs.get((0,), 0.0)
-        ) <= bounds.sums
+    assert chain.steps == steps
+    # At the window's end the bound is the unextended one, bit for bit.
+    assert bounds == fast.bounds == fastscreen.error_bounds(steps, *inputs)
+    for quantities in (*checked, fast):
+        for flow in range(len(config.universe)):
+            table = inference.outcome_table((flow,))
+            assert abs(
+                quantities.screen.p_hit[flow]
+                - table.outcome_probs.get((1,), 0.0)
+            ) <= quantities.bounds.sums
+            assert abs(
+                quantities.screen.p_miss[flow]
+                - table.outcome_probs.get((0,), 0.0)
+            ) <= quantities.bounds.sums
 
 
 class TestDerivedBounds:
@@ -354,6 +387,42 @@ class TestDerivedBounds:
         bounds = fastscreen.error_bounds(1500, 2510, 146, 8, 1.0)
         assert bounds.chain == pytest.approx(1.79e-4, rel=0.01)
         assert bounds.sums == pytest.approx(bounds.chain, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "drifts",
+        [
+            ((0.0, 1.0), (0.0, 1.0)),
+            ((3e-2, 1.0), (1e-3, 0.5)),
+            ((1.0, 1.0), (0.0, 0.0)),
+        ],
+    )
+    def test_checkpoint_bound_at_the_window_end_is_unextended(self, drifts):
+        inputs = (2510, 146, 8, 1.0 + 1e-9, 0.75)
+        got = fastscreen.checkpoint_bounds(1500, 1500, *inputs, drifts)
+        want = fastscreen.error_bounds(1500, *inputs)
+        assert (got.chain, got.sums) == (want.chain, want.sums)
+
+    def test_checkpoint_bound_grows_with_the_lag_and_the_residual(self):
+        inputs = (2510, 146, 8, 1.0, 1.0)
+        drifts = ((1e-7, 1.0), (1e-7, 0.99))
+        base = fastscreen.checkpoint_bounds(1400, 1500, *inputs, drifts)
+        assert base.chain > fastscreen.error_bounds(1500, *inputs).chain
+        for bigger in (
+            fastscreen.checkpoint_bounds(1300, 1500, *inputs, drifts),
+            fastscreen.checkpoint_bounds(
+                1400, 1500, *inputs, ((1e-6, 1.0), (1e-7, 0.99))
+            ),
+        ):
+            assert bigger.chain > base.chain
+        # A decaying chain's truncation stops growing with the lag past
+        # 1 / (1 - rho) steps; a steady one's keeps growing.
+        decaying = ((0.0, 1.0), (1e-3, 0.5))
+        steady = ((0.0, 1.0), (1e-3, 1.0))
+        near = fastscreen.checkpoint_bounds(1490, 1500, *inputs, decaying)
+        far = fastscreen.checkpoint_bounds(500, 1500, *inputs, decaying)
+        assert far.chain < 2 * near.chain
+        steady_far = fastscreen.checkpoint_bounds(500, 1500, *inputs, steady)
+        assert steady_far.chain > 50 * near.chain
 
     def test_bounds_grow_with_steps_degree_and_row_sum(self):
         base = fastscreen.error_bounds(100, 50, 10, 2, 1.0)
@@ -445,7 +514,7 @@ class TestAdversarialCut:
                 model = CompactModel(
                     near.policy, near.universe, near.delta, near.cache_size
                 )
-                quantities = fastscreen.fast_quantities(
+                quantities = _at_window(
                     model, near.target_flow, near.window_steps
                 )
                 certifier = fastscreen._Certifier(
@@ -555,7 +624,7 @@ class TestExactZeros:
 
     @pytest.mark.parametrize("flow", [ALL, NONE])
     def test_fast_quantities(self, model, flow):
-        fast = fastscreen.fast_quantities(model, self.TARGET, self.WINDOW)
+        fast = _at_window(model, self.TARGET, self.WINDOW)
         empty = fast.screen.p_miss if flow == self.ALL else fast.screen.p_hit
         full = fast.screen.p_hit if flow == self.ALL else fast.screen.p_miss
         assert empty[flow] == 0.0
@@ -564,7 +633,7 @@ class TestExactZeros:
     @pytest.mark.parametrize("flow", [ALL, NONE])
     def test_screen_rejects_by_reachability(self, model, inference, flow):
         assert not paper_screen(inference, flow)
-        fast = fastscreen.fast_quantities(model, self.TARGET, self.WINDOW)
+        fast = _at_window(model, self.TARGET, self.WINDOW)
         certifier = fastscreen._Certifier(
             model, fast, self.TARGET, require_optimal_differs=False
         )
@@ -579,7 +648,7 @@ class TestExactChainsThroughTheReplica:
     seeded ``2017 * 10 + bin``.
     """
 
-    def test_verdicts_match_paper_screen(self, monkeypatch):
+    def test_verdicts_match_paper_screen(self):
         verdicts = []
         for index, (low, high) in enumerate(VIABLE_FIG6_BINS):
             params = ExperimentParams(
@@ -597,12 +666,11 @@ class TestExactChainsThroughTheReplica:
                 inference = ReconInference(
                     model, config.target_flow, config.window_steps
                 )
-                exact = (inference.dist_full, inference.dist_absent)
-                monkeypatch.setattr(
-                    cnative, "pair_chain_f32", lambda *_, exact=exact: exact
-                )
-                quantities = fastscreen.fast_quantities(
-                    model, config.target_flow, config.window_steps
+                quantities = fastscreen._replica(
+                    inference.dist_full,
+                    inference.dist_absent,
+                    fastscreen.ErrorBounds(chain=0.0, sums=0.0),
+                    model.coverage_matrix(range(len(config.universe))),
                 )
                 expected = [
                     paper_screen(inference, flow)

@@ -126,19 +126,31 @@ def test_spans_inside_the_screen(native):
     model = CompactModel(
         config.policy, config.universe, config.delta, config.cache_size
     )
-    backend = Instrumentation()
-    with use_instrumentation(backend):
-        fastscreen.fast_quantities(
-            model, config.target_flow, config.window_steps
-        )
-    spans = {span.name: span for span in backend.tracer.records}
-    assert spans["screen.pair_layout"].attrs == {}
-    assert spans["screen.pair_chain"].attrs == {
-        "steps": config.window_steps,
-        "states": model.n_states,
-        "simd": cnative.simd_level(),
-    }
-    assert spans["model.recency_tables"].attrs["kernel"] == "native"
+    # Never certified, the chain runs the whole window; certified at
+    # once, it stops one step past the first checkpoint (the step that
+    # measures its drift).
+    first = fastscreen._checkpoints(config.window_steps)[0]
+    runs = {}
+    for certified, stopped_at in ((False, config.window_steps), (True, first + 1)):
+        backend = Instrumentation()
+        with use_instrumentation(backend):
+            fastscreen.fast_quantities(
+                model,
+                config.target_flow,
+                config.window_steps,
+                lambda _, certified=certified: certified,
+            )
+        spans = {span.name: span for span in backend.tracer.records}
+        assert spans["screen.pair_layout"].attrs == {}
+        assert spans["screen.pair_chain"].attrs == {
+            "steps": config.window_steps,
+            "states": model.n_states,
+            "simd": cnative.simd_level(),
+            "stopped_at": stopped_at,
+        }
+        runs[certified] = spans
+    # The model's tables are built once, in the first screen.
+    assert runs[False]["model.recency_tables"].attrs["kernel"] == "native"
 
 
 # ----------------------------------------------------------------------
